@@ -416,9 +416,11 @@ fn build_paged<C: CacheBackend>(
                 let incremental = options.incremental_pnr && options.race.attempts <= 1;
                 let hk_now = incremental.then(|| hints_key(&op.name, khash, rect, device_hash));
                 let mut hint = None;
-                if incremental && !store.contains(stage_key(StageKind::PlaceRoute, &pnr_parts)) {
+                if let Some(hk) =
+                    hk_now.filter(|_| !store.contains(stage_key(StageKind::PlaceRoute, &pnr_parts)))
+                {
                     report.hint_fetches += 1;
-                    hint = store.fetch_hints(hk_now.expect("incremental").hash);
+                    hint = store.fetch_hints(hk.hash);
                     if hint.is_none() {
                         if let Some(prev_op) =
                             prev.and_then(|p| p.operators.iter().find(|o| o.name == op.name))
@@ -513,7 +515,14 @@ fn build_paged<C: CacheBackend>(
     let mut warm_by_job: Vec<Option<bool>> = vec![None; outcomes.len()];
     for (op, plan) in graph.operators.iter().zip(&plans) {
         if let Some(j) = plan.job {
-            let outcome = outcomes[j].take().expect("one job per operator");
+            // A missing outcome is a farm accounting bug, not a reason to
+            // unwind through `Runtime::hot_swap`.
+            let outcome = outcomes.get_mut(j).and_then(Option::take).ok_or_else(|| {
+                CompileError::JobPanicked {
+                    op: op.name.clone(),
+                    message: "farm returned no outcome for this operator's job".into(),
+                }
+            })?;
             wall_by_job[j] = outcome.wall_seconds;
             let done = outcome
                 .result

@@ -5,12 +5,15 @@
 //! parallel, since they are implemented on different physical locations
 //! with no overlapping area", so "the compilation time is determined by the
 //! longest individual one instead of the total" (Sec. 6.2). This module is
-//! the local analogue: a fixed-width thread pool executing independent
-//! compile jobs and reporting per-job and critical-path times.
+//! the local analogue: a fixed number of lanes executing independent compile
+//! jobs and reporting per-job and critical-path times. The thread that
+//! submits a batch works one of the lanes itself, so a batch of `n` jobs on
+//! `workers` lanes spawns `min(workers, n) - 1` threads: none at all for an
+//! empty plan, a single job or `workers = 1`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 
 /// Outcome of one farm job.
@@ -20,9 +23,8 @@ pub struct JobOutcome<T> {
     pub index: usize,
     /// The job's product, or the panic message if the job panicked. A
     /// panicking job must not take the rest of the batch with it: the farm
-    /// catches the unwind on the worker thread (before it can poison the
-    /// shared queue lock and wedge the other workers) and reports it as an
-    /// error outcome.
+    /// catches the unwind on the lane that ran it — the caller's included —
+    /// and reports it as an error outcome.
     pub result: Result<T, String>,
     /// Wall-clock seconds the job took.
     pub wall_seconds: f64,
@@ -40,99 +42,103 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `jobs` closures on up to `workers` threads; results come back in
-/// submission order. A panicking job yields an `Err` outcome; the other
-/// jobs' results are unaffected.
-pub fn run_jobs<T, F>(jobs: Vec<F>, workers: usize) -> Vec<JobOutcome<T>>
+/// Runs one job under `catch_unwind` and times it.
+fn run_one<T>(index: usize, job: impl FnOnce() -> T) -> JobOutcome<T> {
+    let t0 = std::time::Instant::now();
+    let result = catch_unwind(AssertUnwindSafe(job)).map_err(panic_message);
+    JobOutcome {
+        index,
+        result,
+        wall_seconds: t0.elapsed().as_secs_f64(),
+    }
+}
+
+/// Runs `queue` — `(submission index, job)` pairs in dispatch order — on
+/// `min(workers, n)` lanes, one of which is the calling thread: it pops and
+/// runs jobs like any other lane instead of blocking on the join, so only
+/// `lanes - 1` threads are spawned. No job and one job, or one worker,
+/// therefore spawn nothing and run on the caller in dispatch order.
+/// Outcomes come back indexed by submission index.
+fn dispatch<T, F>(queue: Vec<(usize, F)>, workers: usize) -> Vec<JobOutcome<T>>
 where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
+    T: Send,
+    F: FnOnce() -> T + Send,
 {
-    let workers = workers.max(1);
-    let (work_tx, work_rx) = mpsc::channel::<(usize, F)>();
-    let work_rx = std::sync::Arc::new(std::sync::Mutex::new(work_rx));
-    let (done_tx, done_rx) = mpsc::channel::<JobOutcome<T>>();
-
-    let n = jobs.len();
-    for (i, job) in jobs.into_iter().enumerate() {
-        work_tx.send((i, job)).expect("queue open");
-    }
-    drop(work_tx);
-
-    let mut handles = Vec::new();
-    for _ in 0..workers.min(n.max(1)) {
-        let rx = std::sync::Arc::clone(&work_rx);
-        let tx = done_tx.clone();
-        handles.push(thread::spawn(move || loop {
-            let job = { rx.lock().expect("farm queue lock").recv() };
-            match job {
-                Ok((index, f)) => {
-                    let t0 = std::time::Instant::now();
-                    let result = catch_unwind(AssertUnwindSafe(f)).map_err(panic_message);
-                    let outcome = JobOutcome {
-                        index,
-                        result,
-                        wall_seconds: t0.elapsed().as_secs_f64(),
-                    };
-                    if tx.send(outcome).is_err() {
-                        return;
-                    }
-                }
-                Err(_) => return,
+    let n = queue.len();
+    let lanes = workers.min(n);
+    let queue = Mutex::new(queue.into_iter());
+    // The lock is held only to pop: jobs run outside it (and are caught
+    // anyway), so a panicking job cannot poison it.
+    let lane = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().expect("farm queue lock").next();
+            match next {
+                Some((index, job)) => done.push(run_one(index, job)),
+                None => return done,
             }
-        }));
-    }
-    drop(done_tx);
-
+        }
+    };
+    let done = thread::scope(|s| {
+        let spawned: Vec<_> = (1..lanes).map(|_| s.spawn(lane)).collect();
+        let mut done = lane();
+        for h in spawned {
+            done.extend(h.join().expect("farm lanes never panic (jobs are caught)"));
+        }
+        done
+    });
     let mut outcomes: Vec<Option<JobOutcome<T>>> = (0..n).map(|_| None).collect();
-    for outcome in done_rx {
-        let i = outcome.index;
-        outcomes[i] = Some(outcome);
+    for outcome in done {
+        let index = outcome.index;
+        outcomes[index] = Some(outcome);
     }
-    for h in handles {
-        h.join()
-            .expect("farm workers never panic (jobs are caught)");
-    }
+    // A slot no lane filled is a farm accounting bug; report it the way a
+    // panicked job is reported so callers surface a typed error.
     outcomes
         .into_iter()
-        .map(|o| o.expect("all jobs completed"))
+        .enumerate()
+        .map(|(index, outcome)| {
+            outcome.unwrap_or_else(|| JobOutcome {
+                index,
+                result: Err("farm lost the job's outcome".to_string()),
+                wall_seconds: 0.0,
+            })
+        })
         .collect()
+}
+
+/// Runs `jobs` closures on up to `workers` lanes; results come back in
+/// submission order. The calling thread works a lane itself, so
+/// `min(workers, n) - 1` threads are spawned: `workers <= 1`, a single job or
+/// an empty list spawn none. A panicking job yields an `Err` outcome; the
+/// other jobs' results are unaffected.
+pub fn run_jobs<T, F>(jobs: Vec<F>, workers: usize) -> Vec<JobOutcome<T>>
+where
+    T: Send,
+    F: FnOnce() -> T + Send,
+{
+    dispatch(jobs.into_iter().enumerate().collect(), workers)
 }
 
 /// Like [`run_jobs`], but with longest-processing-time-first (LPT) list
 /// scheduling: each job carries a cost estimate, and jobs are handed to the
-/// workers in descending cost order so the critical-path job starts
+/// lanes in descending cost order so the critical-path job starts
 /// immediately instead of queuing behind short ones. Outcomes still come
 /// back in the caller's submission order (with `index` matching it).
 pub fn run_jobs_lpt<T, F>(jobs: Vec<(f64, F)>, workers: usize) -> Vec<JobOutcome<T>>
 where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
+    T: Send,
+    F: FnOnce() -> T + Send,
 {
-    let n = jobs.len();
-    let costs: Vec<f64> = jobs.iter().map(|(c, _)| *c).collect();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        costs[b]
-            .partial_cmp(&costs[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    let mut slots: Vec<Option<F>> = jobs.into_iter().map(|(_, f)| Some(f)).collect();
-    let sorted: Vec<F> = order
-        .iter()
-        .map(|&i| slots[i].take().expect("each job dispatched once"))
+    let mut queue: Vec<(usize, f64, F)> = jobs
+        .into_iter()
+        .enumerate()
+        .map(|(i, (cost, job))| (i, cost, job))
         .collect();
-    let outcomes = run_jobs(sorted, workers);
-    let mut out: Vec<Option<JobOutcome<T>>> = (0..n).map(|_| None).collect();
-    for (pos, mut o) in outcomes.into_iter().enumerate() {
-        let original = order[pos];
-        o.index = original;
-        out[original] = Some(o);
-    }
-    out.into_iter()
-        .map(|o| o.expect("all jobs completed"))
-        .collect()
+    // Stable sort: equal costs keep submission order.
+    queue.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    let queue = queue.into_iter().map(|(i, _, job)| (i, job)).collect();
+    dispatch(queue, workers)
 }
 
 /// Cooperative cancellation handle for one attempt of a seed race.
@@ -330,15 +336,7 @@ where
                     if cancel.cancelled() {
                         continue; // drain the queue without running
                     }
-                    let t0 = std::time::Instant::now();
-                    let result =
-                        catch_unwind(AssertUnwindSafe(|| f(&cancel))).map_err(panic_message);
-                    let outcome = JobOutcome {
-                        index,
-                        result,
-                        wall_seconds: t0.elapsed().as_secs_f64(),
-                    };
-                    if tx.send(outcome).is_err() {
+                    if tx.send(run_one(index, || f(&cancel))).is_err() {
                         return;
                     }
                 }
@@ -481,8 +479,73 @@ mod tests {
 
     #[test]
     fn empty_job_list_is_fine() {
-        let outcomes = run_jobs(Vec::<Box<dyn FnOnce() -> usize + Send>>::new(), 4);
+        // No lanes at all: a width that could never be spawned returns at once.
+        let outcomes = run_jobs(Vec::<Box<dyn FnOnce() -> usize + Send>>::new(), usize::MAX);
         assert!(outcomes.is_empty());
+        assert!(run_jobs_lpt(Vec::<(f64, fn() -> usize)>::new(), 4).is_empty());
+    }
+
+    #[test]
+    fn single_job_and_single_worker_run_on_the_caller() {
+        let caller = thread::current().id();
+        let one = run_jobs(vec![|| thread::current().id()], 8);
+        assert_eq!(one[0].result, Ok(caller));
+        assert!(one[0].wall_seconds >= 0.0);
+        // One worker: every job on the caller, in submission order.
+        let log = Mutex::new(Vec::new());
+        let jobs: Vec<_> = (0..5usize)
+            .map(|i| {
+                let log = &log;
+                move || {
+                    log.lock().unwrap().push(i);
+                    thread::current().id()
+                }
+            })
+            .collect();
+        for o in run_jobs(jobs, 1) {
+            assert_eq!(o.result, Ok(caller));
+        }
+        assert_eq!(*log.lock().unwrap(), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn panic_on_the_caller_lane_is_isolated() {
+        // Two lanes, and the first two jobs rendezvous, so each lane holds
+        // exactly one of them; whichever finds itself on the caller's thread
+        // panics. The queue lock must survive for the four jobs behind them.
+        let caller = thread::current().id();
+        let both_running = std::sync::Barrier::new(2);
+        let jobs: Vec<Box<dyn FnOnce() -> usize + Send + '_>> = (0..6usize)
+            .map(|i| {
+                let both_running = &both_running;
+                Box::new(move || {
+                    if i < 2 {
+                        both_running.wait();
+                        if thread::current().id() == caller {
+                            panic!("caller lane job {i} exploded");
+                        }
+                    }
+                    i * 3
+                }) as Box<dyn FnOnce() -> usize + Send + '_>
+            })
+            .collect();
+        let outcomes = run_jobs(jobs, 2);
+        assert_eq!(outcomes.len(), 6);
+        let panicked: Vec<usize> = (0..6).filter(|&i| outcomes[i].result.is_err()).collect();
+        assert_eq!(
+            panicked.len(),
+            1,
+            "exactly the caller-lane job: {panicked:?}"
+        );
+        assert!(panicked[0] < 2);
+        let message = outcomes[panicked[0]].result.as_ref().unwrap_err();
+        assert!(message.contains("exploded"), "got: {message}");
+        for (i, o) in outcomes.iter().enumerate() {
+            assert_eq!(o.index, i);
+            if i != panicked[0] {
+                assert_eq!(o.result, Ok(i * 3));
+            }
+        }
     }
 
     type RaceAttemptFn = Box<dyn FnOnce(&RaceCancel) -> Option<RaceResult> + Send>;
@@ -562,13 +625,16 @@ mod tests {
         // mid-flight, then verify job 0's partial result arrives and the
         // queued jobs never ran.
         let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let started = Arc::new(std::sync::Barrier::new(2));
         let ran = Arc::new(AtomicUsize::new(0));
         let mut jobs: Vec<TestJob> = Vec::new();
         {
             let gate = Arc::clone(&gate);
+            let started = Arc::clone(&started);
             let ran = Arc::clone(&ran);
             jobs.push(Box::new(move |cancel: &BackgroundCancel| {
                 ran.fetch_add(1, Ordering::Relaxed);
+                started.wait();
                 while !gate.load(Ordering::Relaxed) {
                     thread::sleep(Duration::from_millis(1));
                 }
@@ -587,6 +653,8 @@ mod tests {
             }));
         }
         let bg = run_jobs_background(jobs, 1);
+        // A job pulled after the cancel is dropped unrun, job 0 included.
+        started.wait();
         bg.cancel();
         gate.store(true, Ordering::Relaxed);
         let results = bg.wait();

@@ -206,6 +206,10 @@ pub struct MonolithicInfo {
     pub fused_vtime: Option<PhaseTimes>,
     /// The stitched kernel netlist (kept for emulation-mode experiments).
     pub netlist: Netlist,
+    /// Index of each operator's first cell in `netlist`, in graph operator
+    /// order — with `netlist`, the inputs [`fused_baseline_netlist`] needs to
+    /// rebuild the fused leg's design.
+    pub offsets: Vec<usize>,
     /// Post-P&R timing of the whole design.
     pub timing: TimingReport,
     /// P&R work units.
@@ -528,6 +532,74 @@ pub fn monolithic_region(floorplan: &Floorplan) -> Rect {
     Rect::new(2, 0, d.width - 2, d.height)
 }
 
+/// The fused baseline of a stitched `-O3` kernel: identical logic, but
+/// linked ports become combinational glue instead of registered stream
+/// interfaces, so inter-operator wires join the timing paths (the original
+/// undecomposed designs of Tab. 3's "Vitis Flow" row). `kernel_netlist` and
+/// `offsets` are [`MonolithicInfo::netlist`] and [`MonolithicInfo::offsets`]
+/// of a compile of `graph`.
+pub fn fused_baseline_netlist(
+    graph: &Graph,
+    kernel_netlist: &Netlist,
+    offsets: &[usize],
+) -> Netlist {
+    let mut fused = kernel_netlist.clone();
+    for edge in &graph.edges {
+        let from_off = offsets[edge.from.0 .0];
+        let to_off = offsets[edge.to.0 .0];
+        let out_name = format!("out_{}", edge.from.1);
+        let in_name = format!("in_{}", edge.to.1);
+        for (i, cell) in fused.cells.iter_mut().enumerate() {
+            let linked =
+                (i >= from_off && cell.name == out_name) || (i >= to_off && cell.name == in_name);
+            if linked {
+                cell.kind = CellKind::Logic {
+                    width: edge.elem.width(),
+                };
+            }
+        }
+    }
+    // FIFO/relay cells between linked ports also fuse to wiring.
+    for cell in fused.cells.iter_mut() {
+        if cell.name.starts_with("fifo_") || cell.name.starts_with("relay_") {
+            cell.kind = CellKind::Logic { width: 1 };
+        }
+    }
+    fused
+}
+
+/// One leg of the monolithic flow's P&R, as a farm job.
+type PnrLeg<'a, T> = Box<dyn FnOnce() -> Result<T, pnr::PnrError> + Send + 'a>;
+
+/// Runs `-O3`'s as-built and fused-baseline legs (in that order) on `jobs`
+/// farm lanes and joins them. A panic in either leg is a
+/// [`CompileError::JobPanicked`]; an as-built error is the compile's
+/// [`CompileError::Pnr`] whatever the fused leg returned; a fused-leg error
+/// only means the baseline is not modelled (`None`).
+fn run_pnr_legs<T: Send>(
+    name: &str,
+    legs: [PnrLeg<'_, T>; 2],
+    jobs: usize,
+) -> Result<(T, Option<T>), CompileError> {
+    let mut outcomes = crate::farm::run_jobs(Vec::from(legs), jobs)
+        .into_iter()
+        .map(|o| o.result);
+    let panicked = |leg: &str, message: String| CompileError::JobPanicked {
+        op: format!("{name}{leg}"),
+        message,
+    };
+    let (Some(as_built), Some(fused)) = (outcomes.next(), outcomes.next()) else {
+        return Err(panicked("", "farm returned fewer than two outcomes".into()));
+    };
+    let as_built = as_built.map_err(|m| panicked("", m))?;
+    let fused = fused.map_err(|m| panicked(" (fused baseline)", m))?;
+    let as_built = as_built.map_err(|error| CompileError::Pnr {
+        op: name.to_string(),
+        error,
+    })?;
+    Ok((as_built, fused.ok()))
+}
+
 pub(crate) fn compile_monolithic<C: crate::cache::CacheBackend>(
     graph: &Graph,
     ir: DfgIr,
@@ -629,45 +701,26 @@ pub(crate) fn compile_monolithic<C: crate::cache::CacheBackend>(
         }
     }
 
+    // The two P&R legs — the design as built and its fused baseline — are
+    // pure functions of (netlist, device, region, opts) and neither reads
+    // the other's result, so they run as two farm jobs: side by side on
+    // `jobs >= 2`, one after the other on the caller at `jobs = 1`.
+    let fused = fused_baseline_netlist(graph, &kernel_netlist, &offsets);
+    let device = &options.floorplan.device;
     let region = monolithic_region(&options.floorplan);
     let opts = PnrOptions {
         seed: options.seed,
         abstract_shell: true,
         effort: 1.0,
     };
-    let result = place_and_route(&kernel_netlist, &options.floorplan.device, region, &opts)
-        .map_err(|error| CompileError::Pnr {
-            op: graph.name.clone(),
-            error,
-        })?;
-
-    // The fused baseline: identical logic, but linked ports become
-    // combinational glue instead of registered stream interfaces, so
-    // inter-operator wires join the timing paths (the original
-    // undecomposed designs of Tab. 3's "Vitis Flow" row).
-    let mut fused = kernel_netlist.clone();
-    for edge in &graph.edges {
-        let from_off = offsets[edge.from.0 .0];
-        let to_off = offsets[edge.to.0 .0];
-        let out_name = format!("out_{}", edge.from.1);
-        let in_name = format!("in_{}", edge.to.1);
-        for (i, cell) in fused.cells.iter_mut().enumerate() {
-            let linked =
-                (i >= from_off && cell.name == out_name) || (i >= to_off && cell.name == in_name);
-            if linked {
-                cell.kind = CellKind::Logic {
-                    width: edge.elem.width(),
-                };
-            }
-        }
-    }
-    // FIFO/relay cells between linked ports also fuse to wiring.
-    for cell in fused.cells.iter_mut() {
-        if cell.name.starts_with("fifo_") || cell.name.starts_with("relay_") {
-            cell.kind = CellKind::Logic { width: 1 };
-        }
-    }
-    let fused_result = place_and_route(&fused, &options.floorplan.device, region, &opts).ok();
+    let (result, fused_result) = run_pnr_legs(
+        &graph.name,
+        [
+            Box::new(|| place_and_route(&kernel_netlist, device, region, &opts)),
+            Box::new(|| place_and_route(&fused, device, region, &opts)),
+        ],
+        options.jobs,
+    )?;
     let fused_timing = fused_result.as_ref().map(|r| r.timing.clone());
     // The fused baseline models a from-scratch Vitis build, so it is always
     // billed the full (fresh) HLS time.
@@ -738,6 +791,7 @@ pub(crate) fn compile_monolithic<C: crate::cache::CacheBackend>(
             fused_timing,
             fused_vtime,
             netlist: kernel_netlist,
+            offsets,
             timing: result.timing,
             work_units: result.work_units,
         }),
@@ -829,6 +883,125 @@ mod tests {
             app.driver.links.is_empty(),
             "monolithic needs no linking packets"
         );
+    }
+
+    /// Legs over plain values: `Ok(v)`, a P&R error, or a panic.
+    fn leg(value: Option<u32>) -> PnrLeg<'static, u32> {
+        Box::new(move || match value {
+            Some(99) => panic!("leg exploded"),
+            Some(v) => Ok(v),
+            None => Err(pnr::PnrError::Unroutable { overused_edges: 2 }),
+        })
+    }
+
+    #[test]
+    fn o3_legs_join_the_same_way_on_one_lane_and_two() {
+        for jobs in [1, 2] {
+            assert!(matches!(
+                run_pnr_legs("k", [leg(Some(1)), leg(Some(2))], jobs),
+                Ok((1, Some(2)))
+            ));
+            // A fused-leg error only drops the baseline.
+            assert!(matches!(
+                run_pnr_legs("k", [leg(Some(1)), leg(None)], jobs),
+                Ok((1, None))
+            ));
+            // An as-built error is the compile's error; the fused result is
+            // discarded.
+            match run_pnr_legs("k", [leg(None), leg(Some(2))], jobs) {
+                Err(CompileError::Pnr { op, error }) => {
+                    assert_eq!(op, "k");
+                    assert_eq!(error, pnr::PnrError::Unroutable { overused_edges: 2 });
+                }
+                other => panic!("jobs={jobs}: {other:?}"),
+            }
+            // A panic in either leg is typed, never unwound.
+            for (legs, who) in [
+                ([leg(Some(99)), leg(Some(2))], "k"),
+                ([leg(Some(1)), leg(Some(99))], "k (fused baseline)"),
+                ([leg(None), leg(Some(99))], "k (fused baseline)"),
+            ] {
+                match run_pnr_legs("k", legs, jobs) {
+                    Err(CompileError::JobPanicked { op, message }) => {
+                        assert_eq!(op, who);
+                        assert!(message.contains("exploded"), "got: {message}");
+                    }
+                    other => panic!("jobs={jobs}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_job_runs_both_o3_legs_on_the_caller_as_built_first() {
+        let caller = std::thread::current().id();
+        let log = std::sync::Mutex::new(Vec::new());
+        let note = |who: &'static str| {
+            let log = &log;
+            Box::new(move || {
+                log.lock().unwrap().push((who, std::thread::current().id()));
+                Ok(0u32)
+            }) as PnrLeg<'_, u32>
+        };
+        run_pnr_legs("k", [note("as-built"), note("fused")], 1).unwrap();
+        assert_eq!(
+            *log.lock().unwrap(),
+            vec![("as-built", caller), ("fused", caller)]
+        );
+    }
+
+    /// Pins two unbounded port matches as they are today; "fixing" either
+    /// moves `fused_timing` and `fused_vtime`, i.e. the Tab. 2/3 baselines
+    /// (ROADMAP findings). Every stage here names its ports `in`/`out`, so
+    /// its cells are `in_in`/`out_out`, and both matches test `i >= offset`
+    /// with no upper bound.
+    #[test]
+    fn fused_rewrite_also_converts_later_operators_same_named_ports() {
+        let g = three_stage([Target::hw_auto(), Target::hw_auto(), Target::hw_auto()]);
+        let app = compile(&g, &CompileOptions::new(OptLevel::O3)).unwrap();
+        let mono = app.monolithic.as_ref().unwrap();
+        let nl = &mono.netlist;
+        let off = &mono.offsets;
+        assert_eq!(off.len(), 3);
+        assert!(off[0] == 0 && off[0] < off[1] && off[1] < off[2]);
+        let port = |op: usize, name: &str| {
+            let end = off.get(op + 1).copied().unwrap_or(nl.cells.len());
+            (off[op]..end)
+                .find(|&i| nl.cells[i].name == name)
+                .unwrap_or_else(|| panic!("operator {op} has a `{name}` cell"))
+        };
+
+        // The FIFO stitch has the same unbounded range but takes the first
+        // match, which on a valid graph is the operator's own port.
+        for (link, from, to) in [("fifo_l1", 0, 1), ("fifo_l2", 1, 2)] {
+            let fifo = nl.cells.iter().position(|c| c.name == link).unwrap();
+            let drives = |a: usize, b: usize| {
+                nl.nets
+                    .iter()
+                    .any(|n| n.driver.0 == a && n.sinks.iter().any(|s| s.0 == b))
+            };
+            assert!(drives(port(from, "out_out"), fifo), "{link} source");
+            assert!(drives(fifo, port(to, "in_in")), "{link} sink");
+        }
+
+        let fused = fused_baseline_netlist(&g, nl, off);
+        let is_logic = |i: usize| matches!(fused.cells[i].kind, CellKind::Logic { .. });
+        // Linked ports fuse, as intended.
+        assert!(is_logic(port(0, "out_out")) && is_logic(port(1, "in_in")));
+        assert!(is_logic(port(1, "out_out")) && is_logic(port(2, "in_in")));
+        // The graph's external input precedes every match and stays a stream
+        // interface...
+        let ext_in = port(0, "in_in");
+        assert!(matches!(nl.cells[ext_in].kind, CellKind::StreamIn { .. }));
+        assert_eq!(fused.cells[ext_in].kind, nl.cells[ext_in].kind);
+        // ...but the external output is `d`'s `out_out`, which lies above
+        // `a`'s and `c`'s offsets and shares their ports' name: it fuses too.
+        let ext_out = port(2, "out_out");
+        assert!(matches!(nl.cells[ext_out].kind, CellKind::StreamOut { .. }));
+        assert!(is_logic(ext_out), "unbounded match no longer reaches d.out");
+        // Nothing else moved: same cells, same nets.
+        assert_eq!(fused.cells.len(), nl.cells.len());
+        assert_eq!(fused.nets.len(), nl.nets.len());
     }
 
     #[test]
