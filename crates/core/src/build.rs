@@ -38,7 +38,9 @@ use fabric::{Device, PageId, Rect};
 use netlist::Netlist;
 use pnr::{PnrOptions, TimingReport};
 
-use crate::artifact::{Xclbin, XclbinKind};
+use kir::hash::{debug_fnv1a, debug_len, Fnv1a};
+
+use crate::artifact::{Driver, Xclbin, XclbinKind};
 use crate::cache::CacheBackend;
 use crate::farm;
 use crate::flow::{
@@ -47,7 +49,8 @@ use crate::flow::{
     OptLevel, OptSummary, SeedRace,
 };
 use crate::store::{
-    HintsProduct, HlsProduct, PnrProduct, SoftProduct, StageKey, StageKind, StageProduct,
+    HintsProduct, HlsProduct, OptProduct, PnrProduct, SoftProduct, StageKey, StageKind,
+    StageProduct,
 };
 use crate::vtime::PhaseTimes;
 
@@ -153,25 +156,74 @@ impl BuildReport {
     }
 }
 
-pub(crate) fn stage_key(kind: StageKind, parts: &[u64]) -> StageKey {
-    let mut bytes = Vec::with_capacity(parts.len() * 8);
+pub(crate) fn stage_key(kind: StageKind, parts: impl IntoIterator<Item = u64>) -> StageKey {
+    let mut h = Fnv1a::new();
     for p in parts {
-        bytes.extend_from_slice(&p.to_le_bytes());
+        h.write_u64(p);
     }
-    StageKey {
-        kind,
-        hash: fnv(&bytes),
-    }
+    kind.key(h.finish())
 }
 
 /// Key of the [`StageKind::HlsLower`] stage for a kernel.
 pub(crate) fn hls_key(kernel_hash: u64) -> StageKey {
-    stage_key(StageKind::HlsLower, &[kernel_hash])
+    stage_key(StageKind::HlsLower, [kernel_hash])
 }
 
-/// Content hash of a kernel's source (the HLS/softcore stage input).
+#[cfg(test)]
+thread_local! {
+    /// Kernels this thread has content-hashed: what the tests that pin
+    /// "an unchanged operator is never formatted" read.
+    pub(crate) static KERNELS_HASHED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Content hash of a kernel's source — the one input every per-operator
+/// stage key and the operator's [`source_hash`] are folded from. It walks
+/// the whole kernel, so a build takes it at most once per operator: see
+/// [`kernel_hashes`].
 pub(crate) fn kernel_hash(kernel: &kir::Kernel) -> u64 {
-    fnv(format!("{kernel:?}").as_bytes())
+    #[cfg(test)]
+    KERNELS_HASHED.with(|n| n.set(n.get() + 1));
+    debug_fnv1a(kernel)
+}
+
+/// A graph with the [`kernel_hash`] of each of its operators, in order.
+#[derive(Clone, Copy)]
+pub(crate) struct Hashed<'a> {
+    pub(crate) graph: &'a Graph,
+    pub(crate) kernels: &'a [u64],
+}
+
+/// The kernel hashes of `graph`'s operators. Where `prev` holds an equal
+/// kernel at the same position its hash is reused (comparing two kernels is
+/// far cheaper than formatting one), so hashing a graph costs what the edit
+/// since `prev` touched.
+pub(crate) fn kernel_hashes(graph: &Graph, prev: Option<Hashed<'_>>) -> Vec<u64> {
+    graph
+        .operators
+        .iter()
+        .enumerate()
+        .map(|(i, op)| {
+            prev.and_then(|p| (p.graph.operators.get(i)?.kernel == op.kernel).then(|| p.kernels[i]))
+                .unwrap_or_else(|| kernel_hash(&op.kernel))
+        })
+        .collect()
+}
+
+/// Content hash of a whole graph — the `KpnOptimize` stage's input — folded
+/// from the kernel hashes already taken plus the little that is left: the
+/// names, the pragmas and the wiring.
+fn graph_hash(g: Hashed<'_>) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_debug(&g.graph.name);
+    for (op, kernel) in g.graph.operators.iter().zip(g.kernels) {
+        h.write_debug(&op.name);
+        h.write_u64(*kernel);
+        h.write_debug(&op.target);
+    }
+    h.write_debug(&g.graph.edges);
+    h.write_debug(&g.graph.ext_inputs);
+    h.write_debug(&g.graph.ext_outputs);
+    h.finish()
 }
 
 /// Domain tag folded into a `PlaceRoute` key (followed by the hint's
@@ -179,17 +231,44 @@ pub(crate) fn kernel_hash(kernel: &kir::Kernel) -> u64 {
 /// of the same source never share a key.
 pub(crate) const HINT_TAG: u64 = 0x7761_726d; // "warm"
 
+/// Key of a [`StageKind::PlaceRoute`] stage: the inputs of a single-seed
+/// cold run, then whatever else decides the product (`extra`: the racing
+/// policy of a raced stage, [`HINT_TAG`] and the hint's fingerprint of a
+/// warm-started one). With no `extra` this is the *plain* key race winners
+/// and warm fallbacks are aliased under.
+pub(crate) fn pnr_key(
+    khash: u64,
+    rect: Rect,
+    device_hash: u64,
+    seed: u64,
+    extra: &[u64],
+) -> StageKey {
+    let cold = [
+        khash,
+        rect.x0 as u64,
+        rect.y0 as u64,
+        rect.w as u64,
+        rect.h as u64,
+        device_hash,
+        seed,
+    ];
+    stage_key(
+        StageKind::PlaceRoute,
+        cold.into_iter().chain(extra.iter().copied()),
+    )
+}
+
 /// Key of the [`StageKind::PnrHints`] artifact for one operator *lineage*:
-/// operator name + page geometry + device, plus the kernel version whose
-/// P&R produced the hint. Deliberately seed-free — a hint is an
+/// operator name (hashed) + page geometry + device, plus the kernel version
+/// whose P&R produced the hint. Deliberately seed-free — a hint is an
 /// optimization input, not part of any artifact's identity. A compile of an
 /// *edited* operator probes this key with the **previous** version's kernel
 /// hash (and with its own, which speculation may have pre-filled).
-pub(crate) fn hints_key(name: &str, khash: u64, rect: Rect, device_hash: u64) -> StageKey {
+pub(crate) fn hints_key(name_hash: u64, khash: u64, rect: Rect, device_hash: u64) -> StageKey {
     stage_key(
         StageKind::PnrHints,
-        &[
-            fnv(name.as_bytes()),
+        [
+            name_hash,
             khash,
             rect.x0 as u64,
             rect.y0 as u64,
@@ -200,57 +279,67 @@ pub(crate) fn hints_key(name: &str, khash: u64, rect: Rect, device_hash: u64) ->
     )
 }
 
-/// Which stages one operator needs, and which are already in the store.
+/// One operator's stage chain with every product in hand: fetched by the
+/// plan, or handed back by the farm job that ran the missing stages.
+enum Chain {
+    Hw {
+        hls: Arc<HlsProduct>,
+        pnr: Arc<PnrProduct>,
+        pack: Arc<Xclbin>,
+    },
+    Soft {
+        soft: Arc<SoftProduct>,
+        pack: Arc<Xclbin>,
+    },
+}
+
+/// Which stages one operator needs, and which the plan's fetches served.
 struct OpPlan {
     target: Target,
     page: PageId,
     src_hash: u64,
     /// `HlsLower` for hardware, `SoftcoreCc` for softcore targets.
-    front: StageKey,
     front_hit: bool,
-    /// `PlaceRoute` (hardware targets only).
-    pnr: Option<StageKey>,
-    pnr_hit: bool,
-    /// Where this build files fresh [`StageKind::PnrHints`] for the current
-    /// kernel version (incremental P&R on, non-raced hardware only).
-    hints_key: Option<StageKey>,
-    /// Warm-start hint fetched for a missing `PlaceRoute` stage; its
-    /// content hash is already folded into `pnr`.
-    hint: Option<HintsProduct>,
-    pack: StageKey,
+    /// `PlaceRoute` (`None` for softcore targets).
+    pnr_hit: Option<bool>,
     pack_hit: bool,
-    /// LPT cost estimate for the farm job (missing work, roughly weighted).
-    cost: f64,
-    /// Index into the farm job list, if any stage needs to run.
-    job: Option<usize>,
+    /// The chain when every fetch hit; `None` when a farm job (the next one
+    /// not yet claimed, in operator order) completes it.
+    chain: Option<Chain>,
 }
 
 impl OpPlan {
     fn hits(&self) -> u64 {
-        [
-            self.front_hit,
-            self.pnr.is_some() && self.pnr_hit,
-            self.pack_hit,
-        ]
-        .iter()
-        .filter(|&&h| h)
-        .count() as u64
+        self.front_hit as u64 + self.pnr_hit.unwrap_or(false) as u64 + self.pack_hit as u64
     }
 
     fn executions(&self) -> u64 {
-        let stages = if self.pnr.is_some() { 3 } else { 2 };
-        stages - self.hits()
+        2 + self.pnr_hit.is_some() as u64 - self.hits()
+    }
+
+    /// LPT cost of the farm job: missing stages by expected weight (P&R
+    /// dominates, then HLS, then packing), the length of the kernel's source
+    /// text breaks ties. Only an operator with work to do pays for the walk.
+    fn cost(&self, kernel: &kir::Kernel) -> f64 {
+        let front = if self.pnr_hit.is_some() { 1e5 } else { 1e4 };
+        (!self.front_hit) as u64 as f64 * front
+            + (self.pnr_hit == Some(false)) as u64 as f64 * 1e6
+            + (!self.pack_hit) as u64 as f64 * 1e3
+            + debug_len(kernel) as f64
     }
 }
 
-/// What one farm job produced, plus how its P&R stage ran.
+/// What one farm job hands back: the operator's completed chain, the
+/// products it computed (to be filed), and how its P&R stage ran.
 struct JobDone {
-    products: Vec<(StageKey, StageProduct)>,
+    chain: Chain,
+    filed: Vec<(StageKey, StageProduct)>,
     /// `Some(fell_back)` when the job attempted a hint-warmed P&R.
     warm: Option<bool>,
 }
 
 type JobResult = Result<JobDone, CompileError>;
+type Job<'a> = Box<dyn FnOnce() -> JobResult + Send + 'a>;
 
 /// Compiles a graph by materializing its stage DAG against `store` — any
 /// [`CacheBackend`]: the bare in-memory [`crate::ArtifactStore`], or a persistent
@@ -274,20 +363,26 @@ pub fn build<C: CacheBackend>(
     options: &CompileOptions,
     store: &mut C,
 ) -> Result<(CompiledApp, BuildReport), CompileError> {
-    build_with_prev(graph, None, options, store)
+    let kernels = kernel_hashes(graph, None);
+    let source = Hashed {
+        graph,
+        kernels: &kernels,
+    };
+    build_with_prev(source, None, options, store)
 }
 
-/// [`build`], given the *previous* version of the graph as warm-start
-/// context. With [`CompileOptions::incremental_pnr`] on, a dirty hardware
-/// operator's `PlaceRoute` stage probes the [`StageKind::PnrHints`] filed
-/// when the previous version of that operator compiled and, on a hit,
-/// warm-starts from it (see [`pnr::place_and_route_incremental`]). `prev`
-/// is matched by operator name against the graph as supplied; when the KPN
-/// optimizer rewrites operator names the probe simply misses and the stage
-/// runs cold — hints are an optimization input, never a correctness input.
-pub fn build_with_prev<C: CacheBackend>(
-    graph: &Graph,
-    prev: Option<&Graph>,
+/// [`build`] for a graph whose kernels are already hashed, given the
+/// *previous* version of the graph as warm-start context. With
+/// [`CompileOptions::incremental_pnr`] on, a dirty hardware operator's
+/// `PlaceRoute` stage probes the [`StageKind::PnrHints`] filed when the
+/// previous version of that operator compiled and, on a hit, warm-starts
+/// from it (see [`pnr::place_and_route_incremental`]). `prev` is matched by
+/// operator name against the graph as supplied; when the KPN optimizer
+/// rewrites operator names the probe simply misses and the stage runs cold
+/// — hints are an optimization input, never a correctness input.
+pub(crate) fn build_with_prev<C: CacheBackend>(
+    source: Hashed<'_>,
+    prev: Option<Hashed<'_>>,
     options: &CompileOptions,
     store: &mut C,
 ) -> Result<(CompiledApp, BuildReport), CompileError> {
@@ -296,56 +391,48 @@ pub fn build_with_prev<C: CacheBackend>(
     // (source graph, resolved config), so recompiles of an unchanged app
     // reuse the rewritten graph, and every per-kernel stage below keys on
     // the *optimized* kernels — fused/split operators cache like
-    // hand-written ones.
-    let optimized = match &options.optimize {
-        Some(cfg) => {
-            let resolved = resolve_optimizer(cfg, &options.floorplan);
-            let key = stage_key(
-                StageKind::KpnOptimize,
-                &[
-                    fnv(format!("{graph:?}").as_bytes()),
-                    fnv(format!("{resolved:?}").as_bytes()),
-                ],
-            );
-            match store.fetch_opt(key.hash) {
-                Some(p) => Some((p, true)),
-                None => {
-                    let out = dfg::opt::optimize(graph, &resolved);
-                    let p = crate::store::OptProduct {
-                        graph: out.graph,
-                        edge_depths: out.edge_depths.iter().map(|d| *d as u64).collect(),
-                        fused: out.report.fused,
-                        fissioned: out.report.fissioned,
-                        balance_before: out.report.balance_before,
-                        balance_after: out.report.balance_after,
-                    };
-                    store.put(key, StageProduct::Opt(p.clone()));
-                    Some((p, false))
-                }
+    // hand-written ones. The product carries those kernels' hashes.
+    let optimized = options.optimize.as_ref().map(|cfg| {
+        let resolved = resolve_optimizer(cfg, &options.floorplan);
+        let key = stage_key(
+            StageKind::KpnOptimize,
+            [graph_hash(source), debug_fnv1a(&resolved)],
+        );
+        match store.fetch_opt(key.hash) {
+            Some(p) => (p, true),
+            None => {
+                let out = dfg::opt::optimize(source.graph, &resolved);
+                let summary = OptSummary {
+                    fused: out.report.fused,
+                    fissioned: out.report.fissioned,
+                    balance_before: out.report.balance_before,
+                    balance_after: out.report.balance_after,
+                };
+                let depths = out.edge_depths.iter().map(|d| *d as u64).collect();
+                let p = Arc::new(OptProduct::new(out.graph, depths, summary));
+                store.put(key, StageProduct::Opt(p.clone()));
+                (p, false)
             }
         }
-        None => None,
-    };
-    let build_graph = optimized.as_ref().map_or(graph, |(p, _)| &p.graph);
+    });
+    let built = optimized.as_ref().map_or(source, |(p, _)| Hashed {
+        graph: p.graph(),
+        kernels: p.kernel_hashes(),
+    });
 
-    let ir = extract(build_graph);
+    let ir = extract(built.graph);
     let (mut app, mut report) = match options.level {
         OptLevel::O3 => {
             let mut report = BuildReport::default();
-            let app = compile_monolithic(build_graph, ir, options, t0, store, &mut report)?;
+            let app = compile_monolithic(built, ir, options, t0, store, &mut report)?;
             (app, report)
         }
-        OptLevel::O0 | OptLevel::O1 => build_paged(build_graph, prev, ir, options, t0, store)?,
+        OptLevel::O0 | OptLevel::O1 => build_paged(built, prev, ir, options, t0, store)?,
     };
     if let Some((p, hit)) = optimized {
         report.record(StageKind::KpnOptimize, hit);
         app.edge_depths = Some(p.edge_depths.iter().map(|d| *d as usize).collect());
-        app.opt = Some(OptSummary {
-            fused: p.fused,
-            fissioned: p.fissioned,
-            balance_before: p.balance_before,
-            balance_after: p.balance_after,
-        });
+        app.opt = Some(p.summary.clone());
     }
     Ok((app, report))
 }
@@ -367,179 +454,145 @@ fn resolve_optimizer(
 }
 
 fn build_paged<C: CacheBackend>(
-    graph: &Graph,
-    prev: Option<&Graph>,
+    built: Hashed<'_>,
+    prev: Option<Hashed<'_>>,
     ir: dfg::DfgIr,
     options: &CompileOptions,
     t0: std::time::Instant,
     store: &mut C,
 ) -> Result<(CompiledApp, BuildReport), CompileError> {
+    let graph = built.graph;
     let force_riscv = options.level == OptLevel::O0;
     let pages = assign_pages_with(graph, &options.floorplan, force_riscv, options.page_assign)?;
-    let device_hash = fnv(format!("{:?}", options.floorplan.device).as_bytes());
+    let device_hash = debug_fnv1a(&options.floorplan.device);
     let mut report = BuildReport::default();
 
-    // Plan: probe every operator's stage chain against the store.
+    // Plan by fetch: one fetch per stage of every operator's chain, and a
+    // hit is the product in hand. Whatever a fetch cannot serve — never
+    // built, evicted, or unreadable on disk — is a miss, and the operator
+    // gets a farm job for its missing stages.
     let mut plans = Vec::with_capacity(graph.operators.len());
-    let mut jobs: Vec<(f64, Box<dyn FnOnce() -> JobResult + Send>)> = Vec::new();
-    for (op, (target, page)) in graph.operators.iter().zip(&pages) {
-        let kernel_debug = format!("{:?}", op.kernel);
-        let khash = fnv(kernel_debug.as_bytes());
-        let src_hash = source_hash(&op.kernel, *target);
-        let mut plan = match target {
+    let mut jobs: Vec<(f64, Job<'_>)> = Vec::new();
+    for ((op, &khash), &(target, page)) in graph.operators.iter().zip(built.kernels).zip(&pages) {
+        let name_hash = fnv(op.name.as_bytes());
+        let src_hash = source_hash(khash, target);
+        let (front_hit, pnr_hit, pack_hit, work) = match target {
             Target::Hw { .. } => {
                 let rect = options.floorplan.pages[page.0 as usize].rect;
-                let seed = options.seed ^ fnv(op.name.as_bytes());
-                let front = hls_key(khash);
+                let seed = options.seed ^ name_hash;
+                let hls_key = hls_key(khash);
+                let hls = (hls_key, store.fetch_hls(hls_key.hash));
                 // A raced stage keys on the racing policy too: a K-seed
                 // race is different work from a single-seed compile, even
                 // from the same base seed. K = 1 leaves the key unchanged.
-                let mut pnr_parts = vec![
-                    khash,
-                    rect.x0 as u64,
-                    rect.y0 as u64,
-                    rect.w as u64,
-                    rect.h as u64,
-                    device_hash,
-                    seed,
+                let raced = options.race.attempts > 1;
+                let racing = [
+                    options.race.attempts as u64,
+                    options.race.target_fmax_mhz.to_bits(),
                 ];
-                if options.race.attempts > 1 {
-                    pnr_parts.push(options.race.attempts as u64);
-                    pnr_parts.push(options.race.target_fmax_mhz.to_bits());
-                }
+                let racing = if raced { &racing[..] } else { &[] };
+                let mut pnr_key = pnr_key(khash, rect, device_hash, seed, racing);
+                let mut pnr = store.fetch_pnr(pnr_key.hash);
                 // Warm-start planning. A race explores the seed space on
                 // purpose, so hints only arm non-raced stages; and an
                 // already-cached cold stage needs no hint at all. The probe
                 // order — this kernel version first (speculation may have
                 // pre-filed it), then the previous version's — means an
                 // edit warm-starts from the layout it is an edit *of*.
-                let incremental = options.incremental_pnr && options.race.attempts <= 1;
-                let hk_now = incremental.then(|| hints_key(&op.name, khash, rect, device_hash));
+                let hints_key_now = (options.incremental_pnr && !raced)
+                    .then(|| hints_key(name_hash, khash, rect, device_hash));
                 let mut hint = None;
-                if let Some(hk) =
-                    hk_now.filter(|_| !store.contains(stage_key(StageKind::PlaceRoute, &pnr_parts)))
-                {
+                if let (None, Some(hk)) = (&pnr, hints_key_now) {
                     report.hint_fetches += 1;
-                    hint = store.fetch_hints(hk.hash);
-                    if hint.is_none() {
-                        if let Some(prev_op) =
-                            prev.and_then(|p| p.operators.iter().find(|o| o.name == op.name))
-                        {
-                            let prev_khash = kernel_hash(&prev_op.kernel);
-                            if prev_khash != khash {
-                                let hk = hints_key(&op.name, prev_khash, rect, device_hash);
-                                hint = store.fetch_hints(hk.hash);
-                            }
-                        }
-                    }
-                    // A hint for different page geometry can never replay.
-                    if hint.as_ref().is_some_and(|h| h.hints.region != rect) {
-                        hint = None;
-                    }
+                    hint = store
+                        .fetch_hints(hk.hash)
+                        .or_else(|| {
+                            let p = prev?;
+                            let i = p.graph.operators.iter().position(|o| o.name == op.name)?;
+                            let hk = hints_key(name_hash, p.kernels[i], rect, device_hash);
+                            (p.kernels[i] != khash).then(|| store.fetch_hints(hk.hash))?
+                        })
+                        // A hint for different page geometry can never replay.
+                        .filter(|h| h.hints().region == rect);
                     if let Some(h) = &hint {
                         report.hint_hits += 1;
                         // Fold the hint's identity into the stage key: a
                         // warm product is a function of (source, hint), so
                         // it must never collide with the cold product.
-                        pnr_parts.push(HINT_TAG);
-                        pnr_parts.push(h.content_hash());
+                        let warm = [HINT_TAG, h.content_hash()];
+                        pnr_key = self::pnr_key(khash, rect, device_hash, seed, &warm);
+                        pnr = store.fetch_pnr(pnr_key.hash);
                     }
                 }
-                let pnr = stage_key(StageKind::PlaceRoute, &pnr_parts);
-                let pack = stage_key(
+                let pnr = (pnr_key, pnr);
+                let pack_key = stage_key(
                     StageKind::BitstreamPack,
-                    &[pnr.hash, page.0 as u64, fnv(op.name.as_bytes()), src_hash],
+                    [pnr_key.hash, page.0 as u64, name_hash, src_hash],
                 );
-                OpPlan {
-                    target: *target,
-                    page: *page,
-                    src_hash,
-                    front,
-                    front_hit: store.contains(front),
-                    pnr: Some(pnr),
-                    pnr_hit: store.contains(pnr),
-                    hints_key: hk_now,
-                    hint,
-                    pack,
-                    pack_hit: store.contains(pack),
-                    cost: 0.0,
-                    job: None,
-                }
+                let pack = (pack_key, store.fetch_pack(pack_key.hash));
+                let hits = (hls.1.is_some(), Some(pnr.1.is_some()), pack.1.is_some());
+                let work: Result<Chain, Job<'_>> = match (hls, pnr, pack) {
+                    ((_, Some(hls)), (_, Some(pnr)), (_, Some(pack))) => {
+                        Ok(Chain::Hw { hls, pnr, pack })
+                    }
+                    (hls, pnr, pack) => {
+                        let job = HwJob {
+                            op,
+                            options,
+                            page,
+                            khash,
+                            src_hash,
+                            device_hash,
+                            hint,
+                            hints_key_now,
+                            hls,
+                            pnr,
+                            pack,
+                        };
+                        Err(Box::new(move || job.run()))
+                    }
+                };
+                (hits.0, hits.1, hits.2, work)
             }
             Target::Riscv { .. } => {
-                let front = stage_key(StageKind::SoftcoreCc, &[khash]);
-                let pack = stage_key(
+                let soft_key = stage_key(StageKind::SoftcoreCc, [khash]);
+                let soft = (soft_key, store.fetch_soft(soft_key.hash));
+                let pack_key = stage_key(
                     StageKind::BitstreamPack,
-                    &[front.hash, page.0 as u64, fnv(op.name.as_bytes())],
+                    [soft_key.hash, page.0 as u64, name_hash],
                 );
-                OpPlan {
-                    target: *target,
-                    page: *page,
-                    src_hash,
-                    front,
-                    front_hit: store.contains(front),
-                    pnr: None,
-                    pnr_hit: false,
-                    hints_key: None,
-                    hint: None,
-                    pack,
-                    pack_hit: store.contains(pack),
-                    cost: 0.0,
-                    job: None,
-                }
+                let pack = (pack_key, store.fetch_pack(pack_key.hash));
+                let hits = (soft.1.is_some(), pack.1.is_some());
+                let work: Result<Chain, Job<'_>> = match (soft, pack) {
+                    ((_, Some(soft)), (_, Some(pack))) => Ok(Chain::Soft { soft, pack }),
+                    (soft, pack) => Err(Box::new(move || soft_job(op, page, soft, pack))),
+                };
+                (hits.0, None, hits.1, work)
             }
         };
-        if plan.executions() > 0 {
-            // LPT cost: rank missing stages by expected weight (P&R
-            // dominates, then HLS, then packing), kernel size breaks ties.
-            plan.cost = (!plan.front_hit) as u64 as f64
-                * if plan.pnr.is_some() { 1e5 } else { 1e4 }
-                + plan
-                    .pnr
-                    .map_or(0.0, |_| (!plan.pnr_hit) as u64 as f64 * 1e6)
-                + (!plan.pack_hit) as u64 as f64 * 1e3
-                + kernel_debug.len() as f64;
-            plan.job = Some(jobs.len());
-            jobs.push((plan.cost, job_for(&plan, op, options, store)));
+        let mut plan = OpPlan {
+            target,
+            page,
+            src_hash,
+            front_hit,
+            pnr_hit,
+            pack_hit,
+            chain: None,
+        };
+        match work {
+            Ok(chain) => plan.chain = Some(chain),
+            Err(job) => jobs.push((plan.cost(&op.kernel), job)),
         }
         plans.push(plan);
     }
 
-    // Execute missing stages on the farm, longest-first.
-    let mut outcomes: Vec<Option<farm::JobOutcome<JobResult>>> =
-        farm::run_jobs_lpt(jobs, options.jobs)
-            .into_iter()
-            .map(Some)
-            .collect();
-    let mut wall_by_job = vec![0.0; outcomes.len()];
-    let mut warm_by_job: Vec<Option<bool>> = vec![None; outcomes.len()];
-    for (op, plan) in graph.operators.iter().zip(&plans) {
-        if let Some(j) = plan.job {
-            // A missing outcome is a farm accounting bug, not a reason to
-            // unwind through `Runtime::hot_swap`.
-            let outcome = outcomes.get_mut(j).and_then(Option::take).ok_or_else(|| {
-                CompileError::JobPanicked {
-                    op: op.name.clone(),
-                    message: "farm returned no outcome for this operator's job".into(),
-                }
-            })?;
-            wall_by_job[j] = outcome.wall_seconds;
-            let done = outcome
-                .result
-                .map_err(|message| CompileError::JobPanicked {
-                    op: op.name.clone(),
-                    message,
-                })??;
-            warm_by_job[j] = done.warm;
-            for (key, product) in done.products {
-                store.put(key, product);
-            }
-        }
-    }
+    // Execute missing stages on the farm, longest-first. Outcomes come back
+    // in submission order: the order of the operators that have a job.
+    let mut outcomes = farm::run_jobs_lpt(jobs, options.jobs).into_iter();
 
-    // Materialize: every product is now in the store; assemble the app and
-    // derive both the executed and the from-scratch virtual times from the
-    // stored work measures.
+    // Materialize: file what the jobs computed, assemble the app from the
+    // chains in hand, and derive both the executed and the from-scratch
+    // virtual times from the stored work measures.
     let vt = &options.vtime;
     let mut artifacts = vec![Xclbin {
         name: "overlay.xclbin".into(),
@@ -553,17 +606,17 @@ fn build_paged<C: CacheBackend>(
     let mut fresh_parallel = PhaseTimes::default();
     let mut critical = 0.0f64;
 
-    for (op, plan) in graph.operators.iter().zip(&plans) {
+    for (op, plan) in graph.operators.iter().zip(plans) {
         report.record(
-            if plan.pnr.is_some() {
+            if plan.pnr_hit.is_some() {
                 StageKind::HlsLower
             } else {
                 StageKind::SoftcoreCc
             },
             plan.front_hit,
         );
-        if plan.pnr.is_some() {
-            report.record(StageKind::PlaceRoute, plan.pnr_hit);
+        if let Some(hit) = plan.pnr_hit {
+            report.record(StageKind::PlaceRoute, hit);
         }
         report.record(StageKind::BitstreamPack, plan.pack_hit);
         report.operators.push(OperatorStages {
@@ -572,16 +625,30 @@ fn build_paged<C: CacheBackend>(
             executions: plan.executions(),
         });
 
-        let pack = store
-            .fetch_pack(plan.pack.hash)
-            .expect("pack stage materialized");
-        let warm_flag = plan.job.and_then(|j| warm_by_job[j]);
+        let panicked = |message: String| CompileError::JobPanicked {
+            op: op.name.clone(),
+            message,
+        };
+        let (chain, wall_seconds, warm) = match plan.chain {
+            Some(chain) => (chain, 0.0, None),
+            None => {
+                // A missing outcome is a farm accounting bug, not a reason
+                // to unwind through `Runtime::hot_swap`.
+                let outcome = outcomes.next().ok_or_else(|| {
+                    panicked("farm returned no outcome for this operator's job".into())
+                })?;
+                let done = outcome.result.map_err(panicked)??;
+                for (key, product) in done.filed {
+                    store.put(key, product);
+                }
+                (done.chain, outcome.wall_seconds, done.warm)
+            }
+        };
+        let pnr_hit = plan.pnr_hit.unwrap_or(false);
         let mut warm_pnr_seconds = None;
-        let (hls, timing, soft, fresh, fresh_ser) = match plan.pnr {
-            Some(pnr_key) => {
-                let hls = store.fetch_hls(plan.front.hash).expect("hls materialized");
-                let pnr = store.fetch_pnr(pnr_key.hash).expect("pnr materialized");
-                if !plan.pnr_hit {
+        let (pack, hls, timing, soft, fresh, fresh_ser) = match chain {
+            Chain::Hw { hls, pnr, pack } => {
+                if !pnr_hit {
                     report.race_attempts_charged += pnr.race_charged as u64;
                     if pnr.race_attempts > 1 {
                         report.raced_stages += 1;
@@ -591,7 +658,7 @@ fn build_paged<C: CacheBackend>(
                             .unwrap_or(0);
                         report.race_winner_indices.push(idx);
                     }
-                    if let Some(fell_back) = warm_flag {
+                    if let Some(fell_back) = warm {
                         report.warm_pnr_ops += 1;
                         if fell_back {
                             report.warm_fallbacks += 1;
@@ -621,6 +688,7 @@ fn build_paged<C: CacheBackend>(
                     ..fresh
                 };
                 (
+                    pack,
                     Some(hls.report.clone()),
                     Some(pnr.timing.clone()),
                     None,
@@ -628,18 +696,17 @@ fn build_paged<C: CacheBackend>(
                     fresh_ser,
                 )
             }
-            None => {
-                let soft = store.fetch_soft(plan.front.hash).expect("cc materialized");
+            Chain::Soft { soft, pack } => {
                 let fresh = vt.soft_phases(soft.binary.load_bytes());
-                (None, None, Some(soft.binary), fresh, fresh)
+                (pack, None, None, Some(soft.binary.clone()), fresh, fresh)
             }
         };
         // Executed time: reused stages cost nothing this build. The bit
         // phase belongs to packing, riscv to the softcore compile.
         let executed = PhaseTimes {
             hls: if plan.front_hit { 0.0 } else { fresh.hls },
-            syn: if plan.pnr_hit { 0.0 } else { fresh.syn },
-            pnr: if plan.pnr_hit {
+            syn: if pnr_hit { 0.0 } else { fresh.syn },
+            pnr: if pnr_hit {
                 0.0
             } else {
                 warm_pnr_seconds.unwrap_or(fresh.pnr)
@@ -648,7 +715,7 @@ fn build_paged<C: CacheBackend>(
             riscv: if plan.front_hit { 0.0 } else { fresh.riscv },
         };
         let executed_ser = PhaseTimes {
-            pnr: if plan.pnr_hit {
+            pnr: if pnr_hit {
                 0.0
             } else {
                 warm_pnr_seconds.unwrap_or(fresh_ser.pnr)
@@ -662,7 +729,7 @@ fn build_paged<C: CacheBackend>(
         critical = critical.max(executed.total());
 
         let idx = artifacts.len();
-        artifacts.push(pack);
+        artifacts.push(Xclbin::clone(&pack));
         operators.push(CompiledOperator {
             name: op.name.clone(),
             target: plan.target,
@@ -672,7 +739,7 @@ fn build_paged<C: CacheBackend>(
             timing,
             soft,
             vtime: executed,
-            wall_seconds: plan.job.map_or(0.0, |j| wall_by_job[j]),
+            wall_seconds,
             source_hash: plan.src_hash,
         });
     }
@@ -680,20 +747,20 @@ fn build_paged<C: CacheBackend>(
     // The app-wide link/driver stage: keyed on the dataflow IR, the page
     // map, and every artifact's content hash.
     let n_pages = options.floorplan.pages.len() as u16;
-    let mut driver_parts = vec![fnv(format!("{ir:?}").as_bytes()), n_pages as u64];
+    let mut driver_parts = vec![debug_fnv1a(&ir), n_pages as u64];
     for ((_, page), artifact) in pages.iter().zip(artifacts.iter().skip(1)) {
         driver_parts.push(page.0 as u64);
         driver_parts.push(artifact.hash);
     }
-    let driver_key = stage_key(StageKind::LinkDriver, &driver_parts);
+    let driver_key = stage_key(StageKind::LinkDriver, driver_parts);
     let driver = match store.fetch_driver(driver_key.hash) {
         Some(d) => {
             report.record(StageKind::LinkDriver, true);
-            d
+            Driver::clone(&d)
         }
         None => {
             let d = build_driver(&ir, &pages, &artifacts, n_pages);
-            store.put(driver_key, StageProduct::Driver(d.clone()));
+            store.put(driver_key, StageProduct::Driver(Arc::new(d.clone())));
             report.record(StageKind::LinkDriver, false);
             d
         }
@@ -721,255 +788,217 @@ fn build_paged<C: CacheBackend>(
     Ok((app, report))
 }
 
-/// Builds the farm job that executes an operator's missing stages. Cached
-/// upstream products are cloned in so the job never touches the store.
-fn job_for<C: CacheBackend>(
-    plan: &OpPlan,
-    op: &dfg::OperatorInst,
-    options: &CompileOptions,
-    store: &mut C,
-) -> Box<dyn FnOnce() -> JobResult + Send> {
-    let kernel = op.kernel.clone();
-    let name = op.name.clone();
-    let front = plan.front;
-    let pack_key = plan.pack;
-    let pack_hit = plan.pack_hit;
-    let page = plan.page;
-    match plan.pnr {
-        Some(pnr_key) => {
-            let src_hash = plan.src_hash;
-            let rect = options.floorplan.pages[page.0 as usize].rect;
-            let device = options.floorplan.device.clone();
-            let device_hash = fnv(format!("{device:?}").as_bytes());
-            let khash = kernel_hash(&kernel);
-            let seed = options.seed ^ fnv(name.as_bytes());
-            let race = options.race;
-            let race_workers = options.jobs;
-            let hint = plan.hint.clone();
-            let hints_key_now = plan.hints_key;
-            let hls_in: Option<HlsProduct> = if plan.front_hit {
-                store.fetch_hls(front.hash)
-            } else {
-                None
-            };
-            let pnr_in: Option<PnrProduct> = if plan.pnr_hit {
-                store.fetch_pnr(pnr_key.hash)
-            } else {
-                None
-            };
-            Box::new(move || {
-                let mut computed = Vec::new();
-                let mut warm = None;
-                let hls = match hls_in {
-                    Some(p) => p,
-                    None => {
-                        let out = hlsim::compile(&kernel).map_err(|error| CompileError::Hls {
-                            op: name.clone(),
-                            error,
-                        })?;
-                        let p = HlsProduct {
-                            netlist: out.netlist,
-                            report: out.report,
-                        };
-                        computed.push((front, StageProduct::Hls(p.clone())));
-                        p
-                    }
+/// A stage of a farm job: its key, and its product when the plan's fetch
+/// already has it.
+type Staged<T> = (StageKey, Option<Arc<T>>);
+
+/// The farm job of a hardware operator with a missing stage. It borrows its
+/// source and shares the cached upstream products, so the job copies
+/// nothing and never touches the store.
+struct HwJob<'a> {
+    op: &'a dfg::OperatorInst,
+    options: &'a CompileOptions,
+    page: PageId,
+    khash: u64,
+    src_hash: u64,
+    device_hash: u64,
+    /// Warm-start hint; its content hash is already folded into `pnr`'s key.
+    hint: Option<Arc<HintsProduct>>,
+    /// Where this build files fresh [`StageKind::PnrHints`] for the current
+    /// kernel version (incremental P&R on, non-raced only).
+    hints_key_now: Option<StageKey>,
+    hls: Staged<HlsProduct>,
+    pnr: Staged<PnrProduct>,
+    pack: Staged<Xclbin>,
+}
+
+impl HwJob<'_> {
+    fn run(self) -> JobResult {
+        let (name, options) = (self.op.name.as_str(), self.options);
+        let device = &options.floorplan.device;
+        let rect = options.floorplan.pages[self.page.0 as usize].rect;
+        let seed = options.seed ^ fnv(name.as_bytes());
+        let plain_key = |seed| pnr_key(self.khash, rect, self.device_hash, seed, &[]);
+        let pnr_error = |error| CompileError::Pnr {
+            op: name.to_string(),
+            error,
+        };
+        let mut filed = Vec::new();
+        let mut warm = None;
+        let hls = match self.hls.1 {
+            Some(p) => p,
+            None => {
+                let out = hlsim::compile(&self.op.kernel).map_err(|error| CompileError::Hls {
+                    op: name.to_string(),
+                    error,
+                })?;
+                let p = Arc::new(HlsProduct {
+                    netlist: out.netlist,
+                    report: out.report,
+                });
+                filed.push((self.hls.0, StageProduct::Hls(p.clone())));
+                p
+            }
+        };
+        let pnr = match self.pnr.1 {
+            Some(p) => p,
+            None => {
+                let wrapped = wrap_with_leaf_interface(&hls.netlist);
+                let opts = PnrOptions {
+                    seed,
+                    abstract_shell: true,
+                    effort: 1.0,
                 };
-                let pnr = match pnr_in {
-                    Some(p) => p,
-                    None => {
-                        let wrapped = wrap_with_leaf_interface(&hls.netlist);
-                        let p = match (&hint, hints_key_now) {
-                            (Some(h), _) => {
-                                // Warm path: place from the prior layout,
-                                // rip up and re-route only what the edit
-                                // moved, guarded against quality loss.
-                                let opts = PnrOptions {
-                                    seed,
-                                    abstract_shell: true,
-                                    effort: 1.0,
-                                };
-                                let (result, wr) = pnr::place_and_route_incremental(
-                                    &wrapped,
-                                    &device,
-                                    rect,
-                                    &opts,
-                                    &h.hints,
-                                    race_workers,
-                                )
-                                .map_err(|error| CompileError::Pnr {
-                                    op: name.clone(),
-                                    error,
-                                })?;
-                                warm = Some(wr.fell_back);
-                                // race work fields carry the cold estimate:
-                                // fresh_vtime stays a from-scratch figure
-                                // while work_units is the measured (warm)
-                                // work.
-                                let cold_estimate = if wr.fell_back {
-                                    result.work_units
-                                } else {
-                                    h.hints.work_units.max(result.work_units)
-                                };
-                                let product = pnr_product(&wrapped, &result, seed, cold_estimate);
-                                if wr.fell_back {
-                                    // The fallback *is* a cold run, so alias
-                                    // it under the plain single-seed key: a
-                                    // later hint-less rebuild is a hit.
-                                    let plain = stage_key(
-                                        StageKind::PlaceRoute,
-                                        &[
-                                            khash,
-                                            rect.x0 as u64,
-                                            rect.y0 as u64,
-                                            rect.w as u64,
-                                            rect.h as u64,
-                                            device_hash,
-                                            seed,
-                                        ],
-                                    );
-                                    computed.push((plain, StageProduct::Pnr(product.clone())));
-                                }
-                                if let Some(hk) = hints_key_now {
-                                    let mut fresh = pnr::extract_hints(&wrapped, rect, &result);
-                                    if !wr.fell_back {
-                                        fresh.work_units = cold_estimate;
-                                    }
-                                    computed.push((
-                                        hk,
-                                        StageProduct::Hints(HintsProduct { hints: fresh }),
-                                    ));
-                                }
-                                product
-                            }
-                            (None, Some(hk)) => {
-                                // Cold, but hints must be filed for the next
-                                // edit — and filing needs the placement and
-                                // routes the race driver discards, so run
-                                // the (single-seed, identical-product) P&R
-                                // directly.
-                                let opts = PnrOptions {
-                                    seed,
-                                    abstract_shell: true,
-                                    effort: 1.0,
-                                };
-                                let result = pnr::place_and_route(&wrapped, &device, rect, &opts)
-                                    .map_err(|error| CompileError::Pnr {
-                                    op: name.clone(),
-                                    error,
-                                })?;
-                                let product =
-                                    pnr_product(&wrapped, &result, seed, result.work_units);
-                                let fresh = pnr::extract_hints(&wrapped, rect, &result);
-                                computed
-                                    .push((hk, StageProduct::Hints(HintsProduct { hints: fresh })));
-                                product
-                            }
-                            (None, None) => {
-                                race_place_route(&wrapped, &device, rect, seed, &race, race_workers)
-                                    .map_err(|error| CompileError::Pnr {
-                                        op: name.clone(),
-                                        error,
-                                    })?
-                            }
+                let hints_filed = |hints| StageProduct::Hints(Arc::new(HintsProduct::new(hints)));
+                let p = match (&self.hint, self.hints_key_now) {
+                    (Some(h), _) => {
+                        // Warm path: place from the prior layout, rip up
+                        // and re-route only what the edit moved, guarded
+                        // against quality loss.
+                        let (result, wr) = pnr::place_and_route_incremental(
+                            &wrapped,
+                            device,
+                            rect,
+                            &opts,
+                            h.hints(),
+                            options.jobs,
+                        )
+                        .map_err(pnr_error)?;
+                        warm = Some(wr.fell_back);
+                        // race work fields carry the cold estimate:
+                        // fresh_vtime stays a from-scratch figure while
+                        // work_units is the measured (warm) work.
+                        let cold_estimate = if wr.fell_back {
+                            result.work_units
+                        } else {
+                            h.hints().work_units.max(result.work_units)
                         };
-                        computed.push((pnr_key, StageProduct::Pnr(p.clone())));
-                        if race.attempts > 1 {
-                            // File the winner under the plain single-seed
-                            // key as well: the winning seed is part of the
-                            // content-addressed identity, so a later
-                            // non-raced compile configured with exactly
-                            // that seed is a cache hit, not a re-run.
-                            let alias_key = stage_key(
-                                StageKind::PlaceRoute,
-                                &[
-                                    khash,
-                                    rect.x0 as u64,
-                                    rect.y0 as u64,
-                                    rect.w as u64,
-                                    rect.h as u64,
-                                    device_hash,
-                                    p.winning_seed,
-                                ],
-                            );
-                            let alias = PnrProduct {
-                                race_attempts: 1,
-                                race_charged: 1,
-                                race_latency_work: p.work_units,
-                                race_total_work: p.work_units,
-                                ..p.clone()
-                            };
-                            computed.push((alias_key, StageProduct::Pnr(alias)));
+                        let product = Arc::new(pnr_product(&wrapped, &result, seed, cold_estimate));
+                        if wr.fell_back {
+                            // The fallback *is* a cold run, so alias it
+                            // under the plain single-seed key: a later
+                            // hint-less rebuild is a hit.
+                            filed.push((plain_key(seed), StageProduct::Pnr(product.clone())));
                         }
-                        p
-                    }
-                };
-                if !pack_hit {
-                    // Constants live in the source, not the structural
-                    // netlist, so artifact identity mixes in the source hash.
-                    let hash = pnr.bitstream.payload_hash ^ src_hash;
-                    let x = Xclbin {
-                        name: format!("{name}.xclbin"),
-                        kind: XclbinKind::Page {
-                            page,
-                            bitstream: pnr.bitstream.clone(),
-                        },
-                        hash,
-                    };
-                    computed.push((pack_key, StageProduct::Pack(x)));
-                }
-                Ok(JobDone {
-                    products: computed,
-                    warm,
-                })
-            })
-        }
-        None => {
-            let soft_in: Option<SoftProduct> = if plan.front_hit {
-                store.fetch_soft(front.hash)
-            } else {
-                None
-            };
-            Box::new(move || {
-                let mut computed = Vec::new();
-                let soft = match soft_in {
-                    Some(p) => p,
-                    None => {
-                        let binary = softcore::compile_kernel(&kernel).map_err(|error| {
-                            CompileError::Softcore {
-                                op: name.clone(),
-                                error,
+                        if let Some(hk) = self.hints_key_now {
+                            let mut fresh = pnr::extract_hints(&wrapped, rect, &result);
+                            if !wr.fell_back {
+                                fresh.work_units = cold_estimate;
                             }
-                        })?;
-                        let p = SoftProduct { binary };
-                        computed.push((front, StageProduct::Soft(p.clone())));
-                        p
+                            filed.push((hk, hints_filed(fresh)));
+                        }
+                        product
                     }
+                    (None, Some(hk)) => {
+                        // Cold, but hints must be filed for the next edit —
+                        // and filing needs the placement and routes the
+                        // race driver discards, so run the (single-seed,
+                        // identical-product) P&R directly.
+                        let result = pnr::place_and_route(&wrapped, device, rect, &opts)
+                            .map_err(pnr_error)?;
+                        let fresh = pnr::extract_hints(&wrapped, rect, &result);
+                        filed.push((hk, hints_filed(fresh)));
+                        Arc::new(pnr_product(&wrapped, &result, seed, result.work_units))
+                    }
+                    (None, None) => Arc::new(
+                        race_place_route(&wrapped, device, rect, seed, &options.race, options.jobs)
+                            .map_err(pnr_error)?,
+                    ),
                 };
-                if !pack_hit {
-                    let packed = soft.binary.pack(page.0);
-                    let hash = fnv(&packed
-                        .records
-                        .iter()
-                        .flat_map(|(_, b)| b.clone())
-                        .collect::<Vec<u8>>());
-                    let x = Xclbin {
-                        name: format!("{name}.elf.xclbin"),
-                        kind: XclbinKind::Softcore {
-                            page,
-                            binary: packed,
-                        },
-                        hash,
+                filed.push((self.pnr.0, StageProduct::Pnr(p.clone())));
+                if options.race.attempts > 1 {
+                    // File the winner under the plain single-seed key as
+                    // well: the winning seed is part of the content-
+                    // addressed identity, so a later non-raced compile
+                    // configured with exactly that seed is a cache hit, not
+                    // a re-run.
+                    let alias = PnrProduct {
+                        race_attempts: 1,
+                        race_charged: 1,
+                        race_latency_work: p.work_units,
+                        race_total_work: p.work_units,
+                        ..PnrProduct::clone(&p)
                     };
-                    computed.push((pack_key, StageProduct::Pack(x)));
+                    filed.push((
+                        plain_key(p.winning_seed),
+                        StageProduct::Pnr(Arc::new(alias)),
+                    ));
                 }
-                Ok(JobDone {
-                    products: computed,
-                    warm: None,
-                })
-            })
-        }
+                p
+            }
+        };
+        let pack = match self.pack.1 {
+            Some(x) => x,
+            None => {
+                // Constants live in the source, not the structural netlist,
+                // so artifact identity mixes in the source hash.
+                let x = Arc::new(Xclbin {
+                    name: format!("{name}.xclbin"),
+                    kind: XclbinKind::Page {
+                        page: self.page,
+                        bitstream: pnr.bitstream.clone(),
+                    },
+                    hash: pnr.bitstream.payload_hash ^ self.src_hash,
+                });
+                filed.push((self.pack.0, StageProduct::Pack(x.clone())));
+                x
+            }
+        };
+        Ok(JobDone {
+            chain: Chain::Hw { hls, pnr, pack },
+            filed,
+            warm,
+        })
     }
+}
+
+/// The farm job of a softcore operator with a missing stage.
+fn soft_job(
+    op: &dfg::OperatorInst,
+    page: PageId,
+    soft: Staged<SoftProduct>,
+    pack: Staged<Xclbin>,
+) -> JobResult {
+    let name = &op.name;
+    let mut filed = Vec::new();
+    let (soft_key, soft) = soft;
+    let soft = match soft {
+        Some(p) => p,
+        None => {
+            let binary =
+                softcore::compile_kernel(&op.kernel).map_err(|error| CompileError::Softcore {
+                    op: name.clone(),
+                    error,
+                })?;
+            let p = Arc::new(SoftProduct { binary });
+            filed.push((soft_key, StageProduct::Soft(p.clone())));
+            p
+        }
+    };
+    let (pack_key, pack) = pack;
+    let pack = match pack {
+        Some(x) => x,
+        None => {
+            let packed = soft.binary.pack(page.0);
+            let mut hash = Fnv1a::new();
+            packed.records.iter().for_each(|(_, b)| hash.write(b));
+            let x = Arc::new(Xclbin {
+                name: format!("{name}.elf.xclbin"),
+                hash: hash.finish(),
+                kind: XclbinKind::Softcore {
+                    page,
+                    binary: packed,
+                },
+            });
+            filed.push((pack_key, StageProduct::Pack(x.clone())));
+            x
+        }
+    };
+    Ok(JobDone {
+        chain: Chain::Soft { soft, pack },
+        filed,
+        warm: None,
+    })
 }
 
 /// Wraps a single-seed [`pnr::PnrResult`] as the [`PnrProduct`] a one-
@@ -1033,14 +1062,11 @@ pub(crate) fn race_place_route(
 ) -> Result<PnrProduct, pnr::PnrError> {
     wrapped.check()?;
     let wrapped_cells = wrapped.cell_count() as u64;
-    let shared = Arc::new((wrapped.clone(), device.clone()));
-    let target = race.target_fmax_mhz;
+    let (nl, target) = (wrapped, race.target_fmax_mhz);
     let attempts: Vec<_> = (0..race.attempts.max(1))
         .map(|i| {
-            let shared = Arc::clone(&shared);
             let seed = race_seed(base_seed, i);
             move |cancel: &farm::RaceCancel| -> Option<RaceAttempt> {
-                let (nl, device) = &*shared;
                 let opts = PnrOptions {
                     seed,
                     abstract_shell: true,
@@ -1161,11 +1187,9 @@ pub fn build_batch<C: CacheBackend>(
     let jobs: Vec<_> = graphs
         .iter()
         .map(|graph| {
-            let graph = graph.clone();
-            let options = options.clone();
             let mut job_store = store.snapshot();
             move || {
-                let result = build(&graph, &options, &mut job_store);
+                let result = build(graph, options, &mut job_store);
                 (result, job_store)
             }
         })

@@ -44,7 +44,7 @@ pub fn saved_vtime_seconds(vt: &VtimeModel, product: &StageProduct) -> f64 {
         // into a warm one. Its value is the difference between the prior
         // cold run's cost and the (much cheaper) warm rerun, approximated
         // as most of the prior cold cost.
-        StageProduct::Hints(h) => (vt.pnr_seconds(h.hints.work_units) * 0.75).max(0.05),
+        StageProduct::Hints(h) => (vt.pnr_seconds(h.hints().work_units) * 0.75).max(0.05),
     }
 }
 

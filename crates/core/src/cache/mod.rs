@@ -35,6 +35,7 @@ pub use speculate::{SpeculationConfig, SpeculationStats, Speculator};
 use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::store::{
     ArtifactStore, HlsProduct, PnrProduct, SoftProduct, StageKey, StageKind, StageProduct,
@@ -43,16 +44,20 @@ use crate::vtime::VtimeModel;
 
 /// What every compile driver needs from an artifact cache.
 ///
-/// The build graph probes with [`CacheBackend::contains`] while planning,
-/// pulls products with the fetch methods while materializing (a fetch may
-/// promote across tiers, hence `&mut self`), and files new products with
-/// [`CacheBackend::put`]. Batch compiles clone a [`CacheBackend::snapshot`]
+/// The build graph plans by fetching: one fetch per stage, and a hit *is*
+/// the product in hand — a shared handle, never a copy — while a miss of any
+/// cause (absent, evicted, unreadable on disk) means the stage runs. A fetch
+/// may promote across tiers, hence `&mut self`. New products are filed with
+/// [`CacheBackend::put`]. Batch compiles take a [`CacheBackend::snapshot`]
 /// per farm job and [`CacheBackend::absorb`] the results back.
 pub trait CacheBackend {
-    /// Whether a product is filed under `key` in any tier.
+    /// Whether a product is indexed under `key` in any tier. An index is not
+    /// a promise: only [`CacheBackend::fetch`] says whether the product can
+    /// still be read.
     fn contains(&self, key: StageKey) -> bool;
 
-    /// Fetches a product, promoting it into the fastest tier on the way.
+    /// Fetches a product — a handle sharing the cache's allocation —
+    /// promoting it into the fastest tier on the way.
     fn fetch(&mut self, key: StageKey) -> Option<StageProduct>;
 
     /// Files a product under its key (keep-first on collision, like
@@ -100,78 +105,57 @@ pub trait CacheBackend {
     }
 
     /// Typed fetch of an HLS product.
-    fn fetch_hls(&mut self, hash: u64) -> Option<HlsProduct> {
-        match self.fetch(StageKey {
-            kind: StageKind::HlsLower,
-            hash,
-        }) {
-            Some(StageProduct::Hls(p)) => Some(p),
+    fn fetch_hls(&mut self, hash: u64) -> Option<Arc<HlsProduct>> {
+        match self.fetch(StageKind::HlsLower.key(hash))? {
+            StageProduct::Hls(p) => Some(p),
             _ => None,
         }
     }
 
     /// Typed fetch of a P&R product.
-    fn fetch_pnr(&mut self, hash: u64) -> Option<PnrProduct> {
-        match self.fetch(StageKey {
-            kind: StageKind::PlaceRoute,
-            hash,
-        }) {
-            Some(StageProduct::Pnr(p)) => Some(p),
+    fn fetch_pnr(&mut self, hash: u64) -> Option<Arc<PnrProduct>> {
+        match self.fetch(StageKind::PlaceRoute.key(hash))? {
+            StageProduct::Pnr(p) => Some(p),
             _ => None,
         }
     }
 
     /// Typed fetch of a softcore product.
-    fn fetch_soft(&mut self, hash: u64) -> Option<SoftProduct> {
-        match self.fetch(StageKey {
-            kind: StageKind::SoftcoreCc,
-            hash,
-        }) {
-            Some(StageProduct::Soft(p)) => Some(p),
+    fn fetch_soft(&mut self, hash: u64) -> Option<Arc<SoftProduct>> {
+        match self.fetch(StageKind::SoftcoreCc.key(hash))? {
+            StageProduct::Soft(p) => Some(p),
             _ => None,
         }
     }
 
     /// Typed fetch of a packed artifact.
-    fn fetch_pack(&mut self, hash: u64) -> Option<crate::artifact::Xclbin> {
-        match self.fetch(StageKey {
-            kind: StageKind::BitstreamPack,
-            hash,
-        }) {
-            Some(StageProduct::Pack(x)) => Some(x),
+    fn fetch_pack(&mut self, hash: u64) -> Option<Arc<crate::artifact::Xclbin>> {
+        match self.fetch(StageKind::BitstreamPack.key(hash))? {
+            StageProduct::Pack(x) => Some(x),
             _ => None,
         }
     }
 
     /// Typed fetch of a generated driver.
-    fn fetch_driver(&mut self, hash: u64) -> Option<crate::artifact::Driver> {
-        match self.fetch(StageKey {
-            kind: StageKind::LinkDriver,
-            hash,
-        }) {
-            Some(StageProduct::Driver(d)) => Some(d),
+    fn fetch_driver(&mut self, hash: u64) -> Option<Arc<crate::artifact::Driver>> {
+        match self.fetch(StageKind::LinkDriver.key(hash))? {
+            StageProduct::Driver(d) => Some(d),
             _ => None,
         }
     }
 
     /// Typed fetch of an optimized-graph product.
-    fn fetch_opt(&mut self, hash: u64) -> Option<crate::store::OptProduct> {
-        match self.fetch(StageKey {
-            kind: StageKind::KpnOptimize,
-            hash,
-        }) {
-            Some(StageProduct::Opt(p)) => Some(p),
+    fn fetch_opt(&mut self, hash: u64) -> Option<Arc<crate::store::OptProduct>> {
+        match self.fetch(StageKind::KpnOptimize.key(hash))? {
+            StageProduct::Opt(p) => Some(p),
             _ => None,
         }
     }
 
     /// Typed fetch of warm-start P&R hints.
-    fn fetch_hints(&mut self, hash: u64) -> Option<crate::store::HintsProduct> {
-        match self.fetch(StageKey {
-            kind: StageKind::PnrHints,
-            hash,
-        }) {
-            Some(StageProduct::Hints(h)) => Some(h),
+    fn fetch_hints(&mut self, hash: u64) -> Option<Arc<crate::store::HintsProduct>> {
+        match self.fetch(StageKind::PnrHints.key(hash))? {
+            StageProduct::Hints(h) => Some(h),
             _ => None,
         }
     }
@@ -349,6 +333,16 @@ impl TieredCache {
         Ok(evicted)
     }
 
+    /// Keys only the persistent tier holds (products no fetch has promoted
+    /// since the directory was opened). With L1's own counts kept per kind,
+    /// one walk of the L2 index sizes the whole cache.
+    fn l2_only(&self) -> impl Iterator<Item = StageKey> + '_ {
+        self.l2
+            .iter()
+            .flat_map(DiskCache::keys)
+            .filter(|k| self.l1.get(*k).is_none())
+    }
+
     /// Compacts the persistent tier: rewrites live entries into one fresh
     /// segment and deletes the rest, under the advisory compaction lock.
     /// Returns `false` (without touching anything) when another process
@@ -413,38 +407,21 @@ impl CacheBackend for TieredCache {
     }
 
     fn len(&self) -> usize {
-        // L2 may hold products evicted from nowhere (l1 misses); count the
-        // union without materializing it.
-        match &self.l2 {
-            None => self.l1.len(),
-            Some(l2) => {
-                let extra = l2.keys().filter(|k| self.l1.get(*k).is_none()).count();
-                self.l1.len() + extra
-            }
-        }
+        self.l1.len() + self.l2_only().count()
     }
 
     fn count_kind(&self, kind: StageKind) -> usize {
-        match &self.l2 {
-            None => self.l1.count_kind(kind),
-            Some(l2) => {
-                let extra = l2
-                    .keys()
-                    .filter(|k| k.kind == kind && self.l1.get(*k).is_none())
-                    .count();
-                self.l1.count_kind(kind) + extra
-            }
-        }
+        self.l1.count_kind(kind) + self.l2_only().filter(|k| k.kind == kind).count()
     }
 
     fn snapshot(&self) -> ArtifactStore {
+        // L1 is shared by handle; only products no one has fetched yet are
+        // read off disk.
         let mut view = self.l1.clone();
         if let Some(l2) = &self.l2 {
-            for key in l2.keys().collect::<Vec<_>>() {
-                if view.get(key).is_none() {
-                    if let Some(product) = l2.read_unstamped(key) {
-                        view.insert(key, product);
-                    }
+            for key in self.l2_only() {
+                if let Some(product) = l2.read_unstamped(key) {
+                    view.insert(key, product);
                 }
             }
         }
@@ -482,10 +459,10 @@ mod tests {
     }
 
     fn driver_product(n: usize) -> StageProduct {
-        StageProduct::Driver(Driver {
+        StageProduct::Driver(Arc::new(Driver {
             loads: vec![crate::artifact::LoadOp::Overlay; n],
             links: Vec::new(),
-        })
+        }))
     }
 
     fn key(hash: u64) -> StageKey {

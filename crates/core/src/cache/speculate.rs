@@ -22,12 +22,14 @@
 //! [`CacheBackend::speculative_hits`].
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
-use dfg::{Graph, Target};
+use dfg::Target;
+use kir::hash::debug_fnv1a;
 
 use crate::build::{
-    hints_key, hls_key, kernel_hash, pnr_product, race_place_route, race_seed, stage_key,
-    BuildReport,
+    hints_key, hls_key, pnr_key, pnr_product, race_place_route, race_seed, stage_key, BuildReport,
+    Hashed,
 };
 use crate::cache::CacheBackend;
 use crate::farm;
@@ -167,16 +169,16 @@ impl Speculator {
     /// Predicts likely-next stage keys for the edit `prev → graph` and
     /// launches background jobs for the missing ones. Absorbs any previous
     /// batch first, so at most one is ever in flight.
-    pub fn launch<C: CacheBackend>(
+    pub(crate) fn launch<C: CacheBackend>(
         &mut self,
-        prev: Option<&Graph>,
-        graph: &Graph,
+        prev: Option<Hashed<'_>>,
+        source: Hashed<'_>,
         options: &CompileOptions,
         cache: &mut C,
     ) {
         self.absorb(cache);
         let seed_order = self.ladder_order(self.config.extra_seeds);
-        let jobs = predict(prev, graph, options, cache, &self.config, &seed_order);
+        let jobs = predict(prev, source, options, cache, &self.config, &seed_order);
         if jobs.is_empty() {
             return;
         }
@@ -189,8 +191,8 @@ impl Speculator {
 /// Builds the background job list for one edit. Pure prediction: only
 /// keys missing from `cache` become jobs, capped at `config.max_jobs`.
 fn predict<C: CacheBackend>(
-    prev: Option<&Graph>,
-    graph: &Graph,
+    prev: Option<Hashed<'_>>,
+    source: Hashed<'_>,
     options: &CompileOptions,
     cache: &mut C,
     config: &SpeculationConfig,
@@ -202,7 +204,8 @@ fn predict<C: CacheBackend>(
         return Vec::new();
     }
     let Some(prev) = prev else { return Vec::new() };
-    let dirty: HashSet<String> = dirty_set(prev, graph).into_iter().collect();
+    let graph = source.graph;
+    let dirty: HashSet<String> = dirty_set(prev.graph, graph).into_iter().collect();
     if dirty.is_empty() {
         return Vec::new();
     }
@@ -233,7 +236,9 @@ fn predict<C: CacheBackend>(
     else {
         return Vec::new();
     };
-    let device_hash = fnv(format!("{:?}", options.floorplan.device).as_bytes());
+    // Background jobs outlive this call: one copy of the device for the batch.
+    let device = Arc::new(options.floorplan.device.clone());
+    let device_hash = debug_fnv1a(&*device);
 
     let mut jobs: Vec<SpecJob> = Vec::new();
     for &i in &focus {
@@ -242,7 +247,8 @@ fn predict<C: CacheBackend>(
         }
         let op = &graph.operators[i];
         let (target, page) = pages[i];
-        let khash = kernel_hash(&op.kernel);
+        let khash = source.kernels[i];
+        let name_hash = fnv(op.name.as_bytes());
         let edited = dirty.contains(&op.name);
 
         if let (Target::Hw { .. }, true) = (target, edited) {
@@ -250,25 +256,14 @@ fn predict<C: CacheBackend>(
             // filed under the plain single-seed P&R key, exactly what a
             // reseeded rebuild (or a race alias probe) will ask for.
             let rect = options.floorplan.pages[page.0 as usize].rect;
-            let base_seed = options.seed ^ fnv(op.name.as_bytes());
-            let src_hash = source_hash(&op.kernel, target);
+            let base_seed = options.seed ^ name_hash;
+            let src_hash = source_hash(khash, target);
             for &i in seed_order {
                 if jobs.len() >= config.max_jobs {
                     break;
                 }
                 let seed = race_seed(base_seed, i);
-                let pnr_key = stage_key(
-                    StageKind::PlaceRoute,
-                    &[
-                        khash,
-                        rect.x0 as u64,
-                        rect.y0 as u64,
-                        rect.w as u64,
-                        rect.h as u64,
-                        device_hash,
-                        seed,
-                    ],
-                );
+                let pnr_key = pnr_key(khash, rect, device_hash, seed, &[]);
                 if cache.contains(pnr_key) {
                     continue;
                 }
@@ -277,14 +272,9 @@ fn predict<C: CacheBackend>(
                 };
                 let pack_key = stage_key(
                     StageKind::BitstreamPack,
-                    &[
-                        pnr_key.hash,
-                        page.0 as u64,
-                        fnv(op.name.as_bytes()),
-                        src_hash,
-                    ],
+                    [pnr_key.hash, page.0 as u64, name_hash, src_hash],
                 );
-                let device = options.floorplan.device.clone();
+                let device = Arc::clone(&device);
                 let name = op.name.clone();
                 jobs.push(Box::new(move |cancel: &farm::BackgroundCancel| {
                     let mut out = Vec::new();
@@ -299,6 +289,7 @@ fn predict<C: CacheBackend>(
                     let Ok(pnr) = race_place_route(&wrapped, &device, rect, seed, &race, 1) else {
                         return out;
                     };
+                    let pnr = Arc::new(pnr);
                     out.push((pnr_key, StageProduct::Pnr(pnr.clone())));
                     // Stage boundary: packing is cheap, but respect demand.
                     if cancel.cancelled() {
@@ -307,14 +298,14 @@ fn predict<C: CacheBackend>(
                     let hash = pnr.bitstream.payload_hash ^ src_hash;
                     out.push((
                         pack_key,
-                        StageProduct::Pack(Xclbin {
+                        StageProduct::Pack(Arc::new(Xclbin {
                             name: format!("{name}.xclbin"),
                             kind: XclbinKind::Page {
                                 page,
-                                bitstream: pnr.bitstream,
+                                bitstream: pnr.bitstream.clone(),
                             },
                             hash,
-                        }),
+                        })),
                     ));
                     out
                 }));
@@ -333,25 +324,13 @@ fn predict<C: CacheBackend>(
         if options.incremental_pnr && options.race.attempts <= 1 {
             if let Target::Hw { .. } = target {
                 let rect = options.floorplan.pages[page.0 as usize].rect;
-                let device_hash = fnv(format!("{:?}", options.floorplan.device).as_bytes());
-                let hk = hints_key(&op.name, khash, rect, device_hash);
+                let hk = hints_key(name_hash, khash, rect, device_hash);
                 if !cache.contains(hk) {
                     if let Some(hls) = cache.fetch_hls(hls_key(khash).hash) {
-                        let seed = options.seed ^ fnv(op.name.as_bytes());
-                        let pnr_key = stage_key(
-                            StageKind::PlaceRoute,
-                            &[
-                                khash,
-                                rect.x0 as u64,
-                                rect.y0 as u64,
-                                rect.w as u64,
-                                rect.h as u64,
-                                device_hash,
-                                seed,
-                            ],
-                        );
+                        let seed = options.seed ^ name_hash;
+                        let pnr_key = pnr_key(khash, rect, device_hash, seed, &[]);
                         let have_pnr = cache.contains(pnr_key);
-                        let device = options.floorplan.device.clone();
+                        let device = Arc::clone(&device);
                         jobs.push(Box::new(move |cancel: &farm::BackgroundCancel| {
                             let mut out = Vec::new();
                             if cancel.cancelled() {
@@ -368,11 +347,11 @@ fn predict<C: CacheBackend>(
                                 return out;
                             };
                             let hints = pnr::extract_hints(&wrapped, rect, &result);
-                            out.push((hk, StageProduct::Hints(HintsProduct { hints })));
+                            out.push((hk, StageProduct::Hints(Arc::new(HintsProduct::new(hints)))));
                             if !have_pnr {
                                 let product =
                                     pnr_product(&wrapped, &result, seed, result.work_units);
-                                out.push((pnr_key, StageProduct::Pnr(product)));
+                                out.push((pnr_key, StageProduct::Pnr(Arc::new(product))));
                             }
                             out
                         }));
@@ -388,7 +367,7 @@ fn predict<C: CacheBackend>(
         // insurance against a target flip or an -O level change.
         match target {
             Target::Hw { .. } => {
-                let key = stage_key(StageKind::SoftcoreCc, &[khash]);
+                let key = stage_key(StageKind::SoftcoreCc, [khash]);
                 if !cache.contains(key) {
                     let kernel = op.kernel.clone();
                     jobs.push(Box::new(move |cancel: &farm::BackgroundCancel| {
@@ -397,7 +376,7 @@ fn predict<C: CacheBackend>(
                         }
                         match softcore::compile_kernel(&kernel) {
                             Ok(binary) => {
-                                vec![(key, StageProduct::Soft(SoftProduct { binary }))]
+                                vec![(key, StageProduct::Soft(Arc::new(SoftProduct { binary })))]
                             }
                             Err(_) => Vec::new(),
                         }
@@ -415,10 +394,10 @@ fn predict<C: CacheBackend>(
                         match hlsim::compile(&kernel) {
                             Ok(out) => vec![(
                                 key,
-                                StageProduct::Hls(HlsProduct {
+                                StageProduct::Hls(Arc::new(HlsProduct {
                                     netlist: out.netlist,
                                     report: out.report,
-                                }),
+                                })),
                             )],
                             Err(_) => Vec::new(),
                         }

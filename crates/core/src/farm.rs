@@ -185,13 +185,13 @@ pub struct RaceResult {
 /// starts — or that bails at one of its own cancellation checks — yields
 /// `Ok(None)`. Results come back in attempt order, panics isolated exactly
 /// as in [`run_jobs`].
-pub fn run_race<T, F>(attempts: Vec<F>, workers: usize) -> Vec<JobOutcome<Option<T>>>
+pub fn run_race<'a, T, F>(attempts: Vec<F>, workers: usize) -> Vec<JobOutcome<Option<T>>>
 where
-    T: Send + 'static,
-    F: FnOnce(&RaceCancel) -> Option<T> + Send + 'static,
+    T: Send,
+    F: FnOnce(&RaceCancel) -> Option<T> + Send + 'a,
 {
     let cancel_above = Arc::new(AtomicUsize::new(usize::MAX));
-    let jobs: Vec<Box<dyn FnOnce() -> Option<T> + Send>> = attempts
+    let jobs: Vec<Box<dyn FnOnce() -> Option<T> + Send + 'a>> = attempts
         .into_iter()
         .enumerate()
         .map(|(index, attempt)| {
@@ -204,7 +204,7 @@ where
                     return None;
                 }
                 attempt(&handle)
-            }) as Box<dyn FnOnce() -> Option<T> + Send>
+            }) as Box<dyn FnOnce() -> Option<T> + Send + 'a>
         })
         .collect();
     run_jobs(jobs, workers)

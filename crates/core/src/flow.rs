@@ -3,11 +3,12 @@
 use dfg::{DfgIr, Graph, IrLink, Target};
 use fabric::{Floorplan, PageId, Rect};
 use hlsim::HlsReport;
+pub(crate) use kir::hash::fnv1a as fnv;
 use netlist::{CellKind, Netlist};
 use noc::PortAddr;
 use pnr::{place_and_route, PnrOptions, TimingReport};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::artifact::{Driver, LinkOp, LoadOp, Xclbin, XclbinKind};
 use crate::vtime::{PhaseTimes, VtimeModel};
@@ -328,11 +329,12 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Stable content hash of (kernel, target) for incremental builds.
-pub(crate) fn source_hash(kernel: &kir::Kernel, target: Target) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    format!("{kernel:?}").hash(&mut h);
-    format!("{target:?}").hash(&mut h);
+/// Stable content hash of (kernel, target) for incremental builds, folded
+/// from the kernel's content hash ([`crate::build::kernel_hash`]).
+pub(crate) fn source_hash(kernel_hash: u64, target: Target) -> u64 {
+    let mut h = kir::hash::Fnv1a::new();
+    h.write_u64(kernel_hash);
+    h.write_debug(&target);
     h.finish()
 }
 
@@ -501,15 +503,6 @@ pub(crate) fn build_driver(
     driver
 }
 
-pub(crate) fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Compiles a graph at the requested level.
 ///
 /// This is a thin driver over the staged build graph ([`mod@crate::build`])
@@ -601,7 +594,7 @@ fn run_pnr_legs<T: Send>(
 }
 
 pub(crate) fn compile_monolithic<C: crate::cache::CacheBackend>(
-    graph: &Graph,
+    built: crate::build::Hashed<'_>,
     ir: DfgIr,
     options: &CompileOptions,
     t0: std::time::Instant,
@@ -612,6 +605,7 @@ pub(crate) fn compile_monolithic<C: crate::cache::CacheBackend>(
     // lowered for a paged compile is reused here — then stitch with hardware
     // FIFOs (the kernel generator of Fig. 7). The monolithic P&R itself has
     // no separately reusable parts: exactly the paper's complaint.
+    let graph = built.graph;
     let mut kernel_netlist = Netlist::new(format!("{}_kernel", graph.name));
     let mut offsets = Vec::new();
     let mut operators = Vec::with_capacity(graph.operators.len());
@@ -619,8 +613,8 @@ pub(crate) fn compile_monolithic<C: crate::cache::CacheBackend>(
     let mut hls_fresh = 0.0;
     let mut reports = Vec::new();
 
-    for op in &graph.operators {
-        let key = crate::build::hls_key(crate::build::kernel_hash(&op.kernel));
+    for (op, &khash) in graph.operators.iter().zip(built.kernels) {
+        let key = crate::build::hls_key(khash);
         let (product, hit) = match store.fetch_hls(key.hash) {
             Some(p) => (p, true),
             None => {
@@ -628,10 +622,10 @@ pub(crate) fn compile_monolithic<C: crate::cache::CacheBackend>(
                     op: op.name.clone(),
                     error,
                 })?;
-                let p = crate::store::HlsProduct {
+                let p = Arc::new(crate::store::HlsProduct {
                     netlist: hls.netlist,
                     report: hls.report,
-                };
+                });
                 store.put(key, crate::store::StageProduct::Hls(p.clone()));
                 (p, false)
             }
@@ -648,7 +642,7 @@ pub(crate) fn compile_monolithic<C: crate::cache::CacheBackend>(
             hls_executed += seconds;
         }
         offsets.push(kernel_netlist.absorb(&product.netlist));
-        reports.push(product.report);
+        reports.push(product.report.clone());
     }
 
     // FIFO per internal link, wired between the stream interface cells.
@@ -752,7 +746,7 @@ pub(crate) fn compile_monolithic<C: crate::cache::CacheBackend>(
     };
     report.fresh_vtime_parallel = report.fresh_vtime_serial;
 
-    for (op, report) in graph.operators.iter().zip(reports) {
+    for ((op, report), &khash) in graph.operators.iter().zip(reports).zip(built.kernels) {
         operators.push(CompiledOperator {
             name: op.name.clone(),
             target: op.target,
@@ -763,7 +757,7 @@ pub(crate) fn compile_monolithic<C: crate::cache::CacheBackend>(
             soft: None,
             vtime: PhaseTimes::default(),
             wall_seconds: 0.0,
-            source_hash: source_hash(&op.kernel, op.target),
+            source_hash: source_hash(khash, op.target),
         });
     }
 

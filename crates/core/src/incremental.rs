@@ -17,9 +17,9 @@ use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
-use crate::build::{build_with_prev, BuildReport};
+use crate::build::{build_with_prev, kernel_hashes, BuildReport, Hashed};
 use crate::cache::{CacheBackend, SpeculationConfig, SpeculationStats, Speculator, TieredCache};
-use crate::flow::{source_hash, CompileError, CompileOptions, CompiledApp, OptLevel};
+use crate::flow::{CompileError, CompileOptions, CompiledApp, OptLevel};
 use crate::store::{ArtifactStore, StageKey, StageKind};
 
 /// A persistent build cache across compiles of the same application,
@@ -38,7 +38,12 @@ pub struct BuildCache {
     /// compiles.
     pub misses: u64,
     last_report: Option<BuildReport>,
-    last_graph: Option<Graph>,
+    /// The source the last successful build compiled, with its kernels'
+    /// content hashes: the next build's warm-start context, and the reason
+    /// it hashes only the kernels that differ. A copy of the caller's graph
+    /// (compared by value), so no edit made through the caller's own graph,
+    /// however it is made, can leave a hash stale.
+    last: Option<(Graph, Vec<u64>)>,
     spec: Option<Speculator>,
 }
 
@@ -189,8 +194,22 @@ impl BuildCache {
         if let Some(spec) = &mut self.spec {
             spec.absorb(&mut self.cache);
         }
-        let (app, report) =
-            build_with_prev(graph, self.last_graph.as_ref(), options, &mut self.cache)?;
+        let prev = self.last.as_ref().map(|(graph, kernels)| Hashed {
+            graph,
+            kernels: kernels.as_slice(),
+        });
+        // An unchanged graph keeps the copy held and its hashes; a changed
+        // one hashes the kernels that differ from it.
+        let fresh = match prev {
+            Some(p) if p.graph == graph => None,
+            _ => Some(kernel_hashes(graph, prev)),
+        };
+        let kernels = fresh.as_deref().or(prev.map(|p| p.kernels));
+        let source = Hashed {
+            graph,
+            kernels: kernels.unwrap_or_default(),
+        };
+        let (app, report) = build_with_prev(source, prev, options, &mut self.cache)?;
         if options.level != OptLevel::O3 {
             for op in &report.operators {
                 if op.executions == 0 {
@@ -202,12 +221,27 @@ impl BuildCache {
         }
         if let Some(spec) = &mut self.spec {
             spec.observe(&report);
+            spec.launch(prev, source, options, &mut self.cache);
         }
         self.last_report = Some(report);
-        if let Some(spec) = &mut self.spec {
-            spec.launch(self.last_graph.as_ref(), graph, options, &mut self.cache);
+        if let Some(kernels) = fresh {
+            match &mut self.last {
+                // After an edit, copy the operator it touched, not the graph.
+                Some((held, hashes)) if held.operators.len() == graph.operators.len() => {
+                    for (h, op) in held.operators.iter_mut().zip(&graph.operators) {
+                        if h != op {
+                            h.clone_from(op);
+                        }
+                    }
+                    held.name.clone_from(&graph.name);
+                    held.edges.clone_from(&graph.edges);
+                    held.ext_inputs.clone_from(&graph.ext_inputs);
+                    held.ext_outputs.clone_from(&graph.ext_outputs);
+                    *hashes = kernels;
+                }
+                last => *last = Some((graph.clone(), kernels)),
+            }
         }
-        self.last_graph = Some(graph.clone());
         Ok(app)
     }
 
@@ -222,16 +256,14 @@ impl BuildCache {
 }
 
 /// Marks which operators changed between two versions of a graph (by
-/// content hash) — what a `make`-style dependency check would report.
+/// source and pragma, matched by name) — what a `make`-style dependency
+/// check would report.
 pub fn dirty_set(old: &Graph, new: &Graph) -> Vec<String> {
-    let old_hashes: HashMap<&str, u64> = old
-        .operators
-        .iter()
-        .map(|o| (o.name.as_str(), source_hash(&o.kernel, o.target)))
-        .collect();
+    let old_ops: HashMap<&str, &dfg::OperatorInst> =
+        old.operators.iter().map(|o| (o.name.as_str(), o)).collect();
     new.operators
         .iter()
-        .filter(|o| old_hashes.get(o.name.as_str()) != Some(&source_hash(&o.kernel, o.target)))
+        .filter(|o| old_ops.get(o.name.as_str()).is_none_or(|p| p != o))
         .map(|o| o.name.clone())
         .collect()
 }
@@ -279,6 +311,84 @@ mod tests {
         b.connect("l2", c, "out", d, "in");
         b.ext_output("Output_1", d, "out");
         b.build().unwrap()
+    }
+
+    /// Planning costs what the edit costs. A no-change rebuild formats no
+    /// kernel and leaves every `Hls`/`Pnr`/`Hints` product the one shared
+    /// allocation it was (the build held handles, never copies, and let go
+    /// of them all); a one-operator body edit formats that operator's kernel
+    /// and no other.
+    #[test]
+    fn a_rebuild_hashes_and_copies_only_what_the_edit_touched() {
+        use crate::build::KERNELS_HASHED;
+        use crate::store::StageProduct;
+        use std::sync::Arc;
+        let hashed = || KERNELS_HASHED.with(|n| n.replace(0));
+        let handles = |cache: &BuildCache| -> Vec<(StageKey, StageProduct)> {
+            let mut all = cache.store().clone().into_entries();
+            all.retain(|(k, _)| {
+                use StageKind::*;
+                matches!(k.kind, HlsLower | PlaceRoute | PnrHints)
+            });
+            all
+        };
+        let shared = |a: &StageProduct, b: &StageProduct| match (a, b) {
+            (StageProduct::Hls(a), StageProduct::Hls(b)) => {
+                Arc::ptr_eq(a, b) && Arc::strong_count(a) == 3
+            }
+            (StageProduct::Pnr(a), StageProduct::Pnr(b)) => {
+                Arc::ptr_eq(a, b) && Arc::strong_count(a) == 3
+            }
+            (StageProduct::Hints(a), StageProduct::Hints(b)) => {
+                Arc::ptr_eq(a, b) && Arc::strong_count(a) == 3
+            }
+            _ => false,
+        };
+
+        let mut b = GraphBuilder::new("six");
+        let ids: Vec<_> = (0..6)
+            .map(|i| {
+                let name = format!("s{i}");
+                b.add(name.clone(), stage(&name, i + 1), Target::hw_auto())
+            })
+            .collect();
+        b.ext_input("Input_1", ids[0], "in");
+        for (i, w) in ids.windows(2).enumerate() {
+            b.connect(format!("l{i}"), w[0], "out", w[1], "in");
+        }
+        b.ext_output("Output_1", ids[5], "out");
+        let mut g = b.build().unwrap();
+
+        let opts = CompileOptions {
+            incremental_pnr: true,
+            ..CompileOptions::new(OptLevel::O1)
+        };
+        let mut cache = BuildCache::new();
+        hashed();
+        cache.compile(&g, &opts).unwrap();
+        assert_eq!(hashed(), 6, "the warm-up build hashes every kernel once");
+        let first = handles(&cache);
+        assert_eq!(first.len(), 18, "6 x (hls, pnr, hints)");
+
+        cache.compile(&g, &opts).unwrap();
+        assert_eq!(cache.last_report().unwrap().total_executions(), 0);
+        assert_eq!(hashed(), 0, "a no-change rebuild hashes no kernel");
+        // `first`, `second` and the store: three handles, one allocation.
+        let second = handles(&cache);
+        assert_eq!(first.len(), second.len());
+        for ((ka, a), (kb, b)) in first.iter().zip(&second) {
+            assert!(ka == kb && shared(a, b), "{ka} was copied or is still held");
+        }
+
+        g.operators[2].kernel.locals.push(kir::VarDecl {
+            name: "spare".into(),
+            ty: Scalar::uint(32),
+        });
+        cache.compile(&g, &opts).unwrap();
+        assert_eq!(hashed(), 1, "a one-operator edit hashes one kernel");
+        let report = cache.last_report().unwrap();
+        assert_eq!(report.executions(StageKind::HlsLower), 1);
+        assert_eq!(report.hits(StageKind::HlsLower), 5);
     }
 
     #[test]

@@ -63,7 +63,7 @@ fn built_store() -> ArtifactStore {
 }
 
 fn driver_product(loads: &[u8]) -> StageProduct {
-    StageProduct::Driver(Driver {
+    StageProduct::Driver(std::sync::Arc::new(Driver {
         loads: loads
             .iter()
             .map(|&i| match i % 3 {
@@ -77,7 +77,7 @@ fn driver_product(loads: &[u8]) -> StageProduct {
             })
             .collect(),
         links: Vec::new(),
-    })
+    }))
 }
 
 fn driver_key(hash: u64) -> StageKey {

@@ -241,3 +241,52 @@ fn budgeted_store_stays_correct_after_eviction() {
     assert_eq!(hashes(&fresh), hashes(&app));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A flipped bit in a segment payload under an intact index: the index still
+/// lists the product (`contains` says yes) but its checksum fails (`read`
+/// says no). The plan's fetch is a miss, the stage runs again, and the build
+/// equals a fresh compile — whichever kind of product took the hit.
+#[test]
+fn a_corrupt_segment_under_an_intact_index_is_a_miss_not_a_panic() {
+    let dir = tmp_dir("bitflip");
+    let opts = CompileOptions::new(OptLevel::O1);
+    let graph = rosetta::spam::bench(Scale::Tiny).graph;
+    let fresh = compile(&graph, &opts).unwrap();
+    {
+        let mut cache = BuildCache::open_dir(&dir).unwrap();
+        cache.compile(&graph, &opts).unwrap();
+        cache.persist().unwrap();
+    }
+    let segments: Vec<(std::path::PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "pldseg"))
+        .map(|p| (p.clone(), std::fs::read(&p).unwrap()))
+        .collect();
+    assert!(!segments.is_empty(), "the cold build wrote no segment");
+
+    // One flipped byte in every segment, at an offset that moves through the
+    // file from round to round (past the 8-byte magic, up to the last byte),
+    // so HLS netlists, P&R products, packed artifacts and the driver all get
+    // hit in some round.
+    const ROUNDS: usize = 12;
+    let hashes = |app: &pld::CompiledApp| app.artifacts.iter().map(|x| x.hash).collect::<Vec<_>>();
+    let mut redone = 0;
+    for round in 0..ROUNDS {
+        for (path, bytes) in &segments {
+            let mut bad = bytes.clone();
+            let at = 8 + (bad.len() - 9) * round / (ROUNDS - 1);
+            bad[at] ^= 0x10;
+            std::fs::write(path, bad).unwrap();
+        }
+        let mut cache = BuildCache::open_dir(&dir).unwrap();
+        let app = cache
+            .compile(&graph, &opts)
+            .unwrap_or_else(|e| panic!("round {round}: {e}"));
+        assert_eq!(hashes(&app), hashes(&fresh), "round {round}");
+        assert_eq!(app.driver, fresh.driver, "round {round}");
+        redone += cache.last_report().unwrap().total_executions();
+    }
+    assert!(redone > 0, "no round's flip landed in a product");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -5,8 +5,8 @@
 //! estimate equal to what a cold compile actually records.
 
 use dfg::{Graph, GraphBuilder, Target};
-use kir::{Expr, KernelBuilder, Scalar, Stmt};
-use pld::{build, compile, ArtifactStore, CompileOptions, OptLevel};
+use kir::{Expr, KernelBuilder, Scalar, Stmt, VarDecl};
+use pld::{build, compile, ArtifactStore, BuildCache, CompileOptions, OptLevel};
 use proptest::prelude::*;
 
 fn stage(name: &str, addend: i64) -> kir::Kernel {
@@ -86,8 +86,91 @@ fn staged_equals_fresh(level: OptLevel, edits: Vec<Edit>) {
     }
 }
 
+/// One developer action on the graph *in place*, through its public fields:
+/// `(kind, operator, argument)`.
+type InPlaceEdit = (u8, usize, i64);
+
+const DEAD: &str = "dead";
+
+fn edit_in_place(g: &mut Graph, (kind, op, arg): InPlaceEdit) {
+    let other = (op + 1 + arg as usize % 2) % 3;
+    let strip = |k: &mut kir::Kernel| {
+        k.locals.retain(|v| v.name != DEAD);
+        k.body
+            .retain(|s| !matches!(s, Stmt::Assign { var, .. } if var == DEAD));
+    };
+    match kind {
+        // A body edit as `benchmark/src/edits.rs` makes it: strip the last
+        // one, then append a dead assignment.
+        0 => {
+            let k = &mut g.operators[op].kernel;
+            strip(k);
+            k.locals.push(VarDecl {
+                name: DEAD.into(),
+                ty: Scalar::uint(32),
+            });
+            k.body.push(Stmt::assign(DEAD, Expr::cint(arg)));
+        }
+        // ...and its revert.
+        1 => strip(&mut g.operators[op].kernel),
+        // Rename the instance (and back): same kernel, another P&R seed.
+        2 => {
+            let name = &mut g.operators[op].name;
+            *name = match name.strip_suffix("_r") {
+                Some(base) => base.to_string(),
+                None => format!("{name}_r"),
+            };
+        }
+        // Two operators trade kernels (all stages share one port signature).
+        3 => {
+            let mine = g.operators[op].kernel.clone();
+            g.operators[op].kernel = std::mem::replace(&mut g.operators[other].kernel, mine);
+        }
+        // Flip the pragma; flipping twice reverts.
+        _ => {
+            let t = &mut g.operators[op].target;
+            *t = match t {
+                Target::Hw { .. } => Target::riscv_auto(),
+                Target::Riscv { .. } => Target::hw_auto(),
+            };
+        }
+    }
+}
+
+/// The `BuildCache` keeps the last graph's kernel hashes and reuses them for
+/// kernels that compare equal. However the caller's graph is edited — here
+/// one `Graph` value mutated in place, so neither its address nor any
+/// operator's says what changed — no build may see a stale hash: each equals
+/// a from-scratch compile of the graph as it stands.
+fn one_cache_in_place_edits_equal_fresh(edits: Vec<InPlaceEdit>) {
+    let mut g = pipeline(&[1, 2, 3], &[false, false, false]);
+    let opts = CompileOptions::new(OptLevel::O1);
+    let mut cache = BuildCache::new();
+    for step in 0..=edits.len() {
+        if step > 0 {
+            edit_in_place(&mut g, edits[step - 1]);
+        }
+        let staged = cache.compile(&g, &opts).unwrap();
+        let fresh = compile(&g, &opts).unwrap();
+        prop_assert_eq!(&staged.artifacts, &fresh.artifacts, "step {}", step);
+        prop_assert_eq!(&staged.driver, &fresh.driver);
+        let report = cache.last_report().unwrap();
+        prop_assert_eq!(report.fresh_vtime_serial, fresh.vtime_serial);
+        for (s, f) in staged.operators.iter().zip(&fresh.operators) {
+            prop_assert_eq!(s.source_hash, f.source_hash);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn in_place_edits_through_one_build_cache_equal_fresh_compiles(
+        edits in proptest::collection::vec((0u8..5, 0usize..3, 1i64..4), 1..7),
+    ) {
+        one_cache_in_place_edits_equal_fresh(edits);
+    }
 
     #[test]
     fn staged_incremental_equals_fresh_compile_o1(

@@ -48,6 +48,7 @@
 
 pub mod check;
 pub mod expr;
+pub mod hash;
 pub mod interp;
 pub mod kernel;
 pub mod ops;

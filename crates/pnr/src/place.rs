@@ -752,7 +752,7 @@ const LOCALITY_RADIUS: u32 = 6;
 /// prior coordinates, unmatched (new or changed) cells and multi-tile
 /// macros are placed greedily, and a short low-temperature annealing pass
 /// refines only the *dirty* cells (unmatched cells plus every cell sharing
-/// a net with one) within [`LOCALITY_RADIUS`] of their seed position.
+/// a net with one) within `LOCALITY_RADIUS` (6 tiles) of their seed position.
 /// `moves_evaluated` therefore scales with the edit size, not the design.
 ///
 /// The result is deterministic for a given (netlist, options, hint) and

@@ -372,7 +372,7 @@ pub struct RouteSeed<'a> {
 /// up and renegotiates only the rest, with PathFinder history seeded from
 /// the prior run.
 ///
-/// When a negotiation round has [`PARALLEL_THRESHOLD`] or more nets to
+/// When a negotiation round has `PARALLEL_THRESHOLD` (8) or more nets to
 /// route, the nets are searched in parallel against *frozen* congestion
 /// (a Jacobi round: no net sees this round's other reroutes) and committed
 /// in ascending net order. Both the freeze and the commit order are
