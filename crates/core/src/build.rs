@@ -18,8 +18,9 @@
 //! | stage | key inputs |
 //! |---|---|
 //! | `HlsLower` | kernel source |
-//! | `PlaceRoute` | kernel source, page rect, device, per-operator seed, racing policy (when racing) |
-//! | `BitstreamPack` | upstream stage key, page id, operator name, resolved target |
+//! | `PlaceRoute` | kernel source, page rect, device, per-operator seed, racing policy (when racing), warm-start hint (when warm) |
+//! | `PnrHints` | operator name, kernel source, page rect, device; the product carries the `PlaceRoute` key it was extracted from |
+//! | `BitstreamPack` | hardware: the bitstream packed, page id, operator name, resolved target; softcore: `SoftcoreCc` key, page id, operator name |
 //! | `SoftcoreCc` | kernel source |
 //! | `LinkDriver` | dataflow IR, page map, every artifact hash |
 //!
@@ -96,8 +97,9 @@ pub struct BuildReport {
     pub race_attempts_charged: u64,
     /// Executed `PlaceRoute` stages that raced more than one seed.
     pub raced_stages: u64,
-    /// `PnrHints` lookups performed for hardware operators whose
-    /// `PlaceRoute` stage missed (incremental P&R on, non-raced).
+    /// `PnrHints` lookups for a warm start: hardware operators whose
+    /// `PlaceRoute` stage missed (incremental P&R on, non-raced) and was not
+    /// found through this version's own hint either (that is a stage hit).
     pub hint_fetches: u64,
     /// Hint lookups that found a usable hint, arming the warm path.
     pub hint_hits: u64,
@@ -261,9 +263,9 @@ pub(crate) fn pnr_key(
 /// Key of the [`StageKind::PnrHints`] artifact for one operator *lineage*:
 /// operator name (hashed) + page geometry + device, plus the kernel version
 /// whose P&R produced the hint. Deliberately seed-free — a hint is an
-/// optimization input, not part of any artifact's identity. A compile of an
-/// *edited* operator probes this key with the **previous** version's kernel
-/// hash (and with its own, which speculation may have pre-filled).
+/// optimization input, not part of any artifact's identity. A compile probes
+/// it with its own kernel hash (a pointer to this version's finished P&R,
+/// [`HintsProduct::origin`]), then the **previous** version's (a warm start).
 pub(crate) fn hints_key(name_hash: u64, khash: u64, rect: Rect, device_hash: u64) -> StageKey {
     stage_key(
         StageKind::PnrHints,
@@ -277,6 +279,35 @@ pub(crate) fn hints_key(name_hash: u64, khash: u64, rect: Rect, device_hash: u64
             device_hash,
         ],
     )
+}
+
+/// Key of a hardware page's [`StageKind::BitstreamPack`] stage: the bitstream
+/// packed, not the `PlaceRoute` key that led to it, because one product is
+/// filed under several (a fallback's, a race winner's) that must share a pack.
+pub(crate) fn pack_key(b: &pnr::Bitstream, page: PageId, name: u64, src: u64) -> StageKey {
+    let (r, rest) = (b.region, [b.payload_hash, page.0 as u64, name, src]);
+    let region = [r.x0, r.y0, r.w, r.h].map(u64::from);
+    stage_key(StageKind::BitstreamPack, region.into_iter().chain(rest))
+}
+
+/// Packs a placed-and-routed page as its loadable artifact. Constants live in
+/// the source, not the structural netlist: artifact identity mixes `src_hash` in.
+pub(crate) fn pack_page(
+    name: &str,
+    page: PageId,
+    bitstream: &pnr::Bitstream,
+    src_hash: u64,
+) -> (StageKey, Arc<Xclbin>) {
+    let x = Xclbin {
+        name: format!("{name}.xclbin"),
+        kind: XclbinKind::Page {
+            page,
+            bitstream: bitstream.clone(),
+        },
+        hash: bitstream.payload_hash ^ src_hash,
+    };
+    let name_hash = fnv(name.as_bytes());
+    (pack_key(bitstream, page, name_hash, src_hash), Arc::new(x))
 }
 
 /// One operator's stage chain with every product in hand: fetched by the
@@ -495,25 +526,35 @@ fn build_paged<C: CacheBackend>(
                 let mut pnr = store.fetch_pnr(pnr_key.hash);
                 // Warm-start planning. A race explores the seed space on
                 // purpose, so hints only arm non-raced stages; and an
-                // already-cached cold stage needs no hint at all. The probe
-                // order — this kernel version first (speculation may have
-                // pre-filed it), then the previous version's — means an
-                // edit warm-starts from the layout it is an edit *of*.
-                let hints_key_now = (options.incremental_pnr && !raced)
+                // already-cached cold stage needs no hint at all.
+                let mut hints_key_now = (options.incremental_pnr && !raced)
                     .then(|| hints_key(name_hash, khash, rect, device_hash));
                 let mut hint = None;
                 if let (None, Some(hk)) = (&pnr, hints_key_now) {
-                    report.hint_fetches += 1;
-                    hint = store
-                        .fetch_hints(hk.hash)
-                        .or_else(|| {
+                    // A hint for different page geometry can never replay.
+                    let usable = |h: &Arc<HintsProduct>| h.hints().region == rect;
+                    // This version's own hint points at its finished P&R:
+                    // while that product is there, the stage is a hit. And
+                    // the first filing stands, so this build files no other.
+                    let own = store.fetch_hints(hk.hash);
+                    hints_key_now = hints_key_now.filter(|_| own.is_none());
+                    let own = own.filter(usable);
+                    pnr = own
+                        .as_ref()
+                        .and_then(|h| store.fetch_pnr(h.origin()))
+                        .filter(|p| p.winning_seed == seed);
+                    if pnr.is_none() {
+                        // That product gone (evicted, unreadable), its layout
+                        // is the start; an edit starts from what it is an edit *of*.
+                        report.hint_fetches += 1;
+                        hint = own.or_else(|| {
                             let p = prev?;
                             let i = p.graph.operators.iter().position(|o| o.name == op.name)?;
-                            let hk = hints_key(name_hash, p.kernels[i], rect, device_hash);
-                            (p.kernels[i] != khash).then(|| store.fetch_hints(hk.hash))?
-                        })
-                        // A hint for different page geometry can never replay.
-                        .filter(|h| h.hints().region == rect);
+                            let before = hints_key(name_hash, p.kernels[i], rect, device_hash);
+                            let before = (before != hk).then(|| store.fetch_hints(before.hash));
+                            before?.filter(usable)
+                        });
+                    }
                     if let Some(h) = &hint {
                         report.hint_hits += 1;
                         // Fold the hint's identity into the stage key: a
@@ -524,15 +565,14 @@ fn build_paged<C: CacheBackend>(
                         pnr = store.fetch_pnr(pnr_key.hash);
                     }
                 }
+                // Packing keys on the bitstream: no product, no pack to find.
+                let pack = pnr.as_ref().and_then(|p| {
+                    store.fetch_pack(pack_key(&p.bitstream, page, name_hash, src_hash).hash)
+                });
                 let pnr = (pnr_key, pnr);
-                let pack_key = stage_key(
-                    StageKind::BitstreamPack,
-                    [pnr_key.hash, page.0 as u64, name_hash, src_hash],
-                );
-                let pack = (pack_key, store.fetch_pack(pack_key.hash));
-                let hits = (hls.1.is_some(), Some(pnr.1.is_some()), pack.1.is_some());
+                let hits = (hls.1.is_some(), Some(pnr.1.is_some()), pack.is_some());
                 let work: Result<Chain, Job<'_>> = match (hls, pnr, pack) {
-                    ((_, Some(hls)), (_, Some(pnr)), (_, Some(pack))) => {
+                    ((_, Some(hls)), (_, Some(pnr)), Some(pack)) => {
                         Ok(Chain::Hw { hls, pnr, pack })
                     }
                     (hls, pnr, pack) => {
@@ -805,11 +845,12 @@ struct HwJob<'a> {
     /// Warm-start hint; its content hash is already folded into `pnr`'s key.
     hint: Option<Arc<HintsProduct>>,
     /// Where this build files fresh [`StageKind::PnrHints`] for the current
-    /// kernel version (incremental P&R on, non-raced only).
+    /// kernel version (incremental P&R on, non-raced, none filed yet).
     hints_key_now: Option<StageKey>,
     hls: Staged<HlsProduct>,
     pnr: Staged<PnrProduct>,
-    pack: Staged<Xclbin>,
+    /// Only ever in hand together with `pnr`, whose bitstream keys it.
+    pack: Option<Arc<Xclbin>>,
 }
 
 impl HwJob<'_> {
@@ -849,7 +890,9 @@ impl HwJob<'_> {
                     abstract_shell: true,
                     effort: 1.0,
                 };
-                let hints_filed = |hints| StageProduct::Hints(Arc::new(HintsProduct::new(hints)));
+                let origin = self.pnr.0.hash;
+                let hints_filed =
+                    |hints| StageProduct::Hints(Arc::new(HintsProduct::new(hints, origin)));
                 let p = match (&self.hint, self.hints_key_now) {
                     (Some(h), _) => {
                         // Warm path: place from the prior layout, rip up
@@ -927,20 +970,11 @@ impl HwJob<'_> {
                 p
             }
         };
-        let pack = match self.pack.1 {
+        let pack = match self.pack {
             Some(x) => x,
             None => {
-                // Constants live in the source, not the structural netlist,
-                // so artifact identity mixes in the source hash.
-                let x = Arc::new(Xclbin {
-                    name: format!("{name}.xclbin"),
-                    kind: XclbinKind::Page {
-                        page: self.page,
-                        bitstream: pnr.bitstream.clone(),
-                    },
-                    hash: pnr.bitstream.payload_hash ^ self.src_hash,
-                });
-                filed.push((self.pack.0, StageProduct::Pack(x.clone())));
+                let (key, x) = pack_page(name, self.page, &pnr.bitstream, self.src_hash);
+                filed.push((key, StageProduct::Pack(x.clone())));
                 x
             }
         };

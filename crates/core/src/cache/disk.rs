@@ -36,10 +36,11 @@ use crate::store::{
     StageProduct,
 };
 
-/// Magic leading every segment file.
-const SEG_MAGIC: &[u8; 8] = b"PLDSEG3\0";
+/// Magic leading every segment file; the digit is the store codec's format
+/// version, and a file of another version is skipped like an unreadable one.
+const SEG_MAGIC: &[u8; 8] = b"PLDSEG5\0";
 /// Magic leading the index file.
-const IDX_MAGIC: &[u8; 8] = b"PLDIDX3\0";
+const IDX_MAGIC: &[u8; 8] = b"PLDIDX5\0";
 /// Index file name within a cache directory.
 const INDEX_FILE: &str = "index.pldidx";
 /// Advisory compaction lock file name.
@@ -538,5 +539,16 @@ fn scan_segment(name: &str, bytes: &[u8], entries: &mut HashMap<StageKey, IndexE
                 cost,
                 last_access: 0,
             });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// One format version: a bump of the store codec's must move the magics,
+    /// or a cache directory would decode old payloads with the new codec.
+    #[test]
+    fn magics_carry_the_store_format_version() {
+        let digit = b'0' + crate::store::FORMAT_VERSION as u8;
+        assert_eq!((super::SEG_MAGIC[6], super::IDX_MAGIC[6]), (digit, digit));
     }
 }

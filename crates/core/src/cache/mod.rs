@@ -193,11 +193,6 @@ impl CacheBackend for ArtifactStore {
     }
 }
 
-/// Name of the legacy single-file store a cache directory may carry
-/// (written by [`ArtifactStore::save`] before the tiered cache existed);
-/// imported as a warm L1 on open.
-const LEGACY_STORE_FILE: &str = "cache.pldstore";
-
 /// An L1 in-memory [`ArtifactStore`] over an optional persistent L2
 /// [`DiskCache`], with speculative-hit accounting on top.
 ///
@@ -244,9 +239,8 @@ impl TieredCache {
     /// Lock-free: the directory is scanned (index first, then any segment
     /// records the index misses), and this instance gets its own fresh
     /// append segment, so any number of builder processes can hold the
-    /// same directory open. A legacy `cache.pldstore` file in the
-    /// directory (v2 or v3) is imported as warm L1 contents. Corrupt
-    /// index/segment bytes degrade to a cold start, never an error.
+    /// same directory open. Corrupt index/segment bytes, and files of
+    /// another format version, degrade to a cold start, never an error.
     ///
     /// # Errors
     ///
@@ -264,15 +258,9 @@ impl TieredCache {
     ///
     /// Propagates filesystem errors (directory creation).
     pub fn open_with(dir: impl AsRef<Path>, budget: Option<u64>) -> io::Result<TieredCache> {
-        let dir = dir.as_ref();
-        let l2 = DiskCache::open(dir)?;
-        let mut l1 = ArtifactStore::new();
-        if let Ok(legacy) = ArtifactStore::load(dir.join(LEGACY_STORE_FILE)) {
-            l1.merge(legacy);
-        }
         Ok(TieredCache {
-            l1,
-            l2: Some(l2),
+            l1: ArtifactStore::new(),
+            l2: Some(DiskCache::open(dir)?),
             budget,
             vt: VtimeModel::default(),
             spec_marks: HashSet::new(),
@@ -537,17 +525,6 @@ mod tests {
         cache.put_speculative(key(1), driver_product(1));
         cache.fetch(key(1));
         assert_eq!(cache.speculative_hits(), 0);
-    }
-
-    #[test]
-    fn legacy_single_file_store_is_imported() {
-        let dir = tmp_dir("legacy");
-        let mut legacy = ArtifactStore::new();
-        legacy.insert(key(5), driver_product(2));
-        legacy.save(dir.join(LEGACY_STORE_FILE)).unwrap();
-        let mut cache = TieredCache::open(&dir).unwrap();
-        assert_eq!(cache.fetch(key(5)), Some(driver_product(2)));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -28,8 +28,8 @@ use dfg::Target;
 use kir::hash::debug_fnv1a;
 
 use crate::build::{
-    hints_key, hls_key, pnr_key, pnr_product, race_place_route, race_seed, stage_key, BuildReport,
-    Hashed,
+    hints_key, hls_key, pack_page, pnr_key, pnr_product, race_place_route, race_seed, stage_key,
+    BuildReport, Hashed,
 };
 use crate::cache::CacheBackend;
 use crate::farm;
@@ -39,7 +39,6 @@ use crate::flow::{
 };
 use crate::incremental::dirty_set;
 use crate::store::{HintsProduct, HlsProduct, SoftProduct, StageKey, StageKind, StageProduct};
-use crate::{Xclbin, XclbinKind};
 
 /// Tuning for the speculative compile pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -270,10 +269,6 @@ fn predict<C: CacheBackend>(
                 let Some(hls) = cache.fetch_hls(hls_key(khash).hash) else {
                     continue;
                 };
-                let pack_key = stage_key(
-                    StageKind::BitstreamPack,
-                    [pnr_key.hash, page.0 as u64, name_hash, src_hash],
-                );
                 let device = Arc::clone(&device);
                 let name = op.name.clone();
                 jobs.push(Box::new(move |cancel: &farm::BackgroundCancel| {
@@ -295,18 +290,8 @@ fn predict<C: CacheBackend>(
                     if cancel.cancelled() {
                         return out;
                     }
-                    let hash = pnr.bitstream.payload_hash ^ src_hash;
-                    out.push((
-                        pack_key,
-                        StageProduct::Pack(Arc::new(Xclbin {
-                            name: format!("{name}.xclbin"),
-                            kind: XclbinKind::Page {
-                                page,
-                                bitstream: pnr.bitstream.clone(),
-                            },
-                            hash,
-                        })),
-                    ));
+                    let (key, pack) = pack_page(&name, page, &pnr.bitstream, src_hash);
+                    out.push((key, StageProduct::Pack(pack)));
                     out
                 }));
             }
@@ -347,7 +332,10 @@ fn predict<C: CacheBackend>(
                                 return out;
                             };
                             let hints = pnr::extract_hints(&wrapped, rect, &result);
-                            out.push((hk, StageProduct::Hints(Arc::new(HintsProduct::new(hints)))));
+                            // The pointer a demand build files: the plain key
+                            // this layout's product is (or already was) under.
+                            let hints = HintsProduct::new(hints, pnr_key.hash);
+                            out.push((hk, StageProduct::Hints(Arc::new(hints))));
                             if !have_pnr {
                                 let product =
                                     pnr_product(&wrapped, &result, seed, result.work_units);

@@ -281,8 +281,10 @@ pub fn dirty_pages(app: &CompiledApp, new: &Graph) -> Vec<PageId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{HintsProduct, StageProduct};
     use dfg::{GraphBuilder, Target};
     use kir::{Expr, KernelBuilder, Scalar, Stmt};
+    use pnr::PnrHints;
 
     fn stage(name: &str, addend: i64) -> kir::Kernel {
         KernelBuilder::new(name)
@@ -302,15 +304,308 @@ mod tests {
     }
 
     fn pipeline(addends: [i64; 3]) -> Graph {
+        pipeline_with(addends, stage, Target::hw(1))
+    }
+
+    /// The three-stage pipeline with `c`'s kernel and target chosen freely.
+    fn pipeline_with(
+        addends: [i64; 3],
+        c_kernel: impl Fn(&str, i64) -> kir::Kernel,
+        c_target: Target,
+    ) -> Graph {
         let mut b = GraphBuilder::new("pipe");
         let a = b.add("a", stage("a", addends[0]), Target::hw(0));
-        let c = b.add("c", stage("c", addends[1]), Target::hw(1));
+        let c = b.add("c", c_kernel("c", addends[1]), c_target);
         let d = b.add("d", stage("d", addends[2]), Target::hw(2));
         b.ext_input("Input_1", a, "in");
         b.connect("l1", a, "out", c, "in");
         b.connect("l2", c, "out", d, "in");
         b.ext_output("Output_1", d, "out");
         b.build().unwrap()
+    }
+
+    /// `stage` grown by a dozen operators: an edit too large for the layout
+    /// it starts from, so the warm run trips the quality guard.
+    fn heavy_stage(name: &str, addend: i64) -> kir::Kernel {
+        let x = || Expr::var("x");
+        let mut value = x().add(Expr::cint(addend));
+        for k in 1..=6 {
+            value = value
+                .mul(x().add(Expr::cint(k)))
+                .xor(x().shr(Expr::cint(k)));
+        }
+        KernelBuilder::new(name)
+            .input("in", Scalar::uint(32))
+            .output("out", Scalar::uint(32))
+            .local("x", Scalar::uint(32))
+            .body([Stmt::for_pipelined(
+                "i",
+                0..32,
+                [Stmt::read("x", "in"), Stmt::write("out", value)],
+            )])
+            .build()
+            .unwrap()
+    }
+
+    fn warm_options() -> CompileOptions {
+        CompileOptions {
+            incremental_pnr: true,
+            ..CompileOptions::new(OptLevel::O1)
+        }
+    }
+
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("pld-incr-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn hashes(app: &CompiledApp) -> Vec<u64> {
+        app.artifacts.iter().map(|x| x.hash).collect()
+    }
+
+    /// An edit session over operator `c`: every way a version comes to be
+    /// placed. Each step is (what it is, the source, warm runs and fallbacks
+    /// its build makes in a cache that has built every earlier step).
+    fn edit_session() -> Vec<(&'static str, Graph, (u64, u64))> {
+        let hw = Target::hw(1);
+        vec![
+            ("cold build", pipeline([1, 2, 3]), (0, 0)),
+            ("body edit, warm run survives", pipeline([1, 99, 3]), (1, 0)),
+            (
+                "large edit, the guard falls back",
+                pipeline_with([1, 5, 3], heavy_stage, hw),
+                (1, 1),
+            ),
+            (
+                "retarget to RISC-V",
+                pipeline_with([1, 5, 3], heavy_stage, Target::riscv(1)),
+                (0, 0),
+            ),
+            (
+                "and back",
+                pipeline_with([1, 5, 3], heavy_stage, hw),
+                (0, 0),
+            ),
+            ("return to an earlier version", pipeline([1, 99, 3]), (0, 0)),
+            ("and to the first", pipeline([1, 2, 3]), (0, 0)),
+            ("a second edit of it", pipeline([1, 7, 3]), (1, 0)),
+        ]
+    }
+
+    /// Asserts that rebuilding `graph`, which `cache` has just built as
+    /// `app`, executes no stage and changes no artifact.
+    fn assert_rebuild_is_free(cache: &mut BuildCache, graph: &Graph, app: &CompiledApp, at: &str) {
+        let again = cache.compile(graph, &warm_options()).unwrap();
+        let report = cache.last_report().unwrap();
+        assert_eq!(report.total_executions(), 0, "{at}: {:?}", report.stages);
+        assert_eq!(report.hit_rate(), 1.0, "{at}");
+        assert_eq!(hashes(&again), hashes(app), "{at}");
+        assert_eq!(again.compile_seconds(), 0.0, "{at}");
+        // Every page holds the artifact it held: an incremental reload has
+        // no page to load.
+        let on_page = |app: &CompiledApp, i: usize| {
+            let op = &app.operators[i];
+            (op.page, op.artifact.map(|a| app.artifacts[a].hash))
+        };
+        let reload: Vec<usize> = (0..app.operators.len())
+            .filter(|&i| on_page(&again, i) != on_page(app, i))
+            .collect();
+        assert!(reload.is_empty(), "{at}: operators {reload:?} reload");
+    }
+
+    /// The promise itself (paper Sec. 6, "only the pages with changing logic
+    /// are recompiled"): whatever route a version took to its bitstream —
+    /// cold, warm from the previous version's layout, warm and fallen back,
+    /// through a retarget, or cached from earlier — building it again
+    /// executes nothing.
+    #[test]
+    fn a_no_change_rebuild_executes_nothing() {
+        let mut cache = BuildCache::new();
+        for (at, graph, (warm, fell_back)) in edit_session() {
+            let app = cache.compile(&graph, &warm_options()).unwrap();
+            let report = cache.last_report().unwrap();
+            assert_eq!(
+                (report.warm_pnr_ops, report.warm_fallbacks),
+                (warm, fell_back),
+                "{at}"
+            );
+            assert_rebuild_is_free(&mut cache, &graph, &app, at);
+        }
+    }
+
+    /// The same across processes: `persist`, drop, `open_dir`. The reopened
+    /// cache has compiled nothing, so it has no previous version to consult
+    /// and nothing in memory: the pointer is followed off the disk.
+    #[test]
+    fn a_no_change_rebuild_executes_nothing_across_reopen() {
+        let dir = tmp_dir("reopen");
+        let mut cache = BuildCache::open_dir(&dir).unwrap();
+        for (at, graph, _) in edit_session() {
+            let app = cache.compile(&graph, &warm_options()).unwrap();
+            cache.persist().unwrap();
+            drop(cache);
+            cache = BuildCache::open_dir(&dir).unwrap();
+            assert_rebuild_is_free(&mut cache, &graph, &app, at);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The stage keys of operator `c` of a `pipeline` graph, as the plan forms
+    /// them: (plain `PlaceRoute`, this version's `PnrHints`).
+    fn keys_of_c(graph: &Graph) -> (StageKey, StageKey) {
+        use crate::build::{hints_key, kernel_hash, pnr_key};
+        use crate::flow::fnv;
+        let opts = warm_options();
+        let (name, khash) = (fnv(b"c"), kernel_hash(&graph.operators[1].kernel));
+        let rect = opts.floorplan.pages[1].rect;
+        let device = kir::hash::debug_fnv1a(&opts.floorplan.device);
+        (
+            pnr_key(khash, rect, device, opts.seed ^ name, &[]),
+            hints_key(name, khash, rect, device),
+        )
+    }
+
+    /// A warm-edited `c`, built through `cache`: the app, and the hint the
+    /// build filed for the new version.
+    fn warm_edit(cache: &mut BuildCache) -> (Graph, CompiledApp, std::sync::Arc<HintsProduct>) {
+        let g2 = pipeline([1, 99, 3]);
+        cache
+            .compile(&pipeline([1, 2, 3]), &warm_options())
+            .unwrap();
+        let app = cache.compile(&g2, &warm_options()).unwrap();
+        let report = cache.last_report().unwrap();
+        assert_eq!((report.warm_pnr_ops, report.warm_fallbacks), (1, 0));
+        let (plain, hints) = keys_of_c(&g2);
+        assert!(
+            !cache.cache().contains(plain),
+            "a surviving warm run has no plain key"
+        );
+        let hint = cache.cache_mut().fetch_hints(hints.hash).unwrap();
+        (g2, app, hint)
+    }
+
+    /// The pointer degrades safely, 1: the product it names was evicted under
+    /// a byte budget while the hint survived. The version's own layout is then
+    /// the warm start — one run, the same bitstream — and its product is
+    /// found again under the key that run formed.
+    #[test]
+    fn an_evicted_origin_costs_one_warm_run_from_the_versions_own_hint() {
+        let mut built = BuildCache::new();
+        let (g2, app, hint) = warm_edit(&mut built);
+        let origin = StageKind::PlaceRoute.key(hint.origin());
+
+        // The on-disk tier of another process, whose budget is one byte
+        // short, the origin being the entry it values least.
+        let dir = tmp_dir("evicted");
+        let mut disk = crate::cache::DiskCache::open(&dir).unwrap();
+        for (key, product) in built.store().clone().into_entries() {
+            disk.append(key, &product, if key == origin { 0.0 } else { 1.0 });
+        }
+        assert_eq!(disk.enforce_budget(disk.live_bytes() - 1), [origin]);
+        disk.publish().unwrap();
+        assert!(disk.compact().unwrap());
+        drop(disk);
+
+        let mut cache = BuildCache::open_dir(&dir).unwrap();
+        let rebuilt = cache.compile(&g2, &warm_options()).unwrap();
+        let report = cache.last_report().unwrap();
+        assert_eq!(report.executions(StageKind::PlaceRoute), 1);
+        // A bitstream is only known once its page is placed, so a page that
+        // is placed is packed; the artifact is the old one and nothing links.
+        assert_eq!(report.executions(StageKind::BitstreamPack), 1);
+        assert_eq!(report.total_executions(), 2);
+        assert_eq!((report.hint_fetches, report.hint_hits), (1, 1));
+        assert_eq!((report.warm_pnr_ops, report.warm_fallbacks), (1, 0));
+        assert_eq!(hashes(&rebuilt), hashes(&app));
+        assert_rebuild_is_free(&mut cache, &g2, &app, "after the warm run");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The pointer degrades safely, 2: a bit of the product it names flipped
+    /// on disk. The fetch fails its checksum, which is a miss like any other.
+    #[test]
+    fn a_corrupt_origin_is_a_miss_not_a_panic() {
+        let dir = tmp_dir("flipped");
+        let mut cache = BuildCache::open_dir(&dir).unwrap();
+        let (g2, app, hint) = warm_edit(&mut cache);
+        let origin = cache.cache_mut().fetch_pnr(hint.origin()).unwrap();
+        cache.persist().unwrap();
+        drop(cache);
+
+        let payload = crate::store::encode_product(&StageProduct::Pnr(origin));
+        let mut flipped = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let mut bytes = std::fs::read(&path).unwrap();
+            if let Some(at) = bytes.windows(payload.len()).position(|w| w == payload) {
+                bytes[at + payload.len() / 2] ^= 0x10;
+                std::fs::write(&path, bytes).unwrap();
+                flipped += 1;
+            }
+        }
+        assert_eq!(flipped, 1, "the origin product is stored once");
+
+        let mut cache = BuildCache::open_dir(&dir).unwrap();
+        let rebuilt = cache.compile(&g2, &warm_options()).unwrap();
+        let report = cache.last_report().unwrap();
+        assert_eq!(report.executions(StageKind::PlaceRoute), 1);
+        assert_eq!(report.warm_pnr_ops, 1);
+        assert_eq!(hashes(&rebuilt), hashes(&app));
+        assert_rebuild_is_free(&mut cache, &g2, &app, "after the re-run");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The pointer degrades safely, 3: a hint for another region is ignored
+    /// whole — neither followed nor replayed — while the same hint for this
+    /// page's region is followed.
+    #[test]
+    fn a_hint_for_another_region_is_ignored() {
+        let g = pipeline([1, 2, 3]);
+        let mut built = BuildCache::new();
+        let app = built.compile(&g, &warm_options()).unwrap();
+        let (plain, hints) = keys_of_c(&g);
+        let elsewhere = StageKind::PlaceRoute.key(0x0e15e);
+        let hint = built.cache_mut().fetch_hints(hints.hash).unwrap();
+        assert_eq!(hint.origin(), plain.hash);
+
+        // `c`'s product moved out from under its plain key, and a hint that
+        // points at where it went: for another region, then for this one.
+        let store_with = |region: fabric::Rect| {
+            let mut store = ArtifactStore::new();
+            for (key, product) in built.store().clone().into_entries() {
+                let moved = PnrHints {
+                    region,
+                    ..hint.hints().clone()
+                };
+                match key {
+                    k if k == plain => store.insert(elsewhere, product),
+                    k if k == hints => store.insert(
+                        k,
+                        StageProduct::Hints(HintsProduct::new(moved, elsewhere.hash).into()),
+                    ),
+                    k => store.insert(k, product),
+                }
+            }
+            BuildCache {
+                cache: TieredCache::from_store(store),
+                ..BuildCache::default()
+            }
+        };
+
+        let rect = hint.hints().region;
+        let mut cache = store_with(rect);
+        assert_rebuild_is_free(&mut cache, &g, &app, "followed");
+
+        let mut cache = store_with(fabric::Rect::new(rect.x0 + 1, rect.y0, rect.w, rect.h));
+        let rebuilt = cache.compile(&g, &warm_options()).unwrap();
+        let report = cache.last_report().unwrap();
+        assert_eq!(report.executions(StageKind::PlaceRoute), 1);
+        assert_eq!((report.hint_fetches, report.hint_hits), (1, 0));
+        assert_eq!(report.warm_pnr_ops, 0, "ran cold");
+        assert_eq!(hashes(&rebuilt), hashes(&app));
+        assert_rebuild_is_free(&mut cache, &g, &app, "after the cold run");
     }
 
     /// Planning costs what the edit costs. A no-change rebuild formats no
@@ -527,6 +822,19 @@ mod tests {
         // Unchanged operators' artifacts are untouched.
         assert_eq!(incr.artifacts[1].hash, full.artifacts[1].hash);
         assert_eq!(incr.artifacts[3].hash, full.artifacts[3].hash);
+
+        // The follow-up build of the unchanged edit finds the warm product
+        // through the hint that build filed. That is a `PlaceRoute` hit like
+        // any other, and no probe that arms a warm run.
+        cache.compile(&g2, &opts).unwrap();
+        let report = cache.last_report().unwrap();
+        assert_eq!(report.total_executions(), 0);
+        assert_eq!(report.hits(StageKind::PlaceRoute), 3);
+        assert_eq!(report.hit_rate(), 1.0);
+        let c = report.operators.iter().find(|o| o.name == "c").unwrap();
+        assert_eq!((c.hits, c.executions), (3, 0));
+        assert_eq!((report.hint_fetches, report.hint_hits), (0, 0));
+        assert_eq!((report.warm_pnr_ops, report.warm_fallbacks), (0, 0));
     }
 
     #[test]

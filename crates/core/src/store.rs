@@ -230,20 +230,26 @@ impl OptProduct {
 /// content addressing sound, a PlaceRoute key that consumed hints folds
 /// [`HintsProduct::content_hash`] into its input hash, so a warm product
 /// can never alias the cold product of the same netlist.
+/// The hint filed for a kernel version is also a *pointer* to that version's
+/// finished P&R ([`HintsProduct::origin`]): a rebuild of the unchanged version
+/// fetches that product instead of placing the page again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HintsProduct {
     hints: pnr::PnrHints,
     content_hash: u64,
+    origin: u64,
 }
 
 impl HintsProduct {
-    /// Wraps freshly extracted hints, fingerprinting them once.
-    pub fn new(hints: pnr::PnrHints) -> HintsProduct {
+    /// Wraps hints freshly extracted from the P&R product filed under the
+    /// PlaceRoute key with hash `origin`, fingerprinting them once.
+    pub fn new(hints: pnr::PnrHints, origin: u64) -> HintsProduct {
         let mut out = Vec::new();
         put_hints(&mut out, &hints);
         HintsProduct {
             content_hash: fnv(&out),
             hints,
+            origin,
         }
     }
 
@@ -257,6 +263,13 @@ impl HintsProduct {
     /// decoded, never per lookup.
     pub fn content_hash(&self) -> u64 {
         self.content_hash
+    }
+
+    /// Hash of the PlaceRoute key the product these hints were extracted from
+    /// is filed under. A warm run makes the same of a layout wherever it came
+    /// from, so this is no part of [`HintsProduct::content_hash`].
+    pub fn origin(&self) -> u64 {
+        self.origin
     }
 }
 
@@ -363,34 +376,15 @@ impl ArtifactStore {
         entries
     }
 
-    /// Serializes the whole store into its on-disk byte format (the
-    /// current `FORMAT_VERSION`, which ends in a whole-payload FNV-1a
-    /// checksum so bit rot is detected at load instead of decoding into
-    /// garbage artifacts).
+    /// Serializes the whole store into its on-disk byte format: magic,
+    /// `FORMAT_VERSION`, count, the entries sorted by `(kind, hash)`, and a
+    /// whole-payload FNV-1a checksum so bit rot is detected at load instead
+    /// of decoding into garbage artifacts.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = self.body_bytes(FORMAT_VERSION);
-        let sum = fnv(&out);
-        put_u64(&mut out, sum);
-        out
-    }
-
-    /// Serializes the store in the legacy v2 layout (no checksum trailer).
-    ///
-    /// Kept as a writer so mixed-version fleets — and the compatibility
-    /// tests — can produce files an old reader accepts; new code should
-    /// use [`ArtifactStore::to_bytes`].
-    pub fn to_bytes_v2(&self) -> Vec<u8> {
-        self.body_bytes(2)
-    }
-
-    /// Magic, version, count and sorted entries — everything but the v3
-    /// checksum trailer.
-    fn body_bytes(&self, version: u32) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
-        put_u32(&mut out, version);
+        put_u32(&mut out, FORMAT_VERSION);
         put_u64(&mut out, self.entries.len() as u64);
-        // Deterministic order: sort by (kind, hash).
         let mut keys: Vec<&StageKey> = self.entries.keys().collect();
         keys.sort_by_key(|k| (k.kind, k.hash));
         for key in keys {
@@ -398,14 +392,14 @@ impl ArtifactStore {
             put_u64(&mut out, key.hash);
             put_product(&mut out, &self.entries[key]);
         }
+        let sum = fnv(&out);
+        put_u64(&mut out, sum);
         out
     }
 
-    /// Reconstructs a store from [`ArtifactStore::to_bytes`] output.
-    /// Accepts the current checksummed v4 layout, the v3 layout (same
-    /// framing, pre-hints product set), and the legacy v2 layout (same
-    /// entry encoding, no checksum) so caches written before the bumps
-    /// stay warm.
+    /// Reconstructs a store from [`ArtifactStore::to_bytes`] output. There
+    /// is one format version: bytes written under any other are refused, and
+    /// a cache directory that finds them starts cold.
     ///
     /// # Errors
     ///
@@ -416,23 +410,18 @@ impl ArtifactStore {
         if c.take(MAGIC.len())? != MAGIC {
             return Err(corrupt("bad magic"));
         }
-        let version = c.u32()?;
-        let end = match version {
-            2 => bytes.len(),
-            3 | 4 => {
-                // The trailer checksums everything before it.
-                if bytes.len() < c.pos + 8 {
-                    return Err(corrupt("store file too short for checksum"));
-                }
-                let end = bytes.len() - 8;
-                let want = u64::from_le_bytes(bytes[end..].try_into().unwrap());
-                if fnv(&bytes[..end]) != want {
-                    return Err(corrupt("store checksum mismatch"));
-                }
-                end
-            }
-            _ => return Err(corrupt("unsupported store format version")),
-        };
+        if c.u32()? != FORMAT_VERSION {
+            return Err(corrupt("unsupported store format version"));
+        }
+        // The trailer checksums everything before it.
+        if bytes.len() < c.pos + 8 {
+            return Err(corrupt("store file too short for checksum"));
+        }
+        let end = bytes.len() - 8;
+        let want = u64::from_le_bytes(bytes[end..].try_into().unwrap());
+        if fnv(&bytes[..end]) != want {
+            return Err(corrupt("store checksum mismatch"));
+        }
         let n = c.u64()? as usize;
         let mut store = ArtifactStore::new();
         for _ in 0..n {
@@ -479,13 +468,10 @@ impl ArtifactStore {
 }
 
 const MAGIC: &[u8] = b"PLDSTORE";
-/// Bumped to 2 when [`PnrProduct`] grew the seed-race fields (pre-2 files
-/// are rejected), to 3 when the file gained a whole-payload FNV-1a checksum
-/// trailer for the persistent shared cache, and to 4 when the
-/// [`StageKind::PnrHints`] product kind was added (same layout as v3; the
-/// bump keeps an old reader from tripping over the new product tag mid
-/// file). v2 and v3 files are still read, so pre-bump caches stay warm.
-const FORMAT_VERSION: u32 = 4;
+/// The one on-disk format version, of the single-file store and of the cache
+/// directory's segments and index. It moves when a product's encoding does
+/// (5: [`HintsProduct::origin`]); bytes of any other version are a cold start.
+pub(crate) const FORMAT_VERSION: u32 = 5;
 
 /// Encodes one stage product in the store's tagged binary layout — the
 /// same bytes an [`ArtifactStore::to_bytes`] entry carries, reused by the
@@ -1717,6 +1703,7 @@ fn put_product(out: &mut Vec<u8>, p: &StageProduct) {
         StageProduct::Hints(h) => {
             out.push(6);
             put_hints(out, &h.hints);
+            put_u64(out, h.origin);
         }
     }
 }
@@ -1751,6 +1738,7 @@ fn get_product(c: &mut Cursor) -> io::Result<StageProduct> {
             StageProduct::Hints(Arc::new(HintsProduct {
                 hints,
                 content_hash: fnv(&c.buf[start..c.pos]),
+                origin: c.u64()?,
             }))
         }
         _ => return Err(corrupt("unknown product kind")),
@@ -1936,7 +1924,7 @@ mod tests {
             fmax_mhz: 301.5,
             work_units: 4242,
         };
-        let product = HintsProduct::new(hints);
+        let product = HintsProduct::new(hints, 0x0419);
         let fingerprint = product.content_hash();
         let mut store = ArtifactStore::new();
         store.insert(
@@ -1951,6 +1939,11 @@ mod tests {
         // from an encoding of the hints: the same bytes, so the same hash.
         assert_eq!(back.fetch_hints(55).as_deref(), Some(&product));
         assert_eq!(back.fetch_hints(55).unwrap().content_hash(), fingerprint);
+        assert_eq!(back.fetch_hints(55).unwrap().origin(), 0x0419);
+        // Where the layout came from is not part of what a warm run makes of
+        // it: the pointer stays out of the fingerprint.
+        let elsewhere = HintsProduct::new(product.hints().clone(), 7);
+        assert_eq!(elsewhere.content_hash(), fingerprint);
         let mut encoded = Vec::new();
         put_hints(&mut encoded, product.hints());
         assert_eq!(fingerprint, fnv(&encoded));
@@ -1980,14 +1973,22 @@ mod tests {
         }
     }
 
+    /// One format version: bytes of any other are refused whole (and a cache
+    /// directory that finds them starts cold), however intact they are.
     #[test]
-    fn reads_legacy_v2_files() {
-        let store = sample_store();
-        let v2 = store.to_bytes_v2();
-        // v2 is the v3 body without the checksum trailer.
-        assert_eq!(v2.len() + 8, store.to_bytes().len());
-        let back = ArtifactStore::from_bytes(&v2).unwrap();
-        assert_eq!(back.to_bytes(), store.to_bytes());
+    fn other_format_versions_are_refused() {
+        let bytes = sample_store().to_bytes();
+        for version in [2u32, 3, 4, FORMAT_VERSION + 1] {
+            let mut old = bytes[..bytes.len() - 8].to_vec();
+            old[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
+            let sum = fnv(&old);
+            put_u64(&mut old, sum);
+            let err = ArtifactStore::from_bytes(&old).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "version {version}");
+            // v2 had no checksum trailer at all.
+            old.truncate(old.len() - 8);
+            assert!(ArtifactStore::from_bytes(&old).is_err());
+        }
     }
 
     #[test]

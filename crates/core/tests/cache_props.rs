@@ -1,6 +1,6 @@
 //! Property tests for the persistent artifact cache: the on-disk codec
-//! round-trips (current v3 format and the v2 compatibility path), corrupted
-//! or truncated cache files degrade to a cold start instead of panicking,
+//! round-trips, corrupted or truncated cache files — and intact ones of
+//! another format version — degrade to a cold start instead of panicking,
 //! concurrent writer instances never corrupt each other, and the eviction
 //! order implements the saved-vtime-per-byte rule.
 
@@ -87,16 +87,47 @@ fn driver_key(hash: u64) -> StageKey {
     }
 }
 
-/// All real product kinds survive the v3 byte codec and the v2
-/// compatibility reader bit-identically.
+/// All real product kinds survive the byte codec bit-identically.
 #[test]
-fn built_store_round_trips_v3_and_v2() {
+fn built_store_round_trips() {
     let store = built_store();
     assert!(store.len() >= 7, "want all stage kinds represented");
-    let v3 = ArtifactStore::from_bytes(&store.to_bytes()).unwrap();
-    assert_eq!(v3.to_bytes(), store.to_bytes());
-    let v2 = ArtifactStore::from_bytes(&store.to_bytes_v2()).unwrap();
-    assert_eq!(v2.to_bytes(), store.to_bytes());
+    let back = ArtifactStore::from_bytes(&store.to_bytes()).unwrap();
+    assert_eq!(back.to_bytes(), store.to_bytes());
+}
+
+/// A cache directory written under another format version is a cold start:
+/// its segments and index are skipped whole (no error, no panic), nothing in
+/// them is served, and the directory takes new writes.
+#[test]
+fn other_format_versions_are_a_cold_start() {
+    let dir = tmp_dir("old-version");
+    {
+        let mut cache = TieredCache::open(&dir).unwrap();
+        cache.put(driver_key(1), driver_product(&[1, 2, 3]));
+        cache.persist().unwrap();
+    }
+    // Every cache file leads with an 8-byte magic whose 7th byte is the
+    // format version digit; v2-v4 segments and indexes carried a '3'.
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(
+            bytes[6], b'5',
+            "{path:?} does not lead with the current version"
+        );
+        bytes[6] = b'3';
+        std::fs::write(&path, &bytes).unwrap();
+    }
+    let mut cache = TieredCache::open(&dir).unwrap();
+    assert_eq!(CacheBackend::len(&cache), 0);
+    assert_eq!(cache.fetch(driver_key(1)), None);
+    cache.put(driver_key(1), driver_product(&[1, 2, 3]));
+    cache.persist().unwrap();
+    drop(cache);
+    let mut back = TieredCache::open(&dir).unwrap();
+    assert_eq!(back.fetch(driver_key(1)), Some(driver_product(&[1, 2, 3])));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Cost-weighted eviction at the cache level: under a byte budget the
@@ -121,9 +152,9 @@ fn budget_evicts_fattest_equal_cost_entries_first() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random driver stores round-trip through both on-disk codecs.
+    /// Random driver stores round-trip through the on-disk codec.
     #[test]
-    fn random_store_round_trips_both_formats(
+    fn random_store_round_trips(
         entries in proptest::collection::vec(
             (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..6)), 0..8),
     ) {
@@ -133,10 +164,8 @@ proptest! {
             // keep-first collision debug-assert with unequal products.
             store.insert(driver_key(hash ^ (i as u64) << 48), driver_product(loads));
         }
-        let v3 = ArtifactStore::from_bytes(&store.to_bytes()).unwrap();
-        prop_assert_eq!(v3.to_bytes(), store.to_bytes());
-        let v2 = ArtifactStore::from_bytes(&store.to_bytes_v2()).unwrap();
-        prop_assert_eq!(v2.to_bytes(), store.to_bytes());
+        let back = ArtifactStore::from_bytes(&store.to_bytes()).unwrap();
+        prop_assert_eq!(back.to_bytes(), store.to_bytes());
     }
 
     /// Flipping or truncating any byte of any cache file never panics and
