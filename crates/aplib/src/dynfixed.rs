@@ -1,6 +1,5 @@
 //! Width-as-value arbitrary-precision fixed-point numbers.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -28,7 +27,7 @@ use crate::DynInt;
 /// assert_eq!(a.add(b).to_f64(), 3.75);
 /// assert_eq!(a.mul(b).to_f64(), 3.375);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DynFixed {
     width: u32,
     int_bits: i32,

@@ -4,7 +4,6 @@
 //! the bit width is data rather than a type parameter: the `kir` interpreter,
 //! the HLS datapath sizing model, and the softcore code generator.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -25,7 +24,7 @@ use crate::bits::{mask, min_bits_signed, min_bits_unsigned, sign_extend, wrap_to
 /// let b = DynInt::from_i128(8, true, 100);
 /// assert_eq!(a.add(b).to_i128(), -56); // 200 wraps in signed 8-bit
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DynInt {
     width: u32,
     signed: bool,

@@ -1,9 +1,8 @@
 //! Shared harness for regenerating every table and figure of the paper.
 //!
 //! Each `table*`/`fig*` binary in `src/bin/` prints one artifact of the
-//! paper's Sec. 7 evaluation; the Criterion benches in `benches/` cover the
-//! micro-claims (P&R scaling, NoC behaviour, softcore speed, page sizing,
-//! incremental rebuild cost). This library holds the plumbing they share.
+//! paper's Sec. 7 evaluation. This library holds the plumbing they share.
+//! Performance is not measured here: that is `pldbench` (`benchmark/`).
 //!
 //! Absolute numbers come from the simulated substrate, not the authors'
 //! Vitis testbed; EXPERIMENTS.md records, per table, which *shape* claims

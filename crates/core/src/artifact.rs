@@ -9,11 +9,10 @@
 use fabric::PageId;
 use noc::PortAddr;
 use pnr::Bitstream;
-use serde::{Deserialize, Serialize};
 use softcore::PackedBinary;
 
 /// What an xclbin contains.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum XclbinKind {
     /// The static overlay: linking network, shells, support logic (L1 DFX).
     Overlay,
@@ -29,7 +28,7 @@ pub enum XclbinKind {
 }
 
 /// A configuration container (our stand-in for the Xilinx xclbin format).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Xclbin {
     /// Artifact name, e.g. `a.xclbin`, `overlay.xclbin`.
     pub name: String,
@@ -74,7 +73,7 @@ impl Xclbin {
 }
 
 /// One load step in the generated driver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LoadOp {
     /// Load the overlay (must be first).
     Overlay,
@@ -89,7 +88,7 @@ pub enum LoadOp {
 
 /// One linking-network configuration write: point `src` page's output
 /// `stream` at a destination leaf/port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkOp {
     /// Source NoC leaf (page or DMA).
     pub src_leaf: u16,
@@ -100,7 +99,7 @@ pub struct LinkOp {
 }
 
 /// The generated load-and-link program (the paper's `driver.c`).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Driver {
     /// Load steps, in order.
     pub loads: Vec<LoadOp>,

@@ -4,10 +4,11 @@
 //!
 //! * `seg-<pid>-<n>-<nanos>.pldseg` — append-only **segment** files, one
 //!   per writer instance, carrying the actual products. Each record is
-//!   `[kind u8][hash u64][cost f64][len u64][sum u64][payload]` where
-//!   `payload` is the store codec's product encoding and `sum` its FNV-1a
-//!   checksum. A writer only ever appends to its *own* segment, so any
-//!   number of concurrent builder processes can write without locks.
+//!   `[kind u8][hash u64][cost f64][len u64][sum u64][payload]` (a
+//!   `RecordHeader`, then the product) in the crate's one codec, `sum` being
+//!   the payload's FNV-1a checksum. A writer only ever appends to its *own*
+//!   segment, so any number of concurrent builder processes can write
+//!   without locks.
 //! * `index.pldidx` — the **index** mapping stage keys to (segment,
 //!   offset, length, checksum, cost, last-access) records, plus the LRU
 //!   logical clock, with a whole-file FNV trailer. It is published
@@ -30,11 +31,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::cache::evict::{eviction_order, EvictCandidate};
+use crate::codec::{self, codec_struct, Codec, Cursor};
 use crate::flow::fnv;
-use crate::store::{
-    decode_product, encode_product, put_f64, put_str, put_u64, Cursor, StageKey, StageKind,
-    StageProduct,
-};
+use crate::store::{StageKey, StageProduct};
 
 /// Magic leading every segment file; the digit is the store codec's format
 /// version, and a file of another version is skipped like an unreadable one.
@@ -64,6 +63,31 @@ struct IndexEntry {
     cost: f64,
     /// Logical access clock at the last fetch (0 = never fetched).
     last_access: u64,
+}
+
+codec_struct! { IndexEntry { seg, offset, len, sum, cost, last_access } }
+
+/// What precedes each payload in a segment. Nothing checksums it: `len` is
+/// whatever a torn write left there.
+struct RecordHeader {
+    key: StageKey,
+    cost: f64,
+    len: usize,
+    sum: u64,
+}
+
+codec_struct! { RecordHeader { key, cost, len, sum } }
+
+impl RecordHeader {
+    /// The encoded header of a record carrying `payload`.
+    fn of(key: StageKey, cost: f64, payload: &[u8], sum: u64) -> Vec<u8> {
+        codec::encode(&RecordHeader {
+            key,
+            cost,
+            len: payload.len(),
+            sum,
+        })
+    }
 }
 
 /// The persistent tier of a [`super::TieredCache`]. See the [module
@@ -199,7 +223,7 @@ impl DiskCache {
         if fnv(&payload) != e.sum {
             return None;
         }
-        decode_product(&payload).ok()
+        codec::decode(&payload).ok()
     }
 
     /// Appends a product to this writer's segment and indexes it. The
@@ -210,14 +234,9 @@ impl DiskCache {
         if self.entries.contains_key(&key) {
             return;
         }
-        let payload = encode_product(product);
+        let payload = codec::encode(product);
         let sum = fnv(&payload);
-        let mut record = Vec::with_capacity(33 + payload.len());
-        record.push(key.kind.tag());
-        put_u64(&mut record, key.hash);
-        put_f64(&mut record, cost);
-        put_u64(&mut record, payload.len() as u64);
-        put_u64(&mut record, sum);
+        let mut record = RecordHeader::of(key, cost, &payload, sum);
         let header_len = record.len() as u64;
         record.extend_from_slice(&payload);
         if self.write_record(&record).is_err() {
@@ -346,7 +365,7 @@ impl DiskCache {
     fn compact_locked(&mut self) -> io::Result<()> {
         // Materialize every live product first; unreadable ones drop out.
         let mut keys: Vec<StageKey> = self.entries.keys().copied().collect();
-        keys.sort_by_key(|k| (k.kind.tag(), k.hash));
+        keys.sort_by_key(|k| (k.kind, k.hash));
         let mut live: Vec<(StageKey, StageProduct)> = Vec::with_capacity(keys.len());
         for key in keys {
             match self.read_unstamped(key) {
@@ -363,13 +382,8 @@ impl DiskCache {
         for (key, product) in &live {
             let e = &self.entries[key];
             let (cost, sum, last_access) = (e.cost, e.sum, e.last_access);
-            let payload = encode_product(product);
-            let mut header = Vec::with_capacity(33);
-            header.push(key.kind.tag());
-            put_u64(&mut header, key.hash);
-            put_f64(&mut header, cost);
-            put_u64(&mut header, payload.len() as u64);
-            put_u64(&mut header, sum);
+            let payload = codec::encode(product);
+            let header = RecordHeader::of(*key, cost, &payload, sum);
             let offset = (out.len() + header.len()) as u64;
             out.extend_from_slice(&header);
             out.extend_from_slice(&payload);
@@ -431,24 +445,12 @@ impl DiskCache {
     }
 
     fn index_bytes(&self) -> Vec<u8> {
-        let mut out: Vec<u8> = IDX_MAGIC.to_vec();
-        put_u64(&mut out, self.clock);
-        put_u64(&mut out, self.entries.len() as u64);
-        let mut keys: Vec<StageKey> = self.entries.keys().copied().collect();
-        keys.sort_by_key(|k| (k.kind.tag(), k.hash));
-        for key in keys {
-            let e = &self.entries[&key];
-            out.push(key.kind.tag());
-            put_u64(&mut out, key.hash);
-            put_str(&mut out, &e.seg);
-            put_u64(&mut out, e.offset);
-            put_u64(&mut out, e.len);
-            put_u64(&mut out, e.sum);
-            put_f64(&mut out, e.cost);
-            put_u64(&mut out, e.last_access);
-        }
-        let sum = fnv(&out);
-        put_u64(&mut out, sum);
+        let mut out = IDX_MAGIC.to_vec();
+        self.clock.put(&mut out);
+        let mut entries: Vec<_> = self.entries.iter().collect();
+        entries.sort_by_key(|(k, _)| (k.kind, k.hash));
+        codec::write_pairs(&mut out, &entries);
+        codec::seal(&mut out);
         out
     }
 }
@@ -470,75 +472,38 @@ fn segment_names(dir: &Path) -> io::Result<Vec<String>> {
 /// Parses an index file; `None` on any corruption (bad magic, short file,
 /// checksum mismatch, malformed entry).
 fn parse_index(bytes: &[u8]) -> Option<(u64, HashMap<StageKey, IndexEntry>)> {
-    if bytes.len() < IDX_MAGIC.len() + 8 || &bytes[..IDX_MAGIC.len()] != IDX_MAGIC {
-        return None;
-    }
-    let body = &bytes[..bytes.len() - 8];
-    let mut tail = Cursor {
-        buf: bytes,
-        pos: bytes.len() - 8,
-    };
-    if tail.u64().ok()? != fnv(body) {
-        return None;
-    }
-    let mut c = Cursor {
-        buf: body,
-        pos: IDX_MAGIC.len(),
-    };
-    let clock = c.u64().ok()?;
-    let count = c.u64().ok()?;
-    let mut entries = HashMap::new();
-    for _ in 0..count {
-        let kind = StageKind::from_tag(c.u8().ok()?).ok()?;
-        let hash = c.u64().ok()?;
-        let entry = IndexEntry {
-            seg: c.str().ok()?,
-            offset: c.u64().ok()?,
-            len: c.u64().ok()?,
-            sum: c.u64().ok()?,
-            cost: c.f64().ok()?,
-            last_access: c.u64().ok()?,
-        };
-        entries.insert(StageKey { kind, hash }, entry);
-    }
-    if c.pos != body.len() {
-        return None;
-    }
-    Some((clock, entries))
+    let body = codec::unseal(bytes).ok()?.strip_prefix(IDX_MAGIC)?;
+    let (clock, entries): (u64, Vec<(StageKey, IndexEntry)>) = codec::decode(body).ok()?;
+    Some((clock, entries.into_iter().collect()))
 }
 
 /// Scans one segment's bytes, filing records the index missed. A
 /// malformed or truncated record ends the scan (append-only files can
 /// only be torn at the tail).
 fn scan_segment(name: &str, bytes: &[u8], entries: &mut HashMap<StageKey, IndexEntry>) {
-    let mut c = Cursor { buf: bytes, pos: 0 };
-    match c.take(SEG_MAGIC.len()) {
-        Ok(magic) if magic == SEG_MAGIC => {}
-        _ => return,
+    let mut c = Cursor::new(bytes);
+    if !c
+        .take(SEG_MAGIC.len())
+        .is_ok_and(|magic| magic == SEG_MAGIC)
+    {
+        return;
     }
-    while c.pos < bytes.len() {
-        let Ok(tag) = c.u8() else { return };
-        let Ok(kind) = StageKind::from_tag(tag) else {
+    while c.remaining() > 0 {
+        let Ok(header) = RecordHeader::get(&mut c) else {
             return;
         };
-        let Ok(hash) = c.u64() else { return };
-        let Ok(cost) = c.f64() else { return };
-        let Ok(len) = c.u64() else { return };
-        let Ok(sum) = c.u64() else { return };
-        let offset = c.pos as u64;
-        if c.take(len as usize).is_err() {
+        let offset = c.pos() as u64;
+        if c.take(header.len).is_err() {
             return;
         }
-        entries
-            .entry(StageKey { kind, hash })
-            .or_insert(IndexEntry {
-                seg: name.to_string(),
-                offset,
-                len,
-                sum,
-                cost,
-                last_access: 0,
-            });
+        entries.entry(header.key).or_insert(IndexEntry {
+            seg: name.to_string(),
+            offset,
+            len: header.len as u64,
+            sum: header.sum,
+            cost: header.cost,
+            last_access: 0,
+        });
     }
 }
 

@@ -78,7 +78,7 @@ pub fn eviction_order(candidates: &[EvictCandidate]) -> Vec<EvictCandidate> {
         a.value_per_byte()
             .total_cmp(&b.value_per_byte())
             .then(a.last_access.cmp(&b.last_access))
-            .then(a.key.kind.tag().cmp(&b.key.kind.tag()))
+            .then(a.key.kind.cmp(&b.key.kind))
             .then(a.key.hash.cmp(&b.key.hash))
     });
     order

@@ -418,11 +418,11 @@ struct CosimSys<'a> {
 }
 
 impl CosimSys<'_> {
-    /// The decode-per-step driver loop — the pre-block-cache hot path,
-    /// kept structurally as it shipped so the recorded A/B baseline in
-    /// `BENCH_streaming.json` measures the engine swap, not drive-by loop
-    /// tweaks: full per-cycle core scan, unconditional network step and
-    /// DMA drain every cycle.
+    /// The decode-per-step driver loop — the differential oracle the
+    /// block-cached and windowed engines are checked against, cycle for
+    /// cycle. Kept structurally as it shipped (full per-cycle core scan,
+    /// unconditional network step and DMA drain every cycle) so that it
+    /// stays too simple to share a bug with them.
     fn run_decode_per_step(
         mut self,
         skip_ahead: bool,

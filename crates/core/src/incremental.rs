@@ -534,7 +534,7 @@ mod tests {
         cache.persist().unwrap();
         drop(cache);
 
-        let payload = crate::store::encode_product(&StageProduct::Pnr(origin));
+        let payload = crate::codec::encode(&StageProduct::Pnr(origin));
         let mut flipped = 0;
         for entry in std::fs::read_dir(&dir).unwrap() {
             let path = entry.unwrap().path();

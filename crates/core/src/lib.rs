@@ -54,6 +54,7 @@
 pub mod artifact;
 pub mod build;
 pub mod cache;
+mod codec;
 pub mod cosim;
 pub mod execute;
 pub mod farm;

@@ -10,8 +10,6 @@
 //! and `-O0` columns are then *predictions*, making shape comparisons
 //! honest. EXPERIMENTS.md reports both wall-clock and virtual seconds.
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds of card time for `cycles` overlay cycles at the overlay clock
 /// ([`crate::execute::OVERLAY_MHZ`]) — the one conversion every execution
 /// engine (`-O0` cosim, `-O1` fluid actors, loader link accounting) shares.
@@ -20,7 +18,7 @@ pub fn overlay_seconds(cycles: u64) -> f64 {
 }
 
 /// Per-phase compile times, in seconds (the columns of Tab. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseTimes {
     /// C-to-RTL high-level synthesis.
     pub hls: f64,
@@ -69,7 +67,7 @@ impl PhaseTimes {
 /// whole-application compiles of 1–2 hours split roughly 2–25% HLS, 30%
 /// synthesis, 50% p&r, 15% bitgen (Tab. 2), with page (`-O1`) compiles
 /// landing at about 10–20 minutes and RISC-V (`-O0`) compiles under 4 s.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VtimeModel {
     /// Seconds per HLS work unit (kernel IR nodes + emitted cells).
     pub hls_per_work: f64,

@@ -96,6 +96,32 @@ fn built_store_round_trips() {
     assert_eq!(back.to_bytes(), store.to_bytes());
 }
 
+/// Format v5, byte for byte, on real products: the store the six Rosetta
+/// apps leave after an `-O0` build and an optimized, hint-filing `-O1` build
+/// encodes to the bytes it did when v5 was introduced.
+#[test]
+fn rosetta_store_bytes_are_format_v5() {
+    let mut store = ArtifactStore::new();
+    let o1 = CompileOptions {
+        incremental_pnr: true,
+        optimize: Some(dfg::OptimizerConfig::default()),
+        ..CompileOptions::new(OptLevel::O1)
+    };
+    for bench in rosetta::suite(rosetta::Scale::Tiny) {
+        for options in [&CompileOptions::new(OptLevel::O0), &o1] {
+            build(&bench.graph, options, &mut store).unwrap();
+        }
+    }
+    for kind in StageKind::ALL {
+        assert!(store.count_kind(kind) > 0, "no {kind} product is pinned");
+    }
+    let bytes = store.to_bytes();
+    assert_eq!(
+        (store.len(), bytes.len(), kir::hash::fnv1a(&bytes)),
+        (198, 499_938, 3_122_840_412_399_172_423)
+    );
+}
+
 /// A cache directory written under another format version is a cold start:
 /// its segments and index are skipped whole (no error, no panic), nothing in
 /// them is served, and the directory takes new writes.
@@ -152,31 +178,52 @@ fn budget_evicts_fattest_equal_cost_entries_first() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random driver stores round-trip through the on-disk codec.
+    /// Random stores holding every product variant round-trip through the
+    /// on-disk codec, product for product: what an `-O0` and an optimized,
+    /// hint-filing `-O1` build of a generated app leave (kernels from
+    /// `dfg::generate`, hints from `pnr::extract_hints` on real runs) plus random drivers.
     #[test]
     fn random_store_round_trips(
-        entries in proptest::collection::vec(
+        seed in any::<u64>(),
+        drivers in proptest::collection::vec(
             (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..6)), 0..8),
     ) {
+        let app = dfg::generate::generate(&dfg::GenConfig { seed, tokens: 16, max_stages: 3 });
+        let o1 = CompileOptions {
+            incremental_pnr: true,
+            optimize: Some(dfg::OptimizerConfig::default()),
+            ..CompileOptions::new(OptLevel::O1)
+        };
         let mut store = ArtifactStore::new();
-        for (i, (hash, loads)) in entries.iter().enumerate() {
+        for options in [&CompileOptions::new(OptLevel::O0), &o1] {
+            build(&app.graph, options, &mut store).unwrap();
+        }
+        for kind in StageKind::ALL {
+            prop_assert!(store.count_kind(kind) > 0, "{}: no {} product", app.family, kind);
+        }
+        let mut keys = Vec::new();
+        for (i, (hash, loads)) in drivers.iter().enumerate() {
             // Index-salted hash: duplicate random hashes would trip the
             // keep-first collision debug-assert with unequal products.
-            store.insert(driver_key(hash ^ (i as u64) << 48), driver_product(loads));
+            keys.push(driver_key(hash ^ (i as u64) << 48));
+            store.insert(keys[i], driver_product(loads));
         }
         let back = ArtifactStore::from_bytes(&store.to_bytes()).unwrap();
         prop_assert_eq!(back.to_bytes(), store.to_bytes());
+        for key in keys {
+            prop_assert_eq!(back.get(key), store.get(key));
+        }
     }
 
-    /// Flipping or truncating any byte of any cache file never panics and
-    /// never serves a wrong product: every key either hits with the
+    /// Flipping or truncating any byte of any cache file, or tearing a segment
+    /// record's header, never panics and never serves a wrong product: every key either hits with the
     /// original bytes or degrades to a miss, and the cache accepts new
     /// writes afterwards (cold start, not a wedge).
     #[test]
     fn corrupted_cache_files_degrade_to_cold_start(
         file_pick in any::<usize>(),
         pos in any::<usize>(),
-        flip in any::<bool>(),
+        damage in 0u8..3,
         bit in 0u8..8,
     ) {
         let dir = tmp_dir("corrupt");
@@ -198,26 +245,53 @@ proptest! {
             .collect();
         files.sort();
         prop_assert!(!files.is_empty());
-        let target = &files[file_pick % files.len()];
+        // Records recoverable after the damage, when that is known exactly.
+        let mut intact = None;
+        let target = if damage == 2 {
+            // A torn record header: with the index gone the segment scan
+            // reads record `torn`'s un-checksummed length as `u64::MAX`.
+            std::fs::remove_file(dir.join("index.pldidx")).unwrap();
+            files.iter().find(|f| f.extension().is_some_and(|e| e == "pldseg")).unwrap()
+        } else {
+            &files[file_pick % files.len()]
+        };
         let mut bytes = std::fs::read(target).unwrap();
         if bytes.is_empty() {
             std::fs::remove_dir_all(&dir).ok();
             return Ok(());
         }
-        if flip {
-            let at = pos % bytes.len();
-            bytes[at] ^= 1 << bit;
-        } else {
-            bytes.truncate(pos % bytes.len());
+        match damage {
+            0 => {
+                let at = pos % bytes.len();
+                bytes[at] ^= 1 << bit;
+            }
+            1 => bytes.truncate(pos % bytes.len()),
+            _ => {
+                // [magic 8] then per record [kind 1][hash 8][cost 8][len 8][sum 8][payload].
+                let torn = pos % products.len();
+                let mut len_at = 8 + 17;
+                for _ in 0..torn {
+                    let len = u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap());
+                    len_at += 16 + len as usize + 17;
+                }
+                bytes[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+                intact = Some(torn);
+            }
         }
         std::fs::write(target, &bytes).unwrap();
 
         let mut cache = TieredCache::open(&dir).unwrap();
-        for (k, p) in &products {
+        for (i, (k, p)) in products.iter().enumerate() {
             // A miss is acceptable (degraded to cold start); a hit must be
             // the original product.
-            if let Some(got) = cache.fetch(*k) {
-                prop_assert_eq!(&got, p, "corruption served wrong product");
+            let got = cache.fetch(*k);
+            if let Some(got) = &got {
+                prop_assert_eq!(got, p, "corruption served wrong product");
+            }
+            // A torn header loses its record and the rest of the segment,
+            // and nothing before it.
+            if let Some(intact) = intact {
+                prop_assert_eq!(got.is_some(), i < intact, "record {}", i);
             }
         }
         // Still writable: re-put everything and a reopen sees it all.

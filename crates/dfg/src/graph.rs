@@ -1,22 +1,21 @@
 //! The application dataflow graph and its builder.
 
 use kir::{Kernel, Scalar};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
 use crate::target::Target;
 
 /// Index of an operator instance within a [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId(pub usize);
 
 /// Index of a stream edge within a [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeId(pub usize);
 
 /// One instantiated operator: a kernel plus its mapping pragma.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatorInst {
     /// Instance name, unique within the graph.
     pub name: String,
@@ -27,7 +26,7 @@ pub struct OperatorInst {
 }
 
 /// A latency-insensitive stream link between two operator ports.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamEdge {
     /// Link name (the `hls::stream` variable in `top.cpp`).
     pub name: String,
@@ -40,7 +39,7 @@ pub struct StreamEdge {
 }
 
 /// An external DMA-facing port of the top-level kernel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtPort {
     /// Name visible to the host (`Input_1`, `Output_1`, ...).
     pub name: String,
@@ -116,7 +115,7 @@ impl std::error::Error for GraphError {}
 ///
 /// Construct with [`GraphBuilder`]; [`GraphBuilder::build`] validates
 /// connectivity, type agreement and acyclicity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     /// Application name (the top-level kernel name).
     pub name: String,

@@ -5,14 +5,13 @@
 //! generate `driver.c` — the code that loads binaries and configures the
 //! linking network. [`extract`] is that extractor; [`DfgIr`] is the file.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::graph::Graph;
 use crate::target::Target;
 
 /// One operator record in the IR.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IrOperator {
     /// Instance name.
     pub name: String,
@@ -29,7 +28,7 @@ pub struct IrOperator {
 /// Endpoints are `(operator_index, port_index)`; external DMA endpoints use
 /// [`IrLink::HOST`] as the operator index, mirroring how the paper's linking
 /// graph treats the DMA engine as just another network client (Fig. 3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IrLink {
     /// Link name.
     pub name: String,
@@ -47,7 +46,7 @@ impl IrLink {
 }
 
 /// The dataflow-graph intermediate file (`dfg.ir`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DfgIr {
     /// Application name.
     pub app: String,

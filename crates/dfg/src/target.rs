@@ -1,6 +1,5 @@
 //! Mapping targets: the `#pragma target=...` directive (paper Fig. 2(a)).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Where an operator is mapped, as selected by its header pragma.
@@ -9,7 +8,7 @@ use std::fmt;
 /// from `RISCV` to `HW` and the tool flow recompiles just that operator from
 /// seconds-scale softcore code to a minutes-scale FPGA page, without touching
 /// the rest of the design (Sec. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Target {
     /// Native FPGA logic on a PLD page (`target=HW`): the `-O1` flow.
     Hw {

@@ -1,10 +1,9 @@
 //! The FPGA device grid: SLRs, resource columns, tiles.
 
 use netlist::Resources;
-use serde::{Deserialize, Serialize};
 
 /// Kind of a resource column in the fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColumnKind {
     /// Configurable logic (LUTs + FFs).
     Clb,
@@ -47,7 +46,7 @@ impl ColumnKind {
 
 /// A rectangular region of tiles, half-open in neither axis: covers columns
 /// `x0..x0+w` and rows `y0..y0+h`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rect {
     /// Leftmost column.
     pub x0: u32,
@@ -94,7 +93,7 @@ impl Rect {
 
 /// A modelled FPGA device: a `width × height` grid of tiles in vertically
 /// stacked SLRs, with designated shell and linking-network column strips.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Device {
     /// Device name.
     pub name: String,

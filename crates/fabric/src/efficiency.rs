@@ -11,10 +11,8 @@
 //! pages so that we have around 95% efficiency before considering
 //! fragmentation." The `page_sizing` bench regenerates that trade-off curve.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost parameters of the overlay, in LUTs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EfficiencyParams {
     /// LUTs of one leaf interface (paper: ~500).
     pub leaf_interface_luts: u64,

@@ -1,14 +1,13 @@
 //! The page floorplan: the paper's Fig. 8 / Tab. 1 decomposition.
 
 use netlist::Resources;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::device::{Device, Rect};
 
 /// Index of a page within a [`Floorplan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u32);
 
 impl fmt::Display for PageId {
@@ -18,7 +17,7 @@ impl fmt::Display for PageId {
 }
 
 /// One partial-reconfiguration page (an L2 DFX region, Sec. 4.2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Page {
     /// Page id, dense from zero.
     pub id: PageId,
@@ -71,7 +70,7 @@ impl std::error::Error for FloorplanError {}
 /// A complete decomposition of a device into pages plus fixed infrastructure
 /// (DMA engine, HBM drivers, debug & profile logic, binary-configuration
 /// module — the support blocks of the paper's Fig. 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Floorplan {
     /// The underlying device.
     pub device: Device,

@@ -2,7 +2,6 @@
 
 use kir::Kernel;
 use netlist::{Netlist, Resources};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::schedule::Schedule;
@@ -10,7 +9,7 @@ use crate::schedule::Schedule;
 /// Summary of one operator's synthesis results, the analogue of the Vitis_HLS
 /// synthesis report the paper's tool flow consumes to pick pages and the
 /// numbers behind Tab. 4's area columns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HlsReport {
     /// Operator name.
     pub name: String,

@@ -1,6 +1,5 @@
 //! Kernel expressions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::types::Scalar;
@@ -10,7 +9,7 @@ use crate::types::Scalar;
 /// These are the operations Vitis_HLS synthesizes directly into datapath
 /// logic; each maps to a macro cell in `hlsim` and to one or a few RV32IM
 /// instructions in the softcore compiler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     #[allow(missing_docs)]
     Add,
@@ -100,7 +99,7 @@ impl fmt::Display for BinOp {
 }
 
 /// Unary operators available to kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Arithmetic negation.
     Neg,
@@ -117,7 +116,7 @@ pub enum UnOp {
 /// Expressions are pure: all side effects (stream I/O, stores) live in
 /// [`crate::Stmt`], which is what lets the HLS backend schedule expression
 /// DAGs freely within a loop body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// A typed integer literal (raw two's-complement bits of the scalar).
     #[allow(missing_docs)]

@@ -1,14 +1,12 @@
 //! Kernel definitions and the builder used to construct them.
 
-use serde::{Deserialize, Serialize};
-
 use crate::check::{validate, CheckError};
 use crate::stmt::Stmt;
 use crate::types::Scalar;
 
 /// A stream port declaration: one `hls::stream<T>&` argument of the operator
 /// function (paper Fig. 2(a)).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortDecl {
     /// Port name, e.g. `Input_1`.
     pub name: String,
@@ -17,7 +15,7 @@ pub struct PortDecl {
 }
 
 /// A scalar local variable declaration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VarDecl {
     /// Variable name.
     pub name: String,
@@ -27,7 +25,7 @@ pub struct VarDecl {
 
 /// A statically sized local array, synthesized to BRAM on the FPGA and to
 /// data memory on the softcore.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrayDecl {
     /// Array name.
     pub name: String,
@@ -43,7 +41,7 @@ pub struct ArrayDecl {
 ///
 /// Construct with [`KernelBuilder`], which validates the operator discipline
 /// on `build`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     /// Operator name (the C function name).
     pub name: String,

@@ -1,6 +1,5 @@
 //! Kernel statements.
 
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 use crate::expr::Expr;
@@ -11,7 +10,7 @@ use crate::expr::Expr;
 /// stream I/O and structured control flow. Loops have static bounds — part of
 /// the operator discipline (Sec. 3.4) that keeps kernels synthesizable and
 /// lets the HLS model compute trip counts and initiation intervals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// `var = value;` — the value is coerced to the variable's declared type.
     #[allow(missing_docs)]

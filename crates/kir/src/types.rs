@@ -1,13 +1,12 @@
 //! Scalar types and runtime values for kernel IR.
 
 use aplib::{DynFixed, DynInt};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A kernel scalar type: an arbitrary-precision integer or fixed-point
 /// number, mirroring the `ap_int`/`ap_uint`/`ap_fixed`/`ap_ufixed` datatypes
 /// the paper's operator discipline mandates (Sec. 3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scalar {
     /// `ap_int<width>` (signed) or `ap_uint<width>`.
     #[allow(missing_docs)]
@@ -137,7 +136,7 @@ impl fmt::Display for Scalar {
 }
 
 /// A runtime kernel value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Value {
     /// An integer value.
     Int(DynInt),

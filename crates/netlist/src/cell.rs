@@ -1,12 +1,11 @@
 //! Cell kinds, resource weights and intrinsic delays.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
 /// FPGA resource vector: the four quantities the paper reports everywhere
 /// (Tab. 1 page inventory, Tab. 4 area consumption).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Resources {
     /// 6-input look-up tables.
     pub luts: u64,
@@ -103,7 +102,7 @@ impl fmt::Display for Resources {
 /// DSP48 tiles (27×18 signed), local arrays map to BRAM18s, and stream/FIFO
 /// interfaces carry the ~500-LUT overhead the paper quotes for leaf
 /// interfaces (Sec. 4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellKind {
     /// Carry-chain adder/subtractor.
     #[allow(missing_docs)]

@@ -1,20 +1,19 @@
 //! The netlist container: cells, nets and whole-design queries.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::cell::{CellKind, Resources};
 
 /// Index of a cell within a [`Netlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId(pub usize);
 
 /// Index of a net within a [`Netlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NetId(pub usize);
 
 /// A placed-and-routable instance of a [`CellKind`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cell {
     /// Hierarchical instance name (for reports and debugging).
     pub name: String,
@@ -23,7 +22,7 @@ pub struct Cell {
 }
 
 /// A point-to-multipoint connection from one driving cell to sink cells.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Net {
     /// Driving cell.
     pub driver: CellId,
@@ -63,7 +62,7 @@ impl fmt::Display for NetlistError {
 impl std::error::Error for NetlistError {}
 
 /// A macro-cell netlist for one operator (or a whole monolithic kernel).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Netlist {
     /// Design name.
     pub name: String,

@@ -1,7 +1,6 @@
 //! Leaf interfaces: the per-page clients of the linking network.
 
 use listream::SimFifo;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::network::InjectError;
@@ -9,7 +8,7 @@ use crate::switch::{Flit, FlitKind};
 
 /// A destination entry in a leaf's linking table: where one of the page's
 /// output streams is to be delivered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortAddr {
     /// Destination leaf index.
     pub leaf: u16,

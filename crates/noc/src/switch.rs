@@ -1,9 +1,7 @@
 //! Flits and the 3-port deflection switch.
 
-use serde::{Deserialize, Serialize};
-
 /// What a flit carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlitKind {
     /// A 32-bit stream data word for a destination input port.
     Data,
@@ -13,7 +11,7 @@ pub enum FlitKind {
 }
 
 /// A single-flit packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Destination leaf index.
     pub dest_leaf: u16,

@@ -10,7 +10,6 @@
 
 use fabric::Rect;
 use netlist::Netlist;
-use serde::{Deserialize, Serialize};
 
 use crate::place::Placement;
 use crate::route::RoutedDesign;
@@ -19,7 +18,7 @@ use crate::route::RoutedDesign;
 pub const BITS_PER_TILE: u64 = 48 * 1024;
 
 /// A configuration artifact for one rectangular region.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitstream {
     /// Design name.
     pub design: String,

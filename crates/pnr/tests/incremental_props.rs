@@ -3,7 +3,8 @@
 //! at every worker count, (b) fully legal after delta rip-up — every cell
 //! on a typed in-region tile, every route a unit-step path between its true
 //! endpoints — and (c) bit-identical to a fresh cold run whenever the
-//! quality guard trips.
+//! quality guard trips. One fixed-seed test holds a warm result that passes
+//! the guard to the quality of a cold run of the same netlist.
 
 use fabric::{ColumnKind, Floorplan};
 use netlist::{CellKind, Netlist};
@@ -88,6 +89,99 @@ fn assert_legal(nl: &Netlist, fp: &Floorplan, region: fabric::Rect, result: &pnr
         }
     }
     assert_eq!(result.routed.overused_edges, 0, "residual congestion");
+}
+
+/// What HLS and the leaf interface make of a one-adder pipelined stream
+/// operator (`out = in + k` over a counted loop): the page-sized netlist a
+/// developer's small edit lands in.
+fn page_operator(name: &str) -> Netlist {
+    let mut nl = Netlist::new(name);
+    let kinds = [
+        ("in_in", CellKind::StreamIn { width: 32 }),
+        ("out_out", CellKind::StreamOut { width: 32 }),
+        ("reg_x", CellKind::Register { width: 32 }),
+        ("fsm_i_1", CellKind::Fsm { states: 4 }),
+        ("ctr_i_2", CellKind::Register { width: 32 }),
+        ("inc_i_3", CellKind::Adder { width: 32 }),
+        ("cmp_i_4", CellKind::Comparator { width: 32 }),
+        ("const_5", CellKind::Const { width: 32 }),
+        ("bin_6", CellKind::Adder { width: 32 }),
+        ("pipe_7", CellKind::Register { width: 32 }),
+        ("leaf_iface", CellKind::Logic { width: 800 }),
+        (
+            "leaf_fifo",
+            CellKind::FifoBuf {
+                width: 32,
+                depth: 64,
+            },
+        ),
+    ];
+    let c: Vec<_> = kinds.into_iter().map(|(n, k)| nl.add_cell(n, k)).collect();
+    for (driver, sinks, width) in [
+        (4, vec![5, 6], 32),
+        (5, vec![4], 32),
+        (6, vec![3], 1),
+        (0, vec![2], 32),
+        (2, vec![8], 32),
+        (7, vec![8], 32),
+        (8, vec![9], 32),
+        (9, vec![1], 32),
+        (10, vec![11], 32),
+        (11, vec![0], 32),
+        (11, vec![1], 32),
+    ] {
+        nl.add_net(c[driver], sinks.into_iter().map(|s| c[s]).collect(), width);
+    }
+    nl
+}
+
+/// Warm-start quality parity on eight operator pages: after a 1-, 2- or
+/// 4-cell edit, a warm run the guard accepts is within 5% of the wirelength
+/// and fmax of a *cold* run of the same edited netlist — a stricter bar than
+/// the guard's own, which only has the previous version's cold numbers.
+#[test]
+fn accepted_warm_runs_match_cold_quality_on_operator_pages() {
+    let fp = Floorplan::u50();
+    let opts = PnrOptions::default();
+    let pages: Vec<(Netlist, fabric::Rect, PnrHints)> = (0..8)
+        .map(|i| {
+            let nl = page_operator(&format!("op{i}"));
+            let region = fp.pages[i].rect;
+            let cold = place_and_route(&nl, &fp.device, region, &opts).expect("base fits");
+            let hints = extract_hints(&nl, region, &cold);
+            (nl, region, hints)
+        })
+        .collect();
+    for cells in [1usize, 2, 4] {
+        let mut accepted = 0;
+        for (base, region, hints) in &pages {
+            let mut edited = base.clone();
+            let n = edited.cells.len();
+            for k in 0..cells {
+                let id = edited.add_cell(format!("edit{k}"), CellKind::Register { width: 32 });
+                edited.add_net(netlist::CellId((3 + 7 * k) % n), vec![id], 32);
+            }
+            let cold = place_and_route(&edited, &fp.device, *region, &opts).expect("fits");
+            let (warm, report) =
+                place_and_route_incremental(&edited, &fp.device, *region, &opts, hints, 4)
+                    .expect("fits");
+            if report.fell_back {
+                continue;
+            }
+            accepted += 1;
+            let wirelength = warm.routed.wirelength as f64 / cold.routed.wirelength.max(1) as f64;
+            let fmax = warm.timing.fmax_mhz / cold.timing.fmax_mhz;
+            assert!(
+                wirelength <= 1.05 && fmax >= 0.95,
+                "{} +{cells}: warm wirelength {wirelength:.3}x, fmax {fmax:.3}x of cold",
+                base.name
+            );
+        }
+        assert!(
+            accepted > 0,
+            "+{cells}: every warm run fell back, nothing compared"
+        );
+    }
 }
 
 proptest! {

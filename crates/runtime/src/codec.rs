@@ -1,96 +1,8 @@
-//! Snapshot codec for [`RuntimeStats`]: a self-contained binary format
-//! plus hand-formatted JSON, in the same style as the artifact store's
-//! on-disk encoding (`crates/core/src/store.rs`) — the workspace's
-//! vendored `serde` is an offline no-op facade, so both forms are
-//! hand-rolled. Benches and examples emit snapshots through here instead
-//! of ad-hoc formatting.
+//! JSON rendering of [`RuntimeStats`] snapshots, hand-formatted so a caller
+//! can splice a device's block into a larger report at any nesting depth
+//! ([`crate::fleet::FleetStats::to_json`] embeds one per device).
 
-use std::io;
-
-use crate::stats::{AppLatency, LatencyHistogram, RuntimeStats};
-
-const MAGIC: &[u8] = b"PLDSTATS";
-const FORMAT_VERSION: u32 = 1;
-
-/// Encodes a stats snapshot to the versioned binary form.
-pub fn to_bytes(stats: &RuntimeStats) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    put_u32(&mut out, FORMAT_VERSION);
-    put_u64(&mut out, stats.admitted);
-    put_u64(&mut out, stats.rejected);
-    put_u64(&mut out, stats.evicted);
-    put_u64(&mut out, stats.swaps);
-    put_u64(&mut out, stats.requests);
-    put_f64(&mut out, stats.cumulative_downtime_seconds);
-    put_u64(&mut out, stats.queue_depth as u64);
-    put_u64(&mut out, stats.pages_total as u64);
-    put_u64(&mut out, stats.pages_occupied as u64);
-    put_u64(&mut out, stats.latencies.len() as u64);
-    // BTreeMap iteration is already sorted by id: deterministic bytes.
-    for (id, lat) in &stats.latencies {
-        put_u64(&mut out, *id);
-        put_str(&mut out, &lat.name);
-        let (buckets, count, total_seconds, max_seconds) = lat.histogram.to_parts();
-        for b in buckets {
-            put_u64(&mut out, b);
-        }
-        put_u64(&mut out, count);
-        put_f64(&mut out, total_seconds);
-        put_f64(&mut out, max_seconds);
-    }
-    out
-}
-
-/// Decodes a snapshot produced by [`to_bytes`].
-///
-/// # Errors
-///
-/// `InvalidData` on bad magic, unsupported version, or truncation.
-pub fn from_bytes(bytes: &[u8]) -> io::Result<RuntimeStats> {
-    let mut c = Cursor { buf: bytes, pos: 0 };
-    if c.take(MAGIC.len())? != MAGIC {
-        return Err(corrupt("bad stats magic"));
-    }
-    if c.u32()? != FORMAT_VERSION {
-        return Err(corrupt("unsupported stats format version"));
-    }
-    let mut stats = RuntimeStats {
-        admitted: c.u64()?,
-        rejected: c.u64()?,
-        evicted: c.u64()?,
-        swaps: c.u64()?,
-        requests: c.u64()?,
-        cumulative_downtime_seconds: c.f64()?,
-        queue_depth: c.usize()?,
-        pages_total: c.usize()?,
-        pages_occupied: c.usize()?,
-        ..RuntimeStats::default()
-    };
-    let n = c.usize()?;
-    for _ in 0..n {
-        let id = c.u64()?;
-        let name = c.str()?;
-        let mut buckets = [0u64; 32];
-        for b in &mut buckets {
-            *b = c.u64()?;
-        }
-        let count = c.u64()?;
-        let total_seconds = c.f64()?;
-        let max_seconds = c.f64()?;
-        stats.latencies.insert(
-            id,
-            AppLatency {
-                name,
-                histogram: LatencyHistogram::from_parts(buckets, count, total_seconds, max_seconds),
-            },
-        );
-    }
-    if c.pos != bytes.len() {
-        return Err(corrupt("trailing bytes after stats snapshot"));
-    }
-    Ok(stats)
-}
+use crate::stats::RuntimeStats;
 
 /// Renders a snapshot as a JSON object (no trailing newline), 2-space
 /// indented, every line prefixed by `indent` — so callers can splice it
@@ -202,71 +114,10 @@ fn escape(s: &str) -> String {
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Encoding primitives — the store's little-endian fixed-width idiom.
-
-fn corrupt(msg: &'static str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(corrupt("unexpected end of stats snapshot"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> io::Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn usize(&mut self) -> io::Result<usize> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| corrupt("length does not fit usize"))
-    }
-
-    fn str(&mut self) -> io::Result<String> {
-        let n = self.usize()?;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| corrupt("invalid utf-8"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::{AppLatency, LatencyHistogram};
 
     fn sample() -> RuntimeStats {
         let mut stats = RuntimeStats {
@@ -292,25 +143,6 @@ mod tests {
             },
         );
         stats
-    }
-
-    #[test]
-    fn binary_roundtrip_is_identity() {
-        let stats = sample();
-        let bytes = to_bytes(&stats);
-        let back = from_bytes(&bytes).unwrap();
-        assert_eq!(back, stats);
-        // Deterministic encoding: same snapshot, same bytes.
-        assert_eq!(to_bytes(&back), bytes);
-    }
-
-    #[test]
-    fn corrupt_snapshots_are_rejected() {
-        let mut bytes = to_bytes(&sample());
-        assert!(from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        bytes[0] = b'X';
-        assert!(from_bytes(&bytes).is_err());
-        assert!(from_bytes(b"PLDSTATS").is_err());
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl FleetStats {
         qos::fairness_index(&shares)
     }
 
-    /// Renders the snapshot as the `BENCH_serving.json` report: fleet
+    /// Renders the snapshot as a JSON report: fleet
     /// counters, admission percentiles, per-tenant shares, and one
     /// compact per-device block (via [`codec::summary_json_indented`]).
     pub fn to_json(&self) -> String {

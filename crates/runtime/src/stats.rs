@@ -75,32 +75,6 @@ impl LatencyHistogram {
         }
         self.max_seconds
     }
-
-    /// Raw state `(buckets, count, total_seconds, max_seconds)` — for the
-    /// snapshot codec only; the fields stay private otherwise.
-    pub fn to_parts(&self) -> ([u64; 32], u64, f64, f64) {
-        (
-            self.buckets,
-            self.count,
-            self.total_seconds,
-            self.max_seconds,
-        )
-    }
-
-    /// Rebuilds a histogram from [`LatencyHistogram::to_parts`] output.
-    pub fn from_parts(
-        buckets: [u64; 32],
-        count: u64,
-        total_seconds: f64,
-        max_seconds: f64,
-    ) -> Self {
-        LatencyHistogram {
-            buckets,
-            count,
-            total_seconds,
-            max_seconds,
-        }
-    }
 }
 
 /// Latency record of one application under the runtime.
@@ -224,8 +198,6 @@ mod tests {
             (5e-4..=1e-3).contains(&p100),
             "p100 {p100} lands in the worst bucket, clamped to max"
         );
-        let (buckets, count, total, max) = h.to_parts();
-        assert_eq!(LatencyHistogram::from_parts(buckets, count, total, max), h);
     }
 
     #[test]

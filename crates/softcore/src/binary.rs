@@ -6,13 +6,11 @@
 //! and the memory address for each binary byte", and the generated driver
 //! loads those bytes into the softcore memories over the linking network.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cpu::Cpu;
 use crate::firmware::Intrinsic;
 
 /// A compiled operator binary (the ELF analogue).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoftBinary {
     /// Operator name.
     pub name: String,
@@ -89,7 +87,7 @@ impl SoftBinary {
 }
 
 /// A binary packed with load headers: the `pld` output of Fig. 5.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedBinary {
     /// Operator name.
     pub operator: String,

@@ -13,7 +13,6 @@
 
 use kir::expr::{BinOp, UnOp};
 use kir::Scalar;
-use serde::{Deserialize, Serialize};
 
 /// Base address of stream-read ports; port `k`'s data register is
 /// `STREAM_READ_BASE + 8 * k`.
@@ -54,7 +53,7 @@ pub mod cycles {
 /// One firmware intrinsic: an exact wide-arithmetic operation with static
 /// operand shapes, invoked by `ecall` with `a7` holding the table index and
 /// `a0..a3` holding operand/result slot addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Intrinsic {
     /// `*a2 = (*a0) op (*a1)`
     #[allow(missing_docs)]

@@ -50,8 +50,8 @@ fn recv_spin<X>(rx: &mpsc::Receiver<X>) -> Result<X, mpsc::RecvError> {
 /// lock-step phases. Created by [`with_shard_pool`]; driven by calling
 /// [`ShardPool::phase`] and inspecting [`ShardPool::shards_mut`] between
 /// phases.
-pub struct ShardPool<'a, T, C> {
-    work: &'a (dyn Fn(&C, &mut T) + Sync),
+pub struct ShardPool<'a, T, C, W> {
+    work: &'a W,
     /// Shard `k` lives here whenever it is not in flight during `phase`.
     shards: Vec<Option<T>>,
     /// Per-worker dispatch channels; empty in inline (single-thread) mode.
@@ -62,7 +62,7 @@ pub struct ShardPool<'a, T, C> {
     done: Option<mpsc::Receiver<(usize, T)>>,
 }
 
-impl<T, C: Clone> ShardPool<'_, T, C> {
+impl<T, C: Clone, W: Fn(&C, &mut T)> ShardPool<'_, T, C, W> {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -122,20 +122,20 @@ impl<T, C: Clone> ShardPool<'_, T, C> {
 ///
 /// `threads <= 1` — or a single shard — spawns nothing and runs every
 /// phase inline. More threads than shards are clamped to the shard count.
-// Inlined into the driver so that `work`, a constant at every call site,
-// devirtualizes inside `phase`'s inline loop. Left to the inliner's cost
-// model, an unrelated change elsewhere in the caller's crate (a field added
-// to a struct) moved it out of line and cost the cosim 11-18% per turn.
-#[inline]
-pub fn with_shard_pool<T, C, R>(
+// `W` is a type parameter, not `&dyn Fn`: in inline mode `phase` calls the
+// work function once per shard per window, and through a trait object that
+// call is direct only while the inliner happens to fold `phase` into a caller
+// that knows the callee (worth 9-18% of a compute-bound cosim turn).
+pub fn with_shard_pool<T, C, W, R>(
     threads: usize,
     shards: Vec<T>,
-    work: &(dyn Fn(&C, &mut T) + Sync),
-    drive: impl FnOnce(&mut ShardPool<'_, T, C>) -> R,
+    work: &W,
+    drive: impl FnOnce(&mut ShardPool<'_, T, C, W>) -> R,
 ) -> R
 where
     T: Send,
     C: Send + Clone,
+    W: Fn(&C, &mut T) + Sync,
 {
     let n_workers = threads
         .saturating_sub(1)

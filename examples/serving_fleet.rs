@@ -21,10 +21,10 @@
 //!    between cards by replaying their `LoadOp` tape on the destination;
 //!    outputs before and after are bit-identical;
 //! 5. the fleet's KPIs — p50/p99 admission latency, migration downtime,
-//!    per-tenant fairness — land in `BENCH_serving.json`.
+//!    per-tenant fairness — are printed as one JSON report.
 //!
 //! Run with: `cargo run --release --example serving_fleet`
-//! CI smoke mode (2 cards, 128 apps, no JSON): `-- --smoke`
+//! CI smoke mode (2 cards, 128 apps): `-- --smoke`
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -431,20 +431,15 @@ fn main() {
         stats.fairness_index()
     );
 
-    if smoke {
-        println!("\nsmoke mode: skipping BENCH_serving.json");
-    } else {
-        // Splice the shared-cache KPIs into the fleet stats JSON: drop the
-        // closing brace and append a sibling "cache" object.
-        let mut json = stats.to_json();
-        let at = json.rfind('}').expect("stats JSON has a closing brace");
-        json.truncate(at);
-        json.push_str(&format!(
-            "  ,\"cache\": {{\n    \"shared_store_products\": {shared_products},\n    \"device0_cold_build_seconds\": {cold_secs:.4},\n    \"device1_warm_build_seconds\": {warm_secs:.4},\n    \"cross_device_hit_rate\": {cross_device_hit_rate:.3}\n  }}\n}}\n"
-        ));
-        std::fs::write("BENCH_serving.json", json).expect("write BENCH_serving.json");
-        println!("\nwrote BENCH_serving.json");
-    }
+    // The report: the fleet stats JSON with the shared-cache KPIs spliced in
+    // as a sibling "cache" object before the closing brace.
+    let mut json = stats.to_json();
+    let at = json.rfind('}').expect("stats JSON has a closing brace");
+    json.truncate(at);
+    json.push_str(&format!(
+        "  ,\"cache\": {{\n    \"shared_store_products\": {shared_products},\n    \"device0_cold_build_seconds\": {cold_secs:.4},\n    \"device1_warm_build_seconds\": {warm_secs:.4},\n    \"cross_device_hit_rate\": {cross_device_hit_rate:.3}\n  }}\n}}"
+    ));
+    println!("\n{json}");
     if private_dir {
         std::fs::remove_dir_all(&cache_dir).ok();
     }
