@@ -18,7 +18,7 @@
 //! | stage | key inputs |
 //! |---|---|
 //! | `HlsLower` | kernel source |
-//! | `PlaceRoute` | kernel source, page rect, device, per-operator seed, racing policy (when racing), warm-start hint (when warm) |
+//! | `PlaceRoute` | kernel source, page rect, device, per-operator seed, warm-start hint (when warm) |
 //! | `PnrHints` | operator name, kernel source, page rect, device; the product carries the `PlaceRoute` key it was extracted from |
 //! | `BitstreamPack` | hardware: the bitstream packed, page id, operator name, resolved target; softcore: `SoftcoreCc` key, page id, operator name |
 //! | `SoftcoreCc` | kernel source |
@@ -35,9 +35,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dfg::{extract, Graph, Target};
-use fabric::{Device, PageId, Rect};
-use netlist::Netlist;
-use pnr::{PnrOptions, TimingReport};
+use fabric::{PageId, Rect};
+use pnr::PnrOptions;
 
 use kir::hash::{debug_fnv1a, debug_len, Fnv1a};
 
@@ -47,7 +46,7 @@ use crate::farm;
 use crate::flow::{
     assign_pages_with, build_driver, compile_monolithic, fnv, source_hash,
     wrap_with_leaf_interface, CompileError, CompileOptions, CompiledApp, CompiledOperator,
-    OptLevel, OptSummary, SeedRace,
+    OptLevel, OptSummary,
 };
 use crate::store::{
     HintsProduct, HlsProduct, OptProduct, PnrProduct, SoftProduct, StageKey, StageKind,
@@ -92,13 +91,8 @@ pub struct BuildReport {
     pub fresh_vtime_serial: PhaseTimes,
     /// From-scratch cost on an unbounded farm (slowest operator).
     pub fresh_vtime_parallel: PhaseTimes,
-    /// Seed attempts charged across this build's executed `PlaceRoute`
-    /// stages (each non-raced stage counts 1).
-    pub race_attempts_charged: u64,
-    /// Executed `PlaceRoute` stages that raced more than one seed.
-    pub raced_stages: u64,
     /// `PnrHints` lookups for a warm start: hardware operators whose
-    /// `PlaceRoute` stage missed (incremental P&R on, non-raced) and was not
+    /// `PlaceRoute` stage missed (incremental P&R on) and was not
     /// found through this version's own hint either (that is a stage hit).
     pub hint_fetches: u64,
     /// Hint lookups that found a usable hint, arming the warm path.
@@ -109,10 +103,6 @@ pub struct BuildReport {
     /// Warm-started stages the quality guard (or a routing failure)
     /// discarded in favour of a bit-identical cold run.
     pub warm_fallbacks: u64,
-    /// Winning seed-ladder index of every executed *raced* `PlaceRoute`
-    /// stage, in operator order — the speculator biases its extra-seed
-    /// guesses toward historically winning indices.
-    pub race_winner_indices: Vec<u32>,
 }
 
 impl BuildReport {
@@ -231,19 +221,18 @@ fn graph_hash(g: Hashed<'_>) -> u64 {
 /// Domain tag folded into a `PlaceRoute` key (followed by the hint's
 /// content hash) when the stage is warm-started, so warm and cold products
 /// of the same source never share a key.
-pub(crate) const HINT_TAG: u64 = 0x7761_726d; // "warm"
+const HINT_TAG: u64 = 0x7761_726d; // "warm"
 
-/// Key of a [`StageKind::PlaceRoute`] stage: the inputs of a single-seed
-/// cold run, then whatever else decides the product (`extra`: the racing
-/// policy of a raced stage, [`HINT_TAG`] and the hint's fingerprint of a
-/// warm-started one). With no `extra` this is the *plain* key race winners
-/// and warm fallbacks are aliased under.
+/// Key of a [`StageKind::PlaceRoute`] stage: the inputs of a cold run, then,
+/// for a warm-started one, [`HINT_TAG`] and the fingerprint of the hint it
+/// starts from (`warm`). With `warm` absent this is the *plain* key a warm
+/// run the quality guard discarded is aliased under.
 pub(crate) fn pnr_key(
     khash: u64,
     rect: Rect,
     device_hash: u64,
     seed: u64,
-    extra: &[u64],
+    warm: Option<u64>,
 ) -> StageKey {
     let cold = [
         khash,
@@ -254,10 +243,8 @@ pub(crate) fn pnr_key(
         device_hash,
         seed,
     ];
-    stage_key(
-        StageKind::PlaceRoute,
-        cold.into_iter().chain(extra.iter().copied()),
-    )
+    let warm = warm.into_iter().flat_map(|hint| [HINT_TAG, hint]);
+    stage_key(StageKind::PlaceRoute, cold.into_iter().chain(warm))
 }
 
 /// Key of the [`StageKind::PnrHints`] artifact for one operator *lineage*:
@@ -283,8 +270,9 @@ pub(crate) fn hints_key(name_hash: u64, khash: u64, rect: Rect, device_hash: u64
 
 /// Key of a hardware page's [`StageKind::BitstreamPack`] stage: the bitstream
 /// packed, not the `PlaceRoute` key that led to it, because one product is
-/// filed under several (a fallback's, a race winner's) that must share a pack.
-pub(crate) fn pack_key(b: &pnr::Bitstream, page: PageId, name: u64, src: u64) -> StageKey {
+/// filed under several (a fallback's warm and plain keys) that must share a
+/// pack.
+fn pack_key(b: &pnr::Bitstream, page: PageId, name: u64, src: u64) -> StageKey {
     let (r, rest) = (b.region, [b.payload_hash, page.0 as u64, name, src]);
     let region = [r.x0, r.y0, r.w, r.h].map(u64::from);
     stage_key(StageKind::BitstreamPack, region.into_iter().chain(rest))
@@ -292,7 +280,7 @@ pub(crate) fn pack_key(b: &pnr::Bitstream, page: PageId, name: u64, src: u64) ->
 
 /// Packs a placed-and-routed page as its loadable artifact. Constants live in
 /// the source, not the structural netlist: artifact identity mixes `src_hash` in.
-pub(crate) fn pack_page(
+fn pack_page(
     name: &str,
     page: PageId,
     bitstream: &pnr::Bitstream,
@@ -513,21 +501,12 @@ fn build_paged<C: CacheBackend>(
                 let seed = options.seed ^ name_hash;
                 let hls_key = hls_key(khash);
                 let hls = (hls_key, store.fetch_hls(hls_key.hash));
-                // A raced stage keys on the racing policy too: a K-seed
-                // race is different work from a single-seed compile, even
-                // from the same base seed. K = 1 leaves the key unchanged.
-                let raced = options.race.attempts > 1;
-                let racing = [
-                    options.race.attempts as u64,
-                    options.race.target_fmax_mhz.to_bits(),
-                ];
-                let racing = if raced { &racing[..] } else { &[] };
-                let mut pnr_key = pnr_key(khash, rect, device_hash, seed, racing);
+                let mut pnr_key = pnr_key(khash, rect, device_hash, seed, None);
                 let mut pnr = store.fetch_pnr(pnr_key.hash);
-                // Warm-start planning. A race explores the seed space on
-                // purpose, so hints only arm non-raced stages; and an
-                // already-cached cold stage needs no hint at all.
-                let mut hints_key_now = (options.incremental_pnr && !raced)
+                // Warm-start planning: an already-cached cold stage needs no
+                // hint at all.
+                let mut hints_key_now = options
+                    .incremental_pnr
                     .then(|| hints_key(name_hash, khash, rect, device_hash));
                 let mut hint = None;
                 if let (None, Some(hk)) = (&pnr, hints_key_now) {
@@ -542,7 +521,7 @@ fn build_paged<C: CacheBackend>(
                     pnr = own
                         .as_ref()
                         .and_then(|h| store.fetch_pnr(h.origin()))
-                        .filter(|p| p.winning_seed == seed);
+                        .filter(|p| p.seed == seed);
                     if pnr.is_none() {
                         // That product gone (evicted, unreadable), its layout
                         // is the start; an edit starts from what it is an edit *of*.
@@ -560,8 +539,8 @@ fn build_paged<C: CacheBackend>(
                         // Fold the hint's identity into the stage key: a
                         // warm product is a function of (source, hint), so
                         // it must never collide with the cold product.
-                        let warm = [HINT_TAG, h.content_hash()];
-                        pnr_key = self::pnr_key(khash, rect, device_hash, seed, &warm);
+                        let warm = Some(h.content_hash());
+                        pnr_key = self::pnr_key(khash, rect, device_hash, seed, warm);
                         pnr = store.fetch_pnr(pnr_key.hash);
                     }
                 }
@@ -686,59 +665,37 @@ fn build_paged<C: CacheBackend>(
         };
         let pnr_hit = plan.pnr_hit.unwrap_or(false);
         let mut warm_pnr_seconds = None;
-        let (pack, hls, timing, soft, fresh, fresh_ser) = match chain {
+        let (pack, hls, timing, soft, fresh) = match chain {
             Chain::Hw { hls, pnr, pack } => {
-                if !pnr_hit {
-                    report.race_attempts_charged += pnr.race_charged as u64;
-                    if pnr.race_attempts > 1 {
-                        report.raced_stages += 1;
-                        let base = options.seed ^ fnv(op.name.as_bytes());
-                        let idx = (0..pnr.race_attempts)
-                            .find(|&i| race_seed(base, i) == pnr.winning_seed)
-                            .unwrap_or(0);
-                        report.race_winner_indices.push(idx);
-                    }
-                    if let Some(fell_back) = warm {
-                        report.warm_pnr_ops += 1;
-                        if fell_back {
-                            report.warm_fallbacks += 1;
-                        } else {
-                            // A surviving warm run is priced by its own
-                            // (small) measured work at the warm fixed cost;
-                            // the product's race work fields carry the cold
-                            // estimate, keeping fresh_vtime a from-scratch
-                            // figure.
-                            warm_pnr_seconds = Some(vt.pnr_warm_seconds(pnr.work_units));
-                        }
+                if let Some(fell_back) = warm {
+                    report.warm_pnr_ops += 1;
+                    if fell_back {
+                        report.warm_fallbacks += 1;
+                    } else {
+                        // A surviving warm run is priced by its own (small)
+                        // measured work at the warm fixed cost; the
+                        // product's cold work keeps fresh_vtime a
+                        // from-scratch figure.
+                        warm_pnr_seconds = Some(vt.pnr_warm_seconds(pnr.work_units));
                     }
                 }
-                // On a wide farm a seed race's attempts overlap, so the pnr
-                // phase's latency is the slowest charged attempt; on one
-                // serial build machine the charged attempts queue instead.
-                // Both measures live in the stored product, so K = 1 prices
-                // bit-identically to a non-raced compile.
                 let fresh = vt.hw_phases(
                     hls.report.hls_work,
                     pnr.wrapped_cells,
-                    pnr.race_latency_work,
+                    pnr.cold_work,
                     pnr.bitstream.config_bits,
                 );
-                let fresh_ser = PhaseTimes {
-                    pnr: vt.pnr_race_serial_seconds(pnr.race_charged, pnr.race_total_work),
-                    ..fresh
-                };
                 (
                     pack,
                     Some(hls.report.clone()),
                     Some(pnr.timing.clone()),
                     None,
                     fresh,
-                    fresh_ser,
                 )
             }
             Chain::Soft { soft, pack } => {
                 let fresh = vt.soft_phases(soft.binary.load_bytes());
-                (pack, None, None, Some(soft.binary.clone()), fresh, fresh)
+                (pack, None, None, Some(soft.binary.clone()), fresh)
             }
         };
         // Executed time: reused stages cost nothing this build. The bit
@@ -754,17 +711,9 @@ fn build_paged<C: CacheBackend>(
             bit: if plan.pack_hit { 0.0 } else { fresh.bit },
             riscv: if plan.front_hit { 0.0 } else { fresh.riscv },
         };
-        let executed_ser = PhaseTimes {
-            pnr: if pnr_hit {
-                0.0
-            } else {
-                warm_pnr_seconds.unwrap_or(fresh_ser.pnr)
-            },
-            ..executed
-        };
-        serial = serial.add(&executed_ser);
+        serial = serial.add(&executed);
         parallel = parallel.parallel_max(&executed);
-        fresh_serial = fresh_serial.add(&fresh_ser);
+        fresh_serial = fresh_serial.add(&fresh);
         fresh_parallel = fresh_parallel.parallel_max(&fresh);
         critical = critical.max(executed.total());
 
@@ -845,7 +794,7 @@ struct HwJob<'a> {
     /// Warm-start hint; its content hash is already folded into `pnr`'s key.
     hint: Option<Arc<HintsProduct>>,
     /// Where this build files fresh [`StageKind::PnrHints`] for the current
-    /// kernel version (incremental P&R on, non-raced, none filed yet).
+    /// kernel version (incremental P&R on, none filed yet).
     hints_key_now: Option<StageKey>,
     hls: Staged<HlsProduct>,
     pnr: Staged<PnrProduct>,
@@ -859,7 +808,6 @@ impl HwJob<'_> {
         let device = &options.floorplan.device;
         let rect = options.floorplan.pages[self.page.0 as usize].rect;
         let seed = options.seed ^ fnv(name.as_bytes());
-        let plain_key = |seed| pnr_key(self.khash, rect, self.device_hash, seed, &[]);
         let pnr_error = |error| CompileError::Pnr {
             op: name.to_string(),
             error,
@@ -890,11 +838,8 @@ impl HwJob<'_> {
                     abstract_shell: true,
                     effort: 1.0,
                 };
-                let origin = self.pnr.0.hash;
-                let hints_filed =
-                    |hints| StageProduct::Hints(Arc::new(HintsProduct::new(hints, origin)));
-                let p = match (&self.hint, self.hints_key_now) {
-                    (Some(h), _) => {
+                let (result, cold_work) = match &self.hint {
+                    Some(h) => {
                         // Warm path: place from the prior layout, rip up
                         // and re-route only what the edit moved, guarded
                         // against quality loss.
@@ -908,65 +853,44 @@ impl HwJob<'_> {
                         )
                         .map_err(pnr_error)?;
                         warm = Some(wr.fell_back);
-                        // race work fields carry the cold estimate:
-                        // fresh_vtime stays a from-scratch figure while
-                        // work_units is the measured (warm) work.
-                        let cold_estimate = if wr.fell_back {
+                        // A surviving warm run records the hint's cold
+                        // estimate, so fresh_vtime stays a from-scratch
+                        // figure while work_units is the measured work.
+                        let cold_work = if wr.fell_back {
                             result.work_units
                         } else {
                             h.hints().work_units.max(result.work_units)
                         };
-                        let product = Arc::new(pnr_product(&wrapped, &result, seed, cold_estimate));
-                        if wr.fell_back {
-                            // The fallback *is* a cold run, so alias it
-                            // under the plain single-seed key: a later
-                            // hint-less rebuild is a hit.
-                            filed.push((plain_key(seed), StageProduct::Pnr(product.clone())));
-                        }
-                        if let Some(hk) = self.hints_key_now {
-                            let mut fresh = pnr::extract_hints(&wrapped, rect, &result);
-                            if !wr.fell_back {
-                                fresh.work_units = cold_estimate;
-                            }
-                            filed.push((hk, hints_filed(fresh)));
-                        }
-                        product
+                        (result, cold_work)
                     }
-                    (None, Some(hk)) => {
-                        // Cold, but hints must be filed for the next edit —
-                        // and filing needs the placement and routes the
-                        // race driver discards, so run the (single-seed,
-                        // identical-product) P&R directly.
+                    None => {
                         let result = pnr::place_and_route(&wrapped, device, rect, &opts)
                             .map_err(pnr_error)?;
-                        let fresh = pnr::extract_hints(&wrapped, rect, &result);
-                        filed.push((hk, hints_filed(fresh)));
-                        Arc::new(pnr_product(&wrapped, &result, seed, result.work_units))
+                        let cold_work = result.work_units;
+                        (result, cold_work)
                     }
-                    (None, None) => Arc::new(
-                        race_place_route(&wrapped, device, rect, seed, &options.race, options.jobs)
-                            .map_err(pnr_error)?,
-                    ),
                 };
-                filed.push((self.pnr.0, StageProduct::Pnr(p.clone())));
-                if options.race.attempts > 1 {
-                    // File the winner under the plain single-seed key as
-                    // well: the winning seed is part of the content-
-                    // addressed identity, so a later non-raced compile
-                    // configured with exactly that seed is a cache hit, not
-                    // a re-run.
-                    let alias = PnrProduct {
-                        race_attempts: 1,
-                        race_charged: 1,
-                        race_latency_work: p.work_units,
-                        race_total_work: p.work_units,
-                        ..PnrProduct::clone(&p)
-                    };
-                    filed.push((
-                        plain_key(p.winning_seed),
-                        StageProduct::Pnr(Arc::new(alias)),
-                    ));
+                let p = Arc::new(PnrProduct {
+                    bitstream: result.bitstream.clone(),
+                    timing: result.timing.clone(),
+                    work_units: result.work_units,
+                    wrapped_cells: wrapped.cell_count() as u64,
+                    seed,
+                    cold_work,
+                });
+                if warm == Some(true) {
+                    // The fallback *is* a cold run, so alias it under the
+                    // plain key: a later hint-less rebuild is a hit.
+                    let plain = pnr_key(self.khash, rect, self.device_hash, seed, None);
+                    filed.push((plain, StageProduct::Pnr(p.clone())));
                 }
+                if let Some(hk) = self.hints_key_now {
+                    let mut fresh = pnr::extract_hints(&wrapped, rect, &result);
+                    fresh.work_units = cold_work;
+                    let hints = HintsProduct::new(fresh, self.pnr.0.hash);
+                    filed.push((hk, StageProduct::Hints(Arc::new(hints))));
+                }
+                filed.push((self.pnr.0, StageProduct::Pnr(p.clone())));
                 p
             }
         };
@@ -1032,175 +956,6 @@ fn soft_job(
         chain: Chain::Soft { soft, pack },
         filed,
         warm: None,
-    })
-}
-
-/// Wraps a single-seed [`pnr::PnrResult`] as the [`PnrProduct`] a one-
-/// attempt [`race_place_route`] would file, except that the race work
-/// fields carry `charged_work` — the *cold-equivalent* work the stage
-/// would cost from scratch (equal to the measured work for a cold run,
-/// the hint's cold estimate for a surviving warm run).
-pub(crate) fn pnr_product(
-    wrapped: &Netlist,
-    result: &pnr::PnrResult,
-    seed: u64,
-    charged_work: u64,
-) -> PnrProduct {
-    PnrProduct {
-        bitstream: result.bitstream.clone(),
-        timing: result.timing.clone(),
-        work_units: result.work_units,
-        wrapped_cells: wrapped.cell_count() as u64,
-        winning_seed: seed,
-        race_attempts: 1,
-        race_charged: 1,
-        race_latency_work: charged_work,
-        race_total_work: charged_work,
-    }
-}
-
-/// Seed for raced attempt `i`: attempt 0 races the configured seed itself,
-/// later attempts decorrelate from it by golden-ratio stepping. Purely a
-/// function of `(base, i)`, so the attempt list — and with it every stage
-/// key — is reproducible from the compile options alone.
-pub(crate) fn race_seed(base: u64, i: u32) -> u64 {
-    if i == 0 {
-        base
-    } else {
-        base ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-    }
-}
-
-/// One raced attempt's full product (kept only until the winner is picked).
-struct RaceAttempt {
-    seed: u64,
-    outcome: Result<(TimingReport, pnr::Bitstream, u64), pnr::PnrError>,
-}
-
-/// Runs one `PlaceRoute` stage as a seed race: `race.attempts` P&R attempts
-/// with seeds derived by [`race_seed`] fan out across up to `workers`
-/// threads. An attempt whose fmax meets `race.target_fmax_mhz` cancels all
-/// higher-indexed attempts — between its place and route stages if it got
-/// the signal mid-flight. The winner and the charged-attempt horizon come
-/// from [`farm::race_outcome`], so the returned product (and therefore the
-/// stage's artifact hash and virtual-time charge) is identical on any
-/// worker count. `attempts == 1` degenerates to a plain single-seed
-/// compile: same product, same key, priced identically.
-pub(crate) fn race_place_route(
-    wrapped: &Netlist,
-    device: &Device,
-    rect: Rect,
-    base_seed: u64,
-    race: &SeedRace,
-    workers: usize,
-) -> Result<PnrProduct, pnr::PnrError> {
-    wrapped.check()?;
-    let wrapped_cells = wrapped.cell_count() as u64;
-    let (nl, target) = (wrapped, race.target_fmax_mhz);
-    let attempts: Vec<_> = (0..race.attempts.max(1))
-        .map(|i| {
-            let seed = race_seed(base_seed, i);
-            move |cancel: &farm::RaceCancel| -> Option<RaceAttempt> {
-                let opts = PnrOptions {
-                    seed,
-                    abstract_shell: true,
-                    effort: 1.0,
-                };
-                let placement = match pnr::place(nl, device, rect, &opts) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        return Some(RaceAttempt {
-                            seed,
-                            outcome: Err(e),
-                        })
-                    }
-                };
-                // Stage boundary: a lower-indexed attempt met the target
-                // while we placed, so routing this attempt is wasted work.
-                if cancel.cancelled() {
-                    return None;
-                }
-                let routed = match pnr::route(nl, device, rect, &placement, &opts) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        return Some(RaceAttempt {
-                            seed,
-                            outcome: Err(e),
-                        })
-                    }
-                };
-                let timing = pnr::analyze_timing(nl, device, &placement, &routed);
-                let bitstream = pnr::Bitstream::generate(nl, rect, &placement, &routed, seed);
-                let work = placement.moves_evaluated + routed.edges_relaxed;
-                if target > 0.0 && timing.fmax_mhz >= target {
-                    cancel.target_met();
-                }
-                Some(RaceAttempt {
-                    seed,
-                    outcome: Ok((timing, bitstream, work)),
-                })
-            }
-        })
-        .collect();
-
-    let ran: Vec<Option<RaceAttempt>> = farm::run_race(attempts, workers)
-        .into_iter()
-        .map(|o| match o.result {
-            Ok(r) => r,
-            // P&R never panics; if it somehow does, surface it through the
-            // outer farm's panic isolation instead of inventing a verdict.
-            Err(message) => std::panic::panic_any(message),
-        })
-        .collect();
-
-    let summaries: Vec<Option<farm::RaceResult>> = ran
-        .iter()
-        .map(|a| {
-            a.as_ref().map(|a| match &a.outcome {
-                Ok((timing, _, _)) => farm::RaceResult {
-                    met_target: target > 0.0 && timing.fmax_mhz >= target,
-                    cost: timing.critical_ns,
-                },
-                Err(_) => farm::RaceResult {
-                    met_target: false,
-                    cost: f64::INFINITY,
-                },
-            })
-        })
-        .collect();
-    let (winner, charged) =
-        farm::race_outcome(&summaries).expect("attempts within the race horizon always complete");
-
-    // An errored winner means every charged attempt failed (any success
-    // would have beaten infinite cost), and no later attempt met the
-    // target; report the lowest-indexed failure.
-    let win = ran[winner].as_ref().expect("winner completed");
-    let (timing, bitstream, work_units) = match &win.outcome {
-        Ok(product) => product.clone(),
-        Err(e) => return Err(e.clone()),
-    };
-
-    // Charge the deterministic horizon: its attempts complete on any farm
-    // width. Failed attempts carry no recorded work measure.
-    let mut race_latency_work = 0;
-    let mut race_total_work = 0;
-    for a in ran[..charged].iter().flatten() {
-        if let Ok((_, _, w)) = &a.outcome {
-            race_latency_work = race_latency_work.max(*w);
-            race_total_work += *w;
-        }
-    }
-
-    Ok(PnrProduct {
-        bitstream,
-        timing,
-        work_units,
-        wrapped_cells,
-        winning_seed: win.seed,
-        race_attempts: race.attempts.max(1),
-        race_charged: charged as u32,
-        race_latency_work,
-        race_total_work,
     })
 }
 

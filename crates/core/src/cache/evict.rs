@@ -1,9 +1,9 @@
 //! Cost-weighted LRU eviction for the persistent tier.
 //!
 //! When the on-disk cache exceeds its byte budget, something has to go.
-//! Plain LRU treats a 4 KB softcore binary and a 4 KB raced P&R winner as
-//! equals, but recomputing the former costs milliseconds of virtual tool
-//! time while the latter re-runs a whole multi-seed race. The eviction
+//! Plain LRU treats a 4 KB softcore binary and a 4 KB placed-and-routed
+//! page as equals, but recomputing the former costs milliseconds of virtual
+//! tool time while the latter re-runs synthesis and a cold P&R. The eviction
 //! rule therefore ranks victims by **saved virtual seconds per byte** —
 //! what one cached byte is worth — and evicts the cheapest first, breaking
 //! ties oldest-access-first (the LRU part), then by key so the order is
@@ -16,17 +16,16 @@ use crate::XclbinKind;
 /// Virtual tool-seconds a cache hit on `product` saves — the recompute
 /// cost of the stage execution that produced it, priced by `vt`.
 ///
-/// P&R products are priced at the race's *serial* cost (every charged
-/// attempt), since that is what a cold rebuild pays on one machine; pack
-/// and driver stages are cheap-but-nonzero constants so they still order
-/// sensibly among themselves.
+/// P&R products are priced at their *cold* cost ([`PnrProduct::cold_work`]),
+/// since that is what a rebuild without a hint pays; pack and driver stages
+/// are cheap-but-nonzero constants so they still order sensibly among
+/// themselves.
+///
+/// [`PnrProduct::cold_work`]: crate::store::PnrProduct::cold_work
 pub fn saved_vtime_seconds(vt: &VtimeModel, product: &StageProduct) -> f64 {
     match product {
         StageProduct::Hls(h) => vt.hls_seconds(h.report.hls_work),
-        StageProduct::Pnr(p) => {
-            vt.syn_seconds(p.wrapped_cells)
-                + vt.pnr_race_serial_seconds(p.race_charged, p.race_total_work)
-        }
+        StageProduct::Pnr(p) => vt.syn_seconds(p.wrapped_cells) + vt.pnr_seconds(p.cold_work),
         StageProduct::Soft(s) => vt.riscv_seconds(s.binary.load_bytes()),
         StageProduct::Pack(x) => match &x.kind {
             XclbinKind::Page { bitstream, .. } | XclbinKind::Kernel { bitstream } => {

@@ -18,21 +18,14 @@
 //!   only compaction takes an advisory lock ([`DiskCache::compact`]).
 //! * [`evict`] — cost-weighted LRU under a byte budget: the victim is the
 //!   lowest *saved-vtime-per-byte* entry, so a cheap-to-recompute softcore
-//!   binary is evicted long before a P&R race winner of the same size.
-//! * [`speculate`] — after an edit, a predictor proposes likely-next stage
-//!   keys (remaining race seeds, siblings of the edited operator, the
-//!   other compile tier) and files them as cancellable background jobs on
-//!   idle farm workers; completed products merge back into the store.
+//!   binary is evicted long before a placed-and-routed page of the same size.
 
 pub mod disk;
 pub mod evict;
-pub mod speculate;
 
 pub use disk::DiskCache;
 pub use evict::{eviction_order, saved_vtime_seconds, EvictCandidate};
-pub use speculate::{SpeculationConfig, SpeculationStats, Speculator};
 
-use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -63,20 +56,6 @@ pub trait CacheBackend {
     /// Files a product under its key (keep-first on collision, like
     /// [`ArtifactStore::insert`]).
     fn put(&mut self, key: StageKey, product: StageProduct);
-
-    /// Files a product computed *speculatively* (ahead of demand). The
-    /// default forwards to [`CacheBackend::put`]; backends that track
-    /// speculation mark the entry so the first demand fetch counts as a
-    /// speculative hit.
-    fn put_speculative(&mut self, key: StageKey, product: StageProduct) {
-        self.put(key, product);
-    }
-
-    /// Demand fetches served by a speculative compile so far (0 for
-    /// backends that do not track speculation).
-    fn speculative_hits(&self) -> u64 {
-        0
-    }
 
     /// Number of products visible across all tiers.
     fn len(&self) -> usize;
@@ -194,7 +173,7 @@ impl CacheBackend for ArtifactStore {
 }
 
 /// An L1 in-memory [`ArtifactStore`] over an optional persistent L2
-/// [`DiskCache`], with speculative-hit accounting on top.
+/// [`DiskCache`].
 ///
 /// `TieredCache::new()` is memory-only and behaves exactly like a bare
 /// [`ArtifactStore`]; [`TieredCache::open`] attaches a shared store
@@ -211,9 +190,6 @@ pub struct TieredCache {
     budget: Option<u64>,
     /// Prices the recompute cost of a product for eviction weighting.
     vt: VtimeModel,
-    /// Keys filed speculatively and not yet demanded.
-    spec_marks: HashSet<StageKey>,
-    spec_hits: u64,
 }
 
 impl TieredCache {
@@ -229,8 +205,6 @@ impl TieredCache {
             l2: None,
             budget: None,
             vt: VtimeModel::default(),
-            spec_marks: HashSet::new(),
-            spec_hits: 0,
         }
     }
 
@@ -263,8 +237,6 @@ impl TieredCache {
             l2: Some(DiskCache::open(dir)?),
             budget,
             vt: VtimeModel::default(),
-            spec_marks: HashSet::new(),
-            spec_hits: 0,
         })
     }
 
@@ -353,24 +325,20 @@ impl CacheBackend for TieredCache {
     }
 
     fn fetch(&mut self, key: StageKey) -> Option<StageProduct> {
-        let product = match self.l1.get(key) {
+        match self.l1.get(key) {
             Some(p) => {
                 let p = p.clone();
                 if let Some(l2) = &mut self.l2 {
                     l2.touch(key);
                 }
-                p
+                Some(p)
             }
             None => {
                 let p = self.l2.as_mut().and_then(|l2| l2.read(key))?;
                 self.l1.insert(key, p.clone());
-                p
+                Some(p)
             }
-        };
-        if self.spec_marks.remove(&key) {
-            self.spec_hits += 1;
         }
-        Some(product)
     }
 
     fn put(&mut self, key: StageKey, product: StageProduct) {
@@ -381,17 +349,6 @@ impl CacheBackend for TieredCache {
             }
         }
         self.l1.insert(key, product);
-    }
-
-    fn put_speculative(&mut self, key: StageKey, product: StageProduct) {
-        if !self.contains(key) {
-            self.spec_marks.insert(key);
-        }
-        self.put(key, product);
-    }
-
-    fn speculative_hits(&self) -> u64 {
-        self.spec_hits
     }
 
     fn len(&self) -> usize {
@@ -504,27 +461,6 @@ mod tests {
         let mut cache = TieredCache::open(&dir).unwrap();
         assert_eq!(cache.fetch(key(9)), Some(driver_product(1)));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn speculative_puts_count_hits_once() {
-        let mut cache = TieredCache::new();
-        cache.put_speculative(key(1), driver_product(1));
-        cache.put(key(2), driver_product(2));
-        assert_eq!(cache.speculative_hits(), 0);
-        cache.fetch(key(1));
-        cache.fetch(key(1));
-        cache.fetch(key(2));
-        assert_eq!(cache.speculative_hits(), 1);
-    }
-
-    #[test]
-    fn speculative_put_over_existing_key_is_not_a_mark() {
-        let mut cache = TieredCache::new();
-        cache.put(key(1), driver_product(1));
-        cache.put_speculative(key(1), driver_product(1));
-        cache.fetch(key(1));
-        assert_eq!(cache.speculative_hits(), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `codec_names!`); encoder and decoder are both generated from that list,
 //! and a struct's list is checked for completeness by the compiler. The
 //! lists of every type with public fields are at the bottom of this file —
-//! together they *are* format v5.
+//! together they *are* format v6.
 //!
 //! Wire rules: integers are little-endian at their declared width and floats
 //! their IEEE bits, except that `usize` travels as `u64` and `u16` as `u32`;
@@ -158,7 +158,7 @@ macro_rules! codec_le {
 }
 codec_le!(u8, u32, u64, u128, i32, i64, i128, f32, f64);
 
-/// A type format v5 stores widened: `$t` travels as `$wire`, and a decoded
+/// A type the format stores widened: `$t` travels as `$wire`, and a decoded
 /// value that does not fit `$t` is an error, not a truncation.
 macro_rules! codec_via {
     ($t:ty as $wire:ty, $what:literal) => {
@@ -319,7 +319,7 @@ macro_rules! codec_names {
 }
 
 // ---------------------------------------------------------------------------
-// Format v5: every stored type, each field once, in wire order. (The struct
+// Format v6: every stored type, each field once, in wire order. (The struct
 // lists are brace-delimited so that rustfmt leaves each on its line.)
 
 codec_struct! { fabric::Rect { x0, y0, w, h } }
@@ -440,8 +440,7 @@ codec_enum!(crate::store::StageKind, "stage kind" {
 codec_struct! { crate::store::StageKey { kind, hash } }
 codec_struct! { crate::store::HlsProduct { netlist, report } }
 codec_struct! { crate::store::PnrProduct {
-    bitstream, timing, work_units, wrapped_cells, winning_seed, race_attempts, race_charged,
-    race_latency_work, race_total_work
+    bitstream, timing, work_units, wrapped_cells, seed, cold_work
 } }
 codec_struct! { crate::store::SoftProduct { binary } }
 codec_enum!(crate::store::StageProduct, "product kind" {

@@ -12,8 +12,7 @@
 //! empty plan, a single job or `workers = 1`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Mutex;
 use std::thread;
 
 /// Outcome of one farm job.
@@ -139,219 +138,6 @@ where
     queue.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
     let queue = queue.into_iter().map(|(i, _, job)| (i, job)).collect();
     dispatch(queue, workers)
-}
-
-/// Cooperative cancellation handle for one attempt of a seed race.
-///
-/// [`run_race`] hands each attempt one of these. The attempt polls
-/// [`RaceCancel::cancelled`] at stage boundaries (the local analogue of the
-/// farm killing a Slurm job) and calls [`RaceCancel::target_met`] when its
-/// product meets the race's quality target, which cancels every
-/// *higher-indexed* attempt. Lower-indexed attempts keep running: the
-/// winner must not depend on which attempt happened to finish first on this
-/// particular machine, so the set of attempts that always complete — index
-/// 0 up to the lowest target-meeting index — is the same on one worker as
-/// on a hundred.
-pub struct RaceCancel {
-    index: usize,
-    cancel_above: Arc<AtomicUsize>,
-}
-
-impl RaceCancel {
-    /// Whether a lower-indexed attempt has already met the target, making
-    /// this attempt's outcome irrelevant to the deterministic winner rule.
-    pub fn cancelled(&self) -> bool {
-        self.index > self.cancel_above.load(Ordering::Relaxed)
-    }
-
-    /// Reports that this attempt's product meets the race target,
-    /// cancelling all higher-indexed attempts.
-    pub fn target_met(&self) {
-        self.cancel_above.fetch_min(self.index, Ordering::Relaxed);
-    }
-}
-
-/// One completed attempt's summary, as [`race_outcome`] judges it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RaceResult {
-    /// Whether the attempt met the race's quality target.
-    pub met_target: bool,
-    /// Attempt cost; lower is better (errored attempts pass `INFINITY`).
-    pub cost: f64,
-}
-
-/// Runs `attempts` as a seed race on up to `workers` threads. Each attempt
-/// receives a [`RaceCancel`]; an attempt observed as cancelled before it
-/// starts — or that bails at one of its own cancellation checks — yields
-/// `Ok(None)`. Results come back in attempt order, panics isolated exactly
-/// as in [`run_jobs`].
-pub fn run_race<'a, T, F>(attempts: Vec<F>, workers: usize) -> Vec<JobOutcome<Option<T>>>
-where
-    T: Send,
-    F: FnOnce(&RaceCancel) -> Option<T> + Send + 'a,
-{
-    let cancel_above = Arc::new(AtomicUsize::new(usize::MAX));
-    let jobs: Vec<Box<dyn FnOnce() -> Option<T> + Send + 'a>> = attempts
-        .into_iter()
-        .enumerate()
-        .map(|(index, attempt)| {
-            let handle = RaceCancel {
-                index,
-                cancel_above: Arc::clone(&cancel_above),
-            };
-            Box::new(move || {
-                if handle.cancelled() {
-                    return None;
-                }
-                attempt(&handle)
-            }) as Box<dyn FnOnce() -> Option<T> + Send + 'a>
-        })
-        .collect();
-    run_jobs(jobs, workers)
-}
-
-/// Picks a race's winner and charged-attempt count deterministically.
-///
-/// The *horizon* is the lowest target-meeting index plus one (or the whole
-/// field when no attempt met the target) — exactly the attempts that
-/// complete regardless of worker count, and therefore the attempts a build
-/// is charged for. The winner is the best-cost completed attempt within the
-/// horizon, ties to the lowest index (= lowest seed). Returns
-/// `(winner_index, charged_count)`, or `None` when no attempt within the
-/// horizon completed.
-pub fn race_outcome(results: &[Option<RaceResult>]) -> Option<(usize, usize)> {
-    let mut horizon = results.len();
-    for (i, r) in results.iter().enumerate() {
-        if r.is_some_and(|r| r.met_target) {
-            horizon = i + 1;
-            break;
-        }
-    }
-    let mut best: Option<(f64, usize)> = None;
-    for (i, r) in results.iter().enumerate().take(horizon) {
-        if let Some(r) = r {
-            // total_cmp so a NaN cost loses to any real cost.
-            if best.is_none_or(|(c, _)| r.cost.total_cmp(&c).is_lt()) {
-                best = Some((r.cost, i));
-            }
-        }
-    }
-    best.map(|(_, i)| (i, horizon))
-}
-
-/// Cooperative cancellation handle for a background (speculative) job.
-///
-/// Background jobs poll [`BackgroundCancel::cancelled`] at stage
-/// boundaries and bail early — returning whatever partial results they
-/// already have — once a demand build arrives and wants the workers back.
-#[derive(Clone)]
-pub struct BackgroundCancel {
-    flag: Arc<std::sync::atomic::AtomicBool>,
-}
-
-impl BackgroundCancel {
-    /// Whether the batch has been cancelled.
-    pub fn cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-}
-
-/// A batch of background jobs in flight on farm workers.
-///
-/// Unlike [`run_jobs`], submission returns immediately; the caller later
-/// [`BackgroundJobs::cancel`]s (demand work arrived) or
-/// [`BackgroundJobs::wait`]s, then collects whatever completed with
-/// [`BackgroundJobs::drain`]. Panicking jobs are isolated exactly as in
-/// [`run_jobs`]; their outcomes are simply dropped at drain time.
-pub struct BackgroundJobs<T> {
-    done_rx: mpsc::Receiver<JobOutcome<T>>,
-    handles: Vec<thread::JoinHandle<()>>,
-    cancel: BackgroundCancel,
-    /// Jobs submitted to the batch (not all necessarily ran).
-    pub submitted: usize,
-}
-
-impl<T> BackgroundJobs<T> {
-    /// Raises the cancellation flag. Queued jobs that have not started are
-    /// discarded; running jobs see it at their next check.
-    pub fn cancel(&self) {
-        self.cancel.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Collects the results of every job that completed so far without
-    /// waiting for stragglers still running. Panicked jobs are dropped.
-    pub fn drain(&mut self) -> Vec<T> {
-        self.done_rx
-            .try_iter()
-            .filter_map(|o| o.result.ok())
-            .collect()
-    }
-
-    /// Joins the workers and collects every completed job's result —
-    /// typically after [`BackgroundJobs::cancel`], to pick up the partial
-    /// work of jobs that bailed mid-flight.
-    pub fn wait(mut self) -> Vec<T> {
-        for h in self.handles.drain(..) {
-            h.join()
-                .expect("farm workers never panic (jobs are caught)");
-        }
-        self.done_rx
-            .try_iter()
-            .filter_map(|o| o.result.ok())
-            .collect()
-    }
-}
-
-/// Submits `jobs` to `workers` background threads and returns immediately.
-/// Each job receives a [`BackgroundCancel`] it is expected to poll; a job
-/// pulled from the queue after cancellation is dropped unrun.
-pub fn run_jobs_background<T, F>(jobs: Vec<F>, workers: usize) -> BackgroundJobs<T>
-where
-    T: Send + 'static,
-    F: FnOnce(&BackgroundCancel) -> T + Send + 'static,
-{
-    let workers = workers.max(1);
-    let cancel = BackgroundCancel {
-        flag: Arc::new(std::sync::atomic::AtomicBool::new(false)),
-    };
-    let (work_tx, work_rx) = mpsc::channel::<(usize, F)>();
-    let work_rx = Arc::new(std::sync::Mutex::new(work_rx));
-    let (done_tx, done_rx) = mpsc::channel::<JobOutcome<T>>();
-
-    let n = jobs.len();
-    for (i, job) in jobs.into_iter().enumerate() {
-        work_tx.send((i, job)).expect("queue open");
-    }
-    drop(work_tx);
-
-    let mut handles = Vec::new();
-    for _ in 0..workers.min(n.max(1)) {
-        let rx = Arc::clone(&work_rx);
-        let tx = done_tx.clone();
-        let cancel = cancel.clone();
-        handles.push(thread::spawn(move || loop {
-            let job = { rx.lock().expect("farm queue lock").recv() };
-            match job {
-                Ok((index, f)) => {
-                    if cancel.cancelled() {
-                        continue; // drain the queue without running
-                    }
-                    if tx.send(run_one(index, || f(&cancel))).is_err() {
-                        return;
-                    }
-                }
-                Err(_) => return,
-            }
-        }));
-    }
-    drop(done_tx);
-
-    BackgroundJobs {
-        done_rx,
-        handles,
-        cancel,
-        submitted: n,
-    }
 }
 
 #[cfg(test)]
@@ -546,136 +332,5 @@ mod tests {
                 assert_eq!(o.result, Ok(i * 3));
             }
         }
-    }
-
-    type RaceAttemptFn = Box<dyn FnOnce(&RaceCancel) -> Option<RaceResult> + Send>;
-
-    /// A race where attempt `i` costs `costs[i]` and meets the target iff
-    /// `met[i]`, with sleeps arranged so higher-indexed attempts finish
-    /// first on a wide farm — the adversarial schedule for determinism.
-    fn race_summaries(costs: &[f64], met: &[bool], workers: usize) -> Vec<Option<RaceResult>> {
-        let attempts: Vec<RaceAttemptFn> = costs
-            .iter()
-            .zip(met)
-            .enumerate()
-            .map(|(i, (&cost, &met_target))| {
-                Box::new(move |cancel: &RaceCancel| {
-                    // Reverse finish order: attempt 0 sleeps longest.
-                    thread::sleep(Duration::from_millis(5 * (8 - i as u64)));
-                    if cancel.cancelled() {
-                        return None;
-                    }
-                    if met_target {
-                        cancel.target_met();
-                    }
-                    Some(RaceResult { met_target, cost })
-                }) as RaceAttemptFn
-            })
-            .collect();
-        run_race(attempts, workers)
-            .into_iter()
-            .map(|o| o.result.expect("no attempt panics"))
-            .collect()
-    }
-
-    #[test]
-    fn race_winner_is_independent_of_worker_count() {
-        // Attempts 2 and 5 meet the target; 5 finishes first on a wide
-        // farm, but the horizon attempt (2) must win on any worker count.
-        let costs = [9.0, 8.0, 3.0, 1.0, 1.0, 2.0, 1.0, 1.0];
-        let met = [false, false, true, false, false, true, false, false];
-        for workers in [1, 2, 8] {
-            let results = race_summaries(&costs, &met, workers);
-            let (winner, charged) = race_outcome(&results).unwrap();
-            assert_eq!((winner, charged), (2, 3), "workers={workers}");
-            // Attempts inside the horizon always complete.
-            assert!(results[..charged].iter().all(|r| r.is_some()));
-        }
-    }
-
-    #[test]
-    fn race_without_target_runs_everyone_and_picks_best_cost() {
-        let costs = [4.0, 2.0, 7.0, 2.0];
-        let met = [false; 4];
-        for workers in [1, 4] {
-            let results = race_summaries(&costs, &met, workers);
-            assert!(results.iter().all(|r| r.is_some()));
-            // Best cost 2.0 is shared; the tie goes to the lowest index.
-            assert_eq!(race_outcome(&results), Some((1, 4)));
-        }
-    }
-
-    type TestJob = Box<dyn FnOnce(&BackgroundCancel) -> usize + Send>;
-
-    #[test]
-    fn background_jobs_run_to_completion_when_not_cancelled() {
-        let jobs: Vec<TestJob> = (0..6usize)
-            .map(|i| Box::new(move |_: &BackgroundCancel| i * 2) as TestJob)
-            .collect();
-        let bg = run_jobs_background(jobs, 3);
-        assert_eq!(bg.submitted, 6);
-        let mut results = bg.wait();
-        results.sort_unstable();
-        assert_eq!(results, vec![0, 2, 4, 6, 8, 10]);
-    }
-
-    #[test]
-    fn cancelled_background_jobs_drop_queued_work_and_keep_partials() {
-        // One worker, a gate on the first job: cancel while job 0 is
-        // mid-flight, then verify job 0's partial result arrives and the
-        // queued jobs never ran.
-        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let started = Arc::new(std::sync::Barrier::new(2));
-        let ran = Arc::new(AtomicUsize::new(0));
-        let mut jobs: Vec<TestJob> = Vec::new();
-        {
-            let gate = Arc::clone(&gate);
-            let started = Arc::clone(&started);
-            let ran = Arc::clone(&ran);
-            jobs.push(Box::new(move |cancel: &BackgroundCancel| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                started.wait();
-                while !gate.load(Ordering::Relaxed) {
-                    thread::sleep(Duration::from_millis(1));
-                }
-                // Stage boundary: bail with the partial value.
-                if cancel.cancelled() {
-                    return 1;
-                }
-                2
-            }));
-        }
-        for _ in 0..4 {
-            let ran = Arc::clone(&ran);
-            jobs.push(Box::new(move |_: &BackgroundCancel| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                99
-            }));
-        }
-        let bg = run_jobs_background(jobs, 1);
-        // A job pulled after the cancel is dropped unrun, job 0 included.
-        started.wait();
-        bg.cancel();
-        gate.store(true, Ordering::Relaxed);
-        let results = bg.wait();
-        assert_eq!(results, vec![1], "only job 0's partial result");
-        assert_eq!(ran.load(Ordering::Relaxed), 1, "queued jobs never ran");
-    }
-
-    #[test]
-    fn race_outcome_skips_failed_attempts() {
-        let results = [
-            Some(RaceResult {
-                met_target: false,
-                cost: f64::INFINITY,
-            }),
-            None,
-            Some(RaceResult {
-                met_target: false,
-                cost: 5.0,
-            }),
-        ];
-        assert_eq!(race_outcome(&results), Some((2, 3)));
-        assert_eq!(race_outcome(&[None, None]), None);
     }
 }

@@ -77,37 +77,6 @@ pub enum LinkStyle {
     RelayStation,
 }
 
-/// Multi-seed P&R racing policy.
-///
-/// P&R quality is seed-dependent, and the build farm usually has spare
-/// width while the critical-path page compiles (Sec. 6.2: compile time "is
-/// determined by the longest individual one"). With `attempts > 1` every
-/// missing [`crate::store::StageKind::PlaceRoute`] stage fans that many
-/// seed attempts out across the farm; an attempt whose timing meets
-/// `target_fmax_mhz` cancels all higher-indexed attempts. The winner is the
-/// best-cost attempt within the race's deterministic horizon (ties to the
-/// lowest seed index), a rule independent of worker count, so artifacts,
-/// stage keys and virtual times come out identical on a laptop and on a
-/// wide farm.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeedRace {
-    /// Seed attempts to race per PlaceRoute stage (1 = no racing).
-    pub attempts: u32,
-    /// Timing target in MHz that triggers early cancellation of
-    /// higher-indexed attempts (0 = no target: race every attempt to
-    /// completion and keep the best).
-    pub target_fmax_mhz: f64,
-}
-
-impl Default for SeedRace {
-    fn default() -> SeedRace {
-        SeedRace {
-            attempts: 1,
-            target_fmax_mhz: 0.0,
-        }
-    }
-}
-
 /// Options for one compile invocation.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
@@ -125,8 +94,6 @@ pub struct CompileOptions {
     pub link_style: LinkStyle,
     /// Automatic page-assignment policy.
     pub page_assign: PageAssign,
-    /// Multi-seed P&R racing policy (default: no racing).
-    pub race: SeedRace,
     /// Warm-start incremental P&R (default: off). When on, every executed
     /// `PlaceRoute` stage also files a [`crate::store::StageKind::PnrHints`]
     /// product keyed by the operator's *lineage* (name + page rect, not
@@ -136,9 +103,7 @@ pub struct CompileOptions {
     /// quality guard falling back to a cold run if wirelength or fmax
     /// regress more than 5% against the hint's cold estimates. Hints fold
     /// into the `PlaceRoute` stage key, so warm and cold products never
-    /// collide. Ignored while seed racing (`race.attempts > 1`): a race
-    /// explores the seed space on purpose and must not be anchored to one
-    /// prior layout.
+    /// collide.
     pub incremental_pnr: bool,
     /// KPN optimizer configuration; `None` compiles the graph exactly as
     /// written. When set, the build runs a content-addressed
@@ -159,7 +124,6 @@ impl CompileOptions {
             vtime: VtimeModel::default(),
             link_style: LinkStyle::default(),
             page_assign: PageAssign::default(),
-            race: SeedRace::default(),
             incremental_pnr: false,
             optimize: None,
         }

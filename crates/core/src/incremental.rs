@@ -18,16 +18,14 @@ use std::io;
 use std::path::Path;
 
 use crate::build::{build_with_prev, kernel_hashes, BuildReport, Hashed};
-use crate::cache::{CacheBackend, SpeculationConfig, SpeculationStats, Speculator, TieredCache};
+use crate::cache::{CacheBackend, TieredCache};
 use crate::flow::{CompileError, CompileOptions, CompiledApp, OptLevel};
 use crate::store::{ArtifactStore, StageKey, StageKind};
 
 /// A persistent build cache across compiles of the same application,
 /// backed by a [`TieredCache`]: an in-memory L1 (the classic
 /// [`ArtifactStore`]) and, when opened on a directory, a persistent
-/// on-disk L2 shared with other builder processes. Optionally runs
-/// speculative compiles between demand builds
-/// ([`BuildCache::enable_speculation`]).
+/// on-disk L2 shared with other builder processes.
 #[derive(Default)]
 pub struct BuildCache {
     cache: TieredCache,
@@ -44,7 +42,6 @@ pub struct BuildCache {
     /// (compared by value), so no edit made through the caller's own graph,
     /// however it is made, can leave a hash stale.
     last: Option<(Graph, Vec<u64>)>,
-    spec: Option<Speculator>,
 }
 
 impl BuildCache {
@@ -80,23 +77,6 @@ impl BuildCache {
             cache: TieredCache::open_with(dir, budget)?,
             ..BuildCache::default()
         })
-    }
-
-    /// Turns on speculative compiles: after each demand build, likely-next
-    /// stages are pre-compiled on background farm workers and merged into
-    /// the cache (see [`mod@crate::cache::speculate`]).
-    pub fn enable_speculation(&mut self, config: SpeculationConfig) {
-        self.spec = Some(Speculator::new(config));
-    }
-
-    /// Counters of what speculation has done, when enabled.
-    pub fn speculation_stats(&self) -> Option<SpeculationStats> {
-        self.spec.as_ref().map(Speculator::stats)
-    }
-
-    /// Demand stage fetches that were served by a speculative compile.
-    pub fn speculative_hits(&self) -> u64 {
-        self.cache.speculative_hits()
     }
 
     /// Number of cached packed artifacts (one per operator version/page the
@@ -145,7 +125,7 @@ impl BuildCache {
         self.cache.persist()
     }
 
-    /// Persists the full store view to a single legacy-format file (see
+    /// Persists the full store view to one self-contained store file (see
     /// [`ArtifactStore::save`]). Prefer [`BuildCache::open_dir`] +
     /// [`BuildCache::persist`] for shared caches.
     ///
@@ -178,11 +158,6 @@ impl BuildCache {
     /// `-O3` compiles are excluded from the operator-level hit/miss
     /// counters.
     ///
-    /// With speculation enabled, any in-flight background batch is
-    /// cancelled first (this demand build wants the workers) and its
-    /// finished products merged; after the build, a new batch is launched
-    /// for the likely-next stages of this edit.
-    ///
     /// # Errors
     ///
     /// See [`CompileError`].
@@ -191,9 +166,6 @@ impl BuildCache {
         graph: &Graph,
         options: &CompileOptions,
     ) -> Result<CompiledApp, CompileError> {
-        if let Some(spec) = &mut self.spec {
-            spec.absorb(&mut self.cache);
-        }
         let prev = self.last.as_ref().map(|(graph, kernels)| Hashed {
             graph,
             kernels: kernels.as_slice(),
@@ -219,10 +191,6 @@ impl BuildCache {
                 }
             }
         }
-        if let Some(spec) = &mut self.spec {
-            spec.observe(&report);
-            spec.launch(prev, source, options, &mut self.cache);
-        }
         self.last_report = Some(report);
         if let Some(kernels) = fresh {
             match &mut self.last {
@@ -243,15 +211,6 @@ impl BuildCache {
             }
         }
         Ok(app)
-    }
-
-    /// Blocks until any in-flight speculative batch completes and merges
-    /// its products — the deterministic form tests and benchmarks use
-    /// before probing for speculative hits.
-    pub fn finish_speculation(&mut self) {
-        if let Some(spec) = &mut self.spec {
-            spec.wait_absorb(&mut self.cache);
-        }
     }
 }
 
@@ -462,7 +421,7 @@ mod tests {
         let rect = opts.floorplan.pages[1].rect;
         let device = kir::hash::debug_fnv1a(&opts.floorplan.device);
         (
-            pnr_key(khash, rect, device, opts.seed ^ name, &[]),
+            pnr_key(khash, rect, device, opts.seed ^ name, None),
             hints_key(name, khash, rect, device),
         )
     }

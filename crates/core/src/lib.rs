@@ -67,9 +67,7 @@ pub mod vtime;
 
 pub use artifact::{Driver, LinkOp, LoadOp, Xclbin, XclbinKind};
 pub use build::{build, build_batch, BuildReport, OperatorStages, StageCount};
-pub use cache::{
-    CacheBackend, DiskCache, SpeculationConfig, SpeculationStats, Speculator, TieredCache,
-};
+pub use cache::{CacheBackend, DiskCache, TieredCache};
 pub use cosim::{
     cosim_o0, cosim_o0_parallel, cosim_o0_with, CosimConfig, CosimError, CosimOutput,
     DEFAULT_COSIM_WINDOW,
@@ -77,7 +75,7 @@ pub use cosim::{
 pub use execute::{PerfReport, RunMode};
 pub use flow::{
     bft_distance, compile, CompileError, CompileOptions, CompiledApp, CompiledOperator, LinkStyle,
-    OptLevel, PageAssign, SeedRace,
+    OptLevel, PageAssign,
 };
 pub use incremental::BuildCache;
 pub use loader::{load, page_load_ops, replay_loads, LoadReport};

@@ -126,22 +126,13 @@ pub struct PnrProduct {
     /// Cell count of the wrapped (leaf-interfaced) netlist that was placed,
     /// the logic-synthesis work measure.
     pub wrapped_cells: u64,
-    /// The P&R seed that produced this product — the winner when seeds were
-    /// raced, the (single) configured seed otherwise.
-    pub winning_seed: u64,
-    /// Seed attempts raced for this product (1 = no racing).
-    pub race_attempts: u32,
-    /// Attempts the build is charged for: the deterministic horizon of the
-    /// race (the winner and every lower-indexed attempt; attempts cancelled
-    /// above the horizon cost nothing). 1 when not raced.
-    pub race_charged: u32,
-    /// Slowest charged attempt's work units — the race's latency on a farm
-    /// wide enough to run every attempt concurrently. Equals `work_units`
-    /// when not raced.
-    pub race_latency_work: u64,
-    /// Summed work units across charged attempts — the race's cost on one
-    /// serial build machine. Equals `work_units` when not raced.
-    pub race_total_work: u64,
+    /// The per-operator P&R seed that produced this product.
+    pub seed: u64,
+    /// Work units a cold P&R of this page costs: what from-scratch virtual
+    /// time and eviction price the stage at. `work_units` for a cold run or
+    /// a warm run the quality guard discarded; for a surviving warm run, the
+    /// hint's cold estimate (at least `work_units`).
+    pub cold_work: u64,
 }
 
 /// Product of a [`StageKind::SoftcoreCc`] execution.
@@ -419,8 +410,9 @@ impl ArtifactStore {
 const MAGIC: &[u8] = b"PLDSTORE";
 /// The one on-disk format version, of the single-file store and of the cache
 /// directory's segments and index. It moves when a product's encoding does
-/// (5: [`HintsProduct::origin`]); bytes of any other version are a cold start.
-pub(crate) const FORMAT_VERSION: u32 = 5;
+/// (5: [`HintsProduct::origin`]; 6: [`PnrProduct`] without the seed race's
+/// fields); bytes of any other version are a cold start.
+pub(crate) const FORMAT_VERSION: u32 = 6;
 
 impl Codec for OptProduct {
     fn put(&self, out: &mut Vec<u8>) {
@@ -514,11 +506,8 @@ mod tests {
                 },
                 work_units: 999,
                 wrapped_cells: 7,
-                winning_seed: 0xfeed,
-                race_attempts: 4,
-                race_charged: 2,
-                race_latency_work: 700,
-                race_total_work: 1299,
+                seed: 0xfeed,
+                cold_work: 1299,
             })),
         );
         store.insert(
@@ -642,12 +631,18 @@ mod tests {
         HintsProduct::new(hints, 0x0419)
     }
 
-    /// Format v5, byte for byte: a store holding one product of every
-    /// [`StageProduct`] variant encodes to the bytes it did when v5 was
+    /// Format v6, byte for byte: a store holding one product of every
+    /// [`StageProduct`] variant encodes to the bytes it did when v6 was
     /// introduced. A change to any field list, tag or primitive moves this.
+    /// The same store was 1459 bytes in v5; v6 dropped two `u32`s and a
+    /// `u64` from its one `PnrProduct`, and nothing else.
     #[test]
-    fn format_v5_bytes_are_pinned() {
-        assert_eq!(fnv(&sample_store().to_bytes()), 0xb978_3899_6aac_576e);
+    fn format_v6_bytes_are_pinned() {
+        let bytes = sample_store().to_bytes();
+        assert_eq!(
+            (bytes.len(), fnv(&bytes)),
+            (1459 - 16, 0x2bdb_e88d_5b76_b903)
+        );
     }
 
     #[test]
@@ -772,7 +767,7 @@ mod tests {
     #[test]
     fn other_format_versions_are_refused() {
         let bytes = sample_store().to_bytes();
-        for version in [2u32, 3, 4, FORMAT_VERSION + 1] {
+        for version in [2u32, 3, 4, 5, FORMAT_VERSION + 1] {
             let mut old = bytes[..bytes.len() - 8].to_vec();
             old[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
             codec::seal(&mut old);
@@ -793,7 +788,7 @@ mod tests {
         };
         let before = store.get(key).cloned().unwrap();
         // Re-filing the same product under the same key is the normal
-        // content-addressed duplicate (batch merges, speculative compiles):
+        // content-addressed duplicate (batch merges):
         // keep-first makes it a no-op.
         store.insert(key, before.clone());
         assert_eq!(store.get(key), Some(&before));

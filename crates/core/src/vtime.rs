@@ -141,18 +141,6 @@ impl VtimeModel {
         self.pnr_warm_fixed + work_units as f64 * self.pnr_per_work
     }
 
-    /// Virtual seconds of a `charged`-attempt P&R seed race run serially on
-    /// one build machine: every charged attempt pays the fixed tool-launch
-    /// overhead and the attempts' work units add up. With `charged == 1`
-    /// this is exactly [`VtimeModel::pnr_seconds`], so non-raced compiles
-    /// are priced identically through either entry point. (On an unbounded
-    /// farm the attempts overlap instead and the race's latency is the
-    /// slowest charged attempt — price that with `pnr_seconds` over the
-    /// race's latency work.)
-    pub fn pnr_race_serial_seconds(&self, charged: u32, total_work: u64) -> f64 {
-        self.pnr_fixed * charged.max(1) as f64 + total_work as f64 * self.pnr_per_work
-    }
-
     /// Virtual seconds of bitstream generation for `config_bits`.
     pub fn bit_seconds(&self, config_bits: u64) -> f64 {
         self.bit_fixed + config_bits as f64 * self.bit_per_bit
@@ -235,20 +223,6 @@ mod tests {
         // A 20 KB operator binary: paper Tab. 2 reports 1.0-3.4 s.
         let t = m.riscv_seconds(20 * 1024);
         assert!(t > 0.5 && t < 4.0, "{t}");
-    }
-
-    #[test]
-    fn single_attempt_race_prices_like_plain_pnr() {
-        let m = VtimeModel::default();
-        for work in [0u64, 17, 4_632_760] {
-            assert_eq!(
-                m.pnr_race_serial_seconds(1, work).to_bits(),
-                m.pnr_seconds(work).to_bits()
-            );
-        }
-        // Serially, each raced attempt pays the fixed tool launch.
-        let raced = m.pnr_race_serial_seconds(4, 1000);
-        assert_eq!(raced, 4.0 * m.pnr_fixed + 1000.0 * m.pnr_per_work);
     }
 
     #[test]

@@ -96,11 +96,13 @@ fn built_store_round_trips() {
     assert_eq!(back.to_bytes(), store.to_bytes());
 }
 
-/// Format v5, byte for byte, on real products: the store the six Rosetta
+/// Format v6, byte for byte, on real products: the store the six Rosetta
 /// apps leave after an `-O0` build and an optimized, hint-filing `-O1` build
-/// encodes to the bytes it did when v5 was introduced.
+/// encodes to the bytes it did when v6 was introduced. In v5 the same store
+/// was 499 938 bytes: v6 dropped two `u32`s and a `u64` from every
+/// `PlaceRoute` product, and nothing else.
 #[test]
-fn rosetta_store_bytes_are_format_v5() {
+fn rosetta_store_bytes_are_format_v6() {
     let mut store = ArtifactStore::new();
     let o1 = CompileOptions {
         incremental_pnr: true,
@@ -116,9 +118,11 @@ fn rosetta_store_bytes_are_format_v5() {
         assert!(store.count_kind(kind) > 0, "no {kind} product is pinned");
     }
     let bytes = store.to_bytes();
+    let n_pnr = store.count_kind(StageKind::PlaceRoute);
+    assert_eq!(bytes.len(), 499_938 - 16 * n_pnr);
     assert_eq!(
-        (store.len(), bytes.len(), kir::hash::fnv1a(&bytes)),
-        (198, 499_938, 3_122_840_412_399_172_423)
+        (store.len(), n_pnr, kir::hash::fnv1a(&bytes)),
+        (198, 30, 6_207_258_889_703_048_922)
     );
 }
 
@@ -127,33 +131,35 @@ fn rosetta_store_bytes_are_format_v5() {
 /// them is served, and the directory takes new writes.
 #[test]
 fn other_format_versions_are_a_cold_start() {
-    let dir = tmp_dir("old-version");
-    {
-        let mut cache = TieredCache::open(&dir).unwrap();
-        cache.put(driver_key(1), driver_product(&[1, 2, 3]));
-        cache.persist().unwrap();
-    }
     // Every cache file leads with an 8-byte magic whose 7th byte is the
     // format version digit; v2-v4 segments and indexes carried a '3'.
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        let mut bytes = std::fs::read(&path).unwrap();
-        assert_eq!(
-            bytes[6], b'5',
-            "{path:?} does not lead with the current version"
-        );
-        bytes[6] = b'3';
-        std::fs::write(&path, &bytes).unwrap();
+    for old in [b'3', b'5'] {
+        let dir = tmp_dir("old-version");
+        {
+            let mut cache = TieredCache::open(&dir).unwrap();
+            cache.put(driver_key(1), driver_product(&[1, 2, 3]));
+            cache.persist().unwrap();
+        }
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let mut bytes = std::fs::read(&path).unwrap();
+            assert_eq!(
+                bytes[6], b'6',
+                "{path:?} does not lead with the current version"
+            );
+            bytes[6] = old;
+            std::fs::write(&path, &bytes).unwrap();
+        }
+        let mut cache = TieredCache::open(&dir).unwrap();
+        assert_eq!(CacheBackend::len(&cache), 0, "v{}", old as char);
+        assert_eq!(cache.fetch(driver_key(1)), None);
+        cache.put(driver_key(1), driver_product(&[1, 2, 3]));
+        cache.persist().unwrap();
+        drop(cache);
+        let mut back = TieredCache::open(&dir).unwrap();
+        assert_eq!(back.fetch(driver_key(1)), Some(driver_product(&[1, 2, 3])));
+        std::fs::remove_dir_all(&dir).ok();
     }
-    let mut cache = TieredCache::open(&dir).unwrap();
-    assert_eq!(CacheBackend::len(&cache), 0);
-    assert_eq!(cache.fetch(driver_key(1)), None);
-    cache.put(driver_key(1), driver_product(&[1, 2, 3]));
-    cache.persist().unwrap();
-    drop(cache);
-    let mut back = TieredCache::open(&dir).unwrap();
-    assert_eq!(back.fetch(driver_key(1)), Some(driver_product(&[1, 2, 3])));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Cost-weighted eviction at the cache level: under a byte budget the

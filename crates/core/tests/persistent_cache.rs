@@ -1,15 +1,12 @@
 //! Acceptance tests for the persistent shared artifact cache (DESIGN.md
 //! §5c): a second builder *process* (modeled as a second `BuildCache`
 //! instance over the same directory) rebuilds an edited Rosetta app with
-//! zero HLS/P&R executions for the unchanged operators, speculative
-//! compiles turn a reseeded rebuild into a cache hit, and warm builds
+//! zero HLS/P&R executions for the unchanged operators, and warm builds
 //! against the persistent store reproduce a fresh compile bit-identically.
 
 use dfg::{Graph, GraphBuilder, Target};
 use kir::{Expr, KernelBuilder, Scalar, Stmt, VarDecl};
-use pld::{
-    compile, BuildCache, CompileOptions, OptLevel, SpeculationConfig, StageKind, TieredCache,
-};
+use pld::{compile, BuildCache, CompileOptions, OptLevel, StageKind, TieredCache};
 use rosetta::Scale;
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -140,80 +137,6 @@ fn unedited_reopen_executes_zero_stages() {
     assert_eq!(report.total_executions(), 0);
     assert_eq!(report.hit_rate(), 1.0);
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Speculation pre-compiles extra P&R seeds for the just-edited operator:
-/// a reseeded rebuild whose per-operator seed lands on the speculated
-/// ladder is a pure cache hit, and the first fetch counts as speculative.
-#[test]
-fn speculated_seed_turns_reseeded_rebuild_into_a_hit() {
-    const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
-    let g1 = pipeline([1, 2, 3]);
-    let mut g2 = g1.clone();
-    edit_op(&mut g2, "c");
-
-    let opts = CompileOptions::new(OptLevel::O1);
-    let mut cache = BuildCache::new();
-    cache.enable_speculation(SpeculationConfig::default());
-    cache.compile(&g1, &opts).unwrap();
-    cache.compile(&g2, &opts).unwrap();
-    cache.finish_speculation();
-
-    let stats = cache.speculation_stats().unwrap();
-    assert!(stats.batches >= 1);
-    assert!(stats.products_merged >= 1, "no speculative products landed");
-
-    // Demand-build with seed ladder index 1: per-operator seed becomes
-    // `opts.seed ^ GOLDEN ^ fnv(name)` — exactly the speculated P&R key.
-    let reseeded = CompileOptions {
-        seed: opts.seed ^ GOLDEN,
-        ..opts.clone()
-    };
-    let before = cache.speculative_hits();
-    cache.compile(&g2, &reseeded).unwrap();
-    let report = cache.last_report().unwrap();
-    assert!(
-        report.hits(StageKind::PlaceRoute) >= 1,
-        "speculated seed missed"
-    );
-    assert_eq!(report.executions(StageKind::HlsLower), 0);
-    assert!(cache.speculative_hits() > before);
-}
-
-/// Speculation also pre-compiles the *other tier's* front stage for edited
-/// operators and their neighbors: flipping an operator to the softcore
-/// target starts warm.
-#[test]
-fn speculated_tier_flip_starts_warm() {
-    let g1 = pipeline([4, 5, 6]);
-    let mut g2 = g1.clone();
-    edit_op(&mut g2, "c");
-
-    let opts = CompileOptions::new(OptLevel::O1);
-    let mut cache = BuildCache::new();
-    cache.enable_speculation(SpeculationConfig {
-        max_jobs: 16,
-        ..SpeculationConfig::default()
-    });
-    cache.compile(&g1, &opts).unwrap();
-    cache.compile(&g2, &opts).unwrap();
-    cache.finish_speculation();
-
-    // Flip the edited operator to the softcore tier: its SoftcoreCc front
-    // was speculated, so the front stage is a hit.
-    let mut flipped = g2.clone();
-    flipped
-        .operators
-        .iter_mut()
-        .find(|o| o.name == "c")
-        .unwrap()
-        .target = Target::riscv_auto();
-    let before = cache.speculative_hits();
-    cache.compile(&flipped, &opts).unwrap();
-    let report = cache.last_report().unwrap();
-    assert_eq!(report.executions(StageKind::SoftcoreCc), 0);
-    assert!(report.hits(StageKind::SoftcoreCc) >= 1);
-    assert!(cache.speculative_hits() > before);
 }
 
 /// The persistent store under a byte budget evicts cold cheap-per-byte
