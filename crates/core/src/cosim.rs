@@ -9,16 +9,22 @@
 //! property guarantees the outputs match the host interpreter bit for bit,
 //! and the integration tests assert exactly that.
 //!
+//! One engine ([`cosim_o0`]) and one oracle ([`cosim_o0_reference`]): the
+//! engine advances block-cached cores through windows of cycles between
+//! NoC barriers; the oracle steps every core and the network once per
+//! cycle through the decode-per-step interpreter. Outputs, cycle counts and
+//! instruction counts are identical by construction, and the tests below
+//! check it on generated apps.
+//!
 //! (The `-O1` performance model in [`crate::execute`] uses fluid actors for
 //! speed; this module trades speed for fidelity and doubles as the
 //! reference the actor model is sanity-checked against.)
 
 use noc::{BftNoc, LeafInterface};
-use softcore::{with_shard_pool, Cpu, StepResult, StreamIo};
+use softcore::{Cpu, StepResult, StreamIo};
 use std::collections::VecDeque;
 use std::fmt;
 
-use crate::artifact::XclbinKind;
 use crate::flow::{CompiledApp, OptLevel};
 
 /// Result of a completed co-simulation.
@@ -37,7 +43,8 @@ pub struct CosimOutput {
 /// Co-simulation failures.
 #[derive(Debug)]
 pub enum CosimError {
-    /// The app must be compiled at `-O0` (every operator a softcore image).
+    /// The app must be compiled at `-O0` (every operator a softcore image
+    /// on a page).
     WrongLevel,
     /// A core trapped.
     #[allow(missing_docs)]
@@ -62,63 +69,14 @@ impl fmt::Display for CosimError {
 
 impl std::error::Error for CosimError {}
 
-/// Tuning knobs for the co-simulation loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CosimConfig {
-    /// Skip stepping cores that are provably still blocked on a stream
-    /// (nothing pending on the read port / out FIFO still full), charging
-    /// the skipped stall cycles in one jump when the core unblocks. A
-    /// stalled step has no architectural effect besides `cycles +=
-    /// STALL` — the PC does not advance — so reported cycle counts,
-    /// instruction counts, and outputs are identical with this on or off;
-    /// only the wall-clock cost of simulating stalls changes.
-    pub skip_ahead: bool,
-    /// Execute cores through the softcore's pre-decoded basic-block cache
-    /// ([`softcore::Cpu::run_ahead`]): after each externally-visible step,
-    /// a core burns through its private straight-line work in one tight
-    /// dispatch loop and then *sleeps* until the loop cycle of its next
-    /// stream access, halt, or trap — which executes through the decoded
-    /// micro-op ([`softcore::Cpu::step_cached`], semantics mirroring the
-    /// reference `step()` case for case) at exactly the cycle the
-    /// decode-per-step loop would have reached it. Architectural state,
-    /// cycle counts,
-    /// instruction counts, and outputs are bit-identical with this on or
-    /// off; only host throughput changes.
-    pub block_cache: bool,
-    /// Host threads driving the sharded engine (block-cache mode only).
-    /// Cores are sharded across `threads` workers and advanced through
-    /// bounded windows of cycles between deterministic barriers at the NoC
-    /// boundary; the schedule is a pure function of (firmware, stream
-    /// inputs), so results are bit-identical for *every* value, including
-    /// `1` — the single-thread cosim is the same engine run inline, not a
-    /// second code path.
-    pub threads: usize,
-    /// Cycle width of the run-ahead window between barriers (clamped to at
-    /// least 1). Within a window a core may retire several
-    /// externally-visible stream accesses against its leaf's buffered
-    /// words without a barrier; any access that *cannot* be proven to
-    /// resolve identically in the serial schedule ends the window early and
-    /// is retried at its exact cycle. Purely a host-throughput knob.
-    pub window: u64,
-}
+/// Cycle width of the run-ahead window between barriers: wide enough to
+/// batch several visible stream accesses of a compute-heavy operator per
+/// barrier, small enough that ambiguous-access retries stay cheap. Any
+/// width gives identical results; this one is only a host-throughput
+/// choice.
+const COSIM_WINDOW: u64 = 4096;
 
-/// Default [`CosimConfig::window`]: wide enough to batch several visible
-/// stream accesses of a compute-heavy operator per barrier, small enough
-/// that ambiguous-access retries stay cheap.
-pub const DEFAULT_COSIM_WINDOW: u64 = 4096;
-
-impl Default for CosimConfig {
-    fn default() -> CosimConfig {
-        CosimConfig {
-            skip_ahead: true,
-            block_cache: true,
-            threads: 1,
-            window: DEFAULT_COSIM_WINDOW,
-        }
-    }
-}
-
-/// Why a core's last access stalled, as recorded by its leaf adapter.
+/// Why a core's last access stalled.
 #[derive(Debug, Clone, Copy)]
 enum Stalled {
     /// Blocking stream load on this port.
@@ -127,16 +85,27 @@ enum Stalled {
     Write,
 }
 
-/// A parked core's wake condition, for the skip-ahead check. `seen` caches
-/// the leaf's NoC event counter at the last (failed) poll: the condition
-/// can only flip when the counter moves, so the per-cycle check is a single
-/// integer compare until the leaf actually sees traffic.
+/// A parked core's wake condition. `seen` caches the leaf's NoC event
+/// counter at the last (failed) poll: the condition can only flip when the
+/// counter moves, so the per-cycle check is a single integer compare until
+/// the leaf actually sees traffic.
 #[derive(Debug, Clone, Copy)]
 enum Blocked {
     /// Blocking stream load: wake when a word is pending on this port.
     Read { port: u32, seen: u64 },
     /// Backpressured stream store: wake when the leaf's out FIFO has room.
     Write { seen: u64 },
+}
+
+/// A halt or trap discovered *mid-window*. The core's architectural state
+/// already reflects it (nothing else touches the core in between), but the
+/// system-level effect — the halted count, the error return — must land at
+/// the exact loop cycle the cycle-by-cycle schedule would reach it, so the
+/// driver defers it until `wake`.
+#[derive(Debug, Clone, Copy)]
+enum Pending {
+    Halt,
+    Trap { pc: u32 },
 }
 
 struct CoreState {
@@ -149,84 +118,40 @@ struct CoreState {
     /// Loop cycle at which the core blocked; the stall cycles it would
     /// have burned are charged arithmetically on wakeup.
     blocked_at: u64,
-    /// Block-cache mode: the loop cycle at which this core's next
-    /// externally-visible instruction must run. Everything before it has
-    /// already been executed by `run_ahead`, so the loop skips the core
-    /// until then.
+    /// The loop cycle at which this core's next externally-visible
+    /// instruction must run. Everything before it has already been
+    /// executed by `run_ahead`, so the loop skips the core until then.
     wake: u64,
+    /// Genuine stall at a window's opening cycle (where the leaf state is
+    /// exact), left for the driver to park the core on.
+    stalled: Option<Stalled>,
+    /// Deferred halt/trap, applied by the driver at `wake`.
+    pending: Option<Pending>,
 }
 
-/// One cycle's worth of stream I/O for a core, adapted onto its NoC leaf.
-/// Records why an access stalled so the cosim loop can sleep the core.
+/// One cycle's worth of stream I/O for a core in the oracle, adapted onto
+/// its NoC leaf.
 struct LeafIo<'n> {
     net: &'n mut BftNoc,
     leaf: usize,
-    stalled: Option<Stalled>,
 }
 
 impl StreamIo for LeafIo<'_> {
     fn read(&mut self, port: u32) -> Option<u32> {
-        let word = self.net.try_recv(self.leaf, port as u8);
-        if word.is_none() {
-            self.stalled = Some(Stalled::Read(port));
-        }
-        word
+        self.net.try_recv(self.leaf, port as u8)
     }
 
     fn write(&mut self, port: u32, word: u32) -> bool {
-        let ok = self.net.inject(self.leaf, port as usize, word).is_ok();
-        if !ok {
-            self.stalled = Some(Stalled::Write);
-        }
-        ok
+        self.net.inject(self.leaf, port as usize, word).is_ok()
     }
 }
 
-/// A halt or trap discovered *mid-window* by a worker. The core's
-/// architectural state already reflects it (nothing else touches the core
-/// in between), but the system-level effect — the halted count, the error
-/// return — must land at the exact loop cycle the serial engine would
-/// reach it, so the driver defers it until `wake`.
-#[derive(Debug, Clone, Copy)]
-enum Pending {
-    Halt,
-    Trap { pc: u32 },
-}
-
-/// One core plus its leaf, as moved between the driver and a worker
-/// thread each phase. `leaf` holds a blank placeholder while the real leaf
-/// interface sits in the network, and the real leaf during a phase (the
-/// driver swaps them at the barrier); the network is never stepped while a
-/// real leaf is out.
-struct Shard {
-    core: CoreState,
-    leaf: LeafInterface,
-    /// Genuine stall (at the window's first cycle, where the leaf state is
-    /// exact) recorded by the worker for the driver's skip-ahead parking.
-    stalled: Option<Stalled>,
-    /// Deferred halt/trap, applied by the driver at `core.wake`.
-    pending: Option<Pending>,
-}
-
-/// Per-phase context handed to every window worker. Pure data — the
-/// schedule a worker derives from it is a function of (core state, leaf
-/// state, this context) only, which is what makes the engine deterministic
-/// across host thread counts.
-#[derive(Debug, Clone, Copy)]
-struct WindowCtx {
-    /// The loop cycle at the barrier: the window covers `[cycles, cycles +
-    /// window)`.
-    cycles: u64,
-    max_cycles: u64,
-    window: u64,
-}
-
-/// Stream I/O adapter for in-window execution: reads pop the (swapped-out)
-/// leaf's receive FIFOs directly, writes are born into its out FIFO
-/// stamped with the *local* cycle `now`, which may run ahead of the
-/// network clock — the uplink holds such flits until their birth cycle, so
-/// they enter the network on exactly the cycle the serial engine would
-/// have injected them.
+/// Stream I/O adapter for in-window execution: reads pop the leaf's
+/// receive FIFOs directly, writes are born into its out FIFO stamped with
+/// the *local* cycle `now`, which may run ahead of the network clock — the
+/// uplink holds such flits until their birth cycle, so they enter the
+/// network on exactly the cycle the cycle-by-cycle schedule would have
+/// injected them.
 struct WindowIo<'l> {
     leaf: &'l mut LeafInterface,
     leaf_idx: usize,
@@ -255,59 +180,47 @@ impl StreamIo for WindowIo<'_> {
     }
 }
 
-/// Advances one due core through the window `[ctx.cycles, ctx.cycles +
-/// ctx.window)` — the per-shard work function run (possibly concurrently)
-/// by the pool workers. Every architectural decision is provably identical
-/// to the serial schedule:
+/// Advances one due core through the window `[start, limit)` against its
+/// leaf, borrowed straight out of the network ([`BftNoc::leaf_mut`]).
+/// Every architectural decision is provably identical to the
+/// cycle-by-cycle schedule:
 ///
 /// * the first visible access executes at the window's opening cycle,
 ///   where the leaf state is *exact* (the network has fully advanced to
 ///   it), so successes, stalls, halts and traps there are all genuine;
 /// * later accesses run against a leaf the network hasn't touched since
 ///   the barrier. A read that succeeds consumed a word that was already
-///   buffered — deliveries only append behind it, so the serial schedule
-///   pops the same word at the same cycle. A write that succeeds had
-///   queue room and credits at the barrier; both only improve as the
-///   network drains, so the serial inject succeeds too, and the birth
-///   stamp defers its network entry to the exact serial cycle;
-/// * an access that *fails* mid-window is ambiguous — the serial schedule
-///   might have delivered a word (or drained the queue) by then. The
-///   stall charge is undone, the pc is unchanged, and the window ends
+///   buffered — deliveries only append behind it, so the cycle-by-cycle
+///   schedule pops the same word at the same cycle. A write that succeeds
+///   had queue room and credits at the barrier; both only improve as the
+///   network drains, so the cycle-by-cycle inject succeeds too, and the
+///   birth stamp defers its network entry to the exact cycle;
+/// * an access that *fails* mid-window is ambiguous — the cycle-by-cycle
+///   schedule might have delivered a word (or drained the queue) by then.
+///   The stall charge is undone, the pc is unchanged, and the window ends
 ///   with `wake` at the access cycle: the driver re-runs it there as the
 ///   opening (exact) access of a later window;
 /// * halts and traps end the window and are deferred to their cycle via
 ///   [`Pending`].
-fn advance_window(ctx: &WindowCtx, shard: &mut Shard) {
-    let Shard {
-        core,
-        leaf,
-        stalled,
-        pending,
-    } = shard;
-    advance_window_on(ctx, core, leaf, stalled, pending);
-}
-
-/// [`advance_window`] against an explicit leaf interface: the driver's
-/// inline (no-worker) mode borrows the leaf straight out of the network
-/// ([`BftNoc::leaf_mut`]) instead of swapping it into the shard — same
-/// work, zero hand-off cost.
-fn advance_window_on(
-    ctx: &WindowCtx,
+///
+/// Kept out of line: inlined into the driver loop, compute-bound cosim
+/// turns measured 3–8% slower.
+#[inline(never)]
+fn advance_window(
     core: &mut CoreState,
     leaf: &mut LeafInterface,
-    stalled: &mut Option<Stalled>,
-    pending: &mut Option<Pending>,
+    start: u64,
+    limit: u64,
+    max_cycles: u64,
 ) {
-    if core.halted || core.blocked.is_some() || pending.is_some() || core.wake > ctx.cycles {
+    if core.halted || core.blocked.is_some() || core.pending.is_some() || core.wake > start {
         return;
     }
-    let start = ctx.cycles;
-    let limit = start.saturating_add(ctx.window).min(ctx.max_cycles);
     let mut u = start;
     loop {
         // Invariant: u < limit <= max_cycles, so the fuel math can't wrap
         // and a spinning core re-surfaces exactly at the budget.
-        let fuel = ctx.max_cycles - u - 1;
+        let fuel = max_cycles - u - 1;
         let (result, ran, io_stalled) = {
             let mut io = WindowIo {
                 leaf: &mut *leaf,
@@ -330,23 +243,24 @@ fn advance_window_on(
                 if u == start {
                     // Exact: the stall is real; keep its cycle charge and
                     // hand the reason to the driver for parking.
-                    *stalled = io_stalled;
+                    core.stalled = io_stalled;
                 } else {
-                    // Ambiguous: the serial schedule may have delivered by
-                    // cycle `u`. Undo the stall charge (a stalled step has
-                    // no other architectural effect) and retry at `u`.
+                    // Ambiguous: the cycle-by-cycle schedule may have
+                    // delivered by cycle `u`. Undo the stall charge (a
+                    // stalled step has no other architectural effect) and
+                    // retry at `u`.
                     core.cpu.cycles -= softcore::firmware::cycles::STALL;
                     core.wake = u;
                 }
                 return;
             }
             StepResult::Halt => {
-                *pending = Some(Pending::Halt);
+                core.pending = Some(Pending::Halt);
                 core.wake = u;
                 return;
             }
             StepResult::Trap { pc } => {
-                *pending = Some(Pending::Trap { pc });
+                core.pending = Some(Pending::Trap { pc });
                 core.wake = u;
                 return;
             }
@@ -355,8 +269,10 @@ fn advance_window_on(
 }
 
 /// Runs a compiled `-O0` application cycle-accurately: cores and network
-/// advance in lockstep at the overlay clock, with the default
-/// [`CosimConfig`] (block cache and stall skip-ahead enabled).
+/// advance in lockstep at the overlay clock. Cores execute through the
+/// softcore's block cache and advance in windows between NoC barriers;
+/// cores blocked on a stream and idle network stretches are skipped in
+/// host time, never in simulated time.
 ///
 /// # Errors
 ///
@@ -367,13 +283,24 @@ pub fn cosim_o0(
     expected_output_words: &[usize],
     max_cycles: u64,
 ) -> Result<CosimOutput, CosimError> {
-    cosim_o0_with(
-        app,
-        inputs,
-        expected_output_words,
-        max_cycles,
-        CosimConfig::default(),
-    )
+    CosimSys::new(app, inputs, expected_output_words, max_cycles)?.run_windowed(COSIM_WINDOW)
+}
+
+/// [`cosim_o0`]'s oracle: every core steps through the decode-per-step
+/// interpreter ([`Cpu::step`]) and the network steps once per cycle, with
+/// nothing skipped. Outputs, cycles and instructions are identical to
+/// [`cosim_o0`]; only host time differs.
+///
+/// # Errors
+///
+/// See [`CosimError`].
+pub fn cosim_o0_reference(
+    app: &CompiledApp,
+    inputs: &[Vec<u32>],
+    expected_output_words: &[usize],
+    max_cycles: u64,
+) -> Result<CosimOutput, CosimError> {
+    CosimSys::new(app, inputs, expected_output_words, max_cycles)?.run_decode_per_step()
 }
 
 /// DMA in: offer one word per cycle to the input leaf's single uplink.
@@ -405,7 +332,7 @@ fn drained(outputs: &[Vec<u32>], want: &[usize]) -> bool {
     outputs.iter().zip(want).all(|(got, w)| got.len() >= *w)
 }
 
-/// The instantiated system state shared by both driver loops.
+/// The instantiated system state shared by the engine and the oracle.
 struct CosimSys<'a> {
     cores: Vec<CoreState>,
     net: BftNoc,
@@ -417,16 +344,58 @@ struct CosimSys<'a> {
     max_cycles: u64,
 }
 
-impl CosimSys<'_> {
-    /// The decode-per-step driver loop — the differential oracle the
-    /// block-cached and windowed engines are checked against, cycle for
-    /// cycle. Kept structurally as it shipped (full per-cycle core scan,
-    /// unconditional network step and DMA drain every cycle) so that it
-    /// stays too simple to share a bug with them.
-    fn run_decode_per_step(
-        mut self,
-        skip_ahead: bool,
-    ) -> Result<(Vec<Vec<u32>>, u64, u64), CosimError> {
+impl<'a> CosimSys<'a> {
+    /// Instantiates every page core from its packed image and links the
+    /// network with the generated driver.
+    fn new(
+        app: &CompiledApp,
+        inputs: &[Vec<u32>],
+        expected: &'a [usize],
+        max_cycles: u64,
+    ) -> Result<CosimSys<'a>, CosimError> {
+        if app.level != OptLevel::O0 {
+            return Err(CosimError::WrongLevel);
+        }
+        let mut cores = Vec::with_capacity(app.operators.len());
+        for op in &app.operators {
+            let binary = op.soft.as_ref().ok_or(CosimError::WrongLevel)?;
+            let page = op.page.ok_or(CosimError::WrongLevel)?;
+            cores.push(CoreState {
+                name: op.name.clone(),
+                leaf: page.0 as usize,
+                cpu: binary.instantiate(),
+                halted: false,
+                blocked: None,
+                blocked_at: 0,
+                wake: 0,
+                stalled: None,
+                pending: None,
+            });
+        }
+
+        let n_pages = app.floorplan.pages.len();
+        let mut net = BftNoc::new(n_pages + 2, 8, 64);
+        for link in &app.driver.links {
+            net.set_dest(link.src_leaf as usize, link.stream as usize, link.dest);
+        }
+        Ok(CosimSys {
+            cores,
+            net,
+            dma_queues: inputs.iter().map(|v| v.iter().copied().collect()).collect(),
+            outputs: expected.iter().map(|_| Vec::new()).collect(),
+            expected,
+            dma_in: app.dma_in_leaf() as usize,
+            dma_out: app.dma_out_leaf() as usize,
+            max_cycles,
+        })
+    }
+
+    /// The decode-per-step driver loop — the oracle the windowed engine is
+    /// checked against, cycle for cycle: a full per-cycle core scan, an
+    /// unconditional network step and DMA drain every cycle, and no
+    /// skipping of any kind, so that it stays too simple to share a bug
+    /// with the engine.
+    fn run_decode_per_step(mut self) -> Result<CosimOutput, CosimError> {
         let mut cycles = 0u64;
         loop {
             // Completion: every core halted and all outputs collected.
@@ -439,79 +408,13 @@ impl CosimSys<'_> {
             }
 
             dma_inject(&mut self.net, self.dma_in, &mut self.dma_queues);
-
-            // Each core executes one step against its leaf. A core known to
-            // be blocked is skipped until its wakeup condition holds; the
-            // wakeup check is exactly the condition under which the stalled
-            // access would have succeeded, so the core re-steps on the same
-            // cycle it would have in the unskipped loop.
-            let mut any_stepped = false;
-            for core in self.cores.iter_mut() {
-                if core.halted {
-                    continue;
-                }
-                if skip_ahead {
-                    if let Some(blocked) = &mut core.blocked {
-                        // Fast path: the leaf's event counter is unchanged
-                        // since the last poll, so the stalled access would
-                        // still stall.
-                        let ready = match blocked {
-                            Blocked::Read { port, seen } => {
-                                let seq = self.net.rx_events(core.leaf);
-                                *seen != seq && {
-                                    *seen = seq;
-                                    self.net.pending(core.leaf, *port as u8) > 0
-                                }
-                            }
-                            Blocked::Write { seen } => {
-                                let seq = self.net.tx_events(core.leaf);
-                                *seen != seq && {
-                                    *seen = seq;
-                                    self.net.leaf(core.leaf).can_inject()
-                                }
-                            }
-                        };
-                        if !ready {
-                            continue;
-                        }
-                        // A stalled step only adds STALL to the cycle
-                        // counter; settle every skipped stall — the cycles
-                        // after the one that blocked, up to (not including)
-                        // this one — in one arithmetic jump.
-                        core.cpu.cycles +=
-                            (cycles - core.blocked_at - 1) * softcore::firmware::cycles::STALL;
-                        core.blocked = None;
-                    }
-                }
-                any_stepped = true;
-                let (result, stalled) = {
-                    let mut io = LeafIo {
-                        net: &mut self.net,
-                        leaf: core.leaf,
-                        stalled: None,
-                    };
-                    (core.cpu.step(&mut io), io.stalled)
+            for core in self.cores.iter_mut().filter(|c| !c.halted) {
+                let mut io = LeafIo {
+                    net: &mut self.net,
+                    leaf: core.leaf,
                 };
-                match result {
-                    StepResult::Ok => {}
-                    StepResult::Stall => {
-                        if skip_ahead {
-                            // Snapshot the leaf's event counter now, before
-                            // this cycle's `net.step()`: any delivery or
-                            // uplink pop after this point moves it and
-                            // forces a real poll.
-                            core.blocked_at = cycles;
-                            core.blocked = stalled.map(|s| match s {
-                                Stalled::Read(port) => Blocked::Read {
-                                    port,
-                                    seen: self.net.rx_events(core.leaf),
-                                },
-                                Stalled::Write => Blocked::Write {
-                                    seen: self.net.tx_events(core.leaf),
-                                },
-                            });
-                        }
-                    }
+                match core.cpu.step(&mut io) {
+                    StepResult::Ok | StepResult::Stall => {}
                     StepResult::Halt => core.halted = true,
                     StepResult::Trap { pc } => {
                         return Err(CosimError::Trap {
@@ -522,60 +425,32 @@ impl CosimSys<'_> {
                 }
             }
 
-            // Dead state: every live core is parked on a stream that can
-            // never move (no flit in flight, nothing left to inject). The
-            // system can only burn its budget; jump straight to that
-            // outcome — the reported cycle count is exactly what the
-            // unskipped loop would produce.
-            if !any_stepped
-                && !self.net.in_flight()
-                && self.dma_queues.iter().all(VecDeque::is_empty)
-                && skip_ahead
-            {
-                return Err(CosimError::CycleBudget {
-                    cycles: self.max_cycles,
-                });
-            }
-
             self.net.step();
             cycles += 1;
             dma_drain(&mut self.net, self.dma_out, &mut self.outputs);
         }
-        let instructions = self.cores.iter().map(|c| c.cpu.instructions).sum();
-        Ok((self.outputs, cycles, instructions))
+        Ok(finished(self.outputs, cycles, &self.cores))
     }
 
-    /// The sharded block-cached driver loop — the single engine behind
-    /// every `block_cache` run, at *any* thread count (`threads = 1` runs
-    /// the identical phases inline). Each iteration:
+    /// The windowed block-cached driver loop behind [`cosim_o0`]. Each
+    /// iteration:
     ///
-    /// 1. **Solo A** (driver): completion and budget checks, DMA input
-    ///    injection, and the blocked-core wake scan (leaf event counters,
-    ///    stall settlement) — everything that needs the whole network.
-    /// 2. **Phase** (parallel): if any core is due, the driver swaps each
-    ///    core's leaf interface out of the network and hands (core, leaf)
-    ///    to the shard pool; workers advance due cores through a bounded
-    ///    window of cycles ([`advance_window`]), reading only words
-    ///    already buffered and writing birth-stamped flits. Shard-mates
-    ///    can't observe each other, so the outcome is a pure function of
-    ///    the barrier state — bit-identical for every thread count.
-    /// 3. **Solo B** (driver): swap the leaves back and commit their
-    ///    pending injections in leaf order, apply deferred stalls, halts
-    ///    and traps in core-index order at their exact cycles, then the
-    ///    serial tail: one network step, the delivery-gated DMA drain, and
-    ///    the idle jump / quiet fast-forward over cycles where no core can
-    ///    act.
+    /// 1. completion and budget checks, DMA input injection, and the
+    ///    blocked-core wake scan (leaf event counters, stall settlement);
+    /// 2. if any core is due, each due core advances through a bounded
+    ///    window of cycles against its own leaf ([`advance_window`]),
+    ///    reading only words already buffered and writing birth-stamped
+    ///    flits, which are committed to the network in leaf order;
+    /// 3. stalls, halts and traps are applied in core-index order at their
+    ///    exact cycles, then the network steps once, the output leaf is
+    ///    drained when its delivery counter moved, and the loop jumps over
+    ///    cycles in which no core can act.
     ///
-    /// Cycle accounting is bit-identical to the decode-per-step loop —
-    /// pinned by the cycle-exactness tests and the thread-count matrix.
-    fn run_parallel(
-        self,
-        skip_ahead: bool,
-        threads: usize,
-        window: u64,
-    ) -> Result<(Vec<Vec<u32>>, u64, u64), CosimError> {
+    /// Cycle accounting is identical to [`Self::run_decode_per_step`] for
+    /// every `window` width.
+    fn run_windowed(self, window: u64) -> Result<CosimOutput, CosimError> {
         let CosimSys {
-            cores,
+            mut cores,
             mut net,
             mut dma_queues,
             mut outputs,
@@ -586,418 +461,270 @@ impl CosimSys<'_> {
         } = self;
         let n_cores = cores.len();
         let window = window.max(1);
-        // One shard per core: the pool stripes them across worker lanes,
-        // and `shards_mut()` iterates them in core-index order — the same
-        // order the serial scan visits cores, which the trap/halt
-        // application below relies on.
-        let shards: Vec<Shard> = cores
-            .into_iter()
-            .map(|core| Shard {
-                core,
-                leaf: LeafInterface::new(0, 0, 1),
-                stalled: None,
-                pending: None,
-            })
-            .collect();
-        with_shard_pool(
-            threads,
-            shards,
-            &advance_window,
-            move |pool| -> Result<(Vec<Vec<u32>>, u64, u64), CosimError> {
-                let mut halted = 0usize;
-                let mut is_drained = drained(&outputs, expected);
-                let mut dma_left: usize = dma_queues.iter().map(VecDeque::len).sum();
-                let mut dma_rx_seen = net.rx_events(dma_out);
-                let mut cycles = 0u64;
-                // Blocked-core watch list for the quiet fast-forward,
-                // reused across iterations: (leaf, is_read, counter at
-                // last poll).
-                let mut watch: Vec<(usize, bool, u64)> = Vec::with_capacity(n_cores);
-                loop {
-                    if halted == n_cores && is_drained {
-                        break;
-                    }
-                    if cycles >= max_cycles {
-                        return Err(CosimError::CycleBudget { cycles });
-                    }
+        // Each core runs ahead through its private prologue: one retired
+        // instruction corresponds to one loop cycle, so a core that
+        // retires `ran` instructions sleeps until loop cycle `ran`, where
+        // its first stream access (or halt/trap) is due. The superblock
+        // tier rides on the block cache: hot block entries are
+        // trace-linked after a few executions.
+        for core in &mut cores {
+            core.cpu
+                .set_superblock_threshold(softcore::DEFAULT_SUPERBLOCK_THRESHOLD);
+            core.wake = core.cpu.run_ahead(max_cycles, u64::MAX);
+        }
+        let mut halted = 0usize;
+        let mut is_drained = drained(&outputs, expected);
+        let mut dma_left: usize = dma_queues.iter().map(VecDeque::len).sum();
+        let mut dma_rx_seen = net.rx_events(dma_out);
+        let mut cycles = 0u64;
+        // Blocked-core watch list for the quiet fast-forward, reused
+        // across iterations: (leaf, is_read, counter at last poll).
+        let mut watch: Vec<(usize, bool, u64)> = Vec::with_capacity(n_cores);
+        loop {
+            if halted == n_cores && is_drained {
+                break;
+            }
+            if cycles >= max_cycles {
+                return Err(CosimError::CycleBudget { cycles });
+            }
 
-                    if dma_left > 0 && dma_inject(&mut net, dma_in, &mut dma_queues) {
-                        dma_left -= 1;
-                    }
+            if dma_left > 0 && dma_inject(&mut net, dma_in, &mut dma_queues) {
+                dma_left -= 1;
+            }
 
-                    // Solo A: wake blocked cores whose leaf saw traffic
-                    // (settling their skipped stall cycles in one jump)
-                    // and find whether any core is due this cycle.
-                    let mut any_due = false;
-                    for shard in pool.shards_mut() {
-                        let core = &mut shard.core;
-                        if core.halted {
+            // Wake blocked cores whose leaf saw traffic (settling their
+            // skipped stall cycles in one jump) and find whether any core
+            // is due this cycle.
+            let mut any_due = false;
+            for core in cores.iter_mut() {
+                if core.halted {
+                    continue;
+                }
+                if let Some(blocked) = &mut core.blocked {
+                    let ready = match blocked {
+                        Blocked::Read { port, seen } => {
+                            let seq = net.rx_events(core.leaf);
+                            *seen != seq && {
+                                *seen = seq;
+                                net.pending(core.leaf, *port as u8) > 0
+                            }
+                        }
+                        Blocked::Write { seen } => {
+                            let seq = net.tx_events(core.leaf);
+                            *seen != seq && {
+                                *seen = seq;
+                                net.leaf(core.leaf).can_inject()
+                            }
+                        }
+                    };
+                    if ready {
+                        // A stalled step only adds STALL to the cycle
+                        // counter; settle every skipped stall — the cycles
+                        // after the one that blocked, up to (not
+                        // including) this one — in one arithmetic jump.
+                        core.cpu.cycles +=
+                            (cycles - core.blocked_at - 1) * softcore::firmware::cycles::STALL;
+                        core.blocked = None;
+                    }
+                }
+                if core.blocked.is_none() && core.pending.is_none() && cycles >= core.wake {
+                    any_due = true;
+                }
+            }
+
+            // Every due core advances through the window against its
+            // leaf, and its in-window injections are folded into the
+            // network's bookkeeping in leaf (= core-index) order. A due
+            // core always executes at least its opening access, so
+            // `any_due` doubles as "some core stepped this cycle".
+            let mut any_stepped = any_due;
+            if any_due {
+                let limit = cycles.saturating_add(window).min(max_cycles);
+                for core in cores.iter_mut() {
+                    let leaf = core.leaf;
+                    advance_window(core, net.leaf_mut(leaf), cycles, limit, max_cycles);
+                    net.commit_injections(leaf);
+                }
+            }
+
+            // Apply window outcomes in core-index order — the order the
+            // cycle-by-cycle scan steps cores, so same-cycle traps resolve
+            // to the same core — and collect the wake bookkeeping for the
+            // fast paths.
+            let mut next_due = u64::MAX;
+            let mut any_runnable = false;
+            watch.clear();
+            for core in cores.iter_mut() {
+                if core.halted {
+                    continue;
+                }
+                if let Some(s) = core.stalled.take() {
+                    // Snapshot the leaf's event counter now, before this
+                    // cycle's `net.step()`: any delivery or uplink pop
+                    // after this point moves it and forces a real poll.
+                    core.blocked_at = cycles;
+                    core.blocked = Some(match s {
+                        Stalled::Read(port) => Blocked::Read {
+                            port,
+                            seen: net.rx_events(core.leaf),
+                        },
+                        Stalled::Write => Blocked::Write {
+                            seen: net.tx_events(core.leaf),
+                        },
+                    });
+                }
+                if core.pending.is_some() && cycles >= core.wake {
+                    // The deferred halt/trap's cycle has arrived: the
+                    // cycle-by-cycle scan would have stepped into it now.
+                    any_stepped = true;
+                    match core.pending.take().expect("checked above") {
+                        Pending::Halt => {
+                            core.halted = true;
+                            halted += 1;
                             continue;
                         }
-                        if let Some(blocked) = &mut core.blocked {
-                            let ready = match blocked {
-                                Blocked::Read { port, seen } => {
-                                    let seq = net.rx_events(core.leaf);
-                                    *seen != seq && {
-                                        *seen = seq;
-                                        net.pending(core.leaf, *port as u8) > 0
-                                    }
-                                }
-                                Blocked::Write { seen } => {
-                                    let seq = net.tx_events(core.leaf);
-                                    *seen != seq && {
-                                        *seen = seq;
-                                        net.leaf(core.leaf).can_inject()
-                                    }
-                                }
-                            };
-                            if ready {
-                                core.cpu.cycles += (cycles - core.blocked_at - 1)
-                                    * softcore::firmware::cycles::STALL;
-                                core.blocked = None;
-                            }
-                        }
-                        if core.blocked.is_none() && shard.pending.is_none() && cycles >= core.wake
-                        {
-                            any_due = true;
+                        Pending::Trap { pc } => {
+                            return Err(CosimError::Trap {
+                                op: core.name.clone(),
+                                pc,
+                            });
                         }
                     }
-
-                    // Phase: every due core advances through the window
-                    // against its leaf. A due core always executes at
-                    // least its opening access, so `any_due` doubles as
-                    // the serial loop's `any_stepped`.
-                    let mut any_stepped = any_due;
-                    if any_due {
-                        let ctx = WindowCtx {
-                            cycles,
-                            max_cycles,
-                            window,
-                        };
-                        if pool.workers() == 0 {
-                            // Inline: one host thread means no hand-off —
-                            // advance each core against the real leaf in
-                            // place (shard order = core-index = leaf
-                            // order, as below). Same work function, same
-                            // schedule, zero swap traffic.
-                            for shard in pool.shards_mut() {
-                                let leaf_idx = shard.core.leaf;
-                                advance_window_on(
-                                    &ctx,
-                                    &mut shard.core,
-                                    net.leaf_mut(leaf_idx),
-                                    &mut shard.stalled,
-                                    &mut shard.pending,
-                                );
-                                net.commit_injections(leaf_idx);
-                            }
-                        } else {
-                            for shard in pool.shards_mut() {
-                                net.swap_leaf(shard.core.leaf, &mut shard.leaf);
-                            }
-                            pool.phase(ctx);
-                            // Solo B begins: return the leaves and fold
-                            // their in-window injections into the
-                            // network's global bookkeeping, in leaf
-                            // (= core-index) order.
-                            for shard in pool.shards_mut() {
-                                net.swap_leaf(shard.core.leaf, &mut shard.leaf);
-                                net.commit_injections(shard.core.leaf);
-                            }
-                        }
+                }
+                match core.blocked {
+                    None => {
+                        any_runnable = true;
+                        next_due = next_due.min(core.wake);
                     }
-
-                    // Apply phase outcomes in core-index order — the order
-                    // the serial scan steps cores, so same-cycle traps
-                    // resolve to the same core — and collect the wake
-                    // bookkeeping for the fast paths.
-                    let mut next_due = u64::MAX;
-                    let mut any_runnable = false;
-                    watch.clear();
-                    for shard in pool.shards_mut() {
-                        let core = &mut shard.core;
-                        if core.halted {
-                            continue;
-                        }
-                        if skip_ahead {
-                            if let Some(s) = shard.stalled.take() {
-                                core.blocked_at = cycles;
-                                core.blocked = Some(match s {
-                                    Stalled::Read(port) => Blocked::Read {
-                                        port,
-                                        seen: net.rx_events(core.leaf),
-                                    },
-                                    Stalled::Write => Blocked::Write {
-                                        seen: net.tx_events(core.leaf),
-                                    },
-                                });
-                            }
-                        } else {
-                            shard.stalled = None;
-                        }
-                        if shard.pending.is_some() && cycles >= core.wake {
-                            // The deferred halt/trap's cycle has arrived:
-                            // serially the core would have stepped into it
-                            // right now.
-                            any_stepped = true;
-                            match shard.pending.take().expect("checked above") {
-                                Pending::Halt => {
-                                    core.halted = true;
-                                    halted += 1;
-                                    continue;
-                                }
-                                Pending::Trap { pc } => {
-                                    return Err(CosimError::Trap {
-                                        op: core.name.clone(),
-                                        pc,
-                                    });
-                                }
-                            }
-                        }
-                        match core.blocked {
-                            None => {
-                                any_runnable = true;
-                                // A core that just stalled un-parked
-                                // (skip-ahead off) keeps a stale wake; it
-                                // is due again next cycle.
-                                next_due = next_due.min(core.wake.max(cycles + 1));
-                            }
-                            Some(Blocked::Read { seen, .. }) => {
-                                watch.push((core.leaf, true, seen));
-                            }
-                            Some(Blocked::Write { seen }) => {
-                                watch.push((core.leaf, false, seen));
-                            }
-                        }
+                    Some(Blocked::Read { seen, .. }) => {
+                        watch.push((core.leaf, true, seen));
                     }
+                    Some(Blocked::Write { seen }) => {
+                        watch.push((core.leaf, false, seen));
+                    }
+                }
+            }
 
-                    // Idle window: no core stepped, nothing queued for
-                    // DMA, and the network carries no flit — each cycle
-                    // until the next sleeper wakes is an exact no-op
-                    // iteration.
-                    if !any_stepped && dma_left == 0 && !net.in_flight() {
-                        if any_runnable {
-                            debug_assert!(next_due > cycles, "a due core must have stepped");
-                            // Keep the (empty) network's clock in lockstep
-                            // with the jumped loop clock: in-window flits are
-                            // birth-stamped in loop time, and the uplink
-                            // holds them until the *network* clock reaches
-                            // that cycle.
-                            let to = next_due.min(max_cycles);
+            // Idle window: no core stepped, nothing queued for DMA, and
+            // the network carries no flit — each cycle until the next
+            // sleeper wakes is an exact no-op iteration.
+            if !any_stepped && dma_left == 0 && !net.in_flight() {
+                if !any_runnable {
+                    // Dead state: every live core is parked on a stream
+                    // that can never move. The system can only burn its
+                    // budget; jump straight to that outcome — the
+                    // reported cycle count is exactly what the
+                    // cycle-by-cycle loop would produce.
+                    return Err(CosimError::CycleBudget { cycles: max_cycles });
+                }
+                debug_assert!(next_due > cycles, "a due core must have stepped");
+                // Keep the (empty) network's clock in lockstep with the
+                // jumped loop clock: in-window flits are birth-stamped in
+                // loop time, and the uplink holds them until the *network*
+                // clock reaches that cycle.
+                let to = next_due.min(max_cycles);
+                net.skip_idle_cycles(to - cycles);
+                cycles = to;
+                continue;
+            }
+
+            net.step();
+            cycles += 1;
+
+            // New output words can only exist if the output leaf's
+            // delivery counter moved.
+            let rx = net.rx_events(dma_out);
+            if rx != dma_rx_seen {
+                dma_rx_seen = rx;
+                dma_drain(&mut net, dma_out, &mut outputs);
+                is_drained = drained(&outputs, expected);
+            }
+
+            // Quiet fast-forward: while no core can possibly act — every
+            // sleeper is short of its wake cycle and no blocked core's
+            // leaf has seen a NoC event — a full loop iteration reduces to
+            // DMA injection plus a network step. Run exactly that until
+            // something becomes due.
+            let all_halted = halted == n_cores;
+            while cycles < next_due
+                && cycles < max_cycles
+                && (dma_left > 0 || net.in_flight())
+                && !(all_halted && is_drained)
+                && watch.iter().all(|&(leaf, is_read, seen)| {
+                    if is_read {
+                        net.rx_events(leaf) == seen
+                    } else {
+                        net.tx_events(leaf) == seen
+                    }
+                })
+            {
+                // Batch skip: with nothing left to inject and an empty
+                // switch tree, every step until the earliest queued flit
+                // ripens is a no-op — jump straight to that cycle instead
+                // of stepping through.
+                if dma_left == 0 && net.tree_flits() == 0 {
+                    if let Some(ripe) = net.next_ripe_birth() {
+                        if ripe > cycles {
+                            let to = ripe.min(next_due).min(max_cycles);
                             net.skip_idle_cycles(to - cycles);
                             cycles = to;
                             continue;
                         }
-                        // No sleeper will ever wake: the system is dead
-                        // and can only burn its budget.
-                        if skip_ahead {
-                            return Err(CosimError::CycleBudget { cycles: max_cycles });
-                        }
                     }
-
-                    net.step();
-                    cycles += 1;
-
-                    // New output words can only exist if the output leaf's
-                    // delivery counter moved.
-                    let rx = net.rx_events(dma_out);
-                    if rx != dma_rx_seen {
-                        dma_rx_seen = rx;
-                        dma_drain(&mut net, dma_out, &mut outputs);
-                        is_drained = drained(&outputs, expected);
-                    }
-
-                    // Quiet fast-forward: while no core can possibly act —
-                    // every sleeper is short of its wake cycle and no
-                    // blocked core's leaf has seen a NoC event — a full
-                    // loop iteration reduces to DMA injection plus a
-                    // network step. Run exactly that until something
-                    // becomes due.
-                    let all_halted = halted == n_cores;
-                    while cycles < next_due
-                        && cycles < max_cycles
-                        && (dma_left > 0 || net.in_flight())
-                        && !(all_halted && is_drained)
-                        && watch.iter().all(|&(leaf, is_read, seen)| {
-                            if is_read {
-                                net.rx_events(leaf) == seen
-                            } else {
-                                net.tx_events(leaf) == seen
-                            }
-                        })
-                    {
-                        // Batch skip: with nothing left to inject and an
-                        // empty switch tree, every step until the earliest
-                        // queued flit ripens is a no-op — jump straight to
-                        // that cycle instead of stepping through.
-                        if dma_left == 0 && net.tree_flits() == 0 {
-                            if let Some(ripe) = net.next_ripe_birth() {
-                                if ripe > cycles {
-                                    let to = ripe.min(next_due).min(max_cycles);
-                                    net.skip_idle_cycles(to - cycles);
-                                    cycles = to;
-                                    continue;
-                                }
-                            }
-                        }
-                        // Lone-flit batch: hop the only in-flight flit all
-                        // the way to its event (delivery, a queued flit
-                        // ripening, or the next due cycle) in one call.
-                        // Event counters can only move on the final hop, so
-                        // the per-step watch re-check is deferred to the
-                        // loop condition after the batch.
-                        if dma_left == 0 && net.tree_flits() == 1 {
-                            let hopped = net.run_lone_flit(next_due.min(max_cycles));
-                            if hopped > 0 {
-                                cycles += hopped;
-                                let rx = net.rx_events(dma_out);
-                                if rx != dma_rx_seen {
-                                    dma_rx_seen = rx;
-                                    dma_drain(&mut net, dma_out, &mut outputs);
-                                    is_drained = drained(&outputs, expected);
-                                }
-                                continue;
-                            }
-                        }
-                        if dma_left > 0 && dma_inject(&mut net, dma_in, &mut dma_queues) {
-                            dma_left -= 1;
-                        }
-                        net.step();
-                        cycles += 1;
+                }
+                // Lone-flit batch: hop the only in-flight flit all the way
+                // to its event (delivery, a queued flit ripening, or the
+                // next due cycle) in one call. Event counters can only move
+                // on the final hop, so the per-step watch re-check is
+                // deferred to the loop condition after the batch.
+                if dma_left == 0 && net.tree_flits() == 1 {
+                    let hopped = net.run_lone_flit(next_due.min(max_cycles));
+                    if hopped > 0 {
+                        cycles += hopped;
                         let rx = net.rx_events(dma_out);
                         if rx != dma_rx_seen {
                             dma_rx_seen = rx;
                             dma_drain(&mut net, dma_out, &mut outputs);
                             is_drained = drained(&outputs, expected);
                         }
+                        continue;
                     }
                 }
-                let instructions = pool.shards_mut().map(|s| s.core.cpu.instructions).sum();
-                Ok((outputs, cycles, instructions))
-            },
-        )
+                if dma_left > 0 && dma_inject(&mut net, dma_in, &mut dma_queues) {
+                    dma_left -= 1;
+                }
+                net.step();
+                cycles += 1;
+                let rx = net.rx_events(dma_out);
+                if rx != dma_rx_seen {
+                    dma_rx_seen = rx;
+                    dma_drain(&mut net, dma_out, &mut outputs);
+                    is_drained = drained(&outputs, expected);
+                }
+            }
+        }
+        Ok(finished(outputs, cycles, &cores))
     }
 }
 
-/// [`cosim_o0`] with explicit loop tuning.
-///
-/// # Errors
-///
-/// See [`CosimError`].
-pub fn cosim_o0_with(
-    app: &CompiledApp,
-    inputs: &[Vec<u32>],
-    expected_output_words: &[usize],
-    max_cycles: u64,
-    config: CosimConfig,
-) -> Result<CosimOutput, CosimError> {
-    if app.level != OptLevel::O0 {
-        return Err(CosimError::WrongLevel);
-    }
-
-    // Instantiate every page core from its packed image. In block-cache
-    // mode each core immediately runs ahead through its private prologue:
-    // one retired instruction corresponds to one loop cycle, so a core
-    // that retires `ran` instructions sleeps until loop cycle `ran`, where
-    // its first stream access (or halt/trap) is due.
-    let mut cores: Vec<CoreState> = Vec::new();
-    for op in &app.operators {
-        let binary = op.soft.as_ref().ok_or(CosimError::WrongLevel)?;
-        let leaf = op.page.expect("paged flow").0 as usize;
-        let mut cpu = binary.instantiate();
-        let wake = if config.block_cache {
-            // The superblock JIT tier rides on the block cache: hot block
-            // entries are trace-linked after a few executions. Purely a
-            // throughput tier — bit-identity is pinned by the softcore
-            // differential suite and the cycle-exactness tests here.
-            cpu.set_superblock_threshold(softcore::DEFAULT_SUPERBLOCK_THRESHOLD);
-            cpu.run_ahead(max_cycles, u64::MAX)
-        } else {
-            0
-        };
-        cores.push(CoreState {
-            name: op.name.clone(),
-            leaf,
-            cpu,
-            halted: false,
-            blocked: None,
-            blocked_at: 0,
-            wake,
-        });
-    }
-
-    // The network, linked by the generated driver.
-    let n_pages = app.floorplan.pages.len();
-    let mut net = BftNoc::new(n_pages + 2, 8, 64);
-    for link in &app.driver.links {
-        net.set_dest(link.src_leaf as usize, link.stream as usize, link.dest);
-    }
-    let dma_in = app.dma_in_leaf() as usize;
-    let dma_out = app.dma_out_leaf() as usize;
-
-    let sys = CosimSys {
-        cores,
-        net,
-        dma_queues: inputs.iter().map(|v| v.iter().copied().collect()).collect(),
-        outputs: expected_output_words.iter().map(|_| Vec::new()).collect(),
-        expected: expected_output_words,
-        dma_in,
-        dma_out,
-        max_cycles,
-    };
-    let (outputs, cycles, instructions) = if config.block_cache {
-        sys.run_parallel(config.skip_ahead, config.threads, config.window)?
-    } else {
-        sys.run_decode_per_step(config.skip_ahead)?
-    };
-    Ok(CosimOutput {
+/// The result of a run that drained: instructions summed over every core.
+fn finished(outputs: Vec<Vec<u32>>, cycles: u64, cores: &[CoreState]) -> CosimOutput {
+    CosimOutput {
         outputs,
         cycles,
-        instructions,
+        instructions: cores.iter().map(|c| c.cpu.instructions).sum(),
         seconds: crate::vtime::overlay_seconds(cycles),
-    })
-}
-
-/// [`cosim_o0`] sharded across `threads` host worker threads with the
-/// default run-ahead window. The schedule is a pure function of (firmware,
-/// stream inputs): outputs, cycle counts, and instruction counts are
-/// bit-identical to [`cosim_o0`] — and to each other — for every thread
-/// count. Threads only change host wall-clock.
-///
-/// # Errors
-///
-/// See [`CosimError`].
-pub fn cosim_o0_parallel(
-    app: &CompiledApp,
-    inputs: &[Vec<u32>],
-    expected_output_words: &[usize],
-    max_cycles: u64,
-    threads: usize,
-) -> Result<CosimOutput, CosimError> {
-    cosim_o0_with(
-        app,
-        inputs,
-        expected_output_words,
-        max_cycles,
-        CosimConfig {
-            threads,
-            ..CosimConfig::default()
-        },
-    )
-}
-
-/// Convenience: checks an artifact really is a softcore image (used by
-/// loader-side assertions and tests).
-pub fn is_softcore_artifact(kind: &XclbinKind) -> bool {
-    matches!(kind, XclbinKind::Softcore { .. })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flow::{compile, CompileOptions};
+    use dfg::generate::{generate_family, GenConfig, FAMILIES};
     use dfg::{GraphBuilder, Target};
     use kir::{Expr, KernelBuilder, Scalar, Stmt};
+    use proptest::prelude::*;
 
     fn stage(name: &str, mul: i64, n: i64) -> kir::Kernel {
         KernelBuilder::new(name)
@@ -1017,6 +744,45 @@ mod tests {
             )])
             .build()
             .unwrap()
+    }
+
+    /// A one-stage `-O0` app that reads `n` words.
+    fn single_stage_app(n: i64) -> CompiledApp {
+        let mut b = GraphBuilder::new("sys");
+        let a = b.add("a", stage("a", 1, n), Target::hw_auto());
+        b.ext_input("Input_1", a, "in");
+        b.ext_output("Output_1", a, "out");
+        let g = b.build().unwrap();
+        compile(&g, &CompileOptions::new(OptLevel::O0)).unwrap()
+    }
+
+    /// Window widths for the engine: degenerate (1 forces a barrier per
+    /// visible access), odd, small, the production width, and one far
+    /// wider than any burst in the test apps.
+    const WINDOWS: [u64; 5] = [1, 3, 64, COSIM_WINDOW, u64::MAX / 2];
+
+    fn run_windowed(
+        app: &CompiledApp,
+        inputs: &[Vec<u32>],
+        want: &[usize],
+        max_cycles: u64,
+        window: u64,
+    ) -> Result<CosimOutput, CosimError> {
+        CosimSys::new(app, inputs, want, max_cycles)?.run_windowed(window)
+    }
+
+    fn assert_same(got: &CosimOutput, oracle: &CosimOutput, tag: &str) {
+        assert_eq!(got.outputs, oracle.outputs, "{tag}");
+        assert_eq!(got.cycles, oracle.cycles, "{tag}");
+        assert_eq!(got.instructions, oracle.instructions, "{tag}");
+        assert_eq!(got.seconds, oracle.seconds, "{tag}");
+    }
+
+    fn budget_cycles(result: Result<CosimOutput, CosimError>, tag: &str) -> u64 {
+        match result {
+            Err(CosimError::CycleBudget { cycles }) => cycles,
+            other => panic!("{tag}: expected a budget error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1049,90 +815,11 @@ mod tests {
         assert!(result.cycles > N as u64 * 10);
     }
 
-    /// All four skip-ahead × block-cache combinations (single-threaded,
-    /// default window).
-    fn config_matrix() -> [CosimConfig; 4] {
-        let mut out = [CosimConfig::default(); 4];
-        let mut i = 0;
-        for skip_ahead in [false, true] {
-            for block_cache in [false, true] {
-                out[i] = CosimConfig {
-                    skip_ahead,
-                    block_cache,
-                    ..CosimConfig::default()
-                };
-                i += 1;
-            }
-        }
-        out
-    }
-
-    /// Thread counts × window widths for the parallel engine, including
-    /// degenerate windows (1 forces a barrier per visible access) and a
-    /// window far wider than any burst in the test apps.
-    fn parallel_matrix() -> Vec<CosimConfig> {
-        let mut out = Vec::new();
-        for threads in [1usize, 2, 4] {
-            for window in [1u64, 3, 64, DEFAULT_COSIM_WINDOW, u64::MAX / 2] {
-                out.push(CosimConfig {
-                    threads,
-                    window,
-                    ..CosimConfig::default()
-                });
-            }
-        }
-        out
-    }
-
+    /// The engine equals the oracle — outputs, cycles, instructions and
+    /// virtual seconds — at every window width, on two independent
+    /// streams sharing the network.
     #[test]
-    fn fast_paths_are_cycle_exact() {
-        const N: i64 = 24;
-        let mut b = GraphBuilder::new("sys");
-        let a = b.add("a", stage("a", 3, N), Target::hw_auto());
-        let c = b.add("c", stage("c", 5, N), Target::hw_auto());
-        b.ext_input("Input_1", a, "in");
-        b.connect("l", a, "out", c, "in");
-        b.ext_output("Output_1", c, "out");
-        let g = b.build().unwrap();
-        let app = compile(&g, &CompileOptions::new(OptLevel::O0)).unwrap();
-        let input: Vec<u32> = (10..10 + N as u32).collect();
-        let want = N as usize;
-
-        // Reference: decode-per-step, no stall skipping.
-        let reference = cosim_o0_with(
-            &app,
-            std::slice::from_ref(&input),
-            &[want],
-            50_000_000,
-            CosimConfig {
-                skip_ahead: false,
-                block_cache: false,
-                ..CosimConfig::default()
-            },
-        )
-        .unwrap();
-        for config in config_matrix() {
-            let got = cosim_o0_with(
-                &app,
-                std::slice::from_ref(&input),
-                &[want],
-                50_000_000,
-                config,
-            )
-            .unwrap();
-            assert_eq!(got.outputs, reference.outputs, "{config:?}");
-            assert_eq!(got.cycles, reference.cycles, "{config:?}");
-            assert_eq!(got.instructions, reference.instructions, "{config:?}");
-            assert_eq!(got.seconds, reference.seconds, "{config:?}");
-        }
-    }
-
-    /// The tentpole determinism claim: the sharded engine is bit-identical
-    /// to the decode-per-step oracle — outputs, cycles, instructions, and
-    /// virtual seconds — for every (threads, window) combination, and
-    /// therefore identical across thread counts.
-    #[test]
-    fn parallel_engine_is_bit_identical_across_threads_and_windows() {
+    fn windowed_engine_is_bit_identical_at_every_window() {
         const N: i64 = 24;
         let mut b = GraphBuilder::new("sys");
         let a = b.add("a", stage("a", 3, N), Target::hw_auto());
@@ -1151,99 +838,32 @@ mod tests {
         ];
         let want = [N as usize, N as usize];
 
-        let oracle = cosim_o0_with(
-            &app,
-            &inputs,
-            &want,
-            50_000_000,
-            CosimConfig {
-                skip_ahead: false,
-                block_cache: false,
-                ..CosimConfig::default()
-            },
-        )
-        .unwrap();
-        for config in parallel_matrix() {
-            let got = cosim_o0_with(&app, &inputs, &want, 50_000_000, config).unwrap();
-            assert_eq!(got.outputs, oracle.outputs, "{config:?}");
-            assert_eq!(got.cycles, oracle.cycles, "{config:?}");
-            assert_eq!(got.instructions, oracle.instructions, "{config:?}");
-            assert_eq!(got.seconds, oracle.seconds, "{config:?}");
+        let oracle = cosim_o0_reference(&app, &inputs, &want, 50_000_000).unwrap();
+        assert_same(
+            &cosim_o0(&app, &inputs, &want, 50_000_000).unwrap(),
+            &oracle,
+            "cosim_o0",
+        );
+        for window in WINDOWS {
+            let got = run_windowed(&app, &inputs, &want, 50_000_000, window).unwrap();
+            assert_same(&got, &oracle, &format!("window {window}"));
         }
     }
 
-    /// A starved system must report the identical budget error — same
-    /// cycle count — for every thread count and window width: the blocked
-    /// cores park, the dead-state detector fires, and neither depends on
-    /// the phase structure.
-    #[test]
-    fn parallel_engine_reports_budget_errors_identically() {
-        let mut b = GraphBuilder::new("sys");
-        let a = b.add("a", stage("a", 1, 8), Target::hw_auto());
-        b.ext_input("Input_1", a, "in");
-        b.ext_output("Output_1", a, "out");
-        let g = b.build().unwrap();
-        let app = compile(&g, &CompileOptions::new(OptLevel::O0)).unwrap();
-        let budget = 3_000_000u64;
-        for config in parallel_matrix() {
-            let err = cosim_o0_with(&app, &[vec![1, 2]], &[8], budget, config).unwrap_err();
-            match err {
-                CosimError::CycleBudget { cycles } => assert_eq!(cycles, budget, "{config:?}"),
-                other => panic!("unexpected error under {config:?}: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn cosim_o0_parallel_matches_cosim_o0() {
-        const N: i64 = 16;
-        let mut b = GraphBuilder::new("sys");
-        let a = b.add("a", stage("a", 3, N), Target::hw_auto());
-        b.ext_input("Input_1", a, "in");
-        b.ext_output("Output_1", a, "out");
-        let g = b.build().unwrap();
-        let app = compile(&g, &CompileOptions::new(OptLevel::O0)).unwrap();
-        let input: Vec<u32> = (1..=N as u32).collect();
-        let serial = cosim_o0(
-            &app,
-            std::slice::from_ref(&input),
-            &[N as usize],
-            50_000_000,
-        )
-        .unwrap();
-        for threads in [1, 2, 4, 8] {
-            let par = cosim_o0_parallel(
-                &app,
-                std::slice::from_ref(&input),
-                &[N as usize],
-                50_000_000,
-                threads,
-            )
-            .unwrap();
-            assert_eq!(par.outputs, serial.outputs, "threads={threads}");
-            assert_eq!(par.cycles, serial.cycles, "threads={threads}");
-            assert_eq!(par.instructions, serial.instructions, "threads={threads}");
-        }
-    }
-
+    /// A starved system: the engine detects the dead state and jumps
+    /// straight to the budget, but must report the identical error the
+    /// oracle reaches the slow way, at every window width.
     #[test]
     fn dead_state_fast_forward_reports_the_same_budget_error() {
-        let mut b = GraphBuilder::new("sys");
-        let a = b.add("a", stage("a", 1, 8), Target::hw_auto());
-        b.ext_input("Input_1", a, "in");
-        b.ext_output("Output_1", a, "out");
-        let g = b.build().unwrap();
-        let app = compile(&g, &CompileOptions::new(OptLevel::O0)).unwrap();
-        // Starved system: the fast paths detect the dead state and jump
-        // straight to the budget, but must report the identical error the
-        // cycle-by-cycle loop reaches the slow way.
-        let budget = 5_000_000u64;
-        for config in config_matrix() {
-            let err = cosim_o0_with(&app, &[vec![1, 2]], &[8], budget, config).unwrap_err();
-            match err {
-                CosimError::CycleBudget { cycles } => assert_eq!(cycles, budget, "{config:?}"),
-                other => panic!("unexpected error under {config:?}: {other:?}"),
-            }
+        let app = single_stage_app(8);
+        let budget = 3_000_000u64;
+        let inputs = [vec![1, 2]];
+        let oracle = budget_cycles(cosim_o0_reference(&app, &inputs, &[8], budget), "oracle");
+        assert_eq!(oracle, budget);
+        for window in WINDOWS {
+            let tag = format!("window {window}");
+            let got = budget_cycles(run_windowed(&app, &inputs, &[8], budget, window), &tag);
+            assert_eq!(got, oracle, "{tag}");
         }
     }
 
@@ -1261,16 +881,82 @@ mod tests {
         ));
     }
 
+    /// `CompiledApp`'s fields are public, so an operator can arrive
+    /// without a page: that is a typed error, not a panic.
+    #[test]
+    fn unpaged_operator_is_an_error_not_a_panic() {
+        let mut app = single_stage_app(2);
+        app.operators[0].page = None;
+        for run in [cosim_o0, cosim_o0_reference] {
+            assert!(matches!(
+                run(&app, &[vec![1, 2]], &[2], 1_000_000),
+                Err(CosimError::WrongLevel)
+            ));
+        }
+    }
+
     #[test]
     fn starved_system_hits_cycle_budget() {
-        let mut b = GraphBuilder::new("sys");
-        let a = b.add("a", stage("a", 1, 8), Target::hw_auto());
-        b.ext_input("Input_1", a, "in");
-        b.ext_output("Output_1", a, "out");
-        let g = b.build().unwrap();
-        let app = compile(&g, &CompileOptions::new(OptLevel::O0)).unwrap();
+        let app = single_stage_app(8);
         // Only 2 of 8 inputs: the core blocks forever on its stream port.
         let err = cosim_o0(&app, &[vec![1, 2]], &[8], 20_000).unwrap_err();
         assert!(matches!(err, CosimError::CycleBudget { .. }));
+    }
+
+    fn generated_cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(24)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(generated_cases()))]
+
+        /// On generated apps of every family, the windowed engine equals
+        /// the oracle in outputs, cycles and instructions at a random
+        /// window width, and the oracle reproduces the functional golden.
+        /// With half of every input withheld, both return the identical
+        /// budget error.
+        #[test]
+        fn windowed_engine_matches_oracle_on_generated_apps(
+            seed in any::<u64>(),
+            tokens in 16u64..=64,
+            fam in 0..FAMILIES.len(),
+            w in 0..WINDOWS.len(),
+        ) {
+            let cfg = GenConfig { seed, tokens, max_stages: 4 };
+            let gen = generate_family(&cfg, FAMILIES[fam]).unwrap();
+            let app = compile(&gen.graph, &CompileOptions::new(OptLevel::O0)).unwrap();
+            let (golden, _) = dfg::run_graph(&gen.graph, &gen.input_refs()).unwrap();
+            let inputs: Vec<Vec<u32>> = gen
+                .graph
+                .ext_inputs
+                .iter()
+                .map(|p| {
+                    let (_, values) = gen.inputs.iter().find(|(n, _)| *n == p.name).unwrap();
+                    kir::wire::stream_to_words(values)
+                })
+                .collect();
+            let want_words: Vec<Vec<u32>> = gen
+                .graph
+                .ext_outputs
+                .iter()
+                .map(|p| kir::wire::stream_to_words(&golden[&p.name]))
+                .collect();
+            let want: Vec<usize> = want_words.iter().map(Vec::len).collect();
+            let tag = format!("{} seed {seed} tokens {tokens} window {}", gen.family, WINDOWS[w]);
+
+            let oracle = cosim_o0_reference(&app, &inputs, &want, 200_000_000).unwrap();
+            prop_assert_eq!(&oracle.outputs, &want_words, "{}", tag);
+            let got = run_windowed(&app, &inputs, &want, 200_000_000, WINDOWS[w]).unwrap();
+            assert_same(&got, &oracle, &tag);
+
+            let half: Vec<Vec<u32>> = inputs.iter().map(|v| v[..v.len() / 2].to_vec()).collect();
+            let budget = oracle.cycles;
+            let oracle_err = budget_cycles(cosim_o0_reference(&app, &half, &want, budget), &tag);
+            let got_err = budget_cycles(run_windowed(&app, &half, &want, budget, WINDOWS[w]), &tag);
+            prop_assert_eq!(got_err, oracle_err, "{}", tag);
+        }
     }
 }

@@ -68,10 +68,7 @@ pub mod vtime;
 pub use artifact::{Driver, LinkOp, LoadOp, Xclbin, XclbinKind};
 pub use build::{build, build_batch, BuildReport, OperatorStages, StageCount};
 pub use cache::{CacheBackend, DiskCache, TieredCache};
-pub use cosim::{
-    cosim_o0, cosim_o0_parallel, cosim_o0_with, CosimConfig, CosimError, CosimOutput,
-    DEFAULT_COSIM_WINDOW,
-};
+pub use cosim::{cosim_o0, cosim_o0_reference, CosimError, CosimOutput};
 pub use execute::{PerfReport, RunMode};
 pub use flow::{
     bft_distance, compile, CompileError, CompileOptions, CompiledApp, CompiledOperator, LinkStyle,

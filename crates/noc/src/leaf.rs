@@ -78,9 +78,9 @@ pub struct LeafInterface {
     /// Data injections refused by the throttle since bring-up.
     pub(crate) throttled_injects: u64,
     /// Flits pushed by [`LeafInterface::inject_local`] but not yet folded
-    /// into the network's global bookkeeping. The parallel cosim engine
-    /// injects into swapped-out leaves between barriers; the owner thread
-    /// commits these counts (in leaf order) when the leaves return.
+    /// into the network's global bookkeeping. The windowed cosim engine
+    /// injects into leaves between barriers and commits these counts (in
+    /// leaf order) at each barrier.
     pub(crate) pending_injects: u32,
 }
 
@@ -116,7 +116,7 @@ impl LeafInterface {
     /// out FIFO, performing the destination lookup, QoS budget check, and
     /// sequence stamping locally. `self_leaf` is this leaf's index (used in
     /// errors and the flit source header); `now` is the cycle the flit is
-    /// born — under the parallel cosim engine this can lie *ahead* of the
+    /// born — under the windowed cosim engine this can lie *ahead* of the
     /// network's clock, and the uplink holds such flits back until their
     /// birth cycle arrives.
     ///

@@ -241,11 +241,11 @@ impl BftNoc {
     }
 
     /// Folds flits injected locally into `leaf` (via
-    /// [`LeafInterface::inject_local`] while the leaf was swapped out of the
-    /// network) into the global scheduler bookkeeping: queued-flit counts,
-    /// the queued-leaf set, and injection stats. The parallel cosim engine
-    /// calls this at each barrier, in ascending leaf order, after swapping
-    /// worker-held leaves back in. Idempotent when nothing is pending.
+    /// [`LeafInterface::inject_local`] through [`leaf_mut`](Self::leaf_mut))
+    /// into the global scheduler bookkeeping: queued-flit counts, the
+    /// queued-leaf set, and injection stats. The windowed cosim engine
+    /// calls this at each barrier, in ascending leaf order. Idempotent when
+    /// nothing is pending.
     pub fn commit_injections(&mut self, leaf: usize) {
         let n = self.leaves[leaf].take_pending_injects();
         if n > 0 {
@@ -258,19 +258,10 @@ impl BftNoc {
         }
     }
 
-    /// Swaps the leaf interface at `leaf` with `other`. The parallel cosim
-    /// engine uses this to hand disjoint leaves to worker threads between
-    /// barriers (leaving a placeholder behind) and to return them; the
-    /// network must not be stepped while a real leaf is swapped out.
-    pub fn swap_leaf(&mut self, leaf: usize, other: &mut LeafInterface) {
-        std::mem::swap(&mut self.leaves[leaf], other);
-    }
-
-    /// Exclusive access to the leaf interface at `leaf` — the zero-copy
-    /// sibling of [`swap_leaf`](Self::swap_leaf) for the cosim engine's
-    /// inline (no-worker) mode. Local injections made through it must be
-    /// folded in with [`commit_injections`](Self::commit_injections) before
-    /// the next [`step`](Self::step), exactly as with a swapped-out leaf.
+    /// Exclusive access to the leaf interface at `leaf`, for the cosim
+    /// engine's in-window execution. Local injections made through it must
+    /// be folded in with [`commit_injections`](Self::commit_injections)
+    /// before the next [`step`](Self::step).
     pub fn leaf_mut(&mut self, leaf: usize) -> &mut LeafInterface {
         &mut self.leaves[leaf]
     }
@@ -353,7 +344,7 @@ impl BftNoc {
 
     /// Whether no queued flit is eligible for uplink entry this cycle —
     /// either nothing is queued, or every front flit is future-born
-    /// (parallel cosim windows stamp flits with the injecting core's local
+    /// (cosim windows stamp flits with the injecting core's local
     /// cycle, which may run ahead of the network clock).
     fn no_ripe_queued(&self) -> bool {
         self.queued_flits == 0 || self.next_ripe_birth().is_none_or(|b| b > self.cycle)
@@ -503,11 +494,11 @@ impl BftNoc {
                 }
             }
             // Birth gating: a flit injected by a core running *ahead* of the
-            // network clock (parallel cosim windows) carries its true birth
-            // cycle and may not enter the tree before that cycle — exactly
-            // when the serial schedule would have injected it. For flits
+            // network clock (cosim windows) carries its true birth cycle
+            // and may not enter the tree before that cycle — exactly when
+            // the cycle-by-cycle schedule would have injected it. For flits
             // born at or before the current cycle (every flit outside the
-            // parallel engine) this is the plain uplink pop.
+            // windowed engine) this is the plain uplink pop.
             if next_up[0][i].is_none()
                 && leaf.out_queue.peek().is_some_and(|f| f.birth <= self.cycle)
             {
@@ -916,18 +907,16 @@ mod tests {
     }
 
     #[test]
-    fn swapped_leaf_injection_commits_at_barrier_and_respects_birth() {
+    fn local_injection_commits_at_barrier_and_respects_birth() {
         let mut net = linked_net(8);
-        // Swap leaf 0 out, as a parallel worker would between barriers.
-        let mut held = LeafInterface::new(1, 1, 4);
-        net.swap_leaf(0, &mut held);
-        // The worker injects two words: one due now (cycle 0) and one born
-        // three cycles in the future by a core running ahead of the clock.
-        held.inject_local(0, 0, 10, 0).unwrap();
-        held.inject_local(0, 0, 20, 3).unwrap();
+        // Inject straight into leaf 0, as the cosim does inside a window:
+        // one word due now (cycle 0) and one born three cycles in the
+        // future by a core running ahead of the clock.
+        let leaf = net.leaf_mut(0);
+        leaf.inject_local(0, 0, 10, 0).unwrap();
+        leaf.inject_local(0, 0, 20, 3).unwrap();
         // Nothing is visible to the scheduler until the barrier commit.
         assert_eq!(net.active_flits(), 0);
-        net.swap_leaf(0, &mut held);
         net.commit_injections(0);
         assert_eq!(net.active_flits(), 2);
         assert_eq!(net.stats().injected, 2);

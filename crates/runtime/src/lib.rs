@@ -225,10 +225,9 @@ pub struct Runtime {
     stats: RuntimeStats,
     next_id: u64,
     tick: u64,
-    /// When set, [`Runtime::run`] serves `-O0` apps through the sharded
-    /// parallel cosim engine with this many host threads instead of the
-    /// functional interpreter.
-    cosim_serving: Option<usize>,
+    /// When set, [`Runtime::run`] serves `-O0` apps through the cosim
+    /// engine instead of the functional interpreter.
+    cosim_serving: bool,
 }
 
 impl Runtime {
@@ -256,24 +255,23 @@ impl Runtime {
             stats,
             next_id: 0,
             tick: 0,
-            cosim_serving: None,
+            cosim_serving: false,
         }
     }
 
-    /// Opts serving into (or with `None` back out of) cycle-accurate cosim
-    /// execution: [`Runtime::run`] — and therefore the fleet's `run_app`
-    /// path — drives resident `-O0` apps through the sharded parallel
-    /// cosim engine ([`pld::cosim_o0_parallel`]) on `threads` host worker
-    /// threads. Outputs are identical to the functional interpreter by the
-    /// Kahn property; what changes is fidelity (overlay cycle counts drive
-    /// the latency histogram) and wall-clock. Apps compiled at other
-    /// levels keep the functional path.
-    pub fn set_cosim_serving(&mut self, threads: Option<usize>) {
-        self.cosim_serving = threads;
+    /// Opts serving into (or with `false` back out of) cycle-accurate
+    /// cosim execution: [`Runtime::run`] — and therefore the fleet's
+    /// `run_app` path — drives resident `-O0` apps through
+    /// [`pld::cosim_o0`]. Outputs are identical to the functional
+    /// interpreter by the Kahn property; what changes is fidelity (overlay
+    /// cycle counts drive the latency histogram) and wall-clock. Apps
+    /// compiled at other levels keep the functional path.
+    pub fn set_cosim_serving(&mut self, on: bool) {
+        self.cosim_serving = on;
     }
 
-    /// The cosim-serving thread count, if the mode is on.
-    pub fn cosim_serving(&self) -> Option<usize> {
+    /// Whether cosim serving is on.
+    pub fn cosim_serving(&self) -> bool {
         self.cosim_serving
     }
 
@@ -350,14 +348,13 @@ impl Runtime {
         id: AppId,
         inputs: &[(&str, Vec<Value>)],
     ) -> Result<HashMap<String, Vec<Value>>, RuntimeError> {
-        if let Some(threads) = self.cosim_serving {
-            let is_o0 = self
+        let cosim = self.cosim_serving
+            && self
                 .resident
                 .get(&id.0)
                 .is_some_and(|r| r.app.level == OptLevel::O0);
-            if is_o0 {
-                return self.run_with(id, inputs, |app, inputs| cosim_serve(app, inputs, threads));
-            }
+        if cosim {
+            return self.run_with(id, inputs, cosim_serve);
         }
         self.run_with(id, inputs, |app, inputs| {
             dfg::run_graph(&app.graph, inputs)
@@ -772,15 +769,14 @@ fn dma_widths(app: &CompiledApp) -> (u8, u8) {
 /// workload the functional interpreter finishes in reasonable wall-clock.
 const COSIM_SERVE_BUDGET: u64 = 2_000_000_000;
 
-/// Serves one request through the sharded parallel cosim engine: the
-/// functional interpreter first fixes the expected output word counts
-/// (exact by the Kahn property — the emulated fabric produces the same
-/// streams), then the app's page cores run cycle-accurately on `threads`
-/// host workers and the collected words convert back to typed values.
+/// Serves one request through [`pld::cosim_o0`]: the functional
+/// interpreter first fixes the expected output word counts (exact by the
+/// Kahn property — the emulated fabric produces the same streams), then
+/// the app's page cores run cycle-accurately and the collected words
+/// convert back to typed values.
 fn cosim_serve(
     app: &CompiledApp,
     inputs: &[(&str, Vec<Value>)],
-    threads: usize,
 ) -> Result<HashMap<String, Vec<Value>>, String> {
     let (functional, _) = dfg::run_graph(&app.graph, inputs).map_err(|e| e.to_string())?;
     let word_inputs: Vec<Vec<u32>> = app
@@ -806,7 +802,7 @@ fn cosim_serve(
                 .unwrap_or(0)
         })
         .collect();
-    let out = pld::cosim_o0_parallel(app, &word_inputs, &expected, COSIM_SERVE_BUDGET, threads)
+    let out = pld::cosim_o0(app, &word_inputs, &expected, COSIM_SERVE_BUDGET)
         .map_err(|e| e.to_string())?;
     Ok(app
         .graph

@@ -25,9 +25,9 @@
 //!   into dense micro-op buffers executed by a tight dispatch loop, with
 //!   the decode-per-step [`cpu`] interpreter kept as the bit-identical
 //!   reference;
-//! * [`run`] — a batch executor wiring a compiled operator to word streams;
-//! * [`parallel`] — a deterministic fork-join shard pool, the host-thread
-//!   engine under the parallel multi-core cosim.
+//! * [`run`] — a batch executor wiring a compiled operator to word streams:
+//!   [`execute`] on the block cache, [`execute_reference`] on the
+//!   decode-per-step oracle.
 //!
 //! The compiler and the `kir` interpreter are property-tested to produce
 //! identical streams — the single-source guarantee the whole paper rests
@@ -39,12 +39,10 @@ pub mod cc;
 pub mod cpu;
 pub mod firmware;
 pub mod isa;
-pub mod parallel;
 pub mod run;
 
 pub use binary::{PackedBinary, SoftBinary};
 pub use block::{IcacheStats, DEFAULT_SUPERBLOCK_THRESHOLD};
 pub use cc::{compile_kernel, CcError};
 pub use cpu::{Cpu, StepResult, StreamIo};
-pub use parallel::{with_shard_pool, ShardPool};
-pub use run::{execute, execute_reference, execute_with, Engine, ExecOutput, RunError};
+pub use run::{execute, execute_reference, ExecOutput, RunError};

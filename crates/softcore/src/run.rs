@@ -76,33 +76,14 @@ impl StreamIo for BatchIo {
     }
 }
 
-/// Which execution core drives a run. All engines are bit-identical
-/// in every architectural observable (registers, memory, cycles,
-/// instructions, stream traffic) — asserted by the differential tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Pre-decoded basic-block cache: firmware decodes once into micro-op
-    /// buffers and runs through [`crate::Cpu::run_ahead`], with visible
-    /// stream I/O executed by [`crate::Cpu::step_cached`]; only halts and
-    /// traps drop to the reference `step`.
-    #[default]
-    BlockCached,
-    /// The block cache with the superblock JIT tier on top: profile
-    /// counters promote hot block entries into trace-linked superblocks
-    /// (micro-op blocks concatenated across their recorded control
-    /// transfers, with a specialized jump-to-head hot-loop path), torn
-    /// down by epoch invalidation when any constituent span is written.
-    Superblock,
-    /// The decode-per-step reference interpreter ([`crate::Cpu::step`] in
-    /// a loop). Slower; kept as the semantics oracle.
-    Reference,
-}
-
-/// Runs a compiled operator on input word streams until it halts.
+/// Runs a compiled operator on input word streams until it halts, on the
+/// pre-decoded block cache: firmware decodes once into micro-op buffers
+/// and runs through [`crate::Cpu::run_ahead`], with visible stream I/O
+/// executed by [`crate::Cpu::step_cached`]; only halts and traps drop to
+/// the reference `step`.
 ///
 /// In batch mode the input FIFOs are never refilled, so a stall on an empty
-/// read port is a starvation error rather than a wait. Uses the default
-/// block-cached engine; see [`execute_with`].
+/// read port is a starvation error rather than a wait.
 ///
 /// # Errors
 ///
@@ -112,11 +93,13 @@ pub fn execute(
     inputs: &[Vec<u32>],
     max_cycles: u64,
 ) -> Result<ExecOutput, RunError> {
-    execute_with(binary, inputs, max_cycles, Engine::BlockCached)
+    run_batch(binary, inputs, max_cycles, true)
 }
 
-/// [`execute`] pinned to the decode-per-step reference interpreter
-/// (A/B baseline for tests and benches).
+/// [`execute`]'s oracle: the decode-per-step interpreter
+/// ([`crate::Cpu::step`]) in a loop. Bit-identical in every architectural
+/// observable (outputs, cycles, instructions), which the differential
+/// tests assert; only slower.
 ///
 /// # Errors
 ///
@@ -126,31 +109,27 @@ pub fn execute_reference(
     inputs: &[Vec<u32>],
     max_cycles: u64,
 ) -> Result<ExecOutput, RunError> {
-    execute_with(binary, inputs, max_cycles, Engine::Reference)
+    run_batch(binary, inputs, max_cycles, false)
 }
 
-/// Runs a compiled operator with an explicit [`Engine`].
-///
-/// # Errors
-///
-/// See [`RunError`].
-pub fn execute_with(
+/// The batch loop behind [`execute`] (`cached`) and
+/// [`execute_reference`]. One non-generic loop on purpose: a version
+/// generic over a step closure changed the thin-LTO code generated for
+/// `Cpu::run_ahead_inner` and slowed compute-bound cosim by 8–10%.
+fn run_batch(
     binary: &SoftBinary,
     inputs: &[Vec<u32>],
     max_cycles: u64,
-    engine: Engine,
+    cached: bool,
 ) -> Result<ExecOutput, RunError> {
     let mut cpu = binary.instantiate();
-    if engine == Engine::Superblock {
-        cpu.set_superblock_threshold(crate::block::DEFAULT_SUPERBLOCK_THRESHOLD);
-    }
     let mut io = BatchIo {
         inputs: inputs.iter().map(|v| v.iter().copied().collect()).collect(),
         outputs: vec![Vec::new(); binary.out_ports as usize],
         starved: None,
     };
     loop {
-        if engine != Engine::Reference {
+        if cached {
             // Burn through core-private work; stops with pc on the next
             // instruction that does I/O, halts, traps, or busts the
             // budget — which step_cached() below then handles, exactly
@@ -160,9 +139,10 @@ pub fn execute_with(
         if cpu.cycles >= max_cycles {
             return Err(RunError::CycleBudget { budget: max_cycles });
         }
-        let result = match engine {
-            Engine::BlockCached | Engine::Superblock => cpu.step_cached(&mut io),
-            Engine::Reference => cpu.step(&mut io),
+        let result = if cached {
+            cpu.step_cached(&mut io)
+        } else {
+            cpu.step(&mut io)
         };
         match result {
             StepResult::Ok => {}
@@ -227,28 +207,24 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_bit_identically() {
+    fn block_cache_matches_reference() {
         let bin = doubler();
         let inputs = vec![(1..=8).collect::<Vec<u32>>()];
-        let slow = execute_with(&bin, &inputs, 1_000_000, Engine::Reference).unwrap();
-        for engine in [Engine::BlockCached, Engine::Superblock] {
-            let fast = execute_with(&bin, &inputs, 1_000_000, engine).unwrap();
-            assert_eq!(fast, slow, "{engine:?}");
-        }
+        let fast = execute(&bin, &inputs, 1_000_000).unwrap();
+        let slow = execute_reference(&bin, &inputs, 1_000_000).unwrap();
+        assert_eq!(fast, slow);
     }
 
     #[test]
-    fn engines_agree_on_budget_exhaustion() {
-        // The budget error must fire at the same point in every engine,
-        // across budgets that land mid-block and mid-instruction.
+    fn block_cache_matches_reference_on_budget_exhaustion() {
+        // The budget error must fire at the same point in both, across
+        // budgets that land mid-block and mid-instruction.
         let bin = doubler();
         let inputs = vec![(1..=8).collect::<Vec<u32>>()];
         for budget in [1u64, 7, 10, 33, 100, 250] {
-            let slow = execute_with(&bin, &inputs, budget, Engine::Reference);
-            for engine in [Engine::BlockCached, Engine::Superblock] {
-                let fast = execute_with(&bin, &inputs, budget, engine);
-                assert_eq!(fast, slow, "budget {budget} ({engine:?})");
-            }
+            let fast = execute(&bin, &inputs, budget);
+            let slow = execute_reference(&bin, &inputs, budget);
+            assert_eq!(fast, slow, "budget {budget}");
         }
     }
 }

@@ -235,10 +235,11 @@ fn full_system_cosimulation_of_spam_filter() {
     assert!(result.seconds > 1e-5, "cosim took {}s", result.seconds);
 }
 
-/// The cosimulator's host-time optimizations — stall skip-ahead and the
-/// pre-decoded block cache — are purely host-side: every combination must
-/// produce bit-identical outputs, simulated cycle counts, and instruction
-/// counts against the decode-per-step cycle-by-cycle reference.
+/// The cosim engine's host-time shortcuts — block cache, stall skip-ahead,
+/// windows between NoC barriers, idle skipping — are purely host-side: on
+/// a real benchmark it must produce bit-identical outputs, simulated cycle
+/// counts, and instruction counts to the decode-per-step cycle-by-cycle
+/// oracle.
 #[test]
 fn cosim_fast_paths_are_cycle_accurate_on_spam_filter() {
     let bench = rosetta::spam::bench(Scale::Tiny);
@@ -248,82 +249,23 @@ fn cosim_fast_paths_are_cycle_accurate_on_spam_filter() {
         let out = bench.run_functional();
         rosetta::util::unwords(&out["Output_1"])
     };
+    let inputs = std::slice::from_ref(&input_words);
 
-    let run = |skip_ahead: bool, block_cache: bool| {
-        pld::cosim_o0_with(
-            &app,
-            std::slice::from_ref(&input_words),
-            &[golden.len()],
-            2_000_000_000,
-            pld::CosimConfig {
-                skip_ahead,
-                block_cache,
-                ..pld::CosimConfig::default()
-            },
-        )
-        .expect("system completes")
-    };
-    let reference = run(false, false);
-    assert_eq!(reference.outputs[0], golden);
-    for skip_ahead in [false, true] {
-        for block_cache in [false, true] {
-            let got = run(skip_ahead, block_cache);
-            let tag = format!("skip_ahead={skip_ahead} block_cache={block_cache}");
-            assert_eq!(got.outputs, reference.outputs, "{tag}");
-            assert_eq!(got.cycles, reference.cycles, "{tag} changed virtual time");
-            assert_eq!(got.instructions, reference.instructions, "{tag}");
-        }
-    }
-}
-
-/// The sharded parallel driver is the same engine at every host thread
-/// count: outputs, simulated cycles, and instruction counts on a real
-/// benchmark must be bit-identical across `threads` — including against
-/// the decode-per-step reference. CI runs this as the multi-thread smoke
-/// (actual worker threads drive the cores when `threads > 1`).
-#[test]
-fn parallel_cosim_smoke_is_thread_count_invariant() {
-    let bench = rosetta::spam::bench(Scale::Tiny);
-    let app = compile(&bench.graph, &CompileOptions::new(OptLevel::O0)).unwrap();
-    let input_words = rosetta::util::unwords(&bench.inputs[0].1);
-    let golden = {
-        let out = bench.run_functional();
-        rosetta::util::unwords(&out["Output_1"])
-    };
-
-    let reference = pld::cosim_o0(
-        &app,
-        std::slice::from_ref(&input_words),
-        &[golden.len()],
-        2_000_000_000,
-    )
-    .expect("system completes");
-    assert_eq!(reference.outputs[0], golden);
-    for threads in [2, 4] {
-        let got = pld::cosim_o0_parallel(
-            &app,
-            std::slice::from_ref(&input_words),
-            &[golden.len()],
-            2_000_000_000,
-            threads,
-        )
+    let reference = pld::cosim_o0_reference(&app, inputs, &[golden.len()], 2_000_000_000)
         .expect("system completes");
-        assert_eq!(got.outputs, reference.outputs, "threads={threads}");
-        assert_eq!(
-            got.cycles, reference.cycles,
-            "threads={threads} changed virtual time"
-        );
-        assert_eq!(
-            got.instructions, reference.instructions,
-            "threads={threads}"
-        );
-    }
+    assert_eq!(reference.outputs[0], golden);
+    let got =
+        pld::cosim_o0(&app, inputs, &[golden.len()], 2_000_000_000).expect("system completes");
+    assert_eq!(got.outputs, reference.outputs);
+    assert_eq!(got.cycles, reference.cycles, "changed virtual time");
+    assert_eq!(got.instructions, reference.instructions);
 }
 
-/// The `-O0` batch executor's block-cached engine reproduces the reference
-/// interpreter bit-for-bit across the whole Rosetta suite — registers and
-/// memory are covered by the softcore differential tests; here the real
-/// compiled binaries must agree on outputs, cycles, and instructions.
+/// The `-O0` batch executor's block cache (`softcore::execute`) reproduces
+/// the reference interpreter (`softcore::execute_reference`) bit-for-bit
+/// across the whole Rosetta suite — registers and memory are covered by
+/// the softcore differential tests; here the real compiled binaries must
+/// agree on outputs, cycles, and instructions.
 #[test]
 fn o0_block_cached_engine_matches_reference_on_suite() {
     for bench in suite(Scale::Tiny) {
@@ -337,18 +279,8 @@ fn o0_block_cached_engine_matches_reference_on_suite() {
                 .iter()
                 .map(kir::wire::stream_to_words)
                 .collect();
-            let fast = softcore::execute_with(
-                binary,
-                &inputs,
-                20_000_000_000,
-                softcore::Engine::BlockCached,
-            );
-            let slow = softcore::execute_with(
-                binary,
-                &inputs,
-                20_000_000_000,
-                softcore::Engine::Reference,
-            );
+            let fast = softcore::execute(binary, &inputs, 20_000_000_000);
+            let slow = softcore::execute_reference(binary, &inputs, 20_000_000_000);
             assert_eq!(fast, slow, "{}/{}", bench.name, op.name);
         }
     }

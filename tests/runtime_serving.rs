@@ -276,15 +276,16 @@ fn cosim_serving_matches_functional_serving() {
     let functional = rt.run(id, &inputs).unwrap();
 
     // Opt into cycle-accurate serving: requests now drive the resident
-    // app's page softcores through the sharded parallel cosim engine.
-    // Kahn determinacy: same tokens out, whatever executes them.
-    rt.set_cosim_serving(Some(4));
-    assert_eq!(rt.cosim_serving(), Some(4));
+    // app's page softcores through the cosim engine. Kahn determinacy:
+    // same tokens out, whatever executes them.
+    rt.set_cosim_serving(true);
+    assert!(rt.cosim_serving());
     let cosim = rt.run(id, &inputs).unwrap();
     assert_eq!(cosim, functional);
     assert_eq!(to_u32s(&cosim["Output_1"]), (15..23).collect::<Vec<u32>>());
 
-    rt.set_cosim_serving(None);
+    rt.set_cosim_serving(false);
+    assert!(!rt.cosim_serving());
     assert_eq!(rt.stats().requests, 2);
 }
 
