@@ -427,8 +427,7 @@ pub(crate) fn build_with_prev<C: CacheBackend>(
                     balance_before: out.report.balance_before,
                     balance_after: out.report.balance_after,
                 };
-                let depths = out.edge_depths.iter().map(|d| *d as u64).collect();
-                let p = Arc::new(OptProduct::new(out.graph, depths, summary));
+                let p = Arc::new(OptProduct::new(out.graph, summary));
                 store.put(key, StageProduct::Opt(p.clone()));
                 (p, false)
             }
@@ -450,7 +449,6 @@ pub(crate) fn build_with_prev<C: CacheBackend>(
     };
     if let Some((p, hit)) = optimized {
         report.record(StageKind::KpnOptimize, hit);
-        app.edge_depths = Some(p.edge_depths.iter().map(|d| *d as usize).collect());
         app.opt = Some(p.summary.clone());
     }
     Ok((app, report))
@@ -771,7 +769,6 @@ fn build_paged<C: CacheBackend>(
         vtime_serial: serial,
         vtime_parallel: parallel,
         wall_seconds: t0.elapsed().as_secs_f64(),
-        edge_depths: None,
         opt: None,
     };
     Ok((app, report))

@@ -37,9 +37,9 @@ use crate::store::{StageKey, StageProduct};
 
 /// Magic leading every segment file; the digit is the store codec's format
 /// version, and a file of another version is skipped like an unreadable one.
-const SEG_MAGIC: &[u8; 8] = b"PLDSEG6\0";
+const SEG_MAGIC: &[u8; 8] = b"PLDSEG7\0";
 /// Magic leading the index file.
-const IDX_MAGIC: &[u8; 8] = b"PLDIDX6\0";
+const IDX_MAGIC: &[u8; 8] = b"PLDIDX7\0";
 /// Index file name within a cache directory.
 const INDEX_FILE: &str = "index.pldidx";
 /// Advisory compaction lock file name.

@@ -220,10 +220,6 @@ pub struct CompiledApp {
     pub vtime_parallel: PhaseTimes,
     /// Measured wall-clock of the whole compile.
     pub wall_seconds: f64,
-    /// Per-edge FIFO depths solved by the optimizer, indexed like
-    /// `graph.edges` (`None` when the optimizer did not run). The host
-    /// runtime plumbs these into the threaded engine's channels.
-    pub edge_depths: Option<Vec<usize>>,
     /// Optimizer pass summary (`None` when the optimizer did not run).
     pub opt: Option<OptSummary>,
 }
@@ -756,7 +752,6 @@ pub(crate) fn compile_monolithic<C: crate::cache::CacheBackend>(
         vtime_serial: vtime,
         vtime_parallel: vtime,
         wall_seconds: t0.elapsed().as_secs_f64(),
-        edge_depths: None,
         opt: None,
     })
 }

@@ -46,7 +46,7 @@ pub enum StageKind {
     /// Driver generation: link table + load schedule for the whole app.
     LinkDriver,
     /// KPN optimization: source graph + optimizer config → rewritten graph
-    /// with per-edge channel depths and a pass report.
+    /// and a pass report.
     KpnOptimize,
     /// Warm-start P&R hints: placement and route state of a prior run of
     /// the same operator lineage, fetched as an *optimization input* for
@@ -156,15 +156,13 @@ pub struct OptProduct {
     /// the product is made or decoded, so no build that fetches it hashes
     /// the rewritten kernels again.
     kernel_hashes: Vec<u64>,
-    /// Solved per-edge FIFO depths, indexed like the graph's edges.
-    pub edge_depths: Vec<u64>,
     /// What the passes did: fused and split operators, balance before/after.
     pub summary: OptSummary,
 }
 
 impl OptProduct {
     /// Wraps an optimizer run's output, hashing the rewritten kernels once.
-    pub fn new(graph: dfg::Graph, edge_depths: Vec<u64>, summary: OptSummary) -> OptProduct {
+    pub fn new(graph: dfg::Graph, summary: OptSummary) -> OptProduct {
         OptProduct {
             kernel_hashes: graph
                 .operators
@@ -172,7 +170,6 @@ impl OptProduct {
                 .map(|op| kernel_hash(&op.kernel))
                 .collect(),
             graph,
-            edge_depths,
             summary,
         }
     }
@@ -411,22 +408,18 @@ const MAGIC: &[u8] = b"PLDSTORE";
 /// The one on-disk format version, of the single-file store and of the cache
 /// directory's segments and index. It moves when a product's encoding does
 /// (5: [`HintsProduct::origin`]; 6: [`PnrProduct`] without the seed race's
-/// fields); bytes of any other version are a cold start.
-pub(crate) const FORMAT_VERSION: u32 = 6;
+/// fields; 7: [`OptProduct`] without channel depths); bytes of any other
+/// version are a cold start.
+pub(crate) const FORMAT_VERSION: u32 = 7;
 
 impl Codec for OptProduct {
     fn put(&self, out: &mut Vec<u8>) {
         self.graph.put(out);
-        self.edge_depths.put(out);
         self.summary.put(out);
     }
 
     fn get(c: &mut Cursor) -> io::Result<Self> {
-        Ok(OptProduct::new(
-            Codec::get(c)?,
-            Codec::get(c)?,
-            Codec::get(c)?,
-        ))
+        Ok(OptProduct::new(Codec::get(c)?, Codec::get(c)?))
     }
 }
 
@@ -613,7 +606,7 @@ mod tests {
             balance_before: 0.5,
             balance_after: 0.9,
         };
-        OptProduct::new(b.build().unwrap(), vec![], summary)
+        OptProduct::new(b.build().unwrap(), summary)
     }
 
     fn sample_hints() -> HintsProduct {
@@ -631,17 +624,18 @@ mod tests {
         HintsProduct::new(hints, 0x0419)
     }
 
-    /// Format v6, byte for byte: a store holding one product of every
-    /// [`StageProduct`] variant encodes to the bytes it did when v6 was
+    /// Format v7, byte for byte: a store holding one product of every
+    /// [`StageProduct`] variant encodes to the bytes it did when v7 was
     /// introduced. A change to any field list, tag or primitive moves this.
-    /// The same store was 1459 bytes in v5; v6 dropped two `u32`s and a
-    /// `u64` from its one `PnrProduct`, and nothing else.
+    /// The same store was 1459 bytes in v5 and 1443 in v6 (two `u32`s and a
+    /// `u64` fewer in its one `PnrProduct`); v7 dropped the 8-byte length of
+    /// its one `OptProduct`'s empty depth vector, and nothing else.
     #[test]
-    fn format_v6_bytes_are_pinned() {
+    fn format_v7_bytes_are_pinned() {
         let bytes = sample_store().to_bytes();
         assert_eq!(
             (bytes.len(), fnv(&bytes)),
-            (1459 - 16, 0x2bdb_e88d_5b76_b903)
+            (1443 - 8, 0xb6dc_f596_f132_4b58)
         );
     }
 
@@ -767,7 +761,7 @@ mod tests {
     #[test]
     fn other_format_versions_are_refused() {
         let bytes = sample_store().to_bytes();
-        for version in [2u32, 3, 4, 5, FORMAT_VERSION + 1] {
+        for version in [2u32, 3, 4, 5, 6, FORMAT_VERSION + 1] {
             let mut old = bytes[..bytes.len() - 8].to_vec();
             old[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
             codec::seal(&mut old);

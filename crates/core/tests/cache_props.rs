@@ -96,13 +96,15 @@ fn built_store_round_trips() {
     assert_eq!(back.to_bytes(), store.to_bytes());
 }
 
-/// Format v6, byte for byte, on real products: the store the six Rosetta
+/// Format v7, byte for byte, on real products: the store the six Rosetta
 /// apps leave after an `-O0` build and an optimized, hint-filing `-O1` build
-/// encodes to the bytes it did when v6 was introduced. In v5 the same store
+/// encodes to the bytes it did when v7 was introduced. In v5 the same store
 /// was 499 938 bytes: v6 dropped two `u32`s and a `u64` from every
-/// `PlaceRoute` product, and nothing else.
+/// `PlaceRoute` product; v7 dropped every `KpnOptimize` product's depth
+/// vector (an 8-byte length for each of the six, plus 8 bytes for each of
+/// their 28 edges) and moved those products' keys, and nothing else.
 #[test]
-fn rosetta_store_bytes_are_format_v6() {
+fn rosetta_store_bytes_are_format_v7() {
     let mut store = ArtifactStore::new();
     let o1 = CompileOptions {
         incremental_pnr: true,
@@ -119,10 +121,11 @@ fn rosetta_store_bytes_are_format_v6() {
     }
     let bytes = store.to_bytes();
     let n_pnr = store.count_kind(StageKind::PlaceRoute);
-    assert_eq!(bytes.len(), 499_938 - 16 * n_pnr);
+    let n_opt = store.count_kind(StageKind::KpnOptimize);
+    assert_eq!(bytes.len(), 499_938 - 16 * n_pnr - 8 * (n_opt + 28));
     assert_eq!(
-        (store.len(), n_pnr, kir::hash::fnv1a(&bytes)),
-        (198, 30, 6_207_258_889_703_048_922)
+        (store.len(), n_pnr, n_opt, kir::hash::fnv1a(&bytes)),
+        (198, 30, 6, 16_791_986_832_058_414_068)
     );
 }
 
@@ -133,7 +136,7 @@ fn rosetta_store_bytes_are_format_v6() {
 fn other_format_versions_are_a_cold_start() {
     // Every cache file leads with an 8-byte magic whose 7th byte is the
     // format version digit; v2-v4 segments and indexes carried a '3'.
-    for old in [b'3', b'5'] {
+    for old in [b'3', b'5', b'6'] {
         let dir = tmp_dir("old-version");
         {
             let mut cache = TieredCache::open(&dir).unwrap();
@@ -144,7 +147,7 @@ fn other_format_versions_are_a_cold_start() {
             let path = entry.unwrap().path();
             let mut bytes = std::fs::read(&path).unwrap();
             assert_eq!(
-                bytes[6], b'6',
+                bytes[6], b'7',
                 "{path:?} does not lead with the current version"
             );
             bytes[6] = old;

@@ -1,10 +1,9 @@
 //! Acceptance tests for the content-addressed `KpnOptimize` stage: the
 //! optimizer rewrite is cached like any other stage product (a rebuild of
 //! the same graph + config hits instead of re-running the passes), the
-//! compiled app carries the optimizer's solved channel depths and rewrite
-//! summary, and — the property everything else rests on — an optimized
-//! `-O0` build is bit-identical under cycle-accurate cosim to the *source*
-//! graph's reference execution.
+//! compiled app carries the optimizer's rewrite summary, and — the property
+//! everything else rests on — an optimized `-O0` build is bit-identical
+//! under cycle-accurate cosim to the *source* graph's reference execution.
 
 use dfg::{GenConfig, Graph, GraphBuilder, OptimizerConfig, Target};
 use kir::{Expr, KernelBuilder, Scalar, Stmt};
@@ -71,20 +70,17 @@ fn optimizer_rewrites_the_graph_and_caches_across_rebuilds() {
     assert_eq!(first.hits(StageKind::KpnOptimize), 0);
 
     // The compiled app is built from the rewrite: fewer operators than the
-    // source, a recorded fusion, and solved depths for every channel.
+    // source and a recorded fusion.
     let opt = app.opt.as_ref().expect("optimizer summary populated");
     assert!(!opt.fused.is_empty());
     assert!(app.graph.operators.len() < g.operators.len());
-    let depths = app.edge_depths.as_ref().expect("solved channel depths");
-    assert_eq!(depths.len(), app.graph.edges.len());
-    assert!(depths.iter().all(|&d| d >= 1));
 
     // Same graph + same config: the rewrite is fetched, not recomputed.
     let (again, second) = build(&g, &opts, &mut store).unwrap();
     assert_eq!(second.executions(StageKind::KpnOptimize), 0);
     assert_eq!(second.hits(StageKind::KpnOptimize), 1);
     assert_eq!(again.opt, app.opt);
-    assert_eq!(again.edge_depths, app.edge_depths);
+    assert_eq!(again.graph, app.graph);
 
     // A different optimizer config is a different stage key.
     let reconfigured = CompileOptions {
@@ -106,7 +102,6 @@ fn builds_without_optimizer_have_no_opt_stage() {
     assert_eq!(report.executions(StageKind::KpnOptimize), 0);
     assert_eq!(report.hits(StageKind::KpnOptimize), 0);
     assert!(app.opt.is_none());
-    assert!(app.edge_depths.is_none());
     assert_eq!(app.graph.operators.len(), g.operators.len());
 }
 

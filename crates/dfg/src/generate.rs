@@ -580,7 +580,7 @@ mod tests {
                 let inputs = app.input_refs();
                 let (exec_out, _) = run_graph(&app.graph, &inputs)
                     .unwrap_or_else(|e| panic!("{family} seed {seed}: {e:?}"));
-                let thr_out = run_graph_threaded(&app.graph, &inputs)
+                let (thr_out, _) = run_graph_threaded(&app.graph, &inputs)
                     .unwrap_or_else(|e| panic!("{family} seed {seed}: {e:?}"));
                 assert_eq!(exec_out, thr_out, "{family} seed {seed}");
                 // Every declared output produced something.

@@ -32,7 +32,4 @@ pub use graph::{EdgeId, ExtPort, Graph, GraphBuilder, GraphError, OpId, Operator
 pub use ir::{extract, DfgIr, IrLink, IrOperator, ParseIrError};
 pub use opt::{optimize, OptReport, Optimized, OptimizerConfig};
 pub use target::{PragmaError, Target};
-pub use threaded::{
-    run_graph_threaded, run_graph_threaded_stats, run_graph_threaded_with, ThreadedConfig,
-    ThreadedRunStats,
-};
+pub use threaded::{run_graph_threaded, ThreadedRunStats};

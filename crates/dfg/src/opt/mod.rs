@@ -1,13 +1,13 @@
 //! KPN optimizer passes over dataflow graphs (ROADMAP item: "Dataflow
 //! optimization passes + an app generator").
 //!
-//! Three semantics-preserving passes, each justified by the Kahn property
+//! Two semantics-preserving passes, each justified by the Kahn property
 //! (token values are independent of scheduling, so any rewrite that
-//! preserves per-edge token streams preserves the program):
+//! preserves per-edge token streams preserves the program), over one
+//! analysis:
 //!
-//! * **Channel sizing** ([`rate`]): static per-port token counts solve
-//!   per-edge FIFO depths that decouple rate-mismatched producers; depths
-//!   ride through [`crate::ThreadedConfig::edge_depths`].
+//! * **Rate analysis** ([`rate`]): static per-port token counts, which
+//!   decide fusion legality here and channel depths in the threaded engine.
 //! * **Fusion** ([`fuse`]): transport-bound adjacent operators merge into
 //!   one kernel, replacing channel hops with in-page scratch arrays.
 //! * **Fission** ([`fission`]): multi-phase operators split at a legal cut
@@ -15,10 +15,10 @@
 //!   BRAM across pages.
 //!
 //! [`optimize`] composes them — fuse to fixpoint, then fission under the
-//! floorplan's operator budget, then size the final graph's channels — and
-//! returns the rewritten graph plus an [`OptReport`]. Passes are best-effort:
-//! any candidate whose rewrite fails re-validation is skipped, so `optimize`
-//! is total and the worst case is the identity transform.
+//! floorplan's operator budget — and returns the rewritten graph plus an
+//! [`OptReport`]. Passes are best-effort: any candidate whose rewrite fails
+//! re-validation is skipped, so `optimize` is total and the worst case is
+//! the identity transform.
 
 pub mod fission;
 pub mod fuse;
@@ -26,17 +26,25 @@ pub mod rate;
 
 pub use fission::{split_kernel, FissionPlan};
 pub use fuse::{fuse_pair, InternalEdge};
-pub use rate::{edge_rates, port_rates, solve_depths, EdgeRate, PortRates, Rate};
+pub use rate::{port_rates, PortRates, Rate};
 
 use crate::graph::{Graph, GraphBuilder, OpId};
 use crate::target::Target;
 
-/// Optimizer knobs. `Default` enables every pass with the engine's default
-/// channel depth as the sizing floor and the page BRAM budget as capacity.
+/// Fuse a pair when its combined static work per internalized token is at
+/// most this — the transport-bound regime where a channel hop costs more
+/// than the compute it feeds.
+const FUSE_OPS_PER_TOKEN: u64 = 48;
+
+/// ...or when combined work is at most this percentage of the graph's
+/// bottleneck operator (fusing far-below-bottleneck operators can never
+/// lengthen the critical path).
+const FUSE_UTIL_PERCENT: u64 = 50;
+
+/// Optimizer knobs. `Default` enables every pass with the page BRAM budget
+/// as capacity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptimizerConfig {
-    /// Enable rate-driven per-edge channel sizing.
-    pub size_channels: bool,
     /// Enable operator fusion.
     pub fuse: bool,
     /// Enable operator fission.
@@ -44,18 +52,6 @@ pub struct OptimizerConfig {
     /// Upper bound on operators in the optimized graph — the floorplan's
     /// page count when driven from the build flow.
     pub max_operators: usize,
-    /// Depth floor for sized channels (the threaded engine's default).
-    pub default_depth: usize,
-    /// Depth cap for sized channels.
-    pub max_depth: usize,
-    /// Fuse a pair when its combined static work per internalized token is
-    /// at most this — the transport-bound regime where a channel hop costs
-    /// more than the compute it feeds.
-    pub fuse_ops_per_token: u64,
-    /// ...or when combined work is at most this percentage of the graph's
-    /// bottleneck operator (fusing far-below-bottleneck operators can never
-    /// lengthen the critical path).
-    pub fuse_util_percent: u64,
     /// BRAM bits available per operator (per page), bounding fusion scratch
     /// buffers and triggering fission of oversized operators.
     pub page_array_bits: u64,
@@ -66,14 +62,9 @@ pub struct OptimizerConfig {
 impl Default for OptimizerConfig {
     fn default() -> OptimizerConfig {
         OptimizerConfig {
-            size_channels: true,
             fuse: true,
             fission: true,
             max_operators: usize::MAX,
-            default_depth: crate::threaded::CHANNEL_DEPTH,
-            max_depth: 8192,
-            fuse_ops_per_token: 48,
-            fuse_util_percent: 50,
             page_array_bits: kir::check::MAX_ARRAY_BITS,
             fission_min_ops: 4096,
         }
@@ -94,19 +85,17 @@ pub struct OptReport {
     pub balance_after: f64,
 }
 
-/// An optimized graph plus the channel depths solved for it.
+/// An optimized graph and what the passes did to it.
 #[derive(Debug, Clone)]
 pub struct Optimized {
     /// The rewritten graph (possibly identical to the input).
     pub graph: Graph,
-    /// Per-edge FIFO depths, indexed like `graph.edges`.
-    pub edge_depths: Vec<usize>,
     /// Pass log and balance metrics.
     pub report: OptReport,
 }
 
 /// Runs every enabled pass. Total: candidates that fail re-validation are
-/// skipped, so the worst case is the identity transform with default depths.
+/// skipped, so the worst case is the identity transform.
 pub fn optimize(graph: &Graph, config: &OptimizerConfig) -> Optimized {
     let balance_before = jain(&work_profile(graph));
     let mut g = graph.clone();
@@ -163,17 +152,8 @@ pub fn optimize(graph: &Graph, config: &OptimizerConfig) -> Optimized {
         }
     }
 
-    let edge_depths = if config.size_channels {
-        solve_depths(&edge_rates(&g), config.default_depth, config.max_depth)
-    } else {
-        vec![config.default_depth; g.edges.len()]
-    };
     report.balance_after = jain(&work_profile(&g));
-    Optimized {
-        graph: g,
-        edge_depths,
-        report,
-    }
+    Optimized { graph: g, report }
 }
 
 /// Per-operator static work, the per-page utilization proxy.
@@ -278,9 +258,8 @@ fn fuse_round(g: &Graph, config: &OptimizerConfig, mode: FuseMode) -> Option<(Gr
         }
         let combined = work[a.0].saturating_add(work[b.0]);
         if mode == FuseMode::Merge {
-            let transport_bound = combined <= tokens_moved.max(1) * config.fuse_ops_per_token;
-            let below_bottleneck =
-                combined * 100 <= bottleneck.saturating_mul(config.fuse_util_percent);
+            let transport_bound = combined <= tokens_moved.max(1) * FUSE_OPS_PER_TOKEN;
+            let below_bottleneck = combined * 100 <= bottleneck.saturating_mul(FUSE_UTIL_PERCENT);
             if !transport_bound && !below_bottleneck {
                 continue;
             }
@@ -345,9 +324,8 @@ fn sibling_round(g: &Graph, config: &OptimizerConfig) -> Option<(Graph, String)>
                 .map(|r| r.tokens)
                 .sum();
             let combined = work[x.0].saturating_add(work[y.0]);
-            let transport_bound = combined <= traffic.max(1) * config.fuse_ops_per_token;
-            let below_bottleneck =
-                combined * 100 <= bottleneck.saturating_mul(config.fuse_util_percent);
+            let transport_bound = combined <= traffic.max(1) * FUSE_OPS_PER_TOKEN;
+            let below_bottleneck = combined * 100 <= bottleneck.saturating_mul(FUSE_UTIL_PERCENT);
             if !transport_bound && !below_bottleneck {
                 continue;
             }
@@ -664,7 +642,6 @@ mod tests {
             "expected fusion on a transport-bound chain: {:?}",
             opt.report
         );
-        assert_eq!(opt.edge_depths.len(), opt.graph.edges.len());
 
         let inputs = vec![("Input_1", word_values(64))];
         let (base, _) = run_graph(&g, &inputs).unwrap();
@@ -761,14 +738,12 @@ mod tests {
     fn optimizer_is_identity_when_passes_disabled() {
         let g = tiny_chain(3, 32);
         let cfg = OptimizerConfig {
-            size_channels: false,
             fuse: false,
             fission: false,
             ..OptimizerConfig::default()
         };
         let opt = optimize(&g, &cfg);
         assert_eq!(opt.graph, g);
-        assert_eq!(opt.edge_depths, vec![cfg.default_depth; g.edges.len()]);
     }
 
     #[test]

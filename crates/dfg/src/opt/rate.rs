@@ -7,12 +7,8 @@
 //! branch get an *exact* count — the property the fusion pass requires —
 //! while branch-dependent ports get a safe upper bound.
 //!
-//! The same analysis drives channel sizing (Alias, "Improving Communication
-//! Patterns in Polyhedral Process Networks"): an edge that carries a large
-//! stream through a shallow FIFO forces a condvar round-trip per
-//! `depth`-sized slice in the threaded engine, so [`solve_depths`] grows
-//! depths toward the stream size (clamped, and never below the engine
-//! default — sizing must not regress any app).
+//! The same analysis sizes the threaded engine's channels: [`crate::threaded`]
+//! reads each edge's rates from the graph it is handed.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -49,17 +45,17 @@ pub struct PortRates {
 
 /// Production/consumption rates of one graph edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EdgeRate {
+pub(crate) struct EdgeRate {
     /// Tokens the producer writes into the edge per invocation.
-    pub produced: Rate,
+    pub(crate) produced: Rate,
     /// Tokens the consumer reads from the edge per invocation.
-    pub consumed: Rate,
+    pub(crate) consumed: Rate,
     /// True when the consumer finishes every read on this edge before its
     /// first write anywhere — a two-phase (reorder) consumer in polyhedral
     /// process network terms. Such a consumer emits nothing until the whole
     /// stream is in, so a default-depth FIFO throttles its producer to
     /// ring-sized slices for no benefit.
-    pub phase_consumer: bool,
+    pub(crate) phase_consumer: bool,
 }
 
 /// Computes the static token count of every port of `kernel`.
@@ -128,7 +124,7 @@ fn merge_branch(
 
 /// Computes the production/consumption rate of every edge, indexed like
 /// [`Graph::edges`].
-pub fn edge_rates(graph: &Graph) -> Vec<EdgeRate> {
+pub(crate) fn edge_rates(graph: &Graph) -> Vec<EdgeRate> {
     let per_op: Vec<PortRates> = graph
         .operators
         .iter()
@@ -183,47 +179,6 @@ fn reads_precede_all_writes(kernel: &Kernel, port: &str) -> bool {
         }
     }
     reads > 0
-}
-
-/// Solves per-edge FIFO depths from the edge rates.
-///
-/// Heuristic rather than LP: the threaded engine pays one condvar round-trip
-/// each time a `depth`-sized window fills, so a *bursty or rate-mismatched*
-/// edge carrying `T` tokens wants a depth on the order of `T` to let its
-/// producer run ahead — those edges get a quarter of the worst-side traffic,
-/// rounded to a power of two. Steady edges (exact, matched rates) keep the
-/// engine default: extra depth there buys nothing but memory. Everything is
-/// clamped to `[default_depth, max_depth]` — monotonically at least the
-/// engine default, so sizing can only remove stalls, never add them.
-pub fn solve_depths(rates: &[EdgeRate], default_depth: usize, max_depth: usize) -> Vec<usize> {
-    let floor = default_depth.max(1);
-    let ceil = max_depth.max(floor);
-    rates
-        .iter()
-        .map(|r| {
-            let traffic = r.produced.tokens.max(r.consumed.tokens);
-            // A two-phase consumer drains nothing until its fill phase is
-            // done, so its producer stalls on every ring-fill unless the
-            // channel holds the whole stream (the classic reorder-channel
-            // result from the PPN literature). Size to the full traffic.
-            if r.phase_consumer {
-                let want = traffic.max(1).next_power_of_two();
-                return usize::try_from(want).unwrap_or(ceil).clamp(floor, ceil);
-            }
-            // A steady edge — exact rates, writes equal reads — never runs
-            // ahead in aggregate, so the engine default already decouples it;
-            // a bigger ring would only cost memory and cache locality. Extra
-            // depth goes to the edges that need slack: rate-mismatched or
-            // data-dependent (bursty) producers.
-            let steady =
-                r.produced.exact && r.consumed.exact && r.produced.tokens == r.consumed.tokens;
-            if steady {
-                return floor;
-            }
-            let want = (traffic / 4).max(1).next_power_of_two();
-            usize::try_from(want).unwrap_or(ceil).clamp(floor, ceil)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -303,63 +258,6 @@ mod tests {
                 exact: false
             }
         );
-    }
-
-    #[test]
-    fn bursty_depths_scale_with_traffic_and_steady_edges_keep_the_default() {
-        // Steady: exact matched rates — the default depth already decouples
-        // it, however much traffic it carries.
-        let steady = EdgeRate {
-            produced: Rate {
-                tokens: 16_384,
-                exact: true,
-            },
-            consumed: Rate {
-                tokens: 16_384,
-                exact: true,
-            },
-            phase_consumer: false,
-        };
-        // Bursty: a data-dependent producer wants slack on the order of its
-        // traffic, clamped to the cap...
-        let bursty = EdgeRate {
-            produced: Rate {
-                tokens: 16_384,
-                exact: false,
-            },
-            consumed: Rate {
-                tokens: 16_384,
-                exact: true,
-            },
-            phase_consumer: false,
-        };
-        // ...but a small bursty edge never drops below the default.
-        let small_bursty = EdgeRate {
-            produced: Rate {
-                tokens: 64,
-                exact: false,
-            },
-            consumed: Rate {
-                tokens: 64,
-                exact: true,
-            },
-            phase_consumer: false,
-        };
-        // A two-phase consumer wants the whole stream buffered, not a
-        // quarter of it.
-        let phase = EdgeRate {
-            produced: Rate {
-                tokens: 2048,
-                exact: true,
-            },
-            consumed: Rate {
-                tokens: 2048,
-                exact: true,
-            },
-            phase_consumer: true,
-        };
-        let depths = solve_depths(&[steady, bursty, small_bursty, phase], 256, 4096);
-        assert_eq!(depths, vec![256, 4096, 256, 2048]);
     }
 
     #[test]

@@ -4,74 +4,58 @@
 //! `listream` channel with blocking reads (data presence) and blocking
 //! writes (backpressure) — a software realization of the paper's compute
 //! model (Sec. 3.2) in which "if either the producer or consumer run faster
-//! or slower... this doesn't change the functional behavior". The
-//! integration tests assert exactly that: threaded outputs are bit-identical
-//! to the sequential batch execution.
+//! or slower... this doesn't change the functional behavior". The tests
+//! below assert exactly that: threaded outputs are bit-identical to the
+//! sequential batch execution ([`crate::run_graph`]) for any channel depth
+//! and chunk size.
 //!
 //! Token transport is chunked: each operator buffers reads and writes in
-//! chunks of [`WRITE_CHUNK`] tokens ([`ThreadedConfig::chunk`]) so a channel
-//! lock round-trip is paid per chunk rather than per token. Writes are
-//! buffered in a single program-order log that is flushed whenever it
-//! reaches the chunk size, before any blocking read, and when the operator
-//! completes — so every token still becomes visible no later than the first
-//! point where the per-token engine could have blocked on it, and the
-//! chunked engine deadlocks only where the per-token engine would too.
+//! chunks of [`WRITE_CHUNK`] tokens so a channel lock round-trip is paid per
+//! chunk rather than per token. Writes are buffered in a single
+//! program-order log that is flushed whenever it reaches the chunk size,
+//! before any blocking read, and when the operator completes — so every
+//! token still becomes visible no later than the first point where a
+//! per-token engine could have blocked on it, and the chunked engine
+//! deadlocks only where a per-token engine would too.
+//!
+//! Channel depth is the engine's own decision, made from the graph it is
+//! handed (Alias, "Improving Communication Patterns in Polyhedral Process
+//! Networks"): the static rate analysis ([`crate::opt::rate`]) gives each
+//! edge's traffic, and `ring_depth` grows the edges that need slack. An
+//! edge carrying a large stream through a shallow FIFO forces a condvar
+//! round-trip per `depth`-sized slice, so such edges get deeper rings,
+//! never below [`CHANNEL_DEPTH`] — sizing must not regress any app.
 
 use kir::interp::{InterpError, IoError, KernelIo, Resolved};
 use kir::types::Value;
-use listream::{StreamReader, StreamWriter};
-use std::collections::{HashMap, VecDeque};
+use listream::{LinkStats, StreamReader, StreamWriter};
+use std::collections::VecDeque;
 use std::thread;
 
-use crate::exec::GraphRunError;
-use crate::graph::Graph;
+use crate::exec::{GraphOutputs, GraphRunError};
+use crate::graph::{Graph, OpId};
+use crate::opt::rate::{edge_rates, EdgeRate};
 
-/// FIFO depth of every link in the threaded runtime (tokens).
+/// FIFO depth of every external link, and the floor of every internal one
+/// (tokens).
 pub const CHANNEL_DEPTH: usize = 256;
 
-/// Tokens moved per channel round-trip by default; `1` reproduces the
-/// per-token transport exactly.
+/// Cap on an internal link's FIFO depth (tokens).
+const MAX_CHANNEL_DEPTH: usize = 8192;
+
+/// Tokens moved per channel round-trip.
 pub const WRITE_CHUNK: usize = 64;
-
-/// Tuning knobs for the threaded runtime.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ThreadedConfig {
-    /// FIFO depth of every link (tokens), unless overridden per edge.
-    pub channel_depth: usize,
-    /// Optional per-edge FIFO depths, indexed like [`Graph::edges`]. Edges
-    /// without an entry (index past the end, or `None` for the whole field)
-    /// fall back to [`ThreadedConfig::channel_depth`]; external input/output
-    /// links always use the global depth. Produced by the optimizer's rate
-    /// analysis (`dfg::opt`), but any caller may set it.
-    pub edge_depths: Option<Vec<usize>>,
-    /// Tokens buffered per read/write chunk. `1` degenerates to per-token
-    /// transport; larger chunks amortize channel locking.
-    pub chunk: usize,
-    /// Dynamic-operation budget per operator.
-    pub op_budget: u64,
-}
-
-impl Default for ThreadedConfig {
-    fn default() -> ThreadedConfig {
-        ThreadedConfig {
-            channel_depth: CHANNEL_DEPTH,
-            edge_depths: None,
-            chunk: WRITE_CHUNK,
-            op_budget: kir::interp::DEFAULT_OP_BUDGET,
-        }
-    }
-}
 
 /// Stall statistics from one threaded run, per internal edge.
 ///
 /// Collected from the shared ring counters when each consumer operator
 /// finishes; a producer still parked at that instant may add one final
 /// episode that goes unrecorded, which is harmless for the relative
-/// comparisons these feed (optimizer on/off stall reduction).
+/// comparisons these feed (one graph against its rewrite).
 #[derive(Debug, Clone, Default)]
 pub struct ThreadedRunStats {
     /// Per-edge stall counters, indexed like [`Graph::edges`].
-    pub edge_stats: Vec<listream::LinkStats>,
+    pub edge_stats: Vec<LinkStats>,
 }
 
 impl ThreadedRunStats {
@@ -79,6 +63,45 @@ impl ThreadedRunStats {
     pub fn total_blocks(&self) -> u64 {
         self.edge_stats.iter().map(|s| s.total()).sum()
     }
+}
+
+/// FIFO depth of one internal edge, from its static rates.
+///
+/// Heuristic rather than LP: the engine pays one condvar round-trip each
+/// time a `depth`-sized window fills, so a *bursty or rate-mismatched* edge
+/// carrying `T` tokens wants a depth on the order of `T` to let its
+/// producer run ahead — those edges get a quarter of the worst-side traffic,
+/// rounded to a power of two. Steady edges (exact, matched rates) keep
+/// [`CHANNEL_DEPTH`]: extra depth there buys nothing but memory. Everything
+/// is clamped to `[CHANNEL_DEPTH, 8192]`, so sizing can only remove stalls,
+/// never add them.
+fn ring_depth(r: &EdgeRate) -> usize {
+    let traffic = r.produced.tokens.max(r.consumed.tokens);
+    let want = if r.phase_consumer {
+        // A two-phase consumer drains nothing until its fill phase is done,
+        // so its producer stalls on every ring-fill unless the channel holds
+        // the whole stream (the classic reorder-channel result from the PPN
+        // literature). Size to the full traffic.
+        traffic
+    } else if r.produced.exact && r.consumed.exact && r.produced.tokens == r.consumed.tokens {
+        // A steady edge never runs ahead in aggregate, so the floor already
+        // decouples it; a bigger ring would only cost memory and cache
+        // locality.
+        return CHANNEL_DEPTH;
+    } else {
+        traffic / 4
+    };
+    want.max(1)
+        .checked_next_power_of_two()
+        .and_then(|w| usize::try_from(w).ok())
+        .map_or(MAX_CHANNEL_DEPTH, |w| {
+            w.clamp(CHANNEL_DEPTH, MAX_CHANNEL_DEPTH)
+        })
+}
+
+/// Every internal edge's FIFO depth, indexed like [`Graph::edges`].
+fn ring_depths(graph: &Graph) -> Vec<usize> {
+    edge_rates(graph).iter().map(ring_depth).collect()
 }
 
 struct ChannelIo {
@@ -161,50 +184,44 @@ impl KernelIo for ChannelIo {
 }
 
 /// Runs the graph with one thread per operator and bounded channels per
-/// link, returning the external output streams.
+/// link, returning the external output streams and per-edge stall counts.
 ///
 /// Functionally identical to [`crate::run_graph`] by the Kahn property, but
 /// actually concurrent: pipeline stages overlap on host cores the way they
-/// overlap on pages. Uses the default [`ThreadedConfig`] (chunked
-/// transport); see [`run_graph_threaded_with`] to tune.
+/// overlap on pages. Each internal channel's depth comes from the graph's
+/// static rates (see the [module docs](self)).
 ///
 /// # Errors
 ///
 /// Returns [`GraphRunError`] if inputs are missing/unknown or any operator
-/// thread hits a runtime error.
+/// thread hits a runtime error. When several operators fail, the error is
+/// the first failing operator's in [`Graph::topo_order`], the order the
+/// batch engine runs them in — so a consumer starved by a failed producer
+/// never takes the blame for it.
 pub fn run_graph_threaded(
     graph: &Graph,
     inputs: &[(&str, Vec<Value>)],
-) -> Result<HashMap<String, Vec<Value>>, GraphRunError> {
-    run_graph_threaded_with(graph, inputs, ThreadedConfig::default())
+) -> Result<(GraphOutputs, ThreadedRunStats), GraphRunError> {
+    run_with_transport(
+        graph,
+        inputs,
+        &ring_depths(graph),
+        WRITE_CHUNK,
+        kir::interp::DEFAULT_OP_BUDGET,
+    )
 }
 
-/// [`run_graph_threaded`] with explicit transport tuning.
-///
-/// # Errors
-///
-/// Returns [`GraphRunError`] if inputs are missing/unknown or any operator
-/// thread hits a runtime error.
-pub fn run_graph_threaded_with(
+/// The engine with its transport spelled out: `depths` per internal edge
+/// (indexed like [`Graph::edges`]; external links use [`CHANNEL_DEPTH`]),
+/// `chunk` tokens per channel round-trip, and a dynamic-operation `budget`
+/// per operator. Only tests pass anything but the engine's own choices.
+fn run_with_transport(
     graph: &Graph,
     inputs: &[(&str, Vec<Value>)],
-    config: ThreadedConfig,
-) -> Result<HashMap<String, Vec<Value>>, GraphRunError> {
-    run_graph_threaded_stats(graph, inputs, config).map(|(outputs, _)| outputs)
-}
-
-/// [`run_graph_threaded_with`] that also returns per-edge stall statistics,
-/// the measurement side of the optimizer's channel-sizing pass.
-///
-/// # Errors
-///
-/// Returns [`GraphRunError`] if inputs are missing/unknown or any operator
-/// thread hits a runtime error.
-pub fn run_graph_threaded_stats(
-    graph: &Graph,
-    inputs: &[(&str, Vec<Value>)],
-    config: ThreadedConfig,
-) -> Result<(HashMap<String, Vec<Value>>, ThreadedRunStats), GraphRunError> {
+    depths: &[usize],
+    chunk: usize,
+    budget: u64,
+) -> Result<(GraphOutputs, ThreadedRunStats), GraphRunError> {
     for (name, _) in inputs {
         if !graph.ext_inputs.iter().any(|p| p.name == *name) {
             return Err(GraphRunError::NoSuchInput(name.to_string()));
@@ -215,8 +232,6 @@ pub fn run_graph_threaded_stats(
             return Err(GraphRunError::MissingInput(p.name.clone()));
         }
     }
-    let depth = config.channel_depth.max(1);
-    let chunk = config.chunk.max(1);
 
     // Channel endpoints per (operator, port index).
     let mut op_readers: Vec<Vec<Option<StreamReader<Value>>>> = graph
@@ -230,7 +245,7 @@ pub fn run_graph_threaded_stats(
         .map(|o| (0..o.kernel.outputs.len()).map(|_| None).collect())
         .collect();
 
-    let in_port_index = |op: crate::graph::OpId, port: &str| {
+    let in_port_index = |op: OpId, port: &str| {
         graph.operators[op.0]
             .kernel
             .inputs
@@ -238,7 +253,7 @@ pub fn run_graph_threaded_stats(
             .position(|p| p.name == port)
             .expect("validated")
     };
-    let out_port_index = |op: crate::graph::OpId, port: &str| {
+    let out_port_index = |op: OpId, port: &str| {
         graph.operators[op.0]
             .kernel
             .outputs
@@ -247,13 +262,9 @@ pub fn run_graph_threaded_stats(
             .expect("validated")
     };
 
-    for (ei, e) in graph.edges.iter().enumerate() {
-        let edge_depth = config
-            .edge_depths
-            .as_ref()
-            .and_then(|d| d.get(ei).copied())
-            .map_or(depth, |d| d.max(1));
-        let (tx, rx) = listream::channel(edge_depth);
+    debug_assert_eq!(depths.len(), graph.edges.len());
+    for (e, &depth) in graph.edges.iter().zip(depths) {
+        let (tx, rx) = listream::channel(depth);
         op_writers[e.from.0 .0][out_port_index(e.from.0, &e.from.1)] = Some(tx);
         op_readers[e.to.0 .0][in_port_index(e.to.0, &e.to.1)] = Some(rx);
     }
@@ -261,7 +272,7 @@ pub fn run_graph_threaded_stats(
     // External inputs: feeder threads; external outputs: collector threads.
     let mut feeders = Vec::new();
     for p in &graph.ext_inputs {
-        let (tx, rx) = listream::channel(depth);
+        let (tx, rx) = listream::channel(CHANNEL_DEPTH);
         op_readers[p.op.0][in_port_index(p.op, &p.port)] = Some(rx);
         let mut stream: Vec<Value> = inputs
             .iter()
@@ -276,7 +287,7 @@ pub fn run_graph_threaded_stats(
     }
     let mut collectors = Vec::new();
     for p in &graph.ext_outputs {
-        let (tx, rx) = listream::channel(depth);
+        let (tx, rx) = listream::channel(CHANNEL_DEPTH);
         op_writers[p.op.0][out_port_index(p.op, &p.port)] = Some(tx);
         let name = p.name.clone();
         collectors.push(thread::spawn(move || {
@@ -300,30 +311,29 @@ pub fn run_graph_threaded_stats(
             chunk,
         };
         let name = inst.name.clone();
-        let budget = config.op_budget;
         workers.push(thread::spawn(move || {
-            let result = match resolved.run_with_io(&mut io, budget) {
+            let error = match resolved.run_with_io(&mut io, budget) {
                 // Deliver tokens still buffered before the channels close. A
                 // hangup here means a downstream operator already failed;
                 // that thread reports the error.
                 Ok(_) => {
                     let _ = io.flush();
-                    Ok(())
+                    None
                 }
                 // Downstream hung up mid-run: this operator shut down
                 // promptly, and the failure is reported where it happened.
-                Err(InterpError::DownstreamClosed { .. }) => Ok(()),
-                Err(error) => Err(GraphRunError::Operator { op: name, error }),
+                Err(InterpError::DownstreamClosed { .. }) => None,
+                Err(error) => Some(GraphRunError::Operator { op: name, error }),
             };
             // Snapshot each input link's shared stall counters while the
-            // endpoints are still alive; the run-stats API maps these back
-            // to edges by consumer port.
-            let port_stats: Vec<Option<listream::LinkStats>> = io
+            // endpoints are still alive; they map back to edges by consumer
+            // port below.
+            let port_stats: Vec<Option<LinkStats>> = io
                 .readers
                 .iter()
                 .map(|r| r.as_ref().map(|rx| rx.stats()))
                 .collect();
-            (result, port_stats)
+            (error, port_stats)
             // `io` drops here, closing the operator's output channels.
         }));
     }
@@ -331,41 +341,49 @@ pub fn run_graph_threaded_stats(
     for f in feeders {
         f.join().expect("feeder threads do not panic");
     }
-    let mut first_error = None;
-    let mut per_op_port_stats: Vec<Vec<Option<listream::LinkStats>>> = Vec::new();
-    for w in workers {
-        let (result, port_stats) = w.join().expect("operator threads do not panic");
-        per_op_port_stats.push(port_stats);
-        if let Err(e) = result {
-            first_error.get_or_insert(e);
-        }
-    }
-    let mut outputs = HashMap::new();
+    let (mut errors, per_op_port_stats): (Vec<_>, Vec<_>) = workers
+        .into_iter()
+        .map(|w| w.join().expect("operator threads do not panic"))
+        .unzip();
+    let mut outputs = GraphOutputs::new();
     for c in collectors {
         let (name, stream) = c.join().expect("collector threads do not panic");
         outputs.insert(name, stream);
     }
-    match first_error {
-        Some(e) => Err(e),
-        None => {
-            let edge_stats = graph
-                .edges
-                .iter()
-                .map(|e| {
-                    per_op_port_stats[e.to.0 .0][in_port_index(e.to.0, &e.to.1)].unwrap_or_default()
-                })
-                .collect();
-            Ok((outputs, ThreadedRunStats { edge_stats }))
-        }
+    if let Some(e) = graph
+        .topo_order()
+        .into_iter()
+        .find_map(|op| errors[op.0].take())
+    {
+        return Err(e);
     }
+    let edge_stats = graph
+        .edges
+        .iter()
+        .map(|e| per_op_port_stats[e.to.0 .0][in_port_index(e.to.0, &e.to.1)].unwrap_or_default())
+        .collect();
+    Ok((outputs, ThreadedRunStats { edge_stats }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::run_graph;
+    use crate::generate::{generate_family, GenConfig, FAMILIES};
     use crate::graph::GraphBuilder;
     use crate::target::Target;
     use kir::{Expr, KernelBuilder, Scalar, Stmt};
+    use proptest::prelude::*;
+
+    const BUDGET: u64 = kir::interp::DEFAULT_OP_BUDGET;
+
+    fn cases() -> u32 {
+        // CI's deeper run sets PROPTEST_CASES.
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(24)
+    }
 
     fn word_values(n: u32) -> Vec<Value> {
         (0..n)
@@ -373,29 +391,31 @@ mod tests {
             .collect()
     }
 
+    fn stage(name: &str, addend: i64, tokens: i64) -> kir::Kernel {
+        KernelBuilder::new(name)
+            .input("in", Scalar::uint(32))
+            .output("out", Scalar::uint(32))
+            .local("x", Scalar::uint(32))
+            .body([Stmt::for_loop(
+                "i",
+                0..tokens,
+                [
+                    Stmt::read("x", "in"),
+                    Stmt::write("out", Expr::var("x").add(Expr::cint(addend))),
+                ],
+            )])
+            .build()
+            .unwrap()
+    }
+
+    /// A linear pipeline of `n_stages` add-stages over `tokens` tokens.
     fn pipeline(n_stages: usize, tokens: i64) -> Graph {
-        let stage = |name: &str, addend: i64| {
-            KernelBuilder::new(name)
-                .input("in", Scalar::uint(32))
-                .output("out", Scalar::uint(32))
-                .local("x", Scalar::uint(32))
-                .body([Stmt::for_loop(
-                    "i",
-                    0..tokens,
-                    [
-                        Stmt::read("x", "in"),
-                        Stmt::write("out", Expr::var("x").add(Expr::cint(addend))),
-                    ],
-                )])
-                .build()
-                .unwrap()
-        };
-        let mut b = GraphBuilder::new("p");
+        let mut b = GraphBuilder::new("pipe");
         let ids: Vec<_> = (0..n_stages)
             .map(|i| {
                 b.add(
                     format!("s{i}"),
-                    stage(&format!("s{i}"), i as i64),
+                    stage(&format!("s{i}"), i as i64 + 1, tokens),
                     Target::hw_auto(),
                 )
             })
@@ -408,90 +428,201 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// A diamond: fork duplicates each token onto two arms with different
+    /// addends; join re-merges them by addition. Exercises one producer
+    /// feeding two channels and one consumer draining two — the shape where
+    /// per-port write buffering (rather than this engine's program-order
+    /// write log) would deadlock.
+    fn diamond(tokens: i64) -> Graph {
+        let fork = KernelBuilder::new("fork")
+            .input("in", Scalar::uint(32))
+            .output("a", Scalar::uint(32))
+            .output("b", Scalar::uint(32))
+            .local("x", Scalar::uint(32))
+            .body([Stmt::for_loop(
+                "i",
+                0..tokens,
+                [
+                    Stmt::read("x", "in"),
+                    Stmt::write("a", Expr::var("x")),
+                    Stmt::write("b", Expr::var("x")),
+                ],
+            )])
+            .build()
+            .unwrap();
+        let join = KernelBuilder::new("join")
+            .input("a", Scalar::uint(32))
+            .input("b", Scalar::uint(32))
+            .output("out", Scalar::uint(32))
+            .local("x", Scalar::uint(32))
+            .local("y", Scalar::uint(32))
+            .body([Stmt::for_loop(
+                "i",
+                0..tokens,
+                [
+                    Stmt::read("x", "a"),
+                    Stmt::read("y", "b"),
+                    Stmt::write("out", Expr::var("x").add(Expr::var("y"))),
+                ],
+            )])
+            .build()
+            .unwrap();
+
+        let mut b = GraphBuilder::new("diamond");
+        let f = b.add("fork", fork, Target::hw_auto());
+        let up = b.add("up", stage("up", 10, tokens), Target::hw_auto());
+        let down = b.add("down", stage("down", 100, tokens), Target::hw_auto());
+        let j = b.add("join", join, Target::hw_auto());
+        b.ext_input("Input_1", f, "in");
+        b.connect("fa", f, "a", up, "in");
+        b.connect("fb", f, "b", down, "in");
+        b.connect("aj", up, "out", j, "a");
+        b.connect("bj", down, "out", j, "b");
+        b.ext_output("Output_1", j, "out");
+        b.build().unwrap()
+    }
+
+    /// Runs `g` on the transport (`depth` on every internal edge) and
+    /// checks the outputs against the batch oracle.
+    fn assert_matches_oracle(g: &Graph, tokens: u32, depth: usize, chunk: usize) {
+        let inputs = vec![("Input_1", word_values(tokens))];
+        let (oracle, _) = run_graph(g, &inputs).unwrap();
+        let depths = vec![depth; g.edges.len()];
+        let (threaded, _) = run_with_transport(g, &inputs, &depths, chunk, BUDGET).unwrap();
+        assert_eq!(oracle, threaded, "depth={depth} chunk={chunk}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+        /// Pipelines of every shape agree with the batch oracle for any
+        /// (depth, chunk) transport, including chunk > stream length.
+        #[test]
+        fn pipeline_agrees_with_oracle(
+            n_stages in 1usize..6,
+            tokens in 0u32..600,
+            depth in 1usize..300,
+            chunk in 1usize..130,
+        ) {
+            assert_matches_oracle(&pipeline(n_stages, tokens as i64), tokens, depth, chunk);
+        }
+
+        /// Diamonds (fork/join with interleaved multi-port writes) agree with
+        /// the oracle; the program-order write log keeps chunked flushes
+        /// deadlock-free even when chunk > depth.
+        #[test]
+        fn diamond_agrees_with_oracle(
+            tokens in 0u32..400,
+            depth in 1usize..300,
+            chunk in 1usize..130,
+        ) {
+            assert_matches_oracle(&diamond(tokens as i64), tokens, depth, chunk);
+        }
+
+        /// Depth is a scheduling detail: depth 1 on every edge of every
+        /// generated family neither deadlocks nor changes a token.
+        #[test]
+        fn depth_one_on_generated_apps_is_schedule_only(
+            seed in any::<u64>(),
+            tokens in 16u64..64,
+            fam in 0..FAMILIES.len(),
+            chunk in 1usize..8,
+        ) {
+            let cfg = GenConfig { seed, tokens, max_stages: 4 };
+            let app = generate_family(&cfg, FAMILIES[fam]).unwrap();
+            let inputs = app.input_refs();
+            let (oracle, _) = run_graph(&app.graph, &inputs).unwrap();
+            let depths = vec![1; app.graph.edges.len()];
+            let (threaded, _) =
+                run_with_transport(&app.graph, &inputs, &depths, chunk, BUDGET).unwrap();
+            prop_assert_eq!(&oracle, &threaded, "depth-1 divergence on {}", app.family);
+        }
+    }
+
     #[test]
-    fn threaded_matches_batch_execution() {
-        let g = pipeline(5, 500);
-        let inputs = vec![("Input_1", word_values(500))];
-        let (batch, _) = crate::exec::run_graph(&g, &inputs).unwrap();
-        let threaded = run_graph_threaded(&g, &inputs).unwrap();
+    fn chunk_larger_than_the_stream_still_flushes() {
+        for tokens in [0, 1, 5] {
+            assert_matches_oracle(&pipeline(3, tokens as i64), tokens, 1, 4096);
+            assert_matches_oracle(&diamond(tokens as i64), tokens, 1, 4096);
+        }
+    }
+
+    #[test]
+    fn engine_matches_batch_execution() {
+        let g = pipeline(5, 1024);
+        let inputs = vec![("Input_1", word_values(1024))];
+        let (batch, _) = run_graph(&g, &inputs).unwrap();
+        let (threaded, stats) = run_graph_threaded(&g, &inputs).unwrap();
         assert_eq!(batch, threaded);
+        assert_eq!(stats.edge_stats.len(), g.edges.len());
     }
 
     #[test]
-    fn deep_pipeline_with_small_channels_does_not_deadlock() {
-        // More tokens than CHANNEL_DEPTH forces real backpressure.
-        let g = pipeline(3, CHANNEL_DEPTH as i64 * 4);
-        let inputs = vec![("Input_1", word_values(CHANNEL_DEPTH as u32 * 4))];
-        let out = run_graph_threaded(&g, &inputs).unwrap();
-        assert_eq!(out["Output_1"].len(), CHANNEL_DEPTH * 4);
-    }
-
-    #[test]
-    fn chunk_of_one_reproduces_per_token_transport() {
-        let g = pipeline(4, 300);
-        let inputs = vec![("Input_1", word_values(300))];
-        let (batch, _) = crate::exec::run_graph(&g, &inputs).unwrap();
-        let cfg = ThreadedConfig {
-            channel_depth: 3,
-            chunk: 1,
-            ..ThreadedConfig::default()
-        };
-        let threaded = run_graph_threaded_with(&g, &inputs, cfg).unwrap();
-        assert_eq!(batch, threaded);
-    }
-
-    #[test]
-    fn per_edge_depths_match_global_default_behavior() {
+    fn heterogeneous_depths_below_and_above_the_chunk_agree() {
         let g = pipeline(4, 400);
         let inputs = vec![("Input_1", word_values(400))];
-        let baseline = run_graph_threaded(&g, &inputs).unwrap();
-
-        // Explicitly unset: identical to the default global depth.
-        let unset = ThreadedConfig {
-            edge_depths: None,
-            ..ThreadedConfig::default()
-        };
-        assert_eq!(
-            run_graph_threaded_with(&g, &inputs, unset).unwrap(),
-            baseline
-        );
-
-        // Heterogeneous depths, including one below chunk size and a short
-        // vector (edges past its end fall back to the global depth): still
-        // bit-identical by the Kahn property.
-        let mixed = ThreadedConfig {
-            edge_depths: Some(vec![2, 1024]),
-            ..ThreadedConfig::default()
-        };
-        assert_eq!(
-            run_graph_threaded_with(&g, &inputs, mixed).unwrap(),
-            baseline
-        );
-
-        // Degenerate zero entries are clamped to 1, not a panic.
-        let clamped = ThreadedConfig {
-            edge_depths: Some(vec![0, 0, 0]),
-            chunk: 1,
-            ..ThreadedConfig::default()
-        };
-        assert_eq!(
-            run_graph_threaded_with(&g, &inputs, clamped).unwrap(),
-            baseline
-        );
+        let (batch, _) = run_graph(&g, &inputs).unwrap();
+        let (threaded, _) =
+            run_with_transport(&g, &inputs, &[2, 1024, 1], WRITE_CHUNK, BUDGET).unwrap();
+        assert_eq!(batch, threaded);
     }
 
     #[test]
-    fn run_stats_reports_stalls_on_shallow_edges() {
+    fn steady_edges_keep_the_floor_and_phase_edges_hold_their_stream() {
+        // A plain pipeline is steady everywhere.
+        assert_eq!(ring_depths(&pipeline(4, 100_000)), vec![CHANNEL_DEPTH; 3]);
+        // A generated two-phase app's `pre -> tp` edge feeds a fill-then-emit
+        // consumer: next_power_of_two(traffic), clamped to [256, 8192].
+        for (tokens, want) in [(100, 256), (3000, 4096), (20_000, 8192)] {
+            let cfg = GenConfig {
+                seed: 7,
+                tokens,
+                max_stages: 4,
+            };
+            let app = generate_family(&cfg, "two-phase").unwrap();
+            let e0 = app.graph.edges.iter().position(|e| e.name == "e0").unwrap();
+            assert_eq!(ring_depths(&app.graph)[e0], want, "{tokens} tokens");
+        }
+    }
+
+    #[test]
+    fn bursty_depths_scale_with_traffic() {
+        use crate::opt::rate::Rate;
+        let rate = |tokens, exact| Rate { tokens, exact };
+        let edge = |produced, consumed| EdgeRate {
+            produced,
+            consumed,
+            phase_consumer: false,
+        };
+        // A data-dependent producer wants slack on the order of its
+        // traffic, a quarter of it rounded up to a power of two...
+        let bursty = edge(rate(16_384, false), rate(16_384, true));
+        assert_eq!(ring_depth(&bursty), 4096);
+        // ...capped...
+        let huge = edge(rate(1 << 20, false), rate(1 << 20, true));
+        assert_eq!(ring_depth(&huge), 8192);
+        // ...and a small bursty edge never drops below the floor.
+        let small = edge(rate(64, false), rate(64, true));
+        assert_eq!(ring_depth(&small), CHANNEL_DEPTH);
+        // Mismatched exact rates are bursty too.
+        let mismatched = edge(rate(8192, true), rate(4096, true));
+        assert_eq!(ring_depth(&mismatched), 2048);
+        // A saturated count (the rate analysis adds and multiplies trip
+        // counts with saturation) hits the cap instead of overflowing.
+        let saturated = EdgeRate {
+            phase_consumer: true,
+            ..edge(rate(u64::MAX, true), rate(u64::MAX, true))
+        };
+        assert_eq!(ring_depth(&saturated), 8192);
+    }
+
+    #[test]
+    fn stats_report_stalls_on_shallow_edges() {
         // Depth-1 channels with per-token transport force a stall on nearly
-        // every hand-off; the stats variant must observe them.
+        // every hand-off; the stats must observe them.
         let g = pipeline(3, 200);
         let inputs = vec![("Input_1", word_values(200))];
-        let cfg = ThreadedConfig {
-            channel_depth: 1,
-            chunk: 1,
-            ..ThreadedConfig::default()
-        };
-        let (out, stats) = run_graph_threaded_stats(&g, &inputs, cfg).unwrap();
+        let (out, stats) = run_with_transport(&g, &inputs, &[1, 1], 1, BUDGET).unwrap();
         assert_eq!(out["Output_1"].len(), 200);
         assert_eq!(stats.edge_stats.len(), g.edges.len());
         assert!(stats.total_blocks() > 0, "{stats:?}");
@@ -512,65 +643,103 @@ mod tests {
         assert_eq!(err, GraphRunError::MissingInput("Input_1".into()));
     }
 
-    #[test]
-    fn producer_shuts_down_promptly_when_downstream_fails() {
-        // a: copies TOKENS values; b: indexes a 2-element array with each
-        // incoming value, so the first token (value 5) is out of bounds and
-        // kills b almost immediately. a is given an op budget that only
-        // covers a few thousand tokens: if the write error were swallowed
-        // (the old behavior), a would keep producing into the void for all
-        // TOKENS iterations and blow its budget, mis-reporting the failure
-        // as a's. With shutdown propagation, a parks on the full channel,
-        // observes the hangup, and exits cleanly — so the one reported
-        // error is b's out-of-bounds access.
-        const TOKENS: i64 = 2_000_000;
-        let a = KernelBuilder::new("a")
+    /// Copies `tokens` values from `in` to `out`.
+    fn copy(tokens: i64) -> kir::Kernel {
+        KernelBuilder::new("copy")
             .input("in", Scalar::uint(32))
             .output("out", Scalar::uint(32))
             .local("x", Scalar::uint(32))
             .body([Stmt::for_loop(
                 "i",
-                0..TOKENS,
+                0..tokens,
                 [Stmt::read("x", "in"), Stmt::write("out", Expr::var("x"))],
             )])
             .build()
-            .unwrap();
-        let b = KernelBuilder::new("b")
+            .unwrap()
+    }
+
+    /// Indexes a 2-element array with each of `tokens` incoming values, so
+    /// a token of value 5 kills it with an out-of-bounds access.
+    fn lookup(tokens: i64) -> kir::Kernel {
+        KernelBuilder::new("lookup")
             .input("in", Scalar::uint(32))
             .output("out", Scalar::uint(32))
             .local("x", Scalar::uint(32))
             .array("lut", Scalar::uint(32), 2)
             .body([Stmt::for_loop(
                 "i",
-                0..TOKENS,
+                0..tokens,
                 [
                     Stmt::read("x", "in"),
                     Stmt::write("out", Expr::index("lut", Expr::var("x"))),
                 ],
             )])
             .build()
-            .unwrap();
-        let mut gb = GraphBuilder::new("g");
-        let ida = gb.add("a", a, Target::hw_auto());
-        let idb = gb.add("b", b, Target::hw_auto());
-        gb.ext_input("Input_1", ida, "in");
-        gb.connect("l", ida, "out", idb, "in");
-        gb.ext_output("Output_1", idb, "out");
-        let g = gb.build().unwrap();
+            .unwrap()
+    }
 
-        let inputs: Vec<Value> = (0..TOKENS)
-            .map(|_| Value::Int(aplib::DynInt::from_raw(32, false, 5)))
-            .collect();
-        let cfg = ThreadedConfig {
-            channel_depth: 8,
-            chunk: 4,
-            op_budget: 50_000,
-            ..ThreadedConfig::default()
+    /// `producer -> consumer`, with the consumer declared first when
+    /// `consumer_first`.
+    fn producer_consumer(
+        producer: kir::Kernel,
+        consumer: kir::Kernel,
+        consumer_first: bool,
+    ) -> Graph {
+        let mut gb = GraphBuilder::new("g");
+        let (p, c) = if consumer_first {
+            let c = gb.add("consumer", consumer, Target::hw_auto());
+            (gb.add("producer", producer, Target::hw_auto()), c)
+        } else {
+            let p = gb.add("producer", producer, Target::hw_auto());
+            (p, gb.add("consumer", consumer, Target::hw_auto()))
         };
-        let err = run_graph_threaded_with(&g, &[("Input_1", inputs)], cfg).unwrap_err();
+        gb.ext_input("Input_1", p, "in");
+        gb.connect("l", p, "out", c, "in");
+        gb.ext_output("Output_1", c, "out");
+        gb.build().unwrap()
+    }
+
+    fn fives(n: i64) -> Vec<Value> {
+        (0..n)
+            .map(|_| Value::Int(aplib::DynInt::from_raw(32, false, 5)))
+            .collect()
+    }
+
+    #[test]
+    fn the_failing_producer_is_blamed_not_its_starved_consumer() {
+        // The consumer is declared first. The producer fails on its first
+        // token; the consumer then underflows on the closed channel. Both
+        // engines must name the producer, which the batch engine runs first.
+        let g = producer_consumer(lookup(8), copy(8), true);
+        let inputs = vec![("Input_1", fives(8))];
+        let batch = run_graph(&g, &inputs).unwrap_err();
+        assert!(
+            matches!(
+                &batch,
+                GraphRunError::Operator { op, error: InterpError::IndexOutOfBounds { .. } }
+                    if op == "producer"
+            ),
+            "{batch:?}"
+        );
+        assert_eq!(run_graph_threaded(&g, &inputs).unwrap_err(), batch);
+    }
+
+    #[test]
+    fn producer_shuts_down_promptly_when_downstream_fails() {
+        // The first token (value 5) kills the consumer almost immediately.
+        // The producer is given an op budget that only covers a few thousand
+        // tokens: if the write error were swallowed, it would keep producing
+        // into the void for all TOKENS iterations and blow its budget,
+        // mis-reporting the failure as its own. With shutdown propagation it
+        // parks on the full channel, observes the hangup, and exits cleanly
+        // — so the one reported error is the consumer's out-of-bounds access.
+        const TOKENS: i64 = 2_000_000;
+        let g = producer_consumer(copy(TOKENS), lookup(TOKENS), false);
+        let err =
+            run_with_transport(&g, &[("Input_1", fives(TOKENS))], &[8], 4, 50_000).unwrap_err();
         match err {
             GraphRunError::Operator { op, error } => {
-                assert_eq!(op, "b");
+                assert_eq!(op, "consumer");
                 assert!(
                     matches!(error, InterpError::IndexOutOfBounds { .. }),
                     "{error:?}"

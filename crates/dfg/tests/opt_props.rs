@@ -1,15 +1,15 @@
 //! Differential proptests for the KPN optimizer.
 //!
 //! The optimizer's contract is bit-exact semantics preservation: for any
-//! generated application, the optimized graph (with its solved channel
-//! depths) must produce token streams identical to the original under both
-//! the sequential interpreter and the threaded engine. By the Kahn property
+//! generated application, the optimized graph must produce token streams
+//! identical to the original under both the sequential interpreter and the
+//! threaded engine. By the Kahn property
 //! the sequential run is the golden reference, so a single comparison per
 //! engine covers all schedules.
 
 use dfg::generate::{generate_family, GenConfig, FAMILIES};
 use dfg::opt::{optimize, OptimizerConfig};
-use dfg::{run_graph, run_graph_threaded_with, ThreadedConfig};
+use dfg::{run_graph, run_graph_threaded};
 use proptest::prelude::*;
 
 fn optimizer_cases() -> u32 {
@@ -24,8 +24,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(optimizer_cases()))]
 
     /// Default optimizer (all passes) is bit-identical on every family,
-    /// under both the sequential interpreter and the threaded engine with
-    /// the solved per-edge depths.
+    /// under both the sequential interpreter and the threaded engine (which
+    /// sizes its channels from the optimized graph's rates).
     #[test]
     fn optimized_apps_are_bit_identical(
         seed in any::<u64>(),
@@ -41,11 +41,7 @@ proptest! {
         let (opt_exec, _) = run_graph(&opt.graph, &inputs).unwrap();
         prop_assert_eq!(&base, &opt_exec, "exec divergence on {}", app.family);
 
-        let tcfg = ThreadedConfig {
-            edge_depths: Some(opt.edge_depths.clone()),
-            ..ThreadedConfig::default()
-        };
-        let opt_thr = run_graph_threaded_with(&opt.graph, &inputs, tcfg).unwrap();
+        let (opt_thr, _) = run_graph_threaded(&opt.graph, &inputs).unwrap();
         prop_assert_eq!(&base, &opt_thr, "threaded divergence on {}", app.family);
     }
 
@@ -56,15 +52,14 @@ proptest! {
         seed in any::<u64>(),
         tokens in 16u64..64,
         fam in 0..FAMILIES.len(),
-        pass in 0usize..3,
+        pass in 0usize..2,
     ) {
         let cfg = GenConfig { seed, tokens, max_stages: 4 };
         let app = generate_family(&cfg, FAMILIES[fam]).unwrap();
         let inputs = app.input_refs();
         let ocfg = OptimizerConfig {
-            size_channels: pass == 0,
-            fuse: pass == 1,
-            fission: pass == 2,
+            fuse: pass == 0,
+            fission: pass == 1,
             fission_min_ops: 512,
             ..OptimizerConfig::default()
         };
@@ -74,37 +69,7 @@ proptest! {
         let (opt_exec, _) = run_graph(&opt.graph, &inputs).unwrap();
         prop_assert_eq!(&base, &opt_exec, "pass {} exec divergence", pass);
 
-        let tcfg = ThreadedConfig {
-            edge_depths: Some(opt.edge_depths.clone()),
-            ..ThreadedConfig::default()
-        };
-        let opt_thr = run_graph_threaded_with(&opt.graph, &inputs, tcfg).unwrap();
+        let (opt_thr, _) = run_graph_threaded(&opt.graph, &inputs).unwrap();
         prop_assert_eq!(&base, &opt_thr, "pass {} threaded divergence", pass);
-    }
-
-    /// Shrinking channels to the solved depths never deadlocks and never
-    /// changes results even on the *unoptimized* graph (depths are a pure
-    /// scheduling knob).
-    #[test]
-    fn solved_depths_are_schedule_only(
-        seed in any::<u64>(),
-        tokens in 16u64..64,
-        fam in 0..FAMILIES.len(),
-        chunk in 1usize..8,
-    ) {
-        let cfg = GenConfig { seed, tokens, max_stages: 4 };
-        let app = generate_family(&cfg, FAMILIES[fam]).unwrap();
-        let inputs = app.input_refs();
-        let opt = optimize(&app.graph, &OptimizerConfig::default());
-
-        let (base, _) = run_graph(&app.graph, &inputs).unwrap();
-        let tcfg = ThreadedConfig {
-            edge_depths: Some(vec![1; app.graph.edges.len()]),
-            chunk,
-            ..ThreadedConfig::default()
-        };
-        let thr = run_graph_threaded_with(&app.graph, &inputs, tcfg).unwrap();
-        prop_assert_eq!(&base, &thr, "depth-1 divergence on {}", app.family);
-        prop_assert_eq!(opt.edge_depths.len(), opt.graph.edges.len());
     }
 }

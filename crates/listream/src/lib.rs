@@ -14,11 +14,10 @@
 //!   (actor network, NoC leaf interfaces), with occupancy and stall
 //!   statistics.
 //! * [`channel`] — a threaded Kahn-process-network link built on a bounded
-//!   ring buffer, used by the host (`x86`) execution mode where every
-//!   operator runs as an OS thread. Alongside the per-token operations it
-//!   offers chunked transport ([`StreamWriter::write_batch`] /
-//!   [`StreamReader::read_batch`]) that moves many tokens per lock
-//!   acquisition.
+//!   single-producer, single-consumer ring, used by the host (`x86`)
+//!   execution mode where every operator runs as an OS thread. Tokens move
+//!   in batches ([`StreamWriter::write_batch`] /
+//!   [`StreamReader::read_batch`]), many per lock acquisition.
 //!
 //! Both preserve the two invariants every latency-insensitive design relies
 //! on: tokens arrive in order, and no token is ever dropped or duplicated.

@@ -1,27 +1,26 @@
 //! Bounded ring shared between the two endpoints of a threaded stream link.
 //!
-//! One mutex-protected `VecDeque` plus a pair of condvars implements both
-//! the per-token and the chunked transport: a batch moves as many tokens as
-//! fit under a single lock acquisition, which is where the host KPN engine
-//! gets its throughput — one lock round-trip and one wakeup per chunk
-//! instead of per token. The per-token operations are the degenerate
-//! chunk-of-one case, so both paths share the same ordering and
-//! close-detection logic.
+//! One mutex-protected `VecDeque` plus a pair of condvars: a batch moves as
+//! many tokens as fit under a single lock acquisition, which is where the
+//! host KPN engine gets its throughput — one lock round-trip and one wakeup
+//! per chunk instead of per token. A Kahn link has exactly one producer and
+//! one consumer, so each side's liveness is a single flag, cleared when its
+//! endpoint drops.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 use crate::{ReadError, WriteError};
 
-/// Shared state of one stream link. Endpoints hold this behind an `Arc` and
-/// register themselves in the `writers`/`readers` counts so that hangup on
-/// either side is observable from the other.
+/// Shared state of one stream link. The two endpoints hold this behind an
+/// `Arc` and clear their side's flag on drop, so hangup on either side is
+/// observable from the other.
 pub(crate) struct Ring<T> {
     state: Mutex<State<T>>,
-    /// Signalled when tokens are pushed or the last writer leaves.
+    /// Signalled when tokens are pushed or the writer leaves.
     not_empty: Condvar,
-    /// Signalled when tokens are popped or the last reader leaves.
+    /// Signalled when tokens are popped or the reader leaves.
     not_full: Condvar,
     /// Backpressure episodes: a write call found the FIFO full and parked.
     write_blocks: AtomicU64,
@@ -32,8 +31,8 @@ pub(crate) struct Ring<T> {
 struct State<T> {
     queue: VecDeque<T>,
     capacity: usize,
-    writers: usize,
-    readers: usize,
+    writer_alive: bool,
+    reader_alive: bool,
 }
 
 impl<T> Ring<T> {
@@ -42,8 +41,8 @@ impl<T> Ring<T> {
             state: Mutex::new(State {
                 queue: VecDeque::with_capacity(capacity.min(4096)),
                 capacity,
-                writers: 1,
-                readers: 1,
+                writer_alive: true,
+                reader_alive: true,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -63,64 +62,25 @@ impl<T> Ring<T> {
         )
     }
 
-    pub(crate) fn add_writer(&self) {
-        self.state.lock().unwrap().writers += 1;
+    /// Marks the writer gone. Runs in `Drop`, so it must not panic: storing
+    /// one flag leaves the state valid even behind a poisoned lock.
+    pub(crate) fn close_writer(&self) {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .writer_alive = false;
+        // A reader blocked on an empty queue must observe end-of-stream.
+        self.not_empty.notify_all();
     }
 
-    pub(crate) fn remove_writer(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.writers -= 1;
-        if st.writers == 0 {
-            drop(st);
-            // Readers blocked on an empty queue must observe end-of-stream.
-            self.not_empty.notify_all();
-        }
-    }
-
-    pub(crate) fn add_reader(&self) {
-        self.state.lock().unwrap().readers += 1;
-    }
-
-    pub(crate) fn remove_reader(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.readers -= 1;
-        if st.readers == 0 {
-            drop(st);
-            // Writers blocked on a full queue must observe the hangup.
-            self.not_full.notify_all();
-        }
-    }
-
-    pub(crate) fn write(&self, token: T) -> Result<(), WriteError> {
-        let mut st = self.state.lock().unwrap();
-        let mut parked = false;
-        loop {
-            if st.readers == 0 {
-                return Err(WriteError);
-            }
-            if st.queue.len() < st.capacity {
-                st.queue.push_back(token);
-                drop(st);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            if !parked {
-                parked = true;
-                self.write_blocks.fetch_add(1, Ordering::Relaxed);
-            }
-            st = self.not_full.wait(st).unwrap();
-        }
-    }
-
-    pub(crate) fn try_write(&self, token: T) -> Result<(), T> {
-        let mut st = self.state.lock().unwrap();
-        if st.readers == 0 || st.queue.len() >= st.capacity {
-            return Err(token);
-        }
-        st.queue.push_back(token);
-        drop(st);
-        self.not_empty.notify_one();
-        Ok(())
+    /// Marks the reader gone; see [`Ring::close_writer`].
+    pub(crate) fn close_reader(&self) {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .reader_alive = false;
+        // A writer blocked on a full queue must observe the hangup.
+        self.not_full.notify_all();
     }
 
     /// Moves every token out of `buf` into the ring, blocking for space as
@@ -130,24 +90,16 @@ impl<T> Ring<T> {
         let mut st = self.state.lock().unwrap();
         let mut parked = false;
         loop {
-            if st.readers == 0 {
+            if !st.reader_alive {
                 // The remaining tokens can never be delivered; `pending`
                 // drops them on the way out.
                 return Err(WriteError);
             }
             let space = st.capacity - st.queue.len();
             if space > 0 {
-                let mut moved = 0;
-                while moved < space {
-                    match pending.next() {
-                        Some(token) => {
-                            st.queue.push_back(token);
-                            moved += 1;
-                        }
-                        None => break,
-                    }
-                }
-                if moved > 0 {
+                let before = st.queue.len();
+                st.queue.extend(pending.by_ref().take(space));
+                if st.queue.len() > before {
                     self.not_empty.notify_all();
                 }
                 if pending.len() == 0 {
@@ -160,50 +112,6 @@ impl<T> Ring<T> {
             }
             st = self.not_full.wait(st).unwrap();
         }
-    }
-
-    /// Moves the prefix of `buf` that fits right now; never blocks.
-    pub(crate) fn try_write_batch(&self, buf: &mut Vec<T>) -> Result<usize, WriteError> {
-        let mut st = self.state.lock().unwrap();
-        if st.readers == 0 {
-            return Err(WriteError);
-        }
-        let space = st.capacity - st.queue.len();
-        let n = space.min(buf.len());
-        if n > 0 {
-            st.queue.extend(buf.drain(..n));
-            drop(st);
-            self.not_empty.notify_all();
-        }
-        Ok(n)
-    }
-
-    pub(crate) fn read(&self) -> Result<T, ReadError> {
-        let mut st = self.state.lock().unwrap();
-        let mut parked = false;
-        loop {
-            if let Some(token) = st.queue.pop_front() {
-                drop(st);
-                self.not_full.notify_one();
-                return Ok(token);
-            }
-            if st.writers == 0 {
-                return Err(ReadError);
-            }
-            if !parked {
-                parked = true;
-                self.read_blocks.fetch_add(1, Ordering::Relaxed);
-            }
-            st = self.not_empty.wait(st).unwrap();
-        }
-    }
-
-    pub(crate) fn try_read(&self) -> Option<T> {
-        let mut st = self.state.lock().unwrap();
-        let token = st.queue.pop_front()?;
-        drop(st);
-        self.not_full.notify_one();
-        Some(token)
     }
 
     /// Appends up to `max` queued tokens to `out`, blocking until at least
@@ -222,7 +130,7 @@ impl<T> Ring<T> {
                 self.not_full.notify_all();
                 return Ok(n);
             }
-            if st.writers == 0 {
+            if !st.writer_alive {
                 return Err(ReadError);
             }
             if !parked {
@@ -231,24 +139,5 @@ impl<T> Ring<T> {
             }
             st = self.not_empty.wait(st).unwrap();
         }
-    }
-
-    /// Non-blocking variant of [`Ring::read_batch`]: returns `Ok(0)` when the
-    /// queue is merely empty, `Err` only once the stream is closed *and*
-    /// drained.
-    pub(crate) fn try_read_batch(&self, out: &mut Vec<T>, max: usize) -> Result<usize, ReadError> {
-        let mut st = self.state.lock().unwrap();
-        if st.queue.is_empty() {
-            return if st.writers == 0 {
-                Err(ReadError)
-            } else {
-                Ok(0)
-            };
-        }
-        let n = st.queue.len().min(max);
-        out.extend(st.queue.drain(..n));
-        drop(st);
-        self.not_full.notify_all();
-        Ok(n)
     }
 }

@@ -5,19 +5,18 @@
 //! insensitive links become bounded channels: reads block on empty
 //! (data presence) and writes block on full (backpressure).
 //!
-//! Both endpoints expose a per-token API and a chunked API
-//! ([`StreamWriter::write_batch`] / [`StreamReader::read_batch`]) over the
-//! same bounded ring. Batching changes only how many tokens move per lock
-//! acquisition, never their order, so by the Kahn property the observable
-//! token streams are identical whichever API a peer uses.
+//! Tokens move in batches ([`StreamWriter::write_batch`] /
+//! [`StreamReader::read_batch`]): a batch changes only how many tokens move
+//! per lock acquisition, never their order. Each link has one writer and
+//! one reader, as a Kahn channel does, so neither endpoint is `Clone`.
 
 use std::fmt;
 use std::sync::Arc;
 
 use crate::ring::Ring;
 
-/// Error returned by [`StreamReader::read`] when the stream is closed and
-/// drained: every producer has finished and no tokens remain.
+/// Error returned by [`StreamReader::read_batch`] when the stream is closed
+/// and drained: the producer has finished and no tokens remain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadError;
 
@@ -29,8 +28,8 @@ impl fmt::Display for ReadError {
 
 impl std::error::Error for ReadError {}
 
-/// Error returned by [`StreamWriter::write`] when the consumer side has hung
-/// up, so the token can never be delivered.
+/// Error returned by [`StreamWriter::write_batch`] when the consumer side
+/// has hung up, so the tokens can never be delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteError;
 
@@ -82,33 +81,15 @@ impl<T> fmt::Debug for StreamReader<T> {
     }
 }
 
-impl<T> Clone for StreamWriter<T> {
-    fn clone(&self) -> StreamWriter<T> {
-        self.ring.add_writer();
-        StreamWriter {
-            ring: Arc::clone(&self.ring),
-        }
-    }
-}
-
-impl<T> Clone for StreamReader<T> {
-    fn clone(&self) -> StreamReader<T> {
-        self.ring.add_reader();
-        StreamReader {
-            ring: Arc::clone(&self.ring),
-        }
-    }
-}
-
 impl<T> Drop for StreamWriter<T> {
     fn drop(&mut self) {
-        self.ring.remove_writer();
+        self.ring.close_writer();
     }
 }
 
 impl<T> Drop for StreamReader<T> {
     fn drop(&mut self) {
-        self.ring.remove_reader();
+        self.ring.close_reader();
     }
 }
 
@@ -123,12 +104,13 @@ impl<T> Drop for StreamReader<T> {
 ///
 /// ```
 /// let (tx, rx) = listream::channel::<u32>(4);
-/// std::thread::spawn(move || {
-///     for i in 0..10 {
-///         tx.write(i).unwrap();
-///     }
+/// let producer = std::thread::spawn(move || {
+///     let mut batch: Vec<u32> = (0..10).collect();
+///     tx.write_batch(&mut batch).unwrap();
 /// });
-/// let got: Vec<u32> = rx.iter().collect();
+/// let mut got = Vec::new();
+/// while rx.read_batch(&mut got, usize::MAX).is_ok() {}
+/// producer.join().unwrap();
 /// assert_eq!(got, (0..10).collect::<Vec<_>>());
 /// ```
 pub fn channel<T>(capacity: usize) -> (StreamWriter<T>, StreamReader<T>) {
@@ -143,105 +125,49 @@ pub fn channel<T>(capacity: usize) -> (StreamWriter<T>, StreamReader<T>) {
 }
 
 impl<T> StreamWriter<T> {
-    /// Writes a token, blocking while the FIFO is full (backpressure).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WriteError`] if every reader has been dropped.
-    pub fn write(&self, token: T) -> Result<(), WriteError> {
-        self.ring.write(token)
-    }
-
-    /// Attempts a non-blocking write. Returns the token back on failure,
-    /// mirroring a hardware `full` rejection.
-    pub fn try_write(&self, token: T) -> Result<(), T> {
-        self.ring.try_write(token)
-    }
-
     /// Writes every token in `buf`, in order, blocking for FIFO space as
     /// needed; each wakeup moves the whole prefix that fits under one lock
     /// acquisition. On success `buf` is left empty and ready for reuse.
     ///
     /// # Errors
     ///
-    /// Returns [`WriteError`] if every reader has been dropped; any tokens
+    /// Returns [`WriteError`] if the reader has been dropped; any tokens
     /// not yet transferred are discarded, since no consumer can ever
     /// receive them.
     pub fn write_batch(&self, buf: &mut Vec<T>) -> Result<(), WriteError> {
         self.ring.write_batch(buf)
     }
 
-    /// Moves the prefix of `buf` that fits in the FIFO right now, without
-    /// blocking, and returns how many tokens were transferred.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WriteError`] if every reader has been dropped (`buf` is
-    /// left untouched in that case).
-    pub fn try_write_batch(&self, buf: &mut Vec<T>) -> Result<usize, WriteError> {
-        self.ring.try_write_batch(buf)
-    }
-
     /// Snapshot of the link's cumulative stall counters.
     pub fn stats(&self) -> LinkStats {
-        let (write_blocks, read_blocks) = self.ring.stalls();
-        LinkStats {
-            write_blocks,
-            read_blocks,
-        }
+        stats(&self.ring)
     }
 }
 
 impl<T> StreamReader<T> {
-    /// Reads a token, blocking while the FIFO is empty (data presence).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReadError`] once all writers are dropped and the FIFO is
-    /// drained — the stream's end-of-computation condition.
-    pub fn read(&self) -> Result<T, ReadError> {
-        self.ring.read()
-    }
-
-    /// Attempts a non-blocking read.
-    pub fn try_read(&self) -> Option<T> {
-        self.ring.try_read()
-    }
-
     /// Appends up to `max` tokens to `out`, blocking until at least one is
     /// available, and returns how many arrived. A single lock acquisition
     /// drains everything currently queued (capped at `max`).
     ///
     /// # Errors
     ///
-    /// Returns [`ReadError`] once all writers are dropped and the FIFO is
-    /// drained.
+    /// Returns [`ReadError`] once the writer is dropped and the FIFO is
+    /// drained — the stream's end-of-computation condition.
     pub fn read_batch(&self, out: &mut Vec<T>, max: usize) -> Result<usize, ReadError> {
         self.ring.read_batch(out, max)
     }
 
-    /// Non-blocking variant of [`StreamReader::read_batch`]: returns
-    /// `Ok(0)` when the FIFO is merely empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReadError`] only once the stream is closed *and* drained.
-    pub fn try_read_batch(&self, out: &mut Vec<T>, max: usize) -> Result<usize, ReadError> {
-        self.ring.try_read_batch(out, max)
-    }
-
-    /// Returns an iterator that drains the stream until it closes.
-    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-        std::iter::from_fn(move || self.ring.read().ok())
-    }
-
     /// Snapshot of the link's cumulative stall counters.
     pub fn stats(&self) -> LinkStats {
-        let (write_blocks, read_blocks) = self.ring.stalls();
-        LinkStats {
-            write_blocks,
-            read_blocks,
-        }
+        stats(&self.ring)
+    }
+}
+
+fn stats<T>(ring: &Ring<T>) -> LinkStats {
+    let (write_blocks, read_blocks) = ring.stalls();
+    LinkStats {
+        write_blocks,
+        read_blocks,
     }
 }
 
@@ -249,54 +175,100 @@ impl<T> StreamReader<T> {
 mod tests {
     use super::*;
     use std::thread;
-    use std::time::Duration;
+
+    /// Spins until `cond` holds. A stall counter moves under the ring's lock
+    /// just before its call parks, so waiting on one (rather than sleeping)
+    /// pins the interleaving a test needs.
+    fn wait_until(cond: impl Fn() -> bool) {
+        while !cond() {
+            thread::yield_now();
+        }
+    }
+
+    /// Reads until the stream closes.
+    fn drain(rx: &StreamReader<u32>, max: usize) -> Vec<u32> {
+        let mut got = Vec::new();
+        while rx.read_batch(&mut got, max).is_ok() {}
+        got
+    }
 
     #[test]
     fn tokens_arrive_in_order() {
+        // Batches of uneven sizes through a ring narrower than most of
+        // them, drained in reads of yet another size.
         let (tx, rx) = channel::<u32>(3);
         let producer = thread::spawn(move || {
-            for i in 0..100 {
-                tx.write(i).unwrap();
+            let mut next = 0u32;
+            for len in [1u32, 7, 2, 30, 60] {
+                let mut batch: Vec<u32> = (next..next + len).collect();
+                tx.write_batch(&mut batch).unwrap();
+                assert!(batch.is_empty());
+                next += len;
             }
         });
-        let got: Vec<u32> = rx.iter().collect();
+        let got = drain(&rx, 5);
         producer.join().unwrap();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn backpressure_blocks_producer() {
-        let (tx, rx) = channel::<u32>(1);
-        tx.write(1).unwrap();
-        // FIFO is full: non-blocking write must be rejected with the token.
-        assert_eq!(tx.try_write(2), Err(2));
-        assert_eq!(rx.try_read(), Some(1));
-        assert_eq!(tx.try_write(2), Ok(()));
+        let (tx, rx) = channel::<u32>(2);
+        let writer = thread::spawn(move || {
+            let mut batch = vec![1, 2, 3, 4, 5];
+            tx.write_batch(&mut batch).unwrap();
+            tx
+        });
+        // The FIFO holds two tokens; the writer is parked on the rest.
+        wait_until(|| rx.stats().write_blocks == 1);
+        assert!(!writer.is_finished());
+        let mut got = Vec::new();
+        assert_eq!(rx.read_batch(&mut got, 16), Ok(2));
+        assert_eq!(got, vec![1, 2]);
+        while got.len() < 5 {
+            rx.read_batch(&mut got, 16).unwrap();
+        }
+        assert_eq!(got, vec![1, 2, 3, 4, 5]);
+        let tx = writer.join().unwrap();
+        assert_eq!(tx.stats().write_blocks, 1);
     }
 
     #[test]
     fn read_after_close_errors() {
         let (tx, rx) = channel::<u32>(2);
-        tx.write(9).unwrap();
+        tx.write_batch(&mut vec![9]).unwrap();
         drop(tx);
-        assert_eq!(rx.read(), Ok(9));
-        assert_eq!(rx.read(), Err(ReadError));
+        let mut out = Vec::new();
+        assert_eq!(rx.read_batch(&mut out, 16), Ok(1));
+        assert_eq!(out, vec![9]);
+        assert_eq!(rx.read_batch(&mut out, 16), Err(ReadError));
     }
 
     #[test]
     fn write_after_reader_gone_errors() {
         let (tx, rx) = channel::<u32>(1);
         drop(rx);
-        assert_eq!(tx.write(1), Err(WriteError));
+        assert_eq!(tx.write_batch(&mut vec![1]), Err(WriteError));
+
+        // A writer parked on a full FIFO observes the hangup and returns.
+        let (tx, rx) = channel::<u32>(1);
+        let writer = thread::spawn(move || tx.write_batch(&mut vec![1, 2, 3]));
+        wait_until(|| rx.stats().write_blocks == 1);
+        drop(rx);
+        assert_eq!(writer.join().unwrap(), Err(WriteError));
     }
 
     #[test]
     fn blocking_read_waits_for_data() {
-        let (tx, rx) = channel::<u32>(1);
-        let reader = thread::spawn(move || rx.read().unwrap());
-        thread::sleep(Duration::from_millis(10));
-        tx.write(42).unwrap();
-        assert_eq!(reader.join().unwrap(), 42);
+        let (tx, rx) = channel::<u32>(2);
+        let reader = thread::spawn(move || {
+            let mut out = Vec::new();
+            rx.read_batch(&mut out, 16).unwrap();
+            out
+        });
+        wait_until(|| tx.stats().read_blocks == 1);
+        tx.write_batch(&mut vec![7]).unwrap();
+        assert_eq!(reader.join().unwrap(), vec![7]);
     }
 
     #[test]
@@ -305,13 +277,15 @@ mod tests {
         let (tx0, rx0) = channel::<u32>(2);
         let (tx1, rx1) = channel::<u32>(2);
         let stage1 = thread::spawn(move || {
-            while let Ok(v) = rx0.read() {
-                tx1.write(v * 2).unwrap();
+            let mut buf = Vec::new();
+            while rx0.read_batch(&mut buf, 3).is_ok() {
+                buf.iter_mut().for_each(|v| *v *= 2);
+                tx1.write_batch(&mut buf).unwrap();
             }
         });
-        let sum = thread::spawn(move || rx1.iter().map(u64::from).sum::<u64>());
-        for i in 0..1000u32 {
-            tx0.write(i).unwrap();
+        let sum = thread::spawn(move || drain(&rx1, 4).into_iter().map(u64::from).sum::<u64>());
+        for chunk in (0..1000u32).collect::<Vec<_>>().chunks(9) {
+            tx0.write_batch(&mut chunk.to_vec()).unwrap();
         }
         drop(tx0);
         stage1.join().unwrap();
@@ -328,50 +302,9 @@ mod tests {
             tx.write_batch(&mut buf).unwrap();
             assert!(buf.is_empty());
         });
-        let mut got = Vec::new();
-        while rx.read_batch(&mut got, usize::MAX).is_ok() {}
+        let got = drain(&rx, usize::MAX);
         producer.join().unwrap();
         assert_eq!(got, (0..1000).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn batched_writer_interleaves_with_per_token_reader() {
-        let (tx, rx) = channel::<u32>(8);
-        let producer = thread::spawn(move || {
-            for chunk in 0..10u32 {
-                let mut buf: Vec<u32> = (chunk * 7..(chunk + 1) * 7).collect();
-                tx.write_batch(&mut buf).unwrap();
-            }
-        });
-        let got: Vec<u32> = rx.iter().collect();
-        producer.join().unwrap();
-        assert_eq!(got, (0..70).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn try_write_batch_moves_only_what_fits() {
-        let (tx, rx) = channel::<u32>(3);
-        let mut buf = vec![1, 2, 3, 4, 5];
-        assert_eq!(tx.try_write_batch(&mut buf), Ok(3));
-        assert_eq!(buf, vec![4, 5]);
-        assert_eq!(tx.try_write_batch(&mut buf), Ok(0));
-        let mut got = Vec::new();
-        assert_eq!(rx.try_read_batch(&mut got, 2), Ok(2));
-        assert_eq!(got, vec![1, 2]);
-    }
-
-    #[test]
-    fn read_batch_blocks_until_data_arrives() {
-        let (tx, rx) = channel::<u32>(2);
-        let reader = thread::spawn(move || {
-            let mut out = Vec::new();
-            rx.read_batch(&mut out, 16).unwrap();
-            out
-        });
-        thread::sleep(Duration::from_millis(10));
-        tx.write(7).unwrap();
-        let got = reader.join().unwrap();
-        assert_eq!(got, vec![7]);
     }
 
     #[test]
@@ -381,44 +314,29 @@ mod tests {
 
         // Reader parks first, writer then satisfies it: one starvation.
         let reader = thread::spawn(move || {
-            let v = rx.read().unwrap();
-            (v, rx)
+            let mut out = Vec::new();
+            rx.read_batch(&mut out, 1).unwrap();
+            (out, rx)
         });
-        thread::sleep(Duration::from_millis(10));
-        tx.write(1).unwrap();
-        let (v, rx) = reader.join().unwrap();
-        assert_eq!(v, 1);
+        wait_until(|| tx.stats().read_blocks == 1);
+        tx.write_batch(&mut vec![1]).unwrap();
+        let (out, rx) = reader.join().unwrap();
+        assert_eq!(out, vec![1]);
         assert_eq!(rx.stats().read_blocks, 1);
 
         // Fill the FIFO, park the writer, then drain: one backpressure.
-        tx.write(2).unwrap();
+        tx.write_batch(&mut vec![2]).unwrap();
         let writer = thread::spawn(move || {
-            tx.write(3).unwrap();
+            tx.write_batch(&mut vec![3]).unwrap();
             tx
         });
-        thread::sleep(Duration::from_millis(10));
-        assert_eq!(rx.read(), Ok(2));
+        wait_until(|| rx.stats().write_blocks == 1);
+        let mut out = Vec::new();
+        assert_eq!(rx.read_batch(&mut out, 1), Ok(1));
+        assert_eq!(out, vec![2]);
         let tx = writer.join().unwrap();
         assert_eq!(tx.stats().write_blocks, 1);
         // Both endpoints observe the same shared counters.
         assert_eq!(tx.stats(), rx.stats());
-    }
-
-    #[test]
-    fn batch_apis_report_hangup() {
-        let (tx, rx) = channel::<u32>(2);
-        drop(rx);
-        let mut buf = vec![1, 2];
-        assert_eq!(tx.try_write_batch(&mut buf), Err(WriteError));
-        assert_eq!(buf, vec![1, 2]);
-        assert_eq!(tx.write_batch(&mut buf), Err(WriteError));
-
-        let (tx, rx) = channel::<u32>(2);
-        tx.write(5).unwrap();
-        drop(tx);
-        let mut out = Vec::new();
-        assert_eq!(rx.read_batch(&mut out, 16), Ok(1));
-        assert_eq!(rx.read_batch(&mut out, 16), Err(ReadError));
-        assert_eq!(rx.try_read_batch(&mut out, 16), Err(ReadError));
     }
 }

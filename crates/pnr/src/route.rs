@@ -128,14 +128,33 @@ impl PartialOrd for QueueEntry {
 }
 
 /// A* from `from` to `to` over the edge graph; returns the tile path and
-/// counts relaxations. With `use_heuristic` off this is plain Dijkstra —
-/// kept callable so tests can assert the heuristic never changes path cost.
+/// counts relaxations.
 fn shortest_path(
     graph: &EdgeGraph,
     from: (u32, u32),
     to: (u32, u32),
     relaxed: &mut u64,
-    use_heuristic: bool,
+) -> Vec<(u32, u32)> {
+    search::<true>(graph, from, to, relaxed)
+}
+
+/// Plain Dijkstra: [`shortest_path`] without the heuristic. Kept as the
+/// oracle the tests hold A* to — the heuristic must never change path cost.
+#[cfg(test)]
+fn dijkstra(
+    graph: &EdgeGraph,
+    from: (u32, u32),
+    to: (u32, u32),
+    relaxed: &mut u64,
+) -> Vec<(u32, u32)> {
+    search::<false>(graph, from, to, relaxed)
+}
+
+fn search<const HEURISTIC: bool>(
+    graph: &EdgeGraph,
+    from: (u32, u32),
+    to: (u32, u32),
+    relaxed: &mut u64,
 ) -> Vec<(u32, u32)> {
     if from == to {
         return vec![from];
@@ -145,7 +164,7 @@ fn shortest_path(
     let mut prev: Vec<u32> = vec![u32::MAX; n];
     let start = graph.tile_index(from.0, from.1);
     let h = |x: u32, y: u32| -> f64 {
-        if use_heuristic {
+        if HEURISTIC {
             (x.abs_diff(to.0) + y.abs_diff(to.1)) as f64
         } else {
             0.0
@@ -258,7 +277,7 @@ pub fn route(
             let mut sink_paths = Vec::with_capacity(net.sinks.len());
             for s in &net.sinks {
                 let to = placement.assignment[s.0];
-                let path = shortest_path(&graph, from, to, &mut edges_relaxed, true);
+                let path = shortest_path(&graph, from, to, &mut edges_relaxed);
                 // Occupy the edges walked.
                 for w in path.windows(2) {
                     let (x0, y0) = w[0];
@@ -512,7 +531,7 @@ pub fn route_incremental(
                 let mut sink_paths = Vec::with_capacity(net.sinks.len());
                 for s in &net.sinks {
                     let to = placement.assignment[s.0];
-                    sink_paths.push(shortest_path(&graph, from, to, &mut edges_relaxed, true));
+                    sink_paths.push(shortest_path(&graph, from, to, &mut edges_relaxed));
                 }
                 commit_net(
                     netlist,
@@ -620,7 +639,7 @@ fn search_frozen(
         let sink_paths = net
             .sinks
             .iter()
-            .map(|s| shortest_path(graph, from, placement.assignment[s.0], &mut relaxed, true))
+            .map(|s| shortest_path(graph, from, placement.assignment[s.0], &mut relaxed))
             .collect();
         (ni, sink_paths, relaxed)
     };
@@ -764,8 +783,8 @@ mod tests {
                 );
                 let mut ra = 0u64;
                 let mut rd = 0u64;
-                let astar = shortest_path(&graph, from, to, &mut ra, true);
-                let dijkstra = shortest_path(&graph, from, to, &mut rd, false);
+                let astar = shortest_path(&graph, from, to, &mut ra);
+                let dijkstra = dijkstra(&graph, from, to, &mut rd);
                 let ca = path_cost(&graph, &astar);
                 let cd = path_cost(&graph, &dijkstra);
                 assert!(
@@ -826,8 +845,8 @@ mod tests {
                     let to = placement.assignment[s.0];
                     let mut ra = 0u64;
                     let mut rd = 0u64;
-                    let astar = shortest_path(&graph, from, to, &mut ra, true);
-                    let dijkstra = shortest_path(&graph, from, to, &mut rd, false);
+                    let astar = shortest_path(&graph, from, to, &mut ra);
+                    let dijkstra = dijkstra(&graph, from, to, &mut rd);
                     let ca = path_cost(&graph, &astar);
                     let cd = path_cost(&graph, &dijkstra);
                     assert!((ca - cd).abs() < 1e-9, "net cost {ca} != {cd}");

@@ -365,11 +365,10 @@ impl Runtime {
 
     /// [`Runtime::run`] on the multithreaded engine: one OS thread per
     /// operator, tokens moved in chunks over bounded channels
-    /// ([`dfg::run_graph_threaded`]). Same outputs by the Kahn property;
-    /// lower wall-clock latency on wide graphs, and that is what lands in
-    /// the histogram. Apps compiled with the KPN optimizer carry solved
-    /// per-edge FIFO depths, which are plumbed into the engine's channels
-    /// here.
+    /// ([`dfg::run_graph_threaded`], which sizes each channel from the
+    /// compiled graph's rates). Same outputs by the Kahn property; lower
+    /// wall-clock latency on wide graphs, and that is what lands in the
+    /// histogram.
     ///
     /// # Errors
     ///
@@ -380,11 +379,9 @@ impl Runtime {
         inputs: &[(&str, Vec<Value>)],
     ) -> Result<HashMap<String, Vec<Value>>, RuntimeError> {
         self.run_with(id, inputs, |app, inputs| {
-            let config = dfg::ThreadedConfig {
-                edge_depths: app.edge_depths.clone(),
-                ..dfg::ThreadedConfig::default()
-            };
-            dfg::run_graph_threaded_with(&app.graph, inputs, config).map_err(|e| e.to_string())
+            dfg::run_graph_threaded(&app.graph, inputs)
+                .map(|(outputs, _)| outputs)
+                .map_err(|e| e.to_string())
         })
     }
 

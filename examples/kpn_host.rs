@@ -25,7 +25,7 @@ fn main() {
         let batch_s = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
-        let threaded = dfg::run_graph_threaded(&bench.graph, &inputs).expect("threaded run");
+        let (threaded, _) = dfg::run_graph_threaded(&bench.graph, &inputs).expect("threaded run");
         let threaded_s = t1.elapsed().as_secs_f64();
 
         let identical = batch == threaded;
