@@ -464,12 +464,9 @@ impl<'a> CosimSys<'a> {
         // Each core runs ahead through its private prologue: one retired
         // instruction corresponds to one loop cycle, so a core that
         // retires `ran` instructions sleeps until loop cycle `ran`, where
-        // its first stream access (or halt/trap) is due. The superblock
-        // tier rides on the block cache: hot block entries are
-        // trace-linked after a few executions.
+        // its first stream access (or halt/trap) is due. This is the same
+        // block-cached engine `softcore::execute` runs.
         for core in &mut cores {
-            core.cpu
-                .set_superblock_threshold(softcore::DEFAULT_SUPERBLOCK_THRESHOLD);
             core.wake = core.cpu.run_ahead(max_cycles, u64::MAX);
         }
         let mut halted = 0usize;

@@ -92,9 +92,11 @@ impl DeviceState {
         self.bindings[page.0 as usize] = Some(binding);
     }
 
-    /// Releases a page.
+    /// Releases a page and lifts its NoC injection budget, so the next
+    /// tenant bound there does not inherit the last one's throttle.
     pub fn release(&mut self, page: PageId) {
         self.bindings[page.0 as usize] = None;
+        self.set_page_inject_budget(page, None);
     }
 
     /// Programs a batch of routes by sending one in-band configuration

@@ -29,13 +29,11 @@
 //! A fleet of one device is exactly the old single-device serving path —
 //! `examples/serving.rs` runs through it.
 
-mod device;
 mod placement;
 pub mod qos;
 pub mod reactor;
 mod stats;
 
-pub use device::Device;
 pub use qos::{fairness_index, EvictClass, QosSpec};
 pub use reactor::{AdmissionTicket, Executor};
 pub use stats::{FleetStats, TenantShare};
@@ -232,8 +230,8 @@ struct TenantState {
 
 /// N devices behind one admission front-end: cross-device placement,
 /// live migration, and per-tenant QoS. See the [module docs](self).
-pub struct Fleet<D: Device = Runtime> {
-    devices: Vec<D>,
+pub struct Fleet {
+    devices: Vec<Runtime>,
     apps: BTreeMap<u64, FleetApp>,
     /// `(device index, local AppId.0)` → fleet id, for victim accounting.
     locations: HashMap<(usize, u64), u64>,
@@ -252,32 +250,22 @@ pub struct Fleet<D: Device = Runtime> {
     admission_latency: LatencyHistogram,
 }
 
-impl Fleet<Runtime> {
-    /// A homogeneous fleet of `n` simulated cards on one floorplan.
-    pub fn new(n: usize, floorplan: &Floorplan) -> Fleet<Runtime> {
-        Fleet::from_devices((0..n).map(|_| Runtime::new(floorplan.clone())).collect())
-    }
-
-    /// Mutable access to one card's [`Runtime`] — for single-device
-    /// operations the fleet does not mediate (hot-swap of a resident
-    /// app, direct stats). The fleet's own bookkeeping stays valid as
-    /// long as the caller does not admit or evict behind its back.
-    pub fn runtime_mut(&mut self, device: DeviceId) -> Option<&mut Runtime> {
-        self.devices.get_mut(device.0)
-    }
-}
-
-impl<D: Device> Fleet<D> {
+impl Fleet {
     /// Default bound on the fleet admission queue.
     pub const DEFAULT_QUEUE_BOUND: usize = 4096;
 
+    /// A homogeneous fleet of `n` simulated cards on one floorplan.
+    pub fn new(n: usize, floorplan: &Floorplan) -> Fleet {
+        Fleet::from_devices((0..n).map(|_| Runtime::new(floorplan.clone())).collect())
+    }
+
     /// A fleet over explicit devices (heterogeneous fleets included).
-    pub fn from_devices(devices: Vec<D>) -> Fleet<D> {
-        Fleet::with_queue_bound(devices, Fleet::<D>::DEFAULT_QUEUE_BOUND)
+    pub fn from_devices(devices: Vec<Runtime>) -> Fleet {
+        Fleet::with_queue_bound(devices, Fleet::DEFAULT_QUEUE_BOUND)
     }
 
     /// A fleet with an explicit admission-queue bound.
-    pub fn with_queue_bound(devices: Vec<D>, bound: usize) -> Fleet<D> {
+    pub fn with_queue_bound(devices: Vec<Runtime>, bound: usize) -> Fleet {
         Fleet {
             devices,
             apps: BTreeMap::new(),
@@ -327,8 +315,9 @@ impl<D: Device> Fleet<D> {
             })
             .collect();
         for (dev, local, budget) in budgets {
-            // A racing eviction is benign: the budget applies to pages
-            // the app no longer holds and the next bind overwrites it.
+            // A racing eviction is benign: an app that is no longer
+            // resident holds no pages, and its released pages are
+            // unthrottled.
             let _ = self.devices[dev].set_app_inject_budget(local, budget);
         }
     }
@@ -339,8 +328,16 @@ impl<D: Device> Fleet<D> {
     }
 
     /// Read-only access to one device.
-    pub fn device(&self, device: DeviceId) -> Option<&D> {
+    pub fn device(&self, device: DeviceId) -> Option<&Runtime> {
         self.devices.get(device.0)
+    }
+
+    /// Mutable access to one card's [`Runtime`] — for single-device
+    /// operations the fleet does not mediate (hot-swap of a resident
+    /// app, direct stats). The fleet's own bookkeeping stays valid as
+    /// long as the caller does not admit or evict behind its back.
+    pub fn runtime_mut(&mut self, device: DeviceId) -> Option<&mut Runtime> {
+        self.devices.get_mut(device.0)
     }
 
     /// Requests waiting for a scheduling pass.
@@ -480,7 +477,7 @@ impl<D: Device> Fleet<D> {
 
         // Pass 1: devices with room right now, best (cache, fit) first.
         for i in placement::fitting_now(&self.devices, &candidates, &app) {
-            match self.devices[i].admit(&name, app) {
+            match self.devices[i].admit_direct(&name, app) {
                 Ok(outcome) => {
                     self.finish_admit(id, tenant, i, outcome, submitted, ticket, events);
                     return;
@@ -493,7 +490,7 @@ impl<D: Device> Fleet<D> {
         // first.
         for i in placement::rank(&self.devices, &candidates, &app) {
             loop {
-                match self.devices[i].admit(&name, app) {
+                match self.devices[i].admit_direct(&name, app) {
                     Ok(outcome) => {
                         self.finish_admit(id, tenant, i, outcome, submitted, ticket, events);
                         return;
@@ -538,17 +535,10 @@ impl<D: Device> Fleet<D> {
         ticket: Option<Arc<Mutex<TicketState>>>,
         events: &mut Vec<FleetEvent>,
     ) {
-        if let Some(fleet_app) = self.apps.get_mut(&id.0) {
-            fleet_app.location = Some((device, outcome.id));
-        }
-        self.locations.insert((device, outcome.id.0), id.0);
+        self.settle(id, tenant, device, outcome.id);
         self.admitted += 1;
         self.admission_latency
             .record(submitted.elapsed().as_secs_f64());
-        if let Some(base) = self.base_credits {
-            let credits = self.spec_of(tenant).inject_credits(base);
-            let _ = self.devices[device].set_app_inject_budget(outcome.id, Some(credits));
-        }
         events.push(FleetEvent::Admitted {
             app: id,
             device: DeviceId(device),
@@ -564,6 +554,21 @@ impl<D: Device> Fleet<D> {
                     pages: outcome.pages,
                 }),
             );
+        }
+    }
+
+    /// Records that `app` now lives on `device` as `local` and programs
+    /// its tenant's injection credits there: every path that lands an app
+    /// on a device (admission, migration, restore after a failed
+    /// migration) goes through here.
+    fn settle(&mut self, app: FleetAppId, tenant: TenantId, device: usize, local: AppId) {
+        if let Some(entry) = self.apps.get_mut(&app.0) {
+            entry.location = Some((device, local));
+        }
+        self.locations.insert((device, local.0), app.0);
+        if let Some(base) = self.base_credits {
+            let credits = self.spec_of(tenant).inject_credits(base);
+            let _ = self.devices[device].set_app_inject_budget(local, Some(credits));
         }
     }
 
@@ -630,7 +635,7 @@ impl<D: Device> Fleet<D> {
         let (device, local) = fleet_app.location.ok_or(FleetError::NotResident(app))?;
         let tenant = fleet_app.tenant;
         let outputs = self.devices[device]
-            .run_app(local, inputs)
+            .run(local, inputs)
             .map_err(FleetError::Device)?;
         self.tenants.entry(tenant.0).or_default().served += 1;
         Ok(outputs)
@@ -689,18 +694,11 @@ impl<D: Device> Fleet<D> {
         let class = self.spec_of(tenant).evict;
         let mut boxed = Box::new(compiled);
         loop {
-            match self.devices[to.0].admit(&name, boxed) {
+            match self.devices[to.0].admit_direct(&name, boxed) {
                 Ok(outcome) => {
-                    if let Some(entry) = self.apps.get_mut(&app.0) {
-                        entry.location = Some((to.0, outcome.id));
-                    }
-                    self.locations.insert((to.0, outcome.id.0), app.0);
+                    self.settle(app, tenant, to.0, outcome.id);
                     self.migrations += 1;
                     self.migration_downtime_seconds += outcome.downtime_seconds;
-                    if let Some(base) = self.base_credits {
-                        let credits = self.spec_of(tenant).inject_credits(base);
-                        let _ = self.devices[to.0].set_app_inject_budget(outcome.id, Some(credits));
-                    }
                     return Ok(outcome.downtime_seconds);
                 }
                 Err(refusal) => {
@@ -713,12 +711,9 @@ impl<D: Device> Fleet<D> {
                         }
                     }
                     // Destination refused for good: restore on the source.
-                    let restored = match self.devices[src].admit(&name, boxed) {
+                    let restored = match self.devices[src].admit_direct(&name, boxed) {
                         Ok(outcome) => {
-                            if let Some(entry) = self.apps.get_mut(&app.0) {
-                                entry.location = Some((src, outcome.id));
-                            }
-                            self.locations.insert((src, outcome.id.0), app.0);
+                            self.settle(app, tenant, src, outcome.id);
                             true
                         }
                         Err(_) => false,
@@ -742,7 +737,7 @@ impl<D: Device> Fleet<D> {
             queue_depth: self.queue.len(),
             apps_resident: self.apps.values().filter(|a| a.location.is_some()).count(),
             admission: self.admission_latency.clone(),
-            per_device: self.devices.iter().map(Device::stats).collect(),
+            per_device: self.devices.iter().map(Runtime::stats).collect(),
             tenants: self
                 .tenants
                 .iter()

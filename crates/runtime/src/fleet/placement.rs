@@ -10,7 +10,8 @@
 use pld::CompiledApp;
 
 use crate::allocator::{self, AllocError};
-use crate::fleet::{Device, DeviceId};
+use crate::fleet::DeviceId;
+use crate::Runtime;
 
 /// The content hashes an app would transfer on admission — what the
 /// cache-affinity score counts against each device.
@@ -21,14 +22,14 @@ pub(crate) fn artifact_hashes(app: &CompiledApp) -> Vec<u64> {
 /// Screens every device for feasibility-when-empty. `Ok` is the indices
 /// that could ever host the app; `Err` is the per-device deficit table
 /// for [`crate::fleet::FleetError::Unplaceable`].
-pub(crate) fn feasible_devices<D: Device>(
-    devices: &[D],
+pub(crate) fn feasible_devices(
+    devices: &[Runtime],
     app: &CompiledApp,
 ) -> Result<Vec<usize>, Vec<(DeviceId, AllocError)>> {
     let mut feasible = Vec::new();
     let mut deficits = Vec::new();
     for (i, dev) in devices.iter().enumerate() {
-        match allocator::feasible(dev.floorplan(), app) {
+        match allocator::feasible(&dev.device().floorplan, app) {
             Ok(()) => feasible.push(i),
             Err(e) => deficits.push((DeviceId(i), e)),
         }
@@ -42,15 +43,11 @@ pub(crate) fn feasible_devices<D: Device>(
 
 /// Ranks `candidates` (device indices) for this app, best first:
 /// cache hits descending, then free pages ascending, then index.
-pub(crate) fn rank<D: Device>(
-    devices: &[D],
-    candidates: &[usize],
-    app: &CompiledApp,
-) -> Vec<usize> {
+pub(crate) fn rank(devices: &[Runtime], candidates: &[usize], app: &CompiledApp) -> Vec<usize> {
     let hashes = artifact_hashes(app);
     let mut ranked: Vec<usize> = candidates.to_vec();
     ranked.sort_by_key(|&i| {
-        let cached = devices[i].cached_artifacts(&hashes);
+        let cached = devices[i].device().cached_artifacts(&hashes);
         (usize::MAX - cached, devices[i].free_pages(), i)
     });
     ranked
@@ -58,8 +55,8 @@ pub(crate) fn rank<D: Device>(
 
 /// The subset of `candidates` where the app places without any eviction,
 /// in rank order.
-pub(crate) fn fitting_now<D: Device>(
-    devices: &[D],
+pub(crate) fn fitting_now(
+    devices: &[Runtime],
     candidates: &[usize],
     app: &CompiledApp,
 ) -> Vec<usize> {

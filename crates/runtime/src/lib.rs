@@ -48,8 +48,8 @@ use device_state::{DeviceState, PageBinding};
 use stats::{AppLatency, LatencyHistogram, RuntimeStats};
 
 pub use fleet::{
-    Admission, AdmissionTicket, Device, DeviceId, EvictClass, Executor, Fleet, FleetAppId,
-    FleetError, FleetEvent, FleetStats, QosSpec, TenantId, TenantShare,
+    Admission, AdmissionTicket, DeviceId, EvictClass, Executor, Fleet, FleetAppId, FleetError,
+    FleetEvent, FleetStats, QosSpec, TenantId, TenantShare,
 };
 pub use stats::RuntimeStats as Stats;
 pub use swap::SwapReport;
@@ -278,6 +278,17 @@ impl Runtime {
     /// Read-only view of the device state.
     pub fn device(&self) -> &DeviceState {
         &self.device
+    }
+
+    /// Number of currently unbound pages.
+    pub fn free_pages(&self) -> usize {
+        self.device.floorplan.pages.len() - self.device.occupied()
+    }
+
+    /// Whether the app places onto the pages free *right now* (exact
+    /// page-type-aware check, no eviction).
+    pub fn fits_now(&self, app: &CompiledApp) -> bool {
+        allocator::plan(&self.device.floorplan, &self.device.free_map(), app).is_ok()
     }
 
     /// Ids of currently resident apps.

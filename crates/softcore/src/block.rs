@@ -34,23 +34,6 @@ use crate::isa::Instr;
 /// Longest straight-line run decoded into one block.
 const MAX_BLOCK_OPS: usize = 64;
 
-/// Default hot-trace promotion threshold for the superblock tier: a block
-/// entered this many times is trace-linked across its recorded control
-/// transfers (see [`Cpu::set_superblock_threshold`]).
-pub const DEFAULT_SUPERBLOCK_THRESHOLD: u32 = 16;
-
-/// Longest superblock trace, in micro-ops.
-const MAX_SUPER_OPS: usize = 256;
-
-/// Most constituent straight-line blocks linked into one superblock.
-const MAX_SUPER_SPANS: usize = 8;
-
-/// `succ` sentinel: no recorded successor (pcs are 4-aligned, never MAX).
-const NO_SUCC: u32 = u32::MAX;
-
-/// `heat` sentinel: entry already promoted to a superblock.
-const PROMOTED: u32 = u32::MAX;
-
 /// Pre-resolved load flavour (width + extension folded at decode time).
 #[derive(Debug, Clone, Copy)]
 enum LoadKind {
@@ -267,23 +250,6 @@ struct Block {
     ops: Box<[UOp]>,
 }
 
-/// A superblock: micro-op blocks trace-linked across control transfers in
-/// the direction the profile last observed. Execution runs the ops
-/// linearly; each control op computes its real successor and keeps going
-/// only while it matches the recorded trace (`pc_of` continuation), jumps
-/// back to op 0 when it re-enters the trace head (the hot-loop special
-/// case), and side-exits otherwise. Non-control seams are contiguous by
-/// construction, so only control transfers are ever checked.
-#[derive(Debug)]
-struct Superblock {
-    entry: u32,
-    ops: Box<[UOp]>,
-    /// Address of each op (the trace is not contiguous across branches).
-    pc_of: Box<[u32]>,
-    /// Constituent straight-line spans, watched by store invalidation.
-    spans: Box<[(u32, u32)]>,
-}
-
 /// The per-core block cache: a direct-mapped table indexed by `pc >> 2`
 /// (entries verify their exact `start`, so misaligned or colliding entry
 /// points miss instead of aliasing), plus the union span of cached bytes
@@ -299,17 +265,6 @@ pub(crate) struct BlockCache {
     epoch: u64,
     decoded: u64,
     invalidations: u64,
-    /// Superblock tier (active when `promote_after != 0`): direct-mapped
-    /// traces keyed by `entry >> 2` with exact-entry verification.
-    supers: Vec<Option<Arc<Superblock>>>,
-    /// Per-entry execution counters (`pc >> 2`), the promotion profile.
-    heat: Vec<u32>,
-    /// Last observed successor block entry per entry (`pc >> 2`).
-    succ: Vec<u32>,
-    /// Promotion threshold; `0` disables the superblock tier entirely
-    /// (no profiling overhead on the plain block-cached path).
-    promote_after: u32,
-    formed: u64,
 }
 
 /// Block-cache counters, exposed for diagnostics and the differential
@@ -322,10 +277,6 @@ pub struct IcacheStats {
     pub decoded: u64,
     /// Invalidation events (writes that dropped at least one block).
     pub invalidations: u64,
-    /// Superblock traces currently live.
-    pub superblocks: usize,
-    /// Superblock traces formed since reset (includes re-formations).
-    pub superblocks_formed: u64,
 }
 
 impl BlockCache {
@@ -379,21 +330,6 @@ impl BlockCache {
                 hi = hi.max(b.end);
             }
         }
-        // Superblocks watch the union of their constituent spans; a write
-        // into any span tears the whole trace down (execution falls back to
-        // plain blocks, which re-decode the fresh bytes).
-        for slot in self.supers.iter_mut() {
-            let Some(sb) = slot else { continue };
-            if sb.spans.iter().any(|&(s, e)| s < end && addr < e) {
-                *slot = None;
-                dropped = true;
-            } else {
-                for &(s, e) in sb.spans.iter() {
-                    lo = lo.min(s);
-                    hi = hi.max(e);
-                }
-            }
-        }
         if dropped {
             if hi == 0 {
                 self.lo = 0;
@@ -403,127 +339,7 @@ impl BlockCache {
             self.hi = hi;
             self.epoch += 1;
             self.invalidations += 1;
-            // The profile described the old bytes; restart it.
-            self.heat.iter_mut().for_each(|h| *h = 0);
-            self.succ.iter_mut().for_each(|s| *s = NO_SUCC);
         }
-    }
-
-    /// Looks up a superblock whose trace head is exactly `pc`.
-    #[inline]
-    fn super_at(&self, pc: u32) -> Option<&Arc<Superblock>> {
-        match self.supers.get((pc >> 2) as usize) {
-            Some(Some(sb)) if sb.entry == pc => Some(sb),
-            _ => None,
-        }
-    }
-
-    /// Records a block entry for the promotion profile: `prev → now` is the
-    /// observed control-flow edge, and `now`'s heat climbs toward the
-    /// promotion threshold — crossing it trace-links a superblock from the
-    /// recorded successor chain. Only called when the tier is enabled; the
-    /// profile steers performance only, never architectural state.
-    fn profile(&mut self, prev: Option<u32>, now: u32, mem: &[u8]) {
-        let i = (now >> 2) as usize;
-        let want = i.max(prev.map_or(0, |p| (p >> 2) as usize));
-        if want >= self.heat.len() {
-            self.heat.resize(want + 1, 0);
-            self.succ.resize(want + 1, NO_SUCC);
-        }
-        if let Some(p) = prev {
-            self.succ[(p >> 2) as usize] = now;
-        }
-        let h = &mut self.heat[i];
-        if *h == PROMOTED {
-            return;
-        }
-        *h += 1;
-        if *h >= self.promote_after {
-            // Reset on failure so a maturing profile gets another shot;
-            // mark promoted on success (the probe will hit from now on).
-            self.heat[i] = if self.form_super(mem, now) {
-                PROMOTED
-            } else {
-                0
-            };
-        }
-    }
-
-    /// Trace-links blocks from `entry` along the recorded successor chain
-    /// into a superblock. Returns whether a (multi-block) trace was formed.
-    fn form_super(&mut self, mem: &[u8], entry: u32) -> bool {
-        let mut ops = Vec::new();
-        let mut pc_of: Vec<u32> = Vec::new();
-        let mut spans: Vec<(u32, u32)> = Vec::new();
-        let mut at = entry;
-        while spans.len() < MAX_SUPER_SPANS && ops.len() < MAX_SUPER_OPS {
-            let fresh;
-            let b = match self.get(at) {
-                Some(b) => &**b,
-                None => {
-                    fresh = decode_block(mem, at);
-                    &fresh
-                }
-            };
-            if b.ops.is_empty() {
-                break;
-            }
-            for (i, &op) in b.ops.iter().enumerate() {
-                ops.push(op);
-                pc_of.push(b.start.wrapping_add(4 * i as u32));
-            }
-            spans.push((b.start, b.end));
-            let ends_in_control = matches!(
-                b.ops.last(),
-                Some(UOp::Branch { .. } | UOp::Jal { .. } | UOp::Jalr { .. })
-            );
-            let next = self
-                .succ
-                .get((b.start >> 2) as usize)
-                .copied()
-                .unwrap_or(NO_SUCC);
-            // A block that ends without a control transfer continues at its
-            // own end by definition; a recorded successor elsewhere is
-            // stale and must not be linked (linear fall-through in the
-            // trace assumes contiguity at non-control seams).
-            if next == NO_SUCC || (!ends_in_control && next != b.end) {
-                break;
-            }
-            // Re-entry anywhere into the trace other than continuing the
-            // tail is not representable linearly; the entry itself closes a
-            // loop (handled by the dispatch loop's jump-to-head case).
-            if pc_of.contains(&next) {
-                break;
-            }
-            at = next;
-        }
-        if spans.len() < 2 {
-            return false;
-        }
-        let idx = (entry >> 2) as usize;
-        if idx >= self.supers.len() {
-            self.supers.resize(idx + 1, None);
-        }
-        // The trace may cover bytes decoded fresh here (e.g. a constituent
-        // block evicted by a direct-map collision): grow the union span so
-        // the store fast path keeps watching every linked byte.
-        for &(s, e) in &spans {
-            if self.hi == 0 {
-                self.lo = s;
-                self.hi = e;
-            } else {
-                self.lo = self.lo.min(s);
-                self.hi = self.hi.max(e);
-            }
-        }
-        self.supers[idx] = Some(Arc::new(Superblock {
-            entry,
-            ops: ops.into_boxed_slice(),
-            pc_of: pc_of.into_boxed_slice(),
-            spans: spans.into_boxed_slice(),
-        }));
-        self.formed += 1;
-        true
     }
 
     fn stats(&self) -> IcacheStats {
@@ -531,8 +347,6 @@ impl BlockCache {
             blocks: self.slots.iter().flatten().count(),
             decoded: self.decoded,
             invalidations: self.invalidations,
-            superblocks: self.supers.iter().flatten().count(),
-            superblocks_formed: self.formed,
         }
     }
 }
@@ -808,8 +622,6 @@ impl Cpu {
         // Every retirement bumps the instruction count by exactly one, so
         // the count is derived at flush time instead of per op.
         let instructions0 = self.instructions;
-        // Previous block entry, for the superblock promotion profile.
-        let mut prev_entry: Option<u32> = None;
         macro_rules! flush {
             () => {{
                 self.cycles = cycles;
@@ -820,23 +632,6 @@ impl Cpu {
             if retired >= max_retire || cycles >= cycle_limit {
                 flush!();
                 return retired;
-            }
-            // Superblock tier: a hot trace starting exactly at `pc` runs in
-            // one linear dispatch, skipping per-block entry overhead. The
-            // mid-block `entry` hint bypasses the tier (traces are keyed by
-            // their head).
-            let profiling = self.icache.promote_after != 0 && entry.is_none();
-            if profiling {
-                if let Some(sb) = self.icache.super_at(self.pc) {
-                    let sb = Arc::clone(sb);
-                    if self.dispatch_super(&sb, &mut cycles, &mut retired, max_retire, cycle_limit)
-                    {
-                        flush!();
-                        return retired;
-                    }
-                    prev_entry = Some(sb.entry);
-                    continue 'blocks;
-                }
             }
             let block = match entry.take() {
                 Some(b) => b,
@@ -854,10 +649,6 @@ impl Cpu {
                     }
                 },
             };
-            if profiling {
-                self.icache
-                    .profile(prev_entry.replace(block.start), block.start, &self.mem);
-            }
             let epoch = self.icache.epoch;
             let mut pc = self.pc;
             // If one pass over the whole block fits inside both budgets
@@ -1132,282 +923,6 @@ impl Cpu {
         }
     }
 
-    /// Runs a superblock trace from its head, mirroring the block dispatch
-    /// loop op for op (identical costs, write order, and stop-before
-    /// semantics for visible or trapping ops — the bit-identity invariant
-    /// covers this tier too). Cycle/instruction counts accumulate into the
-    /// caller's locals. Returns `true` when the driver must take over
-    /// (budget exhausted or a visible op is next, `self.pc` pointing at
-    /// it): the caller flushes and returns. Returns `false` on a side exit
-    /// — the trace's recorded direction diverged, the trace ran off its
-    /// capped end, or a store invalidated linked bytes — with `self.pc` at
-    /// the next instruction, ready for a fresh block/superblock probe.
-    #[allow(clippy::too_many_lines)]
-    fn dispatch_super(
-        &mut self,
-        sb: &Superblock,
-        cycles: &mut u64,
-        retired: &mut u64,
-        max_retire: u64,
-        cycle_limit: u64,
-    ) -> bool {
-        let epoch = self.icache.epoch;
-        let ops = &sb.ops;
-        let len = ops.len() as u64;
-        // Same budget hoisting as the block loop: if a whole pass over the
-        // trace fits both budgets at worst-case per-op cost, skip the
-        // per-op checks until a loop-back re-establishes the bound.
-        let mut unchecked = max_retire - *retired >= len
-            && cycles.saturating_add(len * cycles::INTRINSIC) < cycle_limit;
-        // Retire one sequential micro-op.
-        macro_rules! retire {
-            ($idx:ident, $cost:expr) => {{
-                *cycles += $cost;
-                *retired += 1;
-                $idx += 1;
-            }};
-        }
-        let mut idx = 0usize;
-        loop {
-            if idx >= ops.len() {
-                // Ran off the capped end of the trace mid-straight-line:
-                // continue contiguously after the last op.
-                self.pc = sb.pc_of[ops.len() - 1].wrapping_add(4);
-                return false;
-            }
-            if !unchecked && (*retired >= max_retire || *cycles >= cycle_limit) {
-                self.pc = sb.pc_of[idx];
-                return true;
-            }
-            let at = sb.pc_of[idx];
-            match ops[idx] {
-                UOp::Lui { rd, imm } => {
-                    self.wr(rd, imm);
-                    retire!(idx, cycles::ALU);
-                }
-                UOp::Addi { rd, rs1, imm } => {
-                    self.wr(rd, self.rr(rs1).wrapping_add(imm));
-                    retire!(idx, cycles::ALU);
-                }
-                UOp::Andi { rd, rs1, imm } => {
-                    self.wr(rd, self.rr(rs1) & imm);
-                    retire!(idx, cycles::ALU);
-                }
-                UOp::Ori { rd, rs1, imm } => {
-                    self.wr(rd, self.rr(rs1) | imm);
-                    retire!(idx, cycles::ALU);
-                }
-                UOp::Xori { rd, rs1, imm } => {
-                    self.wr(rd, self.rr(rs1) ^ imm);
-                    retire!(idx, cycles::ALU);
-                }
-                UOp::Slli { rd, rs1, shamt } => {
-                    self.wr(rd, self.rr(rs1) << shamt);
-                    retire!(idx, cycles::ALU);
-                }
-                UOp::Srli { rd, rs1, shamt } => {
-                    self.wr(rd, self.rr(rs1) >> shamt);
-                    retire!(idx, cycles::ALU);
-                }
-                UOp::Srai { rd, rs1, shamt } => {
-                    self.wr(rd, ((self.rr(rs1) as i32) >> shamt) as u32);
-                    retire!(idx, cycles::ALU);
-                }
-                UOp::Add { rd, rs1, rs2 } => {
-                    self.wr(rd, self.rr(rs1).wrapping_add(self.rr(rs2)));
-                    retire!(idx, cycles::ALU);
-                }
-                UOp::Sub { rd, rs1, rs2 } => {
-                    self.wr(rd, self.rr(rs1).wrapping_sub(self.rr(rs2)));
-                    retire!(idx, cycles::ALU);
-                }
-                UOp::Sll { rd, rs1, rs2 } => {
-                    self.wr(rd, self.rr(rs1) << (self.rr(rs2) & 31));
-                    retire!(idx, cycles::ALU);
-                }
-                UOp::Srl { rd, rs1, rs2 } => {
-                    self.wr(rd, self.rr(rs1) >> (self.rr(rs2) & 31));
-                    retire!(idx, cycles::ALU);
-                }
-                UOp::Sra { rd, rs1, rs2 } => {
-                    self.wr(rd, ((self.rr(rs1) as i32) >> (self.rr(rs2) & 31)) as u32);
-                    retire!(idx, cycles::ALU);
-                }
-                UOp::Slt { rd, rs1, rs2 } => {
-                    self.wr(rd, ((self.rr(rs1) as i32) < (self.rr(rs2) as i32)) as u32);
-                    retire!(idx, cycles::ALU);
-                }
-                UOp::Sltu { rd, rs1, rs2 } => {
-                    self.wr(rd, (self.rr(rs1) < self.rr(rs2)) as u32);
-                    retire!(idx, cycles::ALU);
-                }
-                UOp::And { rd, rs1, rs2 } => {
-                    self.wr(rd, self.rr(rs1) & self.rr(rs2));
-                    retire!(idx, cycles::ALU);
-                }
-                UOp::Or { rd, rs1, rs2 } => {
-                    self.wr(rd, self.rr(rs1) | self.rr(rs2));
-                    retire!(idx, cycles::ALU);
-                }
-                UOp::Xor { rd, rs1, rs2 } => {
-                    self.wr(rd, self.rr(rs1) ^ self.rr(rs2));
-                    retire!(idx, cycles::ALU);
-                }
-                UOp::Mul { rd, rs1, rs2 } => {
-                    self.wr(rd, self.rr(rs1).wrapping_mul(self.rr(rs2)));
-                    retire!(idx, cycles::MUL);
-                }
-                UOp::Div { rd, rs1, rs2 } => {
-                    let a = self.rr(rs1) as i32;
-                    let b = self.rr(rs2) as i32;
-                    let q = if b == 0 { -1 } else { a.wrapping_div(b) };
-                    self.wr(rd, q as u32);
-                    retire!(idx, cycles::DIV);
-                }
-                UOp::Divu { rd, rs1, rs2 } => {
-                    let q = self.rr(rs1).checked_div(self.rr(rs2)).unwrap_or(u32::MAX);
-                    self.wr(rd, q);
-                    retire!(idx, cycles::DIV);
-                }
-                UOp::Rem { rd, rs1, rs2 } => {
-                    let a = self.rr(rs1) as i32;
-                    let b = self.rr(rs2) as i32;
-                    let v = if b == 0 { a } else { a.wrapping_rem(b) };
-                    self.wr(rd, v as u32);
-                    retire!(idx, cycles::DIV);
-                }
-                UOp::Remu { rd, rs1, rs2 } => {
-                    let b = self.rr(rs2);
-                    let v = if b == 0 {
-                        self.rr(rs1)
-                    } else {
-                        self.rr(rs1) % b
-                    };
-                    self.wr(rd, v);
-                    retire!(idx, cycles::DIV);
-                }
-                UOp::Load { rd, rs1, imm, kind } => {
-                    let addr = self.rr(rs1).wrapping_add(imm);
-                    if (firmware::STREAM_READ_BASE..firmware::STREAM_WRITE_BASE).contains(&addr)
-                        || !self.mem_ok(addr, kind.len())
-                    {
-                        // Stream I/O or trap: stop *before* it, step()'s
-                        // business — exactly as the block loop does.
-                        self.pc = at;
-                        return true;
-                    }
-                    let raw = self.load_n(addr, kind.len());
-                    let v = match kind {
-                        LoadKind::Word | LoadKind::HalfU | LoadKind::ByteU => raw,
-                        LoadKind::Half => (raw as u16 as i16 as i32) as u32,
-                        LoadKind::Byte => (raw as u8 as i8 as i32) as u32,
-                    };
-                    self.wr(rd, v);
-                    retire!(idx, cycles::LOAD);
-                }
-                UOp::Store {
-                    rs1,
-                    rs2,
-                    imm,
-                    kind,
-                } => {
-                    let addr = self.rr(rs1).wrapping_add(imm);
-                    if addr >= firmware::STREAM_WRITE_BASE || !self.mem_ok(addr, kind.len()) {
-                        self.pc = at;
-                        return true;
-                    }
-                    self.store_n(addr, kind.len(), self.rr(rs2));
-                    retire!(idx, cycles::STORE);
-                    if self.icache.epoch != epoch {
-                        // The store hit linked bytes: this trace was torn
-                        // down under us. Fall back to a fresh probe.
-                        self.pc = at.wrapping_add(4);
-                        return false;
-                    }
-                }
-                UOp::Branch {
-                    rs1,
-                    rs2,
-                    cond,
-                    target,
-                } => {
-                    let a = self.rr(rs1);
-                    let b = self.rr(rs2);
-                    let taken = match cond {
-                        Cond::Eq => a == b,
-                        Cond::Ne => a != b,
-                        Cond::Lt => (a as i32) < (b as i32),
-                        Cond::Ge => (a as i32) >= (b as i32),
-                        Cond::Ltu => a < b,
-                        Cond::Geu => a >= b,
-                    };
-                    let next_pc = if taken { target } else { at.wrapping_add(4) };
-                    *cycles += cycles::BRANCH;
-                    *retired += 1;
-                    idx += 1;
-                    if idx < ops.len() && sb.pc_of[idx] == next_pc {
-                        // Control followed the recorded trace.
-                    } else if next_pc == sb.entry {
-                        // Hot-loop specialization: the trace closes on its
-                        // own head.
-                        idx = 0;
-                        unchecked = max_retire - *retired >= len
-                            && cycles.saturating_add(len * cycles::INTRINSIC) < cycle_limit;
-                    } else {
-                        self.pc = next_pc;
-                        return false;
-                    }
-                }
-                UOp::Jal { rd, link, target } => {
-                    self.wr(rd, link);
-                    *cycles += cycles::BRANCH;
-                    *retired += 1;
-                    idx += 1;
-                    if idx < ops.len() && sb.pc_of[idx] == target {
-                    } else if target == sb.entry {
-                        idx = 0;
-                        unchecked = max_retire - *retired >= len
-                            && cycles.saturating_add(len * cycles::INTRINSIC) < cycle_limit;
-                    } else {
-                        self.pc = target;
-                        return false;
-                    }
-                }
-                UOp::Jalr { rd, rs1, imm, link } => {
-                    // Link before reading rs1, mirroring step()'s write
-                    // order (observable when rd == rs1).
-                    self.wr(rd, link);
-                    let next_pc = self.rr(rs1).wrapping_add(imm) & !1;
-                    *cycles += cycles::BRANCH;
-                    *retired += 1;
-                    idx += 1;
-                    if idx < ops.len() && sb.pc_of[idx] == next_pc {
-                    } else if next_pc == sb.entry {
-                        idx = 0;
-                        unchecked = max_retire - *retired >= len
-                            && cycles.saturating_add(len * cycles::INTRINSIC) < cycle_limit;
-                    } else {
-                        self.pc = next_pc;
-                        return false;
-                    }
-                }
-                UOp::Ecall => {
-                    if self.rr(crate::isa::reg::A7 as u8) as usize >= self.intrinsics.len() {
-                        // Would trap; leave it to step().
-                        self.pc = at;
-                        return true;
-                    }
-                    self.ecall().expect("intrinsic index pre-checked");
-                    retire!(idx, cycles::INTRINSIC);
-                    if self.icache.epoch != epoch {
-                        self.pc = at.wrapping_add(4);
-                        return false;
-                    }
-                }
-            }
-        }
-    }
-
     /// Executes exactly one instruction through the pre-decoded cache —
     /// including the externally-visible stream-port accesses [`Cpu::run_ahead`]
     /// stops at — with semantics mirroring [`Cpu::step`] case for case:
@@ -1632,21 +1147,6 @@ impl Cpu {
     /// Block-cache counters (diagnostics / tests).
     pub fn icache_stats(&self) -> IcacheStats {
         self.icache.stats()
-    }
-
-    /// Sets the superblock tier's hot-trace promotion threshold: a block
-    /// entered this many times gets trace-linked across its recorded
-    /// control transfers into one linear dispatch. `0` disables the tier
-    /// (the default — plain block-cached execution pays no profiling
-    /// cost). Purely a performance knob: superblock execution is
-    /// bit-identical to the block-cached and decode-per-step engines.
-    pub fn set_superblock_threshold(&mut self, threshold: u32) {
-        self.icache.promote_after = threshold;
-    }
-
-    /// Current superblock promotion threshold (`0` = tier disabled).
-    pub fn superblock_threshold(&self) -> u32 {
-        self.icache.promote_after
     }
 }
 

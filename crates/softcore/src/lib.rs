@@ -42,7 +42,7 @@ pub mod isa;
 pub mod run;
 
 pub use binary::{PackedBinary, SoftBinary};
-pub use block::{IcacheStats, DEFAULT_SUPERBLOCK_THRESHOLD};
+pub use block::IcacheStats;
 pub use cc::{compile_kernel, CcError};
 pub use cpu::{Cpu, StepResult, StreamIo};
 pub use run::{execute, execute_reference, ExecOutput, RunError};

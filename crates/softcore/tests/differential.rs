@@ -1,9 +1,10 @@
-//! Differential suite: the block-cached engine — and the superblock JIT
-//! tier stacked on it — must be bit-identical to the decode-per-step
-//! reference on random firmware images under random stream
+//! Differential suite: the block-cached engine, the softcore's one fast
+//! path, must be bit-identical to the decode-per-step reference
+//! (`Cpu::step`) on random firmware images under random stream
 //! stall/availability patterns — final registers, memory, cycle count,
-//! instruction count, and emitted tokens all equal (the A/B discipline
-//! behind shipping the pre-decoded engine as the default).
+//! instruction count, and emitted tokens all equal. The scenario tests
+//! pin the cases random firmware rarely reaches: stores into decoded
+//! bytes and firmware reloads over a live core.
 
 use proptest::prelude::*;
 use softcore::cpu::{StepResult, StreamIo};
@@ -181,9 +182,6 @@ fn build_cpu(recipe: &[(u8, u8, u8, i16)]) -> Cpu {
 enum Mode {
     Reference,
     BlockCached,
-    /// Block cache plus the superblock trace tier, promoted aggressively
-    /// (threshold 2) so random firmware forms traces within the budget.
-    Superblock,
 }
 
 /// Drives one core to halt/trap/budget and snapshots the architectural
@@ -193,16 +191,11 @@ fn run(
     mut io: PatternIo,
     mode: Mode,
 ) -> ([u32; 32], Vec<u32>, u64, u64, Vec<u32>, bool) {
-    if matches!(mode, Mode::Superblock) {
-        cpu.set_superblock_threshold(2);
-    }
     let mut halted = false;
     while cpu.cycles < CYCLE_BUDGET {
         let result = match mode {
             Mode::Reference => cpu.step(&mut io),
-            Mode::BlockCached | Mode::Superblock => {
-                cpu.step_then_run(&mut io, u64::MAX, CYCLE_BUDGET).0
-            }
+            Mode::BlockCached => cpu.step_then_run(&mut io, u64::MAX, CYCLE_BUDGET).0,
         };
         match result {
             StepResult::Ok | StepResult::Stall => {}
@@ -244,25 +237,6 @@ proptest! {
         prop_assert_eq!(reference.3, cached.3, "instructions diverge");
         prop_assert_eq!(reference.4, cached.4, "stream output diverges");
         prop_assert_eq!(reference.5, cached.5, "halt state diverges");
-    }
-
-    #[test]
-    fn superblock_matches_reference(
-        recipe in proptest::collection::vec(
-            (any::<u8>(), any::<u8>(), any::<u8>(), any::<i16>()), 1..60),
-        read_avail in proptest::collection::vec(any::<bool>(), 1..12),
-        write_avail in proptest::collection::vec(any::<bool>(), 1..12),
-    ) {
-        let io_a = PatternIo::new(read_avail.clone(), write_avail.clone());
-        let io_b = PatternIo::new(read_avail, write_avail);
-        let reference = run(build_cpu(&recipe), io_a, Mode::Reference);
-        let traced = run(build_cpu(&recipe), io_b, Mode::Superblock);
-        prop_assert_eq!(&reference.0[..], &traced.0[..], "registers diverge");
-        prop_assert_eq!(reference.1, traced.1, "memory diverges");
-        prop_assert_eq!(reference.2, traced.2, "cycles diverge");
-        prop_assert_eq!(reference.3, traced.3, "instructions diverge");
-        prop_assert_eq!(reference.4, traced.4, "stream output diverges");
-        prop_assert_eq!(reference.5, traced.5, "halt state diverges");
     }
 }
 
@@ -377,15 +351,15 @@ fn firmware_reload_invalidates_decoded_blocks() {
     );
 }
 
-/// Two-pass loop whose body is hot enough to be promoted into a linked
-/// superblock (head block → body block, re-entering the head), after which
-/// the program *stores into the middle of the trace* — rewriting one
-/// constituent instruction — and loops again with a new bound. The store
-/// must tear down the superblock (its span was written) and the re-formed
-/// trace must execute the patched instruction: final state bit-identical
-/// to the decode-per-step reference.
+/// Two-pass loop over two cached blocks (head block → body block,
+/// re-entering the head), after which the program, running in a third
+/// block, *stores into the hot body block* — rewriting one of its
+/// instructions — and loops again with a new bound. The store must drop
+/// the body block although it is not the one executing, and the
+/// re-decoded block must execute the patched instruction: final state
+/// bit-identical to the decode-per-step reference.
 #[test]
-fn self_modifying_store_tears_down_linked_superblock() {
+fn self_modifying_store_invalidates_another_hot_block() {
     let patch = Instr::Addi {
         rd: 4,
         rs1: 2,
@@ -424,7 +398,7 @@ fn self_modifying_store_tears_down_linked_superblock() {
         Instr::Bne {
             rs1: 2,
             rs2: 3,
-            imm: -16, // -> word 2, the superblock's jump-to-head edge
+            imm: -16, // -> word 2, the loop's back edge
         },
     ];
     // Tail (runs after the loop exits): on the first exit x8 == 0, so fall
@@ -482,7 +456,6 @@ fn self_modifying_store_tears_down_linked_superblock() {
         Mode::Reference,
     );
     let mut cpu = build();
-    cpu.set_superblock_threshold(4);
     let mut io = PatternIo::new(vec![true], vec![true]);
     let mut halted = false;
     while cpu.cycles < CYCLE_BUDGET {
@@ -501,7 +474,7 @@ fn self_modifying_store_tears_down_linked_superblock() {
     assert_eq!(cpu.regs[2], 80);
     assert_eq!(
         cpu.regs[4], 89,
-        "patched instruction executed inside the trace"
+        "patched instruction executed in the re-decoded block"
     );
     assert_eq!(&reference.0[..], &cpu.regs[..], "registers match reference");
     assert_eq!(reference.2, cpu.cycles, "cycles match reference");
@@ -509,25 +482,19 @@ fn self_modifying_store_tears_down_linked_superblock() {
         reference.3, cpu.instructions,
         "instructions match reference"
     );
-    let stats = cpu.icache_stats();
     assert!(
-        stats.superblocks_formed >= 2,
-        "trace formed before and after the patch (formed {})",
-        stats.superblocks_formed
-    );
-    assert!(
-        stats.invalidations > 0,
-        "store into the trace span must invalidate"
+        cpu.icache_stats().invalidations > 0,
+        "store into the body block must invalidate"
     );
 }
 
 /// Runtime hot-swap (`Cpu::load` over a live core) landing while the pc is
-/// parked *mid-superblock* — stalled on a stream read inside a promoted
-/// trace — must drop the trace along with the block cache: the swapped-in
-/// firmware runs from a clean slate, bit-identical to the reference
-/// driven through the same reload.
+/// parked *inside a hot loop* — stalled on the stream read that heads the
+/// loop's second cached block — must drop the block cache: the swapped-in
+/// firmware runs from freshly decoded blocks, bit-identical to the
+/// reference driven through the same reload.
 #[test]
-fn hot_swap_reload_mid_superblock_falls_back() {
+fn hot_swap_reload_mid_hot_loop_falls_back() {
     // Loop: bump x2, jump over a dead word, stream-read, repeat until
     // x2 == bound. Identical shape in both images; only the bound and the
     // increment differ.
@@ -575,17 +542,17 @@ fn hot_swap_reload_mid_superblock_falls_back() {
         .flat_map(|i| i.encode().to_le_bytes())
         .collect()
     };
-    // Ten reads succeed (ten full iterations — plenty to promote at
-    // threshold 2), then the eleventh stalls with the pc parked on the
-    // `lw` in the middle of the linked trace.
+    // Ten reads succeed (ten full iterations of the cached loop), then the
+    // eleventh stalls with the pc parked on the `lw` that heads the loop's
+    // second block.
     let avail = {
         let mut v = vec![true; 10];
         v.push(false);
         v
     };
-    let drive = |cpu: &mut Cpu, io: &mut PatternIo, superblock: bool| -> StepResult {
+    let drive = |cpu: &mut Cpu, io: &mut PatternIo, cached: bool| -> StepResult {
         loop {
-            let r = if superblock {
+            let r = if cached {
                 cpu.step_then_run(io, u64::MAX, CYCLE_BUDGET).0
             } else {
                 cpu.step(io)
@@ -600,13 +567,12 @@ fn hot_swap_reload_mid_superblock_falls_back() {
 
     let mut cpu = Cpu::new(MEM_BYTES, vec![]);
     cpu.load(0, &image(100, 1));
-    cpu.set_superblock_threshold(2);
     let mut io = PatternIo::new(avail.clone(), vec![true]);
     assert_eq!(drive(&mut cpu, &mut io, true), StepResult::Stall);
-    let formed_before = cpu.icache_stats().superblocks_formed;
+    let decoded_before = cpu.icache_stats().decoded;
     assert!(
-        formed_before > 0,
-        "ten hot iterations must have promoted a superblock"
+        decoded_before > 0,
+        "the hot loop must run from decoded blocks"
     );
 
     // Hot-swap new firmware over the stalled core, exactly as the runtime
@@ -619,10 +585,10 @@ fn hot_swap_reload_mid_superblock_falls_back() {
         "swapped-in loop ran its own five iterations"
     );
     let stats = cpu.icache_stats();
-    assert!(stats.invalidations > 0, "reload must invalidate the trace");
+    assert!(stats.invalidations > 0, "reload must invalidate the loop");
     assert!(
-        stats.superblocks_formed > formed_before,
-        "replacement loop re-promoted from scratch"
+        stats.decoded > decoded_before,
+        "replacement loop re-decoded from scratch"
     );
 
     // The reference, driven through the identical stall + reload sequence,

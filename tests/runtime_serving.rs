@@ -459,6 +459,92 @@ fn async_tickets_park_until_a_scheduling_pass() {
     assert!(got.iter().all(|(_, d)| *d == DeviceId(0)));
 }
 
+/// The pages a device-local app occupies.
+fn pages_of(runtime: &Runtime, id: pld_runtime::AppId) -> Vec<fabric::PageId> {
+    runtime
+        .placement_of(id)
+        .expect("resident")
+        .iter()
+        .map(|p| p.actual)
+        .collect()
+}
+
+#[test]
+fn released_pages_drop_the_last_tenants_injection_budget() {
+    let mut rt = Runtime::new(Floorplan::u50());
+    let a = rt
+        .admit_direct("a", Box::new(compile_o0(&pipeline("a", 2, 1))))
+        .unwrap();
+    rt.set_app_inject_budget(a.id, Some(3)).unwrap();
+    rt.evict(a.id).unwrap();
+
+    let b = rt
+        .admit_direct("b", Box::new(compile_o0(&pipeline("b", 2, 2))))
+        .unwrap();
+    assert_eq!(b.pages, a.pages, "b lands on a's freed pages");
+    for page in b.pages {
+        assert_eq!(
+            rt.device().page_inject_budget(page),
+            None,
+            "{page} kept the evicted tenant's throttle"
+        );
+    }
+}
+
+#[test]
+fn failed_migration_restores_the_tenants_injection_budget() {
+    let fp = Floorplan::u50();
+    let mut fleet = Fleet::new(2, &fp);
+    let (t, tg) = (TenantId(0), TenantId(1));
+    fleet.set_tenant(
+        tg,
+        QosSpec {
+            weight: 1,
+            evict: EvictClass::Guaranteed,
+        },
+    );
+    let a = fleet
+        .submit(t, "a", compile_o0(&pipeline("a", 2, 1)))
+        .unwrap();
+    let b = fleet
+        .submit(t, "b", compile_o0(&pipeline("b", 2, 2)))
+        .unwrap();
+    fleet.pump();
+    // A guaranteed tenant fills dev1, so a standard tenant's migration
+    // there finds nothing it may evict and is refused for good.
+    let g = fleet
+        .submit(tg, "g", compile_o0(&pipeline("g", 22, 3)))
+        .unwrap();
+    fleet.pump();
+    assert_eq!(fleet.locate(g).unwrap().0, DeviceId(1));
+    // a's pages, freed before any budget was set, are where the restore
+    // lands b.
+    fleet.retire(a).unwrap();
+    fleet.set_inject_base_credits(Some(5));
+    let (dev, local) = fleet.locate(b).unwrap();
+    let before = pages_of(fleet.device(dev).unwrap(), local);
+
+    match fleet.migrate(b, DeviceId(1)) {
+        Err(FleetError::MigrationFailed { restored: true, .. }) => {}
+        other => panic!("expected a restored migration failure, got {other:?}"),
+    }
+    let (dev, local) = fleet.locate(b).unwrap();
+    assert_eq!(dev, DeviceId(0), "restored on its source");
+    let runtime = fleet.device(dev).unwrap();
+    let after = pages_of(runtime, local);
+    assert_ne!(after, before, "the restore moved b to other pages");
+    for page in after {
+        assert_eq!(
+            runtime.device().page_inject_budget(page),
+            Some(5),
+            "{page} serves b without its tenant's credits"
+        );
+    }
+    let out = fleet.run(b, &[("Input_1", words(0..8))]).unwrap();
+    let expected: Vec<u32> = (0..8).map(|v| v + 4).collect();
+    assert_eq!(to_u32s(&out["Output_1"]), expected);
+}
+
 #[test]
 fn retire_releases_pages_without_counting_as_an_eviction() {
     let fp = Floorplan::u50();
