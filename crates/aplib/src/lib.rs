@@ -8,14 +8,10 @@
 //! vendor libraries waste memory on small softcore pages, motivating a
 //! memory-efficient reimplementation.
 //!
-//! This crate provides both halves of that story:
-//!
-//! * [`ApInt`] / [`ApUint`] / [`ApFixed`] / [`ApUfixed`] — const-generic types
-//!   mirroring `ap_int<W>`, `ap_uint<W>`, `ap_fixed<W,I>`, `ap_ufixed<W,I>`
-//!   for host-side Rust code (examples, golden models).
-//! * [`DynInt`] / [`DynFixed`] — width-as-value twins used by the `kir`
-//!   interpreter, the HLS datapath model and the softcore compiler, where
-//!   operator types are runtime data.
+//! This crate provides [`DynInt`] / [`DynFixed`]: `ap_int<W>` / `ap_uint<W>`
+//! and `ap_fixed<W,I>` / `ap_ufixed<W,I>` with the shape carried as a value,
+//! used by the `kir` interpreter, the HLS datapath model and the softcore
+//! compiler, where operator types are runtime data.
 //!
 //! Semantics follow the Xilinx defaults the paper's benchmarks rely on:
 //! overflow **wraps** (`AP_WRAP`) and fixed-point assignment **truncates
@@ -26,28 +22,25 @@
 //! # Examples
 //!
 //! ```
-//! use aplib::{ApFixed, ApUint};
+//! use aplib::{DynFixed, DynInt};
 //!
-//! let a: ApUint<12> = ApUint::new(4000);
-//! let b: ApUint<12> = ApUint::new(200);
-//! assert_eq!((a + b).to_u128(), (4000u128 + 200) % (1 << 12));
+//! // ap_uint<12>: the sum wraps at 12 bits.
+//! let a = DynInt::from_i128(12, false, 4000);
+//! let b = DynInt::from_i128(12, false, 200);
+//! assert_eq!(a.add(b).to_u128(), Some((4000 + 200) % (1 << 12)));
 //!
 //! // ap_fixed<32,17>: 17 integer bits (incl. sign), 15 fractional bits.
-//! let x: ApFixed<32, 17> = ApFixed::from_f64(3.25);
-//! let y: ApFixed<32, 17> = ApFixed::from_f64(-1.5);
-//! assert_eq!((x * y).to_f64(), -4.875);
+//! let x = DynFixed::from_f64(32, 17, true, 3.25);
+//! let y = DynFixed::from_f64(32, 17, true, -1.5);
+//! assert_eq!(x.mul(y).resize(32, 17, true).to_f64(), -4.875);
 //! ```
 
 #![allow(clippy::should_implement_trait)] // ap-arithmetic methods mirror the HLS API
 
-mod apfixed;
-mod apint;
 mod bits;
 mod dynfixed;
 mod dynint;
 
-pub use apfixed::{ApFixed, ApUfixed};
-pub use apint::{ApInt, ApUint};
 pub use bits::{mask, min_bits_signed, min_bits_unsigned, sign_extend, wrap_to_width};
 pub use dynfixed::DynFixed;
 pub use dynint::DynInt;

@@ -1,13 +1,12 @@
 //! Ablations of PLD's design choices (the extensions DESIGN.md calls out):
 //!
 //! 1. `-O3` link style — stream FIFOs vs relay stations (paper Sec. 7.5);
-//! 2. page-assignment policy — first-fit vs communication affinity;
-//! 3. overlay granularity — 22 coarse pages vs 44 fine pages (Sec. 9).
+//! 2. overlay granularity — 22 coarse pages vs 44 fine pages (Sec. 9).
 //!
 //! `cargo run --release -p pld-bench --bin ablation [tiny|small|medium]`
 
 use fabric::Floorplan;
-use pld::{compile, execute, CompileOptions, LinkStyle, OptLevel, PageAssign};
+use pld::{compile, CompileOptions, LinkStyle, OptLevel};
 use pld_bench::scale_from_args;
 use rosetta::suite;
 
@@ -38,35 +37,7 @@ fn main() {
     }
     println!("paper claim: relay stations remove the FIFO BRAM cost (Sec. 7.5).\n");
 
-    println!("Ablation 2: page assignment (first-fit vs BFT affinity), -O1 runtime\n");
-    println!("{:18} {:>14} {:>14}", "benchmark", "first-fit", "affinity");
-    for bench in suite(scale) {
-        let inputs = bench.input_refs();
-        let mut times = Vec::new();
-        for policy in [PageAssign::FirstFit, PageAssign::Affinity] {
-            // Scatter pressure: reverse operator order via pins is intrusive;
-            // instead rely on the policy itself over the shared tree.
-            let app = compile(
-                &bench.graph,
-                &CompileOptions {
-                    page_assign: policy,
-                    ..CompileOptions::new(OptLevel::O1)
-                },
-            )
-            .expect("compiles");
-            let perf = execute::perf_o1(&app, &inputs).expect("cosim");
-            times.push(perf.seconds_per_input);
-        }
-        println!(
-            "{:18} {:>12.1}us {:>12.1}us",
-            bench.name,
-            times[0] * 1e6,
-            times[1] * 1e6
-        );
-    }
-    println!();
-
-    println!("Ablation 3: overlay granularity (22 coarse vs 44 fine pages), -O1 compile\n");
+    println!("Ablation 2: overlay granularity (22 coarse vs 44 fine pages), -O1 compile\n");
     println!(
         "{:18} {:>16} {:>16}",
         "benchmark", "coarse worst(s)", "fine worst(s)"

@@ -8,23 +8,27 @@
 //! by one app-wide [`LinkDriver`](StageKind::LinkDriver) stage. Every stage
 //! is addressed by a content hash over *all* of its inputs, so the store
 //! answers "is this exact work already done?" per phase, not per operator:
-//! a seed-only edit re-runs P&R against the cached HLS netlist, and a
-//! virtual-time recalibration recompiles nothing at all, because seconds are
-//! derived from stored work measures at materialization time rather than
-//! baked into the products.
+//! a seed-only edit re-runs P&R against the cached HLS netlist, an edit that
+//! leaves the netlist as it was (new constants, say) re-runs HLS and packing
+//! but not P&R, and a virtual-time recalibration recompiles nothing at all,
+//! because seconds are derived from stored work measures at materialization
+//! time rather than baked into the products.
 //!
 //! Key composition (all hashes FNV-1a over the listed inputs):
 //!
 //! | stage | key inputs |
 //! |---|---|
 //! | `HlsLower` | kernel source |
-//! | `PlaceRoute` | kernel source, page rect, device, per-operator seed, warm-start hint (when warm) |
-//! | `PnrHints` | operator name, kernel source, page rect, device; the product carries the `PlaceRoute` key it was extracted from |
+//! | `PlaceRoute` | HLS netlist, page rect, device, per-operator seed, warm-start hint (when warm) |
+//! | `PnrHints` (pointer) | operator name, HLS netlist, page rect, device; the product carries the `PlaceRoute` key it was extracted from |
+//! | `PnrHints` (lineage) | operator name, kernel source, page rect, device; filed only by a version whose P&R ran |
 //! | `BitstreamPack` | hardware: the bitstream packed, page id, operator name, resolved target; softcore: `SoftcoreCc` key, page id, operator name |
 //! | `SoftcoreCc` | kernel source |
 //! | `LinkDriver` | dataflow IR, page map, every artifact hash |
 //!
-//! Stages whose keys miss become farm jobs, submitted longest-first (LPT
+//! Stages whose keys miss become farm jobs, in two rounds: the front of
+//! every chain (HLS, or the whole softcore chain), then P&R and packing,
+//! whose keys need the netlist. Each round is submitted longest-first (LPT
 //! list scheduling) so the slowest page compile starts immediately — the
 //! paper's Sec. 6.2 observation that parallel compile time "is determined by
 //! the longest individual one" made concrete. [`crate::compile`] (with an
@@ -44,9 +48,8 @@ use crate::artifact::{Driver, Xclbin, XclbinKind};
 use crate::cache::CacheBackend;
 use crate::farm;
 use crate::flow::{
-    assign_pages_with, build_driver, compile_monolithic, fnv, source_hash,
-    wrap_with_leaf_interface, CompileError, CompileOptions, CompiledApp, CompiledOperator,
-    OptLevel, OptSummary,
+    assign_pages, build_driver, compile_monolithic, fnv, source_hash, wrap_with_leaf_interface,
+    CompileError, CompileOptions, CompiledApp, CompiledOperator, OptLevel, OptSummary,
 };
 use crate::store::{
     HintsProduct, HlsProduct, OptProduct, PnrProduct, SoftProduct, StageKey, StageKind,
@@ -92,8 +95,9 @@ pub struct BuildReport {
     /// From-scratch cost on an unbounded farm (slowest operator).
     pub fresh_vtime_parallel: PhaseTimes,
     /// `PnrHints` lookups for a warm start: hardware operators whose
-    /// `PlaceRoute` stage missed (incremental P&R on) and was not
-    /// found through this version's own hint either (that is a stage hit).
+    /// `PlaceRoute` stage missed (incremental P&R on) and was not found
+    /// through the netlist's or this version's own hint either (that is a
+    /// stage hit).
     pub hint_fetches: u64,
     /// Hint lookups that found a usable hint, arming the warm path.
     pub hint_hits: u64,
@@ -220,22 +224,23 @@ fn graph_hash(g: Hashed<'_>) -> u64 {
 
 /// Domain tag folded into a `PlaceRoute` key (followed by the hint's
 /// content hash) when the stage is warm-started, so warm and cold products
-/// of the same source never share a key.
+/// of the same netlist never share a key.
 const HINT_TAG: u64 = 0x7761_726d; // "warm"
 
-/// Key of a [`StageKind::PlaceRoute`] stage: the inputs of a cold run, then,
+/// Key of a [`StageKind::PlaceRoute`] stage: the inputs of a cold run — the
+/// HLS netlist ([`HlsProduct::netlist_hash`]), page, device and seed — then,
 /// for a warm-started one, [`HINT_TAG`] and the fingerprint of the hint it
 /// starts from (`warm`). With `warm` absent this is the *plain* key a warm
 /// run the quality guard discarded is aliased under.
 pub(crate) fn pnr_key(
-    khash: u64,
+    netlist_hash: u64,
     rect: Rect,
     device_hash: u64,
     seed: u64,
     warm: Option<u64>,
 ) -> StageKey {
     let cold = [
-        khash,
+        netlist_hash,
         rect.x0 as u64,
         rect.y0 as u64,
         rect.w as u64,
@@ -247,26 +252,39 @@ pub(crate) fn pnr_key(
     stage_key(StageKind::PlaceRoute, cold.into_iter().chain(warm))
 }
 
-/// Key of the [`StageKind::PnrHints`] artifact for one operator *lineage*:
-/// operator name (hashed) + page geometry + device, plus the kernel version
-/// whose P&R produced the hint. Deliberately seed-free — a hint is an
-/// optimization input, not part of any artifact's identity. A compile probes
-/// it with its own kernel hash (a pointer to this version's finished P&R,
-/// [`HintsProduct::origin`]), then the **previous** version's (a warm start).
-pub(crate) fn hints_key(name_hash: u64, khash: u64, rect: Rect, device_hash: u64) -> StageKey {
-    stage_key(
-        StageKind::PnrHints,
-        [
-            name_hash,
-            khash,
-            rect.x0 as u64,
-            rect.y0 as u64,
-            rect.w as u64,
-            rect.h as u64,
-            device_hash,
-        ],
-    )
+/// Key of a [`StageKind::PnrHints`] product: operator name (hashed), the
+/// hashes that name what it was filed for, page geometry and device.
+/// Deliberately seed-free — a hint is an optimization input, not part of any
+/// artifact's identity.
+fn hints_key_of(name_hash: u64, of: &[u64], rect: Rect, device_hash: u64) -> StageKey {
+    let rect = [rect.x0, rect.y0, rect.w, rect.h].map(u64::from);
+    let parts = [name_hash].into_iter().chain(of.iter().copied());
+    stage_key(StageKind::PnrHints, parts.chain(rect).chain([device_hash]))
 }
+
+/// Key of the [`StageKind::PnrHints`] of one operator *lineage*: the kernel
+/// version whose P&R produced the hint. A compile whose P&R runs probes it
+/// with its own kernel hash, then the **previous** version's (a warm start).
+pub(crate) fn hints_key(name_hash: u64, khash: u64, rect: Rect, device_hash: u64) -> StageKey {
+    hints_key_of(name_hash, &[khash], rect, device_hash)
+}
+
+/// Key of the [`StageKind::PnrHints`] filed for a netlist: a pointer
+/// ([`HintsProduct::origin`]) to the first P&R run of that netlist on the
+/// page, so any version that lowers to it again — a warm product included —
+/// is a `PlaceRoute` hit.
+pub(crate) fn netlist_hints_key(
+    name_hash: u64,
+    netlist_hash: u64,
+    rect: Rect,
+    device_hash: u64,
+) -> StageKey {
+    hints_key_of(name_hash, &[NETLIST_TAG, netlist_hash], rect, device_hash)
+}
+
+/// Domain tag of a netlist's `PnrHints` key, so that it never shares a key
+/// with a lineage's.
+const NETLIST_TAG: u64 = 0x6e65_746c; // "netl"
 
 /// Key of a hardware page's [`StageKind::BitstreamPack`] stage: the bitstream
 /// packed, not the `PlaceRoute` key that led to it, because one product is
@@ -299,7 +317,7 @@ fn pack_page(
 }
 
 /// One operator's stage chain with every product in hand: fetched by the
-/// plan, or handed back by the farm job that ran the missing stages.
+/// plan, or handed back by the farm jobs that ran the missing stages.
 enum Chain {
     Hw {
         hls: Arc<HlsProduct>,
@@ -312,6 +330,15 @@ enum Chain {
     },
 }
 
+/// What the plan's first round leaves an operator with.
+enum Front {
+    /// A hardware operator's netlist: the second round plans its P&R, whose
+    /// key names the netlist.
+    Hls(Arc<HlsProduct>),
+    /// A softcore operator's whole chain.
+    Done(Chain),
+}
+
 /// Which stages one operator needs, and which the plan's fetches served.
 struct OpPlan {
     target: Target,
@@ -319,12 +346,18 @@ struct OpPlan {
     src_hash: u64,
     /// `HlsLower` for hardware, `SoftcoreCc` for softcore targets.
     front_hit: bool,
-    /// `PlaceRoute` (`None` for softcore targets).
+    /// `PlaceRoute` (`None` for softcore targets). Until the second round
+    /// probes it, a hardware operator's P&R counts as a miss.
     pnr_hit: Option<bool>,
     pack_hit: bool,
-    /// The chain when every fetch hit; `None` when a farm job (the next one
-    /// not yet claimed, in operator order) completes it.
+    /// What the first round leaves; the second round takes it.
+    front: Option<Front>,
+    /// The chain once every product is in hand.
     chain: Option<Chain>,
+    /// Wall-clock seconds of the farm jobs that ran this operator's stages.
+    wall_seconds: f64,
+    /// `Some(fell_back)` when a job attempted a hint-warmed P&R.
+    warm: Option<bool>,
 }
 
 impl OpPlan {
@@ -348,17 +381,56 @@ impl OpPlan {
     }
 }
 
-/// What one farm job hands back: the operator's completed chain, the
-/// products it computed (to be filed), and how its P&R stage ran.
-struct JobDone {
-    chain: Chain,
+/// What one farm job hands back: its output, and the products it computed
+/// (to be filed).
+struct JobDone<T> {
+    out: T,
     filed: Vec<(StageKey, StageProduct)>,
-    /// `Some(fell_back)` when the job attempted a hint-warmed P&R.
-    warm: Option<bool>,
 }
 
-type JobResult = Result<JobDone, CompileError>;
-type Job<'a> = Box<dyn FnOnce() -> JobResult + Send + 'a>;
+type Job<'a, T> = Box<dyn FnOnce() -> Result<JobDone<T>, CompileError> + Send + 'a>;
+
+/// One round's farm jobs: `(operator index, LPT cost, job)`.
+type Round<'a, T> = Vec<(usize, f64, Job<'a, T>)>;
+
+/// The error of an operator whose farm job left no result.
+fn no_outcome(op: &dfg::OperatorInst) -> CompileError {
+    CompileError::JobPanicked {
+        op: op.name.clone(),
+        message: "farm returned no outcome for this operator's job".into(),
+    }
+}
+
+/// Runs one round of farm jobs longest-first, files what they computed, and
+/// returns each job's operator index, output and wall seconds, in submission
+/// order. The first failed job, in operator order, is the round's error.
+fn run_round<T: Send, C: CacheBackend>(
+    graph: &Graph,
+    jobs: Round<'_, T>,
+    workers: usize,
+    store: &mut C,
+) -> Result<Vec<(usize, T, f64)>, CompileError> {
+    let (ops, jobs): (Vec<usize>, Vec<_>) = jobs
+        .into_iter()
+        .map(|(i, cost, job)| (i, (cost, job)))
+        .unzip();
+    let outcomes = farm::run_jobs_lpt(jobs, workers);
+    ops.into_iter()
+        .zip(outcomes)
+        .map(|(i, outcome)| {
+            let done = outcome
+                .result
+                .map_err(|message| CompileError::JobPanicked {
+                    op: graph.operators[i].name.clone(),
+                    message,
+                })??;
+            for (key, product) in done.filed {
+                store.put(key, product);
+            }
+            Ok((i, done.out, outcome.wall_seconds))
+        })
+        .collect()
+}
 
 /// Compiles a graph by materializing its stage DAG against `store` — any
 /// [`CacheBackend`]: the bare in-memory [`crate::ArtifactStore`], or a persistent
@@ -392,13 +464,13 @@ pub fn build<C: CacheBackend>(
 
 /// [`build`] for a graph whose kernels are already hashed, given the
 /// *previous* version of the graph as warm-start context. With
-/// [`CompileOptions::incremental_pnr`] on, a dirty hardware operator's
-/// `PlaceRoute` stage probes the [`StageKind::PnrHints`] filed when the
-/// previous version of that operator compiled and, on a hit, warm-starts
-/// from it (see [`pnr::place_and_route_incremental`]). `prev` is matched by
-/// operator name against the graph as supplied; when the KPN optimizer
-/// rewrites operator names the probe simply misses and the stage runs cold
-/// — hints are an optimization input, never a correctness input.
+/// [`CompileOptions::incremental_pnr`] on, a hardware operator whose netlist
+/// has no `PlaceRoute` product yet probes the [`StageKind::PnrHints`] filed
+/// when the previous version of that operator was placed and, on a hit,
+/// warm-starts from it (see [`pnr::place_and_route_incremental`]). `prev` is
+/// matched by operator name against the graph as supplied; when the KPN
+/// optimizer rewrites operator names the probe simply misses and the stage
+/// runs cold — hints are an optimization input, never a correctness input.
 pub(crate) fn build_with_prev<C: CacheBackend>(
     source: Hashed<'_>,
     prev: Option<Hashed<'_>>,
@@ -480,136 +552,180 @@ fn build_paged<C: CacheBackend>(
 ) -> Result<(CompiledApp, BuildReport), CompileError> {
     let graph = built.graph;
     let force_riscv = options.level == OptLevel::O0;
-    let pages = assign_pages_with(graph, &options.floorplan, force_riscv, options.page_assign)?;
+    let pages = assign_pages(graph, &options.floorplan, force_riscv)?;
     let device_hash = debug_fnv1a(&options.floorplan.device);
     let mut report = BuildReport::default();
 
-    // Plan by fetch: one fetch per stage of every operator's chain, and a
-    // hit is the product in hand. Whatever a fetch cannot serve — never
-    // built, evicted, or unreadable on disk — is a miss, and the operator
-    // gets a farm job for its missing stages.
+    // Plan by fetch, in two rounds: one fetch per stage of every operator's
+    // chain, and a hit is the product in hand. Whatever a fetch cannot serve
+    // — never built, evicted, or unreadable on disk — is a miss, and the
+    // operator gets a farm job for its missing stages. The first round is
+    // the front of every chain: HLS for hardware, the whole softcore chain.
     let mut plans = Vec::with_capacity(graph.operators.len());
-    let mut jobs: Vec<(f64, Job<'_>)> = Vec::new();
-    for ((op, &khash), &(target, page)) in graph.operators.iter().zip(built.kernels).zip(&pages) {
-        let name_hash = fnv(op.name.as_bytes());
-        let src_hash = source_hash(khash, target);
-        let (front_hit, pnr_hit, pack_hit, work) = match target {
+    let mut jobs: Round<'_, Front> = Vec::new();
+    for (i, ((op, &khash), &(target, page))) in graph
+        .operators
+        .iter()
+        .zip(built.kernels)
+        .zip(&pages)
+        .enumerate()
+    {
+        let mut plan = OpPlan {
+            target,
+            page,
+            src_hash: source_hash(khash, target),
+            front_hit: false,
+            pnr_hit: target.is_hw().then_some(false),
+            pack_hit: false,
+            front: None,
+            chain: None,
+            wall_seconds: 0.0,
+            warm: None,
+        };
+        let job: Option<Job<'_, Front>> = match target {
             Target::Hw { .. } => {
-                let rect = options.floorplan.pages[page.0 as usize].rect;
-                let seed = options.seed ^ name_hash;
-                let hls_key = hls_key(khash);
-                let hls = (hls_key, store.fetch_hls(hls_key.hash));
-                let mut pnr_key = pnr_key(khash, rect, device_hash, seed, None);
-                let mut pnr = store.fetch_pnr(pnr_key.hash);
-                // Warm-start planning: an already-cached cold stage needs no
-                // hint at all.
-                let mut hints_key_now = options
-                    .incremental_pnr
-                    .then(|| hints_key(name_hash, khash, rect, device_hash));
-                let mut hint = None;
-                if let (None, Some(hk)) = (&pnr, hints_key_now) {
-                    // A hint for different page geometry can never replay.
-                    let usable = |h: &Arc<HintsProduct>| h.hints().region == rect;
-                    // This version's own hint points at its finished P&R:
-                    // while that product is there, the stage is a hit. And
-                    // the first filing stands, so this build files no other.
-                    let own = store.fetch_hints(hk.hash);
-                    hints_key_now = hints_key_now.filter(|_| own.is_none());
-                    let own = own.filter(usable);
-                    pnr = own
-                        .as_ref()
-                        .and_then(|h| store.fetch_pnr(h.origin()))
-                        .filter(|p| p.seed == seed);
-                    if pnr.is_none() {
-                        // That product gone (evicted, unreadable), its layout
-                        // is the start; an edit starts from what it is an edit *of*.
-                        report.hint_fetches += 1;
-                        hint = own.or_else(|| {
-                            let p = prev?;
-                            let i = p.graph.operators.iter().position(|o| o.name == op.name)?;
-                            let before = hints_key(name_hash, p.kernels[i], rect, device_hash);
-                            let before = (before != hk).then(|| store.fetch_hints(before.hash));
-                            before?.filter(usable)
-                        });
-                    }
-                    if let Some(h) = &hint {
-                        report.hint_hits += 1;
-                        // Fold the hint's identity into the stage key: a
-                        // warm product is a function of (source, hint), so
-                        // it must never collide with the cold product.
-                        let warm = Some(h.content_hash());
-                        pnr_key = self::pnr_key(khash, rect, device_hash, seed, warm);
-                        pnr = store.fetch_pnr(pnr_key.hash);
-                    }
-                }
-                // Packing keys on the bitstream: no product, no pack to find.
-                let pack = pnr.as_ref().and_then(|p| {
-                    store.fetch_pack(pack_key(&p.bitstream, page, name_hash, src_hash).hash)
-                });
-                let pnr = (pnr_key, pnr);
-                let hits = (hls.1.is_some(), Some(pnr.1.is_some()), pack.is_some());
-                let work: Result<Chain, Job<'_>> = match (hls, pnr, pack) {
-                    ((_, Some(hls)), (_, Some(pnr)), Some(pack)) => {
-                        Ok(Chain::Hw { hls, pnr, pack })
-                    }
-                    (hls, pnr, pack) => {
-                        let job = HwJob {
-                            op,
-                            options,
-                            page,
-                            khash,
-                            src_hash,
-                            device_hash,
-                            hint,
-                            hints_key_now,
-                            hls,
-                            pnr,
-                            pack,
-                        };
-                        Err(Box::new(move || job.run()))
-                    }
-                };
-                (hits.0, hits.1, hits.2, work)
+                let key = hls_key(khash);
+                plan.front = store.fetch_hls(key.hash).map(Front::Hls);
+                plan.front_hit = plan.front.is_some();
+                (!plan.front_hit).then(|| Box::new(move || hls_job(op, key)) as Job<'_, Front>)
             }
             Target::Riscv { .. } => {
                 let soft_key = stage_key(StageKind::SoftcoreCc, [khash]);
                 let soft = (soft_key, store.fetch_soft(soft_key.hash));
                 let pack_key = stage_key(
                     StageKind::BitstreamPack,
-                    [soft_key.hash, page.0 as u64, name_hash],
+                    [soft_key.hash, page.0 as u64, fnv(op.name.as_bytes())],
                 );
                 let pack = (pack_key, store.fetch_pack(pack_key.hash));
-                let hits = (soft.1.is_some(), pack.1.is_some());
-                let work: Result<Chain, Job<'_>> = match (soft, pack) {
-                    ((_, Some(soft)), (_, Some(pack))) => Ok(Chain::Soft { soft, pack }),
-                    (soft, pack) => Err(Box::new(move || soft_job(op, page, soft, pack))),
-                };
-                (hits.0, None, hits.1, work)
+                (plan.front_hit, plan.pack_hit) = (soft.1.is_some(), pack.1.is_some());
+                match (soft, pack) {
+                    ((_, Some(soft)), (_, Some(pack))) => {
+                        plan.front = Some(Front::Done(Chain::Soft { soft, pack }));
+                        None
+                    }
+                    (soft, pack) => Some(Box::new(move || soft_job(op, page, soft, pack))),
+                }
             }
         };
-        let mut plan = OpPlan {
-            target,
-            page,
-            src_hash,
-            front_hit,
-            pnr_hit,
-            pack_hit,
-            chain: None,
-        };
-        match work {
-            Ok(chain) => plan.chain = Some(chain),
-            Err(job) => jobs.push((plan.cost(&op.kernel), job)),
+        if let Some(job) = job {
+            jobs.push((i, plan.cost(&op.kernel), job));
         }
         plans.push(plan);
     }
+    for (i, front, wall_seconds) in run_round(graph, jobs, options.jobs, store)? {
+        plans[i].front = Some(front);
+        plans[i].wall_seconds += wall_seconds;
+    }
 
-    // Execute missing stages on the farm, longest-first. Outcomes come back
-    // in submission order: the order of the operators that have a job.
-    let mut outcomes = farm::run_jobs_lpt(jobs, options.jobs).into_iter();
+    // The second round probes every hardware page's P&R with its netlist in
+    // hand, so an edit that left the netlist as it was is a hit.
+    let mut jobs: Round<'_, (Chain, Option<bool>)> = Vec::new();
+    for (i, ((op, plan), &khash)) in graph
+        .operators
+        .iter()
+        .zip(&mut plans)
+        .zip(built.kernels)
+        .enumerate()
+    {
+        let hls = match plan.front.take().ok_or_else(|| no_outcome(op))? {
+            Front::Done(chain) => {
+                plan.chain = Some(chain);
+                continue;
+            }
+            Front::Hls(hls) => hls,
+        };
+        let name_hash = fnv(op.name.as_bytes());
+        let rect = options.floorplan.pages[plan.page.0 as usize].rect;
+        let seed = options.seed ^ name_hash;
+        let netlist = hls.netlist_hash();
+        let mut pnr_key = pnr_key(netlist, rect, device_hash, seed, None);
+        let mut pnr = store.fetch_pnr(pnr_key.hash);
+        // Warm-start planning: an already-cached cold stage needs no hint at
+        // all. `hints_now` are the keys the hint of this build's P&R run is
+        // filed under.
+        let mut hints_now = Vec::new();
+        let mut hint = None;
+        if let (None, true) = (&pnr, options.incremental_pnr) {
+            // A hint for different page geometry can never replay.
+            let usable = |h: &Arc<HintsProduct>| h.hints().region == rect;
+            // The netlist's hint, then this version's own, points at a
+            // finished P&R: while that product is there, the stage is a hit.
+            // And the first filing stands, so this build files no other.
+            let lineage = hints_key(name_hash, khash, rect, device_hash);
+            let mut own = None;
+            for key in [
+                netlist_hints_key(name_hash, netlist, rect, device_hash),
+                lineage,
+            ] {
+                let filed = store.fetch_hints(key.hash);
+                if filed.is_none() {
+                    hints_now.push(key);
+                }
+                own = filed.filter(usable);
+                pnr = own
+                    .as_ref()
+                    .and_then(|h| store.fetch_pnr(h.origin()))
+                    .filter(|p| p.seed == seed);
+                if pnr.is_some() {
+                    break;
+                }
+            }
+            if pnr.is_none() {
+                // That product gone (evicted, unreadable), the version's own
+                // layout is the start; an edit starts from what it is an
+                // edit *of*.
+                report.hint_fetches += 1;
+                hint = own.or_else(|| {
+                    let p = prev?;
+                    let j = p.graph.operators.iter().position(|o| o.name == op.name)?;
+                    let before = hints_key(name_hash, p.kernels[j], rect, device_hash);
+                    let before = (before != lineage).then(|| store.fetch_hints(before.hash));
+                    before?.filter(usable)
+                });
+                if let Some(h) = &hint {
+                    report.hint_hits += 1;
+                    // Fold the hint's identity into the stage key: a warm
+                    // product is a function of (netlist, hint), so it must
+                    // never collide with the cold product.
+                    let warm = Some(h.content_hash());
+                    pnr_key = self::pnr_key(netlist, rect, device_hash, seed, warm);
+                    pnr = store.fetch_pnr(pnr_key.hash);
+                }
+            }
+        }
+        // Packing keys on the bitstream: no product, no pack to find.
+        let pack = pnr.as_ref().and_then(|p| {
+            store.fetch_pack(pack_key(&p.bitstream, plan.page, name_hash, plan.src_hash).hash)
+        });
+        (plan.pnr_hit, plan.pack_hit) = (Some(pnr.is_some()), pack.is_some());
+        match (pnr, pack) {
+            (Some(pnr), Some(pack)) => plan.chain = Some(Chain::Hw { hls, pnr, pack }),
+            (pnr, pack) => {
+                let job = HwJob {
+                    op,
+                    options,
+                    page: plan.page,
+                    src_hash: plan.src_hash,
+                    device_hash,
+                    hint,
+                    hints_now,
+                    hls,
+                    pnr: (pnr_key, pnr),
+                    pack,
+                };
+                jobs.push((i, plan.cost(&op.kernel), Box::new(move || job.run())));
+            }
+        }
+    }
+    for (i, (chain, warm), wall_seconds) in run_round(graph, jobs, options.jobs, store)? {
+        plans[i].chain = Some(chain);
+        plans[i].warm = warm;
+        plans[i].wall_seconds += wall_seconds;
+    }
 
-    // Materialize: file what the jobs computed, assemble the app from the
-    // chains in hand, and derive both the executed and the from-scratch
-    // virtual times from the stored work measures.
+    // Materialize: assemble the app from the chains in hand, and derive both
+    // the executed and the from-scratch virtual times from the stored work
+    // measures.
     let vt = &options.vtime;
     let mut artifacts = vec![Xclbin {
         name: "overlay.xclbin".into(),
@@ -642,30 +758,14 @@ fn build_paged<C: CacheBackend>(
             executions: plan.executions(),
         });
 
-        let panicked = |message: String| CompileError::JobPanicked {
-            op: op.name.clone(),
-            message,
-        };
-        let (chain, wall_seconds, warm) = match plan.chain {
-            Some(chain) => (chain, 0.0, None),
-            None => {
-                // A missing outcome is a farm accounting bug, not a reason
-                // to unwind through `Runtime::hot_swap`.
-                let outcome = outcomes.next().ok_or_else(|| {
-                    panicked("farm returned no outcome for this operator's job".into())
-                })?;
-                let done = outcome.result.map_err(panicked)??;
-                for (key, product) in done.filed {
-                    store.put(key, product);
-                }
-                (done.chain, outcome.wall_seconds, done.warm)
-            }
-        };
+        // A missing outcome is a farm accounting bug, not a reason to unwind
+        // through `Runtime::hot_swap`.
+        let chain = plan.chain.ok_or_else(|| no_outcome(op))?;
         let pnr_hit = plan.pnr_hit.unwrap_or(false);
         let mut warm_pnr_seconds = None;
         let (pack, hls, timing, soft, fresh) = match chain {
             Chain::Hw { hls, pnr, pack } => {
-                if let Some(fell_back) = warm {
+                if let Some(fell_back) = plan.warm {
                     report.warm_pnr_ops += 1;
                     if fell_back {
                         report.warm_fallbacks += 1;
@@ -726,7 +826,7 @@ fn build_paged<C: CacheBackend>(
             timing,
             soft,
             vtime: executed,
-            wall_seconds,
+            wall_seconds: plan.wall_seconds,
             source_hash: plan.src_hash,
         });
     }
@@ -778,29 +878,42 @@ fn build_paged<C: CacheBackend>(
 /// already has it.
 type Staged<T> = (StageKey, Option<Arc<T>>);
 
-/// The farm job of a hardware operator with a missing stage. It borrows its
-/// source and shares the cached upstream products, so the job copies
-/// nothing and never touches the store.
+/// The first-round farm job of a hardware operator whose netlist is missing.
+fn hls_job(op: &dfg::OperatorInst, key: StageKey) -> Result<JobDone<Front>, CompileError> {
+    let out = hlsim::compile(&op.kernel).map_err(|error| CompileError::Hls {
+        op: op.name.clone(),
+        error,
+    })?;
+    let p = Arc::new(HlsProduct::new(out.netlist, out.report));
+    Ok(JobDone {
+        filed: vec![(key, StageProduct::Hls(p.clone()))],
+        out: Front::Hls(p),
+    })
+}
+
+/// The second-round farm job of a hardware operator whose P&R or pack is
+/// missing. It borrows its source and shares the cached upstream products,
+/// so the job copies nothing and never touches the store. Its output is the
+/// chain, and `Some(fell_back)` when it attempted a hint-warmed P&R.
 struct HwJob<'a> {
     op: &'a dfg::OperatorInst,
     options: &'a CompileOptions,
     page: PageId,
-    khash: u64,
     src_hash: u64,
     device_hash: u64,
     /// Warm-start hint; its content hash is already folded into `pnr`'s key.
     hint: Option<Arc<HintsProduct>>,
-    /// Where this build files fresh [`StageKind::PnrHints`] for the current
-    /// kernel version (incremental P&R on, none filed yet).
-    hints_key_now: Option<StageKey>,
-    hls: Staged<HlsProduct>,
+    /// Where this build files fresh [`StageKind::PnrHints`] for the netlist
+    /// and the kernel version (incremental P&R on, none filed there yet).
+    hints_now: Vec<StageKey>,
+    hls: Arc<HlsProduct>,
     pnr: Staged<PnrProduct>,
     /// Only ever in hand together with `pnr`, whose bitstream keys it.
     pack: Option<Arc<Xclbin>>,
 }
 
 impl HwJob<'_> {
-    fn run(self) -> JobResult {
+    fn run(self) -> Result<JobDone<(Chain, Option<bool>)>, CompileError> {
         let (name, options) = (self.op.name.as_str(), self.options);
         let device = &options.floorplan.device;
         let rect = options.floorplan.pages[self.page.0 as usize].rect;
@@ -811,25 +924,10 @@ impl HwJob<'_> {
         };
         let mut filed = Vec::new();
         let mut warm = None;
-        let hls = match self.hls.1 {
-            Some(p) => p,
-            None => {
-                let out = hlsim::compile(&self.op.kernel).map_err(|error| CompileError::Hls {
-                    op: name.to_string(),
-                    error,
-                })?;
-                let p = Arc::new(HlsProduct {
-                    netlist: out.netlist,
-                    report: out.report,
-                });
-                filed.push((self.hls.0, StageProduct::Hls(p.clone())));
-                p
-            }
-        };
         let pnr = match self.pnr.1 {
             Some(p) => p,
             None => {
-                let wrapped = wrap_with_leaf_interface(&hls.netlist);
+                let wrapped = wrap_with_leaf_interface(self.hls.netlist());
                 let opts = PnrOptions {
                     seed,
                     abstract_shell: true,
@@ -878,14 +976,17 @@ impl HwJob<'_> {
                 if warm == Some(true) {
                     // The fallback *is* a cold run, so alias it under the
                     // plain key: a later hint-less rebuild is a hit.
-                    let plain = pnr_key(self.khash, rect, self.device_hash, seed, None);
+                    let netlist = self.hls.netlist_hash();
+                    let plain = pnr_key(netlist, rect, self.device_hash, seed, None);
                     filed.push((plain, StageProduct::Pnr(p.clone())));
                 }
-                if let Some(hk) = self.hints_key_now {
+                if !self.hints_now.is_empty() {
                     let mut fresh = pnr::extract_hints(&wrapped, rect, &result);
                     fresh.work_units = cold_work;
-                    let hints = HintsProduct::new(fresh, self.pnr.0.hash);
-                    filed.push((hk, StageProduct::Hints(Arc::new(hints))));
+                    let hints = Arc::new(HintsProduct::new(fresh, self.pnr.0.hash));
+                    for key in self.hints_now {
+                        filed.push((key, StageProduct::Hints(hints.clone())));
+                    }
                 }
                 filed.push((self.pnr.0, StageProduct::Pnr(p.clone())));
                 p
@@ -899,21 +1000,21 @@ impl HwJob<'_> {
                 x
             }
         };
+        let hls = self.hls;
         Ok(JobDone {
-            chain: Chain::Hw { hls, pnr, pack },
+            out: (Chain::Hw { hls, pnr, pack }, warm),
             filed,
-            warm,
         })
     }
 }
 
-/// The farm job of a softcore operator with a missing stage.
+/// The first-round farm job of a softcore operator with a missing stage.
 fn soft_job(
     op: &dfg::OperatorInst,
     page: PageId,
     soft: Staged<SoftProduct>,
     pack: Staged<Xclbin>,
-) -> JobResult {
+) -> Result<JobDone<Front>, CompileError> {
     let name = &op.name;
     let mut filed = Vec::new();
     let (soft_key, soft) = soft;
@@ -950,9 +1051,8 @@ fn soft_job(
         }
     };
     Ok(JobDone {
-        chain: Chain::Soft { soft, pack },
+        out: Front::Done(Chain::Soft { soft, pack }),
         filed,
-        warm: None,
     })
 }
 

@@ -438,7 +438,6 @@ codec_enum!(crate::store::StageKind, "stage kind" {
     6 => PnrHints,
 });
 codec_struct! { crate::store::StageKey { kind, hash } }
-codec_struct! { crate::store::HlsProduct { netlist, report } }
 codec_struct! { crate::store::PnrProduct {
     bitstream, timing, work_units, wrapped_cells, seed, cold_work
 } }

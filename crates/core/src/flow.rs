@@ -36,20 +36,6 @@ impl fmt::Display for OptLevel {
     }
 }
 
-/// Automatic page-assignment policy for operators without a `p_num` pin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PageAssign {
-    /// First free page in floorplan order (the baseline a Makefile-driven
-    /// flow would use).
-    FirstFit,
-    /// Communication affinity: pick the free page minimizing butterfly-fat-
-    /// tree distance to already-placed neighbours, so linked operators share
-    /// low subtrees of the network — automation in the spirit of the
-    /// paper's Sec. 9 mapping-tool extensions.
-    #[default]
-    Affinity,
-}
-
 /// Hop distance between two leaves of the binary BFT (up to the common
 /// ancestor and back down).
 pub fn bft_distance(a: u32, b: u32) -> u32 {
@@ -92,13 +78,11 @@ pub struct CompileOptions {
     pub vtime: VtimeModel,
     /// `-O3` inter-operator link implementation.
     pub link_style: LinkStyle,
-    /// Automatic page-assignment policy.
-    pub page_assign: PageAssign,
     /// Warm-start incremental P&R (default: off). When on, every executed
     /// `PlaceRoute` stage also files a [`crate::store::StageKind::PnrHints`]
-    /// product keyed by the operator's *lineage* (name + page rect, not
-    /// source), and a later compile of an edited version of that operator
-    /// fetches the hint as an optimization input: placement is warm-started
+    /// product keyed by the operator's *lineage* (name + kernel version + page
+    /// rect) and by its netlist, and a later compile of an edited version of
+    /// that operator fetches the hint as an optimization input: placement is warm-started
     /// from the prior assignment and only ripped-up nets re-route, with a
     /// quality guard falling back to a cold run if wirelength or fmax
     /// regress more than 5% against the hint's cold estimates. Hints fold
@@ -123,7 +107,6 @@ impl CompileOptions {
             floorplan: Floorplan::u50(),
             vtime: VtimeModel::default(),
             link_style: LinkStyle::default(),
-            page_assign: PageAssign::default(),
             incremental_pnr: false,
             optimize: None,
         }
@@ -323,13 +306,15 @@ pub fn wrap_with_leaf_interface(netlist: &Netlist) -> Netlist {
     wrapped
 }
 
-/// Assigns every operator a page, honouring pins.
-/// Assigns every operator a page under the chosen policy, honouring pins.
-pub fn assign_pages_with(
+/// Assigns every operator a page, honouring pins. An unpinned operator takes
+/// the free page nearest, in butterfly-fat-tree hops, to the pages already
+/// chosen for the operators it communicates with, so linked operators share
+/// low subtrees of the network — automation in the spirit of the paper's
+/// Sec. 9 mapping-tool extensions.
+pub fn assign_pages(
     graph: &Graph,
     floorplan: &Floorplan,
     force_riscv: bool,
-    policy: PageAssign,
 ) -> Result<Vec<(Target, PageId)>, CompileError> {
     let n_pages = floorplan.pages.len() as u32;
     let mut taken = vec![false; n_pages as usize];
@@ -383,15 +368,12 @@ pub fn assign_pages_with(
                 }
             })
             .collect();
-        let chosen = match policy {
-            PageAssign::FirstFit => (0..n_pages).find(|&p| !taken[p as usize]),
-            PageAssign::Affinity => (0..n_pages)
-                .filter(|&p| !taken[p as usize])
-                .min_by_key(|&p| {
-                    let cost: u32 = neighbour_pages.iter().map(|&q| bft_distance(p, q)).sum();
-                    (cost, p)
-                }),
-        };
+        let chosen = (0..n_pages)
+            .filter(|&p| !taken[p as usize])
+            .min_by_key(|&p| {
+                let cost: u32 = neighbour_pages.iter().map(|&q| bft_distance(p, q)).sum();
+                (cost, p)
+            });
         match chosen {
             Some(p) => {
                 taken[p as usize] = true;
@@ -582,10 +564,7 @@ pub(crate) fn compile_monolithic<C: crate::cache::CacheBackend>(
                     op: op.name.clone(),
                     error,
                 })?;
-                let p = Arc::new(crate::store::HlsProduct {
-                    netlist: hls.netlist,
-                    report: hls.report,
-                });
+                let p = Arc::new(crate::store::HlsProduct::new(hls.netlist, hls.report));
                 store.put(key, crate::store::StageProduct::Hls(p.clone()));
                 (p, false)
             }
@@ -601,7 +580,7 @@ pub(crate) fn compile_monolithic<C: crate::cache::CacheBackend>(
         if !hit {
             hls_executed += seconds;
         }
-        offsets.push(kernel_netlist.absorb(&product.netlist));
+        offsets.push(kernel_netlist.absorb(product.netlist()));
         reports.push(product.report.clone());
     }
 
@@ -1000,37 +979,15 @@ mod tests {
 
     #[test]
     fn affinity_places_neighbours_in_the_same_subtree() {
-        // Pin the first operator deep into the page array; affinity should
-        // cluster the rest around it while first-fit runs back to page 0.
+        // Pin the first operator deep into the page array; the rest cluster
+        // around it instead of running back to page 0.
         let g = three_stage([Target::hw(16), Target::hw_auto(), Target::hw_auto()]);
-        let aff = compile(
-            &g,
-            &CompileOptions {
-                page_assign: PageAssign::Affinity,
-                ..CompileOptions::new(OptLevel::O1)
-            },
-        )
-        .unwrap();
-        let fit = compile(
-            &g,
-            &CompileOptions {
-                page_assign: PageAssign::FirstFit,
-                ..CompileOptions::new(OptLevel::O1)
-            },
-        )
-        .unwrap();
-        let pages = |app: &CompiledApp| -> Vec<u32> {
-            app.operators.iter().map(|o| o.page.unwrap().0).collect()
-        };
-        let chain_cost =
-            |p: &[u32]| -> u32 { p.windows(2).map(|w| bft_distance(w[0], w[1])).sum() };
-        let aff_pages = pages(&aff);
-        let fit_pages = pages(&fit);
-        assert_eq!(fit_pages, vec![16, 0, 1]);
-        assert!(
-            chain_cost(&aff_pages) < chain_cost(&fit_pages),
-            "affinity {aff_pages:?} vs first-fit {fit_pages:?}"
-        );
+        let app = compile(&g, &CompileOptions::new(OptLevel::O1)).unwrap();
+        let pages: Vec<u32> = app.operators.iter().map(|o| o.page.unwrap().0).collect();
+        let chain_cost: u32 = pages.windows(2).map(|w| bft_distance(w[0], w[1])).sum();
+        // `c` is `a`'s sibling; `d` shares the 4-leaf subtree with `c`.
+        assert_eq!(pages, vec![16, 17, 18]);
+        assert_eq!(chain_cost, 2 + 4, "affinity {pages:?}");
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! ([`mod@crate::build`]): it owns a persistent [`ArtifactStore`] and counts
 //! operator-level hits and misses on top of the store's stage-level
 //! accounting. Because every stage key covers *all* of its inputs — kernel
-//! source, resolved target, page rect, device, seed — an edit to any of them
-//! forces exactly the affected stages to re-run, in parallel on the build
-//! farm, while everything else (down to the HLS netlist behind a seed-only
-//! P&R rerun) is reused.
+//! source for HLS, the HLS netlist for P&R, resolved target, page rect,
+//! device, seed — an edit to any of them forces exactly the affected stages
+//! to re-run, in parallel on the build farm, while everything else (down to
+//! the HLS netlist behind a seed-only P&R rerun, or the placed page behind
+//! an edit that only changed constants) is reused.
 
 use dfg::Graph;
 use fabric::PageId;
@@ -245,7 +246,9 @@ mod tests {
     use kir::{Expr, KernelBuilder, Scalar, Stmt};
     use pnr::PnrHints;
 
-    fn stage(name: &str, addend: i64) -> kir::Kernel {
+    /// The kernel every operator of the test graphs runs: read `x`, write
+    /// `value`.
+    fn stage_body(name: &str, value: Expr) -> kir::Kernel {
         KernelBuilder::new(name)
             .input("in", Scalar::uint(32))
             .output("out", Scalar::uint(32))
@@ -253,17 +256,40 @@ mod tests {
             .body([Stmt::for_pipelined(
                 "i",
                 0..32,
-                [
-                    Stmt::read("x", "in"),
-                    Stmt::write("out", Expr::var("x").add(Expr::cint(addend))),
-                ],
+                [Stmt::read("x", "in"), Stmt::write("out", value)],
             )])
             .build()
             .unwrap()
     }
 
+    fn stage(name: &str, addend: i64) -> kir::Kernel {
+        stage_body(name, Expr::var("x").add(Expr::cint(addend)))
+    }
+
+    /// `stage` with one more operator in its body: a structural edit. A new
+    /// addend alone leaves the netlist, and so the `PlaceRoute` key, as it was.
+    fn grown_stage(name: &str, addend: i64) -> kir::Kernel {
+        stage_body(
+            name,
+            Expr::var("x").add(Expr::cint(addend)).xor(Expr::cint(1)),
+        )
+    }
+
+    /// `stage` with a second adder: another structural edit.
+    fn twice_stage(name: &str, addend: i64) -> kir::Kernel {
+        stage_body(
+            name,
+            Expr::var("x").add(Expr::cint(addend)).add(Expr::cint(1)),
+        )
+    }
+
     fn pipeline(addends: [i64; 3]) -> Graph {
         pipeline_with(addends, stage, Target::hw(1))
+    }
+
+    /// The pipeline with `c` structurally edited.
+    fn grown(addends: [i64; 3]) -> Graph {
+        pipeline_with(addends, grown_stage, Target::hw(1))
     }
 
     /// The three-stage pipeline with `c`'s kernel and target chosen freely.
@@ -293,17 +319,7 @@ mod tests {
                 .mul(x().add(Expr::cint(k)))
                 .xor(x().shr(Expr::cint(k)));
         }
-        KernelBuilder::new(name)
-            .input("in", Scalar::uint(32))
-            .output("out", Scalar::uint(32))
-            .local("x", Scalar::uint(32))
-            .body([Stmt::for_pipelined(
-                "i",
-                0..32,
-                [Stmt::read("x", "in"), Stmt::write("out", value)],
-            )])
-            .build()
-            .unwrap()
+        stage_body(name, value)
     }
 
     fn warm_options() -> CompileOptions {
@@ -331,7 +347,7 @@ mod tests {
         let hw = Target::hw(1);
         vec![
             ("cold build", pipeline([1, 2, 3]), (0, 0)),
-            ("body edit, warm run survives", pipeline([1, 99, 3]), (1, 0)),
+            ("body edit, warm run survives", grown([1, 99, 3]), (1, 0)),
             (
                 "large edit, the guard falls back",
                 pipeline_with([1, 5, 3], heavy_stage, hw),
@@ -347,9 +363,18 @@ mod tests {
                 pipeline_with([1, 5, 3], heavy_stage, hw),
                 (0, 0),
             ),
-            ("return to an earlier version", pipeline([1, 99, 3]), (0, 0)),
+            ("return to an earlier version", grown([1, 99, 3]), (0, 0)),
             ("and to the first", pipeline([1, 2, 3]), (0, 0)),
-            ("a second edit of it", pipeline([1, 7, 3]), (1, 0)),
+            (
+                "a second edit of it",
+                pipeline_with([1, 7, 3], twice_stage, hw),
+                (1, 0),
+            ),
+            (
+                "its constants alone",
+                pipeline_with([1, 9, 3], twice_stage, hw),
+                (0, 0),
+            ),
         ]
     }
 
@@ -412,42 +437,62 @@ mod tests {
     }
 
     /// The stage keys of operator `c` of a `pipeline` graph, as the plan forms
-    /// them: (plain `PlaceRoute`, this version's `PnrHints`).
-    fn keys_of_c(graph: &Graph) -> (StageKey, StageKey) {
-        use crate::build::{hints_key, kernel_hash, pnr_key};
+    /// them: (plain `PlaceRoute`, [the netlist's `PnrHints`, this version's]).
+    fn keys_of_c(graph: &Graph) -> (StageKey, [StageKey; 2]) {
+        use crate::build::{hints_key, kernel_hash, netlist_hints_key, pnr_key};
         use crate::flow::fnv;
         let opts = warm_options();
-        let (name, khash) = (fnv(b"c"), kernel_hash(&graph.operators[1].kernel));
+        let kernel = &graph.operators[1].kernel;
+        let (name, khash) = (fnv(b"c"), kernel_hash(kernel));
+        let hls = hlsim::compile(kernel).unwrap();
+        let netlist = crate::store::HlsProduct::new(hls.netlist, hls.report).netlist_hash();
         let rect = opts.floorplan.pages[1].rect;
         let device = kir::hash::debug_fnv1a(&opts.floorplan.device);
         (
-            pnr_key(khash, rect, device, opts.seed ^ name, None),
-            hints_key(name, khash, rect, device),
+            pnr_key(netlist, rect, device, opts.seed ^ name, None),
+            [
+                netlist_hints_key(name, netlist, rect, device),
+                hints_key(name, khash, rect, device),
+            ],
         )
     }
 
     /// A warm-edited `c`, built through `cache`: the app, and the hint the
     /// build filed for the new version.
     fn warm_edit(cache: &mut BuildCache) -> (Graph, CompiledApp, std::sync::Arc<HintsProduct>) {
-        let g2 = pipeline([1, 99, 3]);
+        let g2 = grown([1, 99, 3]);
         cache
             .compile(&pipeline([1, 2, 3]), &warm_options())
             .unwrap();
         let app = cache.compile(&g2, &warm_options()).unwrap();
         let report = cache.last_report().unwrap();
         assert_eq!((report.warm_pnr_ops, report.warm_fallbacks), (1, 0));
-        let (plain, hints) = keys_of_c(&g2);
+        let (plain, [by_netlist, own]) = keys_of_c(&g2);
         assert!(
             !cache.cache().contains(plain),
             "a surviving warm run has no plain key"
         );
-        let hint = cache.cache_mut().fetch_hints(hints.hash).unwrap();
+        let hint = cache.cache_mut().fetch_hints(own.hash).unwrap();
+        // One hint, filed for the netlist and for the version.
+        let other = cache.cache_mut().fetch_hints(by_netlist.hash).unwrap();
+        assert!(std::sync::Arc::ptr_eq(&hint, &other));
         (g2, app, hint)
+    }
+
+    /// A warm run from the version's own layout places `c` anew: after a
+    /// structural edit it need not reproduce the run that layout came from.
+    /// Every other page keeps its artifact.
+    fn assert_only_c_changed(rebuilt: &CompiledApp, app: &CompiledApp) {
+        let (rebuilt, app) = (hashes(rebuilt), hashes(app));
+        assert_eq!(
+            (rebuilt.len(), &rebuilt[..2], rebuilt[3]),
+            (4, &app[..2], app[3])
+        );
     }
 
     /// The pointer degrades safely, 1: the product it names was evicted under
     /// a byte budget while the hint survived. The version's own layout is then
-    /// the warm start — one run, the same bitstream — and its product is
+    /// the warm start — one run, on `c`'s page alone — and its product is
     /// found again under the key that run formed.
     #[test]
     fn an_evicted_origin_costs_one_warm_run_from_the_versions_own_hint() {
@@ -472,13 +517,13 @@ mod tests {
         let report = cache.last_report().unwrap();
         assert_eq!(report.executions(StageKind::PlaceRoute), 1);
         // A bitstream is only known once its page is placed, so a page that
-        // is placed is packed; the artifact is the old one and nothing links.
+        // is placed is packed.
         assert_eq!(report.executions(StageKind::BitstreamPack), 1);
-        assert_eq!(report.total_executions(), 2);
+        assert_eq!(report.executions(StageKind::HlsLower), 0);
         assert_eq!((report.hint_fetches, report.hint_hits), (1, 1));
         assert_eq!((report.warm_pnr_ops, report.warm_fallbacks), (1, 0));
-        assert_eq!(hashes(&rebuilt), hashes(&app));
-        assert_rebuild_is_free(&mut cache, &g2, &app, "after the warm run");
+        assert_only_c_changed(&rebuilt, &app);
+        assert_rebuild_is_free(&mut cache, &g2, &rebuilt, "after the warm run");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -511,8 +556,8 @@ mod tests {
         let report = cache.last_report().unwrap();
         assert_eq!(report.executions(StageKind::PlaceRoute), 1);
         assert_eq!(report.warm_pnr_ops, 1);
-        assert_eq!(hashes(&rebuilt), hashes(&app));
-        assert_rebuild_is_free(&mut cache, &g2, &app, "after the re-run");
+        assert_only_c_changed(&rebuilt, &app);
+        assert_rebuild_is_free(&mut cache, &g2, &rebuilt, "after the re-run");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -526,11 +571,11 @@ mod tests {
         let app = built.compile(&g, &warm_options()).unwrap();
         let (plain, hints) = keys_of_c(&g);
         let elsewhere = StageKind::PlaceRoute.key(0x0e15e);
-        let hint = built.cache_mut().fetch_hints(hints.hash).unwrap();
+        let hint = built.cache_mut().fetch_hints(hints[1].hash).unwrap();
         assert_eq!(hint.origin(), plain.hash);
 
-        // `c`'s product moved out from under its plain key, and a hint that
-        // points at where it went: for another region, then for this one.
+        // `c`'s product moved out from under its plain key, and hints that
+        // point at where it went: for another region, then for this one.
         let store_with = |region: fabric::Rect| {
             let mut store = ArtifactStore::new();
             for (key, product) in built.store().clone().into_entries() {
@@ -540,7 +585,7 @@ mod tests {
                 };
                 match key {
                     k if k == plain => store.insert(elsewhere, product),
-                    k if k == hints => store.insert(
+                    k if hints.contains(&k) => store.insert(
                         k,
                         StageProduct::Hints(HintsProduct::new(moved, elsewhere.hash).into()),
                     ),
@@ -593,8 +638,9 @@ mod tests {
             (StageProduct::Pnr(a), StageProduct::Pnr(b)) => {
                 Arc::ptr_eq(a, b) && Arc::strong_count(a) == 3
             }
+            // One hint is filed for the netlist and for the version.
             (StageProduct::Hints(a), StageProduct::Hints(b)) => {
-                Arc::ptr_eq(a, b) && Arc::strong_count(a) == 3
+                Arc::ptr_eq(a, b) && Arc::strong_count(a) == 6
             }
             _ => false,
         };
@@ -622,7 +668,7 @@ mod tests {
         cache.compile(&g, &opts).unwrap();
         assert_eq!(hashed(), 6, "the warm-up build hashes every kernel once");
         let first = handles(&cache);
-        assert_eq!(first.len(), 18, "6 x (hls, pnr, hints)");
+        assert_eq!(first.len(), 24, "6 x (hls, pnr, two hints)");
 
         cache.compile(&g, &opts).unwrap();
         assert_eq!(cache.last_report().unwrap().total_executions(), 0);
@@ -643,6 +689,96 @@ mod tests {
         let report = cache.last_report().unwrap();
         assert_eq!(report.executions(StageKind::HlsLower), 1);
         assert_eq!(report.hits(StageKind::HlsLower), 5);
+    }
+
+    /// `c`'s placed-and-routed bitstream in `app`.
+    fn bitstream_of_c(app: &CompiledApp) -> pnr::Bitstream {
+        match &app.artifacts[app.operators[1].artifact.unwrap()].kind {
+            crate::artifact::XclbinKind::Page { bitstream, .. } => bitstream.clone(),
+            other => panic!("`c` is not a hardware page: {other:?}"),
+        }
+    }
+
+    /// The early cutoff: an edit that changes only constants leaves the
+    /// netlist as it was, and with it the `PlaceRoute` key. HLS runs again,
+    /// and so does packing — the source is new, so the artifact is and the
+    /// page reloads — but synthesis and P&R cost nothing; with or without
+    /// warm starts.
+    #[test]
+    fn a_constant_only_edit_skips_synthesis_and_pnr() {
+        use crate::build::kernel_hash;
+        let (g1, g2) = (pipeline([1, 2, 3]), pipeline([1, 99, 3]));
+        let (k1, k2) = (&g1.operators[1].kernel, &g2.operators[1].kernel);
+        assert_ne!(kernel_hash(k1), kernel_hash(k2));
+        assert_eq!(keys_of_c(&g1).0, keys_of_c(&g2).0, "one PlaceRoute key");
+        for options in [CompileOptions::new(OptLevel::O1), warm_options()] {
+            let mut cache = BuildCache::new();
+            let before = cache.compile(&g1, &options).unwrap();
+            let after = cache.compile(&g2, &options).unwrap();
+            let report = cache.last_report().unwrap();
+            assert_eq!(report.hits(StageKind::PlaceRoute), 3);
+            assert_eq!(report.executions(StageKind::HlsLower), 1);
+            assert_eq!(report.executions(StageKind::BitstreamPack), 1);
+            assert_eq!((report.hint_fetches, report.warm_pnr_ops), (0, 0));
+            let c = &after.operators[1];
+            assert_eq!((c.vtime.syn, c.vtime.pnr), (0.0, 0.0));
+            assert!(c.vtime.hls > 0.0 && c.vtime.bit > 0.0, "{:?}", c.vtime);
+            // The same layout, packed as a new artifact for the same page.
+            assert_eq!(bitstream_of_c(&after), bitstream_of_c(&before));
+            assert_eq!(c.page, before.operators[1].page);
+            let (old, new) = (hashes(&before), hashes(&after));
+            assert_ne!(old[2], new[2]);
+            assert_eq!((&old[..2], old[3]), (&new[..2], new[3]));
+        }
+    }
+
+    /// A structure placed before is a P&R hit whatever the constants: `c` is
+    /// warm-edited twice, then given the first edit's structure with new
+    /// constants. That structure's product was a warm run, so no plain key
+    /// names it; the hint filed for its netlist points at it. With `reopen`,
+    /// the cache is persisted and opened again first, so the pointer and the
+    /// product come off the disk and there is no previous version to consult.
+    fn repeated_structure_hits_through_the_netlist_pointer(reopen: bool) {
+        let dir = tmp_dir(if reopen { "pointer-reopen" } else { "pointer" });
+        let mut cache = BuildCache::open_dir(&dir).unwrap();
+        cache
+            .compile(&pipeline([1, 2, 3]), &warm_options())
+            .unwrap();
+        let first = cache.compile(&grown([1, 99, 3]), &warm_options()).unwrap();
+        let hw = Target::hw(1);
+        let second = pipeline_with([1, 7, 3], twice_stage, hw);
+        cache.compile(&second, &warm_options()).unwrap();
+        let report = cache.last_report().unwrap();
+        assert_eq!((report.warm_pnr_ops, report.warm_fallbacks), (1, 0));
+        if reopen {
+            cache.persist().unwrap();
+            drop(cache);
+            cache = BuildCache::open_dir(&dir).unwrap();
+        }
+
+        let again = grown([1, 5, 3]);
+        assert!(!cache.cache().contains(keys_of_c(&again).0), "no plain key");
+        let app = cache.compile(&again, &warm_options()).unwrap();
+        let report = cache.last_report().unwrap();
+        assert_eq!(report.executions(StageKind::PlaceRoute), 0);
+        assert_eq!(report.hits(StageKind::PlaceRoute), 3);
+        assert_eq!(report.executions(StageKind::HlsLower), 1);
+        assert_eq!((report.hint_fetches, report.warm_pnr_ops), (0, 0));
+        assert_eq!(bitstream_of_c(&app), bitstream_of_c(&first));
+        let c = &app.operators[1];
+        assert_eq!((c.vtime.syn, c.vtime.pnr), (0.0, 0.0));
+        assert_rebuild_is_free(&mut cache, &again, &app, "the repeated structure");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_repeated_structure_hits_through_the_netlist_pointer() {
+        repeated_structure_hits_through_the_netlist_pointer(false);
+    }
+
+    #[test]
+    fn a_repeated_structure_hits_through_the_netlist_pointer_across_reopen() {
+        repeated_structure_hits_through_the_netlist_pointer(true);
     }
 
     #[test]
@@ -752,7 +888,7 @@ mod tests {
     #[test]
     fn incremental_pnr_warm_starts_the_edited_page() {
         let g1 = pipeline([1, 2, 3]);
-        let g2 = pipeline([1, 99, 3]);
+        let g2 = grown([1, 99, 3]);
         let mut cache = BuildCache::new();
         let opts = CompileOptions {
             incremental_pnr: true,

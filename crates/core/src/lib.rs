@@ -72,7 +72,7 @@ pub use cosim::{cosim_o0, cosim_o0_reference, CosimError, CosimOutput};
 pub use execute::{PerfReport, RunMode};
 pub use flow::{
     bft_distance, compile, CompileError, CompileOptions, CompiledApp, CompiledOperator, LinkStyle,
-    OptLevel, PageAssign,
+    OptLevel,
 };
 pub use incremental::BuildCache;
 pub use loader::{load, page_load_ops, replay_loads, LoadReport};

@@ -104,12 +104,40 @@ impl fmt::Display for StageKey {
 }
 
 /// Product of an [`StageKind::HlsLower`] execution.
+///
+/// The netlist is everything P&R reads of the kernel, so a
+/// [`StageKind::PlaceRoute`] key names the netlist by
+/// [`HlsProduct::netlist_hash`], not the kernel source: an edit that leaves
+/// the netlist's structure as it was (constants live in the source, not in
+/// the netlist) is a P&R hit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HlsProduct {
-    /// The synthesized operator netlist (pre leaf-interface wrapping).
-    pub netlist: Netlist,
+    netlist: Netlist,
+    netlist_hash: u64,
     /// The synthesis report (resources, II, cycle counts, HLS work units).
     pub report: HlsReport,
+}
+
+impl HlsProduct {
+    /// Wraps an HLS run's output, fingerprinting the netlist once.
+    pub fn new(netlist: Netlist, report: HlsReport) -> HlsProduct {
+        HlsProduct {
+            netlist_hash: fnv(&codec::encode(&netlist)),
+            netlist,
+            report,
+        }
+    }
+
+    /// The synthesized operator netlist (pre leaf-interface wrapping).
+    pub fn netlist(&self) -> &Netlist {
+        &self.netlist
+    }
+
+    /// FNV-1a over the netlist's canonical encoding. Taken when the product
+    /// is made or decoded, never per lookup.
+    pub fn netlist_hash(&self) -> u64 {
+        self.netlist_hash
+    }
 }
 
 /// Product of a [`StageKind::PlaceRoute`] execution.
@@ -193,9 +221,10 @@ impl OptProduct {
 /// content addressing sound, a PlaceRoute key that consumed hints folds
 /// [`HintsProduct::content_hash`] into its input hash, so a warm product
 /// can never alias the cold product of the same netlist.
-/// The hint filed for a kernel version is also a *pointer* to that version's
-/// finished P&R ([`HintsProduct::origin`]): a rebuild of the unchanged version
-/// fetches that product instead of placing the page again.
+/// The hint filed for a netlist or a kernel version is also a *pointer* to
+/// the finished P&R it came from ([`HintsProduct::origin`]): a rebuild that
+/// lowers to that netlist, or of the unchanged version, fetches that product
+/// instead of placing the page again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HintsProduct {
     hints: pnr::PnrHints,
@@ -423,6 +452,24 @@ impl Codec for OptProduct {
     }
 }
 
+impl Codec for HlsProduct {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.netlist.put(out);
+        self.report.put(out);
+    }
+
+    fn get(c: &mut Cursor) -> io::Result<Self> {
+        // The fingerprint is FNV over exactly the bytes being decoded.
+        let start = c.pos();
+        let netlist = Codec::get(c)?;
+        Ok(HlsProduct {
+            netlist,
+            netlist_hash: fnv(c.since(start)),
+            report: Codec::get(c)?,
+        })
+    }
+}
+
 impl Codec for HintsProduct {
     fn put(&self, out: &mut Vec<u8>) {
         self.hints.put(out);
@@ -477,7 +524,7 @@ mod tests {
                 kind: StageKind::HlsLower,
                 hash: 11,
             },
-            StageProduct::Hls(Arc::new(HlsProduct { netlist, report })),
+            StageProduct::Hls(Arc::new(HlsProduct::new(netlist, report))),
         );
         store.insert(
             StageKey {
@@ -681,6 +728,29 @@ mod tests {
         let elsewhere = HintsProduct::new(product.hints().clone(), 7);
         assert_eq!(elsewhere.content_hash(), fingerprint);
         assert_eq!(fingerprint, fnv(&codec::encode(product.hints())));
+    }
+
+    #[test]
+    fn netlist_hash_survives_the_round_trip() {
+        let mut store = sample_store();
+        let product = store.fetch_hls(11).unwrap();
+        let mut back = ArtifactStore::from_bytes(&store.to_bytes()).unwrap();
+        // Decoding takes the hash from the payload bytes, construction from
+        // an encoding of the netlist: the same bytes, so the same hash.
+        let decoded = back.fetch_hls(11).unwrap();
+        assert_eq!(decoded.as_ref(), product.as_ref());
+        assert_eq!(decoded.netlist_hash(), product.netlist_hash());
+        assert_eq!(
+            product.netlist_hash(),
+            fnv(&codec::encode(product.netlist()))
+        );
+        // What P&R reads is the netlist alone: the report is no part of it.
+        let report = HlsReport {
+            hls_work: 1,
+            ..product.report.clone()
+        };
+        let relowered = HlsProduct::new(product.netlist().clone(), report);
+        assert_eq!(relowered.netlist_hash(), product.netlist_hash());
     }
 
     /// Bad bytes are an error, never a panic or an allocation the input

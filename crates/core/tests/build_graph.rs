@@ -8,7 +8,7 @@ use dfg::{Graph, GraphBuilder, Target};
 use kir::{Expr, KernelBuilder, Scalar, Stmt};
 use pld::{build, compile, ArtifactStore, CompileOptions, OptLevel, StageKind, VtimeModel};
 
-fn stage(name: &str, addend: i64) -> kir::Kernel {
+fn kernel(name: &str, value: Expr) -> kir::Kernel {
     KernelBuilder::new(name)
         .input("in", Scalar::uint(32))
         .output("out", Scalar::uint(32))
@@ -16,13 +16,14 @@ fn stage(name: &str, addend: i64) -> kir::Kernel {
         .body([Stmt::for_pipelined(
             "i",
             0..32,
-            [
-                Stmt::read("x", "in"),
-                Stmt::write("out", Expr::var("x").add(Expr::cint(addend))),
-            ],
+            [Stmt::read("x", "in"), Stmt::write("out", value)],
         )])
         .build()
         .unwrap()
+}
+
+fn stage(name: &str, addend: i64) -> kir::Kernel {
+    kernel(name, Expr::var("x").add(Expr::cint(addend)))
 }
 
 fn pipeline(addends: [i64; 3], targets: [Target; 3]) -> Graph {
@@ -164,7 +165,9 @@ fn stores_are_shared_across_opt_levels() {
     // -O0 flow forces softcore), but two -O1 compiles of different graphs
     // share the stages of their common operators — one store serves all.
     let g1 = pipeline([1, 2, 3], hw3());
-    let g2 = pipeline([1, 2, 99], hw3()); // shares a and c with g1
+    // Shares a and c with g1; d has one more operator, so its netlist is new.
+    let mut g2 = pipeline([1, 2, 99], hw3());
+    g2.operators[2].kernel = kernel("d", Expr::var("x").add(Expr::cint(99)).xor(Expr::cint(1)));
     let mut store = ArtifactStore::new();
     let opts = CompileOptions::new(OptLevel::O1);
     build(&g1, &opts, &mut store).unwrap();

@@ -70,11 +70,11 @@ fn shared_cache_dir_serves_a_second_process_entirely_warm() {
     }
 }
 
-/// A two-stage hw pipeline whose second operator's constant is the edit
-/// knob: changing it re-runs HLS and P&R for that operator but leaves the
-/// structural netlist — and therefore the warm-start quality — untouched.
+/// A two-stage hw pipeline whose second operator is the edit knob: the
+/// edit adds one operator to its body, so HLS and P&R re-run for it, and
+/// the netlist grows by a cell — small enough for the warm start to hold.
 fn hint_pipeline(edited: bool) -> Graph {
-    let stage = |name: &str, addend: i64| {
+    let stage = |name: &str, value: Expr| {
         KernelBuilder::new(name)
             .input("in", Scalar::uint(32))
             .output("out", Scalar::uint(32))
@@ -82,17 +82,20 @@ fn hint_pipeline(edited: bool) -> Graph {
             .body([Stmt::for_pipelined(
                 "i",
                 0..64,
-                [
-                    Stmt::read("x", "in"),
-                    Stmt::write("out", Expr::var("x").add(Expr::cint(addend))),
-                ],
+                [Stmt::read("x", "in"), Stmt::write("out", value)],
             )])
             .build()
             .unwrap()
     };
+    let plus = |addend: i64| Expr::var("x").add(Expr::cint(addend));
     let mut b = GraphBuilder::new("hint_pipe");
-    let a = b.add("a", stage("a", 1), Target::hw(0));
-    let c = b.add("c", stage("c", if edited { 99 } else { 2 }), Target::hw(1));
+    let a = b.add("a", stage("a", plus(1)), Target::hw(0));
+    let c_value = if edited {
+        plus(99).xor(Expr::cint(1))
+    } else {
+        plus(2)
+    };
+    let c = b.add("c", stage("c", c_value), Target::hw(1));
     b.ext_input("Input_1", a, "in");
     b.connect("l0", a, "out", c, "in");
     b.ext_output("Output_1", c, "out");
@@ -143,7 +146,7 @@ fn pnr_hints_survive_the_shared_cache_round_trip() {
             report.warm_pnr_ops >= 1,
             "edited rebuild never took the warm P&R path"
         );
-        assert_eq!(report.warm_fallbacks, 0, "structural no-op edit fell back");
+        assert_eq!(report.warm_fallbacks, 0, "a one-cell edit fell back");
     };
 
     if expect_warm {

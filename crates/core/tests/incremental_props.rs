@@ -52,8 +52,17 @@ fn pipeline(addends: [i64; 4]) -> Graph {
     b.build().unwrap()
 }
 
+/// Cases per property: `PROPTEST_CASES` when set (CI's deeper run), else
+/// `default`.
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(cases(16)))]
 
     /// Across any edit sequence, every operator compile is exactly one hit
     /// or one miss — hits + misses == builds × operators — and the misses
@@ -104,12 +113,16 @@ proptest! {
     }
 }
 
-/// One operator version of the hardware pipeline below: its addend, whether
-/// its body is the heavy one (an edit large enough to trip warm P&R's quality
-/// guard when it arrives or leaves), and whether it is retargeted to RISC-V.
+/// One operator version of the hardware pipeline below: its addend (a new
+/// one alone leaves the netlist as it was), whether its body has one more
+/// operator (a structural edit small enough for the warm start to hold),
+/// whether its body is the heavy one (an edit large enough to trip warm
+/// P&R's quality guard when it arrives or leaves), and whether it is
+/// retargeted to RISC-V.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Version {
     addend: i64,
+    grown: bool,
     heavy: bool,
     riscv: bool,
 }
@@ -120,6 +133,9 @@ fn hw_pipeline(versions: &[Version; 3]) -> Graph {
     for (i, v) in versions.iter().enumerate() {
         let x = || Expr::var("x");
         let mut value = x().add(Expr::cint(v.addend));
+        if v.grown {
+            value = value.xor(Expr::cint(1));
+        }
         for k in 1..=if v.heavy { 6 } else { 0 } {
             value = value
                 .mul(x().add(Expr::cint(k)))
@@ -157,20 +173,21 @@ fn hw_pipeline(versions: &[Version; 3]) -> Graph {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(cases(8)))]
 
     /// The paper's Sec. 6 promise, "only the pages with changing logic are
     /// recompiled", at its limit: no logic changed, so nothing is compiled.
     /// Over seeded edit sequences through one on-disk `BuildCache` with
-    /// `incremental_pnr` on — small body edits that survive the warm start,
-    /// large ones that fall back, retargets to RISC-V and back, returns to
+    /// `incremental_pnr` on — new constants that leave the netlist as it
+    /// was, small structural edits that survive the warm start, large ones
+    /// that fall back, retargets to RISC-V and back, returns to
     /// an earlier version — every build immediately repeated executes no
     /// stage, returns the same artifacts and leaves no page to reload; also
     /// when the cache is persisted, dropped and reopened in between.
     #[test]
     fn a_no_change_rebuild_executes_nothing(
         edits in proptest::collection::vec(
-            (0usize..3, 0u8..5, 1i64..4, any::<bool>()), 1..6),
+            (0usize..3, 0u8..6, 1i64..4, any::<bool>()), 1..6),
     ) {
         let dir = std::env::temp_dir().join(format!(
             "pld-incr-props-{}-{:?}",
@@ -182,7 +199,7 @@ proptest! {
             incremental_pnr: true,
             ..CompileOptions::new(OptLevel::O1)
         };
-        let start = |addend| Version { addend, heavy: false, riscv: false };
+        let start = |addend| Version { addend, grown: false, heavy: false, riscv: false };
         let mut versions = [start(11), start(12), start(13)];
         let mut history = vec![versions];
         let mut cache = BuildCache::open_dir(&dir).unwrap();
@@ -192,9 +209,10 @@ proptest! {
             let v = &mut versions[op];
             match kind {
                 0 => v.addend += pick,
-                1 => v.heavy = !v.heavy,
-                2 => v.riscv = true,
-                3 => v.riscv = false,
+                1 => v.grown = !v.grown,
+                2 => v.heavy = !v.heavy,
+                3 => v.riscv = true,
+                4 => v.riscv = false,
                 _ => *v = history[pick as usize % history.len()][op],
             }
             history.push(versions);

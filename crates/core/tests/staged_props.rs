@@ -101,20 +101,26 @@ fn edit_in_place(g: &mut Graph, (kind, op, arg): InPlaceEdit) {
     };
     match kind {
         // A body edit as `benchmark/src/edits.rs` makes it: strip the last
-        // one, then append a dead assignment.
-        0 => {
+        // one, then append a dead assignment. Kind 0 assigns a constant, so
+        // the netlist is the one any earlier kind-0 edit made (a `PlaceRoute`
+        // hit); kind 1 assigns `x + arg`, one more operator, so it is new.
+        0 | 1 => {
             let k = &mut g.operators[op].kernel;
             strip(k);
             k.locals.push(VarDecl {
                 name: DEAD.into(),
                 ty: Scalar::uint(32),
             });
-            k.body.push(Stmt::assign(DEAD, Expr::cint(arg)));
+            let value = match kind {
+                0 => Expr::cint(arg),
+                _ => Expr::var("x").add(Expr::cint(arg)),
+            };
+            k.body.push(Stmt::assign(DEAD, value));
         }
         // ...and its revert.
-        1 => strip(&mut g.operators[op].kernel),
+        2 => strip(&mut g.operators[op].kernel),
         // Rename the instance (and back): same kernel, another P&R seed.
-        2 => {
+        3 => {
             let name = &mut g.operators[op].name;
             *name = match name.strip_suffix("_r") {
                 Some(base) => base.to_string(),
@@ -122,7 +128,7 @@ fn edit_in_place(g: &mut Graph, (kind, op, arg): InPlaceEdit) {
             };
         }
         // Two operators trade kernels (all stages share one port signature).
-        3 => {
+        4 => {
             let mine = g.operators[op].kernel.clone();
             g.operators[op].kernel = std::mem::replace(&mut g.operators[other].kernel, mine);
         }
@@ -162,12 +168,21 @@ fn one_cache_in_place_edits_equal_fresh(edits: Vec<InPlaceEdit>) {
     }
 }
 
+/// Cases per property: `PROPTEST_CASES` when set (CI's deeper run), else
+/// `default`.
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(cases(6)))]
 
     #[test]
     fn in_place_edits_through_one_build_cache_equal_fresh_compiles(
-        edits in proptest::collection::vec((0u8..5, 0usize..3, 1i64..4), 1..7),
+        edits in proptest::collection::vec((0u8..6, 0usize..3, 1i64..4), 1..7),
     ) {
         one_cache_in_place_edits_equal_fresh(edits);
     }
