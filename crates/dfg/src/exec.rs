@@ -7,12 +7,12 @@
 //! the golden reference the `-O0`/`-O1`/`-O3` simulations are checked
 //! against.
 
-use kir::interp::{InterpError, InterpStats, Resolved};
+use kir::interp::{InterpError, InterpStats, IoError, KernelIo, Resolved};
 use kir::types::Value;
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::graph::{Graph, OpId};
+use crate::graph::Graph;
 
 /// Aggregate statistics of one graph execution.
 #[derive(Debug, Clone, Default)]
@@ -98,6 +98,31 @@ pub fn run_graph(
     run_graph_inner(graph, inputs, false).map(|(out, stats, _)| (out, stats))
 }
 
+fn port_index(ports: &[kir::PortDecl], name: &str) -> Option<usize> {
+    ports.iter().position(|p| p.name == name)
+}
+
+/// One operator's batch transport: staged input streams read through a
+/// cursor, output streams collected by port index.
+struct Streams {
+    inputs: Vec<(Vec<Value>, usize)>,
+    outputs: Vec<Vec<Value>>,
+}
+
+impl KernelIo for Streams {
+    fn read(&mut self, port: usize) -> Result<Value, IoError> {
+        let (stream, next) = &mut self.inputs[port];
+        let v = stream.get(*next).copied().ok_or(IoError::Underflow)?;
+        *next += 1;
+        Ok(v)
+    }
+
+    fn write(&mut self, port: usize, value: Value) -> Result<(), IoError> {
+        self.outputs[port].push(value);
+        Ok(())
+    }
+}
+
 fn run_graph_inner(
     graph: &Graph,
     inputs: &[(&str, Vec<Value>)],
@@ -109,20 +134,27 @@ fn run_graph_inner(
         }
     }
 
-    // Streams buffered per (operator, input port).
-    let mut pending: HashMap<(OpId, String), Vec<Value>> = HashMap::new();
+    // Streams buffered per operator, per input port (declaration order).
+    let mut pending: Vec<Vec<Vec<Value>>> = graph
+        .operators
+        .iter()
+        .map(|o| vec![Vec::new(); o.kernel.inputs.len()])
+        .collect();
     for p in &graph.ext_inputs {
         let stream = inputs
             .iter()
             .find(|(n, _)| *n == p.name)
             .map(|(_, v)| v.clone())
             .ok_or_else(|| GraphRunError::MissingInput(p.name.clone()))?;
-        pending.insert((p.op, p.port.clone()), stream);
+        if let Some(i) = port_index(&graph.operators[p.op.0].kernel.inputs, &p.port) {
+            pending[p.op.0][i] = stream;
+        }
     }
 
     let mut per_op = vec![InterpStats::default(); graph.operators.len()];
     let mut edge_tokens = vec![0u64; graph.edges.len()];
-    let mut op_outputs: HashMap<(OpId, String), Vec<Value>> = HashMap::new();
+    // Streams produced per operator, per output port; taken once routed.
+    let mut produced: Vec<Vec<Option<Vec<Value>>>> = vec![Vec::new(); graph.operators.len()];
     let mut trace = GraphTrace {
         op_inputs: graph
             .operators
@@ -133,44 +165,39 @@ fn run_graph_inner(
 
     for op_id in graph.topo_order() {
         let inst = &graph.operators[op_id.0];
-        let resolved = Resolved::new(&inst.kernel);
-        let op_inputs: Vec<(&str, Vec<Value>)> = inst
-            .kernel
-            .inputs
-            .iter()
-            .map(|p| {
-                let stream = pending.remove(&(op_id, p.name.clone())).unwrap_or_default();
-                (p.name.as_str(), stream)
-            })
-            .collect();
+        let staged = std::mem::take(&mut pending[op_id.0]);
         if capture {
-            for (pi, (_, stream)) in op_inputs.iter().enumerate() {
-                trace.op_inputs[op_id.0][pi] = stream.clone();
-            }
+            trace.op_inputs[op_id.0].clone_from(&staged);
         }
-        let (outputs, stats) = resolved
-            .run(&op_inputs, kir::interp::DEFAULT_OP_BUDGET)
+        let mut io = Streams {
+            inputs: staged.into_iter().map(|s| (s, 0)).collect(),
+            outputs: vec![Vec::new(); inst.kernel.outputs.len()],
+        };
+        per_op[op_id.0] = Resolved::new(&inst.kernel)
+            .run_with_io(&mut io, kir::interp::DEFAULT_OP_BUDGET)
             .map_err(|error| GraphRunError::Operator {
                 op: inst.name.clone(),
                 error,
             })?;
-        per_op[op_id.0] = stats;
-        for (port, stream) in outputs {
-            op_outputs.insert((op_id, port), stream);
-        }
+        produced[op_id.0] = io.outputs.into_iter().map(Some).collect();
         // Route along outgoing edges.
         for (edge_id, edge) in graph.out_edges(op_id) {
-            if let Some(stream) = op_outputs.remove(&(op_id, edge.from.1.clone())) {
+            let from = port_index(&inst.kernel.outputs, &edge.from.1);
+            if let Some(stream) = from.and_then(|i| produced[op_id.0][i].take()) {
                 edge_tokens[edge_id.0] = stream.len() as u64;
-                pending.insert((edge.to.0, edge.to.1.clone()), stream);
+                let to = &graph.operators[edge.to.0 .0].kernel.inputs;
+                if let Some(i) = port_index(to, &edge.to.1) {
+                    pending[edge.to.0 .0][i] = stream;
+                }
             }
         }
     }
 
     let mut ext = HashMap::new();
     for p in &graph.ext_outputs {
-        let stream = op_outputs
-            .remove(&(p.op, p.port.clone()))
+        let outputs = &graph.operators[p.op.0].kernel.outputs;
+        let stream = port_index(outputs, &p.port)
+            .and_then(|i| produced[p.op.0].get_mut(i)?.take())
             .unwrap_or_default();
         ext.insert(p.name.clone(), stream);
     }

@@ -11,7 +11,7 @@ use std::fmt;
 
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::kernel::Kernel;
-use crate::ops::{result_type, result_type_un};
+use crate::ops::{result_type, result_type_un, select_type};
 use crate::stmt::Stmt;
 use crate::types::Scalar;
 
@@ -198,13 +198,7 @@ impl<'k> TypeEnv<'k> {
                 self.infer(cond)?;
                 let tt = self.infer(then_val)?;
                 let et = self.infer(else_val)?;
-                // A mux output must carry both arms; use the common shape of
-                // an Add without growing semantics (values are coerced).
-                if tt == et {
-                    Ok(tt)
-                } else {
-                    Ok(result_type(BinOp::Max, tt, et))
-                }
+                Ok(select_type(tt, et))
             }
             Expr::BitRange { arg, hi, lo } => {
                 let at = self.infer(arg)?;

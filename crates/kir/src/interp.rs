@@ -10,18 +10,29 @@
 //!   timing, so the timing simulators only need rates while values come from
 //!   here.
 //!
-//! Kernels are first *resolved* — names become dense slot indices — so large
-//! benchmark runs don't pay string hashing per access.
+//! It has one fast path and one oracle:
+//!
+//! * [`Resolved`] lowers a kernel once into **typed code**: names become
+//!   dense slots, every node's `ap_int`/`ap_fixed` shape is fixed by the
+//!   checker's rules and folded into precomputed shifts, and values run as
+//!   canonical `i128`s. [`Value`]s appear only at the stream boundary
+//!   ([`KernelIo`]).
+//! * [`run_reference`] is the tree walker that re-derives every shape from
+//!   [`Value`] tags through [`crate::ops`]. It defines the semantics; the
+//!   differential tests hold the typed engine to it bit for bit — outputs,
+//!   [`InterpStats`] and [`InterpError`]s.
+
+mod reference;
+mod typed;
 
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::expr::Expr;
 use crate::kernel::Kernel;
-use crate::ops::{eval_bin, eval_un};
-use crate::stmt::Stmt;
 use crate::types::{Scalar, Value};
 use crate::wire;
+
+pub use reference::run_reference;
 
 /// Default dynamic-operation budget: generous enough for every Rosetta
 /// workload frame, small enough to catch accidentally quadratic kernels.
@@ -108,288 +119,26 @@ pub struct InterpStats {
     pub writes: u64,
 }
 
-// ---------------------------------------------------------------------------
-// Resolved form
-// ---------------------------------------------------------------------------
-
-enum RExpr {
-    Const(Value),
-    Var(usize),
-    ArrayGet { array: usize, index: Box<RExpr> },
-    Un(crate::expr::UnOp, Box<RExpr>),
-    Bin(crate::expr::BinOp, Box<RExpr>, Box<RExpr>),
-    Cast(Scalar, Box<RExpr>),
-    Select(Box<RExpr>, Box<RExpr>, Box<RExpr>),
-    BitRange(Box<RExpr>, u32, u32),
-}
-
-enum RStmt {
-    Assign {
-        slot: usize,
-        ty: Scalar,
-        value: RExpr,
-    },
-    ArraySet {
-        array: usize,
-        index: RExpr,
-        value: RExpr,
-    },
-    Read {
-        slot: usize,
-        ty: Scalar,
-        port: usize,
-    },
-    Write {
-        port: usize,
-        elem: Scalar,
-        value: RExpr,
-    },
-    For {
-        slot: usize,
-        begin: i64,
-        end: i64,
-        step: i64,
-        body: Vec<RStmt>,
-    },
-    If {
-        cond: RExpr,
-        then_body: Vec<RStmt>,
-        else_body: Vec<RStmt>,
-    },
-}
-
-/// A kernel with names resolved to slots, ready for repeated execution.
+/// A kernel lowered to typed code, ready for repeated execution.
 pub struct Resolved {
     name: String,
     inputs: Vec<(String, Scalar)>,
     outputs: Vec<(String, Scalar)>,
-    var_init: Vec<Value>,
-    array_meta: Vec<(String, Scalar, u64)>,
-    array_init: Vec<Vec<Value>>,
-    body: Vec<RStmt>,
-}
-
-struct Resolver<'k> {
-    kernel: &'k Kernel,
-    var_slots: HashMap<String, (usize, Scalar)>,
-    array_slots: HashMap<String, usize>,
-    in_slots: HashMap<String, usize>,
-    out_slots: HashMap<String, usize>,
-    scope: Vec<(String, usize)>,
-    next_var: usize,
-}
-
-impl<'k> Resolver<'k> {
-    fn lookup_var(&self, name: &str) -> (usize, Scalar) {
-        if let Some((_, slot)) = self.scope.iter().rev().find(|(n, _)| n == name) {
-            return (*slot, Scalar::int(32));
-        }
-        self.var_slots[name]
-    }
-
-    fn expr(&mut self, e: &Expr) -> RExpr {
-        match e {
-            Expr::Const { raw, ty } => RExpr::Const(match *ty {
-                Scalar::Int { width, signed } => {
-                    Value::Int(aplib::DynInt::from_i128(width, signed, *raw))
-                }
-                Scalar::Fixed {
-                    width,
-                    int_bits,
-                    signed,
-                } => Value::Fixed(aplib::DynFixed::from_raw(
-                    width,
-                    int_bits,
-                    signed,
-                    *raw as u128,
-                )),
-            }),
-            Expr::Var(name) => RExpr::Var(self.lookup_var(name).0),
-            Expr::ArrayGet { array, index } => RExpr::ArrayGet {
-                array: self.array_slots[array.as_str()],
-                index: Box::new(self.expr(index)),
-            },
-            Expr::Un { op, arg } => RExpr::Un(*op, Box::new(self.expr(arg))),
-            Expr::Bin { op, lhs, rhs } => {
-                RExpr::Bin(*op, Box::new(self.expr(lhs)), Box::new(self.expr(rhs)))
-            }
-            Expr::Cast { ty, arg } => RExpr::Cast(*ty, Box::new(self.expr(arg))),
-            Expr::Select {
-                cond,
-                then_val,
-                else_val,
-            } => RExpr::Select(
-                Box::new(self.expr(cond)),
-                Box::new(self.expr(then_val)),
-                Box::new(self.expr(else_val)),
-            ),
-            Expr::BitRange { arg, hi, lo } => RExpr::BitRange(Box::new(self.expr(arg)), *hi, *lo),
-        }
-    }
-
-    fn block(&mut self, body: &[Stmt]) -> Vec<RStmt> {
-        body.iter().map(|s| self.stmt(s)).collect()
-    }
-
-    fn stmt(&mut self, s: &Stmt) -> RStmt {
-        match s {
-            Stmt::Assign { var, value } => {
-                let (slot, ty) = self.lookup_var(var);
-                RStmt::Assign {
-                    slot,
-                    ty,
-                    value: self.expr(value),
-                }
-            }
-            Stmt::ArraySet {
-                array,
-                index,
-                value,
-            } => RStmt::ArraySet {
-                array: self.array_slots[array.as_str()],
-                index: self.expr(index),
-                value: self.expr(value),
-            },
-            Stmt::Read { var, port } => {
-                let (slot, ty) = self.lookup_var(var);
-                RStmt::Read {
-                    slot,
-                    ty,
-                    port: self.in_slots[port.as_str()],
-                }
-            }
-            Stmt::Write { port, value } => {
-                let idx = self.out_slots[port.as_str()];
-                RStmt::Write {
-                    port: idx,
-                    elem: self.kernel.outputs[idx].elem,
-                    value: self.expr(value),
-                }
-            }
-            Stmt::For {
-                var,
-                begin,
-                end,
-                step,
-                body,
-                ..
-            } => {
-                let slot = self.next_var;
-                self.next_var += 1;
-                self.scope.push((var.clone(), slot));
-                let body = self.block(body);
-                self.scope.pop();
-                RStmt::For {
-                    slot,
-                    begin: *begin,
-                    end: *end,
-                    step: *step,
-                    body,
-                }
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => RStmt::If {
-                cond: self.expr(cond),
-                then_body: self.block(then_body),
-                else_body: self.block(else_body),
-            },
-        }
-    }
+    code: typed::Code,
 }
 
 impl Resolved {
     /// Resolves a kernel for execution. The kernel must already have passed
     /// [`crate::validate`] (kernels from [`crate::KernelBuilder`] always have).
     pub fn new(kernel: &Kernel) -> Resolved {
-        let mut var_slots = HashMap::new();
-        let mut var_init = Vec::new();
-        for v in &kernel.locals {
-            var_slots.insert(v.name.clone(), (var_init.len(), v.ty));
-            var_init.push(v.ty.zero());
-        }
-        // Loop variables get slots appended after the locals; count them.
-        let mut loop_count = 0usize;
-        for s in &kernel.body {
-            s.visit(&mut |s| {
-                if matches!(s, Stmt::For { .. }) {
-                    loop_count += 1;
-                }
-            });
-        }
-        var_init.extend(std::iter::repeat_n(Scalar::int(32).zero(), loop_count));
-
-        let array_slots: HashMap<String, usize> = kernel
-            .arrays
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a.name.clone(), i))
-            .collect();
-        let array_meta: Vec<(String, Scalar, u64)> = kernel
-            .arrays
-            .iter()
-            .map(|a| (a.name.clone(), a.elem, a.len))
-            .collect();
-        let array_init: Vec<Vec<Value>> = kernel
-            .arrays
-            .iter()
-            .map(|a| match &a.init {
-                Some(init) => init
-                    .iter()
-                    .map(|raw| match a.elem {
-                        Scalar::Int { width, signed } => {
-                            Value::Int(aplib::DynInt::from_raw(width, signed, *raw))
-                        }
-                        Scalar::Fixed {
-                            width,
-                            int_bits,
-                            signed,
-                        } => Value::Fixed(aplib::DynFixed::from_raw(width, int_bits, signed, *raw)),
-                    })
-                    .collect(),
-                None => vec![a.elem.zero(); a.len as usize],
-            })
-            .collect();
-
-        let mut resolver = Resolver {
-            kernel,
-            next_var: kernel.locals.len(),
-            var_slots,
-            array_slots,
-            in_slots: kernel
-                .inputs
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p.name.clone(), i))
-                .collect(),
-            out_slots: kernel
-                .outputs
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p.name.clone(), i))
-                .collect(),
-            scope: Vec::new(),
+        let ports = |ps: &[crate::kernel::PortDecl]| -> Vec<(String, Scalar)> {
+            ps.iter().map(|p| (p.name.clone(), p.elem)).collect()
         };
-        let body = resolver.block(&kernel.body);
-
         Resolved {
             name: kernel.name.clone(),
-            inputs: kernel
-                .inputs
-                .iter()
-                .map(|p| (p.name.clone(), p.elem))
-                .collect(),
-            outputs: kernel
-                .outputs
-                .iter()
-                .map(|p| (p.name.clone(), p.elem))
-                .collect(),
-            var_init,
-            array_meta,
-            array_init,
-            body,
+            inputs: ports(&kernel.inputs),
+            outputs: ports(&kernel.outputs),
+            code: typed::Code::new(kernel),
         }
     }
 
@@ -448,18 +197,7 @@ impl Resolved {
         io: &mut dyn KernelIo,
         budget: u64,
     ) -> Result<InterpStats, InterpError> {
-        let mut state = ExecState {
-            vars: self.var_init.clone(),
-            arrays: self.array_init.clone(),
-            array_meta: &self.array_meta,
-            inputs: &self.inputs,
-            outputs: &self.outputs,
-            io,
-            stats: InterpStats::default(),
-            budget,
-        };
-        exec_block(&self.body, &mut state)?;
-        Ok(state.stats)
+        self.code.run(io, budget, &self.inputs, &self.outputs)
     }
 }
 
@@ -501,182 +239,6 @@ impl KernelIo for BatchIo {
         self.out_queues[port].push(value);
         Ok(())
     }
-}
-
-struct ExecState<'r> {
-    vars: Vec<Value>,
-    arrays: Vec<Vec<Value>>,
-    array_meta: &'r [(String, Scalar, u64)],
-    inputs: &'r [(String, Scalar)],
-    outputs: &'r [(String, Scalar)],
-    io: &'r mut dyn KernelIo,
-    stats: InterpStats,
-    budget: u64,
-}
-
-impl ExecState<'_> {
-    #[inline]
-    fn charge(&mut self, n: u64) -> Result<(), InterpError> {
-        self.stats.ops += n;
-        if self.stats.ops > self.budget {
-            Err(InterpError::OpBudgetExceeded {
-                budget: self.budget,
-            })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Cold path: name the port only once an I/O error ends the run.
-    #[cold]
-    fn read_failed(&self, err: IoError, port: usize) -> InterpError {
-        let port = self.inputs[port].0.clone();
-        match err {
-            // A closed peer on the *input* side means the producer is gone
-            // with no token left — the same underflow condition.
-            IoError::Underflow | IoError::Closed => InterpError::StreamUnderflow { port },
-        }
-    }
-
-    /// Cold path: name the port only once an I/O error ends the run.
-    #[cold]
-    fn write_failed(&self, err: IoError, port: usize) -> InterpError {
-        let port = self.outputs[port].0.clone();
-        match err {
-            IoError::Underflow | IoError::Closed => InterpError::DownstreamClosed { port },
-        }
-    }
-}
-
-fn eval(e: &RExpr, st: &mut ExecState<'_>) -> Result<Value, InterpError> {
-    match e {
-        RExpr::Const(v) => Ok(*v),
-        RExpr::Var(slot) => Ok(st.vars[*slot]),
-        RExpr::ArrayGet { array, index } => {
-            let idx = eval(index, st)?.as_int().to_i128();
-            st.charge(1)?;
-            let (name, _, len) = &st.array_meta[*array];
-            if idx < 0 || idx as u64 >= *len {
-                return Err(InterpError::IndexOutOfBounds {
-                    array: name.clone(),
-                    index: idx,
-                    len: *len,
-                });
-            }
-            Ok(st.arrays[*array][idx as usize])
-        }
-        RExpr::Un(op, arg) => {
-            let v = eval(arg, st)?;
-            st.charge(1)?;
-            Ok(eval_un(*op, v))
-        }
-        RExpr::Bin(op, lhs, rhs) => {
-            let l = eval(lhs, st)?;
-            let r = eval(rhs, st)?;
-            st.charge(1)?;
-            Ok(eval_bin(*op, l, r))
-        }
-        RExpr::Cast(ty, arg) => {
-            let v = eval(arg, st)?;
-            Ok(v.coerce(*ty))
-        }
-        RExpr::Select(cond, then_val, else_val) => {
-            let c = eval(cond, st)?;
-            st.charge(1)?;
-            let t = eval(then_val, st)?;
-            let e = eval(else_val, st)?;
-            // Mux: both sides are computed in hardware; pick by condition and
-            // carry the common shape so either arm yields the same type.
-            let common = crate::ops::result_type(crate::expr::BinOp::Max, t.scalar(), e.scalar());
-            Ok(if c.is_zero() {
-                e.coerce(common)
-            } else {
-                t.coerce(common)
-            })
-        }
-        RExpr::BitRange(arg, hi, lo) => {
-            let v = eval(arg, st)?;
-            st.charge(1)?;
-            let as_int = aplib::DynInt::from_raw(v.scalar().width(), false, v.raw());
-            Ok(Value::Int(as_int.bit_range(*hi, *lo)))
-        }
-    }
-}
-
-fn exec_block(body: &[RStmt], st: &mut ExecState<'_>) -> Result<(), InterpError> {
-    for s in body {
-        match s {
-            RStmt::Assign { slot, ty, value } => {
-                let v = eval(value, st)?;
-                st.charge(1)?;
-                st.vars[*slot] = v.coerce(*ty);
-            }
-            RStmt::ArraySet {
-                array,
-                index,
-                value,
-            } => {
-                let idx = eval(index, st)?.as_int().to_i128();
-                let v = eval(value, st)?;
-                st.charge(1)?;
-                let (name, elem, len) = &st.array_meta[*array];
-                if idx < 0 || idx as u64 >= *len {
-                    return Err(InterpError::IndexOutOfBounds {
-                        array: name.clone(),
-                        index: idx,
-                        len: *len,
-                    });
-                }
-                st.arrays[*array][idx as usize] = v.coerce(*elem);
-            }
-            RStmt::Read { slot, ty, port } => {
-                st.charge(1)?;
-                let v = match st.io.read(*port) {
-                    Ok(v) => v,
-                    Err(e) => return Err(st.read_failed(e, *port)),
-                };
-                st.stats.reads += 1;
-                st.vars[*slot] = v.coerce(*ty);
-            }
-            RStmt::Write { port, elem, value } => {
-                let v = eval(value, st)?;
-                st.charge(1)?;
-                st.stats.writes += 1;
-                if let Err(e) = st.io.write(*port, v.coerce(*elem)) {
-                    return Err(st.write_failed(e, *port));
-                }
-            }
-            RStmt::For {
-                slot,
-                begin,
-                end,
-                step,
-                body,
-            } => {
-                let mut i = *begin;
-                while i < *end {
-                    st.charge(1)?;
-                    st.vars[*slot] = Value::Int(aplib::DynInt::from_i128(32, true, i as i128));
-                    exec_block(body, st)?;
-                    i += *step;
-                }
-            }
-            RStmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                let c = eval(cond, st)?;
-                st.charge(1)?;
-                if c.is_zero() {
-                    exec_block(else_body, st)?;
-                } else {
-                    exec_block(then_body, st)?;
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -741,6 +303,7 @@ pub fn run_words(
 mod tests {
     use super::*;
     use crate::kernel::KernelBuilder;
+    use crate::stmt::Stmt;
     use crate::Expr;
 
     fn accumulate_kernel() -> Kernel {

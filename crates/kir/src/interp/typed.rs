@@ -1,0 +1,1077 @@
+//! The typed engine: each kernel is lowered once, at resolve time, into code
+//! whose every node carries its static `ap_int`/`ap_fixed` shape already
+//! folded into a few shift amounts.
+//!
+//! Values are held as *canonical* `i128`s: the numeric value sign- or
+//! zero-extended from its shape's width, which is also `DynInt::to_i128` /
+//! `DynFixed`'s scaled integer. The one shape that does not fit,
+//! `ap_uint<128>`, keeps its raw bit pattern; the few operators whose result
+//! depends on reading it as unsigned (compare, divide, shift) pick a
+//! dedicated form when the node is built. Shapes come from the checker's
+//! rules (`ops::result_type`, `result_type_un`, `select_type`), so a node's
+//! shape is what `check::TypeEnv::infer` says it is.
+//!
+//! Budget charging is prepaid per statement: every expression node costs one
+//! op unconditionally, so a statement's cost is static. When the remaining
+//! budget cannot cover a statement, that statement alone is re-run charging
+//! op by op, in the oracle's order, so `OpBudgetExceeded` and an in-flight
+//! `IndexOutOfBounds` race exactly as they do in the tree walker.
+
+use std::cmp::Ordering;
+use std::collections::HashMap;
+
+use aplib::{DynFixed, DynInt};
+
+use super::{InterpError, InterpStats, KernelIo};
+use crate::check::TypeEnv;
+use crate::expr::{BinOp, Expr, UnOp};
+use crate::kernel::Kernel;
+use crate::ops::{result_type, result_type_un, select_type};
+use crate::stmt::Stmt;
+use crate::types::{Scalar, Value};
+
+/// Fractional bits; an integer enters fixed-point arithmetic as
+/// `ap_fixed<W,W>`, the promotion `ops` applies in mixed expressions.
+fn frac(ty: Scalar) -> i32 {
+    match ty {
+        Scalar::Int { .. } => 0,
+        Scalar::Fixed {
+            width, int_bits, ..
+        } => width as i32 - int_bits,
+    }
+}
+
+fn int_bits(ty: Scalar) -> i32 {
+    match ty {
+        Scalar::Int { width, .. } => width as i32,
+        Scalar::Fixed { int_bits, .. } => int_bits,
+    }
+}
+
+/// `ap_uint<128>`: the one shape whose values need not fit an `i128`.
+fn is_u128(ty: Scalar) -> bool {
+    !ty.is_signed() && ty.width() == 128
+}
+
+/// Wraps a value into one shape (`from_raw` followed by re-extension).
+#[derive(Debug, Clone, Copy)]
+struct Norm {
+    sh: u32,
+    signed: bool,
+}
+
+impl Norm {
+    fn of(ty: Scalar) -> Norm {
+        Norm {
+            sh: 128 - ty.width(),
+            signed: ty.is_signed(),
+        }
+    }
+
+    #[inline(always)]
+    fn apply(self, v: i128) -> i128 {
+        if self.sh >= 64 {
+            // Widths up to 64 bits wrap in one machine word.
+            let (lo, s) = (v as u64, self.sh - 64);
+            if self.signed {
+                (((lo << s) as i64) >> s) as i128
+            } else {
+                ((lo << s) >> s) as i128
+            }
+        } else if self.signed {
+            (v << self.sh) >> self.sh
+        } else {
+            ((v as u128) << self.sh >> self.sh) as i128
+        }
+    }
+}
+
+/// Moves a binary point: `DynFixed::align`'s clamped shift.
+#[derive(Debug, Clone, Copy)]
+struct Align {
+    shl: u32,
+    sar: u32,
+}
+
+impl Align {
+    const NONE: Align = Align { shl: 0, sar: 0 };
+
+    /// Shifts left by `d` bits when `d >= 0`, arithmetic right otherwise.
+    fn by(d: i32) -> Align {
+        let n = d.unsigned_abs().min(127);
+        if d >= 0 {
+            Align { shl: n, sar: 0 }
+        } else {
+            Align { shl: 0, sar: n }
+        }
+    }
+
+    #[inline(always)]
+    fn apply(self, v: i128) -> i128 {
+        v.wrapping_shl(self.shl) >> self.sar
+    }
+}
+
+/// `Value::coerce` between two static shapes.
+#[derive(Debug, Clone, Copy)]
+enum Conv {
+    Same,
+    /// Integer resize, or a fixed resize that keeps the binary point.
+    Wrap(Norm),
+    /// Fixed resize moving the binary point (`DynFixed::resize`).
+    Scale(Align, Norm),
+    /// Fixed → integer: `DynFixed::to_int` at the source shape, then wrap.
+    ToInt(Align, Norm, Norm),
+    /// A fixed resize shifting left by 128 bits or more.
+    Zero,
+}
+
+impl Conv {
+    fn new(from: Scalar, to: Scalar) -> Conv {
+        if from == to {
+            return Conv::Same;
+        }
+        match (from, to) {
+            (Scalar::Int { .. }, Scalar::Int { .. }) => Conv::Wrap(Norm::of(to)),
+            (Scalar::Fixed { .. }, Scalar::Int { .. }) => {
+                let f = frac(from);
+                let align = if f >= 0 {
+                    Align {
+                        shl: 0,
+                        sar: f.min(127) as u32,
+                    }
+                } else {
+                    // `wrapping_shl` takes the amount modulo 128.
+                    Align {
+                        shl: f.unsigned_abs() & 127,
+                        sar: 0,
+                    }
+                };
+                Conv::ToInt(align, Norm::of(from), Norm::of(to))
+            }
+            _ => match frac(to) - frac(from) {
+                shift if shift >= 128 => Conv::Zero,
+                0 => Conv::Wrap(Norm::of(to)),
+                shift => Conv::Scale(Align::by(shift), Norm::of(to)),
+            },
+        }
+    }
+
+    #[inline(always)]
+    fn apply(self, v: i128) -> i128 {
+        match self {
+            Conv::Same => v,
+            Conv::Wrap(n) => n.apply(v),
+            Conv::Scale(a, n) => n.apply(a.apply(v)),
+            Conv::ToInt(a, src, dst) => dst.apply(src.apply(a.apply(v))),
+            Conv::Zero => 0,
+        }
+    }
+}
+
+/// `cmp_value` for one pair of operand shapes.
+#[derive(Debug, Clone, Copy)]
+enum Order {
+    /// Signed integers, fixed or mixed: `i128` order after aligning binary
+    /// points.
+    Signed(Align, Align),
+    /// Both unsigned integers: raw-pattern order.
+    Unsigned,
+    /// A signed integer against an `ap_uint<128>` that may exceed `i128`.
+    Wide { lhs_u128: bool, rhs_u128: bool },
+}
+
+impl Order {
+    fn new(l: Scalar, r: Scalar) -> Order {
+        if l.is_fixed() || r.is_fixed() {
+            let f = frac(l).max(frac(r));
+            Order::Signed(Align::by(f - frac(l)), Align::by(f - frac(r)))
+        } else if !l.is_signed() && !r.is_signed() {
+            Order::Unsigned
+        } else if is_u128(l) || is_u128(r) {
+            Order::Wide {
+                lhs_u128: is_u128(l),
+                rhs_u128: is_u128(r),
+            }
+        } else {
+            Order::Signed(Align::NONE, Align::NONE)
+        }
+    }
+
+    #[inline(always)]
+    fn cmp(self, a: i128, b: i128) -> Ordering {
+        match self {
+            Order::Signed(x, y) => x.apply(a).cmp(&y.apply(b)),
+            Order::Unsigned => (a as u128).cmp(&(b as u128)),
+            Order::Wide { lhs_u128, rhs_u128 } => match (lhs_u128 && a < 0, rhs_u128 && b < 0) {
+                (true, true) => (a as u128).cmp(&(b as u128)),
+                (true, false) => Ordering::Greater,
+                (false, true) => Ordering::Less,
+                (false, false) => a.cmp(&b),
+            },
+        }
+    }
+}
+
+/// Which orderings satisfy a comparison: bit 0 `Less`, 1 `Equal`,
+/// 2 `Greater`.
+fn order_mask(op: BinOp) -> u8 {
+    match op {
+        BinOp::Lt => 0b001,
+        BinOp::Le | BinOp::Min => 0b011,
+        BinOp::Eq => 0b010,
+        BinOp::Ne => 0b101,
+        BinOp::Gt => 0b100,
+        BinOp::Ge | BinOp::Max => 0b110,
+        _ => unreachable!("{op} is not an ordering"),
+    }
+}
+
+#[inline(always)]
+fn holds(mask: u8, ord: Ordering) -> bool {
+    (mask >> (ord as i8 + 1)) & 1 == 1
+}
+
+/// A shift amount: the right operand clamped to `0..=255`.
+#[inline(always)]
+fn amount(b: i128, wide: bool) -> u32 {
+    if wide {
+        (b as u128).min(255) as u32
+    } else {
+        b.clamp(0, 255) as u32
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum TUn {
+    Neg(Norm),
+    Not(Norm),
+    LNot,
+    Abs(Norm),
+    /// `Abs` of a shape that can never be negative.
+    Keep,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum TBin {
+    Add(Norm),
+    Sub(Norm),
+    Mul(Norm),
+    And(Norm),
+    Or(Norm),
+    Xor(Norm),
+    /// `wide`: an unsigned 128-bit result divides as `u128`.
+    Div {
+        norm: Norm,
+        wide: bool,
+    },
+    Rem {
+        norm: Norm,
+        wide: bool,
+    },
+    /// The result keeps the left operand's shape; `wide`: the amount is an
+    /// `ap_uint<128>`.
+    Shl {
+        width: u32,
+        norm: Norm,
+        wide: bool,
+    },
+    Shr {
+        width: u32,
+        signed: bool,
+        wide: bool,
+    },
+    Cmp {
+        mask: u8,
+        order: Order,
+    },
+    LAnd,
+    LOr,
+    /// `Min`/`Max`: the kept operand, resized into the common shape.
+    Pick {
+        mask: u8,
+        order: Order,
+        a: Conv,
+        b: Conv,
+    },
+    FAdd {
+        a: Align,
+        b: Align,
+        norm: Norm,
+    },
+    FSub {
+        a: Align,
+        b: Align,
+        norm: Norm,
+    },
+    FMul {
+        sar: u32,
+        norm: Norm,
+    },
+    FDiv {
+        pre: Align,
+        norm: Norm,
+    },
+}
+
+impl TBin {
+    fn new(op: BinOp, l: Scalar, r: Scalar, res: Scalar) -> TBin {
+        use BinOp::*;
+        let norm = Norm::of(res);
+        match op {
+            Eq | Ne | Lt | Le | Gt | Ge => TBin::Cmp {
+                mask: order_mask(op),
+                order: Order::new(l, r),
+            },
+            LAnd => TBin::LAnd,
+            LOr => TBin::LOr,
+            Min | Max => TBin::Pick {
+                mask: order_mask(op),
+                order: Order::new(l, r),
+                a: Conv::new(l, res),
+                b: Conv::new(r, res),
+            },
+            _ if l.is_fixed() || r.is_fixed() => {
+                let f = frac(res);
+                match op {
+                    Add => TBin::FAdd {
+                        a: Align::by(f - frac(l)),
+                        b: Align::by(f - frac(r)),
+                        norm,
+                    },
+                    Sub => TBin::FSub {
+                        a: Align::by(f - frac(l)),
+                        b: Align::by(f - frac(r)),
+                        norm,
+                    },
+                    Mul => {
+                        // The full product has frac(l) + frac(r) fraction
+                        // bits; a width cap drops the excess.
+                        let full = frac(l) + frac(r);
+                        let adjust = full - (res.width() as i32 - (int_bits(l) + int_bits(r)));
+                        TBin::FMul {
+                            sar: adjust.clamp(0, 127) as u32,
+                            norm,
+                        }
+                    }
+                    Div => TBin::FDiv {
+                        pre: Align::by(frac(r)),
+                        norm,
+                    },
+                    _ => unreachable!(
+                        "operator {op} is integer-only; the validator rejects fixed operands"
+                    ),
+                }
+            }
+            Add => TBin::Add(norm),
+            Sub => TBin::Sub(norm),
+            Mul => TBin::Mul(norm),
+            And => TBin::And(norm),
+            Or => TBin::Or(norm),
+            Xor => TBin::Xor(norm),
+            Div => TBin::Div {
+                norm,
+                wide: is_u128(res),
+            },
+            Rem => TBin::Rem {
+                norm,
+                wide: is_u128(res),
+            },
+            Shl => TBin::Shl {
+                width: l.width(),
+                norm: Norm::of(l),
+                wide: is_u128(r),
+            },
+            Shr => TBin::Shr {
+                width: l.width(),
+                signed: l.is_signed(),
+                wide: is_u128(r),
+            },
+        }
+    }
+
+    #[inline(always)]
+    fn apply(self, a: i128, b: i128) -> i128 {
+        match self {
+            TBin::Add(n) => n.apply(a.wrapping_add(b)),
+            TBin::Sub(n) => n.apply(a.wrapping_sub(b)),
+            TBin::Mul(n) => n.apply(a.wrapping_mul(b)),
+            TBin::And(n) => n.apply(a & b),
+            TBin::Or(n) => n.apply(a | b),
+            TBin::Xor(n) => n.apply(a ^ b),
+            TBin::Div { norm, wide } => match (b, wide) {
+                (0, _) => 0,
+                (_, true) => ((a as u128) / (b as u128)) as i128,
+                _ => norm.apply(a.wrapping_div(b)),
+            },
+            TBin::Rem { norm, wide } => match (b, wide) {
+                (0, _) => 0,
+                (_, true) => ((a as u128) % (b as u128)) as i128,
+                _ => norm.apply(a.wrapping_rem(b)),
+            },
+            TBin::Shl { width, norm, wide } => {
+                let n = amount(b, wide);
+                if n >= width {
+                    0
+                } else {
+                    norm.apply(((a as u128) << n) as i128)
+                }
+            }
+            TBin::Shr {
+                width,
+                signed,
+                wide,
+            } => {
+                let n = amount(b, wide);
+                match (signed, n >= width) {
+                    (true, true) => -((a < 0) as i128),
+                    (false, true) => 0,
+                    (true, false) => a >> n,
+                    (false, false) => ((a as u128) >> n) as i128,
+                }
+            }
+            TBin::Cmp { mask, order } => holds(mask, order.cmp(a, b)) as i128,
+            TBin::LAnd => (a != 0 && b != 0) as i128,
+            TBin::LOr => (a != 0 || b != 0) as i128,
+            TBin::Pick {
+                mask,
+                order,
+                a: ca,
+                b: cb,
+            } => {
+                if holds(mask, order.cmp(a, b)) {
+                    ca.apply(a)
+                } else {
+                    cb.apply(b)
+                }
+            }
+            TBin::FAdd { a: x, b: y, norm } => norm.apply(x.apply(a).wrapping_add(y.apply(b))),
+            TBin::FSub { a: x, b: y, norm } => norm.apply(x.apply(a).wrapping_sub(y.apply(b))),
+            TBin::FMul { sar, norm } => norm.apply(a.wrapping_mul(b) >> sar),
+            TBin::FDiv { pre, norm } => {
+                if b == 0 {
+                    0
+                } else {
+                    norm.apply(pre.apply(a).wrapping_div(b))
+                }
+            }
+        }
+    }
+}
+
+enum TExpr {
+    Const(i128),
+    Var(usize),
+    Get {
+        array: usize,
+        index: Box<TExpr>,
+    },
+    Un(TUn, Box<TExpr>),
+    Bin(TBin, Box<[TExpr; 2]>),
+    Cast(Conv, Box<TExpr>),
+    /// Condition, then, else; each arm converts into the mux's shape.
+    Select(Box<[TExpr; 3]>, Conv, Conv),
+    /// `arg(hi, lo)`: shift by `lo`, wrap to `ap_uint<hi-lo+1>`.
+    Bits(Box<TExpr>, u32, Norm),
+}
+
+/// A statement; `cost` is the ops it charges outside nested bodies.
+enum TStmt {
+    Assign {
+        slot: usize,
+        conv: Conv,
+        value: TExpr,
+        cost: u64,
+    },
+    ArraySet {
+        array: usize,
+        index: TExpr,
+        conv: Conv,
+        value: TExpr,
+        cost: u64,
+    },
+    Read {
+        slot: usize,
+        ty: Scalar,
+        port: usize,
+    },
+    Write {
+        port: usize,
+        elem: Scalar,
+        conv: Conv,
+        value: TExpr,
+        cost: u64,
+    },
+    For {
+        slot: usize,
+        begin: i64,
+        end: i64,
+        step: i64,
+        body: Vec<TStmt>,
+    },
+    If {
+        cond: TExpr,
+        cost: u64,
+        then_body: Vec<TStmt>,
+        else_body: Vec<TStmt>,
+    },
+}
+
+/// A lowered kernel body with its initial storage.
+pub(super) struct Code {
+    vars: usize,
+    arrays: Vec<(String, Vec<i128>)>,
+    body: Vec<TStmt>,
+}
+
+struct Lowerer<'k> {
+    env: TypeEnv<'k>,
+    vars: HashMap<&'k str, (usize, Scalar)>,
+    arrays: HashMap<&'k str, (usize, Scalar)>,
+    in_slots: HashMap<&'k str, (usize, Scalar)>,
+    out_slots: HashMap<&'k str, (usize, Scalar)>,
+    scope: Vec<(&'k str, usize)>,
+    next_var: usize,
+}
+
+impl<'k> Lowerer<'k> {
+    fn var(&self, name: &str) -> (usize, Scalar) {
+        match self.scope.iter().rev().find(|(n, _)| *n == name) {
+            Some(&(_, slot)) => (slot, Scalar::int(32)),
+            None => self.vars[name],
+        }
+    }
+
+    /// Lowers an expression tree, checking its root against the checker.
+    fn root(&self, e: &Expr) -> (TExpr, Scalar, u64) {
+        let lowered = self.expr(e);
+        debug_assert_eq!(self.env.infer(e).ok(), Some(lowered.1));
+        lowered
+    }
+
+    fn expr(&self, e: &Expr) -> (TExpr, Scalar, u64) {
+        match e {
+            Expr::Const { raw, ty } => (TExpr::Const(Norm::of(*ty).apply(*raw)), *ty, 0),
+            Expr::Var(name) => {
+                let (slot, ty) = self.var(name);
+                (TExpr::Var(slot), ty, 0)
+            }
+            Expr::ArrayGet { array, index } => {
+                let (index, _, cost) = self.expr(index);
+                let (array, elem) = self.arrays[array.as_str()];
+                let index = Box::new(index);
+                (TExpr::Get { array, index }, elem, cost + 1)
+            }
+            Expr::Un { op, arg } => {
+                let (arg, ty, cost) = self.expr(arg);
+                let res = result_type_un(*op, ty);
+                let un = match op {
+                    UnOp::Neg => TUn::Neg(Norm::of(res)),
+                    UnOp::Not => TUn::Not(Norm::of(res)),
+                    UnOp::LNot => TUn::LNot,
+                    // `DynInt` negates only signed negatives; `DynFixed`
+                    // tests `to_f64() < 0.0`, which a scale factor that
+                    // underflows to zero can never satisfy.
+                    UnOp::Abs if ty.is_fixed() && (-(frac(ty) as f64)).exp2() > 0.0 => {
+                        TUn::Abs(Norm::of(res))
+                    }
+                    UnOp::Abs if !ty.is_fixed() && ty.is_signed() => TUn::Abs(Norm::of(res)),
+                    UnOp::Abs => TUn::Keep,
+                };
+                (TExpr::Un(un, Box::new(arg)), res, cost + 1)
+            }
+            Expr::Bin { op, lhs, rhs } => {
+                let (l, lt, lc) = self.expr(lhs);
+                let (r, rt, rc) = self.expr(rhs);
+                let res = result_type(*op, lt, rt);
+                let bin = TBin::new(*op, lt, rt, res);
+                (TExpr::Bin(bin, Box::new([l, r])), res, lc + rc + 1)
+            }
+            Expr::Cast { ty, arg } => {
+                let (arg, at, cost) = self.expr(arg);
+                (TExpr::Cast(Conv::new(at, *ty), Box::new(arg)), *ty, cost)
+            }
+            Expr::Select {
+                cond,
+                then_val,
+                else_val,
+            } => {
+                let (c, _, cc) = self.expr(cond);
+                let (t, tt, tc) = self.expr(then_val);
+                let (e, et, ec) = self.expr(else_val);
+                let res = select_type(tt, et);
+                let node =
+                    TExpr::Select(Box::new([c, t, e]), Conv::new(tt, res), Conv::new(et, res));
+                (node, res, cc + tc + ec + 1)
+            }
+            Expr::BitRange { arg, hi, lo } => {
+                let (arg, _, cost) = self.expr(arg);
+                let res = Scalar::uint(hi - lo + 1);
+                (
+                    TExpr::Bits(Box::new(arg), *lo, Norm::of(res)),
+                    res,
+                    cost + 1,
+                )
+            }
+        }
+    }
+
+    fn block(&mut self, body: &'k [Stmt]) -> Vec<TStmt> {
+        body.iter().map(|s| self.stmt(s)).collect()
+    }
+
+    fn stmt(&mut self, s: &'k Stmt) -> TStmt {
+        match s {
+            Stmt::Assign { var, value } => {
+                let (slot, ty) = self.var(var);
+                let (value, vt, cost) = self.root(value);
+                TStmt::Assign {
+                    slot,
+                    conv: Conv::new(vt, ty),
+                    value,
+                    cost: cost + 1,
+                }
+            }
+            Stmt::ArraySet {
+                array,
+                index,
+                value,
+            } => {
+                let (array, elem) = self.arrays[array.as_str()];
+                let (index, _, ic) = self.root(index);
+                let (value, vt, vc) = self.root(value);
+                TStmt::ArraySet {
+                    array,
+                    index,
+                    conv: Conv::new(vt, elem),
+                    value,
+                    cost: ic + vc + 1,
+                }
+            }
+            Stmt::Read { var, port } => {
+                let (slot, ty) = self.var(var);
+                TStmt::Read {
+                    slot,
+                    ty,
+                    port: self.in_slots[port.as_str()].0,
+                }
+            }
+            Stmt::Write { port, value } => {
+                let (port, elem) = self.out_slots[port.as_str()];
+                let (value, vt, cost) = self.root(value);
+                TStmt::Write {
+                    port,
+                    elem,
+                    conv: Conv::new(vt, elem),
+                    value,
+                    cost: cost + 1,
+                }
+            }
+            Stmt::For {
+                var,
+                begin,
+                end,
+                step,
+                body,
+                ..
+            } => {
+                let slot = self.next_var;
+                self.next_var += 1;
+                self.scope.push((var, slot));
+                // Only the debug cross-check reads `env`; a clash the
+                // validator would reject must not stop execution here.
+                let entered = self.env.enter_loop(var).is_ok();
+                let body = self.block(body);
+                if entered {
+                    self.env.exit_loop();
+                }
+                self.scope.pop();
+                TStmt::For {
+                    slot,
+                    begin: *begin,
+                    end: *end,
+                    step: *step,
+                    body,
+                }
+            }
+            Stmt::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                let (cond, _, cost) = self.root(cond);
+                TStmt::If {
+                    cond,
+                    cost: cost + 1,
+                    then_body: self.block(then_body),
+                    else_body: self.block(else_body),
+                }
+            }
+        }
+    }
+}
+
+fn slots(ports: &[crate::kernel::PortDecl]) -> HashMap<&str, (usize, Scalar)> {
+    ports
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (p.name.as_str(), (i, p.elem)))
+        .collect()
+}
+
+impl Code {
+    pub(super) fn new(kernel: &Kernel) -> Code {
+        let mut lower = Lowerer {
+            env: TypeEnv::new(kernel),
+            vars: kernel
+                .locals
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (v.name.as_str(), (i, v.ty)))
+                .collect(),
+            arrays: kernel
+                .arrays
+                .iter()
+                .enumerate()
+                .map(|(i, a)| (a.name.as_str(), (i, a.elem)))
+                .collect(),
+            in_slots: slots(&kernel.inputs),
+            out_slots: slots(&kernel.outputs),
+            scope: Vec::new(),
+            next_var: kernel.locals.len(),
+        };
+        let body = lower.block(&kernel.body);
+        let arrays = kernel
+            .arrays
+            .iter()
+            .map(|a| {
+                let init = match &a.init {
+                    Some(init) => {
+                        let norm = Norm::of(a.elem);
+                        init.iter().map(|&raw| norm.apply(raw as i128)).collect()
+                    }
+                    None => vec![0; a.len as usize],
+                };
+                (a.name.clone(), init)
+            })
+            .collect();
+        Code {
+            vars: lower.next_var,
+            arrays,
+            body,
+        }
+    }
+
+    pub(super) fn run(
+        &self,
+        io: &mut dyn KernelIo,
+        budget: u64,
+        inputs: &[(String, Scalar)],
+        outputs: &[(String, Scalar)],
+    ) -> Result<InterpStats, InterpError> {
+        let mut m = Machine {
+            vars: vec![0; self.vars],
+            arrays: self.arrays.iter().map(|(_, a)| a.clone()).collect(),
+            io,
+            stats: InterpStats::default(),
+            budget,
+            fault: None,
+        };
+        match m.block(&self.body) {
+            Ok(()) => Ok(m.stats),
+            Err(fault) => Err(match fault {
+                Fault::Budget => InterpError::OpBudgetExceeded { budget },
+                Fault::Bounds { array, index } => {
+                    let (name, init) = &self.arrays[array];
+                    InterpError::IndexOutOfBounds {
+                        array: name.clone(),
+                        index,
+                        len: init.len() as u64,
+                    }
+                }
+                Fault::Underflow(port) => InterpError::StreamUnderflow {
+                    port: inputs[port].0.clone(),
+                },
+                Fault::Closed(port) => InterpError::DownstreamClosed {
+                    port: outputs[port].0.clone(),
+                },
+            }),
+        }
+    }
+}
+
+/// The first thing that went wrong; named into an [`InterpError`] only once
+/// it ends the run.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    Budget,
+    Bounds { array: usize, index: i128 },
+    Underflow(usize),
+    Closed(usize),
+}
+
+fn to_value(c: i128, ty: Scalar) -> Value {
+    match ty {
+        Scalar::Int { width, signed } => Value::Int(DynInt::from_raw(width, signed, c as u128)),
+        Scalar::Fixed {
+            width,
+            int_bits,
+            signed,
+        } => Value::Fixed(DynFixed::from_raw(width, int_bits, signed, c as u128)),
+    }
+}
+
+struct Machine<'r> {
+    vars: Vec<i128>,
+    arrays: Vec<Vec<i128>>,
+    io: &'r mut dyn KernelIo,
+    stats: InterpStats,
+    budget: u64,
+    /// The first fault raised inside an expression (evaluation goes on with
+    /// a zero in its place; statements check before any side effect).
+    fault: Option<Fault>,
+}
+
+impl Machine<'_> {
+    /// Charges a statement's static cost up front; `false` when the budget
+    /// cannot cover it (nothing is charged then).
+    #[inline(always)]
+    fn prepay(&mut self, cost: u64) -> bool {
+        let ops = self.stats.ops + cost;
+        let ok = ops <= self.budget;
+        if ok {
+            self.stats.ops = ops;
+        }
+        ok
+    }
+
+    /// Per-op charging, for the statement that exhausts the budget.
+    #[inline(always)]
+    fn charge<const CHECKED: bool>(&mut self) {
+        if CHECKED {
+            self.stats.ops += 1;
+            if self.stats.ops > self.budget {
+                self.raise(Fault::Budget);
+            }
+        }
+    }
+
+    #[cold]
+    fn raise(&mut self, fault: Fault) {
+        self.fault.get_or_insert(fault);
+    }
+
+    #[inline(always)]
+    fn settle(&mut self) -> Result<(), Fault> {
+        match self.fault.take() {
+            None => Ok(()),
+            Some(f) => Err(f),
+        }
+    }
+
+    #[inline(always)]
+    fn load(&mut self, array: usize, index: i128) -> i128 {
+        let a = &self.arrays[array];
+        if index < 0 || index as u64 >= a.len() as u64 {
+            self.raise(Fault::Bounds { array, index });
+            return 0;
+        }
+        a[index as usize]
+    }
+
+    /// Evaluates an operand, reading leaves in place rather than through a
+    /// call.
+    #[inline(always)]
+    fn arg<const CHECKED: bool>(&mut self, e: &TExpr) -> i128 {
+        match e {
+            TExpr::Const(c) => *c,
+            TExpr::Var(slot) => self.vars[*slot],
+            _ => self.eval::<CHECKED>(e),
+        }
+    }
+
+    fn eval<const CHECKED: bool>(&mut self, e: &TExpr) -> i128 {
+        match e {
+            TExpr::Const(c) => *c,
+            TExpr::Var(slot) => self.vars[*slot],
+            TExpr::Get { array, index } => {
+                let i = self.arg::<CHECKED>(index);
+                self.charge::<CHECKED>();
+                self.load(*array, i)
+            }
+            TExpr::Un(op, arg) => {
+                let a = self.arg::<CHECKED>(arg);
+                self.charge::<CHECKED>();
+                match *op {
+                    TUn::Neg(n) => n.apply(a.wrapping_neg()),
+                    TUn::Not(n) => n.apply(!a),
+                    TUn::LNot => (a == 0) as i128,
+                    TUn::Abs(n) if a < 0 => n.apply(a.wrapping_neg()),
+                    TUn::Abs(_) | TUn::Keep => a,
+                }
+            }
+            TExpr::Bin(op, args) => {
+                let a = self.arg::<CHECKED>(&args[0]);
+                let b = self.arg::<CHECKED>(&args[1]);
+                self.charge::<CHECKED>();
+                op.apply(a, b)
+            }
+            TExpr::Cast(conv, arg) => {
+                let a = self.arg::<CHECKED>(arg);
+                conv.apply(a)
+            }
+            TExpr::Select(args, tconv, econv) => {
+                let c = self.arg::<CHECKED>(&args[0]);
+                self.charge::<CHECKED>();
+                let t = self.arg::<CHECKED>(&args[1]);
+                let e = self.arg::<CHECKED>(&args[2]);
+                if c == 0 {
+                    econv.apply(e)
+                } else {
+                    tconv.apply(t)
+                }
+            }
+            TExpr::Bits(arg, lo, norm) => {
+                let a = self.arg::<CHECKED>(arg);
+                self.charge::<CHECKED>();
+                norm.apply(((a as u128) >> lo) as i128)
+            }
+        }
+    }
+
+    /// Re-runs a statement the budget cannot cover, charging op by op in
+    /// the oracle's order, and returns the fault that ends the run: either
+    /// the budget or something the statement hits first.
+    #[cold]
+    fn exhaust(&mut self, s: &TStmt) -> Fault {
+        match s {
+            TStmt::Assign { value, .. } | TStmt::Write { value, .. } => {
+                self.eval::<true>(value);
+                self.charge::<true>();
+            }
+            TStmt::ArraySet {
+                array,
+                index,
+                value,
+                ..
+            } => {
+                let i = self.eval::<true>(index);
+                self.eval::<true>(value);
+                self.charge::<true>();
+                self.load(*array, i);
+            }
+            TStmt::If { cond, .. } => {
+                self.eval::<true>(cond);
+                self.charge::<true>();
+            }
+            TStmt::Read { .. } | TStmt::For { .. } => self.charge::<true>(),
+        }
+        self.fault
+            .take()
+            .expect("a statement costing more than the remaining budget faults")
+    }
+
+    fn block(&mut self, body: &[TStmt]) -> Result<(), Fault> {
+        for s in body {
+            match s {
+                TStmt::Assign {
+                    slot,
+                    conv,
+                    value,
+                    cost,
+                } => {
+                    if !self.prepay(*cost) {
+                        return Err(self.exhaust(s));
+                    }
+                    let v = self.arg::<false>(value);
+                    self.settle()?;
+                    self.vars[*slot] = conv.apply(v);
+                }
+                TStmt::ArraySet {
+                    array,
+                    index,
+                    conv,
+                    value,
+                    cost,
+                } => {
+                    if !self.prepay(*cost) {
+                        return Err(self.exhaust(s));
+                    }
+                    let i = self.arg::<false>(index);
+                    let v = self.arg::<false>(value);
+                    self.settle()?;
+                    let a = &mut self.arrays[*array];
+                    if i < 0 || i as u64 >= a.len() as u64 {
+                        return Err(Fault::Bounds {
+                            array: *array,
+                            index: i,
+                        });
+                    }
+                    a[i as usize] = conv.apply(v);
+                }
+                TStmt::Read { slot, ty, port } => {
+                    if !self.prepay(1) {
+                        return Err(self.exhaust(s));
+                    }
+                    let v = self.io.read(*port).map_err(|_| Fault::Underflow(*port))?;
+                    self.stats.reads += 1;
+                    let from = v.scalar();
+                    let c = Norm::of(from).apply(v.raw() as i128);
+                    self.vars[*slot] = if from == *ty {
+                        c
+                    } else {
+                        Conv::new(from, *ty).apply(c)
+                    };
+                }
+                TStmt::Write {
+                    port,
+                    elem,
+                    conv,
+                    value,
+                    cost,
+                } => {
+                    if !self.prepay(*cost) {
+                        return Err(self.exhaust(s));
+                    }
+                    let v = self.arg::<false>(value);
+                    self.settle()?;
+                    self.stats.writes += 1;
+                    self.io
+                        .write(*port, to_value(conv.apply(v), *elem))
+                        .map_err(|_| Fault::Closed(*port))?;
+                }
+                TStmt::For {
+                    slot,
+                    begin,
+                    end,
+                    step,
+                    body,
+                } => {
+                    let mut i = *begin;
+                    while i < *end {
+                        if !self.prepay(1) {
+                            return Err(self.exhaust(s));
+                        }
+                        self.vars[*slot] = i as i32 as i128;
+                        self.block(body)?;
+                        i += *step;
+                    }
+                }
+                TStmt::If {
+                    cond,
+                    cost,
+                    then_body,
+                    else_body,
+                } => {
+                    if !self.prepay(*cost) {
+                        return Err(self.exhaust(s));
+                    }
+                    let c = self.arg::<false>(cond);
+                    self.settle()?;
+                    self.block(if c == 0 { else_body } else { then_body })?;
+                }
+            }
+        }
+        Ok(())
+    }
+}

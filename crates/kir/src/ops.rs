@@ -88,16 +88,16 @@ pub fn eval_bin(op: BinOp, lhs: Value, rhs: Value) -> Value {
                 Sub => Value::Fixed(fa.sub(fb)),
                 Mul => Value::Fixed(fa.mul(fb)),
                 Div => Value::Fixed(fa.div(fb)),
-                Min => Value::Fixed(if fa.cmp_value(&fb).is_le() {
-                    fa.add(fb.sub(fb))
-                } else {
-                    fb.add(fa.sub(fa))
-                }),
-                Max => Value::Fixed(if fa.cmp_value(&fb).is_ge() {
-                    fa.add(fb.sub(fb))
-                } else {
-                    fb.add(fa.sub(fa))
-                }),
+                Min | Max => {
+                    // The common shape is a function of the operand shapes
+                    // alone (the one `result_type` reads off zeros), so the
+                    // losing side's shape never leaks into the result.
+                    let common = fa.add(fb.sub(fb));
+                    let ord = fa.cmp_value(&fb);
+                    let keep_a = if op == Min { ord.is_le() } else { ord.is_ge() };
+                    let pick = if keep_a { fa } else { fb };
+                    Value::Fixed(pick.resize(common.width(), common.int_bits(), common.is_signed()))
+                }
                 Rem | And | Or | Xor | Shl | Shr => {
                     panic!("operator {op} is integer-only; the validator rejects fixed operands")
                 }
@@ -149,6 +149,17 @@ pub fn result_type_un(op: UnOp, arg: Scalar) -> Scalar {
     eval_un(op, arg.zero()).scalar()
 }
 
+/// The result type of a `Select` (mux) whose arms have types `then_ty` and
+/// `else_ty`: the arms' own type when they agree, otherwise the common shape
+/// of a `Max`. Both arms are coerced to it.
+pub fn select_type(then_ty: Scalar, else_ty: Scalar) -> Scalar {
+    if then_ty == else_ty {
+        then_ty
+    } else {
+        result_type(BinOp::Max, then_ty, else_ty)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,6 +193,39 @@ mod tests {
         assert_eq!(r.scalar().width(), 16);
         let r = eval_bin(BinOp::Max, fv(2.0), fv(-5.0));
         assert_eq!(r.to_f64(), 2.0);
+    }
+
+    #[test]
+    fn min_max_shape_does_not_depend_on_the_winner() {
+        let shapes = [
+            Scalar::fixed(32, 17),
+            Scalar::fixed(16, 4),
+            Scalar::ufixed(16, 8),
+            Scalar::fixed(8, -2),
+            Scalar::fixed(12, 14),
+            Scalar::fixed(128, 64),
+            Scalar::int(7),
+            Scalar::uint(33),
+        ];
+        let value = |ty: Scalar, raw: u128| match ty {
+            Scalar::Int { width, signed } => Value::Int(DynInt::from_raw(width, signed, raw)),
+            Scalar::Fixed {
+                width,
+                int_bits,
+                signed,
+            } => Value::Fixed(DynFixed::from_raw(width, int_bits, signed, raw)),
+        };
+        for a in shapes {
+            for b in shapes {
+                for op in [BinOp::Min, BinOp::Max] {
+                    let want = result_type(op, a, b);
+                    for (ra, rb) in [(1, 2), (2, 1), (u128::MAX, 1), (1, u128::MAX)] {
+                        let got = eval_bin(op, value(a, ra), value(b, rb)).scalar();
+                        assert_eq!(got, want, "{op}({a}, {b})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

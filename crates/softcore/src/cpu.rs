@@ -241,7 +241,7 @@ impl Cpu {
                 let c = self.read_slot_value(a0, cond);
                 let tv = self.read_slot_value(a1, t);
                 let ev = self.read_slot_value(a2, e);
-                let common = kir::ops::result_type(kir::expr::BinOp::Max, t, e);
+                let common = kir::ops::select_type(t, e);
                 let out = if c.is_zero() {
                     ev.coerce(common)
                 } else {
