@@ -369,12 +369,24 @@ impl ExecState<'_> {
     }
 }
 
+/// An array index read as the typed engine reads it: the value's canonical
+/// `i128`, which for an `ap_uint<128>` is its raw bits (negative above
+/// `i128::MAX`, hence out of bounds).
+fn index_of(v: Value) -> i128 {
+    let i = v.as_int();
+    if i.is_signed() {
+        i.to_i128()
+    } else {
+        i.raw() as i128
+    }
+}
+
 fn eval(e: &RExpr, st: &mut ExecState<'_>) -> Result<Value, InterpError> {
     match e {
         RExpr::Const(v) => Ok(*v),
         RExpr::Var(slot) => Ok(st.vars[*slot]),
         RExpr::ArrayGet { array, index } => {
-            let idx = eval(index, st)?.as_int().to_i128();
+            let idx = index_of(eval(index, st)?);
             st.charge(1)?;
             let (name, _, len) = &st.array_meta[*array];
             if idx < 0 || idx as u64 >= *len {
@@ -437,7 +449,7 @@ fn exec_block(body: &[RStmt], st: &mut ExecState<'_>) -> Result<(), InterpError>
                 index,
                 value,
             } => {
-                let idx = eval(index, st)?.as_int().to_i128();
+                let idx = index_of(eval(index, st)?);
                 let v = eval(value, st)?;
                 st.charge(1)?;
                 let (name, elem, len) = &st.array_meta[*array];

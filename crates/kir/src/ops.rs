@@ -6,18 +6,21 @@
 //! operand types and read off the result shape, which guarantees that static
 //! width inference can never disagree with runtime behaviour.
 
-use aplib::DynFixed;
+use aplib::{DynFixed, DynInt};
 
 use crate::expr::{BinOp, UnOp};
 use crate::types::{Scalar, Value};
 
 /// Promotes an integer value to an exactly-equal fixed-point value
 /// (`frac = 0`), the implicit conversion HLS applies in mixed expressions.
+/// The raw bits go in as they are (with `frac = 0`, `from_int` only wraps
+/// them to the width), so an `ap_uint<128>` above `i128::MAX` promotes
+/// exactly.
 fn int_to_fixed(v: Value) -> DynFixed {
     match v {
         Value::Fixed(f) => f,
         Value::Int(i) => {
-            DynFixed::from_int(i.width(), i.width() as i32, i.is_signed(), i.to_i128())
+            DynFixed::from_int(i.width(), i.width() as i32, i.is_signed(), i.raw() as i128)
         }
     }
 }
@@ -66,8 +69,8 @@ pub fn eval_bin(op: BinOp, lhs: Value, rhs: Value) -> Value {
             And => Value::Int(a.bitand(b)),
             Or => Value::Int(a.bitor(b)),
             Xor => Value::Int(a.bitxor(b)),
-            Shl => Value::Int(a.shl(shift_amount(b.to_i128()))),
-            Shr => Value::Int(a.shr(shift_amount(b.to_i128()))),
+            Shl => Value::Int(a.shl(shift_amount(b))),
+            Shr => Value::Int(a.shr(shift_amount(b))),
             Min => Value::Int(if a.cmp_value(&b).is_le() {
                 a.add(b.sub(b))
             } else {
@@ -107,8 +110,11 @@ pub fn eval_bin(op: BinOp, lhs: Value, rhs: Value) -> Value {
     }
 }
 
-fn shift_amount(v: i128) -> u32 {
-    v.clamp(0, 255) as u32
+/// The right operand of a shift clamped to `0..=255`: a negative amount
+/// shifts by zero, and any amount above 255 (an `ap_uint<128>` above
+/// `i128::MAX` included) saturates.
+fn shift_amount(v: DynInt) -> u32 {
+    v.to_u128().map_or(0, |u| u.min(255) as u32)
 }
 
 /// Evaluates a unary operator.

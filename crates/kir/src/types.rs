@@ -197,9 +197,10 @@ impl Value {
                     signed,
                 },
             ) => {
-                // Integers convert exactly (up to wrap) via frac = 0.
+                // Integers convert exactly (up to wrap) via frac = 0, from
+                // their raw bits as `int_to_fixed` in `ops` does.
                 let as_fixed =
-                    DynFixed::from_int(v.width(), v.width() as i32, v.is_signed(), v.to_i128());
+                    DynFixed::from_int(v.width(), v.width() as i32, v.is_signed(), v.raw() as i128);
                 Value::Fixed(as_fixed.resize(width, int_bits, signed))
             }
             (Value::Fixed(v), Scalar::Int { width, signed }) => {

@@ -30,8 +30,8 @@ pub mod route;
 pub mod timing;
 
 pub use bitstream::Bitstream;
-pub use place::{cell_identities, place, place_incremental, Placement};
-pub use route::{net_identities, route, route_incremental, RouteSeed, RoutedDesign};
+pub use place::{cell_identities, place, Placement};
+pub use route::{net_identities, route, RoutedDesign};
 pub use timing::{analyze_timing, TimingReport};
 
 use fabric::{Device, Rect};
@@ -128,13 +128,24 @@ pub fn place_and_route(
     options: &PnrOptions,
 ) -> Result<PnrResult, PnrError> {
     netlist.check()?;
+    run(netlist, device, region, options, None, 1)
+}
 
+/// One place → route → timing → bitstream run, cold or from a hint.
+fn run(
+    netlist: &Netlist,
+    device: &Device,
+    region: Rect,
+    options: &PnrOptions,
+    hint: Option<&PnrHints>,
+    workers: usize,
+) -> Result<PnrResult, PnrError> {
     let t0 = std::time::Instant::now();
-    let placement = place::place(netlist, device, region, options)?;
+    let placement = place::anneal::<false>(netlist, device, region, options, hint)?;
     let place_seconds = t0.elapsed().as_secs_f64();
 
     let t1 = std::time::Instant::now();
-    let routed = route::route(netlist, device, region, &placement, options)?;
+    let routed = route::negotiate(netlist, device, region, &placement, options, hint, workers)?;
     let route_seconds = t1.elapsed().as_secs_f64();
 
     let timing = timing::analyze_timing(netlist, device, &placement, &routed);
@@ -221,12 +232,14 @@ pub const WARM_WIRELENGTH_SLACK: f64 = 1.05;
 pub const WARM_FMAX_SLACK: f64 = 0.95;
 
 /// Places and routes warm-started from `hints`, falling back to a cold
-/// [`place_and_route`] whenever the warm attempt fails or its quality
-/// regresses more than 5% against the hint's cold estimates.
+/// [`place_and_route`] whenever the hint does not describe this region, the
+/// warm attempt fails, or its quality regresses more than 5% against the
+/// hint's cold estimates.
 ///
 /// The warm path is deterministic for fixed inputs and byte-identical at
-/// every `workers` count (see [`route_incremental`]); the fallback is
-/// bit-identical to a fresh cold run because it *is* one.
+/// every `workers` count (its Jacobi rounds commit in net order whatever
+/// the thread count); the fallback is bit-identical to a fresh cold run
+/// because it *is* one.
 ///
 /// # Errors
 ///
@@ -241,66 +254,28 @@ pub fn place_and_route_incremental(
 ) -> Result<(PnrResult, WarmReport), PnrError> {
     netlist.check()?;
 
-    let cold = |reason_result: Result<PnrResult, PnrError>| match reason_result {
-        Ok(r) => Ok((r, WarmReport { fell_back: false })),
-        Err(_) => place_and_route(netlist, device, region, options)
-            .map(|r| (r, WarmReport { fell_back: true })),
+    // Hints are decoded from the store: one for another page, or whose
+    // identity and payload lists disagree, is not replayed.
+    let consistent = hints.region == region
+        && hints.cell_ids.len() == hints.assignment.len()
+        && hints.net_ids.len() == hints.routes.len();
+    let warm = if consistent {
+        run(netlist, device, region, options, Some(hints), workers).ok()
+    } else {
+        None
     };
-
-    if hints.region != region || hints.cell_ids.len() != hints.assignment.len() {
-        return cold(Err(PnrError::DoesNotFit {
-            what: "hint mismatch".into(),
-        }));
+    // Quality guard: the hint's cold numbers are the estimate of what a cold
+    // run of the edited netlist would achieve (the edit is small by
+    // assumption — that is what made the hint applicable).
+    let kept = warm.filter(|r| {
+        r.routed.wirelength as f64 <= hints.wirelength as f64 * WARM_WIRELENGTH_SLACK + 4.0
+            && r.timing.fmax_mhz >= hints.fmax_mhz * WARM_FMAX_SLACK
+    });
+    match kept {
+        Some(r) => Ok((r, WarmReport { fell_back: false })),
+        None => place_and_route(netlist, device, region, options)
+            .map(|r| (r, WarmReport { fell_back: true })),
     }
-
-    let warm = (|| {
-        let t0 = std::time::Instant::now();
-        let placement = place_incremental(
-            netlist,
-            device,
-            region,
-            options,
-            &hints.cell_ids,
-            &hints.assignment,
-        )?;
-        let place_seconds = t0.elapsed().as_secs_f64();
-
-        let t1 = std::time::Instant::now();
-        let seed = RouteSeed {
-            net_ids: &hints.net_ids,
-            routes: &hints.routes,
-            history: &hints.history,
-        };
-        let routed =
-            route_incremental(netlist, device, region, &placement, options, &seed, workers)?;
-        let route_seconds = t1.elapsed().as_secs_f64();
-
-        // Quality guard: the hint's cold numbers are the estimate of what a
-        // cold run of the edited netlist would achieve (the edit is small by
-        // assumption — that is what made the hint applicable).
-        let wl_ok =
-            routed.wirelength as f64 <= hints.wirelength as f64 * WARM_WIRELENGTH_SLACK + 4.0;
-        let timing = timing::analyze_timing(netlist, device, &placement, &routed);
-        let fmax_ok = timing.fmax_mhz >= hints.fmax_mhz * WARM_FMAX_SLACK;
-        if !wl_ok || !fmax_ok {
-            return Err(PnrError::Unroutable { overused_edges: 0 });
-        }
-
-        let bitstream =
-            bitstream::Bitstream::generate(netlist, region, &placement, &routed, options.seed);
-        let work_units = placement.moves_evaluated + routed.edges_relaxed;
-        Ok(PnrResult {
-            placement,
-            routed,
-            timing,
-            bitstream,
-            place_seconds,
-            route_seconds,
-            work_units,
-        })
-    })();
-
-    cold(warm)
 }
 
 #[cfg(test)]
@@ -372,6 +347,20 @@ mod tests {
         )
         .unwrap();
         assert_ne!(a.placement.assignment, c.placement.assignment);
+    }
+
+    #[test]
+    fn empty_netlist_places_and_routes_nothing() {
+        let (device, region) = page();
+        let result = place_and_route(
+            &Netlist::new("empty"),
+            &device,
+            region,
+            &PnrOptions::default(),
+        )
+        .unwrap();
+        assert!(result.placement.assignment.is_empty());
+        assert_eq!(result.routed.overused_edges, 0);
     }
 
     #[test]

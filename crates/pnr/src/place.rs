@@ -18,7 +18,7 @@ use netlist::{CellKind, Netlist};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::{PnrError, PnrOptions};
+use crate::{PnrError, PnrHints, PnrOptions};
 
 /// A legal assignment of every cell to a tile.
 #[derive(Debug, Clone)]
@@ -325,7 +325,7 @@ pub(crate) fn fnv(bytes: &[u8]) -> u64 {
 /// name and kind. Identities survive unrelated edits elsewhere in the
 /// kernel — HLS regenerates unchanged cells with the same names and kinds —
 /// so a prior placement can be replayed onto the matching cells of the
-/// edited netlist (the warm-start diff of [`place_incremental`]).
+/// edited netlist (the warm start of [`crate::place_and_route_incremental`]).
 pub fn cell_identities(netlist: &Netlist) -> Vec<u64> {
     netlist
         .cells
@@ -475,30 +475,63 @@ pub fn place(
     region: Rect,
     options: &PnrOptions,
 ) -> Result<Placement, PnrError> {
-    place_impl::<false>(netlist, device, region, options)
+    anneal::<false>(netlist, device, region, options, None)
 }
 
 /// The pre-optimization placer: full per-net HPWL recompute on every move.
 /// Kept as the ground truth the incremental path is A/B-tested against;
-/// both paths share the proposal loop and RNG stream, so for any seed the
-/// outputs must be bit-identical.
+/// both paths share the proposal loop and RNG stream, so for any seed and
+/// start state the outputs must be bit-identical.
 #[cfg(test)]
 pub(crate) fn place_reference(
     netlist: &Netlist,
     device: &Device,
     region: Rect,
     options: &PnrOptions,
+    hint: Option<&PnrHints>,
 ) -> Result<Placement, PnrError> {
-    place_impl::<true>(netlist, device, region, options)
+    anneal::<true>(netlist, device, region, options, hint)
 }
 
-fn place_impl<const REFERENCE: bool>(
+/// Chebyshev radius of the candidate-site neighbourhood a warm start may
+/// move a cell within. Unchanged cells start where the prior run left them,
+/// so only local cleanup is needed; bounding the move space keeps
+/// refinement cost proportional to the edit, not the page.
+const LOCALITY_RADIUS: u32 = 6;
+
+/// The annealer, cold (`hint: None`) or warm-started from a prior run.
+///
+/// A warm start replays matched single-tile cells at their prior
+/// coordinates (cells are matched by [`cell_identities`]), then both starts
+/// place the remaining cells greedily in cell order, so a cold start is a
+/// warm start that replays nothing. What the hint changes is data:
+///
+/// * the RNG salt;
+/// * the movable set — cold draws from every cell (a pinned multi-tile
+///   macro is drawn and skipped), warm from the *dirty* cells only: the
+///   greedily placed ones plus every movable cell sharing a net with one;
+/// * the candidate sites — cold draws from every site of the cell's kind,
+///   warm from those within `LOCALITY_RADIUS` (6 tiles) of its start;
+/// * the schedule — warm starts at a tenth of the cold temperature and
+///   cools faster.
+///
+/// `moves_evaluated` of a warm run therefore scales with the edit size, not
+/// the design. The result is deterministic for a given (netlist, options,
+/// hint) and independent of any parallelism in the surrounding build.
+///
+/// `REFERENCE` selects the full-recompute oracle (`place_reference`).
+pub(crate) fn anneal<const REFERENCE: bool>(
     netlist: &Netlist,
     device: &Device,
     region: Rect,
     options: &PnrOptions,
+    hint: Option<&PnrHints>,
 ) -> Result<Placement, PnrError> {
-    let mut rng = StdRng::seed_from_u64(options.seed ^ 0x706c_6163);
+    let (salt, t0_per_net, cooling) = match hint {
+        None => (0x706c_6163, 2.0, 0.88),
+        Some(_) => (0x706c_6163 ^ 0x7761_726d, 0.2, 0.8),
+    };
+    let mut rng = StdRng::seed_from_u64(options.seed ^ salt);
     let (mut grid, site_lists) = survey(device, region);
 
     // Feasibility check per resource class.
@@ -510,15 +543,50 @@ fn place_impl<const REFERENCE: bool>(
         });
     }
 
-    // Greedy initial placement: scan sites of the right kind.
-    let mut assignment = vec![(0u32, 0u32); netlist.cells.len()];
-    let mut cell_demand = vec![0u64; netlist.cells.len()];
-    let mut cell_kind = vec![0u8; netlist.cells.len()];
-    let mut cell_slot = vec![0u32; netlist.cells.len()];
+    let n_cells = netlist.cells.len();
+    let mut assignment = vec![(0u32, 0u32); n_cells];
+    let mut cell_demand = vec![0u64; n_cells];
+    let mut cell_kind = vec![0u8; n_cells];
+    let mut cell_slot = vec![0u32; n_cells];
+    let mut seeded = vec![false; n_cells];
+
+    // Replay: matched single-tile cells go back to their prior coordinates
+    // when the slot is still the right kind and has capacity. The prior
+    // assignment was legal and matching is injective, so replay conflicts
+    // only arise against cells placed greedily below — checked per slot.
+    let matched = hint.map(|h| match_prior(&cell_identities(netlist), &h.cell_ids, &h.assignment));
     for (i, cell) in netlist.cells.iter().enumerate() {
         let (kind, amount) = site_requirements(&cell.kind);
         cell_demand[i] = amount;
         cell_kind[i] = kind_index(kind) as u8;
+        if amount > tile_capacity(kind) {
+            continue; // multi-tile macro: greedy pass
+        }
+        let Some((x, y)) = matched.as_ref().and_then(|m| m[i]) else {
+            continue;
+        };
+        if !region.contains(x, y) || device.is_reserved_col(x) || device.columns[x as usize] != kind
+        {
+            continue;
+        }
+        let slot = Grid::local_index(&region, x, y) as u32;
+        if grid.free_slot(slot) < amount {
+            continue;
+        }
+        grid.take_slot(slot, amount);
+        assignment[i] = (x, y);
+        cell_slot[i] = slot;
+        seeded[i] = true;
+    }
+
+    // Greedy placement of everything the replay did not seat: scan sites of
+    // the right kind from a random start.
+    let mut greedy: Vec<u32> = Vec::new();
+    for (i, cell) in netlist.cells.iter().enumerate() {
+        if seeded[i] {
+            continue;
+        }
+        let (kind, amount) = site_requirements(&cell.kind);
         let sites = &site_lists[kind_index(kind)];
         if sites.is_empty() {
             return Err(PnrError::DoesNotFit {
@@ -543,6 +611,7 @@ fn place_impl<const REFERENCE: bool>(
                     what: format!("no site with {amount} free units for cell `{}`", cell.name),
                 });
             }
+            greedy.push(i as u32);
         } else {
             // A macro wider than one tile (iterative dividers, the leaf
             // interface, wide unrolled datapaths) spreads across several
@@ -578,15 +647,13 @@ fn place_impl<const REFERENCE: bool>(
                     })
                 }
             }
-            // Multi-tile cells never move; exclude them from annealing by
-            // zeroing their demand marker.
+            // Multi-tile cells never move: mark them pinned.
             cell_demand[i] = u64::MAX;
         }
     }
 
     let n_nets = netlist.nets.len();
     let (adj_off, adj_data, pins, pin_off, weights) = build_net_index(netlist);
-
     let mut st = PlacerState {
         assignment,
         cell_demand,
@@ -613,33 +680,70 @@ fn place_impl<const REFERENCE: bool>(
     }
     let mut moves_evaluated = 0u64;
 
-    // Annealing schedule: effort scales superlinearly with cell count, the
-    // behaviour Sec. 2.2 attributes to production placers. Without the
-    // abstract shell the placer drags the whole device context through every
-    // temperature step (Sec. 4.1), modelled as a context sweep per step.
-    let n_cells = netlist.cells.len().max(2);
-    let moves_per_temp = ((n_cells as f64).powf(4.0 / 3.0) * 8.0 * options.effort).ceil() as u64;
+    // The movable set and each movable cell's candidate sites. A pinned
+    // macro's empty list makes the move loop skip it before the site draw.
+    let (movable, local) = match hint {
+        None => ((0..n_cells as u32).collect(), Vec::new()),
+        Some(_) => {
+            let movable = dirty_frontier(&st, greedy);
+            let local: Vec<Vec<Site>> = movable
+                .iter()
+                .map(|&c| {
+                    let (cx, cy) = st.assignment[c as usize];
+                    site_lists[st.cell_kind[c as usize] as usize]
+                        .iter()
+                        .filter(|s| {
+                            s.x.abs_diff(cx) <= LOCALITY_RADIUS
+                                && s.y.abs_diff(cy) <= LOCALITY_RADIUS
+                        })
+                        .copied()
+                        .collect()
+                })
+                .collect();
+            (movable, local)
+        }
+    };
+    let candidates: Vec<&[Site]> = match hint {
+        None => movable
+            .iter()
+            .map(|&c| match st.cell_demand[c as usize] {
+                u64::MAX => &[][..],
+                _ => &site_lists[st.cell_kind[c as usize] as usize][..],
+            })
+            .collect(),
+        Some(_) => local.iter().map(Vec::as_slice).collect(),
+    };
+    // Annealing schedule: effort scales superlinearly with the movable cell
+    // count, the behaviour Sec. 2.2 attributes to production placers.
+    // Without the abstract shell the placer drags the whole device context
+    // through every temperature step (Sec. 4.1), modelled as a context sweep
+    // per step.
+    let n_movable = movable.len().max(2);
+    let moves_per_temp = ((n_movable as f64).powf(4.0 / 3.0) * 8.0 * options.effort).ceil() as u64;
     let context_tiles = if options.abstract_shell {
         0u64
     } else {
         (device.width * device.height) as u64
     };
 
-    let mut temperature = (cost / netlist.nets.len().max(1) as f64).max(1.0) * 2.0;
+    let mut temperature = (cost / n_nets.max(1) as f64).max(1.0) * t0_per_net;
     let min_temp = 0.005;
     // Scratch for the move under evaluation, hoisted out of the loop:
     // steady-state evaluation allocates nothing.
     let mut touched: Vec<(u32, NetBox, f64)> = Vec::with_capacity(8);
     let mut touched_pair: Vec<(u32, f64)> = Vec::with_capacity(8);
-    while temperature > min_temp {
+    // An empty movable set (an empty netlist, or an edit that dirtied
+    // nothing) skips annealing.
+    while !movable.is_empty() && temperature > min_temp {
         for _ in 0..moves_per_temp {
             moves_evaluated += 1;
-            let cell = draw_index(&mut rng, netlist.cells.len());
-            let amount = st.cell_demand[cell];
-            if amount == u64::MAX {
-                continue; // pinned multi-tile macro
+            let mi = draw_index(&mut rng, movable.len());
+            let cell = movable[mi] as usize;
+            let sites = candidates[mi];
+            if sites.is_empty() {
+                continue; // pinned macro, or no site nearby
             }
-            let sites = &site_lists[st.cell_kind[cell] as usize];
+            let amount = st.cell_demand[cell];
             let s = sites[draw_index(&mut rng, sites.len())];
             let (nx, ny) = (s.x, s.y);
             let (ox, oy) = st.assignment[cell];
@@ -729,7 +833,7 @@ fn place_impl<const REFERENCE: bool>(
         // Full-context carry cost: touch every tile of the device once per
         // temperature step when the abstract shell is off.
         moves_evaluated += context_tiles;
-        temperature *= 0.88;
+        temperature *= cooling;
     }
 
     Ok(Placement {
@@ -739,301 +843,26 @@ fn place_impl<const REFERENCE: bool>(
     })
 }
 
-/// Chebyshev radius of the candidate-site neighbourhood the warm-start
-/// refinement may move a cell within. Unchanged cells start where the prior
-/// run left them, so only local cleanup is needed; bounding the move space
-/// keeps refinement cost proportional to the edit, not the page.
-const LOCALITY_RADIUS: u32 = 6;
-
-/// Warm-starts placement from a prior run's assignment.
-///
-/// Cells are matched to the prior netlist by content-derived identity
-/// ([`cell_identities`]); matched single-tile cells are seeded at their
-/// prior coordinates, unmatched (new or changed) cells and multi-tile
-/// macros are placed greedily, and a short low-temperature annealing pass
-/// refines only the *dirty* cells (unmatched cells plus every cell sharing
-/// a net with one) within `LOCALITY_RADIUS` (6 tiles) of their seed position.
-/// `moves_evaluated` therefore scales with the edit size, not the design.
-///
-/// The result is deterministic for a given (netlist, options, hint) and
-/// independent of any parallelism in the surrounding build.
-///
-/// # Errors
-///
-/// Returns [`PnrError::DoesNotFit`] exactly as [`place`] would.
-pub fn place_incremental(
-    netlist: &Netlist,
-    device: &Device,
-    region: Rect,
-    options: &PnrOptions,
-    prior_ids: &[u64],
-    prior_assignment: &[(u32, u32)],
-) -> Result<Placement, PnrError> {
-    let mut rng = StdRng::seed_from_u64(options.seed ^ 0x706c_6163 ^ 0x7761_726d);
-    let (mut grid, site_lists) = survey(device, region);
-
-    let demand = netlist.resources();
-    let capacity = device.region_resources(&region);
-    if !demand.fits_in(&capacity) {
-        return Err(PnrError::DoesNotFit {
-            what: format!("demand {demand} exceeds region capacity {capacity}"),
-        });
-    }
-
-    let ids = cell_identities(netlist);
-    let matched = match_prior(&ids, prior_ids, prior_assignment);
-
-    let n_cells = netlist.cells.len();
-    let mut assignment = vec![(0u32, 0u32); n_cells];
-    let mut cell_demand = vec![0u64; n_cells];
-    let mut cell_kind = vec![0u8; n_cells];
-    let mut cell_slot = vec![0u32; n_cells];
-    let mut seeded = vec![false; n_cells];
-
-    // Pass 1: replay matched single-tile cells at their prior coordinates
-    // when the slot is still the right kind and has capacity. The prior
-    // assignment was legal and matching is injective, so replay conflicts
-    // only arise against cells placed greedily below — checked per slot.
-    for (i, cell) in netlist.cells.iter().enumerate() {
-        let (kind, amount) = site_requirements(&cell.kind);
-        cell_demand[i] = amount;
-        cell_kind[i] = kind_index(kind) as u8;
-        if amount > tile_capacity(kind) {
-            continue; // multi-tile macro: greedy pass
-        }
-        let Some((x, y)) = matched[i] else { continue };
-        if !region.contains(x, y) || device.is_reserved_col(x) || device.columns[x as usize] != kind
-        {
-            continue;
-        }
-        let slot = Grid::local_index(&region, x, y) as u32;
-        if grid.free_slot(slot) < amount {
-            continue;
-        }
-        grid.take_slot(slot, amount);
-        assignment[i] = (x, y);
-        cell_slot[i] = slot;
-        seeded[i] = true;
-    }
-
-    // Pass 2: greedy placement for everything the replay could not seat —
-    // the same probe scheme as the cold path's initial placement.
-    let mut dirty_cells: Vec<u32> = Vec::new();
-    for (i, cell) in netlist.cells.iter().enumerate() {
-        if seeded[i] {
-            continue;
-        }
-        let (kind, amount) = site_requirements(&cell.kind);
-        let sites = &site_lists[kind_index(kind)];
-        if sites.is_empty() {
-            return Err(PnrError::DoesNotFit {
-                what: format!("region has no {kind:?} sites for cell `{}`", cell.name),
-            });
-        }
-        let start = rng.gen_range(0..sites.len());
-        if amount <= tile_capacity(kind) {
-            let mut placed = false;
-            for probe in 0..sites.len() {
-                let s = sites[(start + probe) % sites.len()];
-                if grid.free_slot(s.slot) >= amount {
-                    grid.take_slot(s.slot, amount);
-                    assignment[i] = (s.x, s.y);
-                    cell_slot[i] = s.slot;
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                return Err(PnrError::DoesNotFit {
-                    what: format!("no site with {amount} free units for cell `{}`", cell.name),
-                });
-            }
-            dirty_cells.push(i as u32);
-        } else {
-            let mut remaining = amount;
-            let mut anchor = None;
-            for probe in 0..sites.len() {
-                let s = sites[(start + probe) % sites.len()];
-                let free = grid.free_slot(s.slot);
-                if free == 0 {
-                    continue;
-                }
-                let take = free.min(remaining);
-                grid.take_slot(s.slot, take);
-                if anchor.is_none() {
-                    anchor = Some((s.x, s.y));
-                    cell_slot[i] = s.slot;
-                }
-                remaining -= take;
-                if remaining == 0 {
-                    break;
-                }
-            }
-            match anchor {
-                Some(a) if remaining == 0 => assignment[i] = a,
-                _ => {
-                    return Err(PnrError::DoesNotFit {
-                        what: format!(
-                            "multi-tile cell `{}` needs {amount} units, {remaining} unplaced",
-                            cell.name
-                        ),
-                    })
-                }
-            }
-            cell_demand[i] = u64::MAX;
-        }
-    }
-
-    let n_nets = netlist.nets.len();
-    let (adj_off, adj_data, pins, pin_off, weights) = build_net_index(netlist);
-    let mut st = PlacerState {
-        assignment,
-        cell_demand,
-        cell_kind,
-        cell_slot,
-        adj_off,
-        adj_data,
-        pins,
-        pin_off,
-        weights,
-        boxes: Vec::with_capacity(n_nets),
-        cached: Vec::with_capacity(n_nets),
-    };
-
-    let mut cost = 0.0f64;
-    for ni in 0..n_nets {
-        let b = NetBox::scan(st.net_pins(ni), &st.assignment, u32::MAX, (0, 0));
-        let h = b.hpwl(st.weights[ni]);
-        st.boxes.push(b);
-        st.cached.push(h);
-        cost += h;
-    }
-    let mut moves_evaluated = 0u64;
-
-    // Dirty set: greedily-placed cells plus every movable cell sharing a
-    // net with one — the locality frontier the refinement may touch.
-    let mut in_dirty = vec![false; n_cells];
-    for &c in &dirty_cells {
+/// The warm start's movable set: the greedily placed cells plus every
+/// movable cell sharing a net with one, pinned macros excluded, ascending.
+fn dirty_frontier(st: &PlacerState, mut dirty: Vec<u32>) -> Vec<u32> {
+    let mut in_dirty = vec![false; st.assignment.len()];
+    for &c in &dirty {
         in_dirty[c as usize] = true;
     }
-    for &c in &dirty_cells.clone() {
-        let entries = st.adj_off[c as usize] as usize..st.adj_off[c as usize + 1] as usize;
-        for i in entries {
-            let ni = st.adj_data[i].net as usize;
-            for &p in st.net_pins(ni) {
+    for k in 0..dirty.len() {
+        let c = dirty[k] as usize;
+        for a in &st.adj_data[st.adj_off[c] as usize..st.adj_off[c + 1] as usize] {
+            for &p in st.net_pins(a.net as usize) {
                 if !in_dirty[p as usize] && st.cell_demand[p as usize] != u64::MAX {
                     in_dirty[p as usize] = true;
-                    dirty_cells.push(p);
+                    dirty.push(p);
                 }
             }
         }
     }
-    dirty_cells.sort_unstable();
-    dirty_cells.retain(|&c| st.cell_demand[c as usize] != u64::MAX);
-
-    if !dirty_cells.is_empty() {
-        // Candidate sites per dirty cell: its kind's sites within
-        // LOCALITY_RADIUS of the seed position.
-        let candidates: Vec<Vec<Site>> = dirty_cells
-            .iter()
-            .map(|&c| {
-                let (cx, cy) = st.assignment[c as usize];
-                site_lists[st.cell_kind[c as usize] as usize]
-                    .iter()
-                    .filter(|s| {
-                        s.x.abs_diff(cx) <= LOCALITY_RADIUS && s.y.abs_diff(cy) <= LOCALITY_RADIUS
-                    })
-                    .copied()
-                    .collect()
-            })
-            .collect();
-
-        // Short low-temperature schedule sized to the dirty set: a tenth of
-        // the cold starting temperature, cooling fast.
-        let d = dirty_cells.len().max(2);
-        let moves_per_temp = ((d as f64).powf(4.0 / 3.0) * 8.0 * options.effort).ceil() as u64;
-        let context_tiles = if options.abstract_shell {
-            0u64
-        } else {
-            (device.width * device.height) as u64
-        };
-        let mut temperature = (cost / n_nets.max(1) as f64).max(1.0) * 0.2;
-        let min_temp = 0.005;
-        let mut touched: Vec<(u32, NetBox, f64)> = Vec::with_capacity(8);
-        let mut touched_pair: Vec<(u32, f64)> = Vec::with_capacity(8);
-        while temperature > min_temp {
-            for _ in 0..moves_per_temp {
-                moves_evaluated += 1;
-                let di = draw_index(&mut rng, dirty_cells.len());
-                let cell = dirty_cells[di] as usize;
-                let amount = st.cell_demand[cell];
-                let sites = &candidates[di];
-                if sites.is_empty() {
-                    continue;
-                }
-                let s = sites[draw_index(&mut rng, sites.len())];
-                let (nx, ny) = (s.x, s.y);
-                let (ox, oy) = st.assignment[cell];
-                if (nx, ny) == (ox, oy) || grid.free_slot(s.slot) < amount {
-                    continue;
-                }
-                let entries = st.adj_off[cell] as usize..st.adj_off[cell + 1] as usize;
-                touched.clear();
-                touched_pair.clear();
-                let mut before = 0.0f64;
-                let mut after = 0.0f64;
-                for i in entries {
-                    let a = st.adj_data[i];
-                    let niu = a.net as usize;
-                    if a.other != u32::MAX {
-                        let (bx, by) = st.assignment[a.other as usize];
-                        let h = (nx.abs_diff(bx) + ny.abs_diff(by)) as f64 * st.weights[niu];
-                        before += st.cached[niu];
-                        after += h;
-                        touched_pair.push((a.net, h));
-                        continue;
-                    }
-                    let mut nb = st.boxes[niu];
-                    let ok = nb.shift_x(ox, nx, a.mult) && nb.shift_y(oy, ny, a.mult);
-                    if !ok {
-                        nb = NetBox::scan(st.net_pins(niu), &st.assignment, cell as u32, (nx, ny));
-                    }
-                    let h = nb.hpwl(st.weights[niu]);
-                    for _ in 0..a.mult {
-                        before += st.cached[niu];
-                        after += h;
-                    }
-                    touched.push((a.net, nb, h));
-                }
-                let delta = after - before;
-                let accept = delta <= 0.0
-                    || (delta < temperature * UPHILL_CUTOFF
-                        && rng.gen::<f64>() < (-delta / temperature).exp());
-                if accept {
-                    grid.give_slot(st.cell_slot[cell], amount);
-                    grid.take_slot(s.slot, amount);
-                    st.cell_slot[cell] = s.slot;
-                    cost += delta;
-                    st.assignment[cell] = (nx, ny);
-                    for &(ni, h) in &touched_pair {
-                        st.cached[ni as usize] = h;
-                    }
-                    for &(ni, nb, h) in &touched {
-                        st.boxes[ni as usize] = nb;
-                        st.cached[ni as usize] = h;
-                    }
-                }
-            }
-            moves_evaluated += context_tiles;
-            temperature *= 0.8;
-        }
-    }
-
-    Ok(Placement {
-        assignment: st.assignment,
-        cost: cost.max(0.0),
-        moves_evaluated,
-    })
+    dirty.sort_unstable();
+    dirty
 }
 
 #[cfg(test)]
@@ -1208,7 +1037,7 @@ mod tests {
                 ..Default::default()
             };
             let fast = place(&nl, &device, region, &opts).unwrap();
-            let slow = place_reference(&nl, &device, region, &opts).unwrap();
+            let slow = place_reference(&nl, &device, region, &opts, None).unwrap();
             assert_eq!(fast.assignment, slow.assignment, "case {case}");
             assert_eq!(
                 fast.cost.to_bits(),
@@ -1217,6 +1046,49 @@ mod tests {
                 fast.cost,
                 slow.cost
             );
+            assert_eq!(fast.moves_evaluated, slow.moves_evaluated, "case {case}");
+        }
+    }
+
+    /// The warm start's bookkeeping against the full recompute: a random
+    /// netlist is placed cold, then a small edit of it (appended cells, one
+    /// renamed cell) is annealed from that placement on both paths.
+    #[test]
+    fn warm_matches_reference_bit_for_bit() {
+        let (device, region) = page();
+        let mut gen = StdRng::seed_from_u64(0xcd);
+        for case in 0..12u64 {
+            let n_cells = 6 + (case as usize % 4) * 9;
+            let base = random_netlist(&mut gen, n_cells, n_cells * 2);
+            let opts = PnrOptions {
+                seed: case * 5 + 3,
+                effort: 0.5,
+                ..Default::default()
+            };
+            let prior = place(&base, &device, region, &opts).unwrap();
+            let hint = PnrHints {
+                region,
+                cell_ids: cell_identities(&base),
+                assignment: prior.assignment,
+                net_ids: Vec::new(),
+                routes: Vec::new(),
+                history: Vec::new(),
+                wirelength: 0,
+                fmax_mhz: 0.0,
+                work_units: 0,
+            };
+            let mut edited = base.clone();
+            edited.cells[case as usize % n_cells].name.push_str("_v2");
+            for k in 0..1 + case as usize % 3 {
+                let c = edited.add_cell(format!("e{k}"), CellKind::Adder { width: 16 });
+                let driver = netlist::CellId(gen.gen_range(0..n_cells));
+                edited.add_net(driver, vec![c], 1 << gen.gen_range(0..7u32));
+            }
+            let fast = anneal::<false>(&edited, &device, region, &opts, Some(&hint)).unwrap();
+            let slow = place_reference(&edited, &device, region, &opts, Some(&hint)).unwrap();
+            assert!(fast.moves_evaluated > 0, "case {case}: nothing annealed");
+            assert_eq!(fast.assignment, slow.assignment, "case {case}");
+            assert_eq!(fast.cost.to_bits(), slow.cost.to_bits(), "case {case}");
             assert_eq!(fast.moves_evaluated, slow.moves_evaluated, "case {case}");
         }
     }
@@ -1238,7 +1110,7 @@ mod tests {
                 ..Default::default()
             };
             let fast = place(&nl, &device, region, &opts).unwrap();
-            let slow = place_reference(&nl, &device, region, &opts).unwrap();
+            let slow = place_reference(&nl, &device, region, &opts, None).unwrap();
             assert_eq!(fast.assignment, slow.assignment, "seed {seed}");
             assert_eq!(fast.cost.to_bits(), slow.cost.to_bits(), "seed {seed}");
             assert_eq!(fast.moves_evaluated, slow.moves_evaluated);

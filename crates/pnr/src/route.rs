@@ -14,7 +14,7 @@ use netlist::Netlist;
 use std::collections::BinaryHeap;
 
 use crate::place::Placement;
-use crate::{PnrError, PnrOptions};
+use crate::{PnrError, PnrHints, PnrOptions};
 
 /// Routing-channel capacity: wires available per tile-boundary edge.
 pub const CHANNEL_CAPACITY: u32 = 48;
@@ -240,112 +240,7 @@ pub fn route(
     placement: &Placement,
     options: &PnrOptions,
 ) -> Result<RoutedDesign, PnrError> {
-    let route_region = if options.abstract_shell {
-        region
-    } else {
-        Rect::new(0, 0, device.width, device.height)
-    };
-    let mut graph = EdgeGraph::new(route_region);
-    let mut edges_relaxed = 0u64;
-    let mut nets_rerouted = 0u64;
-    let n_nets = netlist.nets.len();
-    let mut routes: Vec<Vec<Vec<(u32, u32)>>> = vec![Vec::new(); n_nets];
-    // Edges each net currently occupies, for incremental rip-up.
-    let mut net_edges: Vec<Vec<u32>> = vec![Vec::new(); n_nets];
-    let mut to_route: Vec<usize> = (0..n_nets).collect();
-
-    let mut iterations = 0;
-    let mut overused = 0;
-    for iter in 0..MAX_ITERATIONS {
-        iterations = iter + 1;
-        // Every pass sweeps the whole loaded routing context (the overuse
-        // scans below); charge that to the effort measure — it is the cost
-        // an abstract shell avoids.
-        edges_relaxed += graph.occupancy.len() as u64;
-
-        for &ni in &to_route {
-            let net = &netlist.nets[ni];
-            let units = net.width.div_ceil(8).max(1);
-            // Rip up this net's previous routing (no-op in iteration one).
-            for &e in &net_edges[ni] {
-                graph.occupancy[e as usize] -= units;
-            }
-            net_edges[ni].clear();
-            nets_rerouted += 1;
-
-            let from = placement.assignment[net.driver.0];
-            let mut sink_paths = Vec::with_capacity(net.sinks.len());
-            for s in &net.sinks {
-                let to = placement.assignment[s.0];
-                let path = shortest_path(&graph, from, to, &mut edges_relaxed);
-                // Occupy the edges walked.
-                for w in path.windows(2) {
-                    let (x0, y0) = w[0];
-                    let (x1, y1) = w[1];
-                    let dir = DIRS
-                        .iter()
-                        .position(|&(dx, dy)| {
-                            (x0 as i64 + dx, y0 as i64 + dy) == (x1 as i64, y1 as i64)
-                        })
-                        .expect("path steps are unit moves");
-                    let e = graph.edge_index(x0, y0, dir);
-                    graph.occupancy[e] += units;
-                    net_edges[ni].push(e as u32);
-                }
-                sink_paths.push(path);
-            }
-            routes[ni] = sink_paths;
-        }
-
-        overused = graph
-            .occupancy
-            .iter()
-            .filter(|&&o| o > CHANNEL_CAPACITY)
-            .count() as u32;
-        if overused == 0 {
-            break;
-        }
-        // Negotiation: overuse becomes history cost for the next iteration,
-        // and the present penalty escalates.
-        for (i, &o) in graph.occupancy.iter().enumerate() {
-            if o > CHANNEL_CAPACITY {
-                graph.history[i] += (o - CHANNEL_CAPACITY) as f32 * 0.5;
-            }
-        }
-        graph.pres_fac *= PRES_FAC_GROWTH;
-        // Rip up and reroute only the nets crossing an overused edge, in
-        // ascending net order (deterministic regardless of how congestion
-        // arose).
-        to_route = (0..n_nets)
-            .filter(|&ni| {
-                net_edges[ni]
-                    .iter()
-                    .any(|&e| graph.occupancy[e as usize] > CHANNEL_CAPACITY)
-            })
-            .collect();
-    }
-
-    if overused > 0 {
-        return Err(PnrError::Unroutable {
-            overused_edges: overused,
-        });
-    }
-
-    let wirelength = routes
-        .iter()
-        .flat_map(|sink_paths| sink_paths.iter())
-        .map(|p| p.len().saturating_sub(1) as u64)
-        .sum();
-
-    Ok(RoutedDesign {
-        routes,
-        overused_edges: 0,
-        iterations,
-        edges_relaxed,
-        wirelength,
-        nets_rerouted,
-        history: graph.history,
-    })
+    negotiate(netlist, device, region, placement, options, None, 1)
 }
 
 /// Stable content-derived identity per net: a hash of the driver's and
@@ -368,7 +263,7 @@ pub fn net_identities(netlist: &Netlist, cell_ids: &[u64]) -> Vec<u64> {
         .collect()
 }
 
-/// Nets per frozen-congestion round below which the parallel machinery is
+/// Nets per warm negotiation round below which the parallel machinery is
 /// skipped: searching a handful of nets sequentially (Gauss–Seidel, each
 /// net seeing the previous commits) converges faster than a Jacobi round
 /// and avoids thread-spawn overhead. The choice depends only on the net
@@ -376,40 +271,37 @@ pub fn net_identities(netlist: &Netlist, cell_ids: &[u64]) -> Vec<u64> {
 /// every worker count.
 const PARALLEL_THRESHOLD: usize = 8;
 
-/// Prior route state a delta-routing run starts from. Produced by
-/// [`crate::extract_hints`] from a finished cold run.
-pub struct RouteSeed<'a> {
-    /// Identity per prior net ([`net_identities`]).
-    pub net_ids: &'a [u64],
-    /// Prior tile paths, indexed like the prior netlist's nets.
-    pub routes: &'a [Vec<Vec<(u32, u32)>>],
-    /// Prior final history costs (may be empty or mismatched, then ignored).
-    pub history: &'a [f32],
-}
-
-/// Delta routing: replays prior routes whose endpoints did not move, rips
-/// up and renegotiates only the rest, with PathFinder history seeded from
-/// the prior run.
+/// PathFinder negotiation, cold (`hint: None`) or warm-started from a prior
+/// run's routes and history.
 ///
-/// When a negotiation round has `PARALLEL_THRESHOLD` (8) or more nets to
-/// route, the nets are searched in parallel against *frozen* congestion
-/// (a Jacobi round: no net sees this round's other reroutes) and committed
-/// in ascending net order. Both the freeze and the commit order are
-/// independent of `workers`, so the routed design is byte-identical at
-/// every worker count; `workers` only sets how many OS threads share the
-/// search.
+/// A warm start seeds the history costs when the geometry matches, then
+/// replays every prior route whose net identity matches and whose
+/// endpoints did not move; only the rest enter the first round. A cold
+/// start replays nothing, so its first round routes every net in ascending
+/// order. Later rounds rip up every net crossing an overused edge.
+///
+/// The round shape is the one start-dependent branch. A cold round rips up
+/// each net just before re-searching it, and commits each sink's path
+/// before the next sink's search. A warm round rips up the whole round
+/// first; with `PARALLEL_THRESHOLD` (8) or more nets it searches them in
+/// parallel against *frozen* congestion (a Jacobi round: no net sees this
+/// round's other reroutes) and commits in ascending net order, otherwise
+/// it searches them in order, each net seeing the previous commits. Both
+/// the freeze and the commit order are independent of `workers`, so the
+/// routed design is byte-identical at every worker count; `workers` only
+/// sets how many OS threads share the search.
 ///
 /// # Errors
 ///
 /// Returns [`PnrError::Unroutable`] if congestion cannot be resolved in
-/// [`MAX_ITERATIONS`] — callers fall back to a cold [`route`].
-pub fn route_incremental(
+/// [`MAX_ITERATIONS`].
+pub(crate) fn negotiate(
     netlist: &Netlist,
     device: &Device,
     region: Rect,
     placement: &Placement,
     options: &PnrOptions,
-    seed: &RouteSeed<'_>,
+    hint: Option<&PnrHints>,
     workers: usize,
 ) -> Result<RoutedDesign, PnrError> {
     let route_region = if options.abstract_shell {
@@ -418,129 +310,83 @@ pub fn route_incremental(
         Rect::new(0, 0, device.width, device.height)
     };
     let mut graph = EdgeGraph::new(route_region);
-    // Seed history from the prior run when the geometry matches; stale or
-    // foreign history is ignored rather than trusted.
-    if seed.history.len() == graph.history.len() {
-        graph.history.copy_from_slice(seed.history);
-    }
-
-    let cell_ids = crate::place::cell_identities(netlist);
-    let ids = net_identities(netlist, &cell_ids);
-    // Occurrence-paired identity match, like the placer's cell matching.
-    let mut pool: std::collections::HashMap<u64, Vec<usize>> = Default::default();
-    for (i, &id) in seed.net_ids.iter().enumerate() {
-        pool.entry(id).or_default().push(i);
-    }
-    let mut taken: std::collections::HashMap<u64, usize> = Default::default();
+    let n_nets = netlist.nets.len();
+    let mut routes: Vec<Vec<Vec<(u32, u32)>>> = vec![Vec::new(); n_nets];
+    // Edges each net currently occupies, for incremental rip-up.
+    let mut net_edges: Vec<Vec<u32>> = vec![Vec::new(); n_nets];
+    let mut to_route: Vec<usize> = match hint {
+        None => (0..n_nets).collect(),
+        Some(h) => {
+            // Stale or foreign history is ignored rather than trusted.
+            if h.history.len() == graph.history.len() {
+                graph.history.copy_from_slice(&h.history);
+            }
+            replay(
+                netlist,
+                placement,
+                h,
+                &mut graph,
+                &mut routes,
+                &mut net_edges,
+            )
+        }
+    };
+    let warm = hint.is_some();
 
     let mut edges_relaxed = 0u64;
     let mut nets_rerouted = 0u64;
-    let n_nets = netlist.nets.len();
-    let mut routes: Vec<Vec<Vec<(u32, u32)>>> = vec![Vec::new(); n_nets];
-    let mut net_edges: Vec<Vec<u32>> = vec![Vec::new(); n_nets];
-    let mut to_route: Vec<usize> = Vec::new();
-
-    // Replay pass: keep a prior net's routing when its identity matches and
-    // every path still starts at the (possibly re-placed) driver tile, ends
-    // at the matching sink tile, and stays inside the routing region. The
-    // replayed set is a subset of a legal prior routing with identical
-    // widths, so its occupancy cannot exceed what the prior run carried —
-    // any residual overuse against *new* routing is negotiated below.
-    'nets: for ni in 0..n_nets {
-        let net = &netlist.nets[ni];
-        let replay = (|| {
-            let occurrences = pool.get(&ids[ni])?;
-            let k = taken.entry(ids[ni]).or_insert(0);
-            let pi = *occurrences.get(*k)?;
-            *k += 1;
-            Some(&seed.routes[pi])
-        })();
-        let Some(prior) = replay else {
-            to_route.push(ni);
-            continue;
-        };
-        if prior.len() != net.sinks.len() {
-            to_route.push(ni);
-            continue;
-        }
-        let from = placement.assignment[net.driver.0];
-        for (si, path) in prior.iter().enumerate() {
-            let to = placement.assignment[net.sinks[si].0];
-            let endpoints_ok = path.first() == Some(&from) && path.last() == Some(&to);
-            let steps_ok = path
-                .windows(2)
-                .all(|w| w[0].0.abs_diff(w[1].0) + w[0].1.abs_diff(w[1].1) == 1)
-                && path
-                    .iter()
-                    .all(|&(x, y)| graph.in_region(x as i64, y as i64));
-            if !endpoints_ok || !steps_ok {
-                to_route.push(ni);
-                continue 'nets;
-            }
-        }
-        // Commit the replay.
-        let units = net.width.div_ceil(8).max(1);
-        for path in prior.iter() {
-            for w in path.windows(2) {
-                let dir = step_dir(w[0], w[1]);
-                let e = graph.edge_index(w[0].0, w[0].1, dir);
-                graph.occupancy[e] += units;
-                net_edges[ni].push(e as u32);
-            }
-        }
-        routes[ni] = prior.clone();
-    }
-
     let mut iterations = 0;
     let mut overused = 0;
     for iter in 0..MAX_ITERATIONS {
         iterations = iter + 1;
+        // Every pass sweeps the whole loaded routing context (the overuse
+        // scans below); charge that to the effort measure — it is the cost
+        // an abstract shell avoids.
         edges_relaxed += graph.occupancy.len() as u64;
+        nets_rerouted += to_route.len() as u64;
 
-        // Rip up every net in this round first, so the frozen graph the
-        // parallel searches see excludes all of them symmetrically.
-        for &ni in &to_route {
-            let units = netlist.nets[ni].width.div_ceil(8).max(1);
-            for &e in &net_edges[ni] {
-                graph.occupancy[e as usize] -= units;
+        if warm {
+            // Rip up every net in this round first, so the frozen graph the
+            // parallel searches see excludes all of them symmetrically.
+            for &ni in &to_route {
+                rip_up(&mut graph, &mut net_edges[ni], units(netlist, ni));
             }
-            net_edges[ni].clear();
-            nets_rerouted += 1;
         }
-
-        if to_route.len() >= PARALLEL_THRESHOLD {
-            // Jacobi round: search all nets against the frozen graph in
-            // parallel, then commit in ascending net order.
+        if warm && to_route.len() >= PARALLEL_THRESHOLD {
             let searched = search_frozen(netlist, placement, &graph, &to_route, workers);
             for (ni, sink_paths, relaxed) in searched {
                 edges_relaxed += relaxed;
-                commit_net(
-                    netlist,
-                    &mut graph,
-                    &mut net_edges,
-                    &mut routes,
-                    ni,
-                    sink_paths,
-                );
+                for path in &sink_paths {
+                    occupy(&mut graph, &mut net_edges[ni], path, units(netlist, ni));
+                }
+                routes[ni] = sink_paths;
             }
         } else {
-            // Gauss–Seidel round: each net sees the previous commits.
+            // Gauss–Seidel: each net sees the previous commits. A cold net
+            // is ripped up (a no-op in round one) and occupies each sink's
+            // path before the next sink is searched.
             for &ni in &to_route {
                 let net = &netlist.nets[ni];
+                let units = units(netlist, ni);
+                if !warm {
+                    rip_up(&mut graph, &mut net_edges[ni], units);
+                }
                 let from = placement.assignment[net.driver.0];
                 let mut sink_paths = Vec::with_capacity(net.sinks.len());
                 for s in &net.sinks {
                     let to = placement.assignment[s.0];
-                    sink_paths.push(shortest_path(&graph, from, to, &mut edges_relaxed));
+                    let path = shortest_path(&graph, from, to, &mut edges_relaxed);
+                    if !warm {
+                        occupy(&mut graph, &mut net_edges[ni], &path, units);
+                    }
+                    sink_paths.push(path);
                 }
-                commit_net(
-                    netlist,
-                    &mut graph,
-                    &mut net_edges,
-                    &mut routes,
-                    ni,
-                    sink_paths,
-                );
+                if warm {
+                    for path in &sink_paths {
+                        occupy(&mut graph, &mut net_edges[ni], path, units);
+                    }
+                }
+                routes[ni] = sink_paths;
             }
         }
 
@@ -552,14 +398,17 @@ pub fn route_incremental(
         if overused == 0 {
             break;
         }
+        // Negotiation: overuse becomes history cost for the next iteration,
+        // and the present penalty escalates.
         for (i, &o) in graph.occupancy.iter().enumerate() {
             if o > CHANNEL_CAPACITY {
                 graph.history[i] += (o - CHANNEL_CAPACITY) as f32 * 0.5;
             }
         }
         graph.pres_fac *= PRES_FAC_GROWTH;
-        // Rip-up set for the next round: every net (replayed ones included)
-        // crossing an overused edge, in ascending net order.
+        // Rip up and reroute only the nets (replayed ones included) crossing
+        // an overused edge, in ascending net order (deterministic regardless
+        // of how congestion arose).
         to_route = (0..n_nets)
             .filter(|&ni| {
                 net_edges[ni]
@@ -592,6 +441,71 @@ pub fn route_incremental(
     })
 }
 
+/// The warm start's replay pass: keeps a prior net's routing when its
+/// identity matches and every path still starts at the (possibly re-placed)
+/// driver tile, ends at the matching sink tile, and stays inside the
+/// routing region. Returns the nets left to route, ascending.
+///
+/// The replayed set is a subset of a legal prior routing with identical
+/// widths, so its occupancy cannot exceed what the prior run carried — any
+/// residual overuse against *new* routing is negotiated afterwards.
+fn replay(
+    netlist: &Netlist,
+    placement: &Placement,
+    hint: &PnrHints,
+    graph: &mut EdgeGraph,
+    routes: &mut [Vec<Vec<(u32, u32)>>],
+    net_edges: &mut [Vec<u32>],
+) -> Vec<usize> {
+    let cell_ids = crate::place::cell_identities(netlist);
+    let ids = net_identities(netlist, &cell_ids);
+    // Occurrence-paired identity match, like the placer's cell matching.
+    let mut pool: std::collections::HashMap<u64, Vec<usize>> = Default::default();
+    for (i, &id) in hint.net_ids.iter().enumerate() {
+        pool.entry(id).or_default().push(i);
+    }
+    let mut taken: std::collections::HashMap<u64, usize> = Default::default();
+    let mut to_route = Vec::new();
+    for (ni, net) in netlist.nets.iter().enumerate() {
+        let prior = (|| {
+            let occurrences = pool.get(&ids[ni])?;
+            let k = taken.entry(ids[ni]).or_insert(0);
+            let pi = *occurrences.get(*k)?;
+            *k += 1;
+            Some(&hint.routes[pi])
+        })();
+        let from = placement.assignment[net.driver.0];
+        let replayable = prior.is_some_and(|prior| {
+            prior.len() == net.sinks.len()
+                && prior.iter().zip(&net.sinks).all(|(path, sink)| {
+                    path.first() == Some(&from)
+                        && path.last() == Some(&placement.assignment[sink.0])
+                        && path
+                            .windows(2)
+                            .all(|w| w[0].0.abs_diff(w[1].0) + w[0].1.abs_diff(w[1].1) == 1)
+                        && path
+                            .iter()
+                            .all(|&(x, y)| graph.in_region(x as i64, y as i64))
+                })
+        });
+        match prior {
+            Some(prior) if replayable => {
+                for path in prior {
+                    occupy(graph, &mut net_edges[ni], path, units(netlist, ni));
+                }
+                routes[ni] = prior.clone();
+            }
+            _ => to_route.push(ni),
+        }
+    }
+    to_route
+}
+
+/// Capacity units a net occupies on every edge it crosses.
+fn units(netlist: &Netlist, ni: usize) -> u32 {
+    netlist.nets[ni].width.div_ceil(8).max(1)
+}
+
 fn step_dir(from: (u32, u32), to: (u32, u32)) -> usize {
     DIRS.iter()
         .position(|&(dx, dy)| {
@@ -600,24 +514,21 @@ fn step_dir(from: (u32, u32), to: (u32, u32)) -> usize {
         .expect("path steps are unit moves")
 }
 
-/// Occupies the edges of a net's freshly searched paths and records them.
-fn commit_net(
-    netlist: &Netlist,
-    graph: &mut EdgeGraph,
-    net_edges: &mut [Vec<u32>],
-    routes: &mut [Vec<Vec<(u32, u32)>>],
-    ni: usize,
-    sink_paths: Vec<Vec<(u32, u32)>>,
-) {
-    let units = netlist.nets[ni].width.div_ceil(8).max(1);
-    for path in &sink_paths {
-        for w in path.windows(2) {
-            let e = graph.edge_index(w[0].0, w[0].1, step_dir(w[0], w[1]));
-            graph.occupancy[e] += units;
-            net_edges[ni].push(e as u32);
-        }
+/// Releases the edges a net occupies.
+fn rip_up(graph: &mut EdgeGraph, edges: &mut Vec<u32>, units: u32) {
+    for &e in edges.iter() {
+        graph.occupancy[e as usize] -= units;
     }
-    routes[ni] = sink_paths;
+    edges.clear();
+}
+
+/// Occupies the edges one path walks and records them against its net.
+fn occupy(graph: &mut EdgeGraph, edges: &mut Vec<u32>, path: &[(u32, u32)], units: u32) {
+    for w in path.windows(2) {
+        let e = graph.edge_index(w[0].0, w[0].1, step_dir(w[0], w[1]));
+        graph.occupancy[e] += units;
+        edges.push(e as u32);
+    }
 }
 
 /// Searches every net of `to_route` against the frozen congestion state,
@@ -745,12 +656,7 @@ mod tests {
     fn path_cost(graph: &EdgeGraph, path: &[(u32, u32)]) -> f64 {
         let mut cost = 0.0;
         for w in path.windows(2) {
-            let dir = DIRS
-                .iter()
-                .position(|&(dx, dy)| {
-                    (w[0].0 as i64 + dx, w[0].1 as i64 + dy) == (w[1].0 as i64, w[1].1 as i64)
-                })
-                .unwrap();
+            let dir = step_dir(w[0], w[1]);
             cost += graph.edge_cost(graph.edge_index(w[0].0, w[0].1, dir));
         }
         cost
@@ -827,13 +733,7 @@ mod tests {
                 let units = net.width.div_ceil(8).max(1);
                 for path in &routed.routes[ni] {
                     for w in path.windows(2) {
-                        let dir = DIRS
-                            .iter()
-                            .position(|&(dx, dy)| {
-                                (w[0].0 as i64 + dx, w[0].1 as i64 + dy)
-                                    == (w[1].0 as i64, w[1].1 as i64)
-                            })
-                            .unwrap();
+                        let dir = step_dir(w[0], w[1]);
                         let e = graph.edge_index(w[0].0, w[0].1, dir);
                         graph.occupancy[e] += units;
                     }
@@ -897,13 +797,7 @@ mod tests {
             let units = net.width.div_ceil(8).max(1);
             for path in &routed.routes[ni] {
                 for w in path.windows(2) {
-                    let dir = DIRS
-                        .iter()
-                        .position(|&(ddx, ddy)| {
-                            (w[0].0 as i64 + ddx, w[0].1 as i64 + ddy)
-                                == (w[1].0 as i64, w[1].1 as i64)
-                        })
-                        .unwrap();
+                    let dir = step_dir(w[0], w[1]);
                     let e = graph.edge_index(w[0].0, w[0].1, dir);
                     graph.occupancy[e] += units;
                 }

@@ -3,7 +3,7 @@
 //! at every worker count, (b) fully legal after delta rip-up — every cell
 //! on a typed in-region tile, every route a unit-step path between its true
 //! endpoints — and (c) bit-identical to a fresh cold run whenever the
-//! quality guard trips. One fixed-seed test holds a warm result that passes
+//! quality guard trips or the hint is inconsistent. One fixed-seed test holds a warm result that passes
 //! the guard to the quality of a cold run of the same netlist.
 
 use fabric::{ColumnKind, Floorplan};
@@ -184,8 +184,17 @@ fn accepted_warm_runs_match_cold_quality_on_operator_pages() {
     }
 }
 
+/// Cases per property: `PROPTEST_CASES` when set (CI's deeper run), else
+/// `default`.
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(cases(16)))]
 
     /// (a) + (b): a warm rerun of an edited netlist is legal and its
     /// artifacts are byte-identical at every worker count.
@@ -254,6 +263,41 @@ proptest! {
         let (result, report) =
             place_and_route_incremental(&nl, &fp.device, region, &opts, &poisoned, 4).unwrap();
         prop_assert!(report.fell_back, "impossible bar must trip the guard");
+        prop_assert_eq!(&result.placement.assignment, &cold.placement.assignment);
+        prop_assert_eq!(&result.routed.routes, &cold.routed.routes);
+        prop_assert_eq!(result.bitstream.payload_hash, cold.bitstream.payload_hash);
+        prop_assert_eq!(result.work_units, cold.work_units);
+    }
+
+    /// A hint decoded from a damaged store may list more net identities
+    /// than routes: it is inconsistent, so the run falls back to a cold run
+    /// bit-identical to `place_and_route` instead of indexing past the end.
+    #[test]
+    fn hint_with_fewer_routes_than_nets_falls_back_cold(
+        genes in proptest::collection::vec((any::<u8>(), any::<u8>()), 4..40),
+        edit in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..3),
+        keep in 0usize..4,
+        seed in any::<u64>(),
+        page in 0usize..22,
+    ) {
+        let base = netlist_from_genes(&genes);
+        prop_assume!(base.check().is_ok());
+        let fp = Floorplan::u50();
+        let region = fp.pages[page].rect;
+        let opts = PnrOptions { seed, ..Default::default() };
+        let Ok(prior) = place_and_route(&base, &fp.device, region, &opts) else {
+            return Ok(());
+        };
+        let mut torn = extract_hints(&base, region, &prior);
+        torn.routes.truncate(keep.min(torn.net_ids.len() - 1));
+        let edited = edited_netlist(&base, &edit);
+        prop_assume!(edited.check().is_ok());
+        let Ok(cold) = place_and_route(&edited, &fp.device, region, &opts) else {
+            return Ok(());
+        };
+        let (result, report) =
+            place_and_route_incremental(&edited, &fp.device, region, &opts, &torn, 2).unwrap();
+        prop_assert!(report.fell_back, "an inconsistent hint must fall back");
         prop_assert_eq!(&result.placement.assignment, &cold.placement.assignment);
         prop_assert_eq!(&result.routed.routes, &cold.routed.routes);
         prop_assert_eq!(result.bitstream.payload_hash, cold.bitstream.payload_hash);

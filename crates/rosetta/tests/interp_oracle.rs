@@ -9,7 +9,6 @@
 //! exhaustion at every budget from zero to the kernel's op count.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use aplib::{DynFixed, DynInt};
 use dfg::generate::{generate_family, GenConfig, FAMILIES};
@@ -74,61 +73,38 @@ fn outcome(result: Result<InterpStats, InterpError>, io: Tape) -> Outcome {
     )
 }
 
-/// Runs both engines and asserts they agree. `None` when the oracle itself
-/// panics: `DynInt::to_i128` refuses an `ap_uint<128>` with its top bit set
-/// where the tree walker reads it as a shift amount, an index or a
-/// fixed-point operand. The typed engine must still run without panicking.
-fn agree(kernel: &Kernel, inputs: &[Vec<Value>], budget: u64, accept: usize) -> Option<Outcome> {
+/// Runs both engines and asserts they agree.
+fn agree(kernel: &Kernel, inputs: &[Vec<Value>], budget: u64, accept: usize) -> Outcome {
     let resolved = Resolved::new(kernel);
     let mut io = tape(kernel, inputs, accept);
     let fast = outcome(resolved.run_with_io(&mut io, budget), io);
-    let oracle = catch_unwind(AssertUnwindSafe(|| {
-        let mut io = tape(kernel, inputs, accept);
-        outcome(run_reference(kernel, &mut io, budget), io)
-    }));
-    let oracle = match oracle {
-        Ok(o) => o,
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            assert!(
-                msg.contains("unsigned 128-bit value does not fit in i128"),
-                "oracle panicked on `{}`: {msg}",
-                kernel.name
-            );
-            return None;
-        }
-    };
+    let mut io = tape(kernel, inputs, accept);
+    let oracle = outcome(run_reference(kernel, &mut io, budget), io);
     assert_eq!(
         fast, oracle,
         "typed engine and oracle disagree on `{}` (budget {budget}, accept {accept})",
         kernel.name
     );
-    Some(fast)
+    fast
 }
 
 /// Full run, then — unless it executes more than `sweep_limit` ops — every
 /// budget from zero until the run no longer ends on the budget, and every
 /// hang-up point before the last write.
 fn agree_everywhere(kernel: &Kernel, inputs: &[Vec<Value>], sweep_limit: u64) {
-    let Some((full, written, _)) = agree(kernel, inputs, u64::MAX, usize::MAX) else {
-        return;
-    };
+    let (full, written, _) = agree(kernel, inputs, u64::MAX, usize::MAX);
     if matches!(full, Ok(stats) if stats.ops > sweep_limit) {
         return;
     }
     for budget in 0.. {
-        let Some((Err(InterpError::OpBudgetExceeded { .. }), _, _)) =
+        let (Err(InterpError::OpBudgetExceeded { .. }), _, _) =
             agree(kernel, inputs, budget, usize::MAX)
         else {
             break;
         };
     }
     for accept in 0..written.iter().map(Vec::len).sum() {
-        agree(kernel, inputs, u64::MAX, accept);
+        let _ = agree(kernel, inputs, u64::MAX, accept);
     }
 }
 
@@ -447,20 +423,12 @@ fn int_only(op: BinOp) -> bool {
     )
 }
 
-/// Whether the oracle can read `v` as an `i128`: not an `ap_uint<128>`
-/// with its top bit set.
-fn fits_i128(v: &Value) -> bool {
-    !(matches!(v, Value::Int(i) if !i.is_signed() && i.width() == 128) && v.raw() >> 127 == 1)
-}
-
-/// Every pair of corner values of `a` and `b` that `keep` admits, as two
-/// streams.
-fn corner_pairs(a: Scalar, b: Scalar, keep: impl Fn(&Value, &Value) -> bool) -> Vec<Vec<Value>> {
+/// Every pair of corner values of `a` and `b`, as two streams.
+fn corner_pairs(a: Scalar, b: Scalar) -> Vec<Vec<Value>> {
     let (va, vb) = (corner_values(a), corner_values(b));
     let pairs: Vec<(Value, Value)> = va
         .iter()
         .flat_map(|&x| vb.iter().map(move |&y| (x, y)))
-        .filter(|(x, y)| keep(x, y))
         .collect();
     vec![
         pairs.iter().map(|p| p.0).collect(),
@@ -489,19 +457,15 @@ fn probe_kernel(name: String, inputs: &[(&str, Scalar)], outs: Vec<(Expr, Scalar
 }
 
 /// Runs a probe kernel until its inputs run dry: the underflow that ends
-/// it must match too, and the oracle must not panic.
+/// it must match too.
 fn probe(kernel: &Kernel, inputs: &[Vec<Value>]) {
-    let (result, _, _) = agree(kernel, inputs, u64::MAX, usize::MAX)
-        .unwrap_or_else(|| panic!("oracle panicked on `{}`", kernel.name));
+    let (result, _, _) = agree(kernel, inputs, u64::MAX, usize::MAX);
     assert!(matches!(result, Err(InterpError::StreamUnderflow { .. })));
 }
 
 /// Every binary operator the validator admits on `a` and `b`, over every
-/// pair of corner values the oracle can read: an `ap_uint<128>` above
-/// `i128::MAX` cannot be promoted to fixed point nor serve as a shift
-/// amount there.
+/// pair of corner values.
 fn binary_kernels(a: Scalar, b: Scalar) -> Vec<(Kernel, Vec<Vec<Value>>)> {
-    let mixed = a.is_fixed() != b.is_fixed();
     let bin = |op| {
         let e = Expr::Bin {
             op,
@@ -521,7 +485,7 @@ fn binary_kernels(a: Scalar, b: Scalar) -> Vec<(Kernel, Vec<Vec<Value>>)> {
             &ports,
             rest.into_iter().map(bin).collect(),
         ),
-        corner_pairs(a, b, |x, y| !mixed || (fits_i128(x) && fits_i128(y))),
+        corner_pairs(a, b),
     )];
     if !shifts.is_empty() {
         kernels.push((
@@ -530,7 +494,7 @@ fn binary_kernels(a: Scalar, b: Scalar) -> Vec<(Kernel, Vec<Vec<Value>>)> {
                 &ports,
                 shifts.into_iter().map(bin).collect(),
             ),
-            corner_pairs(a, b, |_, y| fits_i128(y)),
+            corner_pairs(a, b),
         ));
     }
     kernels
@@ -539,8 +503,7 @@ fn binary_kernels(a: Scalar, b: Scalar) -> Vec<(Kernel, Vec<Vec<Value>>)> {
 /// `c ? x : y` for both conditions over every pair of corner values (the
 /// arms of a mixed mux convert to fixed point).
 fn select_kernel(a: Scalar, b: Scalar) -> (Kernel, Vec<Vec<Value>>) {
-    let mixed = a.is_fixed() != b.is_fixed();
-    let mut inputs = corner_pairs(a, b, |x, y| !mixed || (fits_i128(x) && fits_i128(y)));
+    let mut inputs = corner_pairs(a, b);
     let n = inputs[0].len();
     for s in &mut inputs {
         s.extend_from_within(..);
@@ -556,8 +519,7 @@ fn select_kernel(a: Scalar, b: Scalar) -> (Kernel, Vec<Vec<Value>>) {
     (probe_kernel(format!("sel_{a}_{b}"), &ports, outs), inputs)
 }
 
-/// Every unary operator and four bit ranges of `a`; then every cast, fed
-/// only values the oracle can convert to fixed point.
+/// Every unary operator and four bit ranges of `a`; then every cast.
 fn unary_kernels(a: Scalar, targets: &[Scalar]) -> Vec<(Kernel, Vec<Vec<Value>>)> {
     let x = || Expr::var("A");
     let w = a.width();
@@ -577,15 +539,14 @@ fn unary_kernels(a: Scalar, targets: &[Scalar]) -> Vec<(Kernel, Vec<Vec<Value>>)
     }
     let casts = targets.iter().map(|&t| (x().cast(t), t)).collect();
     let values = corner_values(a);
-    let castable = values.iter().copied().filter(fits_i128).collect();
     vec![
         (
             probe_kernel(format!("un_{a}"), &[("a", a)], outs),
-            vec![values],
+            vec![values.clone()],
         ),
         (
             probe_kernel(format!("cast_{a}"), &[("a", a)], casts),
-            vec![castable],
+            vec![values],
         ),
     ]
 }
@@ -628,7 +589,7 @@ proptest! {
                 .iter()
                 .map(|s| s[..(cut as usize + k as usize) % (s.len() + 1)].to_vec())
                 .collect();
-            agree(&kernel, &short, u64::MAX, usize::MAX);
+            let _ = agree(&kernel, &short, u64::MAX, usize::MAX);
         }
     }
 
@@ -653,8 +614,7 @@ fn rosetta_small_kernels_agree_on_traced_streams() {
     for bench in rosetta::suite(rosetta::Scale::Small) {
         let (_, _, trace) = dfg::run_graph_trace(&bench.graph, &bench.input_refs()).unwrap();
         for (op, streams) in bench.graph.operators.iter().zip(&trace.op_inputs) {
-            let got = agree(&op.kernel, streams, u64::MAX, usize::MAX)
-                .unwrap_or_else(|| panic!("oracle panicked on {}", bench.name));
+            let got = agree(&op.kernel, streams, u64::MAX, usize::MAX);
             assert!(got.0.is_ok(), "{} / {}: {:?}", bench.name, op.name, got.0);
         }
     }
@@ -689,22 +649,59 @@ fn every_error_kind_agrees() {
             .map(|&w| Value::Int(DynInt::from_raw(32, false, w)))
             .collect()]
     };
-    let ok = agree(&k, &words(&[0, 1, 2, 3]), u64::MAX, usize::MAX).unwrap();
+    let ok = agree(&k, &words(&[0, 1, 2, 3]), u64::MAX, usize::MAX);
     let stats = ok.0.unwrap();
-    let oob = agree(&k, &words(&[0, 9]), u64::MAX, usize::MAX).unwrap();
+    let oob = agree(&k, &words(&[0, 9]), u64::MAX, usize::MAX);
     assert!(matches!(
         oob.0,
         Err(InterpError::IndexOutOfBounds { index: 9, .. })
     ));
-    let under = agree(&k, &words(&[0, 1]), u64::MAX, usize::MAX).unwrap();
+    let under = agree(&k, &words(&[0, 1]), u64::MAX, usize::MAX);
     assert!(matches!(under.0, Err(InterpError::StreamUnderflow { .. })));
-    let closed = agree(&k, &words(&[0, 1, 2, 3]), u64::MAX, 2).unwrap();
+    let closed = agree(&k, &words(&[0, 1, 2, 3]), u64::MAX, 2);
     assert!(matches!(
         closed.0,
         Err(InterpError::DownstreamClosed { .. })
     ));
     for budget in 0..stats.ops {
-        let r = agree(&k, &words(&[0, 1, 2, 3]), budget, usize::MAX).unwrap();
+        let r = agree(&k, &words(&[0, 1, 2, 3]), budget, usize::MAX);
         assert_eq!(r.0, Err(InterpError::OpBudgetExceeded { budget }));
+    }
+}
+
+/// An `ap_uint<128>` index above `i128::MAX` reads as a negative `i128` in
+/// both engines, on a load and on a store: out of bounds, with that index.
+#[test]
+fn wide_index_above_i128_max_is_out_of_bounds() {
+    let wide = Scalar::uint(128);
+    let load = Stmt::write("out", Expr::index("a", Expr::var("x")));
+    let store = Stmt::store("a", Expr::var("x"), Expr::var("x").cast(Scalar::uint(8)));
+    for body in [[load.clone(), store.clone()], [store, load]] {
+        let mut stmts = vec![Stmt::read("x", "in")];
+        stmts.extend(body);
+        let k = KernelBuilder::new("wide_index")
+            .input("in", wide)
+            .output("out", Scalar::uint(8))
+            .local("x", wide)
+            .array("a", Scalar::uint(8), 4)
+            .body([Stmt::for_loop("i", 0..2, stmts)])
+            .build()
+            .unwrap();
+        for raw in [1u128 << 127, u128::MAX] {
+            let input = vec![vec![
+                Value::Int(DynInt::from_raw(128, false, 2)),
+                of_raw(wide, raw),
+            ]];
+            let (result, written, _) = agree(&k, &input, u64::MAX, usize::MAX);
+            assert_eq!(written[0].len(), 1);
+            assert_eq!(
+                result,
+                Err(InterpError::IndexOutOfBounds {
+                    array: "a".into(),
+                    index: raw as i128,
+                    len: 4
+                })
+            );
+        }
     }
 }
