@@ -9,13 +9,13 @@ use noc::BftNoc;
 use pld::execute::OVERLAY_MHZ;
 use pld::{LinkOp, Xclbin, XclbinKind};
 
-use crate::AppId;
+use crate::FleetAppId;
 
 /// Occupancy record for one page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageBinding {
     /// The resident application owning the page.
-    pub app: AppId,
+    pub app: FleetAppId,
     /// Operator index within that application.
     pub operator: usize,
 }
@@ -212,7 +212,7 @@ mod tests {
         dev.bind(
             PageId(4),
             PageBinding {
-                app: AppId(1),
+                app: FleetAppId(1),
                 operator: 0,
             },
         );
@@ -220,7 +220,7 @@ mod tests {
         assert_eq!(
             dev.binding(PageId(4)),
             Some(PageBinding {
-                app: AppId(1),
+                app: FleetAppId(1),
                 operator: 0
             })
         );

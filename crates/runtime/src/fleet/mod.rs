@@ -1,17 +1,18 @@
-//! Fleet-scale serving: N devices behind one admission front-end.
+//! Fleet-scale serving: N devices behind the one admission front end.
 //!
-//! The single-card [`Runtime`] serves many apps on one fabric; the fleet
-//! serves many apps on many fabrics. It is the paper's "shared
-//! infrastructure overlay" taken to its operational conclusion — PLD apps
-//! admitted, placed, throttled, migrated and evicted like processes on a
-//! cluster:
+//! Each [`Runtime`] is one card's state: its pages, linking network and
+//! residents. The fleet is the only thing that admits onto or removes
+//! from a card, so a single card is a fleet of one. It is the paper's
+//! "shared infrastructure overlay" taken to its operational conclusion —
+//! PLD apps admitted, placed, throttled, migrated and evicted like
+//! processes on a cluster:
 //!
-//! * **Admission** is a bounded fleet-level queue with an async front-end
-//!   ([`reactor`]): [`Fleet::submit_async`] returns an [`AdmissionTicket`]
-//!   future that resolves when a scheduling pass ([`Fleet::pump`]) lands
-//!   the app on a device. Apps no single device could ever host are
-//!   refused up front with [`FleetError::Unplaceable`] carrying each
-//!   device's page-type deficit.
+//! * **Admission** is a bounded queue drained by scheduling passes
+//!   ([`Fleet::pump`]). [`Fleet::submit_async`] returns an
+//!   [`AdmissionTicket`] future ([`reactor`]) that resolves when a pass
+//!   lands the app on a device; [`Fleet::submit`] returns just its id.
+//!   Apps no single device could ever host are refused up front with
+//!   [`FleetError::Unplaceable`] carrying each device's page-type deficit.
 //! * **Placement** is cache-aware best-fit bin packing:
 //!   prefer the device whose local bitstream cache already holds the
 //!   app's artifacts, then the tightest page fit. The cache informs
@@ -22,12 +23,12 @@
 //!   outputs are bit-identical afterwards (the Kahn property — state
 //!   lives in the artifacts, not the fabric).
 //! * **QoS** ([`qos`]) is per-tenant: eviction priority classes (a
-//!   request only displaces apps of equal or lower class) and token-rate
-//!   fair-share enforced as NoC injection-credit budgets programmed into
-//!   each device's linking network.
+//!   request only displaces apps of equal or lower class, least recently
+//!   used first) and token-rate fair-share enforced as NoC injection-credit
+//!   budgets programmed into each device's linking network.
 //!
-//! A fleet of one device is exactly the old single-device serving path —
-//! `examples/serving.rs` runs through it.
+//! `examples/serving.rs` runs a fleet of one card; `examples/serving_fleet.rs`
+//! runs a fleet of several.
 
 mod placement;
 pub mod qos;
@@ -49,7 +50,7 @@ use pld::CompiledApp;
 
 use crate::allocator::AllocError;
 use crate::stats::LatencyHistogram;
-use crate::{AdmitError, AppId, Runtime, RuntimeError};
+use crate::{Refusal, Runtime, RuntimeError};
 use reactor::TicketState;
 
 /// Index of one device in the fleet.
@@ -72,8 +73,8 @@ impl fmt::Display for TenantId {
     }
 }
 
-/// Fleet-wide identity of one submitted app (stable across devices and
-/// migrations, unlike the per-device [`AppId`]).
+/// Identity of one submitted app, stable across devices and migrations.
+/// Each device keys its residents by it too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FleetAppId(pub u64);
 
@@ -148,7 +149,8 @@ pub enum FleetError {
     Rejected {
         /// The fleet-wide id the submission was assigned.
         app: FleetAppId,
-        /// Why placement gave up.
+        /// Why placement gave up: no reclaimable capacity, or the last
+        /// device that refused the app outright and its [`RuntimeError`].
         reason: String,
     },
     /// A migration failed at the destination; `restored` tells whether
@@ -208,8 +210,8 @@ impl std::error::Error for FleetError {}
 struct FleetApp {
     name: String,
     tenant: TenantId,
-    /// `(device index, device-local id)` while resident.
-    location: Option<(usize, AppId)>,
+    /// The device index while resident.
+    location: Option<usize>,
 }
 
 /// One queued admission request.
@@ -219,7 +221,7 @@ struct PendingFleet {
     tenant: TenantId,
     app: Box<CompiledApp>,
     submitted: Instant,
-    ticket: Option<Arc<Mutex<TicketState>>>,
+    ticket: Arc<Mutex<TicketState>>,
 }
 
 #[derive(Debug, Default)]
@@ -232,9 +234,7 @@ struct TenantState {
 /// live migration, and per-tenant QoS. See the [module docs](self).
 pub struct Fleet {
     devices: Vec<Runtime>,
-    apps: BTreeMap<u64, FleetApp>,
-    /// `(device index, local AppId.0)` → fleet id, for victim accounting.
-    locations: HashMap<(usize, u64), u64>,
+    apps: BTreeMap<FleetAppId, FleetApp>,
     queue: VecDeque<PendingFleet>,
     queue_bound: usize,
     tenants: BTreeMap<u32, TenantState>,
@@ -269,7 +269,6 @@ impl Fleet {
         Fleet {
             devices,
             apps: BTreeMap::new(),
-            locations: HashMap::new(),
             queue: VecDeque::new(),
             queue_bound: bound,
             tenants: BTreeMap::new(),
@@ -303,22 +302,22 @@ impl Fleet {
     /// tenant's weight — call once per scheduling epoch to make the
     /// credits a token *rate*.
     pub fn refill_credits(&mut self) {
-        let budgets: Vec<(usize, AppId, Option<u32>)> = self
+        let budgets: Vec<(usize, FleetAppId, Option<u32>)> = self
             .apps
-            .values()
-            .filter_map(|a| {
-                let (dev, local) = a.location?;
+            .iter()
+            .filter_map(|(&id, a)| {
+                let dev = a.location?;
                 let budget = self
                     .base_credits
                     .map(|base| self.spec_of(a.tenant).inject_credits(base));
-                Some((dev, local, budget))
+                Some((dev, id, budget))
             })
             .collect();
-        for (dev, local, budget) in budgets {
+        for (dev, id, budget) in budgets {
             // A racing eviction is benign: an app that is no longer
             // resident holds no pages, and its released pages are
             // unthrottled.
-            let _ = self.devices[dev].set_app_inject_budget(local, budget);
+            let _ = self.devices[dev].set_app_inject_budget(id, budget);
         }
     }
 
@@ -332,10 +331,10 @@ impl Fleet {
         self.devices.get(device.0)
     }
 
-    /// Mutable access to one card's [`Runtime`] — for single-device
-    /// operations the fleet does not mediate (hot-swap of a resident
-    /// app, direct stats). The fleet's own bookkeeping stays valid as
-    /// long as the caller does not admit or evict behind its back.
+    /// Mutable access to one card's [`Runtime`] — for the single-device
+    /// operations the fleet does not mediate: hot-swapping a resident app
+    /// and opting into cosim serving. Admission and removal stay with the
+    /// fleet.
     pub fn runtime_mut(&mut self, device: DeviceId) -> Option<&mut Runtime> {
         self.devices.get_mut(device.0)
     }
@@ -347,15 +346,16 @@ impl Fleet {
 
     /// The submitted name of a known app.
     pub fn name_of(&self, app: FleetAppId) -> Option<&str> {
-        self.apps.get(&app.0).map(|a| a.name.as_str())
+        self.apps.get(&app).map(|a| a.name.as_str())
     }
 
-    /// Where an app currently lives: `(device, device-local id)`.
-    pub fn locate(&self, app: FleetAppId) -> Option<(DeviceId, AppId)> {
+    /// Where an app currently lives: its device, and the id that device
+    /// keys it by (the app's own id).
+    pub fn locate(&self, app: FleetAppId) -> Option<(DeviceId, FleetAppId)> {
         self.apps
-            .get(&app.0)
+            .get(&app)
             .and_then(|a| a.location)
-            .map(|(dev, local)| (DeviceId(dev), local))
+            .map(|dev| (DeviceId(dev), app))
     }
 
     /// Whether an app is resident on some device.
@@ -363,47 +363,37 @@ impl Fleet {
         self.locate(app).is_some()
     }
 
-    /// Submits an app for admission (synchronous handle; pair with
-    /// [`Fleet::pump`]).
+    /// [`Fleet::submit_async`] for callers that only need the app's id;
+    /// pair it with [`Fleet::pump`].
     ///
     /// # Errors
     ///
-    /// [`FleetError::QueueFull`] (app returned inside) at the queue
-    /// bound; [`FleetError::Unplaceable`] with per-device deficits when
-    /// no device could ever host the app.
+    /// As [`Fleet::submit_async`].
     pub fn submit(
         &mut self,
         tenant: TenantId,
         name: &str,
         app: CompiledApp,
     ) -> Result<FleetAppId, FleetError> {
-        self.enqueue(tenant, name, app, false).map(|(id, _)| id)
+        self.submit_async(tenant, name, app).map(|t| t.app())
     }
 
-    /// [`Fleet::submit`], returning an [`AdmissionTicket`] future that
-    /// resolves at the scheduling pass that places (or rejects) the app.
+    /// Submits an app for admission, returning an [`AdmissionTicket`]
+    /// future that resolves at the scheduling pass that places (or
+    /// rejects) the app.
     ///
     /// # Errors
     ///
-    /// As [`Fleet::submit`] — queue-full and unplaceable submissions
-    /// fail synchronously, before a ticket exists.
+    /// [`FleetError::QueueFull`] (app returned inside) at the queue
+    /// bound; [`FleetError::Unplaceable`] with per-device deficits when
+    /// no device could ever host the app. Both fail synchronously, before
+    /// a ticket exists.
     pub fn submit_async(
         &mut self,
         tenant: TenantId,
         name: &str,
         app: CompiledApp,
     ) -> Result<AdmissionTicket, FleetError> {
-        self.enqueue(tenant, name, app, true)
-            .map(|(_, ticket)| ticket.expect("ticket requested"))
-    }
-
-    fn enqueue(
-        &mut self,
-        tenant: TenantId,
-        name: &str,
-        app: CompiledApp,
-        with_ticket: bool,
-    ) -> Result<(FleetAppId, Option<AdmissionTicket>), FleetError> {
         if self.queue.len() >= self.queue_bound {
             self.rejected += 1;
             return Err(FleetError::QueueFull { app: Box::new(app) });
@@ -421,23 +411,23 @@ impl Fleet {
         self.submitted += 1;
         self.tenants.entry(tenant.0).or_default();
         self.apps.insert(
-            id.0,
+            id,
             FleetApp {
                 name: name.to_string(),
                 tenant,
                 location: None,
             },
         );
-        let state = with_ticket.then(|| Arc::new(Mutex::new(TicketState::default())));
+        let state = Arc::new(Mutex::new(TicketState::default()));
         self.queue.push_back(PendingFleet {
             id,
             name: name.to_string(),
             tenant,
             app,
             submitted: Instant::now(),
-            ticket: state.clone(),
+            ticket: Arc::clone(&state),
         });
-        Ok((id, state.map(|state| AdmissionTicket { id, state })))
+        Ok(AdmissionTicket { id, state })
     }
 
     /// One scheduling pass: drains the admission queue, placing each app
@@ -477,28 +467,31 @@ impl Fleet {
 
         // Pass 1: devices with room right now, best (cache, fit) first.
         for i in placement::fitting_now(&self.devices, &candidates, &app) {
-            match self.devices[i].admit_direct(&name, app) {
-                Ok(outcome) => {
-                    self.finish_admit(id, tenant, i, outcome, submitted, ticket, events);
+            match self.devices[i].admit(id, &name, app) {
+                Ok(landed) => {
+                    self.finish_admit(id, tenant, i, landed, submitted, ticket, events);
                     return;
                 }
-                Err(refusal) => app = refusal.app,
+                Err((back, _)) => app = back,
             }
         }
 
         // Pass 2: evict within the requester's class budget, best device
         // first.
+        let mut reason = "no device has capacity this tenant's class may reclaim".to_string();
         for i in placement::rank(&self.devices, &candidates, &app) {
             loop {
-                match self.devices[i].admit_direct(&name, app) {
-                    Ok(outcome) => {
-                        self.finish_admit(id, tenant, i, outcome, submitted, ticket, events);
+                match self.devices[i].admit(id, &name, app) {
+                    Ok(landed) => {
+                        self.finish_admit(id, tenant, i, landed, submitted, ticket, events);
                         return;
                     }
-                    Err(refusal) => {
-                        app = refusal.app;
-                        if !matches!(refusal.error, AdmitError::NoCapacity(_)) {
-                            break; // This device will never take it.
+                    Err((back, refusal)) => {
+                        app = back;
+                        if let Refusal::Error(e) = refusal {
+                            // This device will never take it.
+                            reason = format!("{}: {e}", DeviceId(i));
+                            break;
                         }
                         match self.victim_on(i, requester_class) {
                             Some(victim) => {
@@ -515,13 +508,7 @@ impl Fleet {
             }
         }
 
-        self.reject(
-            id,
-            name,
-            "no device has capacity this tenant's class may reclaim".to_string(),
-            ticket,
-            events,
-        );
+        self.reject(id, name, reason, ticket, events);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -530,45 +517,49 @@ impl Fleet {
         id: FleetAppId,
         tenant: TenantId,
         device: usize,
-        outcome: crate::AdmitOutcome,
+        (downtime_seconds, pages): (f64, Vec<PageId>),
         submitted: Instant,
-        ticket: Option<Arc<Mutex<TicketState>>>,
+        ticket: Arc<Mutex<TicketState>>,
         events: &mut Vec<FleetEvent>,
     ) {
-        self.settle(id, tenant, device, outcome.id);
+        self.settle(id, tenant, device);
         self.admitted += 1;
         self.admission_latency
             .record(submitted.elapsed().as_secs_f64());
         events.push(FleetEvent::Admitted {
             app: id,
             device: DeviceId(device),
-            downtime_seconds: outcome.downtime_seconds,
+            downtime_seconds,
         });
-        if let Some(state) = ticket {
-            reactor::resolve(
-                &state,
-                Ok(Admission {
-                    app: id,
-                    device: DeviceId(device),
-                    downtime_seconds: outcome.downtime_seconds,
-                    pages: outcome.pages,
-                }),
-            );
+        reactor::resolve(
+            &ticket,
+            Ok(Admission {
+                app: id,
+                device: DeviceId(device),
+                downtime_seconds,
+                pages,
+            }),
+        );
+    }
+
+    /// Records that `app` now lives on `device` and programs its tenant's
+    /// injection credits there: every path that lands an app on a device
+    /// (admission, migration, restore after a failed migration) goes
+    /// through here.
+    fn settle(&mut self, app: FleetAppId, tenant: TenantId, device: usize) {
+        if let Some(entry) = self.apps.get_mut(&app) {
+            entry.location = Some(device);
+        }
+        if let Some(base) = self.base_credits {
+            let credits = self.spec_of(tenant).inject_credits(base);
+            let _ = self.devices[device].set_app_inject_budget(app, Some(credits));
         }
     }
 
-    /// Records that `app` now lives on `device` as `local` and programs
-    /// its tenant's injection credits there: every path that lands an app
-    /// on a device (admission, migration, restore after a failed
-    /// migration) goes through here.
-    fn settle(&mut self, app: FleetAppId, tenant: TenantId, device: usize, local: AppId) {
-        if let Some(entry) = self.apps.get_mut(&app.0) {
-            entry.location = Some((device, local));
-        }
-        self.locations.insert((device, local.0), app.0);
-        if let Some(base) = self.base_credits {
-            let credits = self.spec_of(tenant).inject_credits(base);
-            let _ = self.devices[device].set_app_inject_budget(local, Some(credits));
+    /// Marks a known app as resident nowhere.
+    fn unsettle(&mut self, app: FleetAppId) {
+        if let Some(entry) = self.apps.get_mut(&app) {
+            entry.location = None;
         }
     }
 
@@ -577,7 +568,7 @@ impl Fleet {
         id: FleetAppId,
         name: String,
         reason: String,
-        ticket: Option<Arc<Mutex<TicketState>>>,
+        ticket: Arc<Mutex<TicketState>>,
         events: &mut Vec<FleetEvent>,
     ) {
         self.rejected += 1;
@@ -586,36 +577,32 @@ impl Fleet {
             name,
             reason: reason.clone(),
         });
-        if let Some(state) = ticket {
-            reactor::resolve(&state, Err(FleetError::Rejected { app: id, reason }));
-        }
+        reactor::resolve(&ticket, Err(FleetError::Rejected { app: id, reason }));
     }
 
     /// The best victim on a device that `class` may displace: lowest
-    /// eviction class first, then least recently used. Only
-    /// fleet-tracked apps are candidates.
-    fn victim_on(&self, device: usize, class: EvictClass) -> Option<AppId> {
+    /// eviction class first, then least recently used.
+    fn victim_on(&self, device: usize, class: EvictClass) -> Option<FleetAppId> {
         self.devices[device]
             .resident_usage()
             .into_iter()
-            .filter_map(|(local, last_used)| {
-                let fleet_id = self.locations.get(&(device, local.0))?;
-                let victim_class = self.spec_of(self.apps[fleet_id].tenant).evict;
-                (victim_class <= class).then_some((victim_class, last_used, local))
+            .filter_map(|(id, last_used)| {
+                let victim_class = self.spec_of(self.apps.get(&id)?.tenant).evict;
+                (victim_class <= class).then_some((victim_class, last_used, id))
             })
             .min()
-            .map(|(_, _, local)| local)
+            .map(|(_, _, id)| id)
     }
 
-    fn evict_local(&mut self, device: usize, local: AppId) -> Option<FleetEvent> {
-        self.devices[device].evict(local).ok()?;
-        let fleet_id = self.locations.remove(&(device, local.0))?;
-        if let Some(app) = self.apps.get_mut(&fleet_id) {
-            app.location = None;
-        }
+    /// Evicts `victim` from `device` under pressure — the one path that
+    /// counts an eviction, on the device and fleet-wide.
+    fn evict_local(&mut self, device: usize, victim: FleetAppId) -> Option<FleetEvent> {
+        self.devices[device].remove(victim).ok()?;
+        self.devices[device].stats_mut().evicted += 1;
+        self.unsettle(victim);
         self.evicted += 1;
         Some(FleetEvent::Evicted {
-            app: FleetAppId(fleet_id),
+            app: victim,
             device: DeviceId(device),
         })
     }
@@ -631,11 +618,11 @@ impl Fleet {
         app: FleetAppId,
         inputs: &[(&str, Vec<Value>)],
     ) -> Result<HashMap<String, Vec<Value>>, FleetError> {
-        let fleet_app = self.apps.get(&app.0).ok_or(FleetError::UnknownApp(app))?;
-        let (device, local) = fleet_app.location.ok_or(FleetError::NotResident(app))?;
+        let fleet_app = self.apps.get(&app).ok_or(FleetError::UnknownApp(app))?;
+        let device = fleet_app.location.ok_or(FleetError::NotResident(app))?;
         let tenant = fleet_app.tenant;
         let outputs = self.devices[device]
-            .run(local, inputs)
+            .run(app, inputs)
             .map_err(FleetError::Device)?;
         self.tenants.entry(tenant.0).or_default().served += 1;
         Ok(outputs)
@@ -652,15 +639,12 @@ impl Fleet {
     /// [`FleetError::UnknownApp`] / [`FleetError::NotResident`] for ids
     /// the fleet is not currently hosting.
     pub fn retire(&mut self, app: FleetAppId) -> Result<(), FleetError> {
-        let fleet_app = self.apps.get(&app.0).ok_or(FleetError::UnknownApp(app))?;
-        let (device, local) = fleet_app.location.ok_or(FleetError::NotResident(app))?;
+        let fleet_app = self.apps.get(&app).ok_or(FleetError::UnknownApp(app))?;
+        let device = fleet_app.location.ok_or(FleetError::NotResident(app))?;
         self.devices[device]
-            .evict(local)
+            .remove(app)
             .map_err(FleetError::Device)?;
-        self.locations.remove(&(device, local.0));
-        if let Some(entry) = self.apps.get_mut(&app.0) {
-            entry.location = None;
-        }
+        self.unsettle(app);
         Ok(())
     }
 
@@ -675,8 +659,8 @@ impl Fleet {
     /// See [`FleetError`]; [`FleetError::MigrationFailed`] reports
     /// whether the app still serves from its source.
     pub fn migrate(&mut self, app: FleetAppId, to: DeviceId) -> Result<f64, FleetError> {
-        let fleet_app = self.apps.get(&app.0).ok_or(FleetError::UnknownApp(app))?;
-        let (src, local) = fleet_app.location.ok_or(FleetError::NotResident(app))?;
+        let fleet_app = self.apps.get(&app).ok_or(FleetError::UnknownApp(app))?;
+        let src = fleet_app.location.ok_or(FleetError::NotResident(app))?;
         let tenant = fleet_app.tenant;
         if to.0 >= self.devices.len() {
             return Err(FleetError::UnknownDevice(to));
@@ -684,26 +668,21 @@ impl Fleet {
         if src == to.0 {
             return Ok(0.0);
         }
-        let (name, compiled) = self.devices[src]
-            .take_resident(local)
-            .map_err(FleetError::Device)?;
-        self.locations.remove(&(src, local.0));
-        if let Some(entry) = self.apps.get_mut(&app.0) {
-            entry.location = None;
-        }
+        let (name, compiled) = self.devices[src].remove(app).map_err(FleetError::Device)?;
+        self.unsettle(app);
         let class = self.spec_of(tenant).evict;
         let mut boxed = Box::new(compiled);
         loop {
-            match self.devices[to.0].admit_direct(&name, boxed) {
-                Ok(outcome) => {
-                    self.settle(app, tenant, to.0, outcome.id);
+            match self.devices[to.0].admit(app, &name, boxed) {
+                Ok((downtime_seconds, _)) => {
+                    self.settle(app, tenant, to.0);
                     self.migrations += 1;
-                    self.migration_downtime_seconds += outcome.downtime_seconds;
-                    return Ok(outcome.downtime_seconds);
+                    self.migration_downtime_seconds += downtime_seconds;
+                    return Ok(downtime_seconds);
                 }
-                Err(refusal) => {
-                    boxed = refusal.app;
-                    if matches!(refusal.error, AdmitError::NoCapacity(_)) {
+                Err((back, refusal)) => {
+                    boxed = back;
+                    if matches!(refusal, Refusal::NoCapacity) {
                         if let Some(victim) = self.victim_on(to.0, class) {
                             if self.evict_local(to.0, victim).is_some() {
                                 continue;
@@ -711,13 +690,10 @@ impl Fleet {
                         }
                     }
                     // Destination refused for good: restore on the source.
-                    let restored = match self.devices[src].admit_direct(&name, boxed) {
-                        Ok(outcome) => {
-                            self.settle(app, tenant, src, outcome.id);
-                            true
-                        }
-                        Err(_) => false,
-                    };
+                    let restored = self.devices[src].admit(app, &name, boxed).is_ok();
+                    if restored {
+                        self.settle(app, tenant, src);
+                    }
                     return Err(FleetError::MigrationFailed { app, to, restored });
                 }
             }

@@ -1,7 +1,6 @@
 //! Fleet-level serving statistics: admission latency, migrations,
 //! per-tenant service shares, and one [`RuntimeStats`] block per device.
 
-use crate::codec;
 use crate::fleet::qos::{self, EvictClass};
 use crate::fleet::TenantId;
 use crate::stats::{LatencyHistogram, RuntimeStats};
@@ -62,7 +61,7 @@ impl FleetStats {
 
     /// Renders the snapshot as a JSON report: fleet
     /// counters, admission percentiles, per-tenant shares, and one
-    /// compact per-device block (via [`codec::summary_json_indented`]).
+    /// compact per-device block.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"serving\": {\n");
         let field = |out: &mut String, key: &str, value: String| {
@@ -121,7 +120,7 @@ impl FleetStats {
                 out.push(',');
             }
             out.push_str("\n      ");
-            out.push_str(&codec::summary_json_indented(dev, "      "));
+            out.push_str(&device_json(dev, "      "));
         }
         if !self.per_device.is_empty() {
             out.push_str("\n    ");
@@ -129,6 +128,31 @@ impl FleetStats {
         out.push_str("]\n  }\n}\n");
         out
     }
+}
+
+/// One device's counters as a JSON object, every line after the first
+/// prefixed by `indent`. It leaves out the per-app latency map: a fleet
+/// serving thousands of apps does not want every app's histogram in its
+/// KPI file.
+fn device_json(stats: &RuntimeStats, indent: &str) -> String {
+    let fields = [
+        ("admitted", stats.admitted.to_string()),
+        ("evicted", stats.evicted.to_string()),
+        ("swaps", stats.swaps.to_string()),
+        ("requests", stats.requests.to_string()),
+        (
+            "cumulative_downtime_ms",
+            format!("{:.4}", stats.cumulative_downtime_seconds * 1e3),
+        ),
+        ("pages_total", stats.pages_total.to_string()),
+        ("pages_occupied", stats.pages_occupied.to_string()),
+        ("occupancy", format!("{:.4}", stats.occupancy())),
+    ];
+    let body: Vec<String> = fields
+        .iter()
+        .map(|(key, value)| format!("{indent}  \"{key}\": {value}"))
+        .collect();
+    format!("{{\n{}\n{indent}}}", body.join(",\n"))
 }
 
 #[cfg(test)]
@@ -143,7 +167,16 @@ mod tests {
             submitted: 10,
             admitted: 9,
             rejected: 1,
-            per_device: vec![RuntimeStats::default(), RuntimeStats::default()],
+            per_device: vec![
+                RuntimeStats {
+                    admitted: 7,
+                    cumulative_downtime_seconds: 0.125,
+                    pages_total: 22,
+                    pages_occupied: 21,
+                    ..RuntimeStats::default()
+                },
+                RuntimeStats::default(),
+            ],
             tenants: vec![
                 TenantShare {
                     tenant: TenantId(0),
@@ -169,6 +202,9 @@ mod tests {
             "\"fairness_index\": 1.0000",
             "\"t0\": { \"weight\": 2, \"evict\": \"guaranteed\", \"served\": 20 }",
             "\"fleet_devices\": [",
+            "\"admitted\": 7",
+            "\"cumulative_downtime_ms\": 125.0000",
+            "\"occupancy\": 0.9545",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }

@@ -1,33 +1,36 @@
 #![warn(missing_docs)]
 //! `pld-runtime`: a multi-tenant page scheduler serving many PLD apps on
-//! one fabric with hot-swap reconfiguration.
+//! a fleet of fabrics with hot-swap reconfiguration.
 //!
 //! The paper compiles one application at a time; this crate is the serving
 //! layer its Sec. 9 gestures at — "the infrastructure overlay could be
-//! shared by multiple applications". The runtime owns the card: the 22-page
-//! floorplan, a persistent linking network, and the table of which tenant's
-//! artifact occupies each page. Applications arrive pre-compiled
-//! ([`pld::CompiledApp`]); the runtime:
+//! shared by multiple applications". [`Fleet`] is the one front end: every
+//! app is submitted, admitted, located, served, evicted, migrated and
+//! retired through it, and a single card is simply a fleet of one. Apps
+//! arrive pre-compiled ([`pld::CompiledApp`]); the fleet:
 //!
-//! * admits them through a **bounded queue** ([`admission`]) that pushes
-//!   back instead of buffering unboundedly;
+//! * queues them behind a bound that pushes back instead of buffering
+//!   unboundedly, and places them on a device at each scheduling pass
+//!   ([`Fleet::pump`]);
 //! * **relocates** their artifacts onto whatever same-type pages are free
 //!   ([`allocator`]) — page types group identical resource mixes (Tab. 1),
 //!   so an `-O1` bitstream or repacked softcore image is placeable on any
 //!   free page of its type;
-//! * **evicts** least-recently-used tenants under pressure; a returning
-//!   tenant replays its `LoadOp`s and pays the load bill again;
-//! * **hot-swaps** an edited operator ([`swap`]): recompile through the
-//!   [`pld::BuildCache`], reload only the changed pages, re-send only the
-//!   affected routes' configuration packets — every swap is charged its
-//!   measured downtime, artifact transfer plus link cycles at the 200 MHz
-//!   overlay clock;
-//! * reports it all as [`RuntimeStats`]: occupancy, queue depth, counters,
-//!   cumulative downtime, and per-app latency histograms.
+//! * **evicts** the least-recently-used tenant of an equal or lower QoS
+//!   class under pressure; a returning tenant replays its `LoadOp`s and
+//!   pays the load bill again.
+//!
+//! Each device is a [`Runtime`]: its pages, its persistent linking network,
+//! its residents and its counters. Only the fleet admits onto or removes
+//! from a device. What a caller does on one device directly is
+//! **hot-swap** an edited operator ([`swap`]): recompile through the
+//! [`pld::BuildCache`], reload only the changed pages, re-send only the
+//! affected routes' configuration packets — every swap is charged its
+//! measured downtime, artifact transfer plus link cycles at the 200 MHz
+//! overlay clock. [`RuntimeStats`] and [`FleetStats`] report occupancy,
+//! counters, cumulative downtime and per-app latency histograms.
 
-pub mod admission;
 pub mod allocator;
-pub mod codec;
 pub mod device_state;
 pub mod fleet;
 pub mod stats;
@@ -41,60 +44,25 @@ use kir::types::Value;
 use noc::PortAddr;
 use pld::{replay_loads, CompileError, CompiledApp, LinkOp, LoadOp, OptLevel};
 
-pub use admission::QueueFull;
-use admission::{AdmissionQueue, PendingRequest};
 use allocator::{AllocError, PlacedOperator};
 use device_state::{DeviceState, PageBinding};
 use stats::{AppLatency, LatencyHistogram, RuntimeStats};
 
 pub use fleet::{
     Admission, AdmissionTicket, DeviceId, EvictClass, Executor, Fleet, FleetAppId, FleetError,
-    FleetEvent, FleetStats, QosSpec, TenantId, TenantShare,
+    FleetEvent, FleetStats, QosSpec, TenantId,
 };
 pub use stats::RuntimeStats as Stats;
 pub use swap::SwapReport;
-
-/// Identity of one submitted application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct AppId(pub u64);
-
-impl fmt::Display for AppId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "app{}", self.0)
-    }
-}
-
-/// What happened during a [`Runtime::poll`] scheduling pass.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RuntimeEvent {
-    /// The app is on the fabric; `downtime_seconds` is its bring-up bill.
-    #[allow(missing_docs)]
-    Admitted {
-        id: AppId,
-        name: String,
-        downtime_seconds: f64,
-        pages: Vec<PageId>,
-    },
-    /// The app cannot run here (infeasible shape, or nothing left to evict).
-    #[allow(missing_docs)]
-    Rejected {
-        id: AppId,
-        name: String,
-        reason: String,
-    },
-    /// A resident app was displaced to make room.
-    #[allow(missing_docs)]
-    Evicted { id: AppId, name: String },
-}
 
 /// Runtime operation failures.
 #[derive(Debug)]
 pub enum RuntimeError {
     /// The app id has never been seen or is no longer tracked.
-    UnknownApp(AppId),
+    UnknownApp(FleetAppId),
     /// The app is known but not currently on the fabric (evicted or still
     /// queued); resubmit it.
-    NotResident(AppId),
+    NotResident(FleetAppId),
     /// The app was compiled against a different floorplan than this card.
     FloorplanMismatch,
     /// Recompilation during a hot swap failed.
@@ -110,7 +78,7 @@ pub enum RuntimeError {
     /// The app's resident state vanished partway through an operation that
     /// verified it up front — a mis-sequenced evict/swap. The fabric may
     /// hold partial state for the app; tear it down and resubmit.
-    ResidencyLost(AppId),
+    ResidencyLost(FleetAppId),
 }
 
 impl fmt::Display for RuntimeError {
@@ -151,50 +119,14 @@ impl From<AllocError> for RuntimeError {
     }
 }
 
-/// A successful single-shot admission ([`Runtime::admit_direct`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdmitOutcome {
-    /// The id assigned to the now-resident app.
-    pub id: AppId,
-    /// The bring-up bill: artifact transfer plus link cycles.
-    pub downtime_seconds: f64,
-    /// The pages the app landed on.
-    pub pages: Vec<PageId>,
-}
-
-/// Why a single-shot admission was refused — typed, and carrying the app
-/// back so the caller (the fleet's placement loop) can retry elsewhere.
+/// Why [`Runtime::admit`] handed an app back. The fleet branches on this
+/// alone: evict a victim and retry, or give up on this device.
 #[derive(Debug)]
-pub enum AdmitError {
-    /// Compiled against a different floorplan than this device.
-    FloorplanMismatch,
-    /// Can never fit on this device, even empty (page-type deficit).
-    Infeasible(AllocError),
-    /// Does not fit right now; eviction may open up capacity.
-    NoCapacity(AllocError),
-    /// Placement succeeded but installation failed (e.g. the shared DMA
-    /// leaf ran out of stream registers).
-    Install(String),
-}
-
-impl fmt::Display for AdmitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AdmitError::FloorplanMismatch => write!(f, "compiled for a different floorplan"),
-            AdmitError::Infeasible(e) => write!(f, "{e}"),
-            AdmitError::NoCapacity(e) => write!(f, "no capacity: {e}"),
-            AdmitError::Install(reason) => write!(f, "{reason}"),
-        }
-    }
-}
-
-/// A refused admission: the error plus the app, returned for retry.
-#[derive(Debug)]
-pub struct AdmitRefusal {
-    /// The compiled app, handed back untouched.
-    pub app: Box<CompiledApp>,
-    /// Why this device refused it.
-    pub error: AdmitError,
+pub(crate) enum Refusal {
+    /// Does not fit on the pages free right now; eviction may open room.
+    NoCapacity,
+    /// This device will not take the app as it stands.
+    Error(RuntimeError),
 }
 
 /// One application resident on the fabric.
@@ -216,31 +148,24 @@ pub(crate) struct ResidentApp {
     pub(crate) admit_link_cycles: u64,
 }
 
-/// The page scheduler: owns the device and serves many apps on it.
+/// One device's serving state: its pages, its persistent linking network,
+/// the apps resident on it (keyed by the [`FleetAppId`] the fleet admitted
+/// them under) and its counters. Only the [`Fleet`] admits and removes
+/// apps; reach a device through [`Fleet::runtime_mut`] to hot-swap one.
 #[derive(Debug)]
 pub struct Runtime {
     device: DeviceState,
-    queue: AdmissionQueue,
-    resident: BTreeMap<u64, ResidentApp>,
+    resident: BTreeMap<FleetAppId, ResidentApp>,
     stats: RuntimeStats,
-    next_id: u64,
     tick: u64,
-    /// When set, [`Runtime::run`] serves `-O0` apps through the cosim
-    /// engine instead of the functional interpreter.
+    /// When set, requests to `-O0` apps run through the cosim engine
+    /// instead of the functional interpreter.
     cosim_serving: bool,
 }
 
 impl Runtime {
-    /// Default admission-queue bound.
-    pub const DEFAULT_QUEUE_BOUND: usize = 8;
-
-    /// Brings up the runtime on a floorplan with the default queue bound.
+    /// Brings up the overlay on an empty card.
     pub fn new(floorplan: Floorplan) -> Runtime {
-        Runtime::with_queue_bound(floorplan, Runtime::DEFAULT_QUEUE_BOUND)
-    }
-
-    /// Brings up the runtime with an explicit admission-queue bound.
-    pub fn with_queue_bound(floorplan: Floorplan, bound: usize) -> Runtime {
         let device = DeviceState::new(floorplan);
         let mut stats = RuntimeStats {
             pages_total: device.floorplan.pages.len(),
@@ -250,22 +175,19 @@ impl Runtime {
         stats.cumulative_downtime_seconds += device.overlay_seconds;
         Runtime {
             device,
-            queue: AdmissionQueue::new(bound),
             resident: BTreeMap::new(),
             stats,
-            next_id: 0,
             tick: 0,
             cosim_serving: false,
         }
     }
 
     /// Opts serving into (or with `false` back out of) cycle-accurate
-    /// cosim execution: [`Runtime::run`] — and therefore the fleet's
-    /// `run_app` path — drives resident `-O0` apps through
-    /// [`pld::cosim_o0`]. Outputs are identical to the functional
-    /// interpreter by the Kahn property; what changes is fidelity (overlay
-    /// cycle counts drive the latency histogram) and wall-clock. Apps
-    /// compiled at other levels keep the functional path.
+    /// cosim execution: [`Fleet::run`] drives resident `-O0` apps on this
+    /// device through [`pld::cosim_o0`]. Outputs are identical to the
+    /// functional interpreter by the Kahn property; what changes is
+    /// fidelity (overlay cycle counts drive the latency histogram) and
+    /// wall-clock. Apps compiled at other levels keep the functional path.
     pub fn set_cosim_serving(&mut self, on: bool) {
         self.cosim_serving = on;
     }
@@ -291,133 +213,45 @@ impl Runtime {
         allocator::plan(&self.device.floorplan, &self.device.free_map(), app).is_ok()
     }
 
-    /// Ids of currently resident apps.
-    pub fn resident_ids(&self) -> Vec<AppId> {
-        self.resident.keys().map(|&k| AppId(k)).collect()
-    }
-
-    /// Whether an app currently holds pages.
-    pub fn is_resident(&self, id: AppId) -> bool {
-        self.resident.contains_key(&id.0)
+    /// Whether an app currently holds pages on this device.
+    pub fn is_resident(&self, id: FleetAppId) -> bool {
+        self.resident.contains_key(&id)
     }
 
     /// The placement of a resident app.
-    pub fn placement_of(&self, id: AppId) -> Option<&[PlacedOperator]> {
-        self.resident.get(&id.0).map(|r| r.placement.as_slice())
-    }
-
-    /// The submitted name of a resident app.
-    pub fn name_of(&self, id: AppId) -> Option<&str> {
-        self.resident.get(&id.0).map(|r| r.name.as_str())
-    }
-
-    /// Submits a compiled app for admission.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueFull`] (with the app inside, for retry) when the
-    /// admission queue is at its bound; the rejection is counted.
-    pub fn submit(&mut self, name: &str, app: CompiledApp) -> Result<AppId, QueueFull> {
-        let id = AppId(self.next_id);
-        let request = PendingRequest {
-            id,
-            name: name.to_string(),
-            app: Box::new(app),
-        };
-        match self.queue.push(request) {
-            Ok(()) => {
-                self.next_id += 1;
-                Ok(id)
-            }
-            Err(full) => {
-                self.stats.rejected += 1;
-                Err(full)
-            }
-        }
-    }
-
-    /// Runs one scheduling pass: drains the admission queue, placing each
-    /// app (evicting least-recently-used tenants when out of pages) or
-    /// rejecting it, and reports what happened.
-    pub fn poll(&mut self) -> Vec<RuntimeEvent> {
-        let mut events = Vec::new();
-        while let Some(request) = self.queue.pop() {
-            self.try_admit(request, &mut events);
-        }
-        events
+    pub fn placement_of(&self, id: FleetAppId) -> Option<&[PlacedOperator]> {
+        self.resident.get(&id).map(|r| r.placement.as_slice())
     }
 
     /// Serves one request against a resident app: runs the dataflow graph
-    /// functionally, stamps the latency into the app's histogram, and
-    /// freshens its LRU position.
-    ///
-    /// # Errors
-    ///
-    /// See [`RuntimeError`].
-    pub fn run(
+    /// (functionally, or through the cosim engine when opted in), stamps
+    /// the latency into the app's histogram, and freshens its LRU
+    /// position.
+    pub(crate) fn run(
         &mut self,
-        id: AppId,
+        id: FleetAppId,
         inputs: &[(&str, Vec<Value>)],
-    ) -> Result<HashMap<String, Vec<Value>>, RuntimeError> {
-        let cosim = self.cosim_serving
-            && self
-                .resident
-                .get(&id.0)
-                .is_some_and(|r| r.app.level == OptLevel::O0);
-        if cosim {
-            return self.run_with(id, inputs, cosim_serve);
-        }
-        self.run_with(id, inputs, |app, inputs| {
-            dfg::run_graph(&app.graph, inputs)
-                .map(|(outputs, _)| outputs)
-                .map_err(|e| e.to_string())
-        })
-    }
-
-    /// [`Runtime::run`] on the multithreaded engine: one OS thread per
-    /// operator, tokens moved in chunks over bounded channels
-    /// ([`dfg::run_graph_threaded`], which sizes each channel from the
-    /// compiled graph's rates). Same outputs by the Kahn property; lower
-    /// wall-clock latency on wide graphs, and that is what lands in the
-    /// histogram.
-    ///
-    /// # Errors
-    ///
-    /// See [`RuntimeError`].
-    pub fn run_threaded(
-        &mut self,
-        id: AppId,
-        inputs: &[(&str, Vec<Value>)],
-    ) -> Result<HashMap<String, Vec<Value>>, RuntimeError> {
-        self.run_with(id, inputs, |app, inputs| {
-            dfg::run_graph_threaded(&app.graph, inputs)
-                .map(|(outputs, _)| outputs)
-                .map_err(|e| e.to_string())
-        })
-    }
-
-    fn run_with(
-        &mut self,
-        id: AppId,
-        inputs: &[(&str, Vec<Value>)],
-        engine: impl FnOnce(
-            &CompiledApp,
-            &[(&str, Vec<Value>)],
-        ) -> Result<HashMap<String, Vec<Value>>, String>,
     ) -> Result<HashMap<String, Vec<Value>>, RuntimeError> {
         let resident = self
             .resident
-            .get_mut(&id.0)
+            .get_mut(&id)
             .ok_or(RuntimeError::NotResident(id))?;
         let t0 = std::time::Instant::now();
-        let outputs = engine(&resident.app, inputs).map_err(RuntimeError::Execution)?;
+        let outputs = if self.cosim_serving && resident.app.level == OptLevel::O0 {
+            cosim_serve(&resident.app, inputs)
+        } else {
+            dfg::run_graph(&resident.app.graph, inputs)
+                .map(|(outputs, _)| outputs)
+                .map_err(|e| e.to_string())
+        }
+        .map_err(RuntimeError::Execution)?;
         let seconds = t0.elapsed().as_secs_f64();
         self.tick += 1;
         resident.last_used = self.tick;
         self.stats.requests += 1;
         self.stats
             .latencies
-            .entry(id.0)
+            .entry(id)
             .or_insert_with(|| AppLatency {
                 name: resident.name.clone(),
                 histogram: LatencyHistogram::default(),
@@ -427,183 +261,75 @@ impl Runtime {
         Ok(outputs)
     }
 
-    /// Forcibly removes an app from the fabric, tearing down its routes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::NotResident`] if it holds no pages.
-    pub fn evict(&mut self, id: AppId) -> Result<(), RuntimeError> {
-        if !self.resident.contains_key(&id.0) {
-            return Err(RuntimeError::NotResident(id));
-        }
-        self.evict_internal(id)
-    }
-
     /// Statistics snapshot.
     pub fn stats(&self) -> RuntimeStats {
         let mut stats = self.stats.clone();
-        stats.queue_depth = self.queue.depth();
         stats.pages_occupied = self.device.occupied();
         stats
     }
 
-    // ---- internals ----------------------------------------------------
+    // ---- fleet-only residency -------------------------------------------
 
-    fn try_admit(&mut self, request: PendingRequest, events: &mut Vec<RuntimeEvent>) {
-        let PendingRequest { id, name, mut app } = request;
-        loop {
-            match self.admit_once(id, &name, app) {
-                Ok(outcome) => {
-                    events.push(RuntimeEvent::Admitted {
-                        id,
-                        name,
-                        downtime_seconds: outcome.downtime_seconds,
-                        pages: outcome.pages,
-                    });
-                    return;
-                }
-                Err(refusal) => match refusal.error {
-                    AdmitError::NoCapacity(_) => match self.lru_victim() {
-                        Some(victim) => {
-                            let victim_name = self.resident[&victim.0].name.clone();
-                            if self.evict_internal(victim).is_err() {
-                                // The victim vanished between selection and
-                                // eviction — bail out rather than loop on a
-                                // placement that will never open up.
-                                self.reject(id, &name, "eviction raced with a teardown", events);
-                                return;
-                            }
-                            events.push(RuntimeEvent::Evicted {
-                                id: victim,
-                                name: victim_name,
-                            });
-                            app = refusal.app;
-                        }
-                        None => {
-                            self.reject(id, &name, "no capacity and nothing left to evict", events);
-                            return;
-                        }
-                    },
-                    error => {
-                        self.reject(id, &name, &error.to_string(), events);
-                        return;
-                    }
-                },
-            }
-        }
-    }
-
-    /// One placement attempt against the current free map — no eviction,
-    /// no queue. Both the [`Runtime::poll`] eviction loop and the fleet's
-    /// cross-device placement are built on this; the fleet treats a
-    /// [`AdmitError::NoCapacity`] refusal as "pick a victim or try the
-    /// next device" rather than looping locally.
-    fn admit_once(
+    /// One placement attempt against the current free map, no eviction:
+    /// on success the app is resident under `id` and the bring-up bill
+    /// (downtime seconds) and its pages come back; on refusal the app
+    /// comes back so the fleet can evict and retry, or try another device.
+    pub(crate) fn admit(
         &mut self,
-        id: AppId,
+        id: FleetAppId,
         name: &str,
         app: Box<CompiledApp>,
-    ) -> Result<AdmitOutcome, AdmitRefusal> {
+    ) -> Result<(f64, Vec<PageId>), (Box<CompiledApp>, Refusal)> {
         if app.floorplan != self.device.floorplan {
-            return Err(AdmitRefusal {
-                app,
-                error: AdmitError::FloorplanMismatch,
-            });
+            return Err((app, Refusal::Error(RuntimeError::FloorplanMismatch)));
         }
         if let Err(e) = allocator::feasible(&self.device.floorplan, &app) {
-            return Err(AdmitRefusal {
-                app,
-                error: AdmitError::Infeasible(e),
-            });
+            return Err((app, Refusal::Error(RuntimeError::Alloc(e))));
         }
         match allocator::plan(&self.device.floorplan, &self.device.free_map(), &app) {
-            Ok(placement) => match self.install(id, name.to_string(), app, placement) {
-                Ok(outcome) => Ok(outcome),
-                Err((app, reason)) => Err(AdmitRefusal {
-                    app,
-                    error: AdmitError::Install(reason),
-                }),
-            },
-            Err(e) => Err(AdmitRefusal {
-                app,
-                error: AdmitError::NoCapacity(e),
-            }),
+            Ok(placement) => self.install(id, name.to_string(), app, placement),
+            Err(_) => Err((app, Refusal::NoCapacity)),
         }
     }
 
-    /// Single-shot admission: one placement attempt, no eviction, no
-    /// queue. On success the app is resident under a freshly assigned id;
-    /// on refusal the app comes back inside the [`AdmitRefusal`] so the
-    /// caller can retry after evicting, or on another device.
-    ///
-    /// This is the fleet's entry point; [`Runtime::submit`] + [`Runtime::poll`]
-    /// remain the single-device path and share the same internals.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdmitRefusal`] carrying the app and an [`AdmitError`].
-    pub fn admit_direct(
-        &mut self,
-        name: &str,
-        app: Box<CompiledApp>,
-    ) -> Result<AdmitOutcome, AdmitRefusal> {
-        let id = AppId(self.next_id);
-        let outcome = self.admit_once(id, name, app)?;
-        self.next_id += 1;
-        Ok(outcome)
-    }
-
-    /// Removes a resident app from the fabric and hands back its name and
-    /// compiled form — the first half of a live migration. The routes are
-    /// torn down and the pages released exactly as in an eviction (and
-    /// counted as one); the returned [`CompiledApp`] still carries its
-    /// `LoadOp` tape, so replaying it on another device re-admits the app
-    /// bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::NotResident`] if the app holds no pages.
-    pub fn take_resident(&mut self, id: AppId) -> Result<(String, CompiledApp), RuntimeError> {
-        if !self.resident.contains_key(&id.0) {
-            return Err(RuntimeError::NotResident(id));
-        }
+    /// Removes a resident app from the fabric — its routes torn down, its
+    /// pages released — and hands back its name and compiled form. The
+    /// [`CompiledApp`] still carries its `LoadOp` tape, so replaying it on
+    /// another device re-admits the app bit-identically (a migration).
+    /// Eviction, retirement and migration all leave through here; only the
+    /// fleet's victim path counts an eviction.
+    pub(crate) fn remove(&mut self, id: FleetAppId) -> Result<(String, CompiledApp), RuntimeError> {
         let resident = self
             .resident
-            .remove(&id.0)
-            .ok_or(RuntimeError::ResidencyLost(id))?;
+            .remove(&id)
+            .ok_or(RuntimeError::NotResident(id))?;
         self.device.unlink(&resident.links);
         for p in &resident.placement {
             self.device.release(p.actual);
         }
-        self.stats.evicted += 1;
         Ok((resident.name, resident.app))
     }
 
     /// `(id, last_used_tick)` for every resident app — the raw material
-    /// for eviction policies richer than this runtime's own LRU (the
-    /// fleet's QoS classes sort on `(class, last_used)`).
-    pub fn resident_usage(&self) -> Vec<(AppId, u64)> {
+    /// for the fleet's `(class, last_used, id)` victim order.
+    pub(crate) fn resident_usage(&self) -> Vec<(FleetAppId, u64)> {
         self.resident
             .iter()
-            .map(|(&id, r)| (AppId(id), r.last_used))
+            .map(|(&id, r)| (id, r.last_used))
             .collect()
     }
 
     /// Sets (or with `None` lifts) the NoC data-injection credit budget on
     /// every page a resident app occupies — the enforcement half of the
     /// fleet's per-tenant token-rate fair-share.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::NotResident`] if the app holds no pages.
-    pub fn set_app_inject_budget(
+    pub(crate) fn set_app_inject_budget(
         &mut self,
-        id: AppId,
+        id: FleetAppId,
         budget: Option<u32>,
     ) -> Result<(), RuntimeError> {
         let resident = self
             .resident
-            .get(&id.0)
+            .get(&id)
             .ok_or(RuntimeError::NotResident(id))?;
         let pages: Vec<PageId> = resident.placement.iter().map(|p| p.actual).collect();
         for page in pages {
@@ -612,22 +338,15 @@ impl Runtime {
         Ok(())
     }
 
-    fn reject(&mut self, id: AppId, name: &str, reason: &str, events: &mut Vec<RuntimeEvent>) {
-        self.stats.rejected += 1;
-        events.push(RuntimeEvent::Rejected {
-            id,
-            name: name.to_string(),
-            reason: reason.to_string(),
-        });
-    }
+    // ---- internals ----------------------------------------------------
 
     fn install(
         &mut self,
-        id: AppId,
+        id: FleetAppId,
         name: String,
         app: Box<CompiledApp>,
         placement: Vec<PlacedOperator>,
-    ) -> Result<AdmitOutcome, (Box<CompiledApp>, String)> {
+    ) -> Result<(f64, Vec<PageId>), (Box<CompiledApp>, Refusal)> {
         // Carve this tenant's register ranges out of the shared DMA leaves.
         let (in_width, out_width) = dma_widths(&app);
         let in_use_in: Vec<(u8, u8)> = self
@@ -640,11 +359,11 @@ impl Runtime {
             .values()
             .map(|r| (r.dma_out_base, r.dma_out_width))
             .collect();
-        let Some(dma_in_base) = alloc_base(&in_use_in, in_width) else {
-            return Err((app, "DMA input stream registers exhausted".into()));
-        };
-        let Some(dma_out_base) = alloc_base(&in_use_out, out_width) else {
-            return Err((app, "DMA output ports exhausted".into()));
+        let (Some(dma_in_base), Some(dma_out_base)) = (
+            alloc_base(&in_use_in, in_width),
+            alloc_base(&in_use_out, out_width),
+        ) else {
+            return Err((app, Refusal::Error(RuntimeError::DmaStreamsExhausted)));
         };
 
         let links = remap_links(&app, &placement, &self.device, dma_in_base, dma_out_base);
@@ -685,7 +404,7 @@ impl Runtime {
         self.tick += 1;
         let pages: Vec<PageId> = placement.iter().map(|p| p.actual).collect();
         self.resident.insert(
-            id.0,
+            id,
             ResidentApp {
                 name,
                 app: *app,
@@ -701,39 +420,15 @@ impl Runtime {
         );
         self.stats.admitted += 1;
         self.stats.cumulative_downtime_seconds += downtime_seconds;
-        Ok(AdmitOutcome {
-            id,
-            downtime_seconds,
-            pages,
-        })
+        Ok((downtime_seconds, pages))
     }
 
-    fn evict_internal(&mut self, id: AppId) -> Result<(), RuntimeError> {
-        let resident = self
-            .resident
-            .remove(&id.0)
-            .ok_or(RuntimeError::ResidencyLost(id))?;
-        self.device.unlink(&resident.links);
-        for p in &resident.placement {
-            self.device.release(p.actual);
-        }
-        self.stats.evicted += 1;
-        Ok(())
+    pub(crate) fn resident_mut(&mut self, id: FleetAppId) -> Option<&mut ResidentApp> {
+        self.resident.get_mut(&id)
     }
 
-    fn lru_victim(&self) -> Option<AppId> {
-        self.resident
-            .iter()
-            .min_by_key(|(id, r)| (r.last_used, **id))
-            .map(|(&id, _)| AppId(id))
-    }
-
-    pub(crate) fn resident_mut(&mut self, id: AppId) -> Option<&mut ResidentApp> {
-        self.resident.get_mut(&id.0)
-    }
-
-    pub(crate) fn resident_ref(&self, id: AppId) -> Option<&ResidentApp> {
-        self.resident.get(&id.0)
+    pub(crate) fn resident_ref(&self, id: FleetAppId) -> Option<&ResidentApp> {
+        self.resident.get(&id)
     }
 
     pub(crate) fn device_mut(&mut self) -> &mut DeviceState {
@@ -887,6 +582,28 @@ pub(crate) fn remap_links(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfg::{GraphBuilder, Target};
+    use kir::{Expr, KernelBuilder, Scalar, Stmt};
+    use pld::{compile, CompileOptions};
+
+    fn tiny_app() -> Box<CompiledApp> {
+        let k = KernelBuilder::new("k")
+            .input("in", Scalar::uint(32))
+            .output("out", Scalar::uint(32))
+            .local("x", Scalar::uint(32))
+            .body([Stmt::for_pipelined(
+                "i",
+                0..8,
+                [Stmt::read("x", "in"), Stmt::write("out", Expr::var("x"))],
+            )])
+            .build()
+            .unwrap();
+        let mut b = GraphBuilder::new("tiny");
+        let a = b.add("a", k, Target::riscv_auto());
+        b.ext_input("Input_1", a, "in");
+        b.ext_output("Output_1", a, "out");
+        Box::new(compile(&b.build().unwrap(), &CompileOptions::new(OptLevel::O0)).unwrap())
+    }
 
     #[test]
     fn alloc_base_packs_ranges() {
@@ -896,5 +613,34 @@ mod tests {
         assert_eq!(alloc_base(&[(0, 2), (4, 2)], 3), Some(6));
         // Zero-width tenants don't block anything.
         assert_eq!(alloc_base(&[(0, 0)], 1), Some(0));
+    }
+
+    #[test]
+    fn exhausted_dma_registers_refuse_with_the_typed_error() {
+        let mut fleet = Fleet::new(1, &Floorplan::u50());
+        let first = fleet.submit(TenantId(0), "first", *tiny_app()).unwrap();
+        fleet.pump();
+        // Let the first tenant hold every DMA input stream register.
+        let card = fleet.runtime_mut(DeviceId(0)).unwrap();
+        let resident = card.resident_mut(first).unwrap();
+        (resident.dma_in_base, resident.dma_in_width) = (0, 255);
+
+        let (app, refusal) = card.admit(FleetAppId(99), "probe", tiny_app()).unwrap_err();
+        assert!(
+            matches!(refusal, Refusal::Error(RuntimeError::DmaStreamsExhausted)),
+            "{refusal:?}"
+        );
+        assert_eq!(app.graph.name, "tiny", "the app comes back for retry");
+        assert!(!card.is_resident(FleetAppId(99)));
+
+        // The fleet rejects without evicting anyone, and says why.
+        let second = fleet.submit(TenantId(0), "second", *app).unwrap();
+        let events = fleet.pump();
+        assert!(
+            matches!(&events[..], [FleetEvent::Rejected { app, reason, .. }]
+                if *app == second && reason == "dev0: no free DMA stream registers on the shared leaf"),
+            "{events:?}"
+        );
+        assert!(fleet.is_resident(first));
     }
 }

@@ -3,6 +3,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::FleetAppId;
+
 /// A log₂-bucketed latency histogram (microsecond base bucket). Constant
 /// memory per app regardless of request volume, like the histograms a
 /// serving stack would export.
@@ -91,9 +93,8 @@ pub struct AppLatency {
 pub struct RuntimeStats {
     /// Applications admitted onto the fabric (re-admissions count again).
     pub admitted: u64,
-    /// Submissions rejected — at the queue bound or as unplaceable.
-    pub rejected: u64,
-    /// Applications evicted to make room for others.
+    /// Applications evicted to make room for others (the fleet's victim
+    /// path; retirements and migrations are not evictions).
     pub evicted: u64,
     /// Hot-swap reconfigurations performed.
     pub swaps: u64,
@@ -102,14 +103,12 @@ pub struct RuntimeStats {
     /// Seconds of page downtime charged so far (admissions, re-admissions
     /// and hot-swaps all pay their load-and-link bill here).
     pub cumulative_downtime_seconds: f64,
-    /// Requests waiting in the admission queue (snapshot).
-    pub queue_depth: usize,
     /// Pages in the floorplan.
     pub pages_total: usize,
     /// Pages currently bound to a resident operator (snapshot).
     pub pages_occupied: usize,
     /// Per-app latency histograms, keyed by app id.
-    pub latencies: BTreeMap<u64, AppLatency>,
+    pub latencies: BTreeMap<FleetAppId, AppLatency>,
 }
 
 impl RuntimeStats {
@@ -127,14 +126,8 @@ impl fmt::Display for RuntimeStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "pages {}/{} occupied | queue {} | admitted {} rejected {} evicted {} swaps {}",
-            self.pages_occupied,
-            self.pages_total,
-            self.queue_depth,
-            self.admitted,
-            self.rejected,
-            self.evicted,
-            self.swaps
+            "pages {}/{} occupied | admitted {} evicted {} swaps {}",
+            self.pages_occupied, self.pages_total, self.admitted, self.evicted, self.swaps
         )?;
         writeln!(
             f,

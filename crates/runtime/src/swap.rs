@@ -14,13 +14,12 @@ use std::collections::HashSet;
 use dfg::Graph;
 use fabric::PageId;
 use pld::{
-    bft_distance, build, page_load_ops, replay_loads, BuildCache, CompileOptions, CompiledApp,
-    LinkOp,
+    bft_distance, page_load_ops, replay_loads, BuildCache, CompileOptions, CompiledApp, LinkOp,
 };
 
 use crate::allocator::AllocError;
 use crate::device_state::{DeviceState, PageBinding};
-use crate::{remap_links, AppId, Runtime, RuntimeError};
+use crate::{remap_links, FleetAppId, Runtime, RuntimeError};
 
 /// What one hot swap did and what it cost.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,7 +64,7 @@ impl Runtime {
     /// See [`RuntimeError`]. On error the resident app is left unchanged.
     pub fn hot_swap(
         &mut self,
-        id: AppId,
+        id: FleetAppId,
         new_graph: &Graph,
         cache: &mut BuildCache,
         options: &CompileOptions,
@@ -80,36 +79,11 @@ impl Runtime {
         self.swap_to_app(id, new_app, stage_hits, stage_executions)
     }
 
-    /// Like [`Runtime::hot_swap`], but compiling directly against a shared
-    /// cache backend: an [`pld::ArtifactStore`] (the L1 a [`BuildCache`] wraps,
-    /// or one an external build service owns) or a persistent
-    /// [`pld::TieredCache`] shared across processes and devices. Stage
-    /// products the cache already holds — from this app, another tenant, or
-    /// a previous session reloaded from disk — are reused without
-    /// recompiling.
-    ///
-    /// # Errors
-    ///
-    /// See [`RuntimeError`]. On error the resident app is left unchanged.
-    pub fn hot_swap_with_store<C: pld::CacheBackend>(
-        &mut self,
-        id: AppId,
-        new_graph: &Graph,
-        store: &mut C,
-        options: &CompileOptions,
-    ) -> Result<SwapReport, RuntimeError> {
-        if !self.is_resident(id) {
-            return Err(RuntimeError::NotResident(id));
-        }
-        let (new_app, report) = build(new_graph, options, store)?;
-        self.swap_to_app(id, new_app, report.total_hits(), report.total_executions())
-    }
-
     /// The swap itself: diff the freshly compiled app against the resident
     /// one, reload only the dirty pages, re-send only the affected routes.
     fn swap_to_app(
         &mut self,
-        id: AppId,
+        id: FleetAppId,
         new_app: CompiledApp,
         stage_hits: u64,
         stage_executions: u64,
@@ -339,7 +313,7 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RuntimeEvent;
+    use crate::{DeviceId, Fleet, FleetError, TenantId};
     use dfg::{GraphBuilder, Target};
     use fabric::Floorplan;
     use kir::{Expr, KernelBuilder, Scalar, Stmt};
@@ -374,17 +348,26 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// A fleet of one card serving `app`.
+    fn serve(app: CompiledApp) -> (Fleet, FleetAppId) {
+        let mut fleet = Fleet::new(1, &Floorplan::u50());
+        let id = fleet.submit(TenantId(0), "pipe", app).unwrap();
+        fleet.pump();
+        assert!(fleet.is_resident(id));
+        (fleet, id)
+    }
+
+    fn card(fleet: &mut Fleet) -> &mut Runtime {
+        fleet.runtime_mut(DeviceId(0)).unwrap()
+    }
+
     #[test]
     fn one_edit_swaps_one_page_and_beats_full_reload() {
         let mut cache = BuildCache::new();
         let opts = CompileOptions::new(OptLevel::O0);
         let g1 = pipeline([1, 2, 3]);
-        let app = cache.compile(&g1, &opts).unwrap();
-
-        let mut rt = Runtime::new(Floorplan::u50());
-        let id = rt.submit("pipe", app).unwrap();
-        let events = rt.poll();
-        assert!(matches!(events[0], RuntimeEvent::Admitted { .. }));
+        let (mut fleet, id) = serve(cache.compile(&g1, &opts).unwrap());
+        let rt = card(&mut fleet);
         let writes_before = rt.device().config_writes();
         let links_before = rt.resident_ref(id).unwrap().links.clone();
 
@@ -419,33 +402,26 @@ mod tests {
 
     #[test]
     fn hot_swap_runs_off_the_shared_artifact_store() {
-        // The runtime can drive the staged build graph directly: the same
-        // store that served the BuildCache compile serves the swap, so the
-        // unchanged operators' stage products are reused across drivers.
+        // The cache's artifact store serves every swap: swapping back to
+        // the original graph reuses every stage product the first build
+        // left there, the app-wide driver stage included.
         let mut cache = BuildCache::new();
         let opts = CompileOptions::new(OptLevel::O0);
-        let app = cache.compile(&pipeline([1, 2, 3]), &opts).unwrap();
-        let mut rt = Runtime::new(Floorplan::u50());
-        let id = rt.submit("pipe", app).unwrap();
-        rt.poll();
+        let (mut fleet, id) = serve(cache.compile(&pipeline([1, 2, 3]), &opts).unwrap());
+        let rt = card(&mut fleet);
 
-        let g2 = pipeline([1, 99, 3]);
         let report = rt
-            .hot_swap_with_store(id, &g2, cache.store_mut(), &opts)
+            .hot_swap(id, &pipeline([1, 99, 3]), &mut cache, &opts)
             .unwrap();
         assert_eq!(report.recompiled, vec!["c".to_string()]);
         assert_eq!((report.stage_hits, report.stage_executions), (4, 3));
-        assert_eq!(rt.stats().swaps, 1);
 
-        // Swapping back to the original graph reuses every operator stage
-        // from the store — only the app-wide driver stage is a fresh key
-        // combination here (it was built before, so even that hits).
         let report = rt
-            .hot_swap_with_store(id, &pipeline([1, 2, 3]), cache.store_mut(), &opts)
+            .hot_swap(id, &pipeline([1, 2, 3]), &mut cache, &opts)
             .unwrap();
-        assert_eq!(report.stage_executions, 0);
-        assert_eq!(report.stage_hits, 7);
+        assert_eq!((report.stage_hits, report.stage_executions), (7, 0));
         assert_eq!(report.recompiled, vec!["c".to_string()]);
+        assert_eq!(rt.stats().swaps, 2);
     }
 
     #[test]
@@ -453,10 +429,8 @@ mod tests {
         let mut cache = BuildCache::new();
         let opts = CompileOptions::new(OptLevel::O0);
         let g = pipeline([4, 5, 6]);
-        let app = cache.compile(&g, &opts).unwrap();
-        let mut rt = Runtime::new(Floorplan::u50());
-        let id = rt.submit("pipe", app).unwrap();
-        rt.poll();
+        let (mut fleet, id) = serve(cache.compile(&g, &opts).unwrap());
+        let rt = card(&mut fleet);
         let report = rt.hot_swap(id, &g, &mut cache, &opts).unwrap();
         assert!(report.recompiled.is_empty());
         assert_eq!(report.downtime_seconds, 0.0);
@@ -471,10 +445,8 @@ mod tests {
         let mut cache = BuildCache::new();
         let opts = CompileOptions::new(OptLevel::O0);
         let g = pipeline([1, 2, 3]);
-        let app = cache.compile(&g, &opts).unwrap();
-        let mut rt = Runtime::new(Floorplan::u50());
-        let id = rt.submit("pipe", app).unwrap();
-        rt.poll();
+        let (mut fleet, id) = serve(cache.compile(&g, &opts).unwrap());
+        let rt = card(&mut fleet);
 
         let mut b = GraphBuilder::new("pipe");
         let a = b.add("a", stage("a", 1), Target::riscv_auto());
@@ -493,21 +465,19 @@ mod tests {
     fn mis_sequenced_evict_and_swap_report_typed_errors() {
         let mut cache = BuildCache::new();
         let opts = CompileOptions::new(OptLevel::O0);
-        let app = cache.compile(&pipeline([1, 2, 3]), &opts).unwrap();
-        let mut rt = Runtime::new(Floorplan::u50());
-        let id = rt.submit("pipe", app).unwrap();
-        rt.poll();
+        let (mut fleet, id) = serve(cache.compile(&pipeline([1, 2, 3]), &opts).unwrap());
 
-        // Well-sequenced evict succeeds; the double evict and a swap on
-        // the gone app are typed errors, not panics.
-        rt.evict(id).unwrap();
-        assert!(matches!(rt.evict(id), Err(RuntimeError::NotResident(_))));
+        // Well-sequenced retirement succeeds; the double retirement and a
+        // swap on the gone app are typed errors, not panics.
+        fleet.retire(id).unwrap();
+        assert!(matches!(fleet.retire(id), Err(FleetError::NotResident(_))));
+        let rt = card(&mut fleet);
         assert!(matches!(
             rt.hot_swap(id, &pipeline([1, 9, 3]), &mut cache, &opts),
             Err(RuntimeError::NotResident(_))
         ));
 
-        // Driving the swap layer directly after the evict — the
+        // Driving the swap layer directly after the removal — the
         // mis-sequenced ordering that used to panic on
         // `expect("still resident")` — surfaces the invariant error.
         let new_app = cache.compile(&pipeline([1, 9, 3]), &opts).unwrap();
@@ -515,9 +485,6 @@ mod tests {
             rt.swap_to_app(id, new_app, 0, 0),
             Err(RuntimeError::ResidencyLost(_))
         ));
-        assert!(matches!(
-            rt.evict_internal(id),
-            Err(RuntimeError::ResidencyLost(_))
-        ));
+        assert!(matches!(rt.remove(id), Err(RuntimeError::NotResident(_))));
     }
 }

@@ -112,6 +112,7 @@ fn main() {
         }
     }
     println!("served {served} requests across resident tenants");
+    assert!(served > 0, "no resident tenant served a request");
 
     // --- Hot swap ----------------------------------------------------------
     // "Edit" the most recently admitted resident app: re-pin its last
@@ -144,24 +145,28 @@ fn main() {
 
     let (device, local) = fleet.locate(id).expect("resident");
     let rt = fleet.runtime_mut(device).expect("device exists");
-    match rt.hot_swap(local, &edited, &mut cache, &opts) {
-        Ok(report) => {
-            println!(
-                "\nhot swap of `{}` on {device}: recompiled {:?}, reloaded {} page(s), {} config packets",
-                bench.name,
-                report.recompiled,
-                report.swapped_pages.len(),
-                report.link_packets
-            );
-            println!(
-                "  downtime {:>9.3} ms   (full reload would be {:>9.3} ms, {:.1}x more)",
-                report.downtime_seconds * 1e3,
-                report.full_reload_seconds * 1e3,
-                report.full_reload_seconds / report.downtime_seconds.max(1e-12)
-            );
-        }
-        Err(e) => println!("hot swap skipped: {e}"),
-    }
+    let report = rt
+        .hot_swap(local, &edited, &mut cache, &opts)
+        .unwrap_or_else(|e| panic!("hot swap of `{}` failed: {e}", bench.name));
+    println!(
+        "\nhot swap of `{}` on {device}: recompiled {:?}, reloaded {} page(s), {} config packets",
+        bench.name,
+        report.recompiled,
+        report.swapped_pages.len(),
+        report.link_packets
+    );
+    println!(
+        "  downtime {:>9.3} ms   (full reload would be {:>9.3} ms, {:.1}x more)",
+        report.downtime_seconds * 1e3,
+        report.full_reload_seconds * 1e3,
+        report.full_reload_seconds / report.downtime_seconds.max(1e-12)
+    );
+    assert!(
+        report.downtime_seconds > 0.0 && report.downtime_seconds < report.full_reload_seconds,
+        "hot swap downtime {} s must be positive and below a full reload's {} s",
+        report.downtime_seconds,
+        report.full_reload_seconds
+    );
 
     println!("\nfinal statistics:\n{}", fleet.stats().per_device[0]);
 }

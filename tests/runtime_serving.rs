@@ -1,8 +1,8 @@
-//! Multi-tenant serving integration: many apps on one fabric, admission
-//! backpressure, LRU eviction with re-admission, and hot-swap downtime
-//! strictly below a full-app reload — plus the fleet layer on top of it:
-//! cross-device placement, QoS eviction classes, async admission tickets,
-//! and bit-identical live migration.
+//! Multi-tenant serving integration, all through the fleet front end: many
+//! apps on a fleet of one card, admission backpressure, LRU eviction with
+//! re-admission, and hot-swap downtime strictly below a full-app reload —
+//! then several cards: cross-device placement, QoS eviction classes, async
+//! admission tickets, and bit-identical live migration.
 
 use dfg::{Graph, GraphBuilder, Target};
 use fabric::Floorplan;
@@ -10,7 +10,7 @@ use kir::types::Value;
 use kir::{Expr, KernelBuilder, Scalar, Stmt};
 use pld::{BuildCache, CompileOptions, OptLevel};
 use pld_runtime::{
-    DeviceId, EvictClass, Executor, Fleet, FleetError, FleetEvent, QosSpec, Runtime, RuntimeEvent,
+    DeviceId, EvictClass, Executor, Fleet, FleetAppId, FleetError, FleetEvent, QosSpec, Runtime,
     TenantId,
 };
 use proptest::prelude::*;
@@ -68,26 +68,35 @@ fn compile_o0(graph: &Graph) -> pld::CompiledApp {
     pld::compile(graph, &CompileOptions::new(OptLevel::O0)).unwrap()
 }
 
+/// The one card of a fleet of one.
+const CARD: DeviceId = DeviceId(0);
+
 #[test]
 fn admission_queue_pushes_back_at_its_bound() {
-    let mut rt = Runtime::with_queue_bound(Floorplan::u50(), 2);
-    rt.submit("a", compile_o0(&pipeline("a", 2, 1))).unwrap();
-    rt.submit("b", compile_o0(&pipeline("b", 2, 2))).unwrap();
+    let mut fleet = Fleet::with_queue_bound(vec![Runtime::new(Floorplan::u50())], 2);
+    let t = TenantId(0);
+    fleet
+        .submit(t, "a", compile_o0(&pipeline("a", 2, 1)))
+        .unwrap();
+    fleet
+        .submit(t, "b", compile_o0(&pipeline("b", 2, 2)))
+        .unwrap();
     // Third submission before any scheduling pass: refused, app returned.
-    let refused = rt
-        .submit("c", compile_o0(&pipeline("c", 2, 3)))
-        .unwrap_err();
-    assert_eq!(refused.app.graph.name, "c");
-    assert_eq!(rt.stats().rejected, 1);
-    assert_eq!(rt.stats().queue_depth, 2);
+    let refused = match fleet.submit(t, "c", compile_o0(&pipeline("c", 2, 3))) {
+        Err(FleetError::QueueFull { app }) => app,
+        other => panic!("expected QueueFull, got {other:?}"),
+    };
+    assert_eq!(refused.graph.name, "c");
+    assert_eq!(fleet.stats().rejected, 1);
+    assert_eq!(fleet.queue_depth(), 2);
 
     // After draining, the refused app is admissible.
-    let events = rt.poll();
+    let events = fleet.pump();
     assert_eq!(events.len(), 2);
-    let id_c = rt.submit("c", *refused.app).unwrap();
-    let events = rt.poll();
+    let id_c = fleet.submit(t, "c", *refused).unwrap();
+    let events = fleet.pump();
     assert!(
-        matches!(&events[..], [RuntimeEvent::Admitted { id, .. }] if *id == id_c),
+        matches!(&events[..], [FleetEvent::Admitted { app, .. }] if *app == id_c),
         "{events:?}"
     );
 }
@@ -95,25 +104,26 @@ fn admission_queue_pushes_back_at_its_bound() {
 #[test]
 fn serving_many_tenants_with_eviction_and_readmission() {
     let fp = Floorplan::u50(); // 22 pages
-    let mut rt = Runtime::with_queue_bound(fp, 8);
+    let mut fleet = Fleet::new(1, &fp);
+    let t = TenantId(0);
 
     // Three 7-page tenants: 21 of 22 pages occupied.
     let mut ids = Vec::new();
     for (i, name) in ["alpha", "beta", "gamma"].iter().enumerate() {
-        let id = rt
-            .submit(name, compile_o0(&pipeline(name, 7, i as i64 + 1)))
+        let id = fleet
+            .submit(t, name, compile_o0(&pipeline(name, 7, i as i64 + 1)))
             .unwrap();
         ids.push(id);
     }
-    let events = rt.poll();
+    let events = fleet.pump();
     assert_eq!(
         events
             .iter()
-            .filter(|e| matches!(e, RuntimeEvent::Admitted { .. }))
+            .filter(|e| matches!(e, FleetEvent::Admitted { .. }))
             .count(),
         3
     );
-    let stats = rt.stats();
+    let stats = fleet.stats().per_device.remove(0);
     assert_eq!(stats.pages_occupied, 21);
     assert!((stats.occupancy() - 21.0 / 22.0).abs() < 1e-12);
     assert!(stats.cumulative_downtime_seconds > 0.0);
@@ -121,67 +131,74 @@ fn serving_many_tenants_with_eviction_and_readmission() {
     // Serve requests so LRU order is gamma-fresh, alpha-stale.
     let input = words(0..8);
     for &id in &ids[1..] {
-        let out = rt.run(id, &[("Input_1", input.clone())]).unwrap();
+        let out = fleet.run(id, &[("Input_1", input.clone())]).unwrap();
         assert_eq!(out["Output_1"].len(), 8);
     }
-    assert_eq!(rt.stats().requests, 2);
+    assert_eq!(fleet.stats().per_device[0].requests, 2);
 
     // A fourth 7-page tenant does not fit in the 1 free page: the
     // least-recently-used tenant (alpha) is evicted to make room.
-    let id_d = rt
-        .submit("delta", compile_o0(&pipeline("delta", 7, 9)))
+    let id_d = fleet
+        .submit(t, "delta", compile_o0(&pipeline("delta", 7, 9)))
         .unwrap();
-    let events = rt.poll();
+    let events = fleet.pump();
     assert_eq!(events.len(), 2, "{events:?}");
     assert_eq!(
         events[0],
-        RuntimeEvent::Evicted {
-            id: ids[0],
-            name: "alpha".into()
+        FleetEvent::Evicted {
+            app: ids[0],
+            device: CARD
         }
     );
-    assert!(matches!(&events[1], RuntimeEvent::Admitted { id, .. } if *id == id_d));
-    assert!(!rt.is_resident(ids[0]));
-    assert_eq!(rt.stats().evicted, 1);
+    assert!(matches!(&events[1], FleetEvent::Admitted { app, .. } if *app == id_d));
+    assert!(!fleet.is_resident(ids[0]));
+    assert_eq!(fleet.stats().evicted, 1);
+    assert_eq!(fleet.stats().per_device[0].evicted, 1);
 
     // Serving the evicted tenant fails until it is re-admitted; the
     // re-admission replays its loads and is charged downtime again.
-    assert!(rt.run(ids[0], &[("Input_1", input.clone())]).is_err());
-    let downtime_before = rt.stats().cumulative_downtime_seconds;
-    let id_a2 = rt
-        .submit("alpha", compile_o0(&pipeline("alpha", 7, 1)))
+    assert!(matches!(
+        fleet.run(ids[0], &[("Input_1", input.clone())]),
+        Err(FleetError::NotResident(_))
+    ));
+    let downtime_before = fleet.stats().per_device[0].cumulative_downtime_seconds;
+    let id_a2 = fleet
+        .submit(t, "alpha", compile_o0(&pipeline("alpha", 7, 1)))
         .unwrap();
-    let events = rt.poll();
-    // Re-admitting 7 pages with 1 free evicts again (beta is LRU now).
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, RuntimeEvent::Evicted { id, .. } if *id == ids[1])));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, RuntimeEvent::Admitted { id, .. } if *id == id_a2)));
-    assert!(rt.stats().cumulative_downtime_seconds > downtime_before);
+    let events = fleet.pump();
+    // Re-admitting 7 pages with 1 free evicts again: beta is LRU now.
+    assert_eq!(events.len(), 2, "{events:?}");
+    assert_eq!(
+        events[0],
+        FleetEvent::Evicted {
+            app: ids[1],
+            device: CARD
+        }
+    );
+    assert!(matches!(&events[1], FleetEvent::Admitted { app, .. } if *app == id_a2));
+    assert!(fleet.stats().per_device[0].cumulative_downtime_seconds > downtime_before);
 
     // The re-admitted tenant serves correctly.
-    let out = rt.run(id_a2, &[("Input_1", input)]).unwrap();
+    let out = fleet.run(id_a2, &[("Input_1", input)]).unwrap();
     let expected: Vec<u32> = (0..8).map(|v| v + 7).collect(); // 7 stages × +1
     assert_eq!(to_u32s(&out["Output_1"]), expected);
 }
 
 #[test]
 fn unplaceable_apps_are_rejected_not_queued_forever() {
-    let mut rt = Runtime::with_queue_bound(Floorplan::u50(), 8);
+    let mut fleet = Fleet::new(1, &Floorplan::u50());
     // An -O3 monolith has no per-page artifacts: it cannot share a fabric
-    // and is rejected outright instead of evicting tenants forever.
+    // and is refused at submission instead of evicting tenants forever.
     let graph = pipeline("monolith", 2, 1);
     let app = pld::compile(&graph, &CompileOptions::new(OptLevel::O3)).unwrap();
-    let id = rt.submit("monolith", app).unwrap();
-    let events = rt.poll();
-    assert!(
-        matches!(&events[..], [RuntimeEvent::Rejected { id: rid, .. }] if *rid == id),
-        "{events:?}"
-    );
-    assert_eq!(rt.stats().rejected, 1);
-    assert_eq!(rt.stats().pages_occupied, 0);
+    assert!(matches!(
+        fleet.submit(TenantId(0), "monolith", app),
+        Err(FleetError::Unplaceable { .. })
+    ));
+    assert!(fleet.pump().is_empty());
+    let stats = fleet.stats();
+    assert_eq!(stats.rejected, 1);
+    assert_eq!(stats.per_device[0].pages_occupied, 0);
 }
 
 #[test]
@@ -196,16 +213,17 @@ fn hot_swap_downtime_beats_full_reload() {
         .filter_map(|o| o.page.map(|p| p.0))
         .collect();
 
-    let mut rt = Runtime::with_queue_bound(Floorplan::u50(), 4);
+    let mut fleet = Fleet::new(1, &Floorplan::u50());
+    let t = TenantId(0);
     // A second tenant shares the fabric; its routes must survive the swap.
-    let other = rt
-        .submit("bystander", compile_o0(&pipeline("bystander", 3, 5)))
+    let other = fleet
+        .submit(t, "bystander", compile_o0(&pipeline("bystander", 3, 5)))
         .unwrap();
-    let id = rt.submit("editme", app).unwrap();
-    rt.poll();
-    assert!(rt.is_resident(other) && rt.is_resident(id));
+    let id = fleet.submit(t, "editme", app).unwrap();
+    fleet.pump();
+    assert!(fleet.is_resident(other) && fleet.is_resident(id));
     let bystander_out_before =
-        rt.run(other, &[("Input_1", words(0..8))]).unwrap()["Output_1"].clone();
+        fleet.run(other, &[("Input_1", words(0..8))]).unwrap()["Output_1"].clone();
 
     // The edit: re-pin one operator to a page the app does not use —
     // exactly the pragma flip of the paper's development loop.
@@ -215,7 +233,12 @@ fn hot_swap_downtime_beats_full_reload() {
     let spare = (0..22u32).rev().find(|p| !homes.contains(p)).unwrap();
     edited.operators[3].target = Target::riscv(spare);
 
-    let report = rt.hot_swap(id, &edited, &mut cache, &opts).unwrap();
+    let (device, local) = fleet.locate(id).unwrap();
+    let report = fleet
+        .runtime_mut(device)
+        .unwrap()
+        .hot_swap(local, &edited, &mut cache, &opts)
+        .unwrap();
     assert_eq!(report.recompiled, vec!["s3".to_string()]);
     assert_eq!(report.swapped_pages.len(), 1);
     assert!(report.artifact_seconds > 0.0);
@@ -228,12 +251,12 @@ fn hot_swap_downtime_beats_full_reload() {
     );
 
     // The swapped app still serves, and so does the bystander.
-    let out = rt.run(id, &[("Input_1", words(0..8))]).unwrap();
+    let out = fleet.run(id, &[("Input_1", words(0..8))]).unwrap();
     assert_eq!(to_u32s(&out["Output_1"]), (8..16).collect::<Vec<u32>>()); // 4 stages × +2
-    let bystander_out = rt.run(other, &[("Input_1", words(0..8))]).unwrap()["Output_1"].clone();
+    let bystander_out = fleet.run(other, &[("Input_1", words(0..8))]).unwrap()["Output_1"].clone();
     assert_eq!(bystander_out, bystander_out_before);
 
-    let stats = rt.stats();
+    let stats = fleet.stats().per_device.remove(0);
     assert_eq!(stats.swaps, 1);
     assert_eq!(stats.requests, 3);
     assert!(stats
@@ -243,50 +266,30 @@ fn hot_swap_downtime_beats_full_reload() {
 }
 
 #[test]
-fn threaded_engine_serves_identical_results_and_records_latency() {
-    let mut rt = Runtime::new(Floorplan::u50());
-    let id = rt
-        .submit("kpn", compile_o0(&pipeline("kpn", 4, 3)))
-        .unwrap();
-    rt.poll();
-
-    let input = words(0..8);
-    let seq = rt.run(id, &[("Input_1", input.clone())]).unwrap();
-    let par = rt.run_threaded(id, &[("Input_1", input)]).unwrap();
-    assert_eq!(seq, par); // Kahn: engine choice never changes tokens.
-    assert_eq!(to_u32s(&par["Output_1"]), (12..20).collect::<Vec<u32>>());
-
-    let stats = rt.stats();
-    assert_eq!(stats.requests, 2);
-    assert!(stats
-        .latencies
-        .values()
-        .any(|l| l.name == "kpn" && l.histogram.count() == 2));
-}
-
-#[test]
 fn cosim_serving_matches_functional_serving() {
-    let mut rt = Runtime::new(Floorplan::u50());
-    let id = rt
-        .submit("pipe", compile_o0(&pipeline("pipe", 3, 5)))
+    let mut fleet = Fleet::new(1, &Floorplan::u50());
+    let id = fleet
+        .submit(TenantId(0), "pipe", compile_o0(&pipeline("pipe", 3, 5)))
         .unwrap();
-    rt.poll();
+    fleet.pump();
 
     let inputs = vec![("Input_1", words(0..8))];
-    let functional = rt.run(id, &inputs).unwrap();
+    let functional = fleet.run(id, &inputs).unwrap();
 
-    // Opt into cycle-accurate serving: requests now drive the resident
-    // app's page softcores through the cosim engine. Kahn determinacy:
-    // same tokens out, whatever executes them.
-    rt.set_cosim_serving(true);
-    assert!(rt.cosim_serving());
-    let cosim = rt.run(id, &inputs).unwrap();
+    // Opt the card into cycle-accurate serving: requests now drive the
+    // resident app's page softcores through the cosim engine. Kahn
+    // determinacy: same tokens out, whatever executes them.
+    let card = fleet.runtime_mut(CARD).unwrap();
+    card.set_cosim_serving(true);
+    assert!(card.cosim_serving());
+    let cosim = fleet.run(id, &inputs).unwrap();
     assert_eq!(cosim, functional);
     assert_eq!(to_u32s(&cosim["Output_1"]), (15..23).collect::<Vec<u32>>());
 
-    rt.set_cosim_serving(false);
-    assert!(!rt.cosim_serving());
-    assert_eq!(rt.stats().requests, 2);
+    let card = fleet.runtime_mut(CARD).unwrap();
+    card.set_cosim_serving(false);
+    assert!(!card.cosim_serving());
+    assert_eq!(card.stats().requests, 2);
 }
 
 #[test]
@@ -326,17 +329,24 @@ fn fleet_packs_best_fit_then_spills_to_the_next_device() {
 #[test]
 fn placement_prefers_the_device_with_cached_bitstreams() {
     let fp = Floorplan::u50();
-    // dev1 has hosted this app before, so its artifacts are cached
-    // on-card; dev0 has not. Both are empty — best-fit and index order
-    // both say dev0, so only the artifact cache can say dev1.
-    let dev0 = Runtime::new(fp.clone());
-    let mut dev1 = Runtime::new(fp.clone());
+    let mut fleet = Fleet::new(2, &fp);
+    let t = TenantId(0);
+    // A full-card app takes dev0, so `warm` lands on dev1 and leaves its
+    // artifacts in dev1's cache.
+    let filler = fleet
+        .submit(t, "filler", compile_o0(&pipeline("filler", 22, 1)))
+        .unwrap();
     let app = compile_o0(&pipeline("warm", 4, 9));
-    let seeded = dev1.admit_direct("warm", Box::new(app.clone())).unwrap();
-    dev1.take_resident(seeded.id).unwrap();
+    let seeded = fleet.submit(t, "warm", app.clone()).unwrap();
+    fleet.pump();
+    assert_eq!(fleet.locate(filler).unwrap().0, DeviceId(0));
+    assert_eq!(fleet.locate(seeded).unwrap().0, DeviceId(1));
 
-    let mut fleet = Fleet::from_devices(vec![dev0, dev1]);
-    let id = fleet.submit(TenantId(0), "warm", app).unwrap();
+    // Both cards empty again: best-fit and index order both say dev0, so
+    // only the artifact cache can say dev1.
+    fleet.retire(filler).unwrap();
+    fleet.retire(seeded).unwrap();
+    let id = fleet.submit(t, "warm", app).unwrap();
     fleet.pump();
     assert_eq!(
         fleet.locate(id).unwrap().0,
@@ -459,8 +469,8 @@ fn async_tickets_park_until_a_scheduling_pass() {
     assert!(got.iter().all(|(_, d)| *d == DeviceId(0)));
 }
 
-/// The pages a device-local app occupies.
-fn pages_of(runtime: &Runtime, id: pld_runtime::AppId) -> Vec<fabric::PageId> {
+/// The pages an app occupies on the card that hosts it.
+fn pages_of(runtime: &Runtime, id: FleetAppId) -> Vec<fabric::PageId> {
     runtime
         .placement_of(id)
         .expect("resident")
@@ -471,22 +481,39 @@ fn pages_of(runtime: &Runtime, id: pld_runtime::AppId) -> Vec<fabric::PageId> {
 
 #[test]
 fn released_pages_drop_the_last_tenants_injection_budget() {
-    let mut rt = Runtime::new(Floorplan::u50());
-    let a = rt
-        .admit_direct("a", Box::new(compile_o0(&pipeline("a", 2, 1))))
+    let mut fleet = Fleet::new(1, &Floorplan::u50());
+    let t = TenantId(0);
+    fleet.set_inject_base_credits(Some(3));
+    let a = fleet
+        .submit(t, "a", compile_o0(&pipeline("a", 2, 1)))
         .unwrap();
-    rt.set_app_inject_budget(a.id, Some(3)).unwrap();
-    rt.evict(a.id).unwrap();
+    fleet.pump();
+    let a_pages = pages_of(fleet.device(CARD).unwrap(), a);
+    for &page in &a_pages {
+        let budget = fleet
+            .device(CARD)
+            .unwrap()
+            .device()
+            .page_inject_budget(page);
+        assert_eq!(budget, Some(3), "{page} serves a without its credits");
+    }
+    fleet.retire(a).unwrap();
+    // Lift the throttle: nothing is resident, so no page is reprogrammed
+    // and only the release itself can have cleared a's budget.
+    fleet.set_inject_base_credits(None);
 
-    let b = rt
-        .admit_direct("b", Box::new(compile_o0(&pipeline("b", 2, 2))))
+    let b = fleet
+        .submit(t, "b", compile_o0(&pipeline("b", 2, 2)))
         .unwrap();
-    assert_eq!(b.pages, a.pages, "b lands on a's freed pages");
-    for page in b.pages {
+    fleet.pump();
+    let card = fleet.device(CARD).unwrap();
+    let b_pages = pages_of(card, b);
+    assert_eq!(b_pages, a_pages, "b lands on a's freed pages");
+    for page in b_pages {
         assert_eq!(
-            rt.device().page_inject_budget(page),
+            card.device().page_inject_budget(page),
             None,
-            "{page} kept the evicted tenant's throttle"
+            "{page} kept the retired tenant's throttle"
         );
     }
 }
@@ -559,6 +586,7 @@ fn retire_releases_pages_without_counting_as_an_eviction() {
     assert!(!fleet.is_resident(id));
     assert_eq!(fleet.name_of(id), Some("tmp"));
     assert_eq!(fleet.stats().evicted, 0, "retirement is not QoS pressure");
+    assert_eq!(fleet.stats().per_device[0].evicted, 0);
     assert!(matches!(fleet.retire(id), Err(FleetError::NotResident(_))));
 
     // The pages are genuinely free: a 12-page app fits again without
@@ -652,5 +680,7 @@ proptest! {
             let out = roaming.run(id, &[("Input_1", input.clone())]).unwrap();
             prop_assert_eq!(&out, &reference);
         }
+        // A migration is not an eviction on either end.
+        prop_assert!(roaming.stats().per_device.iter().all(|d| d.evicted == 0));
     }
 }
