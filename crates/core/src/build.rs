@@ -14,17 +14,9 @@
 //! because seconds are derived from stored work measures at materialization
 //! time rather than baked into the products.
 //!
-//! Key composition (all hashes FNV-1a over the listed inputs):
-//!
-//! | stage | key inputs |
-//! |---|---|
-//! | `HlsLower` | kernel source |
-//! | `PlaceRoute` | HLS netlist, page rect, device, per-operator seed, warm-start hint (when warm) |
-//! | `PnrHints` (pointer) | operator name, HLS netlist, page rect, device; the product carries the `PlaceRoute` key it was extracted from |
-//! | `PnrHints` (lineage) | operator name, kernel source, page rect, device; filed only by a version whose P&R ran |
-//! | `BitstreamPack` | hardware: the bitstream packed, page id, operator name, resolved target; softcore: `SoftcoreCc` key, page id, operator name |
-//! | `SoftcoreCc` | kernel source |
-//! | `LinkDriver` | dataflow IR, page map, every artifact hash |
+//! What each key is the hash of is written down once, as the fields of the
+//! crate-private `StageInputs` record: one variant per key shape, keyed by
+//! FNV-1a over its codec bytes.
 //!
 //! Stages whose keys miss become farm jobs, in two rounds: the front of
 //! every chain (HLS, or the whole softcore chain), then P&R and packing,
@@ -42,10 +34,11 @@ use dfg::{extract, Graph, Target};
 use fabric::{PageId, Rect};
 use pnr::PnrOptions;
 
-use kir::hash::{debug_fnv1a, debug_len, Fnv1a};
+use kir::hash::debug_len;
 
 use crate::artifact::{Driver, Xclbin, XclbinKind};
 use crate::cache::CacheBackend;
+use crate::codec::{self, codec_enum, Codec};
 use crate::farm;
 use crate::flow::{
     assign_pages, build_driver, compile_monolithic, fnv, source_hash, wrap_with_leaf_interface,
@@ -152,34 +145,133 @@ impl BuildReport {
     }
 }
 
-pub(crate) fn stage_key(kind: StageKind, parts: impl IntoIterator<Item = u64>) -> StageKey {
-    let mut h = Fnv1a::new();
-    for p in parts {
-        h.write_u64(p);
-    }
-    kind.key(h.finish())
+/// The named inputs of one stage execution, written down once: each variant
+/// is a key shape, its fields everything that can change the product. The
+/// key hashes the record's codec bytes ([`StageInputs::key`]), so the tags of
+/// the variant, of `warm`'s `Option` and of [`HintOf`] keep domains apart.
+/// Each `u64` input is FNV-1a over codec bytes too: [`kernel_hash`],
+/// [`HlsProduct::netlist_hash`], [`HintsProduct::content_hash`],
+/// [`graph_hash`], [`source_hash`], and those of the device and the IR.
+#[derive(Debug)]
+pub(crate) enum StageInputs {
+    /// The source graph and the optimizer config resolved for the floorplan.
+    KpnOptimize {
+        graph: u64,
+        config: dfg::OptimizerConfig,
+    },
+    /// A kernel, lowered to a netlist.
+    HlsLower { kernel: u64 },
+    /// A kernel, compiled for the softcore.
+    SoftcoreCc { kernel: u64 },
+    /// The hint of operator `name` on a page, filed for a netlist or a kernel
+    /// version; seed-free, as a hint is no part of any artifact's identity.
+    PnrHints {
+        name: String,
+        of: HintOf,
+        rect: Rect,
+        device: u64,
+    },
+    /// A cold run's inputs — the HLS netlist, page, device and per-operator
+    /// seed — and, for a warm-started one, the fingerprint of the hint it
+    /// starts from. With `warm: None` this is also the key a warm run the
+    /// quality guard discarded is aliased under.
+    PlaceRoute {
+        netlist: u64,
+        rect: Rect,
+        device: u64,
+        seed: u64,
+        warm: Option<u64>,
+    },
+    /// A hardware page's pack, of the bitstream packed: a product filed under
+    /// several `PlaceRoute` keys (a fallback's warm and plain) shares a pack.
+    PagePack {
+        region: Rect,
+        payload: u64,
+        page: PageId,
+        name: String,
+        source: u64,
+    },
+    /// A softcore page's pack: the `SoftcoreCc` key's hash, page, operator.
+    SoftPack {
+        binary: u64,
+        page: PageId,
+        name: String,
+    },
+    /// The app-wide link stage: the dataflow IR, the page count, and each
+    /// operator's page and artifact hash, in operator order.
+    LinkDriver {
+        ir: u64,
+        pages: u16,
+        placed: Vec<(PageId, u64)>,
+    },
 }
 
-/// Key of the [`StageKind::HlsLower`] stage for a kernel.
-pub(crate) fn hls_key(kernel_hash: u64) -> StageKey {
-    stage_key(StageKind::HlsLower, [kernel_hash])
+/// What a [`StageInputs::PnrHints`] hint is filed for.
+#[derive(Debug)]
+pub(crate) enum HintOf {
+    /// A kernel version whose P&R ran: a compile probes its own, then the
+    /// **previous** version's (a warm start).
+    Lineage(u64),
+    /// A netlist: a pointer ([`HintsProduct::origin`]) to its first P&R run
+    /// on the page, so any version that lowers to it again is a hit.
+    Netlist(u64),
+}
+
+codec_enum!(HintOf, "hint origin" { 0 => Lineage(kernel), 1 => Netlist(netlist) });
+codec_enum!(StageInputs, "stage inputs" {
+    0 => KpnOptimize { graph, config },
+    1 => HlsLower { kernel },
+    2 => SoftcoreCc { kernel },
+    3 => PnrHints { name, of, rect, device },
+    4 => PlaceRoute { netlist, rect, device, seed, warm },
+    5 => PagePack { region, payload, page, name, source },
+    6 => SoftPack { binary, page, name },
+    7 => LinkDriver { ir, pages, placed },
+});
+
+impl StageInputs {
+    /// The key of packing `bitstream` as operator `name`'s artifact on `page`.
+    fn page_pack(bitstream: &pnr::Bitstream, page: PageId, name: &str, source: u64) -> StageKey {
+        StageInputs::PagePack {
+            region: bitstream.region,
+            payload: bitstream.payload_hash,
+            page,
+            name: name.to_string(),
+            source,
+        }
+        .key()
+    }
+
+    /// The key these inputs address: FNV-1a over the record's codec bytes.
+    pub(crate) fn key(&self) -> StageKey {
+        let kind = match self {
+            StageInputs::KpnOptimize { .. } => StageKind::KpnOptimize,
+            StageInputs::HlsLower { .. } => StageKind::HlsLower,
+            StageInputs::SoftcoreCc { .. } => StageKind::SoftcoreCc,
+            StageInputs::PnrHints { .. } => StageKind::PnrHints,
+            StageInputs::PlaceRoute { .. } => StageKind::PlaceRoute,
+            StageInputs::PagePack { .. } | StageInputs::SoftPack { .. } => StageKind::BitstreamPack,
+            StageInputs::LinkDriver { .. } => StageKind::LinkDriver,
+        };
+        kind.key(fnv(&codec::encode(self)))
+    }
 }
 
 #[cfg(test)]
 thread_local! {
     /// Kernels this thread has content-hashed: what the tests that pin
-    /// "an unchanged operator is never formatted" read.
+    /// "an unchanged operator is never encoded" read.
     pub(crate) static KERNELS_HASHED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Content hash of a kernel's source — the one input every per-operator
-/// stage key and the operator's [`source_hash`] are folded from. It walks
+/// stage key and the operator's [`source_hash`] are folded from. It encodes
 /// the whole kernel, so a build takes it at most once per operator: see
 /// [`kernel_hashes`].
 pub(crate) fn kernel_hash(kernel: &kir::Kernel) -> u64 {
     #[cfg(test)]
     KERNELS_HASHED.with(|n| n.set(n.get() + 1));
-    debug_fnv1a(kernel)
+    fnv(&codec::encode(kernel))
 }
 
 /// A graph with the [`kernel_hash`] of each of its operators, in order.
@@ -191,7 +283,7 @@ pub(crate) struct Hashed<'a> {
 
 /// The kernel hashes of `graph`'s operators. Where `prev` holds an equal
 /// kernel at the same position its hash is reused (comparing two kernels is
-/// far cheaper than formatting one), so hashing a graph costs what the edit
+/// far cheaper than encoding one), so hashing a graph costs what the edit
 /// since `prev` touched.
 pub(crate) fn kernel_hashes(graph: &Graph, prev: Option<Hashed<'_>>) -> Vec<u64> {
     graph
@@ -205,95 +297,22 @@ pub(crate) fn kernel_hashes(graph: &Graph, prev: Option<Hashed<'_>>) -> Vec<u64>
         .collect()
 }
 
-/// Content hash of a whole graph — the `KpnOptimize` stage's input — folded
-/// from the kernel hashes already taken plus the little that is left: the
-/// names, the pragmas and the wiring.
+/// Content hash of a whole graph — the `KpnOptimize` stage's input: FNV-1a
+/// over the graph's codec bytes with each kernel's replaced by the kernel
+/// hash already taken.
 fn graph_hash(g: Hashed<'_>) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_debug(&g.graph.name);
+    let mut out = Vec::new();
+    g.graph.name.put(&mut out);
+    g.graph.operators.len().put(&mut out);
     for (op, kernel) in g.graph.operators.iter().zip(g.kernels) {
-        h.write_debug(&op.name);
-        h.write_u64(*kernel);
-        h.write_debug(&op.target);
+        op.name.put(&mut out);
+        kernel.put(&mut out);
+        op.target.put(&mut out);
     }
-    h.write_debug(&g.graph.edges);
-    h.write_debug(&g.graph.ext_inputs);
-    h.write_debug(&g.graph.ext_outputs);
-    h.finish()
-}
-
-/// Domain tag folded into a `PlaceRoute` key (followed by the hint's
-/// content hash) when the stage is warm-started, so warm and cold products
-/// of the same netlist never share a key.
-const HINT_TAG: u64 = 0x7761_726d; // "warm"
-
-/// Key of a [`StageKind::PlaceRoute`] stage: the inputs of a cold run — the
-/// HLS netlist ([`HlsProduct::netlist_hash`]), page, device and seed — then,
-/// for a warm-started one, [`HINT_TAG`] and the fingerprint of the hint it
-/// starts from (`warm`). With `warm` absent this is the *plain* key a warm
-/// run the quality guard discarded is aliased under.
-pub(crate) fn pnr_key(
-    netlist_hash: u64,
-    rect: Rect,
-    device_hash: u64,
-    seed: u64,
-    warm: Option<u64>,
-) -> StageKey {
-    let cold = [
-        netlist_hash,
-        rect.x0 as u64,
-        rect.y0 as u64,
-        rect.w as u64,
-        rect.h as u64,
-        device_hash,
-        seed,
-    ];
-    let warm = warm.into_iter().flat_map(|hint| [HINT_TAG, hint]);
-    stage_key(StageKind::PlaceRoute, cold.into_iter().chain(warm))
-}
-
-/// Key of a [`StageKind::PnrHints`] product: operator name (hashed), the
-/// hashes that name what it was filed for, page geometry and device.
-/// Deliberately seed-free — a hint is an optimization input, not part of any
-/// artifact's identity.
-fn hints_key_of(name_hash: u64, of: &[u64], rect: Rect, device_hash: u64) -> StageKey {
-    let rect = [rect.x0, rect.y0, rect.w, rect.h].map(u64::from);
-    let parts = [name_hash].into_iter().chain(of.iter().copied());
-    stage_key(StageKind::PnrHints, parts.chain(rect).chain([device_hash]))
-}
-
-/// Key of the [`StageKind::PnrHints`] of one operator *lineage*: the kernel
-/// version whose P&R produced the hint. A compile whose P&R runs probes it
-/// with its own kernel hash, then the **previous** version's (a warm start).
-pub(crate) fn hints_key(name_hash: u64, khash: u64, rect: Rect, device_hash: u64) -> StageKey {
-    hints_key_of(name_hash, &[khash], rect, device_hash)
-}
-
-/// Key of the [`StageKind::PnrHints`] filed for a netlist: a pointer
-/// ([`HintsProduct::origin`]) to the first P&R run of that netlist on the
-/// page, so any version that lowers to it again — a warm product included —
-/// is a `PlaceRoute` hit.
-pub(crate) fn netlist_hints_key(
-    name_hash: u64,
-    netlist_hash: u64,
-    rect: Rect,
-    device_hash: u64,
-) -> StageKey {
-    hints_key_of(name_hash, &[NETLIST_TAG, netlist_hash], rect, device_hash)
-}
-
-/// Domain tag of a netlist's `PnrHints` key, so that it never shares a key
-/// with a lineage's.
-const NETLIST_TAG: u64 = 0x6e65_746c; // "netl"
-
-/// Key of a hardware page's [`StageKind::BitstreamPack`] stage: the bitstream
-/// packed, not the `PlaceRoute` key that led to it, because one product is
-/// filed under several (a fallback's warm and plain keys) that must share a
-/// pack.
-fn pack_key(b: &pnr::Bitstream, page: PageId, name: u64, src: u64) -> StageKey {
-    let (r, rest) = (b.region, [b.payload_hash, page.0 as u64, name, src]);
-    let region = [r.x0, r.y0, r.w, r.h].map(u64::from);
-    stage_key(StageKind::BitstreamPack, region.into_iter().chain(rest))
+    g.graph.edges.put(&mut out);
+    g.graph.ext_inputs.put(&mut out);
+    g.graph.ext_outputs.put(&mut out);
+    fnv(&out)
 }
 
 /// Packs a placed-and-routed page as its loadable artifact. Constants live in
@@ -312,8 +331,8 @@ fn pack_page(
         },
         hash: bitstream.payload_hash ^ src_hash,
     };
-    let name_hash = fnv(name.as_bytes());
-    (pack_key(bitstream, page, name_hash, src_hash), Arc::new(x))
+    let key = StageInputs::page_pack(bitstream, page, name, src_hash);
+    (key, Arc::new(x))
 }
 
 /// One operator's stage chain with every product in hand: fetched by the
@@ -484,15 +503,16 @@ pub(crate) fn build_with_prev<C: CacheBackend>(
     // the *optimized* kernels — fused/split operators cache like
     // hand-written ones. The product carries those kernels' hashes.
     let optimized = options.optimize.as_ref().map(|cfg| {
-        let resolved = resolve_optimizer(cfg, &options.floorplan);
-        let key = stage_key(
-            StageKind::KpnOptimize,
-            [graph_hash(source), debug_fnv1a(&resolved)],
-        );
+        let config = resolve_optimizer(cfg, &options.floorplan);
+        let key = StageInputs::KpnOptimize {
+            graph: graph_hash(source),
+            config: config.clone(),
+        }
+        .key();
         match store.fetch_opt(key.hash) {
             Some(p) => (p, true),
             None => {
-                let out = dfg::opt::optimize(source.graph, &resolved);
+                let out = dfg::opt::optimize(source.graph, &config);
                 let summary = OptSummary {
                     fused: out.report.fused,
                     fissioned: out.report.fissioned,
@@ -553,7 +573,7 @@ fn build_paged<C: CacheBackend>(
     let graph = built.graph;
     let force_riscv = options.level == OptLevel::O0;
     let pages = assign_pages(graph, &options.floorplan, force_riscv)?;
-    let device_hash = debug_fnv1a(&options.floorplan.device);
+    let device = fnv(&codec::encode(&options.floorplan.device));
     let mut report = BuildReport::default();
 
     // Plan by fetch, in two rounds: one fetch per stage of every operator's
@@ -584,18 +604,20 @@ fn build_paged<C: CacheBackend>(
         };
         let job: Option<Job<'_, Front>> = match target {
             Target::Hw { .. } => {
-                let key = hls_key(khash);
+                let key = StageInputs::HlsLower { kernel: khash }.key();
                 plan.front = store.fetch_hls(key.hash).map(Front::Hls);
                 plan.front_hit = plan.front.is_some();
                 (!plan.front_hit).then(|| Box::new(move || hls_job(op, key)) as Job<'_, Front>)
             }
             Target::Riscv { .. } => {
-                let soft_key = stage_key(StageKind::SoftcoreCc, [khash]);
+                let soft_key = StageInputs::SoftcoreCc { kernel: khash }.key();
                 let soft = (soft_key, store.fetch_soft(soft_key.hash));
-                let pack_key = stage_key(
-                    StageKind::BitstreamPack,
-                    [soft_key.hash, page.0 as u64, fnv(op.name.as_bytes())],
-                );
+                let pack_key = StageInputs::SoftPack {
+                    binary: soft_key.hash,
+                    page,
+                    name: op.name.clone(),
+                }
+                .key();
                 let pack = (pack_key, store.fetch_pack(pack_key.hash));
                 (plan.front_hit, plan.pack_hit) = (soft.1.is_some(), pack.1.is_some());
                 match (soft, pack) {
@@ -634,12 +656,30 @@ fn build_paged<C: CacheBackend>(
             }
             Front::Hls(hls) => hls,
         };
-        let name_hash = fnv(op.name.as_bytes());
         let rect = options.floorplan.pages[plan.page.0 as usize].rect;
-        let seed = options.seed ^ name_hash;
+        let seed = options.seed ^ fnv(op.name.as_bytes());
         let netlist = hls.netlist_hash();
-        let mut pnr_key = pnr_key(netlist, rect, device_hash, seed, None);
-        let mut pnr = store.fetch_pnr(pnr_key.hash);
+        let place_key = |warm| {
+            StageInputs::PlaceRoute {
+                netlist,
+                rect,
+                device,
+                seed,
+                warm,
+            }
+            .key()
+        };
+        let hints_key = |of| {
+            StageInputs::PnrHints {
+                name: op.name.clone(),
+                of,
+                rect,
+                device,
+            }
+            .key()
+        };
+        let plain = place_key(None);
+        let (mut pnr_key, mut pnr) = (plain, store.fetch_pnr(plain.hash));
         // Warm-start planning: an already-cached cold stage needs no hint at
         // all. `hints_now` are the keys the hint of this build's P&R run is
         // filed under.
@@ -651,12 +691,9 @@ fn build_paged<C: CacheBackend>(
             // The netlist's hint, then this version's own, points at a
             // finished P&R: while that product is there, the stage is a hit.
             // And the first filing stands, so this build files no other.
-            let lineage = hints_key(name_hash, khash, rect, device_hash);
+            let lineage = hints_key(HintOf::Lineage(khash));
             let mut own = None;
-            for key in [
-                netlist_hints_key(name_hash, netlist, rect, device_hash),
-                lineage,
-            ] {
+            for key in [hints_key(HintOf::Netlist(netlist)), lineage] {
                 let filed = store.fetch_hints(key.hash);
                 if filed.is_none() {
                     hints_now.push(key);
@@ -678,7 +715,7 @@ fn build_paged<C: CacheBackend>(
                 hint = own.or_else(|| {
                     let p = prev?;
                     let j = p.graph.operators.iter().position(|o| o.name == op.name)?;
-                    let before = hints_key(name_hash, p.kernels[j], rect, device_hash);
+                    let before = hints_key(HintOf::Lineage(p.kernels[j]));
                     let before = (before != lineage).then(|| store.fetch_hints(before.hash));
                     before?.filter(usable)
                 });
@@ -687,15 +724,15 @@ fn build_paged<C: CacheBackend>(
                     // Fold the hint's identity into the stage key: a warm
                     // product is a function of (netlist, hint), so it must
                     // never collide with the cold product.
-                    let warm = Some(h.content_hash());
-                    pnr_key = self::pnr_key(netlist, rect, device_hash, seed, warm);
+                    pnr_key = place_key(Some(h.content_hash()));
                     pnr = store.fetch_pnr(pnr_key.hash);
                 }
             }
         }
         // Packing keys on the bitstream: no product, no pack to find.
         let pack = pnr.as_ref().and_then(|p| {
-            store.fetch_pack(pack_key(&p.bitstream, plan.page, name_hash, plan.src_hash).hash)
+            let pack = StageInputs::page_pack(&p.bitstream, plan.page, &op.name, plan.src_hash);
+            store.fetch_pack(pack.hash)
         });
         (plan.pnr_hit, plan.pack_hit) = (Some(pnr.is_some()), pack.is_some());
         match (pnr, pack) {
@@ -706,7 +743,7 @@ fn build_paged<C: CacheBackend>(
                     options,
                     page: plan.page,
                     src_hash: plan.src_hash,
-                    device_hash,
+                    plain,
                     hint,
                     hints_now,
                     hls,
@@ -834,12 +871,14 @@ fn build_paged<C: CacheBackend>(
     // The app-wide link/driver stage: keyed on the dataflow IR, the page
     // map, and every artifact's content hash.
     let n_pages = options.floorplan.pages.len() as u16;
-    let mut driver_parts = vec![debug_fnv1a(&ir), n_pages as u64];
-    for ((_, page), artifact) in pages.iter().zip(artifacts.iter().skip(1)) {
-        driver_parts.push(page.0 as u64);
-        driver_parts.push(artifact.hash);
+    let driver_key = StageInputs::LinkDriver {
+        ir: fnv(&codec::encode(&ir)),
+        pages: n_pages,
+        placed: (pages.iter().zip(&artifacts[1..]))
+            .map(|(&(_, page), artifact)| (page, artifact.hash))
+            .collect(),
     }
-    let driver_key = stage_key(StageKind::LinkDriver, driver_parts);
+    .key();
     let driver = match store.fetch_driver(driver_key.hash) {
         Some(d) => {
             report.record(StageKind::LinkDriver, true);
@@ -900,7 +939,9 @@ struct HwJob<'a> {
     options: &'a CompileOptions,
     page: PageId,
     src_hash: u64,
-    device_hash: u64,
+    /// The cold `PlaceRoute` key, which a warm run the quality guard
+    /// discarded is aliased under.
+    plain: StageKey,
     /// Warm-start hint; its content hash is already folded into `pnr`'s key.
     hint: Option<Arc<HintsProduct>>,
     /// Where this build files fresh [`StageKind::PnrHints`] for the netlist
@@ -976,9 +1017,7 @@ impl HwJob<'_> {
                 if warm == Some(true) {
                     // The fallback *is* a cold run, so alias it under the
                     // plain key: a later hint-less rebuild is a hit.
-                    let netlist = self.hls.netlist_hash();
-                    let plain = pnr_key(netlist, rect, self.device_hash, seed, None);
-                    filed.push((plain, StageProduct::Pnr(p.clone())));
+                    filed.push((self.plain, StageProduct::Pnr(p.clone())));
                 }
                 if !self.hints_now.is_empty() {
                     let mut fresh = pnr::extract_hints(&wrapped, rect, &result);
@@ -1036,11 +1075,10 @@ fn soft_job(
         Some(x) => x,
         None => {
             let packed = soft.binary.pack(page.0);
-            let mut hash = Fnv1a::new();
-            packed.records.iter().for_each(|(_, b)| hash.write(b));
+            let bytes: Vec<u8> = packed.records.iter().flat_map(|r| &r.1).copied().collect();
             let x = Arc::new(Xclbin {
                 name: format!("{name}.elf.xclbin"),
-                hash: hash.finish(),
+                hash: fnv(&bytes),
                 kind: XclbinKind::Softcore {
                     page,
                     binary: packed,
@@ -1094,4 +1132,79 @@ pub fn build_batch<C: CacheBackend>(
         }
     }
     results
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Key derivation, value for value: one fixed record of every
+    /// [`StageInputs`] shape keys to the hash it did when format v8 was
+    /// introduced. A change to a field list, a tag or an input's encoding
+    /// moves this, and so must [`crate::store::FORMAT_VERSION`].
+    #[test]
+    fn input_record_keys_are_pinned() {
+        let (rect, page, name) = (Rect::new(2, 0, 10, 10), PageId(3), || "op".to_string());
+        let place = |warm| StageInputs::PlaceRoute {
+            netlist: 1,
+            rect,
+            device: 2,
+            seed: 3,
+            warm,
+        };
+        let hints = |of| StageInputs::PnrHints {
+            name: name(),
+            of,
+            rect,
+            device: 2,
+        };
+        let records = [
+            StageInputs::KpnOptimize {
+                graph: 1,
+                config: dfg::OptimizerConfig::default(),
+            },
+            StageInputs::HlsLower { kernel: 1 },
+            StageInputs::SoftcoreCc { kernel: 1 },
+            hints(HintOf::Lineage(1)),
+            hints(HintOf::Netlist(1)),
+            place(None),
+            place(Some(1)),
+            StageInputs::PagePack {
+                region: rect,
+                payload: 1,
+                page,
+                name: name(),
+                source: 2,
+            },
+            StageInputs::SoftPack {
+                binary: 1,
+                page,
+                name: name(),
+            },
+            StageInputs::LinkDriver {
+                ir: 1,
+                pages: 22,
+                placed: vec![(page, 1)],
+            },
+        ];
+        let keys: Vec<StageKey> = records.iter().map(StageInputs::key).collect();
+        use StageKind::*;
+        let pinned = [
+            (KpnOptimize, 0xf9c7_e698_a254_22a5),
+            (HlsLower, 0x7194_f3e5_9ae4_7dcd),
+            (SoftcoreCc, 0xedde_65ec_42d6_cbc4),
+            (PnrHints, 0x3e94_a8d1_6b44_32a4),
+            (PnrHints, 0x8584_4f8b_dff2_15b3),
+            (PlaceRoute, 0x288f_a619_eae9_08a3),
+            (PlaceRoute, 0x528d_c58a_890a_8f11),
+            (BitstreamPack, 0xe747_c8c7_a1b1_8567),
+            (BitstreamPack, 0x7bac_1522_c06c_3786),
+            (LinkDriver, 0x0e96_7be8_f02d_e532),
+        ];
+        assert_eq!(keys, pinned.map(|(kind, hash)| kind.key(hash)));
+        // A lineage's hint and a netlist's of the same `u64`, and a cold and
+        // a warm run of the same inputs, never share a key.
+        assert_ne!(keys[3], keys[4]);
+        assert_ne!(keys[5], keys[6]);
+    }
 }

@@ -33,13 +33,21 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use crate::cache::evict::{eviction_order, EvictCandidate};
 use crate::codec::{self, codec_struct, Codec, Cursor};
 use crate::flow::fnv;
-use crate::store::{StageKey, StageProduct};
+use crate::store::{StageKey, StageProduct, FORMAT_VERSION};
 
 /// Magic leading every segment file; the digit is the store codec's format
 /// version, and a file of another version is skipped like an unreadable one.
-const SEG_MAGIC: &[u8; 8] = b"PLDSEG7\0";
+const SEG_MAGIC: &[u8; 8] = &versioned(*b"PLDSEG?\0");
 /// Magic leading the index file.
-const IDX_MAGIC: &[u8; 8] = b"PLDIDX7\0";
+const IDX_MAGIC: &[u8; 8] = &versioned(*b"PLDIDX?\0");
+
+/// `magic` with its 7th byte the digit of [`FORMAT_VERSION`].
+const fn versioned(mut magic: [u8; 8]) -> [u8; 8] {
+    const { assert!(FORMAT_VERSION < 10, "the magic holds one digit") };
+    magic[6] = b'0' + FORMAT_VERSION as u8;
+    magic
+}
+
 /// Index file name within a cache directory.
 const INDEX_FILE: &str = "index.pldidx";
 /// Advisory compaction lock file name.

@@ -35,6 +35,20 @@ use crate::store::{
 };
 use crate::vtime::VtimeModel;
 
+/// `fn fetch_x: Kind => Variant(Product);`: the product filed under the key
+/// of stage `Kind` with hash `hash`, if it is a `Variant`.
+macro_rules! typed_fetches {
+    ($( $(#[$doc:meta])* fn $name:ident: $kind:ident => $variant:ident($t:ty); )*) => {$(
+        $(#[$doc])*
+        fn $name(&mut self, hash: u64) -> Option<Arc<$t>> {
+            match self.fetch(StageKind::$kind.key(hash))? {
+                StageProduct::$variant(p) => Some(p),
+                _ => None,
+            }
+        }
+    )*};
+}
+
 /// What every compile driver needs from an artifact cache.
 ///
 /// The build graph plans by fetching: one fetch per stage, and a hit *is*
@@ -83,60 +97,21 @@ pub trait CacheBackend {
         }
     }
 
-    /// Typed fetch of an HLS product.
-    fn fetch_hls(&mut self, hash: u64) -> Option<Arc<HlsProduct>> {
-        match self.fetch(StageKind::HlsLower.key(hash))? {
-            StageProduct::Hls(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// Typed fetch of a P&R product.
-    fn fetch_pnr(&mut self, hash: u64) -> Option<Arc<PnrProduct>> {
-        match self.fetch(StageKind::PlaceRoute.key(hash))? {
-            StageProduct::Pnr(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// Typed fetch of a softcore product.
-    fn fetch_soft(&mut self, hash: u64) -> Option<Arc<SoftProduct>> {
-        match self.fetch(StageKind::SoftcoreCc.key(hash))? {
-            StageProduct::Soft(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// Typed fetch of a packed artifact.
-    fn fetch_pack(&mut self, hash: u64) -> Option<Arc<crate::artifact::Xclbin>> {
-        match self.fetch(StageKind::BitstreamPack.key(hash))? {
-            StageProduct::Pack(x) => Some(x),
-            _ => None,
-        }
-    }
-
-    /// Typed fetch of a generated driver.
-    fn fetch_driver(&mut self, hash: u64) -> Option<Arc<crate::artifact::Driver>> {
-        match self.fetch(StageKind::LinkDriver.key(hash))? {
-            StageProduct::Driver(d) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// Typed fetch of an optimized-graph product.
-    fn fetch_opt(&mut self, hash: u64) -> Option<Arc<crate::store::OptProduct>> {
-        match self.fetch(StageKind::KpnOptimize.key(hash))? {
-            StageProduct::Opt(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// Typed fetch of warm-start P&R hints.
-    fn fetch_hints(&mut self, hash: u64) -> Option<Arc<crate::store::HintsProduct>> {
-        match self.fetch(StageKind::PnrHints.key(hash))? {
-            StageProduct::Hints(h) => Some(h),
-            _ => None,
-        }
+    typed_fetches! {
+        /// Typed fetch of an HLS product.
+        fn fetch_hls: HlsLower => Hls(HlsProduct);
+        /// Typed fetch of a P&R product.
+        fn fetch_pnr: PlaceRoute => Pnr(PnrProduct);
+        /// Typed fetch of a softcore product.
+        fn fetch_soft: SoftcoreCc => Soft(SoftProduct);
+        /// Typed fetch of a packed artifact.
+        fn fetch_pack: BitstreamPack => Pack(crate::artifact::Xclbin);
+        /// Typed fetch of a generated driver.
+        fn fetch_driver: LinkDriver => Driver(crate::artifact::Driver);
+        /// Typed fetch of an optimized-graph product.
+        fn fetch_opt: KpnOptimize => Opt(crate::store::OptProduct);
+        /// Typed fetch of warm-start P&R hints.
+        fn fetch_hints: PnrHints => Hints(crate::store::HintsProduct);
     }
 }
 

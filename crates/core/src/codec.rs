@@ -6,7 +6,7 @@
 //! `codec_names!`); encoder and decoder are both generated from that list,
 //! and a struct's list is checked for completeness by the compiler. The
 //! lists of every type with public fields are at the bottom of this file —
-//! together they *are* format v6.
+//! together they *are* format v8.
 //!
 //! Wire rules: integers are little-endian at their declared width and floats
 //! their IEEE bits, except that `usize` travels as `u64` and `u16` as `u32`;
@@ -122,7 +122,7 @@ impl<'a> Cursor<'a> {
 
     /// A `u64` element count, refused when the input left could not hold
     /// that many elements: the bound on every pre-allocation.
-    fn len_prefix(&mut self) -> io::Result<usize> {
+    pub(crate) fn len_prefix(&mut self) -> io::Result<usize> {
         let n = usize::get(self)?;
         if n > self.remaining() {
             return Err(corrupt("length prefix exceeds the remaining input"));
@@ -278,27 +278,28 @@ macro_rules! codec_enum {
     ($t:ty, $what:literal {
         $( $tag:literal => $v:ident $( ( $($e:ident),* ) )? $( { $($f:ident),* } )? ),* $(,)?
     }) => {
-        impl Codec for $t {
+        impl $crate::codec::Codec for $t {
             fn put(&self, out: &mut Vec<u8>) {
                 match self {$(
                     Self::$v $( ( $($e),* ) )? $( { $($f),* } )? => {
                         out.push($tag);
-                        $( $( $e.put(out); )* )?
-                        $( $( $f.put(out); )* )?
+                        $( $( $crate::codec::Codec::put($e, out); )* )?
+                        $( $( $crate::codec::Codec::put($f, out); )* )?
                     }
                 )*}
             }
-            fn get(c: &mut Cursor) -> io::Result<Self> {
-                Ok(match u8::get(c)? {
+            fn get(c: &mut $crate::codec::Cursor) -> std::io::Result<Self> {
+                Ok(match <u8 as $crate::codec::Codec>::get(c)? {
                     $( $tag => Self::$v
-                        $( ( $( { let $e = Codec::get(c)?; $e } ),* ) )?
-                        $( { $( $f: Codec::get(c)? ),* } )?, )*
-                    _ => return Err(corrupt(concat!("unknown ", $what))),
+                        $( ( $( { let $e = $crate::codec::Codec::get(c)?; $e } ),* ) )?
+                        $( { $( $f: $crate::codec::Codec::get(c)? ),* } )?, )*
+                    _ => return Err($crate::codec::corrupt(concat!("unknown ", $what))),
                 })
             }
         }
     };
 }
+pub(crate) use codec_enum;
 
 /// `codec_names!(Type, "what" { A, B })`: a unit-only enum that travels as its
 /// variant's name, so the decoder rejects an unknown name instead of silently
@@ -319,11 +320,13 @@ macro_rules! codec_names {
 }
 
 // ---------------------------------------------------------------------------
-// Format v6: every stored type, each field once, in wire order. (The struct
+// Format v8: every stored type, each field once, in wire order. (The struct
 // lists are brace-delimited so that rustfmt leaves each on its line.)
 
 codec_struct! { fabric::Rect { x0, y0, w, h } }
 codec_struct! { fabric::PageId { 0 } }
+codec_enum!(fabric::ColumnKind, "column kind" { 0 => Clb, 1 => Bram, 2 => Dsp });
+codec_struct! { fabric::Device { name, width, height, slr_height, columns, shell_cols, noc_cols } }
 
 codec_struct! { netlist::Resources { luts, ffs, bram18, dsp } }
 codec_enum!(netlist::CellKind, "cell kind" {
@@ -398,6 +401,12 @@ codec_struct! { dfg::OperatorInst { name, kernel, target } }
 codec_struct! { dfg::StreamEdge { name, from, to, elem } }
 codec_struct! { dfg::ExtPort { name, op, port, elem } }
 codec_struct! { dfg::Graph { name, operators, edges, ext_inputs, ext_outputs } }
+codec_struct! { dfg::IrOperator { name, target, num_inputs, num_outputs } }
+codec_struct! { dfg::IrLink { name, from, to, words } }
+codec_struct! { dfg::DfgIr { app, operators, links } }
+codec_struct! { dfg::OptimizerConfig {
+    fuse, fission, max_operators, page_array_bits, fission_min_ops
+} }
 codec_struct! { crate::flow::OptSummary { fused, fissioned, balance_before, balance_after } }
 
 codec_enum!(softcore::firmware::Intrinsic, "intrinsic" {

@@ -900,15 +900,8 @@ mod tests {
         assert!(matches!(err, CosimError::CycleBudget { .. }));
     }
 
-    fn generated_cases() -> u32 {
-        std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(24)
-    }
-
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(generated_cases()))]
+        #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// On generated apps of every family, the windowed engine equals
         /// the oracle in outputs, cycles and instructions at a random

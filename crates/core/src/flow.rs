@@ -272,13 +272,11 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Stable content hash of (kernel, target) for incremental builds, folded
-/// from the kernel's content hash ([`crate::build::kernel_hash`]).
+/// Stable content hash of (kernel, target) for incremental builds: FNV-1a
+/// over the codec bytes of the kernel's content hash
+/// ([`crate::build::kernel_hash`]) and the target.
 pub(crate) fn source_hash(kernel_hash: u64, target: Target) -> u64 {
-    let mut h = kir::hash::Fnv1a::new();
-    h.write_u64(kernel_hash);
-    h.write_debug(&target);
-    h.finish()
+    fnv(&crate::codec::encode(&(kernel_hash, target)))
 }
 
 /// The leaf-interface overhead wrapped around every page operator
@@ -556,7 +554,7 @@ pub(crate) fn compile_monolithic<C: crate::cache::CacheBackend>(
     let mut reports = Vec::new();
 
     for (op, &khash) in graph.operators.iter().zip(built.kernels) {
-        let key = crate::build::hls_key(khash);
+        let key = crate::build::StageInputs::HlsLower { kernel: khash }.key();
         let (product, hit) = match store.fetch_hls(key.hash) {
             Some(p) => (p, true),
             None => {

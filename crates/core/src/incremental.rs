@@ -439,20 +439,37 @@ mod tests {
     /// The stage keys of operator `c` of a `pipeline` graph, as the plan forms
     /// them: (plain `PlaceRoute`, [the netlist's `PnrHints`, this version's]).
     fn keys_of_c(graph: &Graph) -> (StageKey, [StageKey; 2]) {
-        use crate::build::{hints_key, kernel_hash, netlist_hints_key, pnr_key};
+        use crate::build::{kernel_hash, HintOf, StageInputs};
         use crate::flow::fnv;
         let opts = warm_options();
         let kernel = &graph.operators[1].kernel;
-        let (name, khash) = (fnv(b"c"), kernel_hash(kernel));
         let hls = hlsim::compile(kernel).unwrap();
         let netlist = crate::store::HlsProduct::new(hls.netlist, hls.report).netlist_hash();
         let rect = opts.floorplan.pages[1].rect;
-        let device = kir::hash::debug_fnv1a(&opts.floorplan.device);
+        let device = fnv(&crate::codec::encode(&opts.floorplan.device));
+        let hints = |of| {
+            let name = "c".to_string();
+            StageInputs::PnrHints {
+                name,
+                of,
+                rect,
+                device,
+            }
+            .key()
+        };
+        let seed = opts.seed ^ fnv(b"c");
         (
-            pnr_key(netlist, rect, device, opts.seed ^ name, None),
+            StageInputs::PlaceRoute {
+                netlist,
+                rect,
+                device,
+                seed,
+                warm: None,
+            }
+            .key(),
             [
-                netlist_hints_key(name, netlist, rect, device),
-                hints_key(name, khash, rect, device),
+                hints(HintOf::Netlist(netlist)),
+                hints(HintOf::Lineage(kernel_hash(kernel))),
             ],
         )
     }
@@ -612,10 +629,10 @@ mod tests {
         assert_rebuild_is_free(&mut cache, &g, &app, "after the cold run");
     }
 
-    /// Planning costs what the edit costs. A no-change rebuild formats no
+    /// Planning costs what the edit costs. A no-change rebuild encodes no
     /// kernel and leaves every `Hls`/`Pnr`/`Hints` product the one shared
     /// allocation it was (the build held handles, never copies, and let go
-    /// of them all); a one-operator body edit formats that operator's kernel
+    /// of them all); a one-operator body edit encodes that operator's kernel
     /// and no other.
     #[test]
     fn a_rebuild_hashes_and_copies_only_what_the_edit_touched() {

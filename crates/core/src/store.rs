@@ -3,7 +3,8 @@
 //! Each compile is a DAG of typed stages ([`StageKind`]); every stage
 //! product is filed under a [`StageKey`] — a content hash covering *all* of
 //! the stage's inputs (kernel source, resolved target, page rectangle,
-//! device, seed, ...; see [`mod@crate::build`] for the exact key composition).
+//! device, seed, ...: the fields of `build::StageInputs`, one record per key
+//! shape).
 //! `-O0`, `-O1` and `-O3` compiles, the [`crate::BuildCache`], and the
 //! runtime's hot-swap path are all drivers over one store, so a netlist
 //! synthesized for an `-O1` page compile is a cache hit for the same
@@ -437,9 +438,10 @@ const MAGIC: &[u8] = b"PLDSTORE";
 /// The one on-disk format version, of the single-file store and of the cache
 /// directory's segments and index. It moves when a product's encoding does
 /// (5: [`HintsProduct::origin`]; 6: [`PnrProduct`] without the seed race's
-/// fields; 7: [`OptProduct`] without channel depths); bytes of any other
-/// version are a cold start.
-pub(crate) const FORMAT_VERSION: u32 = 7;
+/// fields; 7: [`OptProduct`] without channel depths) or how keys are
+/// derived (8: from input records' codec bytes); bytes of any other version
+/// are a cold start.
+pub(crate) const FORMAT_VERSION: u32 = 8;
 
 impl Codec for OptProduct {
     fn put(&self, out: &mut Vec<u8>) {
@@ -448,7 +450,34 @@ impl Codec for OptProduct {
     }
 
     fn get(c: &mut Cursor) -> io::Result<Self> {
-        Ok(OptProduct::new(Codec::get(c)?, Codec::get(c)?))
+        // The graph's field list, each kernel hashed from the bytes decoded.
+        let name = Codec::get(c)?;
+        let n = c.len_prefix()?;
+        let (mut operators, mut kernel_hashes) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for _ in 0..n {
+            let name = Codec::get(c)?;
+            let start = c.pos();
+            let kernel = Codec::get(c)?;
+            kernel_hashes.push(fnv(c.since(start)));
+            let target = Codec::get(c)?;
+            operators.push(dfg::OperatorInst {
+                name,
+                kernel,
+                target,
+            });
+        }
+        let graph = dfg::Graph {
+            name,
+            operators,
+            edges: Codec::get(c)?,
+            ext_inputs: Codec::get(c)?,
+            ext_outputs: Codec::get(c)?,
+        };
+        Ok(OptProduct {
+            graph,
+            kernel_hashes,
+            summary: Codec::get(c)?,
+        })
     }
 }
 
@@ -671,18 +700,20 @@ mod tests {
         HintsProduct::new(hints, 0x0419)
     }
 
-    /// Format v7, byte for byte: a store holding one product of every
-    /// [`StageProduct`] variant encodes to the bytes it did when v7 was
+    /// Format v8, byte for byte: a store holding one product of every
+    /// [`StageProduct`] variant encodes to the bytes it did when v8 was
     /// introduced. A change to any field list, tag or primitive moves this.
     /// The same store was 1459 bytes in v5 and 1443 in v6 (two `u32`s and a
     /// `u64` fewer in its one `PnrProduct`); v7 dropped the 8-byte length of
-    /// its one `OptProduct`'s empty depth vector, and nothing else.
+    /// its one `OptProduct`'s empty depth vector, and nothing else. v8 moved
+    /// how keys are derived, not how products encode: its hand-set keys keep
+    /// every byte but the version's.
     #[test]
-    fn format_v7_bytes_are_pinned() {
+    fn format_v8_bytes_are_pinned() {
         let bytes = sample_store().to_bytes();
         assert_eq!(
             (bytes.len(), fnv(&bytes)),
-            (1443 - 8, 0xb6dc_f596_f132_4b58)
+            (1443 - 8, 0x79b6_467d_8bbc_a46b)
         );
     }
 
@@ -831,7 +862,7 @@ mod tests {
     #[test]
     fn other_format_versions_are_refused() {
         let bytes = sample_store().to_bytes();
-        for version in [2u32, 3, 4, 5, 6, FORMAT_VERSION + 1] {
+        for version in [2u32, 3, 4, 5, 6, 7, FORMAT_VERSION + 1] {
             let mut old = bytes[..bytes.len() - 8].to_vec();
             old[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
             codec::seal(&mut old);

@@ -96,17 +96,19 @@ fn built_store_round_trips() {
     assert_eq!(back.to_bytes(), store.to_bytes());
 }
 
-/// Format v7, byte for byte, on real products: the store the six Rosetta
+/// Format v8, byte for byte, on real products: the store the six Rosetta
 /// apps leave after an `-O0` build and an optimized, hint-filing `-O1` build
-/// encodes to the bytes it did when v7 was introduced. In v5 the same store
+/// encodes to the bytes it did when v8 was introduced. In v5 the same store
 /// was 499 938 bytes: v6 dropped two `u32`s and a `u64` from every
 /// `PlaceRoute` product; v7 dropped every `KpnOptimize` product's depth
 /// vector (an 8-byte length for each of the six, plus 8 bytes for each of
 /// their 28 edges) and moved those products' keys, and nothing else. The
 /// encoding of every product is still v7's; what the store holds moved once
-/// since (see below).
+/// since (see below). v8 derives every key, and the source hashes that
+/// artifact hashes mix in, from codec bytes: the values of the keys, of the
+/// hints' origins and of the artifact hashes moved, and no length did.
 #[test]
-fn rosetta_store_bytes_are_format_v7() {
+fn rosetta_store_bytes_are_format_v8() {
     let mut store = ArtifactStore::new();
     let o1 = CompileOptions {
         incremental_pnr: true,
@@ -135,7 +137,7 @@ fn rosetta_store_bytes_are_format_v7() {
     );
     assert_eq!(
         (store.len(), n_pnr, n_opt, n_hints, kir::hash::fnv1a(&bytes)),
-        (228, 30, 6, 60, 16_677_922_335_864_686_524)
+        (228, 30, 6, 60, 1_007_738_014_136_885_331)
     );
 }
 
@@ -146,7 +148,7 @@ fn rosetta_store_bytes_are_format_v7() {
 fn other_format_versions_are_a_cold_start() {
     // Every cache file leads with an 8-byte magic whose 7th byte is the
     // format version digit; v2-v4 segments and indexes carried a '3'.
-    for old in [b'3', b'5', b'6'] {
+    for old in [b'3', b'5', b'6', b'7'] {
         let dir = tmp_dir("old-version");
         {
             let mut cache = TieredCache::open(&dir).unwrap();
@@ -157,7 +159,7 @@ fn other_format_versions_are_a_cold_start() {
             let path = entry.unwrap().path();
             let mut bytes = std::fs::read(&path).unwrap();
             assert_eq!(
-                bytes[6], b'7',
+                bytes[6], b'8',
                 "{path:?} does not lead with the current version"
             );
             bytes[6] = old;

@@ -52,17 +52,8 @@ fn pipeline(addends: [i64; 4]) -> Graph {
     b.build().unwrap()
 }
 
-/// Cases per property: `PROPTEST_CASES` when set (CI's deeper run), else
-/// `default`.
-fn cases(default: u32) -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(16)))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Across any edit sequence, every operator compile is exactly one hit
     /// or one miss — hits + misses == builds × operators — and the misses
@@ -173,7 +164,7 @@ fn hw_pipeline(versions: &[Version; 3]) -> Graph {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(8)))]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The paper's Sec. 6 promise, "only the pages with changing logic are
     /// recompiled", at its limit: no logic changed, so nothing is compiled.

@@ -168,17 +168,8 @@ fn one_cache_in_place_edits_equal_fresh(edits: Vec<InPlaceEdit>) {
     }
 }
 
-/// Cases per property: `PROPTEST_CASES` when set (CI's deeper run), else
-/// `default`.
-fn cases(default: u32) -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(6)))]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
     fn in_place_edits_through_one_build_cache_equal_fresh_compiles(

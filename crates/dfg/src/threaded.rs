@@ -377,14 +377,6 @@ mod tests {
 
     const BUDGET: u64 = kir::interp::DEFAULT_OP_BUDGET;
 
-    fn cases() -> u32 {
-        // CI's deeper run sets PROPTEST_CASES.
-        std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(24)
-    }
-
     fn word_values(n: u32) -> Vec<Value> {
         (0..n)
             .map(|w| Value::Int(aplib::DynInt::from_raw(32, false, w as u128)))
@@ -493,7 +485,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(cases()))]
+        #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Pipelines of every shape agree with the batch oracle for any
         /// (depth, chunk) transport, including chunk > stream length.

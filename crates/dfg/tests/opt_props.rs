@@ -12,16 +12,8 @@ use dfg::opt::{optimize, OptimizerConfig};
 use dfg::{run_graph, run_graph_threaded};
 use proptest::prelude::*;
 
-fn optimizer_cases() -> u32 {
-    // CI smoke runs set PROPTEST_CASES to keep wall time small.
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(24)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(optimizer_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Default optimizer (all passes) is bit-identical on every family,
     /// under both the sequential interpreter and the threaded engine (which

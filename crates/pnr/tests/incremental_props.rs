@@ -184,17 +184,8 @@ fn accepted_warm_runs_match_cold_quality_on_operator_pages() {
     }
 }
 
-/// Cases per property: `PROPTEST_CASES` when set (CI's deeper run), else
-/// `default`.
-fn cases(default: u32) -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(16)))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// (a) + (b): a warm rerun of an edited netlist is legal and its
     /// artifacts are byte-identical at every worker count.

@@ -34,17 +34,8 @@ fn netlist_from_genes(genes: &[(u8, u8)]) -> Netlist {
     nl
 }
 
-/// Cases per property: `PROPTEST_CASES` when set (CI's deeper run), else
-/// `default`.
-fn cases(default: u32) -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(24)))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn placement_is_always_legal(

@@ -18,15 +18,6 @@ use kir::ops::result_type;
 use kir::{BinOp, Expr, Kernel, KernelBuilder, Scalar, Stmt, UnOp, Value};
 use proptest::prelude::*;
 
-/// Cases per property: `PROPTEST_CASES` when set (CI's deeper run), else
-/// `default`.
-fn cases(default: u32) -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Batch transport that accepts `accept` writes, then reports every
 /// consumer gone.
 struct Tape {
@@ -571,7 +562,7 @@ fn every_operator_agrees_on_every_corner_shape_pair() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(24)))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Fuzzed expressions over every operator and width corner agree, with
     /// full inputs, with inputs cut short (underflow), at every budget and
