@@ -18,8 +18,8 @@
 //! own flow, and [`incremental`] recompiles only operators whose source,
 //! target or page changed — the edit-compile-debug loop the paper is about.
 //!
-//! [`execute`] holds the performance models behind Tab. 3 and Figs. 10–11,
-//! and [`vtime`] the calibrated virtual-time model that converts the
+//! [`execute`] holds the `-O1` and `-O0` performance models behind Tab. 3
+//! and Figs. 10–11, and [`vtime`] the calibrated virtual-time model that converts the
 //! toolchain's measured work into Vitis-2021.1-scale seconds for Tab. 2
 //! (both real wall-clock and virtual seconds are always reported).
 //!

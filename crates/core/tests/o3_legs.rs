@@ -1,8 +1,8 @@
 //! Farm width must not show in anything a compile returns. `-O3` runs its
-//! as-built and fused-baseline P&R legs as two farm jobs, and `-O1` runs one
-//! job per page, cold or warm-started from a hint: each job is a pure
-//! function of (netlist, device, region, opts, hint), so one lane and eight
-//! give the same bits, and a leg that fails to route fails the same way.
+//! one monolithic P&R as a farm job, and `-O1` runs one job per page, cold
+//! or warm-started from a hint: each job is a pure function of (netlist,
+//! device, region, opts, hint), so one lane and eight give the same bits,
+//! and a P&R that fails to route fails the same way.
 
 use kir::{Expr, Scalar, Stmt, VarDecl};
 use pld::{build, ArtifactStore, BuildCache, CompileError, CompileOptions, OptLevel};
@@ -14,11 +14,8 @@ struct O3Fingerprint {
     artifact_hashes: Vec<u64>,
     timing: pnr::TimingReport,
     work_units: u64,
-    fused_timing: Option<pnr::TimingReport>,
-    fused_vtime: Option<pld::PhaseTimes>,
     vtime_serial: pld::PhaseTimes,
     stages: Vec<(pld::StageKind, pld::StageCount)>,
-    fused_netlist_cells: Vec<netlist::CellKind>,
 }
 
 fn o3(graph: &dfg::Graph, jobs: usize, seed: u64) -> Result<O3Fingerprint, CompileError> {
@@ -29,16 +26,12 @@ fn o3(graph: &dfg::Graph, jobs: usize, seed: u64) -> Result<O3Fingerprint, Compi
     };
     let (app, report) = build(graph, &options, &mut ArtifactStore::new())?;
     let mono = app.monolithic.as_ref().expect("-O3 is monolithic");
-    let fused = pld::flow::fused_baseline_netlist(&app.graph, &mono.netlist, &mono.offsets);
     Ok(O3Fingerprint {
         artifact_hashes: app.artifacts.iter().map(|x| x.hash).collect(),
         timing: mono.timing.clone(),
         work_units: mono.work_units,
-        fused_timing: mono.fused_timing.clone(),
-        fused_vtime: mono.fused_vtime,
         vtime_serial: app.vtime_serial,
         stages: report.stages.iter().map(|(k, c)| (*k, *c)).collect(),
-        fused_netlist_cells: fused.cells.into_iter().map(|c| c.kind).collect(),
     })
 }
 
@@ -117,11 +110,6 @@ fn o1(graph: &dfg::Graph, jobs: usize) -> Vec<PagedFingerprint> {
 fn builds_are_bit_identical_at_any_farm_width() {
     for bench in suite(Scale::Small) {
         let serial = o3(&bench.graph, 1, 1).unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-        assert!(
-            serial.fused_timing.is_some() && serial.fused_vtime.is_some(),
-            "{}: the fused baseline routes, so both legs are compared",
-            bench.name
-        );
         let serial_o1 = o1(&bench.graph, 1);
         assert_eq!(
             serial_o1[2].warm_runs, 1,

@@ -10,6 +10,7 @@
 use kir::check::TypeEnv;
 use kir::expr::{BinOp, Expr, UnOp};
 use kir::stmt::Stmt;
+use kir::CheckError;
 use kir::Kernel;
 use netlist::{CellId, CellKind, Netlist};
 use std::collections::HashMap;
@@ -30,7 +31,8 @@ struct Lowerer<'k> {
     fresh: usize,
 }
 
-/// Lowers a validated kernel to a netlist.
+/// Lowers a validated kernel to a netlist; panics on one that does not
+/// pass [`kir::validate`].
 pub fn lower(kernel: &Kernel) -> Netlist {
     let mut lw = Lowerer {
         kernel,
@@ -89,8 +91,17 @@ impl<'k> Lowerer<'k> {
         format!("{tag}_{}", self.fresh)
     }
 
+    /// Bit width of `e`'s value. `env` never enters loops, so on a
+    /// validated kernel inference fails only at a loop index, and such an
+    /// expression lowers at the index's 32 bits (every priced netlist
+    /// depends on that). Any other failure means the kernel did not
+    /// validate, and panics.
     fn width_of(&self, e: &Expr) -> u32 {
-        self.env.infer(e).map(|t| t.width()).unwrap_or(32)
+        match self.env.infer(e) {
+            Ok(t) => t.width(),
+            Err(CheckError::UnknownVar(v)) if self.loop_cells.iter().any(|(n, _)| *n == v) => 32,
+            Err(err) => panic!("lowering a kernel that does not validate: {err}"),
+        }
     }
 
     /// Maximum combinational operators chained between registers.
@@ -360,6 +371,51 @@ mod tests {
             )])
             .build()
             .unwrap()
+    }
+
+    /// `lut[x[7:0]]` types as the array's 8 bits; `lut[i]` reads the loop
+    /// index, which the lowering env does not know, and lowers at 32.
+    #[test]
+    fn expressions_over_a_loop_index_lower_at_32_bits() {
+        let kernel = |index: Expr| {
+            KernelBuilder::new("k")
+                .input("in", Scalar::uint(32))
+                .output("out", Scalar::uint(8))
+                .local("x", Scalar::uint(32))
+                .array("lut", Scalar::uint(8), 256)
+                .body([Stmt::for_pipelined(
+                    "i",
+                    0..4,
+                    [
+                        Stmt::read("x", "in"),
+                        Stmt::write("out", Expr::index("lut", index)),
+                    ],
+                )])
+                .build()
+                .unwrap()
+        };
+        let out_width = |k: &Kernel| {
+            let nl = lower(k);
+            let out = nl.cells.iter().position(|c| c.name == "out_out").unwrap();
+            let net = nl.nets.iter().find(|n| n.sinks.iter().any(|s| s.0 == out));
+            net.expect("the write drives `out`").width
+        };
+        assert_eq!(out_width(&kernel(Expr::var("x").bits(7, 0))), 8);
+        assert_eq!(out_width(&kernel(Expr::var("i"))), 32);
+    }
+
+    /// A kernel that does not validate is rejected before lowering; lowering
+    /// it anyway trips the invariant instead of guessing a width.
+    #[test]
+    #[should_panic(expected = "does not validate")]
+    fn lowering_an_ill_typed_kernel_is_an_invariant_violation() {
+        let mut k = streaming_kernel();
+        k.body = vec![Stmt::write("out", Expr::var("x").bits(40, 0))];
+        assert!(matches!(
+            crate::compile(&k),
+            Err(CheckError::BadBitRange { .. })
+        ));
+        lower(&k);
     }
 
     #[test]

@@ -14,15 +14,9 @@
 //! Each cell kind carries a calibrated resource weight ([`Resources`]: LUTs,
 //! FFs, BRAM18s, DSPs — the four columns of the paper's Tab. 1/Tab. 4) and an
 //! intrinsic delay used by static timing analysis in `pnr`.
-//!
-//! [`sim`] provides an event-driven netlist emulation whose cost scales with
-//! `cells × cycles` — the mechanism behind the paper's slow "Vitis Emu"
-//! column in Tab. 3.
 
 pub mod cell;
 pub mod graph;
-pub mod sim;
 
 pub use cell::{CellKind, Resources};
 pub use graph::{Cell, CellId, Net, NetId, Netlist, NetlistError};
-pub use sim::{emulate, EmuStats};

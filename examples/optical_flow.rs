@@ -4,7 +4,10 @@
 //!
 //! Run with: `cargo run --release --example optical_flow`
 
-use pld::{compile, execute, CompileOptions, OptLevel};
+use pld::execute::{perf_o0, perf_o1};
+use pld::{compile, CompileOptions, OptLevel};
+use pld_repro::perf::{perf_emu, perf_o3, perf_vitis, perf_x86};
+use pld_repro::vitis_baseline;
 use rosetta::{optical, Scale};
 
 fn main() {
@@ -19,19 +22,15 @@ fn main() {
     // Compile three ways.
     let o0 = compile(&bench.graph, &CompileOptions::new(OptLevel::O0)).expect("-O0");
     let o1 = compile(&bench.graph, &CompileOptions::new(OptLevel::O1)).expect("-O1");
-    let o3 = compile(&bench.graph, &CompileOptions::new(OptLevel::O3)).expect("-O3");
+    let o3_options = CompileOptions::new(OptLevel::O3);
+    let o3 = compile(&bench.graph, &o3_options).expect("-O3");
 
     println!("\ncompile time (virtual seconds, Tab. 2 shape):");
     println!(
         "  {:6} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "", "hls", "syn", "p&r", "bit", "total"
     );
-    for (name, app) in [("-O3", &o3), ("-O1", &o1)] {
-        let t = if name == "-O1" {
-            app.vtime_parallel
-        } else {
-            app.vtime_serial
-        };
+    for (name, t) in [("-O3", o3.vtime_serial), ("-O1", o1.vtime_parallel)] {
         println!(
             "  {:6} {:>10.0} {:>10.0} {:>10.0} {:>10.0} {:>10.0}",
             name,
@@ -46,12 +45,13 @@ fn main() {
 
     // Performance rows.
     println!("\nperformance (Tab. 3 shape):");
-    let o3_perf = execute::perf_o3(&o3).expect("O3 perf");
-    let vitis = execute::perf_vitis(&o3).expect("Vitis perf");
-    let o1_perf = execute::perf_o1(&o1, &inputs).expect("O1 perf");
-    let o0_perf = execute::perf_o0(&o0, &inputs).expect("O0 perf");
-    let x86 = execute::perf_x86(&bench.graph, &inputs).expect("x86 perf");
-    let emu = execute::perf_emu(&o3).expect("emu perf");
+    let o3_perf = perf_o3(&o3).expect("O3 perf");
+    let baseline = vitis_baseline(&o3, &o3_options);
+    let vitis = perf_vitis(&o3, baseline.as_ref()).expect("Vitis perf");
+    let o1_perf = perf_o1(&o1, &inputs).expect("O1 perf");
+    let o0_perf = perf_o0(&o0, &inputs).expect("O0 perf");
+    let x86 = perf_x86(&bench.graph, &inputs).expect("x86 perf");
+    let emu = perf_emu(&o3).expect("emu perf");
     for p in [vitis, o3_perf, o1_perf, o0_perf, x86, emu] {
         let fmax = if p.fmax_mhz > 0.0 {
             format!("{:.0} MHz", p.fmax_mhz)

@@ -8,7 +8,7 @@
 //! proportional to `cells × cycles`, three-to-five orders of magnitude
 //! slower than the hardware it models, exactly the gap Tab. 3 reports.
 
-use crate::graph::Netlist;
+use netlist::Netlist;
 
 /// Statistics from one emulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -87,7 +87,7 @@ pub fn emulate(netlist: &Netlist, cycles: u64) -> EmuStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::CellKind;
+    use netlist::CellKind;
 
     fn chain(len: usize) -> Netlist {
         let mut nl = Netlist::new("chain");
