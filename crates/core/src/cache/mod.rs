@@ -220,12 +220,6 @@ impl TieredCache {
         &self.l1
     }
 
-    /// Mutable access to the L1 store. Writes land in memory only; use
-    /// [`CacheBackend::put`] for write-through.
-    pub fn l1_mut(&mut self) -> &mut ArtifactStore {
-        &mut self.l1
-    }
-
     /// The store directory, when an L2 is attached.
     pub fn dir(&self) -> Option<&PathBuf> {
         self.l2.as_ref().map(DiskCache::dir)

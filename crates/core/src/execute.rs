@@ -126,28 +126,53 @@ fn overlay_hw_cycles(app: &CompiledApp) -> Vec<u64> {
         .collect()
 }
 
-/// Softcore cycle counts for one input, by actually running the compiled
-/// binaries on the traced input streams.
-fn softcore_cycles(app: &CompiledApp, trace: &dfg::GraphTrace) -> Result<Vec<u64>, PerfError> {
-    let mut out = Vec::with_capacity(app.operators.len());
-    for (i, op) in app.operators.iter().enumerate() {
-        let Some(binary) = &op.soft else {
-            out.push(0);
-            continue;
-        };
-        let inputs: Vec<Vec<u32>> = trace.op_inputs[i]
-            .iter()
-            .map(kir::wire::stream_to_words)
-            .collect();
-        let result = softcore::execute(binary, &inputs, 50_000_000_000).map_err(|error| {
-            PerfError::Softcore {
-                op: op.name.clone(),
-                error,
-            }
+/// Cycle budget of one softcore run: far above any app, so hitting it
+/// means a hang.
+const SOFTCORE_BUDGET: u64 = 50_000_000_000;
+
+/// Softcore cycle counts for one input (0 for hardware operators), by
+/// actually running the compiled binaries on the traced input streams.
+///
+/// Each softcore operator is one farm job on `lanes` lanes: operators sit
+/// on separate softcores (paper Sec. 6.2) and, by the Kahn property, each
+/// run is fixed by its traced inputs, so the runs are independent. Outcomes
+/// are read in operator order, so the counts and the error (the first
+/// failing operator) are those of running the operators one after another.
+///
+/// # Panics
+///
+/// Re-raises a panicking run, naming its operator.
+fn softcore_cycles(
+    app: &CompiledApp,
+    trace: &dfg::GraphTrace,
+    lanes: usize,
+) -> Result<Vec<u64>, PerfError> {
+    let (ops, jobs): (Vec<usize>, Vec<_>) = app
+        .operators
+        .iter()
+        .zip(&trace.op_inputs)
+        .enumerate()
+        .filter_map(|(i, (op, ports))| {
+            let binary = op.soft.as_ref()?;
+            let job = move || {
+                let inputs: Vec<Vec<u32>> = ports.iter().map(kir::wire::stream_to_words).collect();
+                softcore::execute(binary, &inputs, SOFTCORE_BUDGET).map(|out| out.cycles)
+            };
+            Some((i, job))
+        })
+        .unzip();
+    let mut cycles = vec![0; app.operators.len()];
+    for (i, outcome) in ops.into_iter().zip(crate::farm::run_jobs(jobs, lanes)) {
+        let op = &app.operators[i].name;
+        let ran = outcome
+            .result
+            .unwrap_or_else(|message| panic!("softcore run of `{op}` panicked: {message}"));
+        cycles[i] = ran.map_err(|error| PerfError::Softcore {
+            op: op.clone(),
+            error,
         })?;
-        out.push(result.cycles);
     }
-    Ok(out)
+    Ok(cycles)
 }
 
 /// `-O1` (and mixed `-O0`/`-O1`) row: cycle-level co-simulation of fluid
@@ -164,7 +189,7 @@ pub fn perf_o1(app: &CompiledApp, inputs: &[(&str, Vec<Value>)]) -> Result<PerfR
     }
     let graph = &app.graph;
     let (outputs, _stats, trace) = run_graph_trace(graph, inputs)?;
-    let soft_cycles = softcore_cycles(app, &trace)?;
+    let soft_cycles = softcore_cycles(app, &trace, crate::farm::host_lanes())?;
     let hw = overlay_hw_cycles(app);
 
     // Per-operator total compute cycles for this workload.
@@ -359,7 +384,8 @@ pub fn perf_o1(app: &CompiledApp, inputs: &[(&str, Vec<Value>)]) -> Result<PerfR
 
 /// `-O0` row: every operator on its softcore; the pipeline bottleneck is
 /// the slowest core (they run concurrently, linked by the NoC, whose
-/// bandwidth is negligible next to softcore compute).
+/// bandwidth is negligible next to softcore compute). The host runs the
+/// softcores concurrently too, on up to [`crate::farm::host_lanes`] lanes.
 pub fn perf_o0(app: &CompiledApp, inputs: &[(&str, Vec<Value>)]) -> Result<PerfReport, PerfError> {
     if app.operators.iter().any(|o| o.soft.is_none()) {
         return Err(PerfError::WrongLevel {
@@ -367,7 +393,10 @@ pub fn perf_o0(app: &CompiledApp, inputs: &[(&str, Vec<Value>)]) -> Result<PerfR
         });
     }
     let (_outputs, _stats, trace) = run_graph_trace(&app.graph, inputs)?;
-    let cycles = softcore_cycles(app, &trace)?.into_iter().max().unwrap_or(1);
+    let cycles = softcore_cycles(app, &trace, crate::farm::host_lanes())?
+        .into_iter()
+        .max()
+        .unwrap_or(1);
     Ok(PerfReport {
         mode: RunMode::O0,
         fmax_mhz: OVERLAY_MHZ,
@@ -454,6 +483,112 @@ mod tests {
         // Fig. 10's point: one softcore can approach the all-softcore case
         // but never beats the all-hardware one.
         assert!(mix.seconds_per_input <= soft.seconds_per_input * 1.05);
+    }
+
+    /// An `-O0` build of `graph` and the trace of one run on `inputs`.
+    fn o0_traced(graph: &Graph, inputs: &[(&str, Vec<Value>)]) -> (CompiledApp, dfg::GraphTrace) {
+        let app = compile(graph, &CompileOptions::new(OptLevel::O0)).unwrap();
+        let (_outputs, _stats, trace) = run_graph_trace(graph, inputs).unwrap();
+        (app, trace)
+    }
+
+    /// The contract [`softcore_cycles`] keeps: the operators run one after
+    /// another, stopping at the first failure.
+    fn serial_cycles(app: &CompiledApp, trace: &dfg::GraphTrace) -> Result<Vec<u64>, PerfError> {
+        let mut out = Vec::new();
+        for (op, ports) in app.operators.iter().zip(&trace.op_inputs) {
+            let binary = op.soft.as_ref().unwrap();
+            let inputs: Vec<Vec<u32>> = ports.iter().map(kir::wire::stream_to_words).collect();
+            let ran = softcore::execute(binary, &inputs, SOFTCORE_BUDGET);
+            out.push(
+                ran.map_err(|error| PerfError::Softcore {
+                    op: op.name.clone(),
+                    error,
+                })?
+                .cycles,
+            );
+        }
+        Ok(out)
+    }
+
+    fn fan_out_app() -> dfg::generate::GeneratedApp {
+        let cfg = dfg::GenConfig {
+            seed: 3,
+            tokens: 48,
+            max_stages: 4,
+        };
+        dfg::generate::generate_family(&cfg, "fan-out").unwrap()
+    }
+
+    #[test]
+    fn farm_softcore_cycles_equal_a_serial_loop() {
+        // Small: four k-NN stages and the vote (Tiny has two stages).
+        let digit = rosetta::suite(rosetta::Scale::Small)
+            .into_iter()
+            .find(|b| b.name == "Digit Recognition")
+            .unwrap();
+        let fan_out = fan_out_app();
+        for (graph, inputs) in [
+            (&digit.graph, digit.input_refs()),
+            (&fan_out.graph, fan_out.input_refs()),
+        ] {
+            let (app, trace) = o0_traced(graph, &inputs);
+            let serial = serial_cycles(&app, &trace).unwrap();
+            assert!(serial.len() > 2 && serial.iter().all(|&c| c > 0));
+            for lanes in [1, 2, 4, crate::farm::host_lanes()] {
+                let farmed = softcore_cycles(&app, &trace, lanes).unwrap();
+                assert_eq!(farmed, serial, "{} on {lanes} lanes", graph.name);
+            }
+        }
+        assert_eq!(digit.graph.operators.len(), 5);
+    }
+
+    #[test]
+    fn the_first_failing_operator_in_graph_order_is_reported() {
+        let gen = fan_out_app();
+        let (app, mut trace) = o0_traced(&gen.graph, &gen.input_refs());
+        let truncate = |trace: &mut dfg::GraphTrace, op: usize| {
+            for port in &mut trace.op_inputs[op] {
+                port.truncate(port.len() / 2);
+            }
+        };
+        let starved_op = |result: Result<Vec<u64>, PerfError>| match result {
+            Err(PerfError::Softcore {
+                op,
+                error: softcore::RunError::Starved { .. },
+            }) => op,
+            other => panic!("expected a starved softcore, got {other:?}"),
+        };
+        let reported = |trace: &dfg::GraphTrace, expected: &str| {
+            assert_eq!(starved_op(serial_cycles(&app, trace)), expected);
+            for lanes in [1, 2, 4] {
+                let farmed = starved_op(softcore_cycles(&app, trace, lanes));
+                assert_eq!(farmed, expected, "{lanes} lanes");
+            }
+        };
+        // The later operator alone fails under its own name...
+        truncate(&mut trace, 3);
+        reported(&trace, &app.operators[3].name);
+        // ...and with an earlier one truncated too, the earlier one is
+        // reported on any number of lanes, as in the serial loop.
+        truncate(&mut trace, 1);
+        reported(&trace, &app.operators[1].name);
+    }
+
+    #[test]
+    fn a_panicking_run_is_re_raised_naming_its_operator() {
+        let gen = fan_out_app();
+        let (mut app, trace) = o0_traced(&gen.graph, &gen.input_refs());
+        // A page memory above the cap makes instantiating the core panic.
+        app.operators[2].soft.as_mut().unwrap().mem_bytes = u32::MAX;
+        for lanes in [1, 2] {
+            let payload = std::panic::catch_unwind(|| softcore_cycles(&app, &trace, lanes))
+                .expect_err("the run panics");
+            let message = payload.downcast_ref::<String>().unwrap();
+            let expected = format!("softcore run of `{}` panicked", app.operators[2].name);
+            assert!(message.starts_with(&expected), "{message}");
+            assert!(message.contains("page memory capped"), "{message}");
+        }
     }
 
     #[test]

@@ -1,19 +1,29 @@
-//! The build farm: parallel page compiles.
+//! The farm: independent jobs on a fixed number of lanes.
 //!
 //! The paper runs page compiles on a Slurm cluster on Google Cloud
 //! (Sec. 7.1); "all the operators' compilations can be performed in
 //! parallel, since they are implemented on different physical locations
 //! with no overlapping area", so "the compilation time is determined by the
 //! longest individual one instead of the total" (Sec. 6.2). This module is
-//! the local analogue: a fixed number of lanes executing independent compile
-//! jobs and reporting per-job and critical-path times. The thread that
-//! submits a batch works one of the lanes itself, so a batch of `n` jobs on
-//! `workers` lanes spawns `min(workers, n) - 1` threads: none at all for an
-//! empty plan, a single job or `workers = 1`.
+//! the local analogue: a fixed number of lanes executing independent jobs
+//! and reporting per-job and critical-path times. Its jobs are page
+//! compiles (on `CompileOptions::jobs` lanes) and the `-O0`/`-O1` perf
+//! models' per-operator softcore runs (on [`host_lanes`] lanes): the
+//! operators sit on separate softcores, so each run depends only on its
+//! traced inputs.
+//! The thread that submits a batch works one of the lanes itself, so a
+//! batch of `n` jobs on `workers` lanes spawns `min(workers, n) - 1`
+//! threads: none at all for an empty plan, a single job or `workers = 1`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::thread;
+
+/// The host's hardware parallelism: the lane count for jobs that have no
+/// configured width (1 where it cannot be read).
+pub fn host_lanes() -> usize {
+    thread::available_parallelism().map_or(1, |n| n.get())
+}
 
 /// Outcome of one farm job.
 #[derive(Debug, Clone)]

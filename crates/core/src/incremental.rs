@@ -67,19 +67,6 @@ impl BuildCache {
         })
     }
 
-    /// [`BuildCache::open_dir`] with a byte budget for the on-disk tier
-    /// (cost-weighted LRU eviction at [`BuildCache::persist`] time).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn open_dir_with(dir: impl AsRef<Path>, budget: Option<u64>) -> io::Result<BuildCache> {
-        Ok(BuildCache {
-            cache: TieredCache::open_with(dir, budget)?,
-            ..BuildCache::default()
-        })
-    }
-
     /// Number of cached packed artifacts (one per operator version/page the
     /// cache has ever built).
     pub fn len(&self) -> usize {
@@ -94,11 +81,6 @@ impl BuildCache {
     /// The in-memory (L1) stage store.
     pub fn store(&self) -> &ArtifactStore {
         self.cache.l1()
-    }
-
-    /// Mutable access to the in-memory (L1) stage store.
-    pub fn store_mut(&mut self) -> &mut ArtifactStore {
-        self.cache.l1_mut()
     }
 
     /// The backing tiered cache.
@@ -116,8 +98,9 @@ impl BuildCache {
         self.last_report.as_ref()
     }
 
-    /// Enforces the disk budget (if any) and publishes the persistent
-    /// index; returns any evicted keys. No-op for a memory-only cache.
+    /// Publishes the persistent index. No-op for a memory-only cache. A
+    /// `BuildCache` opens its directory without a byte budget, so the
+    /// returned list of evicted keys is empty.
     ///
     /// # Errors
     ///

@@ -63,11 +63,6 @@ impl Bitstream {
         }
     }
 
-    /// Payload size in KiB.
-    pub fn config_kib(&self) -> u64 {
-        self.config_bits / 8 / 1024
-    }
-
     /// Time to load this bitstream over a configuration port, in seconds.
     ///
     /// The ICAP-class port moves ~400 MiB/s; loading time is proportional to

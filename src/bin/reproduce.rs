@@ -40,7 +40,7 @@ fn host_line() -> String {
         .lines()
         .find_map(|l| l.strip_prefix("model name")?.split(':').nth(1))
         .map_or("unknown cpu", str::trim);
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = pld::farm::host_lanes();
     let profile = if cfg!(debug_assertions) {
         "debug"
     } else {

@@ -23,8 +23,10 @@ pub mod tables;
 
 pub use baseline::{vitis_baseline, Baseline};
 
+use pld::execute::{perf_o0, perf_o1, PerfReport};
 use pld::{compile, CompileOptions, CompiledApp, OptLevel};
 use rosetta::{suite, Bench, Scale};
+use std::sync::OnceLock;
 
 /// A benchmark compiled at every level, with its Vitis baseline.
 pub struct CompiledSuiteEntry {
@@ -38,6 +40,36 @@ pub struct CompiledSuiteEntry {
     pub o3: CompiledApp,
     /// The fused baseline of the `-O3` build (`None` if it does not route).
     pub vitis: Option<Baseline>,
+    o1_perf: OnceLock<PerfReport>,
+    o0_perf: OnceLock<PerfReport>,
+}
+
+impl CompiledSuiteEntry {
+    /// The `-O1` build's performance on the bench's inputs, modelled on
+    /// first use and kept: Tab. 3 and Fig. 11 both read it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the co-simulation fails.
+    pub fn o1_perf(&self) -> PerfReport {
+        *self.o1_perf.get_or_init(|| {
+            perf_o1(&self.o1, &self.bench.input_refs())
+                .unwrap_or_else(|e| panic!("{} -O1 perf: {e}", self.bench.name))
+        })
+    }
+
+    /// The `-O0` build's performance on the bench's inputs, modelled on
+    /// first use and kept: Tab. 3, Fig. 10 and Fig. 11 read it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a softcore run fails.
+    pub fn o0_perf(&self) -> PerfReport {
+        *self.o0_perf.get_or_init(|| {
+            perf_o0(&self.o0, &self.bench.input_refs())
+                .unwrap_or_else(|e| panic!("{} -O0 perf: {e}", self.bench.name))
+        })
+    }
 }
 
 /// The Rosetta suite compiled once at one scale.
@@ -71,6 +103,8 @@ pub fn compile_suite(scale: Scale) -> Suite {
                 o1,
                 o3,
                 vitis,
+                o1_perf: OnceLock::new(),
+                o0_perf: OnceLock::new(),
             }
         })
         .collect();

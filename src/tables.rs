@@ -6,7 +6,7 @@
 
 use dfg::Target;
 use fabric::Floorplan;
-use pld::execute::{perf_o0, perf_o1, PerfReport};
+use pld::execute::{perf_o1, PerfReport};
 use pld::report::{area, vitis_baseline_area};
 use pld::{compile, CompileOptions, LinkStyle, OptLevel, PhaseTimes};
 
@@ -134,8 +134,7 @@ pub fn table3(suite: &Suite) -> Rendered {
         let per = |p: PerfReport| latency(p.seconds_per_input / e.bench.items as f64);
         let vitis = perf_vitis(&e.o3, e.vitis.as_ref()).expect("vitis model");
         let o3 = perf_o3(&e.o3).expect("o3 model");
-        let o1 = perf_o1(&e.o1, &inputs).expect("o1 cosim");
-        let o0 = perf_o0(&e.o0, &inputs).expect("o0 softcores");
+        let (o1, o0) = (e.o1_perf(), e.o0_perf());
         let mut cells = String::new();
         for p in [vitis, o3, o1, o0] {
             cells += &format!(" | {:>4.0}MHz {:>10}", p.fmax_mhz, per(p));
@@ -245,7 +244,7 @@ pub fn fig10(suite: &Suite) -> Rendered {
     for e in &suite.entries {
         let inputs = e.bench.input_refs();
         // Baseline: everything on softcores.
-        let base = perf_o0(&e.o0, &inputs).expect("o0 perf").seconds_per_input;
+        let base = e.o0_perf().seconds_per_input;
         let mut speedups = Vec::new();
         for op in &e.bench.graph.operators {
             let g = retarget(&e.bench.graph, &op.name);
@@ -279,15 +278,14 @@ pub fn fig11(suite: &Suite) -> Rendered {
     );
     let mut points: Vec<(f64, f64)> = Vec::new();
     for e in &suite.entries {
-        let (bench, inputs) = (e.bench.name, e.bench.input_refs());
+        let bench = e.bench.name;
         let items = e.bench.items as f64;
         let o3_perf = perf_o3(&e.o3).expect("o3").seconds_per_input / items;
         let vitis = e.vitis.as_ref().map(|b| {
             let perf = perf_vitis(&e.o3, Some(b)).expect("vitis");
             ("Vitis", b.vtime.total(), perf.seconds_per_input / items)
         });
-        let o1 = perf_o1(&e.o1, &inputs).expect("o1").seconds_per_input;
-        let o0 = perf_o0(&e.o0, &inputs).expect("o0").seconds_per_input;
+        let (o1, o0) = (e.o1_perf().seconds_per_input, e.o0_perf().seconds_per_input);
         let rows = [
             ("-O3", e.o3.compile_seconds(), o3_perf),
             ("-O1", e.o1.compile_seconds(), o1 / items),
