@@ -21,7 +21,7 @@ use std::path::Path;
 use crate::build::{build_with_prev, kernel_hashes, BuildReport, Hashed};
 use crate::cache::{CacheBackend, TieredCache};
 use crate::flow::{CompileError, CompileOptions, CompiledApp, OptLevel};
-use crate::store::{ArtifactStore, StageKey, StageKind};
+use crate::store::{ArtifactStore, StageKind};
 
 /// A persistent build cache across compiles of the same application,
 /// backed by a [`TieredCache`]: an in-memory L1 (the classic
@@ -99,14 +99,14 @@ impl BuildCache {
     }
 
     /// Publishes the persistent index. No-op for a memory-only cache. A
-    /// `BuildCache` opens its directory without a byte budget, so the
-    /// returned list of evicted keys is empty.
+    /// `BuildCache` opens its directory without a byte budget, so nothing
+    /// is evicted.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn persist(&mut self) -> io::Result<Vec<StageKey>> {
-        self.cache.persist()
+    pub fn persist(&mut self) -> io::Result<()> {
+        self.cache.persist().map(|_| ())
     }
 
     /// Persists the full store view to one self-contained store file (see
@@ -224,7 +224,7 @@ pub fn dirty_pages(app: &CompiledApp, new: &Graph) -> Vec<PageId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{HintsProduct, StageProduct};
+    use crate::store::{HintsProduct, StageKey, StageProduct};
     use dfg::{GraphBuilder, Target};
     use kir::{Expr, KernelBuilder, Scalar, Stmt};
     use pnr::PnrHints;

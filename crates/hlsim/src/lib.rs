@@ -11,7 +11,9 @@
 //!   count per kernel invocation;
 //! * **binding** ([`mod@lower`]) — instantiates one datapath macro cell per
 //!   static operation (adders, multipliers, dividers, muxes, BRAM ports,
-//!   stream interfaces, loop FSMs) with widths from type inference;
+//!   stream interfaces, loop FSMs) with widths from the resolved kernel
+//!   ([`kir::resolve`]), except that an expression reading a loop index is
+//!   lowered at 32 bits (see [`lower()`]);
 //! * **reporting** ([`report`]) — the resource/timing summary (`HlsReport`)
 //!   that drives page fitting, the performance simulations and the Tab. 4
 //!   area numbers.
@@ -66,9 +68,9 @@ pub struct HlsOutput {
 /// Returns [`kir::CheckError`] if the kernel violates the operator
 /// discipline (kernels built via [`kir::KernelBuilder`] always pass).
 pub fn compile(kernel: &Kernel) -> Result<HlsOutput, kir::CheckError> {
-    kir::validate(kernel)?;
+    let resolved = kir::resolve(kernel)?;
     let schedule = schedule::schedule(kernel);
-    let netlist = lower::lower(kernel);
+    let netlist = lower::lower(&resolved);
     let report = report::HlsReport::new(kernel, &netlist, &schedule);
     Ok(HlsOutput {
         netlist,

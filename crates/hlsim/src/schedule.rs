@@ -1,6 +1,5 @@
 //! Scheduling: latencies, initiation intervals, invocation cycle counts.
 
-use kir::check::TypeEnv;
 use kir::expr::{BinOp, Expr};
 use kir::stmt::Stmt;
 use kir::Kernel;
@@ -51,11 +50,10 @@ impl Schedule {
 
 /// Computes the schedule of a validated kernel.
 pub fn schedule(kernel: &Kernel) -> Schedule {
-    let env = TypeEnv::new(kernel);
     let mut loops = Vec::new();
-    let total = block_latency(kernel, &env, &kernel.body, &mut loops, false);
+    let total = block_latency(kernel, &kernel.body, &mut loops, false);
     let mut overlay_loops = Vec::new();
-    let overlay = block_latency(kernel, &env, &kernel.body, &mut overlay_loops, true);
+    let overlay = block_latency(kernel, &kernel.body, &mut overlay_loops, true);
     Schedule {
         loops,
         total_cycles: total.max(1),
@@ -81,13 +79,7 @@ fn expr_extra_cycles(e: &Expr) -> u64 {
 
 /// Latency in cycles of a straight-line statement (its schedule slot plus
 /// multi-cycle operator stages).
-fn stmt_latency(
-    kernel: &Kernel,
-    env: &TypeEnv<'_>,
-    s: &Stmt,
-    loops: &mut Vec<LoopSchedule>,
-    overlay: bool,
-) -> u64 {
+fn stmt_latency(kernel: &Kernel, s: &Stmt, loops: &mut Vec<LoopSchedule>, overlay: bool) -> u64 {
     match s {
         Stmt::Assign { value, .. } | Stmt::Write { value, .. } => 1 + expr_extra_cycles(value),
         Stmt::ArraySet { index, value, .. } => {
@@ -98,14 +90,14 @@ fn stmt_latency(
             let words = kernel.local(var).map(|v| v.ty.words()).unwrap_or(1) as u64;
             words
         }
-        Stmt::For { .. } => loop_latency(kernel, env, s, loops, overlay),
+        Stmt::For { .. } => loop_latency(kernel, s, loops, overlay),
         Stmt::If {
             cond,
             then_body,
             else_body,
         } => {
-            let t = block_latency(kernel, env, then_body, loops, overlay);
-            let e = block_latency(kernel, env, else_body, loops, overlay);
+            let t = block_latency(kernel, then_body, loops, overlay);
+            let e = block_latency(kernel, else_body, loops, overlay);
             1 + expr_extra_cycles(cond) + t.max(e)
         }
     }
@@ -113,13 +105,12 @@ fn stmt_latency(
 
 fn block_latency(
     kernel: &Kernel,
-    env: &TypeEnv<'_>,
     body: &[Stmt],
     loops: &mut Vec<LoopSchedule>,
     overlay: bool,
 ) -> u64 {
     body.iter()
-        .map(|s| stmt_latency(kernel, env, s, loops, overlay))
+        .map(|s| stmt_latency(kernel, s, loops, overlay))
         .sum()
 }
 
@@ -239,13 +230,7 @@ fn memory_ii(body: &[Stmt]) -> u64 {
     }
 }
 
-fn loop_latency(
-    kernel: &Kernel,
-    env: &TypeEnv<'_>,
-    s: &Stmt,
-    loops: &mut Vec<LoopSchedule>,
-    overlay: bool,
-) -> u64 {
+fn loop_latency(kernel: &Kernel, s: &Stmt, loops: &mut Vec<LoopSchedule>, overlay: bool) -> u64 {
     let Stmt::For {
         var,
         body,
@@ -268,7 +253,7 @@ fn loop_latency(
         cycles: 0,
     });
     let mut inner = Vec::new();
-    let depth = block_latency(kernel, env, body, &mut inner, overlay).max(1);
+    let depth = block_latency(kernel, body, &mut inner, overlay).max(1);
 
     let has_inner_loop = body.iter().any(|s| matches!(s, Stmt::For { .. }));
     let effective_trips = trips

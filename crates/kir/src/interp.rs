@@ -12,10 +12,10 @@
 //!
 //! It has one fast path and one oracle:
 //!
-//! * [`Resolved`] lowers a kernel once into **typed code**: names become
-//!   dense slots, every node's `ap_int`/`ap_fixed` shape is fixed by the
-//!   checker's rules and folded into precomputed shifts, and values run as
-//!   canonical `i128`s. [`Value`]s appear only at the stream boundary
+//! * [`Resolved`] lowers the [`crate::ResolvedKernel`] once into **typed
+//!   code**: names are dense slots, every node's `ap_int`/`ap_fixed` shape,
+//!   fixed by the checker, is folded into precomputed shifts, and values run
+//!   as canonical `i128`s. [`Value`]s appear only at the stream boundary
 //!   ([`KernelIo`]).
 //! * [`run_reference`] is the tree walker that re-derives every shape from
 //!   [`Value`] tags through [`crate::ops`]. It defines the semantics; the
@@ -130,7 +130,14 @@ pub struct Resolved {
 impl Resolved {
     /// Resolves a kernel for execution. The kernel must already have passed
     /// [`crate::validate`] (kernels from [`crate::KernelBuilder`] always have).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the [`crate::CheckError`], on a kernel that does not
+    /// validate.
     pub fn new(kernel: &Kernel) -> Resolved {
+        let rk = crate::resolve(kernel)
+            .unwrap_or_else(|e| panic!("kernel `{}` does not validate: {e}", kernel.name));
         let ports = |ps: &[crate::kernel::PortDecl]| -> Vec<(String, Scalar)> {
             ps.iter().map(|p| (p.name.clone(), p.elem)).collect()
         };
@@ -138,7 +145,7 @@ impl Resolved {
             name: kernel.name.clone(),
             inputs: ports(&kernel.inputs),
             outputs: ports(&kernel.outputs),
-            code: typed::Code::new(kernel),
+            code: typed::Code::new(&rk),
         }
     }
 

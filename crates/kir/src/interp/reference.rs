@@ -515,8 +515,8 @@ fn exec_block(body: &[RStmt], st: &mut ExecState<'_>) -> Result<(), InterpError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::TypeEnv;
     use crate::kernel::KernelBuilder;
+    use crate::resolved;
 
     /// Integer shapes at every width and a grid of fixed shapes: widths at
     /// the word corners, integer parts negative, zero, inside and beyond
@@ -557,7 +557,17 @@ mod tests {
             .body([Stmt::write("out", Expr::cint(0))])
             .build()
             .unwrap();
-        let env = TypeEnv::new(&k);
+        // The type `resolve` gives an expression written to `out`.
+        let resolved_type = |e: Expr| {
+            let k = Kernel {
+                body: vec![Stmt::write("out", e)],
+                ..k.clone()
+            };
+            match &crate::resolve(&k).unwrap().body[..] {
+                [resolved::RStmt::Write(_, value)] => value.ty,
+                other => panic!("one write expected, got {other:?}"),
+            }
+        };
         let mut io = NoIo;
         let mut st = ExecState {
             vars: Vec::new(),
@@ -573,8 +583,7 @@ mod tests {
         let shapes = legal_shapes();
         for &t in &shapes {
             for &e in &shapes {
-                let expr = Expr::cint(1).select(one(t), one(e));
-                let want = env.infer(&expr).unwrap();
+                let want = resolved_type(Expr::cint(1).select(one(t), one(e)));
                 for cond in [0, 1] {
                     let select = Expr::cint(cond).select(one(t), one(e));
                     let mut r = Resolver {

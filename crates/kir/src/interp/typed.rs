@@ -7,9 +7,8 @@
 //! `DynFixed`'s scaled integer. The one shape that does not fit,
 //! `ap_uint<128>`, keeps its raw bit pattern; the few operators whose result
 //! depends on reading it as unsigned (compare, divide, shift) pick a
-//! dedicated form when the node is built. Shapes come from the checker's
-//! rules (`ops::result_type`, `result_type_un`, `select_type`), so a node's
-//! shape is what `check::TypeEnv::infer` says it is.
+//! dedicated form when the node is built. Shapes are the resolved kernel's
+//! ([`crate::resolve`]), so every node runs at the shape the checker gave it.
 //!
 //! Budget charging is prepaid per statement: every expression node costs one
 //! op unconditionally, so a statement's cost is static. When the remaining
@@ -18,16 +17,13 @@
 //! `IndexOutOfBounds` race exactly as they do in the tree walker.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 use aplib::{DynFixed, DynInt};
 
 use super::{InterpError, InterpStats, KernelIo};
-use crate::check::TypeEnv;
-use crate::expr::{BinOp, Expr, UnOp};
+use crate::expr::{BinOp, UnOp};
 use crate::kernel::Kernel;
-use crate::ops::{result_type, result_type_un, select_type};
-use crate::stmt::Stmt;
+use crate::resolved::{RExpr, RNode, RStmt, ResolvedKernel};
 use crate::types::{Scalar, Value};
 
 /// Fractional bits; an integer enters fixed-point arithmetic as
@@ -524,224 +520,133 @@ pub(super) struct Code {
     body: Vec<TStmt>,
 }
 
-struct Lowerer<'k> {
-    env: TypeEnv<'k>,
-    vars: HashMap<&'k str, (usize, Scalar)>,
-    arrays: HashMap<&'k str, (usize, Scalar)>,
-    in_slots: HashMap<&'k str, (usize, Scalar)>,
-    out_slots: HashMap<&'k str, (usize, Scalar)>,
-    scope: Vec<(&'k str, usize)>,
-    next_var: usize,
+/// Lowers a typed expression; returns its code and its op count.
+fn expr(e: &RExpr) -> (TExpr, u64) {
+    match &e.node {
+        RNode::Const(raw) => (TExpr::Const(Norm::of(e.ty).apply(*raw)), 0),
+        RNode::Var(slot) => (TExpr::Var(*slot), 0),
+        RNode::ArrayGet(array, index) => {
+            let (index, cost) = expr(index);
+            let index = Box::new(index);
+            let array = *array;
+            (TExpr::Get { array, index }, cost + 1)
+        }
+        RNode::Un(op, arg) => {
+            let (res, ty) = (e.ty, arg.ty);
+            let un = match op {
+                UnOp::Neg => TUn::Neg(Norm::of(res)),
+                UnOp::Not => TUn::Not(Norm::of(res)),
+                UnOp::LNot => TUn::LNot,
+                // `DynInt` negates only signed negatives; `DynFixed`
+                // tests `to_f64() < 0.0`, which a scale factor that
+                // underflows to zero can never satisfy.
+                UnOp::Abs if ty.is_fixed() && (-(frac(ty) as f64)).exp2() > 0.0 => {
+                    TUn::Abs(Norm::of(res))
+                }
+                UnOp::Abs if !ty.is_fixed() && ty.is_signed() => TUn::Abs(Norm::of(res)),
+                UnOp::Abs => TUn::Keep,
+            };
+            let (arg, cost) = expr(arg);
+            (TExpr::Un(un, Box::new(arg)), cost + 1)
+        }
+        RNode::Bin(op, args) => {
+            let bin = TBin::new(*op, args[0].ty, args[1].ty, e.ty);
+            let ((l, lc), (r, rc)) = (expr(&args[0]), expr(&args[1]));
+            (TExpr::Bin(bin, Box::new([l, r])), lc + rc + 1)
+        }
+        RNode::Cast(arg) => {
+            let conv = Conv::new(arg.ty, e.ty);
+            let (arg, cost) = expr(arg);
+            (TExpr::Cast(conv, Box::new(arg)), cost)
+        }
+        RNode::Select(args) => {
+            let conv = |arm: &RExpr| Conv::new(arm.ty, e.ty);
+            let (t, f) = (conv(&args[1]), conv(&args[2]));
+            let [(c, cc), (a, ac), (b, bc)] = [0, 1, 2].map(|i| expr(&args[i]));
+            (TExpr::Select(Box::new([c, a, b]), t, f), cc + ac + bc + 1)
+        }
+        RNode::BitRange(arg, _, lo) => {
+            let (arg, cost) = expr(arg);
+            (TExpr::Bits(Box::new(arg), *lo, Norm::of(e.ty)), cost + 1)
+        }
+    }
 }
 
-impl<'k> Lowerer<'k> {
-    fn var(&self, name: &str) -> (usize, Scalar) {
-        match self.scope.iter().rev().find(|(n, _)| *n == name) {
-            Some(&(_, slot)) => (slot, Scalar::int(32)),
-            None => self.vars[name],
-        }
-    }
+fn block(k: &Kernel, body: &[RStmt]) -> Vec<TStmt> {
+    body.iter().map(|s| stmt(k, s)).collect()
+}
 
-    /// Lowers an expression tree, checking its root against the checker.
-    fn root(&self, e: &Expr) -> (TExpr, Scalar, u64) {
-        let lowered = self.expr(e);
-        debug_assert_eq!(self.env.infer(e).ok(), Some(lowered.1));
-        lowered
-    }
-
-    fn expr(&self, e: &Expr) -> (TExpr, Scalar, u64) {
-        match e {
-            Expr::Const { raw, ty } => (TExpr::Const(Norm::of(*ty).apply(*raw)), *ty, 0),
-            Expr::Var(name) => {
-                let (slot, ty) = self.var(name);
-                (TExpr::Var(slot), ty, 0)
-            }
-            Expr::ArrayGet { array, index } => {
-                let (index, _, cost) = self.expr(index);
-                let (array, elem) = self.arrays[array.as_str()];
-                let index = Box::new(index);
-                (TExpr::Get { array, index }, elem, cost + 1)
-            }
-            Expr::Un { op, arg } => {
-                let (arg, ty, cost) = self.expr(arg);
-                let res = result_type_un(*op, ty);
-                let un = match op {
-                    UnOp::Neg => TUn::Neg(Norm::of(res)),
-                    UnOp::Not => TUn::Not(Norm::of(res)),
-                    UnOp::LNot => TUn::LNot,
-                    // `DynInt` negates only signed negatives; `DynFixed`
-                    // tests `to_f64() < 0.0`, which a scale factor that
-                    // underflows to zero can never satisfy.
-                    UnOp::Abs if ty.is_fixed() && (-(frac(ty) as f64)).exp2() > 0.0 => {
-                        TUn::Abs(Norm::of(res))
-                    }
-                    UnOp::Abs if !ty.is_fixed() && ty.is_signed() => TUn::Abs(Norm::of(res)),
-                    UnOp::Abs => TUn::Keep,
-                };
-                (TExpr::Un(un, Box::new(arg)), res, cost + 1)
-            }
-            Expr::Bin { op, lhs, rhs } => {
-                let (l, lt, lc) = self.expr(lhs);
-                let (r, rt, rc) = self.expr(rhs);
-                let res = result_type(*op, lt, rt);
-                let bin = TBin::new(*op, lt, rt, res);
-                (TExpr::Bin(bin, Box::new([l, r])), res, lc + rc + 1)
-            }
-            Expr::Cast { ty, arg } => {
-                let (arg, at, cost) = self.expr(arg);
-                (TExpr::Cast(Conv::new(at, *ty), Box::new(arg)), *ty, cost)
-            }
-            Expr::Select {
-                cond,
-                then_val,
-                else_val,
-            } => {
-                let (c, _, cc) = self.expr(cond);
-                let (t, tt, tc) = self.expr(then_val);
-                let (e, et, ec) = self.expr(else_val);
-                let res = select_type(tt, et);
-                let node =
-                    TExpr::Select(Box::new([c, t, e]), Conv::new(tt, res), Conv::new(et, res));
-                (node, res, cc + tc + ec + 1)
-            }
-            Expr::BitRange { arg, hi, lo } => {
-                let (arg, _, cost) = self.expr(arg);
-                let res = Scalar::uint(hi - lo + 1);
-                (
-                    TExpr::Bits(Box::new(arg), *lo, Norm::of(res)),
-                    res,
-                    cost + 1,
-                )
-            }
-        }
-    }
-
-    fn block(&mut self, body: &'k [Stmt]) -> Vec<TStmt> {
-        body.iter().map(|s| self.stmt(s)).collect()
-    }
-
-    fn stmt(&mut self, s: &'k Stmt) -> TStmt {
-        match s {
-            Stmt::Assign { var, value } => {
-                let (slot, ty) = self.var(var);
-                let (value, vt, cost) = self.root(value);
-                TStmt::Assign {
-                    slot,
-                    conv: Conv::new(vt, ty),
-                    value,
-                    cost: cost + 1,
-                }
-            }
-            Stmt::ArraySet {
-                array,
-                index,
+fn stmt(k: &Kernel, s: &RStmt) -> TStmt {
+    match s {
+        RStmt::Assign(slot, value) => {
+            let conv = Conv::new(value.ty, k.locals[*slot].ty);
+            let (value, cost) = expr(value);
+            TStmt::Assign {
+                slot: *slot,
+                conv,
                 value,
-            } => {
-                let (array, elem) = self.arrays[array.as_str()];
-                let (index, _, ic) = self.root(index);
-                let (value, vt, vc) = self.root(value);
-                TStmt::ArraySet {
-                    array,
-                    index,
-                    conv: Conv::new(vt, elem),
-                    value,
-                    cost: ic + vc + 1,
-                }
+                cost: cost + 1,
             }
-            Stmt::Read { var, port } => {
-                let (slot, ty) = self.var(var);
-                TStmt::Read {
-                    slot,
-                    ty,
-                    port: self.in_slots[port.as_str()].0,
-                }
+        }
+        RStmt::ArraySet(array, index, value) => {
+            let conv = Conv::new(value.ty, k.arrays[*array].elem);
+            let (index, ic) = expr(index);
+            let (value, vc) = expr(value);
+            TStmt::ArraySet {
+                array: *array,
+                index,
+                conv,
+                value,
+                cost: ic + vc + 1,
             }
-            Stmt::Write { port, value } => {
-                let (port, elem) = self.out_slots[port.as_str()];
-                let (value, vt, cost) = self.root(value);
-                TStmt::Write {
-                    port,
-                    elem,
-                    conv: Conv::new(vt, elem),
-                    value,
-                    cost: cost + 1,
-                }
+        }
+        RStmt::Read(slot, port) => TStmt::Read {
+            slot: *slot,
+            ty: k.locals[*slot].ty,
+            port: *port,
+        },
+        RStmt::Write(port, value) => {
+            let elem = k.outputs[*port].elem;
+            let conv = Conv::new(value.ty, elem);
+            let (value, cost) = expr(value);
+            TStmt::Write {
+                port: *port,
+                elem,
+                conv,
+                value,
+                cost: cost + 1,
             }
-            Stmt::For {
-                var,
-                begin,
-                end,
-                step,
-                body,
-                ..
-            } => {
-                let slot = self.next_var;
-                self.next_var += 1;
-                self.scope.push((var, slot));
-                // Only the debug cross-check reads `env`; a clash the
-                // validator would reject must not stop execution here.
-                let entered = self.env.enter_loop(var).is_ok();
-                let body = self.block(body);
-                if entered {
-                    self.env.exit_loop();
-                }
-                self.scope.pop();
-                TStmt::For {
-                    slot,
-                    begin: *begin,
-                    end: *end,
-                    step: *step,
-                    body,
-                }
-            }
-            Stmt::If {
+        }
+        RStmt::For {
+            var,
+            begin,
+            end,
+            step,
+            body,
+            ..
+        } => TStmt::For {
+            slot: *var,
+            begin: *begin,
+            end: *end,
+            step: *step,
+            body: block(k, body),
+        },
+        RStmt::If(cond, then_body, else_body) => {
+            let (cond, cost) = expr(cond);
+            TStmt::If {
                 cond,
-                then_body,
-                else_body,
-            } => {
-                let (cond, _, cost) = self.root(cond);
-                TStmt::If {
-                    cond,
-                    cost: cost + 1,
-                    then_body: self.block(then_body),
-                    else_body: self.block(else_body),
-                }
+                cost: cost + 1,
+                then_body: block(k, then_body),
+                else_body: block(k, else_body),
             }
         }
     }
-}
-
-fn slots(ports: &[crate::kernel::PortDecl]) -> HashMap<&str, (usize, Scalar)> {
-    ports
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.name.as_str(), (i, p.elem)))
-        .collect()
 }
 
 impl Code {
-    pub(super) fn new(kernel: &Kernel) -> Code {
-        let mut lower = Lowerer {
-            env: TypeEnv::new(kernel),
-            vars: kernel
-                .locals
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (v.name.as_str(), (i, v.ty)))
-                .collect(),
-            arrays: kernel
-                .arrays
-                .iter()
-                .enumerate()
-                .map(|(i, a)| (a.name.as_str(), (i, a.elem)))
-                .collect(),
-            in_slots: slots(&kernel.inputs),
-            out_slots: slots(&kernel.outputs),
-            scope: Vec::new(),
-            next_var: kernel.locals.len(),
-        };
-        let body = lower.block(&kernel.body);
-        let arrays = kernel
+    pub(super) fn new(rk: &ResolvedKernel<'_>) -> Code {
+        let arrays = rk
+            .kernel
             .arrays
             .iter()
             .map(|a| {
@@ -756,9 +661,9 @@ impl Code {
             })
             .collect();
         Code {
-            vars: lower.next_var,
+            vars: rk.slots(),
             arrays,
-            body,
+            body: block(rk.kernel, &rk.body),
         }
     }
 

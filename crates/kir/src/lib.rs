@@ -6,17 +6,21 @@
 //! FPGA page (`-O1`, minutes) and a slice of a monolithic design (`-O3`,
 //! hours). In this reproduction the role of that C source is played by
 //! [`Kernel`] — a typed, loop-structured IR over `ap_int`/`ap_fixed` scalars
-//! and blocking stream ports. Three backends consume it unchanged:
+//! and blocking stream ports.
+//!
+//! The *operator discipline* of Sec. 3.4 (streams for all I/O, no allocation,
+//! no recursion, standard arbitrary-precision datatypes) is enforced by
+//! [`resolve`], and is what makes the three-way compilation possible. The
+//! same walk types every expression and resolves every name to a
+//! declaration index, giving a [`ResolvedKernel`]; [`validate`] is that walk
+//! with the tree dropped. Three backends consume the resolved kernel, so
+//! none of them types the source again:
 //!
 //! * [`interp`] (this crate) — direct host execution; the golden model and
 //!   the paper's "X86 g++" baseline,
 //! * `hlsim` — high-level synthesis to a macro-cell netlist (`-O1`/`-O3`),
 //! * `softcore::cc` — compilation to RV32IM code for the page softcores
 //!   (`-O0`).
-//!
-//! The *operator discipline* of Sec. 3.4 (streams for all I/O, no allocation,
-//! no recursion, standard arbitrary-precision datatypes) is enforced by
-//! [`check::validate`], and is what makes the three-way compilation possible.
 //!
 //! # Examples
 //!
@@ -52,12 +56,14 @@ pub mod hash;
 pub mod interp;
 pub mod kernel;
 pub mod ops;
+pub mod resolved;
 pub mod stmt;
 pub mod types;
 pub mod wire;
 
-pub use check::{validate, CheckError};
+pub use check::{resolve, validate, CheckError};
 pub use expr::{BinOp, Expr, UnOp};
 pub use kernel::{ArrayDecl, Kernel, KernelBuilder, PortDecl, VarDecl};
+pub use resolved::{RExpr, RNode, RStmt, ResolvedKernel};
 pub use stmt::Stmt;
 pub use types::{Scalar, Value};
