@@ -12,7 +12,7 @@ use kir::types::Value;
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::graph::Graph;
+use crate::graph::{Graph, OpId};
 
 /// Aggregate statistics of one graph execution.
 #[derive(Debug, Clone, Default)]
@@ -81,11 +81,12 @@ pub fn run_graph_trace(
     graph: &Graph,
     inputs: &[(&str, Vec<Value>)],
 ) -> Result<(GraphOutputs, GraphRunStats, GraphTrace), GraphRunError> {
-    run_graph_inner(graph, inputs, true)
+    compile(graph).run_trace(inputs)
 }
 
 /// Runs the graph on external input streams, returning the external output
-/// streams and execution statistics.
+/// streams and execution statistics: [`compile`], then
+/// [`CompiledGraph::run`].
 ///
 /// # Errors
 ///
@@ -95,7 +96,259 @@ pub fn run_graph(
     graph: &Graph,
     inputs: &[(&str, Vec<Value>)],
 ) -> Result<(GraphOutputs, GraphRunStats), GraphRunError> {
-    run_graph_inner(graph, inputs, false).map(|(out, stats, _)| (out, stats))
+    compile(graph).run(inputs)
+}
+
+/// Compiles every operator of a graph once ([`Resolved`]) and binds every
+/// port name to its declaration index, for repeated execution.
+///
+/// # Panics
+///
+/// Panics on an operator whose kernel does not validate; kernels from
+/// [`kir::KernelBuilder`] always do.
+pub fn compile(graph: &Graph) -> CompiledGraph {
+    CompiledGraph::build(graph, |_| None)
+}
+
+/// A graph compiled for execution: one [`Resolved`] kernel per operator and
+/// its stream links by index. Running one resolves nothing.
+#[derive(Debug)]
+pub struct CompiledGraph {
+    pub(crate) ops: Vec<CompiledOp>,
+    /// Operator indices in [`Graph::topo_order`].
+    pub(crate) order: Vec<usize>,
+    /// Per internal edge, indexed like [`Graph::edges`].
+    pub(crate) edges: Vec<Link>,
+    /// External inputs in declaration order: the name and the operator
+    /// input it feeds.
+    pub(crate) ext_inputs: Vec<(String, Port)>,
+    /// External outputs in declaration order: the name and the operator
+    /// output it drains.
+    pub(crate) ext_outputs: Vec<(String, Port)>,
+}
+
+#[derive(Debug)]
+pub(crate) struct CompiledOp {
+    pub(crate) name: String,
+    pub(crate) code: Resolved,
+    pub(crate) inputs: usize,
+    pub(crate) outputs: usize,
+    /// This operator's outgoing edges, in edge index order.
+    out_edges: Vec<usize>,
+}
+
+/// An operator and one of its ports by declaration index; `None` when the
+/// kernel declares no port of the linked name.
+pub(crate) type Port = (usize, Option<usize>);
+
+/// One internal stream: producer output to consumer input.
+#[derive(Debug)]
+pub(crate) struct Link {
+    pub(crate) from: Port,
+    pub(crate) to: Port,
+}
+
+impl CompiledGraph {
+    /// `reuse(i)` may hand back operator `i`'s code from an earlier build;
+    /// every other operator is compiled afresh.
+    fn build(graph: &Graph, mut reuse: impl FnMut(usize) -> Option<Resolved>) -> CompiledGraph {
+        let in_port =
+            |op: OpId, name: &str| (op.0, port_index(&graph.operators[op.0].kernel.inputs, name));
+        let out_port = |op: OpId, name: &str| {
+            (
+                op.0,
+                port_index(&graph.operators[op.0].kernel.outputs, name),
+            )
+        };
+        let ops = graph
+            .operators
+            .iter()
+            .enumerate()
+            .map(|(i, inst)| CompiledOp {
+                name: inst.name.clone(),
+                code: reuse(i).unwrap_or_else(|| Resolved::new(&inst.kernel)),
+                inputs: inst.kernel.inputs.len(),
+                outputs: inst.kernel.outputs.len(),
+                out_edges: graph.out_edges(OpId(i)).map(|(e, _)| e.0).collect(),
+            })
+            .collect();
+        CompiledGraph {
+            ops,
+            order: graph.topo_order().into_iter().map(|op| op.0).collect(),
+            edges: graph
+                .edges
+                .iter()
+                .map(|e| Link {
+                    from: out_port(e.from.0, &e.from.1),
+                    to: in_port(e.to.0, &e.to.1),
+                })
+                .collect(),
+            ext_inputs: graph
+                .ext_inputs
+                .iter()
+                .map(|p| (p.name.clone(), in_port(p.op, &p.port)))
+                .collect(),
+            ext_outputs: graph
+                .ext_outputs
+                .iter()
+                .map(|p| (p.name.clone(), out_port(p.op, &p.port)))
+                .collect(),
+        }
+    }
+
+    /// Recompiles for `to`, an edit of `from`, the graph this was compiled
+    /// from, that keeps its operators in order: each operator whose kernel
+    /// the edit changed is compiled afresh, every other one keeps its code,
+    /// and every link is rebound.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two graphs have different numbers of operators.
+    pub fn recompile(&mut self, from: &Graph, to: &Graph) {
+        assert_eq!(
+            (from.operators.len(), to.operators.len()),
+            (self.ops.len(), self.ops.len()),
+            "a recompile keeps the operator set"
+        );
+        let mut kept: Vec<Option<Resolved>> = std::mem::take(&mut self.ops)
+            .into_iter()
+            .zip(from.operators.iter().zip(&to.operators))
+            .map(|(op, (old, new))| (old.kernel == new.kernel).then_some(op.code))
+            .collect();
+        *self = CompiledGraph::build(to, |i| kept[i].take());
+    }
+
+    /// Runs the graph on external input streams, returning the external
+    /// output streams and execution statistics.
+    ///
+    /// # Errors
+    ///
+    /// See [`run_graph`].
+    pub fn run(
+        &self,
+        inputs: &[(&str, Vec<Value>)],
+    ) -> Result<(GraphOutputs, GraphRunStats), GraphRunError> {
+        self.execute(inputs, false)
+            .map(|(out, stats, _)| (out, stats))
+    }
+
+    /// Runs the graph and additionally captures each operator's input
+    /// streams.
+    ///
+    /// # Errors
+    ///
+    /// See [`run_graph`].
+    pub fn run_trace(
+        &self,
+        inputs: &[(&str, Vec<Value>)],
+    ) -> Result<(GraphOutputs, GraphRunStats, GraphTrace), GraphRunError> {
+        self.execute(inputs, true)
+    }
+
+    /// Checks the caller's external inputs: every name known, every input
+    /// supplied. Returns each external input's stream, in declaration
+    /// order.
+    pub(crate) fn external_streams<'i>(
+        &self,
+        inputs: &'i [(&str, Vec<Value>)],
+    ) -> Result<Vec<&'i Vec<Value>>, GraphRunError> {
+        for (name, _) in inputs {
+            if !self.ext_inputs.iter().any(|(n, _)| n == name) {
+                return Err(GraphRunError::NoSuchInput(name.to_string()));
+            }
+        }
+        self.ext_inputs
+            .iter()
+            .map(|(name, _)| {
+                inputs
+                    .iter()
+                    .find(|(n, _)| n == name)
+                    .map(|(_, v)| v)
+                    .ok_or_else(|| GraphRunError::MissingInput(name.clone()))
+            })
+            .collect()
+    }
+
+    fn execute(
+        &self,
+        inputs: &[(&str, Vec<Value>)],
+        capture: bool,
+    ) -> Result<(GraphOutputs, GraphRunStats, GraphTrace), GraphRunError> {
+        let streams = self.external_streams(inputs)?;
+
+        // Streams buffered per operator, per input port (declaration order).
+        let mut pending: Vec<Vec<Vec<Value>>> = self
+            .ops
+            .iter()
+            .map(|o| vec![Vec::new(); o.inputs])
+            .collect();
+        for ((_, (op, port)), stream) in self.ext_inputs.iter().zip(streams) {
+            if let Some(i) = port {
+                pending[*op][*i] = stream.clone();
+            }
+        }
+
+        let mut per_op = vec![InterpStats::default(); self.ops.len()];
+        let mut edge_tokens = vec![0u64; self.edges.len()];
+        // Streams produced per operator, per output port; taken once routed.
+        let mut produced: Vec<Vec<Option<Vec<Value>>>> = vec![Vec::new(); self.ops.len()];
+        let mut trace = GraphTrace {
+            op_inputs: self
+                .ops
+                .iter()
+                .map(|o| vec![Vec::new(); o.inputs])
+                .collect(),
+        };
+
+        for &op in &self.order {
+            let compiled = &self.ops[op];
+            let staged = std::mem::take(&mut pending[op]);
+            if capture {
+                trace.op_inputs[op].clone_from(&staged);
+            }
+            let mut io = Streams {
+                inputs: staged.into_iter().map(|s| (s, 0)).collect(),
+                outputs: vec![Vec::new(); compiled.outputs],
+            };
+            per_op[op] = compiled
+                .code
+                .run_with_io(&mut io, kir::interp::DEFAULT_OP_BUDGET)
+                .map_err(|error| GraphRunError::Operator {
+                    op: compiled.name.clone(),
+                    error,
+                })?;
+            produced[op] = io.outputs.into_iter().map(Some).collect();
+            // Route along outgoing edges.
+            for &e in &compiled.out_edges {
+                let Link { from, to } = &self.edges[e];
+                if let Some(stream) = from.1.and_then(|i| produced[op][i].take()) {
+                    edge_tokens[e] = stream.len() as u64;
+                    if let Some(i) = to.1 {
+                        pending[to.0][i] = stream;
+                    }
+                }
+            }
+        }
+
+        let ext = self
+            .ext_outputs
+            .iter()
+            .map(|(name, (op, port))| {
+                let stream = port
+                    .and_then(|i| produced[*op].get_mut(i)?.take())
+                    .unwrap_or_default();
+                (name.clone(), stream)
+            })
+            .collect();
+        Ok((
+            ext,
+            GraphRunStats {
+                per_op,
+                edge_tokens,
+            },
+            trace,
+        ))
+    }
 }
 
 fn port_index(ports: &[kir::PortDecl], name: &str) -> Option<usize> {
@@ -121,94 +374,6 @@ impl KernelIo for Streams {
         self.outputs[port].push(value);
         Ok(())
     }
-}
-
-fn run_graph_inner(
-    graph: &Graph,
-    inputs: &[(&str, Vec<Value>)],
-    capture: bool,
-) -> Result<(GraphOutputs, GraphRunStats, GraphTrace), GraphRunError> {
-    for (name, _) in inputs {
-        if !graph.ext_inputs.iter().any(|p| p.name == *name) {
-            return Err(GraphRunError::NoSuchInput(name.to_string()));
-        }
-    }
-
-    // Streams buffered per operator, per input port (declaration order).
-    let mut pending: Vec<Vec<Vec<Value>>> = graph
-        .operators
-        .iter()
-        .map(|o| vec![Vec::new(); o.kernel.inputs.len()])
-        .collect();
-    for p in &graph.ext_inputs {
-        let stream = inputs
-            .iter()
-            .find(|(n, _)| *n == p.name)
-            .map(|(_, v)| v.clone())
-            .ok_or_else(|| GraphRunError::MissingInput(p.name.clone()))?;
-        if let Some(i) = port_index(&graph.operators[p.op.0].kernel.inputs, &p.port) {
-            pending[p.op.0][i] = stream;
-        }
-    }
-
-    let mut per_op = vec![InterpStats::default(); graph.operators.len()];
-    let mut edge_tokens = vec![0u64; graph.edges.len()];
-    // Streams produced per operator, per output port; taken once routed.
-    let mut produced: Vec<Vec<Option<Vec<Value>>>> = vec![Vec::new(); graph.operators.len()];
-    let mut trace = GraphTrace {
-        op_inputs: graph
-            .operators
-            .iter()
-            .map(|o| vec![Vec::new(); o.kernel.inputs.len()])
-            .collect(),
-    };
-
-    for op_id in graph.topo_order() {
-        let inst = &graph.operators[op_id.0];
-        let staged = std::mem::take(&mut pending[op_id.0]);
-        if capture {
-            trace.op_inputs[op_id.0].clone_from(&staged);
-        }
-        let mut io = Streams {
-            inputs: staged.into_iter().map(|s| (s, 0)).collect(),
-            outputs: vec![Vec::new(); inst.kernel.outputs.len()],
-        };
-        per_op[op_id.0] = Resolved::new(&inst.kernel)
-            .run_with_io(&mut io, kir::interp::DEFAULT_OP_BUDGET)
-            .map_err(|error| GraphRunError::Operator {
-                op: inst.name.clone(),
-                error,
-            })?;
-        produced[op_id.0] = io.outputs.into_iter().map(Some).collect();
-        // Route along outgoing edges.
-        for (edge_id, edge) in graph.out_edges(op_id) {
-            let from = port_index(&inst.kernel.outputs, &edge.from.1);
-            if let Some(stream) = from.and_then(|i| produced[op_id.0][i].take()) {
-                edge_tokens[edge_id.0] = stream.len() as u64;
-                let to = &graph.operators[edge.to.0 .0].kernel.inputs;
-                if let Some(i) = port_index(to, &edge.to.1) {
-                    pending[edge.to.0 .0][i] = stream;
-                }
-            }
-        }
-    }
-
-    let mut ext = HashMap::new();
-    for p in &graph.ext_outputs {
-        let outputs = &graph.operators[p.op.0].kernel.outputs;
-        let stream = port_index(outputs, &p.port)
-            .and_then(|i| produced[p.op.0].get_mut(i)?.take())
-            .unwrap_or_default();
-        ext.insert(p.name.clone(), stream);
-    }
-    Ok((
-        ext,
-        GraphRunStats {
-            per_op,
-            edge_tokens,
-        },
-        trace,
-    ))
 }
 
 #[cfg(test)]
@@ -259,6 +424,26 @@ mod tests {
         assert_eq!(stats.edge_tokens, vec![8]);
         assert_eq!(stats.per_op.len(), 2);
         assert!(stats.total_ops() >= stats.bottleneck_ops());
+    }
+
+    #[test]
+    fn recompile_runs_the_edited_graph() {
+        let pipeline = |addend| {
+            let mut b = GraphBuilder::new("p");
+            let a = b.add("a", stage("a", 8, 1), Target::hw(0));
+            let c = b.add("c", stage("c", 8, addend), Target::hw(1));
+            b.ext_input("Input_1", a, "in");
+            b.connect("mid", a, "out", c, "in");
+            b.ext_output("Output_1", c, "out");
+            b.build().unwrap()
+        };
+        let (before, after) = (pipeline(10), pipeline(20));
+        let inputs = [("Input_1", word_values(0..8))];
+        let mut compiled = compile(&before);
+        compiled.recompile(&before, &after);
+        let (out, _) = compiled.run(&inputs).unwrap();
+        assert_eq!(out, run_graph(&after, &inputs).unwrap().0);
+        assert_ne!(out, run_graph(&before, &inputs).unwrap().0);
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! linker/loader consumes.
 //!
 //! Functional execution of a whole graph (every operator interpreted on the
-//! host, tokens routed along edges) lives in [`exec`]; by the Kahn property
-//! its results are the golden reference for every hardware mapping.
+//! host, tokens routed along edges) lives in [`exec`]: [`compile`] builds a
+//! [`CompiledGraph`] once, and both executors, batch and [`threaded`], run
+//! it. By the Kahn property its results are the golden reference for every
+//! hardware mapping.
 
 pub mod exec;
 pub mod generate;
@@ -26,7 +28,9 @@ pub mod opt;
 pub mod target;
 pub mod threaded;
 
-pub use exec::{run_graph, run_graph_trace, GraphRunError, GraphRunStats, GraphTrace};
+pub use exec::{
+    compile, run_graph, run_graph_trace, CompiledGraph, GraphRunError, GraphRunStats, GraphTrace,
+};
 pub use generate::{GenConfig, GeneratedApp, Rng};
 pub use graph::{EdgeId, ExtPort, Graph, GraphBuilder, GraphError, OpId, OperatorInst, StreamEdge};
 pub use ir::{extract, DfgIr, IrLink, IrOperator, ParseIrError};

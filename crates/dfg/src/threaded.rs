@@ -26,14 +26,14 @@
 //! round-trip per `depth`-sized slice, so such edges get deeper rings,
 //! never below [`CHANNEL_DEPTH`] — sizing must not regress any app.
 
-use kir::interp::{InterpError, IoError, KernelIo, Resolved};
+use kir::interp::{InterpError, IoError, KernelIo};
 use kir::types::Value;
 use listream::{LinkStats, StreamReader, StreamWriter};
 use std::collections::VecDeque;
 use std::thread;
 
-use crate::exec::{GraphOutputs, GraphRunError};
-use crate::graph::{Graph, OpId};
+use crate::exec::{compile, GraphOutputs, GraphRunError, Port};
+use crate::graph::Graph;
 use crate::opt::rate::{edge_rates, EdgeRate};
 
 /// FIFO depth of every external link, and the floor of every internal one
@@ -215,6 +215,8 @@ pub fn run_graph_threaded(
 /// (indexed like [`Graph::edges`]; external links use [`CHANNEL_DEPTH`]),
 /// `chunk` tokens per channel round-trip, and a dynamic-operation `budget`
 /// per operator. Only tests pass anything but the engine's own choices.
+/// The graph is compiled once ([`compile`]); the operator threads are
+/// scoped and borrow its kernels.
 fn run_with_transport(
     graph: &Graph,
     inputs: &[(&str, Vec<Value>)],
@@ -222,147 +224,124 @@ fn run_with_transport(
     chunk: usize,
     budget: u64,
 ) -> Result<(GraphOutputs, ThreadedRunStats), GraphRunError> {
-    for (name, _) in inputs {
-        if !graph.ext_inputs.iter().any(|p| p.name == *name) {
-            return Err(GraphRunError::NoSuchInput(name.to_string()));
-        }
-    }
-    for p in &graph.ext_inputs {
-        if !inputs.iter().any(|(n, _)| *n == p.name) {
-            return Err(GraphRunError::MissingInput(p.name.clone()));
-        }
-    }
+    let graph = compile(graph);
+    let streams = graph.external_streams(inputs)?;
 
     // Channel endpoints per (operator, port index).
     let mut op_readers: Vec<Vec<Option<StreamReader<Value>>>> = graph
-        .operators
+        .ops
         .iter()
-        .map(|o| (0..o.kernel.inputs.len()).map(|_| None).collect())
+        .map(|o| (0..o.inputs).map(|_| None).collect())
         .collect();
     let mut op_writers: Vec<Vec<Option<StreamWriter<Value>>>> = graph
-        .operators
+        .ops
         .iter()
-        .map(|o| (0..o.kernel.outputs.len()).map(|_| None).collect())
+        .map(|o| (0..o.outputs).map(|_| None).collect())
         .collect();
-
-    let in_port_index = |op: OpId, port: &str| {
-        graph.operators[op.0]
-            .kernel
-            .inputs
-            .iter()
-            .position(|p| p.name == port)
-            .expect("validated")
-    };
-    let out_port_index = |op: OpId, port: &str| {
-        graph.operators[op.0]
-            .kernel
-            .outputs
-            .iter()
-            .position(|p| p.name == port)
-            .expect("validated")
-    };
+    let port = |(op, port): Port| (op, port.expect("validated"));
 
     debug_assert_eq!(depths.len(), graph.edges.len());
     for (e, &depth) in graph.edges.iter().zip(depths) {
         let (tx, rx) = listream::channel(depth);
-        op_writers[e.from.0 .0][out_port_index(e.from.0, &e.from.1)] = Some(tx);
-        op_readers[e.to.0 .0][in_port_index(e.to.0, &e.to.1)] = Some(rx);
+        let (from, to) = (port(e.from), port(e.to));
+        op_writers[from.0][from.1] = Some(tx);
+        op_readers[to.0][to.1] = Some(rx);
     }
 
-    // External inputs: feeder threads; external outputs: collector threads.
-    let mut feeders = Vec::new();
-    for p in &graph.ext_inputs {
-        let (tx, rx) = listream::channel(CHANNEL_DEPTH);
-        op_readers[p.op.0][in_port_index(p.op, &p.port)] = Some(rx);
-        let mut stream: Vec<Value> = inputs
-            .iter()
-            .find(|(n, _)| *n == p.name)
-            .map(|(_, v)| v.clone())
-            .expect("checked above");
-        feeders.push(thread::spawn(move || {
-            // One batched hand-off; if the consumer failed, its thread
-            // reports the error.
-            let _ = tx.write_batch(&mut stream);
-        }));
-    }
-    let mut collectors = Vec::new();
-    for p in &graph.ext_outputs {
-        let (tx, rx) = listream::channel(CHANNEL_DEPTH);
-        op_writers[p.op.0][out_port_index(p.op, &p.port)] = Some(tx);
-        let name = p.name.clone();
-        collectors.push(thread::spawn(move || {
-            let mut stream = Vec::new();
-            while rx.read_batch(&mut stream, usize::MAX).is_ok() {}
-            (name, stream)
-        }));
-    }
+    thread::scope(|s| {
+        // External inputs: feeder threads; external outputs: collector
+        // threads.
+        let mut feeders = Vec::new();
+        for ((_, at), stream) in graph.ext_inputs.iter().zip(streams) {
+            let (tx, rx) = listream::channel(CHANNEL_DEPTH);
+            let (op, i) = port(*at);
+            op_readers[op][i] = Some(rx);
+            let mut stream = stream.clone();
+            feeders.push(s.spawn(move || {
+                // One batched hand-off; if the consumer failed, its thread
+                // reports the error.
+                let _ = tx.write_batch(&mut stream);
+            }));
+        }
+        let mut collectors = Vec::new();
+        for (name, at) in &graph.ext_outputs {
+            let (tx, rx) = listream::channel(CHANNEL_DEPTH);
+            let (op, i) = port(*at);
+            op_writers[op][i] = Some(tx);
+            collectors.push(s.spawn(move || {
+                let mut stream = Vec::new();
+                while rx.read_batch(&mut stream, usize::MAX).is_ok() {}
+                (name.clone(), stream)
+            }));
+        }
 
-    // Operator threads.
-    let mut workers = Vec::new();
-    for (i, inst) in graph.operators.iter().enumerate() {
-        let resolved = Resolved::new(&inst.kernel);
-        let n_inputs = inst.kernel.inputs.len();
-        let mut io = ChannelIo {
-            readers: std::mem::take(&mut op_readers[i]),
-            writers: std::mem::take(&mut op_writers[i]),
-            rbufs: (0..n_inputs).map(|_| VecDeque::new()).collect(),
-            wlog: Vec::with_capacity(chunk),
-            scratch: Vec::with_capacity(chunk),
-            chunk,
-        };
-        let name = inst.name.clone();
-        workers.push(thread::spawn(move || {
-            let error = match resolved.run_with_io(&mut io, budget) {
-                // Deliver tokens still buffered before the channels close. A
-                // hangup here means a downstream operator already failed;
-                // that thread reports the error.
-                Ok(_) => {
-                    let _ = io.flush();
-                    None
-                }
-                // Downstream hung up mid-run: this operator shut down
-                // promptly, and the failure is reported where it happened.
-                Err(InterpError::DownstreamClosed { .. }) => None,
-                Err(error) => Some(GraphRunError::Operator { op: name, error }),
+        // Operator threads.
+        let mut workers = Vec::new();
+        for (i, op) in graph.ops.iter().enumerate() {
+            let mut io = ChannelIo {
+                readers: std::mem::take(&mut op_readers[i]),
+                writers: std::mem::take(&mut op_writers[i]),
+                rbufs: (0..op.inputs).map(|_| VecDeque::new()).collect(),
+                wlog: Vec::with_capacity(chunk),
+                scratch: Vec::with_capacity(chunk),
+                chunk,
             };
-            // Snapshot each input link's shared stall counters while the
-            // endpoints are still alive; they map back to edges by consumer
-            // port below.
-            let port_stats: Vec<Option<LinkStats>> = io
-                .readers
-                .iter()
-                .map(|r| r.as_ref().map(|rx| rx.stats()))
-                .collect();
-            (error, port_stats)
-            // `io` drops here, closing the operator's output channels.
-        }));
-    }
+            workers.push(s.spawn(move || {
+                let error = match op.code.run_with_io(&mut io, budget) {
+                    // Deliver tokens still buffered before the channels
+                    // close. A hangup here means a downstream operator
+                    // already failed; that thread reports the error.
+                    Ok(_) => {
+                        let _ = io.flush();
+                        None
+                    }
+                    // Downstream hung up mid-run: this operator shut down
+                    // promptly, and the failure is reported where it
+                    // happened.
+                    Err(InterpError::DownstreamClosed { .. }) => None,
+                    Err(error) => Some(GraphRunError::Operator {
+                        op: op.name.clone(),
+                        error,
+                    }),
+                };
+                // Snapshot each input link's shared stall counters while
+                // the endpoints are still alive; they map back to edges by
+                // consumer port below.
+                let port_stats: Vec<Option<LinkStats>> = io
+                    .readers
+                    .iter()
+                    .map(|r| r.as_ref().map(|rx| rx.stats()))
+                    .collect();
+                (error, port_stats)
+                // `io` drops here, closing the operator's output channels.
+            }));
+        }
 
-    for f in feeders {
-        f.join().expect("feeder threads do not panic");
-    }
-    let (mut errors, per_op_port_stats): (Vec<_>, Vec<_>) = workers
-        .into_iter()
-        .map(|w| w.join().expect("operator threads do not panic"))
-        .unzip();
-    let mut outputs = GraphOutputs::new();
-    for c in collectors {
-        let (name, stream) = c.join().expect("collector threads do not panic");
-        outputs.insert(name, stream);
-    }
-    if let Some(e) = graph
-        .topo_order()
-        .into_iter()
-        .find_map(|op| errors[op.0].take())
-    {
-        return Err(e);
-    }
-    let edge_stats = graph
-        .edges
-        .iter()
-        .map(|e| per_op_port_stats[e.to.0 .0][in_port_index(e.to.0, &e.to.1)].unwrap_or_default())
-        .collect();
-    Ok((outputs, ThreadedRunStats { edge_stats }))
+        for f in feeders {
+            f.join().expect("feeder threads do not panic");
+        }
+        let (mut errors, per_op_port_stats): (Vec<_>, Vec<_>) = workers
+            .into_iter()
+            .map(|w| w.join().expect("operator threads do not panic"))
+            .unzip();
+        let mut outputs = GraphOutputs::new();
+        for c in collectors {
+            let (name, stream) = c.join().expect("collector threads do not panic");
+            outputs.insert(name, stream);
+        }
+        if let Some(e) = graph.order.iter().find_map(|&op| errors[op].take()) {
+            return Err(e);
+        }
+        let edge_stats = graph
+            .edges
+            .iter()
+            .map(|e| {
+                let (op, i) = port(e.to);
+                per_op_port_stats[op][i].unwrap_or_default()
+            })
+            .collect();
+        Ok((outputs, ThreadedRunStats { edge_stats }))
+    })
 }
 
 #[cfg(test)]

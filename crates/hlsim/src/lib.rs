@@ -69,9 +69,9 @@ pub struct HlsOutput {
 /// discipline (kernels built via [`kir::KernelBuilder`] always pass).
 pub fn compile(kernel: &Kernel) -> Result<HlsOutput, kir::CheckError> {
     let resolved = kir::resolve(kernel)?;
-    let schedule = schedule::schedule(kernel);
+    let schedule = schedule::schedule(&resolved);
     let netlist = lower::lower(&resolved);
-    let report = report::HlsReport::new(kernel, &netlist, &schedule);
+    let report = report::HlsReport::new(&resolved, &netlist, &schedule);
     Ok(HlsOutput {
         netlist,
         schedule,

@@ -1,6 +1,6 @@
 //! The HLS report: resources, timing, throughput.
 
-use kir::Kernel;
+use kir::{Kernel, RStmt, ResolvedKernel};
 use netlist::{Netlist, Resources};
 use std::fmt;
 
@@ -38,8 +38,9 @@ pub struct HlsReport {
 
 impl HlsReport {
     /// Builds the report from the schedule and netlist.
-    pub fn new(kernel: &Kernel, netlist: &Netlist, schedule: &Schedule) -> HlsReport {
-        let (input_words, output_words) = port_word_bounds(kernel);
+    pub fn new(rk: &ResolvedKernel<'_>, netlist: &Netlist, schedule: &Schedule) -> HlsReport {
+        let kernel = rk.kernel();
+        let (input_words, output_words) = port_word_bounds(rk);
         HlsReport {
             name: kernel.name.clone(),
             resources: netlist.resources(),
@@ -85,40 +86,24 @@ impl fmt::Display for HlsReport {
 type PortWords = Vec<(String, u64)>;
 
 /// Static upper bounds on words moved per invocation, from trip counts.
-fn port_word_bounds(kernel: &Kernel) -> (PortWords, PortWords) {
-    use kir::stmt::Stmt;
-    let mut reads: std::collections::HashMap<&str, u64> = Default::default();
-    let mut writes: std::collections::HashMap<&str, u64> = Default::default();
-
-    fn walk<'k>(
-        kernel: &'k Kernel,
-        body: &'k [Stmt],
-        mult: u64,
-        reads: &mut std::collections::HashMap<&'k str, u64>,
-        writes: &mut std::collections::HashMap<&'k str, u64>,
-    ) {
+fn port_word_bounds(rk: &ResolvedKernel<'_>) -> (PortWords, PortWords) {
+    fn walk(kernel: &Kernel, body: &[RStmt], mult: u64, reads: &mut [u64], writes: &mut [u64]) {
         for s in body {
             match s {
-                Stmt::Read { port, .. } => {
-                    let w = kernel.input(port).map(|p| p.elem.words()).unwrap_or(1) as u64;
-                    *reads.entry(port.as_str()).or_default() += mult * w;
+                RStmt::Read(_, port) => {
+                    reads[*port] += mult * kernel.inputs[*port].elem.words() as u64;
                 }
-                Stmt::Write { port, .. } => {
-                    let w = kernel.output(port).map(|p| p.elem.words()).unwrap_or(1) as u64;
-                    *writes.entry(port.as_str()).or_default() += mult * w;
+                RStmt::Write(port, _) => {
+                    writes[*port] += mult * kernel.outputs[*port].elem.words() as u64;
                 }
-                Stmt::For { body, .. } => walk(
+                RStmt::For { body, .. } => walk(
                     kernel,
                     body,
                     mult * s.trip_count().unwrap_or(0),
                     reads,
                     writes,
                 ),
-                Stmt::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => {
+                RStmt::If(_, then_body, else_body) => {
                     // Worst case across branches.
                     walk(kernel, then_body, mult, reads, writes);
                     walk(kernel, else_body, mult, reads, writes);
@@ -127,29 +112,14 @@ fn port_word_bounds(kernel: &Kernel) -> (PortWords, PortWords) {
             }
         }
     }
-    walk(kernel, &kernel.body, 1, &mut reads, &mut writes);
-
-    let ins = kernel
-        .inputs
-        .iter()
-        .map(|p| {
-            (
-                p.name.clone(),
-                reads.get(p.name.as_str()).copied().unwrap_or(0),
-            )
-        })
-        .collect();
-    let outs = kernel
-        .outputs
-        .iter()
-        .map(|p| {
-            (
-                p.name.clone(),
-                writes.get(p.name.as_str()).copied().unwrap_or(0),
-            )
-        })
-        .collect();
-    (ins, outs)
+    let kernel = rk.kernel();
+    let mut reads = vec![0; kernel.inputs.len()];
+    let mut writes = vec![0; kernel.outputs.len()];
+    walk(kernel, rk.body(), 1, &mut reads, &mut writes);
+    let named = |ports: &[kir::PortDecl], words: Vec<u64>| {
+        ports.iter().map(|p| p.name.clone()).zip(words).collect()
+    };
+    (named(&kernel.inputs, reads), named(&kernel.outputs, writes))
 }
 
 #[cfg(test)]

@@ -1,9 +1,6 @@
 //! Scheduling: latencies, initiation intervals, invocation cycle counts.
 
-use kir::expr::{BinOp, Expr};
-use kir::stmt::Stmt;
-use kir::Kernel;
-use std::collections::HashSet;
+use kir::{BinOp, RExpr, RNode, RStmt, ResolvedKernel};
 
 /// Schedule of one loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,12 +45,12 @@ impl Schedule {
     }
 }
 
-/// Computes the schedule of a validated kernel.
-pub fn schedule(kernel: &Kernel) -> Schedule {
+/// Computes the schedule of a resolved kernel.
+pub fn schedule(rk: &ResolvedKernel<'_>) -> Schedule {
     let mut loops = Vec::new();
-    let total = block_latency(kernel, &kernel.body, &mut loops, false);
+    let total = block_latency(rk, rk.body(), &mut loops, false);
     let mut overlay_loops = Vec::new();
-    let overlay = block_latency(kernel, &kernel.body, &mut overlay_loops, true);
+    let overlay = block_latency(rk, rk.body(), &mut overlay_loops, true);
     Schedule {
         loops,
         total_cycles: total.max(1),
@@ -62,10 +59,10 @@ pub fn schedule(kernel: &Kernel) -> Schedule {
 }
 
 /// Extra cycles a statement needs beyond its slot, from multi-cycle ops.
-fn expr_extra_cycles(e: &Expr) -> u64 {
+fn expr_extra_cycles(e: &RExpr) -> u64 {
     let mut extra = 0u64;
     e.visit(&mut |node| {
-        if let Expr::Bin { op, .. } = node {
+        if let RNode::Bin(op, _) = &node.node {
             let lat = match op {
                 BinOp::Div | BinOp::Rem => 32u64, // iterative divider
                 BinOp::Mul => 2,                  // wide multiplier pipeline
@@ -77,40 +74,41 @@ fn expr_extra_cycles(e: &Expr) -> u64 {
     extra
 }
 
+/// Words a `Read` into `slot` takes: a W-bit token needs ceil(W/32) words
+/// through the 32-bit link.
+fn read_words(rk: &ResolvedKernel<'_>, slot: usize) -> u64 {
+    rk.kernel().locals[slot].ty.words() as u64
+}
+
 /// Latency in cycles of a straight-line statement (its schedule slot plus
 /// multi-cycle operator stages).
-fn stmt_latency(kernel: &Kernel, s: &Stmt, loops: &mut Vec<LoopSchedule>, overlay: bool) -> u64 {
+fn stmt_latency(
+    rk: &ResolvedKernel<'_>,
+    s: &RStmt,
+    loops: &mut Vec<LoopSchedule>,
+    overlay: bool,
+) -> u64 {
     match s {
-        Stmt::Assign { value, .. } | Stmt::Write { value, .. } => 1 + expr_extra_cycles(value),
-        Stmt::ArraySet { index, value, .. } => {
-            1 + expr_extra_cycles(index) + expr_extra_cycles(value)
-        }
-        Stmt::Read { var, .. } => {
-            // A W-bit token needs ceil(W/32) words through the 32-bit link.
-            let words = kernel.local(var).map(|v| v.ty.words()).unwrap_or(1) as u64;
-            words
-        }
-        Stmt::For { .. } => loop_latency(kernel, s, loops, overlay),
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            let t = block_latency(kernel, then_body, loops, overlay);
-            let e = block_latency(kernel, else_body, loops, overlay);
+        RStmt::Assign(_, value) | RStmt::Write(_, value) => 1 + expr_extra_cycles(value),
+        RStmt::ArraySet(_, index, value) => 1 + expr_extra_cycles(index) + expr_extra_cycles(value),
+        RStmt::Read(slot, _) => read_words(rk, *slot),
+        RStmt::For { .. } => loop_latency(rk, s, loops, overlay),
+        RStmt::If(cond, then_body, else_body) => {
+            let t = block_latency(rk, then_body, loops, overlay);
+            let e = block_latency(rk, else_body, loops, overlay);
             1 + expr_extra_cycles(cond) + t.max(e)
         }
     }
 }
 
 fn block_latency(
-    kernel: &Kernel,
-    body: &[Stmt],
+    rk: &ResolvedKernel<'_>,
+    body: &[RStmt],
     loops: &mut Vec<LoopSchedule>,
     overlay: bool,
 ) -> u64 {
     body.iter()
-        .map(|s| stmt_latency(kernel, s, loops, overlay))
+        .map(|s| stmt_latency(rk, s, loops, overlay))
         .sum()
 }
 
@@ -121,81 +119,50 @@ fn block_latency(
 /// busiest single port. Behind the overlay's leaf interface
 /// (`overlay == true`) every stream shares one 32-bit uplink and one
 /// downlink, so reads and writes each serialize across ports.
-fn port_words_per_iteration(kernel: &Kernel, body: &[Stmt], overlay: bool) -> u64 {
-    use std::collections::HashMap;
-    fn walk<'k>(
-        kernel: &'k Kernel,
-        body: &'k [Stmt],
-        reads: &mut HashMap<&'k str, u64>,
-        writes: &mut HashMap<&'k str, u64>,
-    ) {
+fn port_words_per_iteration(rk: &ResolvedKernel<'_>, body: &[RStmt], overlay: bool) -> u64 {
+    /// Words read and written, summed over every port.
+    fn walk(rk: &ResolvedKernel<'_>, body: &[RStmt], words: &mut (u64, u64)) {
         for s in body {
             match s {
-                Stmt::Read { var, port } => {
-                    let w = kernel.local(var).map(|v| v.ty.words()).unwrap_or(1) as u64;
-                    *reads.entry(port.as_str()).or_default() += w;
-                }
-                Stmt::Write { port, .. } => {
-                    let w = kernel.output(port).map(|p| p.elem.words()).unwrap_or(1) as u64;
-                    *writes.entry(port.as_str()).or_default() += w;
-                }
-                Stmt::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    walk(kernel, then_body, reads, writes);
-                    walk(kernel, else_body, reads, writes);
+                RStmt::Read(slot, _) => words.0 += read_words(rk, *slot),
+                RStmt::Write(port, _) => words.1 += rk.kernel().outputs[*port].elem.words() as u64,
+                RStmt::If(_, then_body, else_body) => {
+                    walk(rk, then_body, words);
+                    walk(rk, else_body, words);
                 }
                 _ => {}
             }
         }
     }
-    let mut reads: HashMap<&str, u64> = HashMap::new();
-    let mut writes: HashMap<&str, u64> = HashMap::new();
-    walk(kernel, body, &mut reads, &mut writes);
+    let mut words = (0, 0);
+    walk(rk, body, &mut words);
+    let (reads, writes) = words;
     if overlay {
-        let in_total: u64 = reads.values().sum();
-        let out_total: u64 = writes.values().sum();
-        in_total.max(out_total)
+        reads.max(writes)
     } else {
         // The -O3 kernel generator sizes each hardware FIFO "according to
         // the datawidth for each link" (Fig. 7): a port moves its whole
         // per-iteration payload in one cycle, so streams never bound II.
-        if reads.is_empty() && writes.is_empty() {
-            0
-        } else {
-            1
-        }
+        u64::from(reads + writes > 0)
     }
 }
 
 /// Variables carried across iterations: assigned from an expression that
 /// reads the variable itself (e.g. `sum = sum + x`).
-fn recurrence_ii(body: &[Stmt]) -> u64 {
+fn recurrence_ii(body: &[RStmt]) -> u64 {
     let mut ii = 1u64;
     for s in body {
         match s {
-            Stmt::Assign { var, value } => {
+            RStmt::Assign(slot, value) => {
                 let mut self_dep = false;
-                value.visit(&mut |e| {
-                    if let Expr::Var(name) = e {
-                        if name == var {
-                            self_dep = true;
-                        }
-                    }
-                });
+                value.visit(&mut |e| self_dep |= e.node == RNode::Var(*slot));
                 if self_dep {
                     // The recurrence can't relaunch faster than its own
                     // multi-cycle operators complete.
                     ii = ii.max(1 + expr_extra_cycles(value));
                 }
             }
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
+            RStmt::If(_, then_body, else_body) => {
                 ii = ii
                     .max(recurrence_ii(then_body))
                     .max(recurrence_ii(else_body));
@@ -208,30 +175,50 @@ fn recurrence_ii(body: &[Stmt]) -> u64 {
 
 /// Arrays both written and read inside the body: a load-after-store memory
 /// dependency that bounds II at 2 on a single BRAM port pair.
-fn memory_ii(body: &[Stmt]) -> u64 {
-    let mut written: HashSet<String> = HashSet::new();
-    let mut read: HashSet<String> = HashSet::new();
-    for s in body {
-        s.visit(&mut |s| {
-            if let Stmt::ArraySet { array, .. } = s {
-                written.insert(array.clone());
-            }
-        });
-        s.visit_exprs(&mut |e| {
-            if let Expr::ArrayGet { array, .. } = e {
-                read.insert(array.clone());
+fn memory_ii(rk: &ResolvedKernel<'_>, body: &[RStmt]) -> u64 {
+    fn reads(e: &RExpr, read: &mut [bool]) {
+        e.visit(&mut |e| {
+            if let RNode::ArrayGet(array, _) = e.node {
+                read[array] = true;
             }
         });
     }
-    if written.intersection(&read).next().is_some() {
+    fn walk(body: &[RStmt], written: &mut [bool], read: &mut [bool]) {
+        for s in body {
+            match s {
+                RStmt::Assign(_, value) | RStmt::Write(_, value) => reads(value, read),
+                RStmt::ArraySet(array, index, value) => {
+                    written[*array] = true;
+                    reads(index, read);
+                    reads(value, read);
+                }
+                RStmt::Read(..) => {}
+                RStmt::For { body, .. } => walk(body, written, read),
+                RStmt::If(cond, then_body, else_body) => {
+                    reads(cond, read);
+                    walk(then_body, written, read);
+                    walk(else_body, written, read);
+                }
+            }
+        }
+    }
+    let arrays = rk.kernel().arrays.len();
+    let (mut written, mut read) = (vec![false; arrays], vec![false; arrays]);
+    walk(body, &mut written, &mut read);
+    if written.iter().zip(&read).any(|(w, r)| *w && *r) {
         2
     } else {
         1
     }
 }
 
-fn loop_latency(kernel: &Kernel, s: &Stmt, loops: &mut Vec<LoopSchedule>, overlay: bool) -> u64 {
-    let Stmt::For {
+fn loop_latency(
+    rk: &ResolvedKernel<'_>,
+    s: &RStmt,
+    loops: &mut Vec<LoopSchedule>,
+    overlay: bool,
+) -> u64 {
+    let RStmt::For {
         var,
         body,
         pipeline,
@@ -245,7 +232,7 @@ fn loop_latency(kernel: &Kernel, s: &Stmt, loops: &mut Vec<LoopSchedule>, overla
     let slot = loops.len();
     // Reserve the slot so outer loops precede inner ones in the report.
     loops.push(LoopSchedule {
-        var: var.clone(),
+        var: rk.slot_name(*var).to_string(),
         trips,
         depth: 0,
         ii: 1,
@@ -253,17 +240,17 @@ fn loop_latency(kernel: &Kernel, s: &Stmt, loops: &mut Vec<LoopSchedule>, overla
         cycles: 0,
     });
     let mut inner = Vec::new();
-    let depth = block_latency(kernel, body, &mut inner, overlay).max(1);
+    let depth = block_latency(rk, body, &mut inner, overlay).max(1);
 
-    let has_inner_loop = body.iter().any(|s| matches!(s, Stmt::For { .. }));
+    let has_inner_loop = body.iter().any(|s| matches!(s, RStmt::For { .. }));
     let effective_trips = trips
         .div_ceil(*unroll as u64)
         .max(if trips == 0 { 0 } else { 1 });
 
     let (ii, cycles) = if *pipeline && !has_inner_loop {
         let ii = recurrence_ii(body)
-            .max(memory_ii(body))
-            .max(port_words_per_iteration(kernel, body, overlay));
+            .max(memory_ii(rk, body))
+            .max(port_words_per_iteration(rk, body, overlay));
         let cycles = if effective_trips == 0 {
             0
         } else {
@@ -285,7 +272,11 @@ fn loop_latency(kernel: &Kernel, s: &Stmt, loops: &mut Vec<LoopSchedule>, overla
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kir::{Expr, KernelBuilder, Scalar};
+    use kir::{Expr, Kernel, KernelBuilder, Scalar, Stmt};
+
+    fn schedule(k: &Kernel) -> Schedule {
+        super::schedule(&kir::resolve(k).unwrap())
+    }
 
     fn k_pipelined(n: i64) -> Kernel {
         KernelBuilder::new("k")

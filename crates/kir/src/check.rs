@@ -298,9 +298,9 @@ impl<'k> TypeEnv<'k> {
                 begin,
                 end,
                 step,
+                pipeline,
                 unroll,
                 body,
-                ..
             } => {
                 if *step <= 0 {
                     return Err(CheckError::BadLoopStep {
@@ -319,6 +319,7 @@ impl<'k> TypeEnv<'k> {
                     begin: *begin,
                     end: *end,
                     step: *step,
+                    pipeline: *pipeline,
                     unroll: *unroll,
                     body,
                 }

@@ -12,15 +12,17 @@
 //!
 //! It has one fast path and one oracle:
 //!
-//! * [`Resolved`] lowers the [`crate::ResolvedKernel`] once into **typed
-//!   code**: names are dense slots, every node's `ap_int`/`ap_fixed` shape,
-//!   fixed by the checker, is folded into precomputed shifts, and values run
-//!   as canonical `i128`s. [`Value`]s appear only at the stream boundary
+//! * [`Resolved`] compiles the [`crate::ResolvedKernel`] once into
+//!   **closures**, one per expression node: names are dense slots, every
+//!   node's `ap_int`/`ap_fixed` shape, fixed by the checker, is folded into
+//!   precomputed shifts, each closure is specialised on its operator and on
+//!   its operands' kinds (slot, constant or node), and values run as
+//!   canonical `i128`s. [`Value`]s appear only at the stream boundary
 //!   ([`KernelIo`]).
 //! * [`run_reference`] is the tree walker that re-derives every shape from
 //!   [`Value`] tags through [`crate::ops`]. It defines the semantics; the
-//!   differential tests hold the typed engine to it bit for bit — outputs,
-//!   [`InterpStats`] and [`InterpError`]s.
+//!   differential tests hold the compiled engine to it bit for bit —
+//!   outputs, [`InterpStats`] and [`InterpError`]s.
 
 mod reference;
 mod typed;
@@ -119,12 +121,28 @@ pub struct InterpStats {
     pub writes: u64,
 }
 
-/// A kernel lowered to typed code, ready for repeated execution.
+/// A kernel compiled to closures, ready for repeated execution. It is
+/// `Send + Sync`: compile once, run from any number of threads.
 pub struct Resolved {
     name: String,
     inputs: Vec<(String, Scalar)>,
     outputs: Vec<(String, Scalar)>,
     code: typed::Code,
+}
+
+// The threaded executor runs one compiled graph's kernels on its own
+// threads, borrowing them.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<Resolved>();
+};
+
+impl fmt::Debug for Resolved {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Resolved")
+            .field("name", &self.name)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Resolved {
@@ -145,7 +163,7 @@ impl Resolved {
             name: kernel.name.clone(),
             inputs: ports(&kernel.inputs),
             outputs: ports(&kernel.outputs),
-            code: typed::Code::new(&rk),
+            code: typed::Code::new(rk),
         }
     }
 

@@ -1,7 +1,7 @@
 //! The oracle: the tree-walking interpreter that evaluates every IR op on
 //! tagged [`Value`]s through [`eval_bin`]/[`eval_un`] and [`Value::coerce`],
 //! re-deriving each result's shape at run time. It defines what a kernel
-//! computes; the typed engine behind [`super::Resolved`] must agree with it
+//! computes; the compiled engine behind [`super::Resolved`] must agree with it
 //! in every output, every [`InterpStats`] field and every [`InterpError`].
 
 use std::collections::HashMap;
@@ -369,7 +369,7 @@ impl ExecState<'_> {
     }
 }
 
-/// An array index read as the typed engine reads it: the value's canonical
+/// An array index read as the compiled engine reads it: the value's canonical
 /// `i128`, which for an `ap_uint<128>` is its raw bits (negative above
 /// `i128::MAX`, hence out of bounds).
 fn index_of(v: Value) -> i128 {

@@ -1,6 +1,6 @@
-//! The typed engine: each kernel is lowered once, at resolve time, into code
-//! whose every node carries its static `ap_int`/`ap_fixed` shape already
-//! folded into a few shift amounts.
+//! The closure-compiled engine: each resolved kernel is compiled once into
+//! closures, one per expression node, each with its node's static
+//! `ap_int`/`ap_fixed` shape already folded into a few shift amounts.
 //!
 //! Values are held as *canonical* `i128`s: the numeric value sign- or
 //! zero-extended from its shape's width, which is also `DynInt::to_i128` /
@@ -10,11 +10,18 @@
 //! dedicated form when the node is built. Shapes are the resolved kernel's
 //! ([`crate::resolve`]), so every node runs at the shape the checker gave it.
 //!
+//! A node's closure is specialised on its operator and on whether each
+//! operand is a slot, a constant or another node: leaves are read in place,
+//! a pure operator on constants folds away, and each closure holds only its
+//! own operator's arithmetic. The statements stay a small tree walked by
+//! [`Machine::block`].
+//!
 //! Budget charging is prepaid per statement: every expression node costs one
 //! op unconditionally, so a statement's cost is static. When the remaining
-//! budget cannot cover a statement, that statement alone is re-run charging
-//! op by op, in the oracle's order, so `OpBudgetExceeded` and an in-flight
-//! `IndexOutOfBounds` race exactly as they do in the tree walker.
+//! budget cannot cover a statement, that statement alone is re-run on its
+//! resolved tree charging op by op, in the oracle's order, so
+//! `OpBudgetExceeded` and an in-flight `IndexOutOfBounds` race exactly as
+//! they do in the tree walker.
 
 use std::cmp::Ordering;
 
@@ -90,8 +97,6 @@ struct Align {
 }
 
 impl Align {
-    const NONE: Align = Align { shl: 0, sar: 0 };
-
     /// Shifts left by `d` bits when `d >= 0`, arithmetic right otherwise.
     fn by(d: i32) -> Align {
         let n = d.unsigned_abs().min(127);
@@ -168,10 +173,12 @@ impl Conv {
 /// `cmp_value` for one pair of operand shapes.
 #[derive(Debug, Clone, Copy)]
 enum Order {
-    /// Signed integers, fixed or mixed: `i128` order after aligning binary
-    /// points.
+    /// Integers whose canonical values both fit an `i128`: plain `i128`
+    /// order.
+    Int,
+    /// Fixed or mixed: `i128` order after aligning binary points.
     Signed(Align, Align),
-    /// Both unsigned integers: raw-pattern order.
+    /// Unsigned integers, one an `ap_uint<128>`: raw-pattern order.
     Unsigned,
     /// A signed integer against an `ap_uint<128>` that may exceed `i128`.
     Wide { lhs_u128: bool, rhs_u128: bool },
@@ -182,21 +189,22 @@ impl Order {
         if l.is_fixed() || r.is_fixed() {
             let f = frac(l).max(frac(r));
             Order::Signed(Align::by(f - frac(l)), Align::by(f - frac(r)))
+        } else if !is_u128(l) && !is_u128(r) {
+            Order::Int
         } else if !l.is_signed() && !r.is_signed() {
             Order::Unsigned
-        } else if is_u128(l) || is_u128(r) {
+        } else {
             Order::Wide {
                 lhs_u128: is_u128(l),
                 rhs_u128: is_u128(r),
             }
-        } else {
-            Order::Signed(Align::NONE, Align::NONE)
         }
     }
 
     #[inline(always)]
     fn cmp(self, a: i128, b: i128) -> Ordering {
         match self {
+            Order::Int => a.cmp(&b),
             Order::Signed(x, y) => x.apply(a).cmp(&y.apply(b)),
             Order::Unsigned => (a as u128).cmp(&(b as u128)),
             Order::Wide { lhs_u128, rhs_u128 } => match (lhs_u128 && a < 0, rhs_u128 && b < 0) {
@@ -246,6 +254,35 @@ enum TUn {
     Abs(Norm),
     /// `Abs` of a shape that can never be negative.
     Keep,
+}
+
+impl TUn {
+    fn new(op: UnOp, arg: Scalar, res: Scalar) -> TUn {
+        match op {
+            UnOp::Neg => TUn::Neg(Norm::of(res)),
+            UnOp::Not => TUn::Not(Norm::of(res)),
+            UnOp::LNot => TUn::LNot,
+            // `DynInt` negates only signed negatives; `DynFixed` tests
+            // `to_f64() < 0.0`, which a scale factor that underflows to
+            // zero can never satisfy.
+            UnOp::Abs if arg.is_fixed() && (-(frac(arg) as f64)).exp2() > 0.0 => {
+                TUn::Abs(Norm::of(res))
+            }
+            UnOp::Abs if !arg.is_fixed() && arg.is_signed() => TUn::Abs(Norm::of(res)),
+            UnOp::Abs => TUn::Keep,
+        }
+    }
+
+    #[inline(always)]
+    fn apply(self, a: i128) -> i128 {
+        match self {
+            TUn::Neg(n) => n.apply(a.wrapping_neg()),
+            TUn::Not(n) => n.apply(!a),
+            TUn::LNot => (a == 0) as i128,
+            TUn::Abs(n) if a < 0 => n.apply(a.wrapping_neg()),
+            TUn::Abs(_) | TUn::Keep => a,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -455,35 +492,250 @@ impl TBin {
     }
 }
 
-enum TExpr {
-    Const(i128),
-    Var(usize),
-    Get {
-        array: usize,
-        index: Box<TExpr>,
-    },
-    Un(TUn, Box<TExpr>),
-    Bin(TBin, Box<[TExpr; 2]>),
-    Cast(Conv, Box<TExpr>),
-    /// Condition, then, else; each arm converts into the mux's shape.
-    Select(Box<[TExpr; 3]>, Conv, Conv),
-    /// `arg(hi, lo)`: shift by `lo`, wrap to `ap_uint<hi-lo+1>`.
-    Bits(Box<TExpr>, u32, Norm),
+/// One compiled expression node.
+type NodeFn = Box<dyn Fn(&mut Frame) -> i128 + Send + Sync>;
+
+/// A compiled operand. Leaves stay leaves, so the node that uses one reads
+/// it in place rather than through a call.
+enum Operand {
+    Slot(usize),
+    Imm(i128),
+    Node(NodeFn),
 }
 
-/// A statement; `cost` is the ops it charges outside nested bodies.
+impl Operand {
+    #[inline(always)]
+    fn get(&self, f: &mut Frame) -> i128 {
+        match self {
+            Operand::Slot(slot) => f.vars[*slot],
+            Operand::Imm(c) => *c,
+            Operand::Node(node) => node(f),
+        }
+    }
+}
+
+fn boxed(f: impl Fn(&mut Frame) -> i128 + Send + Sync + 'static) -> NodeFn {
+    Box::new(f)
+}
+
+/// A node applying `op` to one operand, specialised on the operand's kind.
+fn node1<F>(a: Operand, op: F) -> NodeFn
+where
+    F: Fn(&mut Frame, i128) -> i128 + Send + Sync + 'static,
+{
+    match a {
+        Operand::Slot(s) => boxed(move |f| {
+            let x = f.vars[s];
+            op(f, x)
+        }),
+        Operand::Imm(c) => boxed(move |f| op(f, c)),
+        Operand::Node(n) => boxed(move |f| {
+            let x = n(f);
+            op(f, x)
+        }),
+    }
+}
+
+/// A pure operator on one operand; on a constant it folds.
+fn pure1<F>(a: Operand, op: F) -> Operand
+where
+    F: Fn(i128) -> i128 + Send + Sync + 'static,
+{
+    match a {
+        Operand::Imm(c) => Operand::Imm(op(c)),
+        a => Operand::Node(node1(a, move |_, x| op(x))),
+    }
+}
+
+/// A pure operator on two operands, the left evaluated first, specialised
+/// on both operands' kinds; on two constants it folds.
+fn pure2<F>(a: Operand, b: Operand, op: F) -> Operand
+where
+    F: Fn(i128, i128) -> i128 + Send + Sync + 'static,
+{
+    use Operand::{Imm, Node, Slot};
+    Node(match (a, b) {
+        (Imm(x), Imm(y)) => return Imm(op(x, y)),
+        (Imm(x), Slot(t)) => boxed(move |f| op(x, f.vars[t])),
+        (Imm(x), Node(m)) => boxed(move |f| op(x, m(f))),
+        (Slot(s), Imm(y)) => boxed(move |f| op(f.vars[s], y)),
+        (Slot(s), Slot(t)) => boxed(move |f| op(f.vars[s], f.vars[t])),
+        (Slot(s), Node(m)) => boxed(move |f| {
+            let x = f.vars[s];
+            op(x, m(f))
+        }),
+        (Node(n), Imm(y)) => boxed(move |f| op(n(f), y)),
+        (Node(n), Slot(t)) => boxed(move |f| {
+            let x = n(f);
+            op(x, f.vars[t])
+        }),
+        (Node(n), Node(m)) => boxed(move |f| {
+            let x = n(f);
+            op(x, m(f))
+        }),
+    })
+}
+
+// Each arm below rebuilds its operator's variant inside the closure, so the
+// inlined `apply` matches on a constant and the closure keeps only that
+// variant's arithmetic.
+
+fn un(op: TUn, a: Operand) -> Operand {
+    match op {
+        TUn::Neg(n) => pure1(a, move |x| TUn::Neg(n).apply(x)),
+        TUn::Not(n) => pure1(a, move |x| TUn::Not(n).apply(x)),
+        TUn::LNot => pure1(a, |x| TUn::LNot.apply(x)),
+        TUn::Abs(n) => pure1(a, move |x| TUn::Abs(n).apply(x)),
+        TUn::Keep => a,
+    }
+}
+
+fn cast(conv: Conv, a: Operand) -> Operand {
+    match conv {
+        Conv::Same => a,
+        Conv::Wrap(n) => pure1(a, move |x| Conv::Wrap(n).apply(x)),
+        Conv::Scale(s, n) => pure1(a, move |x| Conv::Scale(s, n).apply(x)),
+        Conv::ToInt(s, src, dst) => pure1(a, move |x| Conv::ToInt(s, src, dst).apply(x)),
+        Conv::Zero => pure1(a, |_| 0),
+    }
+}
+
+fn bin(op: TBin, a: Operand, b: Operand) -> Operand {
+    macro_rules! arm {
+        ($op:expr) => {
+            pure2(a, b, move |x, y| $op.apply(x, y))
+        };
+    }
+    match op {
+        TBin::Add(n) => arm!(TBin::Add(n)),
+        TBin::Sub(n) => arm!(TBin::Sub(n)),
+        TBin::Mul(n) => arm!(TBin::Mul(n)),
+        TBin::And(n) => arm!(TBin::And(n)),
+        TBin::Or(n) => arm!(TBin::Or(n)),
+        TBin::Xor(n) => arm!(TBin::Xor(n)),
+        TBin::Div { norm, wide } => arm!(TBin::Div { norm, wide }),
+        TBin::Rem { norm, wide } => arm!(TBin::Rem { norm, wide }),
+        TBin::Shl { width, norm, wide } => arm!(TBin::Shl { width, norm, wide }),
+        TBin::Shr {
+            width,
+            signed,
+            wide,
+        } => arm!(TBin::Shr {
+            width,
+            signed,
+            wide
+        }),
+        TBin::Cmp {
+            mask,
+            order: Order::Int,
+        } => arm!(TBin::Cmp {
+            mask,
+            order: Order::Int
+        }),
+        TBin::Cmp { mask, order } => arm!(TBin::Cmp { mask, order }),
+        TBin::LAnd => arm!(TBin::LAnd),
+        TBin::LOr => arm!(TBin::LOr),
+        TBin::Pick {
+            mask,
+            order: Order::Int,
+            a: ca,
+            b: cb,
+        } => arm!(TBin::Pick {
+            mask,
+            order: Order::Int,
+            a: ca,
+            b: cb
+        }),
+        TBin::Pick {
+            mask,
+            order,
+            a: ca,
+            b: cb,
+        } => arm!(TBin::Pick {
+            mask,
+            order,
+            a: ca,
+            b: cb
+        }),
+        TBin::FAdd { a: x, b: y, norm } => arm!(TBin::FAdd { a: x, b: y, norm }),
+        TBin::FSub { a: x, b: y, norm } => arm!(TBin::FSub { a: x, b: y, norm }),
+        TBin::FMul { sar, norm } => arm!(TBin::FMul { sar, norm }),
+        TBin::FDiv { pre, norm } => arm!(TBin::FDiv { pre, norm }),
+    }
+}
+
+/// Compiles a resolved expression into closures.
+fn compile(e: &RExpr) -> Operand {
+    match &e.node {
+        RNode::Const(raw) => Operand::Imm(Norm::of(e.ty).apply(*raw)),
+        RNode::Var(slot) => Operand::Slot(*slot),
+        RNode::ArrayGet(array, index) => {
+            let array = *array;
+            Operand::Node(node1(compile(index), move |f, i| f.load(array, i)))
+        }
+        RNode::Un(op, arg) => un(TUn::new(*op, arg.ty, e.ty), compile(arg)),
+        RNode::Bin(op, args) => bin(
+            TBin::new(*op, args[0].ty, args[1].ty, e.ty),
+            compile(&args[0]),
+            compile(&args[1]),
+        ),
+        RNode::Cast(arg) => cast(Conv::new(arg.ty, e.ty), compile(arg)),
+        RNode::Select(args) => {
+            let (tconv, econv) = (Conv::new(args[1].ty, e.ty), Conv::new(args[2].ty, e.ty));
+            let pick = move |c: i128, t: i128, e: i128| {
+                if c == 0 {
+                    econv.apply(e)
+                } else {
+                    tconv.apply(t)
+                }
+            };
+            match args.each_ref().map(compile) {
+                [Operand::Imm(c), Operand::Imm(t), Operand::Imm(e)] => Operand::Imm(pick(c, t, e)),
+                [c, t, e] => Operand::Node(boxed(move |f| {
+                    let c = c.get(f);
+                    let t = t.get(f);
+                    pick(c, t, e.get(f))
+                })),
+            }
+        }
+        RNode::BitRange(arg, _, lo) => {
+            let (lo, norm) = (*lo, Norm::of(e.ty));
+            pure1(compile(arg), move |a| {
+                norm.apply(((a as u128) >> lo) as i128)
+            })
+        }
+    }
+}
+
+/// The ops an expression charges: one per node, casts and leaves free.
+fn cost(e: &RExpr) -> u64 {
+    let own = match e.node {
+        RNode::Const(_) | RNode::Var(_) | RNode::Cast(_) => 0,
+        _ => 1,
+    };
+    own + e.args().iter().map(cost).sum::<u64>()
+}
+
+/// An expression as the hot path runs it (`code`) and as the budget's cold
+/// path walks it (`tree`).
+struct Lowered {
+    code: Operand,
+    tree: RExpr,
+}
+
+/// A statement; `cost` is the ops it charges outside nested bodies. A
+/// stored value's conversion into its destination's shape is compiled into
+/// its code.
 enum TStmt {
     Assign {
         slot: usize,
-        conv: Conv,
-        value: TExpr,
+        value: Lowered,
         cost: u64,
     },
     ArraySet {
         array: usize,
-        index: TExpr,
-        conv: Conv,
-        value: TExpr,
+        index: Lowered,
+        value: Lowered,
         cost: u64,
     },
     Read {
@@ -494,8 +746,7 @@ enum TStmt {
     Write {
         port: usize,
         elem: Scalar,
-        conv: Conv,
-        value: TExpr,
+        value: Lowered,
         cost: u64,
     },
     For {
@@ -506,113 +757,64 @@ enum TStmt {
         body: Vec<TStmt>,
     },
     If {
-        cond: TExpr,
+        cond: Lowered,
         cost: u64,
         then_body: Vec<TStmt>,
         else_body: Vec<TStmt>,
     },
 }
 
-/// A lowered kernel body with its initial storage.
+/// A compiled kernel body with its initial storage.
 pub(super) struct Code {
     vars: usize,
     arrays: Vec<(String, Vec<i128>)>,
     body: Vec<TStmt>,
 }
 
-/// Lowers a typed expression; returns its code and its op count.
-fn expr(e: &RExpr) -> (TExpr, u64) {
-    match &e.node {
-        RNode::Const(raw) => (TExpr::Const(Norm::of(e.ty).apply(*raw)), 0),
-        RNode::Var(slot) => (TExpr::Var(*slot), 0),
-        RNode::ArrayGet(array, index) => {
-            let (index, cost) = expr(index);
-            let index = Box::new(index);
-            let array = *array;
-            (TExpr::Get { array, index }, cost + 1)
-        }
-        RNode::Un(op, arg) => {
-            let (res, ty) = (e.ty, arg.ty);
-            let un = match op {
-                UnOp::Neg => TUn::Neg(Norm::of(res)),
-                UnOp::Not => TUn::Not(Norm::of(res)),
-                UnOp::LNot => TUn::LNot,
-                // `DynInt` negates only signed negatives; `DynFixed`
-                // tests `to_f64() < 0.0`, which a scale factor that
-                // underflows to zero can never satisfy.
-                UnOp::Abs if ty.is_fixed() && (-(frac(ty) as f64)).exp2() > 0.0 => {
-                    TUn::Abs(Norm::of(res))
-                }
-                UnOp::Abs if !ty.is_fixed() && ty.is_signed() => TUn::Abs(Norm::of(res)),
-                UnOp::Abs => TUn::Keep,
-            };
-            let (arg, cost) = expr(arg);
-            (TExpr::Un(un, Box::new(arg)), cost + 1)
-        }
-        RNode::Bin(op, args) => {
-            let bin = TBin::new(*op, args[0].ty, args[1].ty, e.ty);
-            let ((l, lc), (r, rc)) = (expr(&args[0]), expr(&args[1]));
-            (TExpr::Bin(bin, Box::new([l, r])), lc + rc + 1)
-        }
-        RNode::Cast(arg) => {
-            let conv = Conv::new(arg.ty, e.ty);
-            let (arg, cost) = expr(arg);
-            (TExpr::Cast(conv, Box::new(arg)), cost)
-        }
-        RNode::Select(args) => {
-            let conv = |arm: &RExpr| Conv::new(arm.ty, e.ty);
-            let (t, f) = (conv(&args[1]), conv(&args[2]));
-            let [(c, cc), (a, ac), (b, bc)] = [0, 1, 2].map(|i| expr(&args[i]));
-            (TExpr::Select(Box::new([c, a, b]), t, f), cc + ac + bc + 1)
-        }
-        RNode::BitRange(arg, _, lo) => {
-            let (arg, cost) = expr(arg);
-            (TExpr::Bits(Box::new(arg), *lo, Norm::of(e.ty)), cost + 1)
-        }
-    }
+/// Compiles an expression, converting its value into the shape `into`
+/// when one is given; returns it with its op count.
+fn lower(tree: RExpr, into: Option<Scalar>) -> (Lowered, u64) {
+    let conv = into.map_or(Conv::Same, |to| Conv::new(tree.ty, to));
+    let code = cast(conv, compile(&tree));
+    let cost = cost(&tree);
+    (Lowered { code, tree }, cost)
 }
 
-fn block(k: &Kernel, body: &[RStmt]) -> Vec<TStmt> {
-    body.iter().map(|s| stmt(k, s)).collect()
+fn block(k: &Kernel, body: Vec<RStmt>) -> Vec<TStmt> {
+    body.into_iter().map(|s| stmt(k, s)).collect()
 }
 
-fn stmt(k: &Kernel, s: &RStmt) -> TStmt {
+fn stmt(k: &Kernel, s: RStmt) -> TStmt {
     match s {
         RStmt::Assign(slot, value) => {
-            let conv = Conv::new(value.ty, k.locals[*slot].ty);
-            let (value, cost) = expr(value);
+            let (value, cost) = lower(value, Some(k.locals[slot].ty));
             TStmt::Assign {
-                slot: *slot,
-                conv,
+                slot,
                 value,
                 cost: cost + 1,
             }
         }
         RStmt::ArraySet(array, index, value) => {
-            let conv = Conv::new(value.ty, k.arrays[*array].elem);
-            let (index, ic) = expr(index);
-            let (value, vc) = expr(value);
+            let (index, ic) = lower(index, None);
+            let (value, vc) = lower(value, Some(k.arrays[array].elem));
             TStmt::ArraySet {
-                array: *array,
+                array,
                 index,
-                conv,
                 value,
                 cost: ic + vc + 1,
             }
         }
         RStmt::Read(slot, port) => TStmt::Read {
-            slot: *slot,
-            ty: k.locals[*slot].ty,
-            port: *port,
+            slot,
+            ty: k.locals[slot].ty,
+            port,
         },
         RStmt::Write(port, value) => {
-            let elem = k.outputs[*port].elem;
-            let conv = Conv::new(value.ty, elem);
-            let (value, cost) = expr(value);
+            let elem = k.outputs[port].elem;
+            let (value, cost) = lower(value, Some(elem));
             TStmt::Write {
-                port: *port,
+                port,
                 elem,
-                conv,
                 value,
                 cost: cost + 1,
             }
@@ -625,14 +827,14 @@ fn stmt(k: &Kernel, s: &RStmt) -> TStmt {
             body,
             ..
         } => TStmt::For {
-            slot: *var,
-            begin: *begin,
-            end: *end,
-            step: *step,
+            slot: var,
+            begin,
+            end,
+            step,
             body: block(k, body),
         },
         RStmt::If(cond, then_body, else_body) => {
-            let (cond, cost) = expr(cond);
+            let (cond, cost) = lower(cond, None);
             TStmt::If {
                 cond,
                 cost: cost + 1,
@@ -644,7 +846,7 @@ fn stmt(k: &Kernel, s: &RStmt) -> TStmt {
 }
 
 impl Code {
-    pub(super) fn new(rk: &ResolvedKernel<'_>) -> Code {
+    pub(super) fn new(rk: ResolvedKernel<'_>) -> Code {
         let arrays = rk
             .kernel
             .arrays
@@ -663,7 +865,7 @@ impl Code {
         Code {
             vars: rk.slots(),
             arrays,
-            body: block(rk.kernel, &rk.body),
+            body: block(rk.kernel, rk.body),
         }
     }
 
@@ -675,12 +877,14 @@ impl Code {
         outputs: &[(String, Scalar)],
     ) -> Result<InterpStats, InterpError> {
         let mut m = Machine {
-            vars: vec![0; self.vars],
-            arrays: self.arrays.iter().map(|(_, a)| a.clone()).collect(),
+            frame: Frame {
+                vars: vec![0; self.vars],
+                arrays: self.arrays.iter().map(|(_, a)| a.clone()).collect(),
+                fault: None,
+            },
             io,
             stats: InterpStats::default(),
             budget,
-            fault: None,
         };
         match m.block(&self.body) {
             Ok(()) => Ok(m.stats),
@@ -726,41 +930,17 @@ fn to_value(c: i128, ty: Scalar) -> Value {
     }
 }
 
-struct Machine<'r> {
+/// The storage compiled expressions read: the one argument every node's
+/// closure takes.
+struct Frame {
     vars: Vec<i128>,
     arrays: Vec<Vec<i128>>,
-    io: &'r mut dyn KernelIo,
-    stats: InterpStats,
-    budget: u64,
     /// The first fault raised inside an expression (evaluation goes on with
     /// a zero in its place; statements check before any side effect).
     fault: Option<Fault>,
 }
 
-impl Machine<'_> {
-    /// Charges a statement's static cost up front; `false` when the budget
-    /// cannot cover it (nothing is charged then).
-    #[inline(always)]
-    fn prepay(&mut self, cost: u64) -> bool {
-        let ops = self.stats.ops + cost;
-        let ok = ops <= self.budget;
-        if ok {
-            self.stats.ops = ops;
-        }
-        ok
-    }
-
-    /// Per-op charging, for the statement that exhausts the budget.
-    #[inline(always)]
-    fn charge<const CHECKED: bool>(&mut self) {
-        if CHECKED {
-            self.stats.ops += 1;
-            if self.stats.ops > self.budget {
-                self.raise(Fault::Budget);
-            }
-        }
-    }
-
+impl Frame {
     #[cold]
     fn raise(&mut self, fault: Fault) {
         self.fault.get_or_insert(fault);
@@ -783,63 +963,76 @@ impl Machine<'_> {
         }
         a[index as usize]
     }
+}
 
-    /// Evaluates an operand, reading leaves in place rather than through a
-    /// call.
+struct Machine<'r> {
+    frame: Frame,
+    io: &'r mut dyn KernelIo,
+    stats: InterpStats,
+    budget: u64,
+}
+
+impl Machine<'_> {
+    /// Charges a statement's static cost up front; `false` when the budget
+    /// cannot cover it (nothing is charged then).
     #[inline(always)]
-    fn arg<const CHECKED: bool>(&mut self, e: &TExpr) -> i128 {
-        match e {
-            TExpr::Const(c) => *c,
-            TExpr::Var(slot) => self.vars[*slot],
-            _ => self.eval::<CHECKED>(e),
+    fn prepay(&mut self, cost: u64) -> bool {
+        let ops = self.stats.ops + cost;
+        let ok = ops <= self.budget;
+        if ok {
+            self.stats.ops = ops;
+        }
+        ok
+    }
+
+    /// Per-op charging, for the statement that exhausts the budget.
+    fn charge(&mut self) {
+        self.stats.ops += 1;
+        if self.stats.ops > self.budget {
+            self.frame.raise(Fault::Budget);
         }
     }
 
-    fn eval<const CHECKED: bool>(&mut self, e: &TExpr) -> i128 {
-        match e {
-            TExpr::Const(c) => *c,
-            TExpr::Var(slot) => self.vars[*slot],
-            TExpr::Get { array, index } => {
-                let i = self.arg::<CHECKED>(index);
-                self.charge::<CHECKED>();
-                self.load(*array, i)
+    /// Walks a resolved tree charging op by op, in the oracle's order.
+    fn eval(&mut self, e: &RExpr) -> i128 {
+        match &e.node {
+            RNode::Const(raw) => Norm::of(e.ty).apply(*raw),
+            RNode::Var(slot) => self.frame.vars[*slot],
+            RNode::ArrayGet(array, index) => {
+                let i = self.eval(index);
+                self.charge();
+                self.frame.load(*array, i)
             }
-            TExpr::Un(op, arg) => {
-                let a = self.arg::<CHECKED>(arg);
-                self.charge::<CHECKED>();
-                match *op {
-                    TUn::Neg(n) => n.apply(a.wrapping_neg()),
-                    TUn::Not(n) => n.apply(!a),
-                    TUn::LNot => (a == 0) as i128,
-                    TUn::Abs(n) if a < 0 => n.apply(a.wrapping_neg()),
-                    TUn::Abs(_) | TUn::Keep => a,
-                }
+            RNode::Un(op, arg) => {
+                let a = self.eval(arg);
+                self.charge();
+                TUn::new(*op, arg.ty, e.ty).apply(a)
             }
-            TExpr::Bin(op, args) => {
-                let a = self.arg::<CHECKED>(&args[0]);
-                let b = self.arg::<CHECKED>(&args[1]);
-                self.charge::<CHECKED>();
-                op.apply(a, b)
+            RNode::Bin(op, args) => {
+                let a = self.eval(&args[0]);
+                let b = self.eval(&args[1]);
+                self.charge();
+                TBin::new(*op, args[0].ty, args[1].ty, e.ty).apply(a, b)
             }
-            TExpr::Cast(conv, arg) => {
-                let a = self.arg::<CHECKED>(arg);
-                conv.apply(a)
+            RNode::Cast(arg) => {
+                let a = self.eval(arg);
+                Conv::new(arg.ty, e.ty).apply(a)
             }
-            TExpr::Select(args, tconv, econv) => {
-                let c = self.arg::<CHECKED>(&args[0]);
-                self.charge::<CHECKED>();
-                let t = self.arg::<CHECKED>(&args[1]);
-                let e = self.arg::<CHECKED>(&args[2]);
+            RNode::Select(args) => {
+                let c = self.eval(&args[0]);
+                self.charge();
+                let t = self.eval(&args[1]);
+                let f = self.eval(&args[2]);
                 if c == 0 {
-                    econv.apply(e)
+                    Conv::new(args[2].ty, e.ty).apply(f)
                 } else {
-                    tconv.apply(t)
+                    Conv::new(args[1].ty, e.ty).apply(t)
                 }
             }
-            TExpr::Bits(arg, lo, norm) => {
-                let a = self.arg::<CHECKED>(arg);
-                self.charge::<CHECKED>();
-                norm.apply(((a as u128) >> lo) as i128)
+            RNode::BitRange(arg, _, lo) => {
+                let a = self.eval(arg);
+                self.charge();
+                Norm::of(e.ty).apply(((a as u128) >> lo) as i128)
             }
         }
     }
@@ -851,8 +1044,8 @@ impl Machine<'_> {
     fn exhaust(&mut self, s: &TStmt) -> Fault {
         match s {
             TStmt::Assign { value, .. } | TStmt::Write { value, .. } => {
-                self.eval::<true>(value);
-                self.charge::<true>();
+                self.eval(&value.tree);
+                self.charge();
             }
             TStmt::ArraySet {
                 array,
@@ -860,18 +1053,19 @@ impl Machine<'_> {
                 value,
                 ..
             } => {
-                let i = self.eval::<true>(index);
-                self.eval::<true>(value);
-                self.charge::<true>();
-                self.load(*array, i);
+                let i = self.eval(&index.tree);
+                self.eval(&value.tree);
+                self.charge();
+                self.frame.load(*array, i);
             }
             TStmt::If { cond, .. } => {
-                self.eval::<true>(cond);
-                self.charge::<true>();
+                self.eval(&cond.tree);
+                self.charge();
             }
-            TStmt::Read { .. } | TStmt::For { .. } => self.charge::<true>(),
+            TStmt::Read { .. } | TStmt::For { .. } => self.charge(),
         }
-        self.fault
+        self.frame
+            .fault
             .take()
             .expect("a statement costing more than the remaining budget faults")
     }
@@ -879,40 +1073,34 @@ impl Machine<'_> {
     fn block(&mut self, body: &[TStmt]) -> Result<(), Fault> {
         for s in body {
             match s {
-                TStmt::Assign {
-                    slot,
-                    conv,
-                    value,
-                    cost,
-                } => {
+                TStmt::Assign { slot, value, cost } => {
                     if !self.prepay(*cost) {
                         return Err(self.exhaust(s));
                     }
-                    let v = self.arg::<false>(value);
-                    self.settle()?;
-                    self.vars[*slot] = conv.apply(v);
+                    let v = value.code.get(&mut self.frame);
+                    self.frame.settle()?;
+                    self.frame.vars[*slot] = v;
                 }
                 TStmt::ArraySet {
                     array,
                     index,
-                    conv,
                     value,
                     cost,
                 } => {
                     if !self.prepay(*cost) {
                         return Err(self.exhaust(s));
                     }
-                    let i = self.arg::<false>(index);
-                    let v = self.arg::<false>(value);
-                    self.settle()?;
-                    let a = &mut self.arrays[*array];
+                    let i = index.code.get(&mut self.frame);
+                    let v = value.code.get(&mut self.frame);
+                    self.frame.settle()?;
+                    let a = &mut self.frame.arrays[*array];
                     if i < 0 || i as u64 >= a.len() as u64 {
                         return Err(Fault::Bounds {
                             array: *array,
                             index: i,
                         });
                     }
-                    a[i as usize] = conv.apply(v);
+                    a[i as usize] = v;
                 }
                 TStmt::Read { slot, ty, port } => {
                     if !self.prepay(1) {
@@ -922,7 +1110,7 @@ impl Machine<'_> {
                     self.stats.reads += 1;
                     let from = v.scalar();
                     let c = Norm::of(from).apply(v.raw() as i128);
-                    self.vars[*slot] = if from == *ty {
+                    self.frame.vars[*slot] = if from == *ty {
                         c
                     } else {
                         Conv::new(from, *ty).apply(c)
@@ -931,18 +1119,17 @@ impl Machine<'_> {
                 TStmt::Write {
                     port,
                     elem,
-                    conv,
                     value,
                     cost,
                 } => {
                     if !self.prepay(*cost) {
                         return Err(self.exhaust(s));
                     }
-                    let v = self.arg::<false>(value);
-                    self.settle()?;
+                    let v = value.code.get(&mut self.frame);
+                    self.frame.settle()?;
                     self.stats.writes += 1;
                     self.io
-                        .write(*port, to_value(conv.apply(v), *elem))
+                        .write(*port, to_value(v, *elem))
                         .map_err(|_| Fault::Closed(*port))?;
                 }
                 TStmt::For {
@@ -957,7 +1144,7 @@ impl Machine<'_> {
                         if !self.prepay(1) {
                             return Err(self.exhaust(s));
                         }
-                        self.vars[*slot] = i as i32 as i128;
+                        self.frame.vars[*slot] = i as i32 as i128;
                         self.block(body)?;
                         i += *step;
                     }
@@ -971,8 +1158,8 @@ impl Machine<'_> {
                     if !self.prepay(*cost) {
                         return Err(self.exhaust(s));
                     }
-                    let c = self.arg::<false>(cond);
-                    self.settle()?;
+                    let c = cond.code.get(&mut self.frame);
+                    self.frame.settle()?;
                     self.block(if c == 0 { else_body } else { then_body })?;
                 }
             }

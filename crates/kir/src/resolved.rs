@@ -2,9 +2,9 @@
 //!
 //! [`crate::resolve`] checks a kernel and, in the same walk, types every
 //! expression node and replaces every name by a declaration index. The
-//! three backends (the interpreter's typed code, `softcore::cc` and
-//! `hlsim::lower`) read this tree, so none of them works out a type or
-//! looks up a name again.
+//! three backends (the interpreter's compiled closures, `softcore::cc` and
+//! `hlsim`'s scheduler, binder and report) read this tree, so none of them
+//! works out a type or looks up a name again.
 //!
 //! Scalar variables share one *slot* numbering: the kernel's locals first,
 //! in declaration order, then one slot per `For` loop index, in pre-order
@@ -100,6 +100,14 @@ impl RExpr {
             RNode::Select(args) => &args[..],
         }
     }
+
+    /// Visits every node of this expression, operands before the node.
+    pub fn visit(&self, f: &mut impl FnMut(&RExpr)) {
+        for arg in self.args() {
+            arg.visit(f);
+        }
+        f(self);
+    }
 }
 
 /// A resolved statement; each mirrors the [`crate::Stmt`] variant of the
@@ -114,17 +122,30 @@ pub enum RStmt {
     Read(usize, usize),
     /// `outputs[port].write(value)`.
     Write(usize, RExpr),
-    /// A counted loop; `var` is its index's slot. The `pipeline` hint is
-    /// left on the source statement, which the HLS scheduler reads.
+    /// A counted loop; `var` is its index's slot.
     #[allow(missing_docs)]
     For {
         var: usize,
         begin: i64,
         end: i64,
         step: i64,
+        pipeline: bool,
         unroll: u32,
         body: Vec<RStmt>,
     },
     /// `if (cond) then_body else else_body`.
     If(RExpr, Vec<RStmt>, Vec<RStmt>),
+}
+
+impl RStmt {
+    /// A `For`'s iteration count; `None` for every other statement.
+    pub fn trip_count(&self) -> Option<u64> {
+        match self {
+            RStmt::For {
+                begin, end, step, ..
+            } if *step > 0 && end > begin => Some(((end - begin) as u64).div_ceil(*step as u64)),
+            RStmt::For { .. } => Some(0),
+            _ => None,
+        }
+    }
 }

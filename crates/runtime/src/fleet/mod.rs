@@ -467,7 +467,7 @@ impl Fleet {
 
         // Pass 1: devices with room right now, best (cache, fit) first.
         for i in placement::fitting_now(&self.devices, &candidates, &app) {
-            match self.devices[i].admit(id, &name, app) {
+            match self.devices[i].admit(id, &name, app, &mut None) {
                 Ok(landed) => {
                     self.finish_admit(id, tenant, i, landed, submitted, ticket, events);
                     return;
@@ -481,7 +481,7 @@ impl Fleet {
         let mut reason = "no device has capacity this tenant's class may reclaim".to_string();
         for i in placement::rank(&self.devices, &candidates, &app) {
             loop {
-                match self.devices[i].admit(id, &name, app) {
+                match self.devices[i].admit(id, &name, app, &mut None) {
                     Ok(landed) => {
                         self.finish_admit(id, tenant, i, landed, submitted, ticket, events);
                         return;
@@ -668,12 +668,13 @@ impl Fleet {
         if src == to.0 {
             return Ok(0.0);
         }
-        let (name, compiled) = self.devices[src].remove(app).map_err(FleetError::Device)?;
+        let (name, compiled, code) = self.devices[src].remove(app).map_err(FleetError::Device)?;
         self.unsettle(app);
         let class = self.spec_of(tenant).evict;
         let mut boxed = Box::new(compiled);
+        let mut code = Some(code);
         loop {
-            match self.devices[to.0].admit(app, &name, boxed) {
+            match self.devices[to.0].admit(app, &name, boxed, &mut code) {
                 Ok((downtime_seconds, _)) => {
                     self.settle(app, tenant, to.0);
                     self.migrations += 1;
@@ -690,7 +691,9 @@ impl Fleet {
                         }
                     }
                     // Destination refused for good: restore on the source.
-                    let restored = self.devices[src].admit(app, &name, boxed).is_ok();
+                    let restored = self.devices[src]
+                        .admit(app, &name, boxed, &mut code)
+                        .is_ok();
                     if restored {
                         self.settle(app, tenant, src);
                     }

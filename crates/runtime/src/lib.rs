@@ -134,6 +134,9 @@ pub(crate) enum Refusal {
 pub(crate) struct ResidentApp {
     pub(crate) name: String,
     pub(crate) app: CompiledApp,
+    /// `app.graph` compiled for the interpreter once, at install; a hot
+    /// swap recompiles only the operators it edits.
+    pub(crate) code: dfg::CompiledGraph,
     pub(crate) placement: Vec<PlacedOperator>,
     /// The remapped link table as programmed into the network.
     pub(crate) links: Vec<LinkOp>,
@@ -238,9 +241,11 @@ impl Runtime {
             .ok_or(RuntimeError::NotResident(id))?;
         let t0 = std::time::Instant::now();
         let outputs = if self.cosim_serving && resident.app.level == OptLevel::O0 {
-            cosim_serve(&resident.app, inputs)
+            cosim_serve(&resident.app, &resident.code, inputs)
         } else {
-            dfg::run_graph(&resident.app.graph, inputs)
+            resident
+                .code
+                .run(inputs)
                 .map(|(outputs, _)| outputs)
                 .map_err(|e| e.to_string())
         }
@@ -274,11 +279,15 @@ impl Runtime {
     /// on success the app is resident under `id` and the bring-up bill
     /// (downtime seconds) and its pages come back; on refusal the app
     /// comes back so the fleet can evict and retry, or try another device.
+    /// `code` is the interpreter code of an app that arrives from another
+    /// device: it is taken on success, and an app without it is compiled
+    /// here.
     pub(crate) fn admit(
         &mut self,
         id: FleetAppId,
         name: &str,
         app: Box<CompiledApp>,
+        code: &mut Option<dfg::CompiledGraph>,
     ) -> Result<(f64, Vec<PageId>), (Box<CompiledApp>, Refusal)> {
         if app.floorplan != self.device.floorplan {
             return Err((app, Refusal::Error(RuntimeError::FloorplanMismatch)));
@@ -287,18 +296,22 @@ impl Runtime {
             return Err((app, Refusal::Error(RuntimeError::Alloc(e))));
         }
         match allocator::plan(&self.device.floorplan, &self.device.free_map(), &app) {
-            Ok(placement) => self.install(id, name.to_string(), app, placement),
+            Ok(placement) => self.install(id, name.to_string(), app, code, placement),
             Err(_) => Err((app, Refusal::NoCapacity)),
         }
     }
 
     /// Removes a resident app from the fabric — its routes torn down, its
-    /// pages released — and hands back its name and compiled form. The
-    /// [`CompiledApp`] still carries its `LoadOp` tape, so replaying it on
-    /// another device re-admits the app bit-identically (a migration).
+    /// pages released — and hands back its name, compiled form and
+    /// interpreter code. The [`CompiledApp`] still carries its `LoadOp`
+    /// tape, so replaying it on another device re-admits the app
+    /// bit-identically (a migration, which carries the code along).
     /// Eviction, retirement and migration all leave through here; only the
     /// fleet's victim path counts an eviction.
-    pub(crate) fn remove(&mut self, id: FleetAppId) -> Result<(String, CompiledApp), RuntimeError> {
+    pub(crate) fn remove(
+        &mut self,
+        id: FleetAppId,
+    ) -> Result<(String, CompiledApp, dfg::CompiledGraph), RuntimeError> {
         let resident = self
             .resident
             .remove(&id)
@@ -307,7 +320,7 @@ impl Runtime {
         for p in &resident.placement {
             self.device.release(p.actual);
         }
-        Ok((resident.name, resident.app))
+        Ok((resident.name, resident.app, resident.code))
     }
 
     /// `(id, last_used_tick)` for every resident app — the raw material
@@ -345,6 +358,7 @@ impl Runtime {
         id: FleetAppId,
         name: String,
         app: Box<CompiledApp>,
+        code: &mut Option<dfg::CompiledGraph>,
         placement: Vec<PlacedOperator>,
     ) -> Result<(f64, Vec<PageId>), (Box<CompiledApp>, Refusal)> {
         // Carve this tenant's register ranges out of the shared DMA leaves.
@@ -407,6 +421,7 @@ impl Runtime {
             id,
             ResidentApp {
                 name,
+                code: code.take().unwrap_or_else(|| dfg::compile(&app.graph)),
                 app: *app,
                 placement,
                 links,
@@ -479,9 +494,10 @@ const COSIM_SERVE_BUDGET: u64 = 2_000_000_000;
 /// convert back to typed values.
 fn cosim_serve(
     app: &CompiledApp,
+    code: &dfg::CompiledGraph,
     inputs: &[(&str, Vec<Value>)],
 ) -> Result<HashMap<String, Vec<Value>>, String> {
-    let (functional, _) = dfg::run_graph(&app.graph, inputs).map_err(|e| e.to_string())?;
+    let (functional, _) = code.run(inputs).map_err(|e| e.to_string())?;
     let word_inputs: Vec<Vec<u32>> = app
         .graph
         .ext_inputs
@@ -625,7 +641,9 @@ mod tests {
         let resident = card.resident_mut(first).unwrap();
         (resident.dma_in_base, resident.dma_in_width) = (0, 255);
 
-        let (app, refusal) = card.admit(FleetAppId(99), "probe", tiny_app()).unwrap_err();
+        let (app, refusal) = card
+            .admit(FleetAppId(99), "probe", tiny_app(), &mut None)
+            .unwrap_err();
         assert!(
             matches!(refusal, Refusal::Error(RuntimeError::DmaStreamsExhausted)),
             "{refusal:?}"

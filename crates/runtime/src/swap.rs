@@ -286,6 +286,9 @@ impl Runtime {
             let resident = self
                 .resident_mut(id)
                 .ok_or(RuntimeError::ResidencyLost(id))?;
+            // Every operator whose kernel the edit changed gets new
+            // interpreter code, whether or not its page reloads.
+            resident.code.recompile(&resident.app.graph, &new_app.graph);
             resident.app = new_app;
             resident.placement = placement;
             resident.links = new_links;
