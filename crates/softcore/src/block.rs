@@ -16,6 +16,14 @@
 //! asserts the two engines produce bit-identical architectural state,
 //! cycle counts, instruction counts, and stream traffic.
 //!
+//! Decoding is one micro-op per instruction word, after which the head
+//! slot of each of the compiler's slot-access idioms — `li R, A`, then
+//! `load R, 0(R)` or `store rs, 0(R)` at an in-bounds `A` — becomes one
+//! fused micro-op doing the whole group in one dispatch (see
+//! `fuse_groups`). The group's other slots are untouched, so branches
+//! into a group run its words one by one; a budget-checked dispatch and
+//! the visible step run the head alone, so every stop stays exact.
+//!
 //! Invalidation is centralized at the two places softcore memory is ever
 //! written — `store_n` (covering executed stores *and* `ecall` intrinsic
 //! slot writes) and [`Cpu::load`] (covering the loader and runtime
@@ -51,6 +59,16 @@ impl LoadKind {
             LoadKind::Word => 4,
             LoadKind::Half | LoadKind::HalfU => 2,
             LoadKind::Byte | LoadKind::ByteU => 1,
+        }
+    }
+
+    /// Sign- or zero-extends the `len()` raw bytes `load_n` returned.
+    #[inline]
+    fn extend(self, raw: u32) -> u32 {
+        match self {
+            LoadKind::Word | LoadKind::HalfU | LoadKind::ByteU => raw,
+            LoadKind::Half => (raw as u16 as i16 as i32) as u32,
+            LoadKind::Byte => (raw as u8 as i8 as i32) as u32,
         }
     }
 }
@@ -235,6 +253,37 @@ enum UOp {
         link: u32,
     },
     Ecall,
+    // Fused `li` groups (see `fuse_groups`). Each replaces only the head
+    // slot of its group: the group's other words keep their one-to-one
+    // micro-ops. An unchecked dispatch runs the whole group; a
+    // budget-checked one and `exec_uop` run the head alone, which writes
+    // `rd = addr - lo` (`value - lo` for a pair; `lo` is the group's
+    // `addi` immediate, 0 when the group has no `addi`).
+    /// `lui rd, hi; addi rd, rd, lo`: `rd = value`.
+    LiPair {
+        rd: u8,
+        lo: i16,
+        value: u32,
+    },
+    /// `li rd, addr` in `n - 1` words, then `load rd, 0(rd)`:
+    /// `rd = mem[addr]`, with `addr` in bounds.
+    LiLoad {
+        rd: u8,
+        kind: LoadKind,
+        n: u8,
+        lo: i16,
+        addr: u32,
+    },
+    /// `li rd, addr` in `n - 1` words, then `store rs, 0(rd)`:
+    /// `rd = addr; mem[addr] = rs`, with `addr` in bounds.
+    LiStore {
+        rd: u8,
+        rs: u8,
+        kind: StoreKind,
+        n: u8,
+        lo: i16,
+        addr: u32,
+    },
 }
 
 /// A decoded straight-line block: micro-ops for the instruction words at
@@ -375,10 +424,87 @@ fn decode_block(mem: &[u8], pc: u32) -> Block {
             break;
         }
     }
+    fuse_groups(&mut ops, mem.len());
     Block {
         start: pc,
         end: pc.wrapping_add(4 * ops.len() as u32),
         ops: ops.into_boxed_slice(),
+    }
+}
+
+/// Replaces the head slot of every `li R, A` group — `lui R` + `addi R, R`,
+/// `lui R` alone, or `addi R, x0` — followed by `load R, 0(R)` or
+/// `store rs, 0(R)` with `A` inside `mem_len`, and of every `lui R` +
+/// `addi R, R` pair otherwise, by one fused micro-op. `A` is known here
+/// and memory never changes size, so a fused access can never trap or
+/// reach a stream port (`STREAM_READ_BASE >= MAX_PAGE_MEMORY`).
+fn fuse_groups(ops: &mut [UOp], mem_len: usize) {
+    let mut i = 0;
+    while i < ops.len() {
+        // The `li`: its register, the value it leaves, the `addi`
+        // immediate of a two-word form, and its length in words.
+        let (rd, value, lo, n) = match ops[i] {
+            UOp::Lui { rd, imm } if rd != 0 => match ops.get(i + 1) {
+                Some(&UOp::Addi {
+                    rd: d,
+                    rs1,
+                    imm: lo,
+                }) if d == rd && rs1 == rd => (rd, imm.wrapping_add(lo), lo as i16, 2),
+                _ => (rd, imm, 0, 1),
+            },
+            UOp::Addi { rd, rs1: 0, imm } if rd != 0 => (rd, imm, 0, 1),
+            _ => {
+                i += 1;
+                continue;
+            }
+        };
+        let fits = |len: u32| {
+            (value as usize)
+                .checked_add(len as usize)
+                .is_some_and(|end| end <= mem_len)
+        };
+        let fused = match ops.get(i + n) {
+            Some(&UOp::Load {
+                rd: d,
+                rs1,
+                imm: 0,
+                kind,
+            }) if d == rd && rs1 == rd && fits(kind.len()) => Some((
+                UOp::LiLoad {
+                    rd,
+                    kind,
+                    n: n as u8 + 1,
+                    lo,
+                    addr: value,
+                },
+                n + 1,
+            )),
+            Some(&UOp::Store {
+                rs1,
+                rs2,
+                imm: 0,
+                kind,
+            }) if rs1 == rd && fits(kind.len()) => Some((
+                UOp::LiStore {
+                    rd,
+                    rs: rs2,
+                    kind,
+                    n: n as u8 + 1,
+                    lo,
+                    addr: value,
+                },
+                n + 1,
+            )),
+            _ if n == 2 => Some((UOp::LiPair { rd, lo, value }, 2)),
+            _ => None,
+        };
+        match fused {
+            Some((op, words)) => {
+                ops[i] = op;
+                i += words;
+            }
+            None => i += 1,
+        }
     }
 }
 
@@ -678,6 +804,15 @@ impl Cpu {
             // Normal entries start at the block head; an `entry` hint may
             // resume mid-block (pc is inside `[start, end)` by contract).
             let mut idx = ((pc - block.start) >> 2) as usize;
+            // Retire a fused group of `$n` words as one dispatch.
+            macro_rules! retire_group {
+                ($n:expr, $cost:expr) => {{
+                    idx += $n as usize - 1;
+                    pc = pc.wrapping_add(4 * $n as u32);
+                    cycles += $cost;
+                    retired += $n as u64;
+                }};
+            }
             'ops: while idx < ops.len() {
                 if !unchecked && (retired >= max_retire || cycles >= cycle_limit) {
                     self.pc = pc;
@@ -802,13 +937,7 @@ impl Cpu {
                             flush!();
                             return retired;
                         }
-                        let raw = self.load_n(addr, kind.len());
-                        let v = match kind {
-                            LoadKind::Word | LoadKind::HalfU | LoadKind::ByteU => raw,
-                            LoadKind::Half => (raw as u16 as i16 as i32) as u32,
-                            LoadKind::Byte => (raw as u8 as i8 as i32) as u32,
-                        };
-                        self.wr(rd, v);
+                        self.wr(rd, kind.extend(self.load_n(addr, kind.len())));
                         retire!(cycles::LOAD);
                     }
                     UOp::Store {
@@ -906,6 +1035,48 @@ impl Cpu {
                             self.pc = pc;
                             continue 'blocks;
                         }
+                    }
+                    // A fused group runs whole only on an unchecked pass:
+                    // no word of it is a visible instruction, so only a
+                    // budget could stop inside it.
+                    UOp::LiPair { rd, value, .. } if unchecked => {
+                        self.wr(rd, value);
+                        retire_group!(2, 2 * cycles::ALU);
+                    }
+                    UOp::LiLoad {
+                        rd, kind, n, addr, ..
+                    } if unchecked => {
+                        self.wr(rd, kind.extend(self.load_n(addr, kind.len())));
+                        retire_group!(n, u64::from(n - 1) * cycles::ALU + cycles::LOAD);
+                    }
+                    UOp::LiStore {
+                        rd,
+                        rs,
+                        kind,
+                        n,
+                        addr,
+                        ..
+                    } if unchecked => {
+                        self.wr(rd, addr);
+                        self.store_n(addr, kind.len(), self.rr(rs));
+                        retire_group!(n, u64::from(n - 1) * cycles::ALU + cycles::STORE);
+                        if self.icache.epoch != epoch {
+                            self.pc = pc;
+                            continue 'blocks;
+                        }
+                    }
+                    // Budget-checked: the head alone, so a stop can land
+                    // on any word of the group.
+                    UOp::LiPair {
+                        rd,
+                        lo,
+                        value: addr,
+                        ..
+                    }
+                    | UOp::LiLoad { rd, lo, addr, .. }
+                    | UOp::LiStore { rd, lo, addr, .. } => {
+                        self.wr(rd, addr.wrapping_sub(lo as u32));
+                        retire!(cycles::ALU);
                     }
                 }
             }
@@ -1070,13 +1241,7 @@ impl Cpu {
                     if !self.mem_ok(addr, kind.len()) {
                         return StepResult::Trap { pc: self.pc };
                     }
-                    let raw = self.load_n(addr, kind.len());
-                    let v = match kind {
-                        LoadKind::Word | LoadKind::HalfU | LoadKind::ByteU => raw,
-                        LoadKind::Half => (raw as u16 as i16 as i32) as u32,
-                        LoadKind::Byte => (raw as u8 as i8 as i32) as u32,
-                    };
-                    self.wr(rd, v);
+                    self.wr(rd, kind.extend(self.load_n(addr, kind.len())));
                 }
             }
             UOp::Store {
@@ -1137,6 +1302,16 @@ impl Cpu {
                     return StepResult::Trap { pc: self.pc };
                 }
             }
+            // A fused group's head alone (the rest of the group keeps its
+            // own slots).
+            UOp::LiPair {
+                rd,
+                lo,
+                value: addr,
+                ..
+            }
+            | UOp::LiLoad { rd, lo, addr, .. }
+            | UOp::LiStore { rd, lo, addr, .. } => self.wr(rd, addr.wrapping_sub(lo as u32)),
         }
         self.pc = next_pc;
         self.cycles += cost;

@@ -1,6 +1,7 @@
 //! The PicoRV32-class instruction-set simulator.
 
 use aplib::{DynFixed, DynInt};
+use kir::expr::{BinOp, UnOp};
 use kir::ops::{eval_bin, eval_un};
 use kir::types::{Scalar, Value};
 
@@ -31,6 +32,53 @@ pub enum StepResult {
     Trap { pc: u32 },
 }
 
+/// An intrinsic-table entry as `ecall` runs it: the [`Intrinsic`] with
+/// `Select`'s common arm type worked out once, when the core is built.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Routine {
+    Bin {
+        op: BinOp,
+        lhs: Scalar,
+        rhs: Scalar,
+    },
+    Un {
+        op: UnOp,
+        arg: Scalar,
+    },
+    Cast {
+        from: Scalar,
+        to: Scalar,
+    },
+    Select {
+        cond: Scalar,
+        t: Scalar,
+        e: Scalar,
+        common: Scalar,
+    },
+    BitRange {
+        arg: Scalar,
+        hi: u32,
+        lo: u32,
+    },
+}
+
+impl From<Intrinsic> for Routine {
+    fn from(intr: Intrinsic) -> Routine {
+        match intr {
+            Intrinsic::Bin { op, lhs, rhs } => Routine::Bin { op, lhs, rhs },
+            Intrinsic::Un { op, arg } => Routine::Un { op, arg },
+            Intrinsic::Cast { from, to } => Routine::Cast { from, to },
+            Intrinsic::Select { cond, t, e } => Routine::Select {
+                cond,
+                t,
+                e,
+                common: kir::ops::select_type(t, e),
+            },
+            Intrinsic::BitRange { arg, hi, lo } => Routine::BitRange { arg, hi, lo },
+        }
+    }
+}
+
 /// The softcore: RV32IM, unified little-endian memory, blocking stream
 /// ports, and a PicoRV32-calibrated cycle counter.
 #[derive(Debug, Clone)]
@@ -40,7 +88,7 @@ pub struct Cpu {
     /// Program counter.
     pub pc: u32,
     pub(crate) mem: Vec<u8>,
-    pub(crate) intrinsics: Vec<Intrinsic>,
+    pub(crate) intrinsics: Vec<Routine>,
     /// Cycles elapsed (including stalls).
     pub cycles: u64,
     /// Instructions retired.
@@ -67,7 +115,7 @@ impl Cpu {
             regs: [0; 32],
             pc: 0,
             mem: vec![0; mem_bytes as usize],
-            intrinsics,
+            intrinsics: intrinsics.into_iter().map(Routine::from).collect(),
             cycles: 0,
             instructions: 0,
             icache: BlockCache::default(),
@@ -213,35 +261,34 @@ impl Cpu {
 
     pub(crate) fn ecall(&mut self) -> Result<(), ()> {
         let idx = self.reg(crate::isa::reg::A7) as usize;
-        let Some(intr) = self.intrinsics.get(idx).copied() else {
+        let Some(routine) = self.intrinsics.get(idx).copied() else {
             return Err(());
         };
         let a0 = self.reg(crate::isa::reg::A0);
         let a1 = self.reg(crate::isa::reg::A1);
         let a2 = self.reg(crate::isa::reg::A2);
         let a3 = self.reg(crate::isa::reg::A3);
-        match intr {
-            Intrinsic::Bin { op, lhs, rhs } => {
+        match routine {
+            Routine::Bin { op, lhs, rhs } => {
                 let l = self.read_slot_value(a0, lhs);
                 let r = self.read_slot_value(a1, rhs);
                 let out = eval_bin(op, l, r);
                 self.write_slot_value(a2, &out);
             }
-            Intrinsic::Un { op, arg } => {
+            Routine::Un { op, arg } => {
                 let v = self.read_slot_value(a0, arg);
                 let out = eval_un(op, v);
                 self.write_slot_value(a1, &out);
             }
-            Intrinsic::Cast { from, to } => {
+            Routine::Cast { from, to } => {
                 let v = self.read_slot_value(a0, from);
                 let out = v.coerce(to);
                 self.write_slot_value(a1, &out);
             }
-            Intrinsic::Select { cond, t, e } => {
+            Routine::Select { cond, t, e, common } => {
                 let c = self.read_slot_value(a0, cond);
                 let tv = self.read_slot_value(a1, t);
                 let ev = self.read_slot_value(a2, e);
-                let common = kir::ops::select_type(t, e);
                 let out = if c.is_zero() {
                     ev.coerce(common)
                 } else {
@@ -249,7 +296,7 @@ impl Cpu {
                 };
                 self.write_slot_value(a3, &out);
             }
-            Intrinsic::BitRange { arg, hi, lo } => {
+            Routine::BitRange { arg, hi, lo } => {
                 let v = self.read_slot_value(a0, arg);
                 let as_int = DynInt::from_raw(arg.width(), false, v.raw());
                 self.write_slot_value(a1, &Value::Int(as_int.bit_range(hi, lo)));

@@ -2,16 +2,23 @@
 //! path, must be bit-identical to the decode-per-step reference
 //! (`Cpu::step`) on random firmware images under random stream
 //! stall/availability patterns — final registers, memory, cycle count,
-//! instruction count, and emitted tokens all equal. The scenario tests
-//! pin the cases random firmware rarely reaches: stores into decoded
-//! bytes and firmware reloads over a live core.
+//! instruction count, and emitted tokens all equal. The random body mixes
+//! single instructions with the compiler's slot-access idioms (`li R, A`
+//! in all three forms, then a load or store through `0(R)`), whose
+//! addresses land in bounds, out of bounds, on a stream port or inside
+//! the code, so fused groups, their refusals and branches into them all
+//! occur; the cached side also runs under random budgets that stop it
+//! mid-group. The scenario tests pin the cases random firmware rarely
+//! reaches: stores into decoded bytes and firmware reloads over a live
+//! core.
 
 use proptest::prelude::*;
 use softcore::cpu::{StepResult, StreamIo};
 use softcore::isa::Instr;
 use softcore::{firmware, Cpu};
 
-const MEM_BYTES: u32 = 4096;
+/// Three 4 KiB pages, so a bare `lui` can address in-bounds data.
+const MEM_BYTES: u32 = 3 * 4096;
 /// Scratch data region for random loads/stores (code sits below it).
 const SCRATCH: i32 = 1024;
 const CYCLE_BUDGET: u64 = 50_000;
@@ -63,20 +70,22 @@ impl StreamIo for PatternIo {
     }
 }
 
-/// One random instruction from a compact recipe. Control flow only jumps
+/// Appends one recipe entry to `code`: a single random instruction, or
+/// (five selectors in 23) a slot-access group. Control flow only jumps
 /// forward (backward branches come from a dedicated selector with a small
-/// bounded hop, so loops re-enter recently executed code and exercise the
-/// intra-block transfer path); the cycle budget bounds the runaway cases
-/// identically in both engines.
-fn instr(sel: u8, a: u8, b: u8, imm: i16, at: usize, len: usize) -> Instr {
+/// bounded hop, so loops re-enter recently executed code — often the
+/// middle of a group — and exercise the intra-block transfer path); the
+/// cycle budget bounds the runaway cases identically in both engines.
+fn emit(code: &mut Vec<Instr>, (sel, a, b, imm): (u8, u8, u8, i16), last: bool) {
     // x1..x12 are general scratch; x5 points at SCRATCH, x6/x7 at the
     // stream read/write windows (set up by the prelude).
+    let at = code.len();
     let rd = u32::from(a % 12) + 1;
     let rs1 = u32::from(b % 12) + 1;
     let rs2 = u32::from(a.wrapping_add(b) % 12) + 1;
     let word_off = i32::from(imm as u8 % 200) * 4;
     let fwd = 4 * (i32::from(b % 4) + 1);
-    match sel % 18 {
+    let ins = match sel % 23 {
         0 => Instr::Addi {
             rd,
             rs1,
@@ -127,12 +136,12 @@ fn instr(sel: u8, a: u8, b: u8, imm: i16, at: usize, len: usize) -> Instr {
             imm: 0,
         },
         16 => Instr::Bne { rs1, rs2, imm: fwd },
-        _ => {
+        17 => {
             // A short backward hop when there is room, else forward: a
             // bounded loop whose exit (or the cycle budget) both engines
             // hit at the same instruction.
             let back = 4 * (i32::from(b % 3) + 1);
-            if at >= 4 && at + 1 < len {
+            if at >= 4 && !last {
                 Instr::Beq {
                     rs1,
                     rs2: rs1,
@@ -142,7 +151,103 @@ fn instr(sel: u8, a: u8, b: u8, imm: i16, at: usize, len: usize) -> Instr {
                 Instr::Jal { rd: 1, imm: fwd }
             }
         }
+        _ => return emit_slot_access(code, a, b, imm),
+    };
+    code.push(ins);
+}
+
+/// Appends `li R, A` in one of its three forms (`lui` + `addi`, `lui`
+/// alone, `addi` from `x0`), then a load `R, 0(R)`, a store `rs, 0(R)`
+/// (`rs == R` included) or nothing. `A` is in bounds, out of bounds, a
+/// stream port, or a word of the code itself; `R` is sometimes `x0`,
+/// whose `li` leaves the access at address 0.
+fn emit_slot_access(code: &mut Vec<Instr>, a: u8, b: u8, imm: i16) {
+    // Never the prelude's x5..x7, which the single instructions address
+    // through.
+    let r = [0, 1, 2, 3, 4, 8, 9, 10, 11, 12][usize::from(a / 16 % 10)];
+    let access = (imm as u16 >> 2) % 9; // 0..=4 load, 5..=7 store, 8 none
+    let store = (5..=7).contains(&access);
+    let k = u32::from(imm as u16 >> 6);
+    // Form 0 is `lui` + `addi` (any A), 1 `lui` alone (A a multiple of
+    // 4096), 2 `addi x0` (A sign-extended from 12 bits).
+    let mut form = b % 3;
+    let addr: u32 = match a % 16 {
+        // In bounds.
+        0..=9 => match form {
+            0 => SCRATCH as u32 + k % (MEM_BYTES - SCRATCH as u32 - 4),
+            1 => 4096 * (1 + k % 2),
+            _ => SCRATCH as u32 + k % (2048 - SCRATCH as u32 - 4),
+        },
+        // Out of bounds (below the stream windows, or across the end).
+        10 | 11 => match form {
+            0 => MEM_BYTES - 2 + k % 64,
+            1 => 4 * 4096 * (1 + k % 8),
+            _ => (-1 - (k % 2048) as i32) as u32,
+        },
+        // A stream port: only the `lui` forms reach the read window.
+        12 | 13 => {
+            form %= 2;
+            let base = if store {
+                firmware::STREAM_WRITE_BASE
+            } else {
+                firmware::STREAM_READ_BASE
+            };
+            base + if form == 0 { 8 * (k % 4) } else { 0 }
+        }
+        // A word of the code around the group: a store there is
+        // self-modifying (a bare `lui` can only reach address 0).
+        _ => match form {
+            1 => 0,
+            _ => 4 * (code.len() as u32 + k % 8).saturating_sub(2),
+        },
+    };
+    match form {
+        0 => code.extend([
+            Instr::Lui {
+                rd: r,
+                imm: (addr.wrapping_add(0x800) & 0xffff_f000) as i32,
+            },
+            Instr::Addi {
+                rd: r,
+                // One pair in eight adds to another register: not a `li`.
+                rs1: if b >> 5 == 7 { 5 } else { r },
+                imm: ((addr as i32) << 20) >> 20,
+            },
+        ]),
+        1 => code.push(Instr::Lui {
+            rd: r,
+            imm: addr as i32,
+        }),
+        _ => code.push(Instr::Addi {
+            rd: r,
+            rs1: 0,
+            imm: ((addr as i32) << 20) >> 20,
+        }),
     }
+    let rs = if imm & 1 == 0 {
+        r
+    } else {
+        u32::from(b % 12) + 1
+    };
+    // Three accesses in sixteen miss the idiom, so must not fuse: another
+    // base, an offset, or (loads) another destination.
+    let (rd, rs1, imm) = match imm as u16 >> 12 {
+        0 => (r, 5, 0),
+        1 => (r, r, 4),
+        2 => (rs, r, 0),
+        _ => (r, r, 0),
+    };
+    code.push(match access {
+        0 => Instr::Lw { rd, rs1, imm },
+        1 => Instr::Lh { rd, rs1, imm },
+        2 => Instr::Lhu { rd, rs1, imm },
+        3 => Instr::Lb { rd, rs1, imm },
+        4 => Instr::Lbu { rd, rs1, imm },
+        5 => Instr::Sw { rs1, rs2: rs, imm },
+        6 => Instr::Sh { rs1, rs2: rs, imm },
+        7 => Instr::Sb { rs1, rs2: rs, imm },
+        _ => return,
+    });
 }
 
 /// Assembles the prelude + random body + ebreak tail into a fresh core.
@@ -163,10 +268,8 @@ fn build_cpu(recipe: &[(u8, u8, u8, i16)]) -> Cpu {
             imm: firmware::STREAM_WRITE_BASE as i32,
         },
     ];
-    let body_start = code.len();
-    let body_len = recipe.len();
-    for (i, &(sel, a, b, imm)) in recipe.iter().enumerate() {
-        code.push(instr(sel, a, b, imm, i + body_start, body_start + body_len));
+    for (i, &entry) in recipe.iter().enumerate() {
+        emit(&mut code, entry, i + 1 == recipe.len());
     }
     // Padding halts so every bounded forward hop lands on valid code.
     for _ in 0..6 {
@@ -184,14 +287,22 @@ enum Mode {
     BlockCached,
 }
 
-/// Drives one core to halt/trap/budget and snapshots the architectural
-/// state: (registers, memory, cycles, instructions, emitted tokens, halted).
-fn run(
-    mut cpu: Cpu,
-    mut io: PatternIo,
-    mode: Mode,
-) -> ([u32; 32], Vec<u32>, u64, u64, Vec<u32>, bool) {
-    let mut halted = false;
+/// The architectural state a run ends in.
+#[derive(Debug, PartialEq)]
+struct Snapshot {
+    regs: [u32; 32],
+    pc: u32,
+    mem: Vec<u32>,
+    cycles: u64,
+    instructions: u64,
+    written: Vec<u32>,
+    /// The halt or trap that ended the run; `None` for the cycle budget.
+    end: Option<StepResult>,
+}
+
+/// Drives one core to halt/trap/budget and snapshots its state.
+fn run(mut cpu: Cpu, mut io: PatternIo, mode: Mode) -> Snapshot {
+    let mut end = None;
     while cpu.cycles < CYCLE_BUDGET {
         let result = match mode {
             Mode::Reference => cpu.step(&mut io),
@@ -199,22 +310,66 @@ fn run(
         };
         match result {
             StepResult::Ok | StepResult::Stall => {}
-            StepResult::Halt => {
-                halted = true;
+            StepResult::Halt | StepResult::Trap { .. } => {
+                end = Some(result);
                 break;
             }
-            StepResult::Trap { .. } => break,
         }
     }
-    let mem: Vec<u32> = (0..MEM_BYTES / 4).map(|w| cpu.peek_word(w * 4)).collect();
-    (
-        cpu.regs,
-        mem,
-        cpu.cycles,
-        cpu.instructions,
-        io.written,
-        halted,
-    )
+    Snapshot {
+        regs: cpu.regs,
+        pc: cpu.pc,
+        mem: (0..MEM_BYTES / 4).map(|w| cpu.peek_word(w * 4)).collect(),
+        cycles: cpu.cycles,
+        instructions: cpu.instructions,
+        written: io.written,
+        end,
+    }
+}
+
+/// Drives the cached engine through `(max_retire, cycles)` budget slices,
+/// taken in turn, so its stops land anywhere — mid-group included. After
+/// each slice a reference core steps to the same instruction count: every
+/// run-ahead instruction must have started inside its slice's budgets,
+/// and registers, pc, cycles and instructions must agree at every stop.
+fn run_sliced(cpu: &mut Cpu, reference: &mut Cpu, io: [&mut PatternIo; 2], budgets: &[(u8, u16)]) {
+    let [io, ref_io] = io;
+    for slice in 0.. {
+        if cpu.cycles >= CYCLE_BUDGET {
+            break;
+        }
+        let (retire, span) = budgets[slice % budgets.len()];
+        let limit = (cpu.cycles + u64::from(span)).min(CYCLE_BUDGET);
+        let (result, ran) = cpu.step_then_run(io, u64::from(retire), limit);
+        assert_eq!(result, reference.step(ref_io), "visible step diverges");
+        for i in 0..ran {
+            assert!(
+                i < u64::from(retire) && reference.cycles < limit,
+                "run-ahead retired past its budget"
+            );
+            assert_eq!(reference.step(ref_io), StepResult::Ok);
+        }
+        assert_eq!(cpu.regs, reference.regs, "registers diverge at a stop");
+        assert_eq!(cpu.pc, reference.pc, "pc diverges at a stop");
+        assert_eq!(cpu.cycles, reference.cycles, "cycles diverge at a stop");
+        assert_eq!(cpu.instructions, reference.instructions);
+        if matches!(result, StepResult::Halt | StepResult::Trap { .. }) {
+            break;
+        }
+    }
+}
+
+fn assert_same(reference: &Snapshot, cached: &Snapshot) {
+    assert_eq!(reference.regs, cached.regs, "registers diverge");
+    assert_eq!(reference.pc, cached.pc, "pc diverges");
+    assert_eq!(reference.mem, cached.mem, "memory diverges");
+    assert_eq!(reference.cycles, cached.cycles, "cycles diverge");
+    assert_eq!(
+        reference.instructions, cached.instructions,
+        "instructions diverge"
+    );
+    assert_eq!(reference.written, cached.written, "stream output diverges");
+    assert_eq!(reference.end, cached.end, "halt/trap state diverges");
 }
 
 proptest! {
@@ -226,17 +381,16 @@ proptest! {
             (any::<u8>(), any::<u8>(), any::<u8>(), any::<i16>()), 1..60),
         read_avail in proptest::collection::vec(any::<bool>(), 1..12),
         write_avail in proptest::collection::vec(any::<bool>(), 1..12),
+        budgets in proptest::collection::vec((0u8..24, 0u16..400), 1..8),
     ) {
-        let io_a = PatternIo::new(read_avail.clone(), write_avail.clone());
-        let io_b = PatternIo::new(read_avail, write_avail);
-        let reference = run(build_cpu(&recipe), io_a, Mode::Reference);
-        let cached = run(build_cpu(&recipe), io_b, Mode::BlockCached);
-        prop_assert_eq!(&reference.0[..], &cached.0[..], "registers diverge");
-        prop_assert_eq!(reference.1, cached.1, "memory diverges");
-        prop_assert_eq!(reference.2, cached.2, "cycles diverge");
-        prop_assert_eq!(reference.3, cached.3, "instructions diverge");
-        prop_assert_eq!(reference.4, cached.4, "stream output diverges");
-        prop_assert_eq!(reference.5, cached.5, "halt state diverges");
+        let io = || PatternIo::new(read_avail.clone(), write_avail.clone());
+        let reference = run(build_cpu(&recipe), io(), Mode::Reference);
+        assert_same(&reference, &run(build_cpu(&recipe), io(), Mode::BlockCached));
+        let (mut cpu, mut ref_cpu) = (build_cpu(&recipe), build_cpu(&recipe));
+        let (mut cpu_io, mut ref_io) = (io(), io());
+        run_sliced(&mut cpu, &mut ref_cpu, [&mut cpu_io, &mut ref_io], &budgets);
+        prop_assert_eq!(cpu.memory(), ref_cpu.memory(), "memory diverges");
+        prop_assert_eq!(cpu_io.written, ref_io.written, "stream output diverges");
     }
 }
 
@@ -307,9 +461,12 @@ fn self_modifying_store_invalidates_the_decoded_block() {
     assert!(halted, "self-modifying program must halt");
     // x2 = 1 (first pass) + 100 (patched second pass).
     assert_eq!(cached_cpu.regs[2], 101);
-    assert_eq!(reference.0[2], 101, "reference agrees on the patched sum");
-    assert_eq!(cached_cpu.cycles, reference.2, "cycle counts agree");
-    assert_eq!(cached_cpu.instructions, reference.3);
+    assert_eq!(
+        reference.regs[2], 101,
+        "reference agrees on the patched sum"
+    );
+    assert_eq!(cached_cpu.cycles, reference.cycles, "cycle counts agree");
+    assert_eq!(cached_cpu.instructions, reference.instructions);
     assert!(
         cached_cpu.icache_stats().invalidations > 0,
         "the store into decoded bytes must invalidate the block cache"
@@ -476,10 +633,14 @@ fn self_modifying_store_invalidates_another_hot_block() {
         cpu.regs[4], 89,
         "patched instruction executed in the re-decoded block"
     );
-    assert_eq!(&reference.0[..], &cpu.regs[..], "registers match reference");
-    assert_eq!(reference.2, cpu.cycles, "cycles match reference");
     assert_eq!(
-        reference.3, cpu.instructions,
+        &reference.regs[..],
+        &cpu.regs[..],
+        "registers match reference"
+    );
+    assert_eq!(reference.cycles, cpu.cycles, "cycles match reference");
+    assert_eq!(
+        reference.instructions, cpu.instructions,
         "instructions match reference"
     );
     assert!(

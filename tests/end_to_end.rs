@@ -263,9 +263,9 @@ fn cosim_fast_paths_are_cycle_accurate_on_spam_filter() {
 
 /// The `-O0` batch executor's block cache (`softcore::execute`) reproduces
 /// the reference interpreter (`softcore::execute_reference`) bit-for-bit
-/// across the whole Rosetta suite — registers and memory are covered by
-/// the softcore differential tests; here the real compiled binaries must
-/// agree on outputs, cycles, and instructions.
+/// across the whole Rosetta suite: the real compiled binaries must agree
+/// on outputs, cycles, and instructions (registers and memory: the next
+/// test).
 #[test]
 fn o0_block_cached_engine_matches_reference_on_suite() {
     for bench in suite(Scale::Tiny) {
@@ -282,6 +282,92 @@ fn o0_block_cached_engine_matches_reference_on_suite() {
             let fast = softcore::execute(binary, &inputs, 20_000_000_000);
             let slow = softcore::execute_reference(binary, &inputs, 20_000_000_000);
             assert_eq!(fast, slow, "{}/{}", bench.name, op.name);
+        }
+    }
+}
+
+/// Stream endpoint for [`o0_fused_groups_match_reference_state_in_budget_slices`]:
+/// traced input words, collected output words.
+struct QueueIo {
+    inputs: Vec<std::collections::VecDeque<u32>>,
+    outputs: Vec<Vec<u32>>,
+}
+
+impl softcore::StreamIo for QueueIo {
+    fn read(&mut self, port: u32) -> Option<u32> {
+        self.inputs[port as usize].pop_front()
+    }
+
+    fn write(&mut self, port: u32, word: u32) -> bool {
+        self.outputs[port as usize].push(word);
+        true
+    }
+}
+
+/// Real `cc` output is where the block cache's fused slot-access groups
+/// occur. Each Rosetta Tiny operator's binary runs on the cached engine in
+/// seeded `step_then_run` budget slices — many small enough to stop inside
+/// a group — and after every slice a decode-per-step core (`Cpu::step`)
+/// steps to the same instruction count. Every run-ahead instruction must
+/// have started inside its slice's budgets; registers, pc, cycles and
+/// instructions must agree at every stop; memory and emitted words at the
+/// halt.
+#[test]
+fn o0_fused_groups_match_reference_state_in_budget_slices() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use softcore::StepResult;
+    for bench in suite(Scale::Tiny) {
+        let app = compile(&bench.graph, &CompileOptions::new(OptLevel::O0))
+            .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
+        let (_, _, trace) =
+            dfg::run_graph_trace(&bench.graph, &bench.input_refs()).expect("functional run");
+        for (i, op) in app.operators.iter().enumerate() {
+            let binary = op.soft.as_ref().expect("-O0 maps everything to softcores");
+            let io = || QueueIo {
+                inputs: trace.op_inputs[i]
+                    .iter()
+                    .map(|s| kir::wire::stream_to_words(s).into())
+                    .collect(),
+                outputs: vec![Vec::new(); binary.out_ports as usize],
+            };
+            let (mut fast, mut slow) = (binary.instantiate(), binary.instantiate());
+            let (mut fast_io, mut slow_io) = (io(), io());
+            let mut rng = StdRng::seed_from_u64(i as u64);
+            let at =
+                |cpu: &softcore::Cpu| format!("{}/{} at pc {:#x}", bench.name, op.name, cpu.pc);
+            loop {
+                // Mostly short slices (a stop every few instructions), some
+                // long ones so the whole suite stays quick.
+                let (max_retire, span) = if rng.gen_bool(0.25) {
+                    (rng.gen_range(0..100_000), rng.gen_range(0..1_000_000u64))
+                } else {
+                    (rng.gen_range(0..8), rng.gen_range(0..64u64))
+                };
+                let cycle_limit = fast.cycles + span;
+                let (result, ran) = fast.step_then_run(&mut fast_io, max_retire, cycle_limit);
+                assert_eq!(result, slow.step(&mut slow_io), "{}", at(&slow));
+                for k in 0..ran {
+                    // Every run-ahead instruction started inside the budgets.
+                    assert!(k < max_retire && slow.cycles < cycle_limit, "{}", at(&slow));
+                    assert_eq!(slow.step(&mut slow_io), StepResult::Ok, "{}", at(&slow));
+                }
+                assert_eq!(fast.regs, slow.regs, "{}", at(&slow));
+                assert_eq!(fast.pc, slow.pc, "{}", at(&slow));
+                assert_eq!(fast.cycles, slow.cycles, "{}", at(&slow));
+                assert_eq!(fast.instructions, slow.instructions, "{}", at(&slow));
+                match result {
+                    StepResult::Ok => {}
+                    StepResult::Halt => break,
+                    other => panic!("{other:?}: {}", at(&slow)),
+                }
+            }
+            assert!(fast.memory() == slow.memory(), "{}/{}", bench.name, op.name);
+            assert_eq!(
+                fast_io.outputs, slow_io.outputs,
+                "{}/{}",
+                bench.name, op.name
+            );
         }
     }
 }
