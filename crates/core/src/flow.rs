@@ -68,7 +68,10 @@ pub enum LinkStyle {
 pub struct CompileOptions {
     /// Optimization level / flow selection.
     pub level: OptLevel,
-    /// Parallel build-farm width (the paper's Slurm cluster analogue).
+    /// Host threads the build farm runs jobs on (the paper's Slurm cluster
+    /// analogue); defaults to [`crate::farm::host_lanes`]. It sets only host
+    /// wall time: virtual time models an unbounded farm, so no modelled
+    /// number depends on it.
     pub jobs: usize,
     /// Deterministic seed for placement and routing.
     pub seed: u64,
@@ -102,7 +105,7 @@ impl CompileOptions {
     pub fn new(level: OptLevel) -> CompileOptions {
         CompileOptions {
             level,
-            jobs: 8,
+            jobs: crate::farm::host_lanes(),
             seed: 1,
             floorplan: Floorplan::u50(),
             vtime: VtimeModel::default(),

@@ -70,6 +70,10 @@ impl StreamIo for PatternIo {
     }
 }
 
+/// The general registers a generated instruction may write: x1..x12
+/// without the prelude's base registers x5..x7.
+const SCRATCH_REGS: [u32; 9] = [1, 2, 3, 4, 8, 9, 10, 11, 12];
+
 /// Appends one recipe entry to `code`: a single random instruction, or
 /// (five selectors in 23) a slot-access group. Control flow only jumps
 /// forward (backward branches come from a dedicated selector with a small
@@ -78,9 +82,12 @@ impl StreamIo for PatternIo {
 /// cycle budget bounds the runaway cases identically in both engines.
 fn emit(code: &mut Vec<Instr>, (sel, a, b, imm): (u8, u8, u8, i16), last: bool) {
     // x1..x12 are general scratch; x5 points at SCRATCH, x6/x7 at the
-    // stream read/write windows (set up by the prelude).
+    // stream read/write windows (set up by the prelude). Destinations never
+    // overwrite x5..x7, so the scratch and stream selectors keep addressing
+    // valid memory instead of trapping the program within a few
+    // instructions.
     let at = code.len();
-    let rd = u32::from(a % 12) + 1;
+    let rd = SCRATCH_REGS[usize::from(a % 9)];
     let rs1 = u32::from(b % 12) + 1;
     let rs2 = u32::from(a.wrapping_add(b) % 12) + 1;
     let word_off = i32::from(imm as u8 % 200) * 4;
@@ -163,7 +170,7 @@ fn emit(code: &mut Vec<Instr>, (sel, a, b, imm): (u8, u8, u8, i16), last: bool) 
 /// whose `li` leaves the access at address 0.
 fn emit_slot_access(code: &mut Vec<Instr>, a: u8, b: u8, imm: i16) {
     // Never the prelude's x5..x7, which the single instructions address
-    // through.
+    // through; sometimes x0.
     let r = [0, 1, 2, 3, 4, 8, 9, 10, 11, 12][usize::from(a / 16 % 10)];
     let access = (imm as u16 >> 2) % 9; // 0..=4 load, 5..=7 store, 8 none
     let store = (5..=7).contains(&access);
