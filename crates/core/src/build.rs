@@ -478,7 +478,19 @@ pub fn build<C: CacheBackend>(
         graph,
         kernels: &kernels,
     };
-    build_with_prev(source, None, options, store)
+    build_with_prev(source, None, &mut Memo::default(), options, store)
+}
+
+/// Hashes one build of an app leaves for the next build of it, which copies
+/// them where its input is equal instead of encoding it again.
+#[derive(Default)]
+pub(crate) struct Memo {
+    /// The source graph's `KpnOptimize` input hash. Valid for the source the
+    /// caller last built: the caller clears it when the source changes.
+    pub(crate) graph_hash: Option<u64>,
+    /// The `KpnOptimize` product the last build used: an optimizer rerun
+    /// copies the hashes of the kernels it rewrote to the same code.
+    pub(crate) opt: Option<Arc<OptProduct>>,
 }
 
 /// [`build`] for a graph whose kernels are already hashed, given the
@@ -490,9 +502,12 @@ pub fn build<C: CacheBackend>(
 /// matched by operator name against the graph as supplied; when the KPN
 /// optimizer rewrites operator names the probe simply misses and the stage
 /// runs cold — hints are an optimization input, never a correctness input.
+/// `memo` holds what the previous build hashed, and is left holding this
+/// build's.
 pub(crate) fn build_with_prev<C: CacheBackend>(
     source: Hashed<'_>,
     prev: Option<Hashed<'_>>,
+    memo: &mut Memo,
     options: &CompileOptions,
     store: &mut C,
 ) -> Result<(CompiledApp, BuildReport), CompileError> {
@@ -505,11 +520,11 @@ pub(crate) fn build_with_prev<C: CacheBackend>(
     let optimized = options.optimize.as_ref().map(|cfg| {
         let config = resolve_optimizer(cfg, &options.floorplan);
         let key = StageInputs::KpnOptimize {
-            graph: graph_hash(source),
+            graph: *memo.graph_hash.get_or_insert_with(|| graph_hash(source)),
             config: config.clone(),
         }
         .key();
-        match store.fetch_opt(key.hash) {
+        let opt = match store.fetch_opt(key.hash) {
             Some(p) => (p, true),
             None => {
                 let out = dfg::opt::optimize(source.graph, &config);
@@ -519,11 +534,13 @@ pub(crate) fn build_with_prev<C: CacheBackend>(
                     balance_before: out.report.balance_before,
                     balance_after: out.report.balance_after,
                 };
-                let p = Arc::new(OptProduct::new(out.graph, summary));
+                let p = Arc::new(OptProduct::new(out.graph, summary, memo.opt.as_deref()));
                 store.put(key, StageProduct::Opt(p.clone()));
                 (p, false)
             }
-        }
+        };
+        memo.opt = Some(opt.0.clone());
+        opt
     });
     let built = optimized.as_ref().map_or(source, |(p, _)| Hashed {
         graph: p.graph(),

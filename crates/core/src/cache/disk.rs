@@ -6,16 +6,20 @@
 //!   per writer instance, carrying the actual products. Each record is
 //!   `[kind u8][hash u64][cost f64][len u64][sum u64][payload]` (a
 //!   `RecordHeader`, then the product) in the crate's one codec, `sum` being
-//!   the payload's FNV-1a checksum. A writer only ever appends to its *own*
+//!   the FNV-1a checksum of the key's encoding and the payload. A writer only ever appends to its *own*
 //!   segment, so any number of concurrent builder processes can write
 //!   without locks.
-//! * `index.pldidx` — the **index** mapping stage keys to (segment,
-//!   offset, length, checksum, cost, last-access) records, plus the LRU
-//!   logical clock, with a whole-file FNV trailer. It is published
-//!   atomically (temp file + rename) and is strictly a cache of the
-//!   segment scan: [`DiskCache::open`] loads it when intact, then scans
-//!   every segment for records the index misses, so a torn or stale or
-//!   missing index can *lose eviction/LRU metadata* but never products.
+//! * `index.pldidx` — the **index**: the LRU logical clock, a segment table
+//!   naming each segment once with the byte length its records cover, and
+//!   the stage keys mapped to (segment number, offset, length, checksum,
+//!   cost, last-access) records, with a whole-file FNV trailer. It is
+//!   overwritten in place at each publish and is a cache of the segment
+//!   scan: [`DiskCache::open`] loads it when intact, then scans each
+//!   segment only past its covered length (a segment the table misses from
+//!   its magic on), so records appended since the publish are found and
+//!   nothing the publisher already saw is read again. A torn, missing or
+//!   other-version index falls back to scanning every segment whole, so it
+//!   can *lose eviction/LRU metadata* but never products.
 //! * `compact.lock` — advisory lock taken with `create_new` by
 //!   [`DiskCache::compact`]; everything else is lock-free.
 //!
@@ -25,9 +29,10 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::cache::evict::{eviction_order, EvictCandidate};
@@ -59,13 +64,13 @@ static SEG_SERIAL: AtomicU64 = AtomicU64::new(0);
 /// Where one product lives on disk.
 #[derive(Debug, Clone, PartialEq)]
 struct IndexEntry {
-    /// Segment file name (relative to the cache directory).
-    seg: String,
+    /// Number of the segment in the index's segment table.
+    seg: u32,
     /// Byte offset of the payload within the segment.
     offset: u64,
     /// Payload length in bytes.
     len: u64,
-    /// FNV-1a checksum of the payload.
+    /// FNV-1a checksum of the key's encoding followed by the payload.
     sum: u64,
     /// Saved virtual seconds on a hit (the recompute cost).
     cost: f64,
@@ -75,8 +80,33 @@ struct IndexEntry {
 
 codec_struct! { IndexEntry { seg, offset, len, sum, cost, last_access } }
 
-/// What precedes each payload in a segment. Nothing checksums it: `len` is
-/// whatever a torn write left there.
+/// One segment file the index knows.
+#[derive(Debug)]
+struct Segment {
+    /// File name (relative to the cache directory).
+    name: String,
+    /// Bytes from the file's start that this cache has scanned or written,
+    /// ending at a record boundary: the next open scans from here. 0 when
+    /// the magic was never read.
+    covered: u64,
+    /// The handle fetches read through, opened once.
+    file: OnceLock<Option<fs::File>>,
+}
+
+impl Segment {
+    fn new(name: String, covered: u64) -> Segment {
+        Segment {
+            name,
+            covered,
+            file: OnceLock::new(),
+        }
+    }
+}
+
+/// What precedes each payload in a segment. `sum` covers `key` with the
+/// payload, so a record whose key a flipped bit moved verifies under no key;
+/// nothing covers `cost` or `len`, and `len` is whatever a torn write left
+/// there.
 struct RecordHeader {
     key: StageKey,
     cost: f64,
@@ -106,59 +136,114 @@ pub struct DiskCache {
     entries: HashMap<StageKey, IndexEntry>,
     /// Monotonic LRU clock; persisted in the index so recency survives.
     clock: u64,
-    /// This writer's private append segment (created on first append).
-    seg_name: String,
-    seg: Option<fs::File>,
-    seg_len: u64,
+    /// The segment table: every segment an entry may point at, by number.
+    segs: Vec<Segment>,
+    /// This writer's private append segment, once created: its number in
+    /// `segs` and its write handle. Its `covered` is the bytes written.
+    own: Option<(u32, fs::File)>,
     /// Whether the in-memory index has diverged from the published file.
     dirty: bool,
+    /// Segment bytes read by the scan at open.
+    #[cfg(test)]
+    scanned: u64,
 }
 
 impl DiskCache {
     /// Opens (or creates) a cache directory.
     ///
     /// Loads the index if intact (any corruption silently discards it),
-    /// then scans every segment file to recover records the index misses
-    /// — so products appended by writers that crashed before publishing,
-    /// or by writers still running, are all visible. Lock-free.
+    /// then scans each segment file past the length the index's segment
+    /// table says its records cover — so products appended by writers that
+    /// crashed before publishing, or by writers still running, are all
+    /// visible, and bytes the publisher already indexed are not read again.
+    /// Without an intact index every segment is scanned whole. Lock-free.
     ///
     /// # Errors
     ///
     /// Only filesystem errors (directory creation/listing) are reported;
     /// corrupt contents degrade to a cold start.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<DiskCache> {
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
-        let (mut clock, mut entries) = match fs::read(dir.join(INDEX_FILE)) {
-            Ok(bytes) => parse_index(&bytes).unwrap_or_default(),
-            Err(_) => Default::default(),
-        };
-        for name in segment_names(&dir)? {
-            if let Ok(bytes) = fs::read(dir.join(&name)) {
-                scan_segment(&name, &bytes, &mut entries);
-            }
-        }
-        for e in entries.values() {
-            clock = clock.max(e.last_access);
-        }
-        let nanos = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map_or(0, |d| d.as_nanos() as u64);
-        let seg_name = format!(
-            "seg-{}-{}-{}.pldseg",
-            std::process::id(),
-            SEG_SERIAL.fetch_add(1, Ordering::Relaxed),
-            nanos
-        );
-        Ok(DiskCache {
-            dir,
+        DiskCache::load(dir.as_ref(), false)
+    }
+
+    /// [`DiskCache::open`], scanning every segment from its magic on
+    /// (`whole`) or only past its covered length.
+    fn load(dir: &Path, whole: bool) -> io::Result<DiskCache> {
+        fs::create_dir_all(dir)?;
+        let (clock, segs, entries) = fs::read(dir.join(INDEX_FILE))
+            .ok()
+            .and_then(|bytes| parse_index(&bytes))
+            .unwrap_or_default();
+        let mut cache = DiskCache {
+            dir: dir.to_path_buf(),
             entries,
             clock,
-            seg_name,
-            seg: None,
-            seg_len: 0,
+            segs: segs
+                .into_iter()
+                .map(|(name, covered)| Segment::new(name, if whole { 0 } else { covered }))
+                .collect(),
+            own: None,
             dirty: false,
-        })
+            #[cfg(test)]
+            scanned: 0,
+        };
+        let known: HashMap<String, u32> = (cache.segs.iter().enumerate())
+            .map(|(n, s)| (s.name.clone(), n as u32))
+            .collect();
+        for (name, len) in segment_files(dir)? {
+            let n = match known.get(&name) {
+                Some(&n) => n,
+                None => cache.add_segment(name, 0),
+            };
+            cache.scan(n, len);
+        }
+        for e in cache.entries.values() {
+            cache.clock = cache.clock.max(e.last_access);
+        }
+        Ok(cache)
+    }
+
+    /// Files the records of segment `n` (`len` bytes long) past its covered
+    /// length that the index misses, and moves `covered` to the end of the
+    /// last complete one. A record still being written ends the scan, and
+    /// the next open starts from it again.
+    fn scan(&mut self, n: u32, len: u64) {
+        let seg = &mut self.segs[n as usize];
+        if len <= seg.covered {
+            return;
+        }
+        let Ok(file) = fs::File::open(self.dir.join(&seg.name)) else {
+            return;
+        };
+        let mut from = seg.covered;
+        if from < SEG_MAGIC.len() as u64 {
+            let mut magic = [0u8; SEG_MAGIC.len()];
+            #[cfg(test)]
+            {
+                self.scanned += magic.len() as u64;
+            }
+            if read_at(&file, &mut magic, 0).is_err() || magic != *SEG_MAGIC {
+                return;
+            }
+            from = magic.len() as u64;
+        }
+        let mut bytes = vec![0u8; (len - from) as usize];
+        #[cfg(test)]
+        {
+            self.scanned += bytes.len() as u64;
+        }
+        if read_at(&file, &mut bytes, from).is_err() {
+            return;
+        }
+        seg.covered = scan_records(n, from, &bytes, &mut self.entries);
+        // The scan's handle serves this segment's fetches.
+        let _ = seg.file.set(Some(file));
+    }
+
+    /// Appends `name` to the segment table and returns its number.
+    fn add_segment(&mut self, name: String, covered: u64) -> u32 {
+        self.segs.push(Segment::new(name, covered));
+        (self.segs.len() - 1) as u32
     }
 
     /// The cache directory.
@@ -224,40 +309,49 @@ impl DiskCache {
     /// side-effect-free form snapshots use.
     pub fn read_unstamped(&self, key: StageKey) -> Option<StageProduct> {
         let e = self.entries.get(&key)?;
-        let mut f = fs::File::open(self.dir.join(&e.seg)).ok()?;
-        f.seek(SeekFrom::Start(e.offset)).ok()?;
-        let mut payload = vec![0u8; e.len as usize];
-        f.read_exact(&mut payload).ok()?;
-        if fnv(&payload) != e.sum {
+        let seg = self.segs.get(e.seg as usize)?;
+        let file = seg
+            .file
+            .get_or_init(|| fs::File::open(self.dir.join(&seg.name)).ok())
+            .as_ref()?;
+        let mut keyed = codec::encode(&key);
+        let at = keyed.len();
+        keyed.resize(at + e.len as usize, 0);
+        read_at(file, &mut keyed[at..], e.offset).ok()?;
+        if fnv(&keyed) != e.sum {
             return None;
         }
-        codec::decode(&payload).ok()
+        codec::decode(&keyed[at..]).ok()
     }
 
-    /// Appends a product to this writer's segment and indexes it. The
-    /// record (payload + checksum) is durable as soon as this returns;
-    /// only the index metadata waits for [`DiskCache::publish`]. Appends
-    /// under an already-present key are ignored (keep-first).
+    /// Appends a product to this writer's segment and indexes it. Nothing
+    /// syncs the record to the device: it is in the file (and visible to
+    /// every opener) once this returns, and the index metadata waits for
+    /// [`DiskCache::publish`]. Appends under an already-present key are
+    /// ignored (keep-first).
     pub fn append(&mut self, key: StageKey, product: &StageProduct, cost: f64) {
         if self.entries.contains_key(&key) {
             return;
         }
-        let payload = codec::encode(product);
-        let sum = fnv(&payload);
-        let mut record = RecordHeader::of(key, cost, &payload, sum);
+        let mut keyed = codec::encode(&key);
+        let at = keyed.len();
+        product.put(&mut keyed);
+        let (sum, payload) = (fnv(&keyed), &keyed[at..]);
+        let mut record = RecordHeader::of(key, cost, payload, sum);
         let header_len = record.len() as u64;
-        record.extend_from_slice(&payload);
-        if self.write_record(&record).is_err() {
+        record.extend_from_slice(payload);
+        let Ok(seg) = self.write_record(&record) else {
             // Disk write failed: keep the product out of the index rather
             // than point at bytes that never landed.
             return;
-        }
-        let offset = self.seg_len + header_len;
-        self.seg_len += record.len() as u64;
+        };
+        let covered = &mut self.segs[seg as usize].covered;
+        let offset = *covered + header_len;
+        *covered += record.len() as u64;
         self.entries.insert(
             key,
             IndexEntry {
-                seg: self.seg_name.clone(),
+                seg,
                 offset,
                 len: payload.len() as u64,
                 sum,
@@ -268,39 +362,59 @@ impl DiskCache {
         self.dirty = true;
     }
 
-    fn write_record(&mut self, record: &[u8]) -> io::Result<()> {
-        if self.seg.is_none() {
-            let mut f = fs::File::create(self.dir.join(&self.seg_name))?;
-            f.write_all(SEG_MAGIC)?;
-            self.seg = Some(f);
-            self.seg_len = SEG_MAGIC.len() as u64;
+    /// Writes `record` at the end of this writer's segment, creating it
+    /// first if needed, and returns the segment's number. A failed write may
+    /// have landed part of the record, so the segment is given up: the next
+    /// record starts a fresh one, and this one's covered length stays at its
+    /// last whole record.
+    fn write_record(&mut self, record: &[u8]) -> io::Result<u32> {
+        if self.own.is_none() {
+            let name = fresh_segment_name();
+            let path = self.dir.join(&name);
+            let mut f = fs::File::create(&path)?;
+            if let Err(e) = f.write_all(SEG_MAGIC) {
+                let _ = fs::remove_file(&path);
+                return Err(e);
+            }
+            let n = self.add_segment(name, SEG_MAGIC.len() as u64);
+            self.own = Some((n, f));
         }
-        let f = self.seg.as_mut().expect("segment just created");
-        f.write_all(record)?;
-        f.flush()
+        let (n, f) = self.own.as_mut().expect("segment just created");
+        let n = *n;
+        if let Err(e) = f.write_all(record) {
+            self.own = None;
+            return Err(e);
+        }
+        Ok(n)
     }
 
-    /// Publishes the index atomically (write to a temp file, rename over
-    /// `index.pldidx`). Concurrent publishers race last-writer-wins; a
-    /// lost race loses only metadata the next open's segment scan
-    /// recovers. No-op when nothing changed.
+    /// Publishes the index by overwriting `index.pldidx` in place. No-op
+    /// when nothing changed.
+    ///
+    /// Not a temp file renamed over the old index: on ext4 a rename over an
+    /// existing file forces writeback of the new one, most of a publish's
+    /// cost. The index is a checksummed cache of the segment scan, so a
+    /// reader that races the write, a crash mid-write, or two publishers
+    /// writing at once leave at worst a torn index, which the next open
+    /// detects and replaces with a whole scan. Otherwise concurrent
+    /// publishers race last-writer-wins, and a lost race loses only
+    /// metadata the next open's scan past the covered lengths recovers.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors from the temp write or rename.
+    /// Propagates filesystem errors from the write.
     pub fn publish(&mut self) -> io::Result<()> {
         if !self.dirty {
             return Ok(());
         }
-        // Unique per publish, not just per process: two cache instances in
-        // one process (threads sharing a dir) must not steal each other's
-        // temp file mid-rename.
-        let serial = SEG_SERIAL.fetch_add(1, Ordering::Relaxed);
-        let tmp = self
-            .dir
-            .join(format!("{INDEX_FILE}.tmp-{}-{serial}", std::process::id()));
-        fs::write(&tmp, self.index_bytes())?;
-        fs::rename(&tmp, self.dir.join(INDEX_FILE))?;
+        let bytes = self.index_bytes();
+        let mut f = fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(self.dir.join(INDEX_FILE))?;
+        f.write_all(&bytes)?;
+        f.set_len(bytes.len() as u64)?;
         self.dirty = false;
         Ok(())
     }
@@ -308,8 +422,10 @@ impl DiskCache {
     /// Evicts lowest saved-vtime-per-byte entries (ties: least recently
     /// used first) until live bytes fit `budget`. Returns the evicted
     /// keys. The freed bytes become dead record space reclaimed by the
-    /// next [`DiskCache::compact`]; until then a rescan by a later open
-    /// may resurrect them, after which the budget simply re-evicts.
+    /// next [`DiskCache::compact`]. Once the index is published they lie in
+    /// covered ranges, so a later open does not file them again; only a
+    /// whole scan, after the index was lost, may resurrect them, after which
+    /// the budget simply re-evicts.
     pub fn enforce_budget(&mut self, budget: u64) -> Vec<StageKey> {
         let mut live = self.live_bytes();
         if live <= budget {
@@ -345,10 +461,11 @@ impl DiskCache {
     /// Guarded by the advisory `compact.lock` (`create_new`): returns
     /// `Ok(false)` without touching anything when another process holds
     /// it. Readers stay lock-free; one that loaded its index before a
-    /// compaction finds old segments gone and degrades those reads to
-    /// misses. Crash-safe: the new segment and index are published via
-    /// rename before any old file is deleted, so a crash mid-compaction
-    /// leaves at worst extra segments the next open rescans.
+    /// compaction and had not yet opened an old segment finds it gone and
+    /// degrades those reads to misses. Crash-safe: the new segment is
+    /// renamed into place and the index published before any old file is
+    /// deleted, so a crash mid-compaction leaves at worst extra segments
+    /// (or a torn index) that the next open scans.
     ///
     /// # Errors
     ///
@@ -388,73 +505,35 @@ impl DiskCache {
         let tmp = self.dir.join(format!("{new_name}.tmp"));
         let mut out: Vec<u8> = SEG_MAGIC.to_vec();
         for (key, product) in &live {
-            let e = &self.entries[key];
-            let (cost, sum, last_access) = (e.cost, e.sum, e.last_access);
+            let e = self.entries.get_mut(key).expect("live keys are indexed");
             let payload = codec::encode(product);
-            let header = RecordHeader::of(*key, cost, &payload, sum);
-            let offset = (out.len() + header.len()) as u64;
-            out.extend_from_slice(&header);
+            out.extend_from_slice(&RecordHeader::of(*key, e.cost, &payload, e.sum));
+            (e.seg, e.offset) = (0, out.len() as u64);
             out.extend_from_slice(&payload);
-            self.entries.insert(
-                *key,
-                IndexEntry {
-                    seg: new_name.clone(),
-                    offset,
-                    len: payload.len() as u64,
-                    sum,
-                    cost,
-                    last_access,
-                },
-            );
         }
         fs::write(&tmp, &out)?;
         fs::rename(&tmp, self.dir.join(&new_name))?;
+        // The new segment is the whole table; this writer's append segment
+        // (if any) is deleted with the rest, so the next append starts a
+        // fresh one.
+        self.segs = vec![Segment::new(new_name.clone(), out.len() as u64)];
+        self.own = None;
         self.dirty = true;
         self.publish()?;
-        // Only now is it safe to drop every other segment — and any index
-        // temp file a crashed publisher left behind.
-        for name in segment_names(&self.dir)? {
+        // Only now is it safe to drop every other segment.
+        for (name, _) in segment_files(&self.dir)? {
             if name != new_name {
                 let _ = fs::remove_file(self.dir.join(&name));
             }
         }
-        if let Ok(listing) = fs::read_dir(&self.dir) {
-            for entry in listing.flatten() {
-                let name = entry.file_name();
-                if !name
-                    .to_string_lossy()
-                    .starts_with(concat!("index.pldidx", ".tmp-"))
-                {
-                    continue;
-                }
-                // Only visibly stale temp files: a fresh one may belong to
-                // a publisher racing us through its write→rename window.
-                let stale = entry
-                    .metadata()
-                    .and_then(|m| m.modified())
-                    .ok()
-                    .and_then(|t| t.elapsed().ok())
-                    .is_some_and(|age| age.as_secs() > 600);
-                if stale {
-                    let _ = fs::remove_file(entry.path());
-                }
-            }
-        }
-        // This writer's append segment (if any) was deleted too; start a
-        // fresh one for future appends.
-        self.seg = None;
-        self.seg_len = 0;
-        self.seg_name = format!(
-            "seg-{}-{}-post-compact.pldseg",
-            std::process::id(),
-            SEG_SERIAL.fetch_add(1, Ordering::Relaxed)
-        );
         Ok(())
     }
 
     fn index_bytes(&self) -> Vec<u8> {
         let mut out = IDX_MAGIC.to_vec();
         self.clock.put(&mut out);
+        let segs: Vec<_> = self.segs.iter().map(|s| (&s.name, &s.covered)).collect();
+        codec::write_pairs(&mut out, &segs);
         let mut entries: Vec<_> = self.entries.iter().collect();
         entries.sort_by_key(|(k, _)| (k.kind, k.hash));
         codec::write_pairs(&mut out, &entries);
@@ -463,49 +542,97 @@ impl DiskCache {
     }
 }
 
-/// Segment file names in the directory, sorted for deterministic scans.
-fn segment_names(dir: &Path) -> io::Result<Vec<String>> {
-    let mut names = Vec::new();
+/// A segment name no other writer uses.
+fn fresh_segment_name() -> String {
+    let nanos = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos() as u64);
+    format!(
+        "seg-{}-{}-{}.pldseg",
+        std::process::id(),
+        SEG_SERIAL.fetch_add(1, Ordering::Relaxed),
+        nanos
+    )
+}
+
+/// Reads exactly `buf.len()` bytes at `offset`, leaving no cursor behind.
+#[cfg(unix)]
+fn read_at(file: &fs::File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+/// Reads exactly `buf.len()` bytes at `offset`.
+#[cfg(not(unix))]
+fn read_at(mut file: &fs::File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    use std::io::{Read as _, Seek as _};
+    file.seek(io::SeekFrom::Start(offset))?;
+    file.read_exact(buf)
+}
+
+/// Segment file names in the directory with their lengths, sorted for
+/// deterministic scans.
+fn segment_files(dir: &Path) -> io::Result<Vec<(String, u64)>> {
+    let mut files = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name().to_string_lossy().into_owned();
         if name.starts_with("seg-") && name.ends_with(".pldseg") {
-            names.push(name);
+            // A file gone since the listing is skipped like an empty one.
+            let len = entry.metadata().map_or(0, |m| m.len());
+            files.push((name, len));
         }
     }
-    names.sort();
-    Ok(names)
+    files.sort();
+    Ok(files)
 }
+
+/// What an index file holds: the LRU clock, the segment table as (name,
+/// covered length) rows, and the entries.
+type Index = (u64, Vec<(String, u64)>, HashMap<StageKey, IndexEntry>);
 
 /// Parses an index file; `None` on any corruption (bad magic, short file,
-/// checksum mismatch, malformed entry).
-fn parse_index(bytes: &[u8]) -> Option<(u64, HashMap<StageKey, IndexEntry>)> {
+/// checksum mismatch, malformed entry, an entry naming no segment). The
+/// entries, written as a `Vec` of pairs, are read straight into the map.
+fn parse_index(bytes: &[u8]) -> Option<Index> {
     let body = codec::unseal(bytes).ok()?.strip_prefix(IDX_MAGIC)?;
-    let (clock, entries): (u64, Vec<(StageKey, IndexEntry)>) = codec::decode(body).ok()?;
-    Some((clock, entries.into_iter().collect()))
+    let mut c = Cursor::new(body);
+    let clock = u64::get(&mut c).ok()?;
+    let segs = Vec::<(String, u64)>::get(&mut c).ok()?;
+    let n = c.len_prefix().ok()?;
+    let mut entries = HashMap::with_capacity(n);
+    for _ in 0..n {
+        let (key, e) = <(StageKey, IndexEntry)>::get(&mut c).ok()?;
+        if e.seg as usize >= segs.len() {
+            return None;
+        }
+        entries.insert(key, e);
+    }
+    (c.remaining() == 0).then_some((clock, segs, entries))
 }
 
-/// Scans one segment's bytes, filing records the index missed. A
-/// malformed or truncated record ends the scan (append-only files can
-/// only be torn at the tail).
-fn scan_segment(name: &str, bytes: &[u8], entries: &mut HashMap<StageKey, IndexEntry>) {
+/// Files the records in `bytes` — segment `seg` from byte `base` on, a
+/// record boundary — that `entries` misses, and returns where the last
+/// complete record ends (`base` if none). A malformed or truncated record
+/// ends the scan (append-only files can only be torn at the tail).
+fn scan_records(
+    seg: u32,
+    base: u64,
+    bytes: &[u8],
+    entries: &mut HashMap<StageKey, IndexEntry>,
+) -> u64 {
     let mut c = Cursor::new(bytes);
-    if !c
-        .take(SEG_MAGIC.len())
-        .is_ok_and(|magic| magic == SEG_MAGIC)
-    {
-        return;
-    }
+    let mut end = 0;
     while c.remaining() > 0 {
         let Ok(header) = RecordHeader::get(&mut c) else {
-            return;
+            break;
         };
-        let offset = c.pos() as u64;
+        let offset = base + c.pos() as u64;
         if c.take(header.len).is_err() {
-            return;
+            break;
         }
+        end = c.pos();
         entries.entry(header.key).or_insert(IndexEntry {
-            seg: name.to_string(),
+            seg,
             offset,
             len: header.len as u64,
             sum: header.sum,
@@ -513,15 +640,352 @@ fn scan_segment(name: &str, bytes: &[u8], entries: &mut HashMap<StageKey, IndexE
             last_access: 0,
         });
     }
+    base + end as u64
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+    use crate::artifact::{Driver, LoadOp};
+    use crate::store::StageKind;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+    use std::io::Seek as _;
+    use std::sync::Arc;
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let serial = SEG_SERIAL.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "pld-disk-test-{tag}-{}-{serial}",
+            std::process::id()
+        ));
+        fs::remove_dir_all(&dir).ok();
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn key(hash: u64) -> StageKey {
+        StageKind::LinkDriver.key(hash)
+    }
+
+    /// The one product filed under `key(hash)`; sizes vary with the hash.
+    fn product(hash: u64) -> StageProduct {
+        StageProduct::Driver(Arc::new(Driver {
+            loads: vec![LoadOp::Overlay; hash as usize % 7 + 1],
+            links: Vec::new(),
+        }))
+    }
+
+    fn put(cache: &mut DiskCache, hash: u64) {
+        cache.append(key(hash), &product(hash), hash as f64);
+    }
+
+    /// The file name of `cache`'s own append segment, once it has one.
+    fn own_segment(cache: &DiskCache) -> Option<&str> {
+        let (n, _) = cache.own.as_ref()?;
+        Some(&cache.segs[*n as usize].name)
+    }
+
     /// One format version: a bump of the store codec's must move the magics,
     /// or a cache directory would decode old payloads with the new codec.
     #[test]
     fn magics_carry_the_store_format_version() {
-        let digit = b'0' + crate::store::FORMAT_VERSION as u8;
-        assert_eq!((super::SEG_MAGIC[6], super::IDX_MAGIC[6]), (digit, digit));
+        let digit = b'0' + FORMAT_VERSION as u8;
+        assert_eq!((SEG_MAGIC[6], IDX_MAGIC[6]), (digit, digit));
+    }
+
+    /// A write that fails after part of its record landed gives the segment
+    /// up: every product appended afterwards goes to a fresh segment at the
+    /// right offset and reads back, before and after a reopen, with the
+    /// index and without it.
+    #[test]
+    fn appends_after_a_failed_write_read_back() {
+        let dir = tmp_dir("failed-write");
+        let mut cache = DiskCache::open(&dir).unwrap();
+        put(&mut cache, 1);
+        let torn = own_segment(&cache).unwrap().to_string();
+        // Five bytes of a record land, then the handle refuses writes.
+        let (_, file) = cache.own.as_mut().unwrap();
+        file.write_all(&[0xab; 5]).unwrap();
+        *file = fs::File::open(dir.join(&torn)).unwrap();
+        put(&mut cache, 2);
+        assert!(!cache.contains(key(2)), "a failed append is not indexed");
+        for hash in 3..7 {
+            put(&mut cache, hash);
+        }
+        assert_ne!(own_segment(&cache), Some(torn.as_str()));
+        let served = [1, 3, 4, 5, 6];
+        for hash in served {
+            assert_eq!(cache.read_unstamped(key(hash)), Some(product(hash)));
+        }
+        cache.publish().unwrap();
+        drop(cache);
+        let back = DiskCache::open(&dir).unwrap();
+        for hash in served {
+            assert_eq!(back.read_unstamped(key(hash)), Some(product(hash)));
+        }
+        fs::remove_file(dir.join(INDEX_FILE)).unwrap();
+        let scanned = DiskCache::open(&dir).unwrap();
+        for hash in served {
+            assert_eq!(scanned.read_unstamped(key(hash)), Some(product(hash)));
+        }
+        assert_eq!(scanned.len(), served.len());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An open reads what changed since the last publish: nothing when the
+    /// index covers every segment, exactly the records appended since when
+    /// a writer went on after it published, and every segment whole when
+    /// the index is gone.
+    #[test]
+    fn open_scans_only_past_the_covered_lengths() {
+        let dir = tmp_dir("covered");
+        let mut a = DiskCache::open(&dir).unwrap();
+        for hash in 0..3 {
+            put(&mut a, hash);
+        }
+        a.publish().unwrap();
+        drop(a);
+        let mut b = DiskCache::open(&dir).unwrap();
+        assert_eq!(b.scanned, 0);
+        put(&mut b, 3);
+        b.publish().unwrap();
+        let published = fs::metadata(dir.join(own_segment(&b).unwrap()))
+            .unwrap()
+            .len();
+        put(&mut b, 4);
+        let seg_len = fs::metadata(dir.join(own_segment(&b).unwrap()))
+            .unwrap()
+            .len();
+
+        let c = DiskCache::open(&dir).unwrap();
+        assert_eq!(c.scanned, seg_len - published, "only record 4 is read");
+        for hash in 0..5 {
+            assert_eq!(c.read_unstamped(key(hash)), Some(product(hash)));
+        }
+        b.publish().unwrap();
+        drop(b);
+        assert_eq!(DiskCache::open(&dir).unwrap().scanned, 0);
+
+        fs::remove_file(dir.join(INDEX_FILE)).unwrap();
+        let whole: u64 = segment_files(&dir)
+            .unwrap()
+            .iter()
+            .map(|(_, len)| len)
+            .sum();
+        let d = DiskCache::open(&dir).unwrap();
+        assert_eq!(d.scanned, whole);
+        assert_eq!(d.len(), 5);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A record another writer is still writing when a cache opens ends
+    /// that cache's scan short of it, and what the cache publishes covers
+    /// only the records before it: the next open finds it once complete.
+    #[test]
+    fn a_record_half_written_at_open_is_found_by_the_next_open() {
+        let dir = tmp_dir("half-written");
+        let mut writer = DiskCache::open(&dir).unwrap();
+        put(&mut writer, 1);
+        let seg = dir.join(own_segment(&writer).unwrap());
+        let whole = fs::read(&seg).unwrap();
+        put(&mut writer, 2);
+        let record = fs::read(&seg).unwrap()[whole.len()..].to_vec();
+        // Roll the file back to half of record 2, as a reader racing the
+        // write would see it.
+        let half = whole.len() + record.len() / 2;
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&seg)
+            .unwrap()
+            .set_len(half as u64)
+            .unwrap();
+
+        let mut reader = DiskCache::open(&dir).unwrap();
+        assert!(reader.contains(key(1)) && !reader.contains(key(2)));
+        put(&mut reader, 3);
+        reader.publish().unwrap();
+        drop(reader);
+        let mut f = fs::OpenOptions::new().append(true).open(&seg).unwrap();
+        f.write_all(&record[record.len() / 2..]).unwrap();
+
+        let next = DiskCache::open(&dir).unwrap();
+        for hash in 1..4 {
+            assert_eq!(next.read_unstamped(key(hash)), Some(product(hash)));
+        }
+        drop(writer);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One step of [`reopen_serves_what_a_whole_scan_serves`].
+    #[derive(Debug)]
+    enum Op {
+        /// The main writer appends a product.
+        Put(u64),
+        /// The main writer (`true`) or the second one publishes its index.
+        Publish(bool),
+        /// The main writer goes away without publishing.
+        Drop,
+        /// A second, long-lived writer appends a product.
+        Second(u64),
+        /// The main writer evicts down to a byte budget.
+        Evict(u64),
+        /// The main writer reads every key, dropping what fails to verify.
+        ReadAll,
+        /// A segment no live writer appends to is cut short.
+        Truncate(usize, usize),
+        /// One bit of any cache file flips.
+        Flip(usize, usize, u8),
+        /// The index file is deleted.
+        DeleteIndex,
+    }
+
+    const KEYS: u64 = 12;
+
+    /// The step a generated `(selector, a, b, bit)` draw stands for.
+    fn op((sel, a, b, bit): (u8, usize, usize, u8)) -> Op {
+        let hash = a as u64 % KEYS;
+        match sel % 14 {
+            0..=3 => Op::Put(hash),
+            4 | 5 => Op::Publish(a % 2 == 0),
+            6 => Op::Drop,
+            7 | 8 => Op::Second(hash),
+            9 => Op::Evict(a as u64 % 60),
+            10 => Op::ReadAll,
+            11 => Op::Truncate(a, b),
+            12 => Op::Flip(a, b, bit),
+            _ => Op::DeleteIndex,
+        }
+    }
+
+    /// The cache files in `dir`, sorted, minus `skip`.
+    fn files(dir: &Path, skip: &[Option<&str>]) -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| {
+                let name = p.file_name().unwrap().to_str().unwrap();
+                !skip.contains(&Some(name))
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Whatever happened to the directory, an open that starts from the
+        /// index's covered lengths serves what an open scanning every
+        /// segment whole serves. Two exceptions: a key a published index
+        /// dropped (evicted, or dropped when it failed its checksum) stays
+        /// dropped, because its record lies in a covered range; and once a
+        /// bit flip may have torn a record header inside a covered range,
+        /// the whole scan stops there while the covered open reads on, so it
+        /// may serve more. Whatever it serves is the product put.
+        #[test]
+        fn reopen_serves_what_a_whole_scan_serves(
+            draws in proptest::collection::vec(
+                (any::<u8>(), any::<usize>(), any::<usize>(), 0u8..8), 1..40),
+        ) {
+            let dir = tmp_dir("vs-whole-scan");
+            let mut main: Option<DiskCache> = None;
+            let mut second: Option<DiskCache> = None;
+            // Keys each writer dropped and has not yet published.
+            let (mut main_drops, mut second_drops) = (HashSet::new(), HashSet::new());
+            let mut dropped: HashSet<u64> = HashSet::new();
+            let mut flipped = false;
+            for step in draws.into_iter().map(op) {
+                match step {
+                    Op::Put(hash) => {
+                        let cache = main.get_or_insert_with(|| DiskCache::open(&dir).unwrap());
+                        put(cache, hash);
+                    }
+                    Op::Publish(is_main) => {
+                        let (cache, drops) = if is_main {
+                            (&mut main, &mut main_drops)
+                        } else {
+                            (&mut second, &mut second_drops)
+                        };
+                        if let Some(cache) = cache {
+                            cache.publish().unwrap();
+                            dropped.extend(drops.drain());
+                        }
+                    }
+                    Op::Drop => {
+                        main = None;
+                        main_drops.clear();
+                    }
+                    Op::Second(hash) => {
+                        let cache = second.get_or_insert_with(|| DiskCache::open(&dir).unwrap());
+                        put(cache, hash);
+                    }
+                    Op::Evict(budget) => {
+                        if let Some(cache) = &mut main {
+                            let evicted = cache.enforce_budget(budget);
+                            main_drops.extend(evicted.iter().map(|k| k.hash));
+                        }
+                    }
+                    Op::ReadAll => {
+                        if let Some(cache) = &mut main {
+                            for hash in 0..KEYS {
+                                if cache.contains(key(hash)) && cache.read(key(hash)).is_none() {
+                                    main_drops.insert(hash);
+                                }
+                            }
+                        }
+                    }
+                    Op::Truncate(pick, at) => {
+                        let live = [main.as_ref().and_then(own_segment), second.as_ref().and_then(own_segment)];
+                        let segs: Vec<PathBuf> = files(&dir, &live)
+                            .into_iter()
+                            .filter(|p| p.extension().is_some_and(|x| x == "pldseg"))
+                            .collect();
+                        if !segs.is_empty() {
+                            let path = &segs[pick % segs.len()];
+                            let len = fs::metadata(path).unwrap().len();
+                            let f = fs::OpenOptions::new().write(true).open(path).unwrap();
+                            f.set_len(at as u64 % (len + 1)).unwrap();
+                        }
+                    }
+                    Op::Flip(pick, at, bit) => {
+                        let all = files(&dir, &[]);
+                        if !all.is_empty() {
+                            let path = &all[pick % all.len()];
+                            let mut bytes = fs::read(path).unwrap();
+                            if !bytes.is_empty() {
+                                let at = at % bytes.len();
+                                bytes[at] ^= 1 << bit;
+                                // In place: a writer's handle sees the flip.
+                                let mut f = fs::OpenOptions::new().write(true).open(path).unwrap();
+                                f.seek(io::SeekFrom::Start(at as u64)).unwrap();
+                                f.write_all(&bytes[at..=at]).unwrap();
+                                flipped = true;
+                            }
+                        }
+                    }
+                    Op::DeleteIndex => {
+                        fs::remove_file(dir.join(INDEX_FILE)).ok();
+                    }
+                }
+
+                let covered = DiskCache::open(&dir).unwrap();
+                let whole = DiskCache::load(&dir, true).unwrap();
+                for hash in 0..KEYS {
+                    let (got, want) = (covered.read_unstamped(key(hash)), whole.read_unstamped(key(hash)));
+                    if let Some(got) = &got {
+                        prop_assert_eq!(got, &product(hash), "key {} served a wrong product", hash);
+                    }
+                    if want.is_some() && !dropped.contains(&hash) {
+                        prop_assert!(got.is_some(), "key {} lost, not dropped by a publish", hash);
+                    }
+                    if !flipped {
+                        prop_assert!(got.is_none() || want.is_some(), "key {} resurrected", hash);
+                    }
+                }
+            }
+            drop((main, second));
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -155,7 +155,7 @@ impl CacheBackend for ArtifactStore {
 /// directory. Products fetched out of L2 are promoted into L1; products
 /// filed while building are written through to L2 immediately (append-only
 /// segments), so a crash loses nothing that was filed. LRU stamps and the
-/// eviction metadata live in the L2 index, published atomically by
+/// eviction metadata live in the L2 index, published by
 /// [`TieredCache::persist`].
 #[derive(Default)]
 pub struct TieredCache {
@@ -185,10 +185,10 @@ impl TieredCache {
 
     /// Opens (or creates) a shared persistent cache directory as the L2.
     ///
-    /// Lock-free: the directory is scanned (index first, then any segment
-    /// records the index misses), and this instance gets its own fresh
-    /// append segment, so any number of builder processes can hold the
-    /// same directory open. Corrupt index/segment bytes, and files of
+    /// Lock-free: the index is loaded, then each segment is scanned past
+    /// the length the index covers (whole, without an intact index), and
+    /// this instance gets its own fresh append segment, so any number of
+    /// builder processes can hold the same directory open. Corrupt index/segment bytes, and files of
     /// another format version, degrade to a cold start, never an error.
     ///
     /// # Errors
@@ -235,14 +235,14 @@ impl TieredCache {
         self.l2.as_ref().map_or(0, DiskCache::live_bytes)
     }
 
-    /// Enforces the byte budget (if any) and publishes the L2 index
-    /// atomically. Keys evicted to fit the budget are returned. A no-op
-    /// for a memory-only cache.
+    /// Enforces the byte budget (if any) and publishes the L2 index. Keys
+    /// evicted to fit the budget are returned. A no-op for a memory-only
+    /// cache.
     ///
     /// When entries were evicted, a compaction is attempted so the freed
-    /// bytes are actually reclaimed (and the evictees cannot resurrect on
-    /// a rescan); if another process holds the compaction lock the dead
-    /// bytes simply wait for the next persist.
+    /// bytes are actually reclaimed; if another process holds the
+    /// compaction lock the dead bytes simply wait for the next persist (the
+    /// published index covers them, so no later open files them again).
     ///
     /// # Errors
     ///

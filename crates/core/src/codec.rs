@@ -6,7 +6,7 @@
 //! `codec_names!`); encoder and decoder are both generated from that list,
 //! and a struct's list is checked for completeness by the compiler. The
 //! lists of every type with public fields are at the bottom of this file —
-//! together they *are* format v8.
+//! together they *are* format v9.
 //!
 //! Wire rules: integers are little-endian at their declared width and floats
 //! their IEEE bits, except that `usize` travels as `u64` and `u16` as `u32`;
@@ -320,7 +320,7 @@ macro_rules! codec_names {
 }
 
 // ---------------------------------------------------------------------------
-// Format v8: every stored type, each field once, in wire order. (The struct
+// Format v9: every stored type, each field once, in wire order. (The struct
 // lists are brace-delimited so that rustfmt leaves each on its line.)
 
 codec_struct! { fabric::Rect { x0, y0, w, h } }

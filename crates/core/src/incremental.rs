@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
-use crate::build::{build_with_prev, kernel_hashes, BuildReport, Hashed};
+use crate::build::{build_with_prev, kernel_hashes, BuildReport, Hashed, Memo};
 use crate::cache::{CacheBackend, TieredCache};
 use crate::flow::{CompileError, CompileOptions, CompiledApp, OptLevel};
 use crate::store::{ArtifactStore, StageKind};
@@ -43,6 +43,8 @@ pub struct BuildCache {
     /// (compared by value), so no edit made through the caller's own graph,
     /// however it is made, can leave a hash stale.
     last: Option<(Graph, Vec<u64>)>,
+    /// The other hashes the last build took, for the next to copy.
+    memo: Memo,
 }
 
 impl BuildCache {
@@ -165,7 +167,14 @@ impl BuildCache {
             graph,
             kernels: kernels.unwrap_or_default(),
         };
-        let (app, report) = build_with_prev(source, prev, options, &mut self.cache)?;
+        if fresh.is_some() {
+            self.memo.graph_hash = None;
+        }
+        let built = build_with_prev(source, prev, &mut self.memo, options, &mut self.cache);
+        let (app, report) = built.inspect_err(|_| {
+            // The hash taken is of a source `last` does not hold.
+            self.memo.graph_hash = None;
+        })?;
         if options.level != OptLevel::O3 {
             for op in &report.operators {
                 if op.executions == 0 {
@@ -612,6 +621,23 @@ mod tests {
         assert_rebuild_is_free(&mut cache, &g, &app, "after the cold run");
     }
 
+    /// Six hardware stages in a chain.
+    fn six_stages() -> Graph {
+        let mut b = GraphBuilder::new("six");
+        let ids: Vec<_> = (0..6)
+            .map(|i| {
+                let name = format!("s{i}");
+                b.add(name.clone(), stage(&name, i + 1), Target::hw_auto())
+            })
+            .collect();
+        b.ext_input("Input_1", ids[0], "in");
+        for (i, w) in ids.windows(2).enumerate() {
+            b.connect(format!("l{i}"), w[0], "out", w[1], "in");
+        }
+        b.ext_output("Output_1", ids[5], "out");
+        b.build().unwrap()
+    }
+
     /// Planning costs what the edit costs. A no-change rebuild encodes no
     /// kernel and leaves every `Hls`/`Pnr`/`Hints` product the one shared
     /// allocation it was (the build held handles, never copies, and let go
@@ -645,20 +671,7 @@ mod tests {
             _ => false,
         };
 
-        let mut b = GraphBuilder::new("six");
-        let ids: Vec<_> = (0..6)
-            .map(|i| {
-                let name = format!("s{i}");
-                b.add(name.clone(), stage(&name, i + 1), Target::hw_auto())
-            })
-            .collect();
-        b.ext_input("Input_1", ids[0], "in");
-        for (i, w) in ids.windows(2).enumerate() {
-            b.connect(format!("l{i}"), w[0], "out", w[1], "in");
-        }
-        b.ext_output("Output_1", ids[5], "out");
-        let mut g = b.build().unwrap();
-
+        let mut g = six_stages();
         let opts = CompileOptions {
             incremental_pnr: true,
             ..CompileOptions::new(OptLevel::O1)
@@ -689,6 +702,62 @@ mod tests {
         let report = cache.last_report().unwrap();
         assert_eq!(report.executions(StageKind::HlsLower), 1);
         assert_eq!(report.hits(StageKind::HlsLower), 5);
+    }
+
+    /// The optimizer's stage costs what the edit costs too. A rebuild of an
+    /// unchanged source takes its `KpnOptimize` key from the last build;
+    /// after a one-operator body edit the optimizer runs again, and of the
+    /// kernels it rewrites only those that differ from its last run's at
+    /// the same position are hashed.
+    #[test]
+    fn an_optimizer_rerun_hashes_only_the_kernels_that_differ() {
+        use crate::build::KERNELS_HASHED;
+        let hashed = || KERNELS_HASHED.with(|n| n.replace(0));
+        let mut g = six_stages();
+        // Unfused, the six stages stay six kernels (fused, they are one).
+        let config = dfg::OptimizerConfig {
+            fuse: false,
+            ..dfg::OptimizerConfig::default()
+        };
+        let opts = CompileOptions {
+            optimize: Some(config),
+            ..CompileOptions::new(OptLevel::O1)
+        };
+        let mut cache = BuildCache::new();
+        hashed();
+        cache.compile(&g, &opts).unwrap();
+        let first = cache.memo.opt.clone().unwrap();
+        let rewritten = first.graph().operators.len();
+        assert_eq!(hashed(), 6 + rewritten as u64, "every kernel once");
+        let key = cache.memo.graph_hash;
+
+        cache.compile(&g, &opts).unwrap();
+        assert_eq!(hashed(), 0, "a no-change rebuild hashes no kernel");
+        assert_eq!(cache.memo.graph_hash, key, "nor the graph again");
+
+        g.operators[2].kernel = stage("s2", 40);
+        cache.compile(&g, &opts).unwrap();
+        let report = cache.last_report().unwrap();
+        assert_eq!(report.executions(StageKind::KpnOptimize), 1);
+        assert_ne!(cache.memo.graph_hash, key);
+        let second = cache.memo.opt.clone().unwrap();
+        let (old, new) = (&first.graph().operators, &second.graph().operators);
+        let differ = (new.iter().enumerate())
+            .filter(|(i, op)| old.get(*i).is_none_or(|o| o.kernel != op.kernel))
+            .count();
+        assert!(
+            0 < differ && differ < new.len(),
+            "{differ} of {}",
+            new.len()
+        );
+        assert_eq!(
+            hashed(),
+            1 + differ as u64,
+            "the edit, then what it rewrote"
+        );
+        let fresh =
+            crate::store::OptProduct::new(second.graph().clone(), second.summary.clone(), None);
+        assert_eq!(second.kernel_hashes(), fresh.kernel_hashes());
     }
 
     /// `c`'s placed-and-routed bitstream in `app`.

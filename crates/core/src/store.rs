@@ -29,7 +29,7 @@ use pnr::{Bitstream, TimingReport};
 use softcore::SoftBinary;
 
 use crate::artifact::{Driver, Xclbin};
-use crate::build::kernel_hash;
+use crate::build::{kernel_hashes, Hashed};
 use crate::codec::{self, corrupt, Codec, Cursor};
 use crate::flow::{fnv, OptSummary};
 
@@ -181,23 +181,25 @@ pub struct SoftProduct {
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptProduct {
     graph: dfg::Graph,
-    /// [`kernel_hash`] of each operator of `graph`, in order: computed when
-    /// the product is made or decoded, so no build that fetches it hashes
-    /// the rewritten kernels again.
+    /// [`crate::build::kernel_hash`] of each operator of `graph`, in order:
+    /// computed when the product is made or decoded, so no build that
+    /// fetches it hashes the rewritten kernels again.
     kernel_hashes: Vec<u64>,
     /// What the passes did: fused and split operators, balance before/after.
     pub summary: OptSummary,
 }
 
 impl OptProduct {
-    /// Wraps an optimizer run's output, hashing the rewritten kernels once.
-    pub fn new(graph: dfg::Graph, summary: OptSummary) -> OptProduct {
+    /// Wraps an optimizer run's output, hashing the rewritten kernels once:
+    /// a kernel equal to the one at the same position of `prev`, the
+    /// product of an earlier run, keeps that one's hash.
+    pub fn new(graph: dfg::Graph, summary: OptSummary, prev: Option<&OptProduct>) -> OptProduct {
+        let prev = prev.map(|p| Hashed {
+            graph: &p.graph,
+            kernels: &p.kernel_hashes,
+        });
         OptProduct {
-            kernel_hashes: graph
-                .operators
-                .iter()
-                .map(|op| kernel_hash(&op.kernel))
-                .collect(),
+            kernel_hashes: kernel_hashes(&graph, prev),
             graph,
             summary,
         }
@@ -439,9 +441,11 @@ const MAGIC: &[u8] = b"PLDSTORE";
 /// directory's segments and index. It moves when a product's encoding does
 /// (5: [`HintsProduct::origin`]; 6: [`PnrProduct`] without the seed race's
 /// fields; 7: [`OptProduct`] without channel depths) or how keys are
-/// derived (8: from input records' codec bytes); bytes of any other version
-/// are a cold start.
-pub(crate) const FORMAT_VERSION: u32 = 8;
+/// derived (8: from input records' codec bytes), or when the cache
+/// directory's layout does (9: the index's segment table, and segment
+/// records checksummed with their key); bytes of any other version are a
+/// cold start.
+pub(crate) const FORMAT_VERSION: u32 = 9;
 
 impl Codec for OptProduct {
     fn put(&self, out: &mut Vec<u8>) {
@@ -682,7 +686,7 @@ mod tests {
             balance_before: 0.5,
             balance_after: 0.9,
         };
-        OptProduct::new(b.build().unwrap(), summary)
+        OptProduct::new(b.build().unwrap(), summary, None)
     }
 
     fn sample_hints() -> HintsProduct {
@@ -700,20 +704,20 @@ mod tests {
         HintsProduct::new(hints, 0x0419)
     }
 
-    /// Format v8, byte for byte: a store holding one product of every
-    /// [`StageProduct`] variant encodes to the bytes it did when v8 was
+    /// Format v9, byte for byte: a store holding one product of every
+    /// [`StageProduct`] variant encodes to the bytes it did when v9 was
     /// introduced. A change to any field list, tag or primitive moves this.
     /// The same store was 1459 bytes in v5 and 1443 in v6 (two `u32`s and a
     /// `u64` fewer in its one `PnrProduct`); v7 dropped the 8-byte length of
     /// its one `OptProduct`'s empty depth vector, and nothing else. v8 moved
-    /// how keys are derived, not how products encode: its hand-set keys keep
-    /// every byte but the version's.
+    /// how keys are derived and v9 the cache directory's layout, not how
+    /// products encode: its hand-set keys keep every byte but the version's.
     #[test]
-    fn format_v8_bytes_are_pinned() {
+    fn format_v9_bytes_are_pinned() {
         let bytes = sample_store().to_bytes();
         assert_eq!(
             (bytes.len(), fnv(&bytes)),
-            (1443 - 8, 0x79b6_467d_8bbc_a46b)
+            (1443 - 8, 0x7b65_37fa_7ae8_459f)
         );
     }
 
@@ -738,7 +742,9 @@ mod tests {
         let product = sample_opt();
         assert_eq!(
             product.kernel_hashes(),
-            [kernel_hash(&product.graph().operators[0].kernel)]
+            [crate::build::kernel_hash(
+                &product.graph().operators[0].kernel
+            )]
         );
         let mut back = ArtifactStore::from_bytes(&sample_store().to_bytes()).unwrap();
         assert_eq!(back.fetch_opt(77).as_deref(), Some(&product));

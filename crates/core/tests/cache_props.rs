@@ -96,9 +96,9 @@ fn built_store_round_trips() {
     assert_eq!(back.to_bytes(), store.to_bytes());
 }
 
-/// Format v8, byte for byte, on real products: the store the six Rosetta
+/// Format v9, byte for byte, on real products: the store the six Rosetta
 /// apps leave after an `-O0` build and an optimized, hint-filing `-O1` build
-/// encodes to the bytes it did when v8 was introduced. In v5 the same store
+/// encodes to the bytes it did when v9 was introduced. In v5 the same store
 /// was 499 938 bytes: v6 dropped two `u32`s and a `u64` from every
 /// `PlaceRoute` product; v7 dropped every `KpnOptimize` product's depth
 /// vector (an 8-byte length for each of the six, plus 8 bytes for each of
@@ -106,9 +106,11 @@ fn built_store_round_trips() {
 /// encoding of every product is still v7's; what the store holds moved once
 /// since (see below). v8 derives every key, and the source hashes that
 /// artifact hashes mix in, from codec bytes: the values of the keys, of the
-/// hints' origins and of the artifact hashes moved, and no length did.
+/// hints' origins and of the artifact hashes moved, and no length did. v9
+/// moved the cache directory's layout: in this store only the version and
+/// the checksum trailer moved.
 #[test]
-fn rosetta_store_bytes_are_format_v8() {
+fn rosetta_store_bytes_are_format_v9() {
     let mut store = ArtifactStore::new();
     let o1 = CompileOptions {
         incremental_pnr: true,
@@ -137,7 +139,7 @@ fn rosetta_store_bytes_are_format_v8() {
     );
     assert_eq!(
         (store.len(), n_pnr, n_opt, n_hints, kir::hash::fnv1a(&bytes)),
-        (228, 30, 6, 60, 1_007_738_014_136_885_331)
+        (228, 30, 6, 60, 2_337_490_975_131_219_098)
     );
 }
 
@@ -148,7 +150,7 @@ fn rosetta_store_bytes_are_format_v8() {
 fn other_format_versions_are_a_cold_start() {
     // Every cache file leads with an 8-byte magic whose 7th byte is the
     // format version digit; v2-v4 segments and indexes carried a '3'.
-    for old in [b'3', b'5', b'6', b'7'] {
+    for old in [b'3', b'5', b'6', b'7', b'8'] {
         let dir = tmp_dir("old-version");
         {
             let mut cache = TieredCache::open(&dir).unwrap();
@@ -159,7 +161,7 @@ fn other_format_versions_are_a_cold_start() {
             let path = entry.unwrap().path();
             let mut bytes = std::fs::read(&path).unwrap();
             assert_eq!(
-                bytes[6], b'8',
+                bytes[6], b'9',
                 "{path:?} does not lead with the current version"
             );
             bytes[6] = old;

@@ -276,3 +276,52 @@ fn page_assignment_only_change_is_dirty() {
     // page and the resolved target (hence the content hash) names it.
     assert_eq!((cache.hits, cache.misses), (0, 4));
 }
+
+/// ROADMAP item 1c, pinned as it stands: hints are filed only by a P&R run,
+/// so a version whose `PlaceRoute` stage hit (a new constant leaves the
+/// netlist, and so the stage key, as it was) files no hint for its kernel
+/// version, and the structural edit after it finds no hint of the version
+/// it edits and places cold. The same edit made straight from the placed
+/// version warm-starts.
+#[test]
+fn the_edit_after_a_hit_only_version_places_cold() {
+    let opts = CompileOptions {
+        incremental_pnr: true,
+        ..CompileOptions::new(OptLevel::O1)
+    };
+    let start = |addend| Version {
+        addend,
+        grown: false,
+        heavy: false,
+        riscv: false,
+    };
+    let placed = [start(11), start(12), start(13)];
+    let mut constant = placed;
+    constant[0].addend += 1;
+    let grown = |mut versions: [Version; 3]| {
+        versions[0].grown = true;
+        hw_pipeline(&versions)
+    };
+    // (P&R runs, hint lookups, hint hits, warm-started runs) of a build.
+    let placement = |cache: &BuildCache| {
+        let r = cache.last_report().unwrap();
+        let pnr = r.executions(StageKind::PlaceRoute);
+        (pnr, r.hint_fetches, r.hint_hits, r.warm_pnr_ops)
+    };
+
+    let mut cache = BuildCache::new();
+    cache.compile(&hw_pipeline(&placed), &opts).unwrap();
+    cache.compile(&grown(placed), &opts).unwrap();
+    assert_eq!(placement(&cache), (1, 1, 1, 1), "straight edit: warm");
+
+    let mut cache = BuildCache::new();
+    cache.compile(&hw_pipeline(&placed), &opts).unwrap();
+    cache.compile(&hw_pipeline(&constant), &opts).unwrap();
+    assert_eq!(
+        placement(&cache),
+        (0, 0, 0, 0),
+        "the constant edit's P&R hits"
+    );
+    cache.compile(&grown(constant), &opts).unwrap();
+    assert_eq!(placement(&cache), (1, 1, 0, 0), "the edit after it: cold");
+}

@@ -7,10 +7,11 @@
 //! in all three forms, then a load or store through `0(R)`), whose
 //! addresses land in bounds, out of bounds, on a stream port or inside
 //! the code, so fused groups, their refusals and branches into them all
-//! occur; the cached side also runs under random budgets that stop it
-//! mid-group. The scenario tests pin the cases random firmware rarely
-//! reaches: stores into decoded bytes and firmware reloads over a live
-//! core.
+//! occur; counted loops around stretches of the body enter those groups
+//! again from warm blocks; the cached side also runs under random budgets
+//! that stop it mid-group. The scenario tests pin the cases random firmware
+//! rarely reaches: stores into decoded bytes and firmware reloads over a
+//! live core.
 
 use proptest::prelude::*;
 use softcore::cpu::{StepResult, StreamIo};
@@ -178,7 +179,16 @@ fn emit_slot_access(code: &mut Vec<Instr>, a: u8, b: u8, imm: i16) {
     // Form 0 is `lui` + `addi` (any A), 1 `lui` alone (A a multiple of
     // 4096), 2 `addi x0` (A sign-extended from 12 bits).
     let mut form = b % 3;
-    let addr: u32 = match a % 16 {
+    // An access out of bounds traps, and a store into the code usually
+    // leaves a word that traps when it runs: either ends the program, so
+    // three draws in four of those two classes address in bounds instead,
+    // and programs (loops above all) live long enough to enter their
+    // groups again.
+    let class = match a % 16 {
+        10 | 11 | 14 | 15 if (b >> 3) & 3 != 0 => a % 10,
+        class => class,
+    };
+    let addr: u32 = match class {
         // In bounds.
         0..=9 => match form {
             0 => SCRATCH as u32 + k % (MEM_BYTES - SCRATCH as u32 - 4),
@@ -257,8 +267,18 @@ fn emit_slot_access(code: &mut Vec<Instr>, a: u8, b: u8, imm: i16) {
     });
 }
 
+/// The loop counter of [`build_cpu`]'s counted loops: no generated
+/// instruction reads or writes it.
+const LOOP_REG: u32 = 13;
+
 /// Assembles the prelude + random body + ebreak tail into a fresh core.
-fn build_cpu(recipe: &[(u8, u8, u8, i16)]) -> Cpu {
+/// Each `(start, len, trips)` of `loops` wraps the `len` recipe entries from
+/// `start` on in a counted loop of `trips` passes, so the body's groups
+/// (fused or refused) and block boundaries are entered again and again from
+/// warm blocks. One loop is open at a time: one starting inside another is
+/// dropped. A forward hop out of the body leaves the loop; one onto its back
+/// edge past the decrement spins until the cycle budget, in both engines.
+fn build_cpu(recipe: &[(u8, u8, u8, i16)], loops: &[(usize, usize, u8)]) -> Cpu {
     let mut code: Vec<Instr> = vec![
         // x5 = scratch base, x6 = stream read window, x7 = write window.
         Instr::Addi {
@@ -275,8 +295,34 @@ fn build_cpu(recipe: &[(u8, u8, u8, i16)]) -> Cpu {
             imm: firmware::STREAM_WRITE_BASE as i32,
         },
     ];
+    // The open loop: its last recipe entry and its body's first word.
+    let mut open: Option<(usize, usize)> = None;
     for (i, &entry) in recipe.iter().enumerate() {
+        if open.is_none() {
+            if let Some(&(_, len, trips)) = loops.iter().find(|l| l.0 == i) {
+                code.push(Instr::Addi {
+                    rd: LOOP_REG,
+                    rs1: 0,
+                    imm: i32::from(trips),
+                });
+                open = Some(((i + len - 1).min(recipe.len() - 1), code.len()));
+            }
+        }
         emit(&mut code, entry, i + 1 == recipe.len());
+        if let Some((_, body)) = open.filter(|&(end, _)| end == i) {
+            code.push(Instr::Addi {
+                rd: LOOP_REG,
+                rs1: LOOP_REG,
+                imm: -1,
+            });
+            let back = 4 * (body as i32 - code.len() as i32);
+            code.push(Instr::Bne {
+                rs1: LOOP_REG,
+                rs2: 0,
+                imm: back,
+            });
+            open = None;
+        }
     }
     // Padding halts so every bounded forward hop lands on valid code.
     for _ in 0..6 {
@@ -385,15 +431,17 @@ proptest! {
     #[test]
     fn block_cached_matches_reference(
         recipe in proptest::collection::vec(
-            (any::<u8>(), any::<u8>(), any::<u8>(), any::<i16>()), 1..60),
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<i16>()), 1..120),
+        loops in proptest::collection::vec((0usize..120, 1usize..16, 2u8..9), 0..6),
         read_avail in proptest::collection::vec(any::<bool>(), 1..12),
         write_avail in proptest::collection::vec(any::<bool>(), 1..12),
         budgets in proptest::collection::vec((0u8..24, 0u16..400), 1..8),
     ) {
         let io = || PatternIo::new(read_avail.clone(), write_avail.clone());
-        let reference = run(build_cpu(&recipe), io(), Mode::Reference);
-        assert_same(&reference, &run(build_cpu(&recipe), io(), Mode::BlockCached));
-        let (mut cpu, mut ref_cpu) = (build_cpu(&recipe), build_cpu(&recipe));
+        let build = || build_cpu(&recipe, &loops);
+        let reference = run(build(), io(), Mode::Reference);
+        assert_same(&reference, &run(build(), io(), Mode::BlockCached));
+        let (mut cpu, mut ref_cpu) = (build(), build());
         let (mut cpu_io, mut ref_io) = (io(), io());
         run_sliced(&mut cpu, &mut ref_cpu, [&mut cpu_io, &mut ref_io], &budgets);
         prop_assert_eq!(cpu.memory(), ref_cpu.memory(), "memory diverges");
