@@ -812,6 +812,83 @@ mod tests {
         assert!(result.cycles > N as u64 * 10);
     }
 
+    /// Pins today's transport model: a leaf's receive queues are unbounded
+    /// (`noc::LeafInterface` never back-pressures a receive port), so a
+    /// consumer that reads its ports in the reverse of its producer's write
+    /// order drains under both cosim engines, as it does in batch. With
+    /// bounded receive FIFOs, `p` would stall on `a` before writing any of
+    /// `b` while `c` waits on `b`: a deadlock. Bounding them changes this
+    /// test's expectation on purpose.
+    #[test]
+    fn pin_unbounded_receive_ports_drain_a_reverse_order_reader() {
+        const N: i64 = 1024;
+        let p = KernelBuilder::new("p")
+            .input("in", Scalar::uint(32))
+            .output("a", Scalar::uint(32))
+            .output("b", Scalar::uint(32))
+            .local("x", Scalar::uint(32))
+            .body([
+                Stmt::for_loop(
+                    "i",
+                    0..N,
+                    [Stmt::read("x", "in"), Stmt::write("a", Expr::var("x"))],
+                ),
+                Stmt::for_loop(
+                    "i",
+                    0..N,
+                    [Stmt::write("b", Expr::var("i").add(Expr::cint(7)))],
+                ),
+            ])
+            .build()
+            .unwrap();
+        let c = KernelBuilder::new("c")
+            .input("a", Scalar::uint(32))
+            .input("b", Scalar::uint(32))
+            .output("out", Scalar::uint(32))
+            .local("x", Scalar::uint(32))
+            .body([
+                Stmt::for_loop(
+                    "i",
+                    0..N,
+                    [Stmt::read("x", "b"), Stmt::write("out", Expr::var("x"))],
+                ),
+                Stmt::for_loop(
+                    "i",
+                    0..N,
+                    [Stmt::read("x", "a"), Stmt::write("out", Expr::var("x"))],
+                ),
+            ])
+            .build()
+            .unwrap();
+        let mut b = GraphBuilder::new("reverse");
+        let pi = b.add("p", p, Target::hw_auto());
+        let ci = b.add("c", c, Target::hw_auto());
+        b.ext_input("Input_1", pi, "in");
+        b.connect("a", pi, "a", ci, "a");
+        b.connect("b", pi, "b", ci, "b");
+        b.ext_output("Output_1", ci, "out");
+        let g = b.build().unwrap();
+
+        let input: Vec<u32> = (0..N as u32)
+            .map(|w| w.wrapping_mul(2_654_435_761))
+            .collect();
+        let vals: Vec<kir::types::Value> = input
+            .iter()
+            .map(|&w| kir::types::Value::Int(aplib::DynInt::from_raw(32, false, w as u128)))
+            .collect();
+        let (out, _) = dfg::run_graph(&g, &[("Input_1", vals)]).unwrap();
+        let golden = kir::wire::stream_to_words(&out["Output_1"]);
+        assert_eq!(golden.len(), 2 * N as usize);
+
+        let app = compile(&g, &CompileOptions::new(OptLevel::O0)).unwrap();
+        let inputs = [input];
+        let want = [golden.len()];
+        let fast = cosim_o0(&app, &inputs, &want, 200_000_000).unwrap();
+        assert_eq!(fast.outputs[0], golden);
+        let oracle = cosim_o0_reference(&app, &inputs, &want, 200_000_000).unwrap();
+        assert_eq!(oracle.outputs[0], golden);
+    }
+
     /// The engine equals the oracle — outputs, cycles, instructions and
     /// virtual seconds — at every window width, on two independent
     /// streams sharing the network.

@@ -5,9 +5,11 @@
 //! everything else rests on — an optimized `-O0` build is bit-identical
 //! under cycle-accurate cosim to the *source* graph's reference execution.
 
+use dfg::generate::FAMILIES;
 use dfg::{GenConfig, Graph, GraphBuilder, OptimizerConfig, Target};
 use kir::{Expr, KernelBuilder, Scalar, Stmt};
 use pld::{build, cosim_o0, ArtifactStore, CompileOptions, OptLevel, StageKind};
+use proptest::prelude::*;
 
 const N: i64 = 32;
 
@@ -119,42 +121,85 @@ fn optimized_o0_cosim_matches_the_source_graph() {
     assert_eq!(result.outputs[0], golden);
 }
 
-#[test]
-fn optimized_generator_apps_match_their_reference_execution_at_o0() {
-    for family in ["tiny-chain", "two-phase"] {
-        let cfg = GenConfig {
-            seed: 7,
-            tokens: 48,
-            max_stages: 4,
-        };
-        let gen = dfg::generate::generate_family(&cfg, family).expect("family generates");
-        let (ref_out, _) = dfg::run_graph(&gen.graph, &gen.input_refs()).unwrap();
+/// The optimizer configurations the `-O0` differential runs: every pass,
+/// fusion alone, and fission alone at a threshold low enough to split the
+/// generated apps' multi-phase operators.
+fn optimizer_configs() -> [OptimizerConfig; 3] {
+    [
+        OptimizerConfig::default(),
+        OptimizerConfig {
+            fission: false,
+            ..OptimizerConfig::default()
+        },
+        OptimizerConfig {
+            fuse: false,
+            fission_min_ops: 512,
+            ..OptimizerConfig::default()
+        },
+    ]
+}
 
-        let mut store = ArtifactStore::new();
-        let (app, _) = build(&gen.graph, &opt_options(OptLevel::O0), &mut store).unwrap();
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
-        let inputs: Vec<Vec<u32>> = gen
-            .graph
-            .ext_inputs
-            .iter()
-            .map(|ext| {
-                let (_, vals) = gen
-                    .inputs
-                    .iter()
-                    .find(|(name, _)| *name == ext.name)
-                    .expect("input stream for ext port");
-                kir::wire::stream_to_words(vals)
-            })
-            .collect();
-        let want: Vec<Vec<u32>> = gen
-            .graph
-            .ext_outputs
-            .iter()
-            .map(|ext| kir::wire::stream_to_words(&ref_out[&ext.name]))
-            .collect();
-        let lens: Vec<usize> = want.iter().map(Vec::len).collect();
+    /// The Kahn property on bounded hardware FIFOs: for every generated
+    /// family and optimizer configuration, the optimized `-O0` build's
+    /// cycle-accurate cosim produces the *source* graph's batch outputs.
+    /// Each case also checks that both passes rewrote some family, so the
+    /// differential is not vacuous.
+    #[test]
+    fn optimized_generator_apps_match_their_reference_execution_at_o0(
+        seed in any::<u64>(),
+        tokens in 16u64..=64,
+    ) {
+        let (mut fused, mut fissioned) = (0, 0);
+        for family in FAMILIES {
+            let cfg = GenConfig { seed, tokens, max_stages: 4 };
+            let gen = dfg::generate::generate_family(&cfg, family).expect("family generates");
+            let (ref_out, _) = dfg::run_graph(&gen.graph, &gen.input_refs()).unwrap();
+            let inputs: Vec<Vec<u32>> = gen
+                .graph
+                .ext_inputs
+                .iter()
+                .map(|ext| {
+                    let (_, vals) = gen
+                        .inputs
+                        .iter()
+                        .find(|(name, _)| *name == ext.name)
+                        .expect("input stream for ext port");
+                    kir::wire::stream_to_words(vals)
+                })
+                .collect();
+            let want: Vec<Vec<u32>> = gen
+                .graph
+                .ext_outputs
+                .iter()
+                .map(|ext| kir::wire::stream_to_words(&ref_out[&ext.name]))
+                .collect();
+            let lens: Vec<usize> = want.iter().map(Vec::len).collect();
 
-        let result = cosim_o0(&app, &inputs, &lens, 100_000_000).unwrap();
-        assert_eq!(result.outputs, want, "family {family} diverged under -O0");
+            for (c, config) in optimizer_configs().into_iter().enumerate() {
+                let opts = CompileOptions {
+                    optimize: Some(config),
+                    ..CompileOptions::new(OptLevel::O0)
+                };
+                let mut store = ArtifactStore::new();
+                let (app, _) = build(&gen.graph, &opts, &mut store).unwrap();
+                let opt = app.opt.as_ref().expect("optimizer summary populated");
+                fused += opt.fused.len();
+                fissioned += opt.fissioned.len();
+                let result = cosim_o0(&app, &inputs, &lens, 100_000_000).unwrap();
+                prop_assert_eq!(
+                    &result.outputs,
+                    &want,
+                    "{} seed {} tokens {} config {} diverged under -O0",
+                    family,
+                    seed,
+                    tokens,
+                    c
+                );
+            }
+        }
+        prop_assert!(fused > 0 && fissioned > 0, "seed {} tokens {}: fused {} fissioned {}", seed, tokens, fused, fissioned);
     }
 }

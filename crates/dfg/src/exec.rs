@@ -370,9 +370,8 @@ impl KernelIo for Streams {
         Ok(v)
     }
 
-    fn write(&mut self, port: usize, value: Value) -> Result<(), IoError> {
+    fn write(&mut self, port: usize, value: Value) {
         self.outputs[port].push(value);
-        Ok(())
     }
 }
 
@@ -480,5 +479,44 @@ mod tests {
             GraphRunError::Operator { op, .. } => assert_eq!(op, "first"),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn the_failing_producer_is_blamed_not_its_starved_consumer() {
+        // The consumer is declared first, so declaration order is not
+        // execution order. The producer indexes a 2-element array with
+        // each token and fails on the first (value 5); its consumer would
+        // then underflow, but the producer's error is the one reported.
+        let lookup = KernelBuilder::new("lookup")
+            .input("in", Scalar::uint(32))
+            .output("out", Scalar::uint(32))
+            .local("x", Scalar::uint(32))
+            .array("lut", Scalar::uint(32), 2)
+            .body([Stmt::for_loop(
+                "i",
+                0..8,
+                [
+                    Stmt::read("x", "in"),
+                    Stmt::write("out", Expr::index("lut", Expr::var("x"))),
+                ],
+            )])
+            .build()
+            .unwrap();
+        let mut b = GraphBuilder::new("p");
+        let c = b.add("consumer", stage("c", 8, 0), Target::hw(0));
+        let p = b.add("producer", lookup, Target::hw(1));
+        b.ext_input("Input_1", p, "in");
+        b.connect("l", p, "out", c, "in");
+        b.ext_output("Output_1", c, "out");
+        let g = b.build().unwrap();
+        let err = run_graph(&g, &[("Input_1", word_values([5; 8]))]).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                GraphRunError::Operator { op, error: InterpError::IndexOutOfBounds { .. } }
+                    if op == "producer"
+            ),
+            "{err:?}"
+        );
     }
 }

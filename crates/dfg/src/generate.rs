@@ -555,7 +555,6 @@ fn finish(
 mod tests {
     use super::*;
     use crate::exec::run_graph;
-    use crate::threaded::run_graph_threaded;
 
     #[test]
     fn generation_is_deterministic() {
@@ -580,9 +579,6 @@ mod tests {
                 let inputs = app.input_refs();
                 let (exec_out, _) = run_graph(&app.graph, &inputs)
                     .unwrap_or_else(|e| panic!("{family} seed {seed}: {e:?}"));
-                let (thr_out, _) = run_graph_threaded(&app.graph, &inputs)
-                    .unwrap_or_else(|e| panic!("{family} seed {seed}: {e:?}"));
-                assert_eq!(exec_out, thr_out, "{family} seed {seed}");
                 // Every declared output produced something.
                 for p in &app.graph.ext_outputs {
                     assert!(!exec_out[&p.name].is_empty(), "{family}:{}", p.name);

@@ -16,8 +16,8 @@
 //!
 //! Functional execution of a whole graph (every operator interpreted on the
 //! host, tokens routed along edges) lives in [`exec`]: [`compile`] builds a
-//! [`CompiledGraph`] once, and both executors, batch and [`threaded`], run
-//! it. By the Kahn property its results are the golden reference for every
+//! [`CompiledGraph`] once and [`CompiledGraph::run`] runs it in batch. By
+//! the Kahn property its results are the golden reference for every
 //! hardware mapping.
 
 pub mod exec;
@@ -26,7 +26,6 @@ pub mod graph;
 pub mod ir;
 pub mod opt;
 pub mod target;
-pub mod threaded;
 
 pub use exec::{
     compile, run_graph, run_graph_trace, CompiledGraph, GraphRunError, GraphRunStats, GraphTrace,
@@ -36,4 +35,3 @@ pub use graph::{EdgeId, ExtPort, Graph, GraphBuilder, GraphError, OpId, Operator
 pub use ir::{extract, DfgIr, IrLink, IrOperator, ParseIrError};
 pub use opt::{optimize, OptReport, Optimized, OptimizerConfig};
 pub use target::{PragmaError, Target};
-pub use threaded::{run_graph_threaded, ThreadedRunStats};

@@ -1,12 +1,12 @@
 //! Operator fusion: merging a producer/consumer pair into one kernel.
 //!
-//! The threaded engine pays a channel lock round-trip per chunk and a thread
-//! per operator; `-O1` hardware pays a page per operator. Tiny operators are
-//! therefore transport-bound — StreamBlocks-style repartitioning fuses them
-//! so the stream hops become array accesses inside one kernel.
+//! `-O1` hardware pays a page per operator and `-O0` a softcore and a
+//! network hop per stream link. Tiny operators are therefore
+//! transport-bound — StreamBlocks-style repartitioning fuses them so the
+//! stream hops become array accesses inside one kernel.
 //!
 //! Legality (deadlock-safe under every engine, from the batch interpreter to
-//! bounded threaded channels and `-O0` cosim FIFOs):
+//! `-O0` cosim, whose leaf out FIFOs are bounded):
 //!
 //! 1. *Totality*: every output edge of `A` lands on `B` and `A` drives no
 //!    external output; every input edge of `B` comes from `A` and `B` reads

@@ -7,7 +7,7 @@
 //! analysis:
 //!
 //! * **Rate analysis** ([`rate`]): static per-port token counts, which
-//!   decide fusion legality here and channel depths in the threaded engine.
+//!   decide fusion legality.
 //! * **Fusion** ([`fuse`]): transport-bound adjacent operators merge into
 //!   one kernel, replacing channel hops with in-page scratch arrays.
 //! * **Fission** ([`fission`]): multi-phase operators split at a legal cut
@@ -299,10 +299,9 @@ fn sibling_round(g: &Graph, config: &OptimizerConfig) -> Option<(Graph, String)>
             // Siblings must share a *consumer*: the packed pair then owns
             // all of that joiner's inputs, so the next merge round absorbs
             // the joiner and internalizes the packed op's interleaved
-            // writes. Pairs sharing only a producer stay separate — packing
-            // them leaves an operator that alternates writes to unrelated
-            // downstream channels, which defeats the threaded engine's
-            // consecutive-run write batching for no enabled merge.
+            // writes. Pairs sharing only a producer stay separate: packing
+            // them enables no merge, since their writes still go to
+            // unrelated downstream operators.
             let shares_consumer = g
                 .out_edges(x)
                 .any(|(_, ex)| g.out_edges(y).any(|(_, ey)| ex.to.0 == ey.to.0));

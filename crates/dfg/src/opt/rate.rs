@@ -6,15 +6,10 @@
 //! the worst case across `If` branches. Ports whose I/O never sits under a
 //! branch get an *exact* count — the property the fusion pass requires —
 //! while branch-dependent ports get a safe upper bound.
-//!
-//! The same analysis sizes the threaded engine's channels: [`crate::threaded`]
-//! reads each edge's rates from the graph it is handed.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use kir::{Kernel, Stmt};
-
-use crate::graph::Graph;
 
 /// A static token count for one port over one kernel invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,21 +36,6 @@ pub struct PortRates {
     pub reads: BTreeMap<String, Rate>,
     /// Tokens written per output port.
     pub writes: BTreeMap<String, Rate>,
-}
-
-/// Production/consumption rates of one graph edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct EdgeRate {
-    /// Tokens the producer writes into the edge per invocation.
-    pub(crate) produced: Rate,
-    /// Tokens the consumer reads from the edge per invocation.
-    pub(crate) consumed: Rate,
-    /// True when the consumer finishes every read on this edge before its
-    /// first write anywhere — a two-phase (reorder) consumer in polyhedral
-    /// process network terms. Such a consumer emits nothing until the whole
-    /// stream is in, so a default-depth FIFO throttles its producer to
-    /// ring-sized slices for no benefit.
-    pub(crate) phase_consumer: bool,
 }
 
 /// Computes the static token count of every port of `kernel`.
@@ -120,65 +100,6 @@ fn merge_branch(
         r.tokens = r.tokens.saturating_add(t.max(e));
         r.exact = false;
     }
-}
-
-/// Computes the production/consumption rate of every edge, indexed like
-/// [`Graph::edges`].
-pub(crate) fn edge_rates(graph: &Graph) -> Vec<EdgeRate> {
-    let per_op: Vec<PortRates> = graph
-        .operators
-        .iter()
-        .map(|o| port_rates(&o.kernel))
-        .collect();
-    graph
-        .edges
-        .iter()
-        .map(|e| EdgeRate {
-            produced: per_op[e.from.0 .0]
-                .writes
-                .get(&e.from.1)
-                .copied()
-                .unwrap_or(Rate::ZERO),
-            consumed: per_op[e.to.0 .0]
-                .reads
-                .get(&e.to.1)
-                .copied()
-                .unwrap_or(Rate::ZERO),
-            phase_consumer: reads_precede_all_writes(&graph.operators[e.to.0 .0].kernel, &e.to.1),
-        })
-        .collect()
-}
-
-/// True when `kernel` completes every read on `port` before its first write
-/// on any port: the reads all sit in top-level statements that precede the
-/// first top-level statement containing a write. This is the shape of a
-/// buffering/reordering consumer (fill an array, then emit), whose input
-/// channel must hold the whole stream before anything flows downstream.
-fn reads_precede_all_writes(kernel: &Kernel, port: &str) -> bool {
-    let mut seen_write = false;
-    let mut reads = 0usize;
-    for s in &kernel.body {
-        let mut has_read = false;
-        let mut has_write = false;
-        s.visit(&mut |st| match st {
-            Stmt::Read { port: p, .. } if p == port => has_read = true,
-            Stmt::Write { .. } => has_write = true,
-            _ => {}
-        });
-        if has_read {
-            reads += 1;
-            // A statement that both reads the port and writes is a
-            // streaming loop, not a fill phase; a read at or after the
-            // first write means output depends on a prefix only.
-            if seen_write || has_write {
-                return false;
-            }
-        }
-        if has_write {
-            seen_write = true;
-        }
-    }
-    reads > 0
 }
 
 #[cfg(test)]
@@ -258,52 +179,5 @@ mod tests {
                 exact: false
             }
         );
-    }
-
-    #[test]
-    fn two_phase_consumers_are_detected_on_their_input_edge() {
-        // Fill phase: read everything into an array; emit phase: write it
-        // back out reversed. All reads precede the first write.
-        let k = KernelBuilder::new("rev")
-            .input("in", Scalar::uint(32))
-            .output("out", Scalar::uint(32))
-            .array("buf", Scalar::uint(32), 8)
-            .local("x", Scalar::uint(32))
-            .body([
-                Stmt::for_loop(
-                    "i",
-                    0..8,
-                    [
-                        Stmt::read("x", "in"),
-                        Stmt::store("buf", Expr::var("i"), Expr::var("x")),
-                    ],
-                ),
-                Stmt::for_loop(
-                    "j",
-                    0..8,
-                    [Stmt::write(
-                        "out",
-                        Expr::index("buf", Expr::cint(7).sub(Expr::var("j"))),
-                    )],
-                ),
-            ])
-            .build()
-            .unwrap();
-        assert!(reads_precede_all_writes(&k, "in"));
-
-        // A plain streaming map reads and writes in the same loop: not a
-        // phase consumer.
-        let m = KernelBuilder::new("map")
-            .input("in", Scalar::uint(32))
-            .output("out", Scalar::uint(32))
-            .local("x", Scalar::uint(32))
-            .body([Stmt::for_loop(
-                "i",
-                0..8,
-                [Stmt::read("x", "in"), Stmt::write("out", Expr::var("x"))],
-            )])
-            .build()
-            .unwrap();
-        assert!(!reads_precede_all_writes(&m, "in"));
     }
 }

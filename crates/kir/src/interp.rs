@@ -50,8 +50,6 @@ pub const DEFAULT_OP_BUDGET: u64 = 2_000_000_000;
 pub enum IoError {
     /// No token is available and none can ever arrive.
     Underflow,
-    /// The peer side of the stream is gone (consumer hung up).
-    Closed,
 }
 
 /// Runtime failure of a kernel execution.
@@ -61,12 +59,6 @@ pub enum InterpError {
     /// execution this is a deadlock: the producer can never supply more.
     #[allow(missing_docs)]
     StreamUnderflow { port: String },
-    /// A `Write` executed after every consumer of the port hung up. In the
-    /// threaded runtime this means a downstream operator exited (usually
-    /// because it failed); the producer should stop promptly rather than
-    /// keep computing tokens no one can receive.
-    #[allow(missing_docs)]
-    DownstreamClosed { port: String },
     /// An array access evaluated to an out-of-bounds index.
     #[allow(missing_docs)]
     IndexOutOfBounds {
@@ -87,9 +79,6 @@ impl fmt::Display for InterpError {
         match self {
             InterpError::StreamUnderflow { port } => {
                 write!(f, "read from `{port}` with no token available")
-            }
-            InterpError::DownstreamClosed { port } => {
-                write!(f, "write to `{port}` failed: every consumer hung up")
             }
             InterpError::IndexOutOfBounds { array, index, len } => {
                 write!(
@@ -121,21 +110,13 @@ pub struct InterpStats {
     pub writes: u64,
 }
 
-/// A kernel compiled to closures, ready for repeated execution. It is
-/// `Send + Sync`: compile once, run from any number of threads.
+/// A kernel compiled to closures, ready for repeated execution.
 pub struct Resolved {
     name: String,
     inputs: Vec<(String, Scalar)>,
     outputs: Vec<(String, Scalar)>,
     code: typed::Code,
 }
-
-// The threaded executor runs one compiled graph's kernels on its own
-// threads, borrowing them.
-const _: fn() = || {
-    fn send_sync<T: Send + Sync>() {}
-    send_sync::<Resolved>();
-};
 
 impl fmt::Debug for Resolved {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -210,9 +191,9 @@ impl Resolved {
         Ok((outputs, stats))
     }
 
-    /// Runs the kernel against an arbitrary stream transport — the entry
-    /// point the threaded Kahn-network runtime uses, where reads block on
-    /// live channels instead of draining pre-staged queues.
+    /// Runs the kernel against an arbitrary stream transport: the entry
+    /// point for callers that own the token queues, such as the graph
+    /// executor, which routes tokens between operators itself.
     ///
     /// # Errors
     ///
@@ -222,7 +203,7 @@ impl Resolved {
         io: &mut dyn KernelIo,
         budget: u64,
     ) -> Result<InterpStats, InterpError> {
-        self.code.run(io, budget, &self.inputs, &self.outputs)
+        self.code.run(io, budget, &self.inputs)
     }
 }
 
@@ -231,8 +212,7 @@ impl Resolved {
 /// interpreter maps them to named [`InterpError`] variants only when they
 /// actually terminate execution, keeping `String` work off the token path.
 pub trait KernelIo {
-    /// Delivers the next token on input port `port`, blocking if the
-    /// transport supports it.
+    /// Delivers the next token on input port `port`.
     ///
     /// # Errors
     ///
@@ -240,13 +220,8 @@ pub trait KernelIo {
     /// queue empty, or all producers finished).
     fn read(&mut self, port: usize) -> Result<Value, IoError>;
 
-    /// Accepts a token on output port `port`, blocking while the transport
-    /// applies backpressure.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IoError::Closed`] when the consumer side has gone away.
-    fn write(&mut self, port: usize, value: Value) -> Result<(), IoError>;
+    /// Accepts a token on output port `port`.
+    fn write(&mut self, port: usize, value: Value);
 }
 
 /// The batch transport: inputs fully staged up front, outputs collected.
@@ -260,9 +235,8 @@ impl KernelIo for BatchIo {
         self.in_queues[port].pop_front().ok_or(IoError::Underflow)
     }
 
-    fn write(&mut self, port: usize, value: Value) -> Result<(), IoError> {
+    fn write(&mut self, port: usize, value: Value) {
         self.out_queues[port].push(value);
-        Ok(())
     }
 }
 

@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use super::{InterpError, InterpStats, IoError, KernelIo};
+use super::{InterpError, InterpStats, KernelIo};
 use crate::expr::Expr;
 use crate::kernel::Kernel;
 use crate::ops::{eval_bin, eval_un};
@@ -78,7 +78,6 @@ enum RStmt {
 /// A kernel with names resolved to slots, ready for the tree walker.
 struct Reference {
     inputs: Vec<(String, Scalar)>,
-    outputs: Vec<(String, Scalar)>,
     var_init: Vec<Value>,
     array_meta: Vec<(String, Scalar, u64)>,
     array_init: Vec<Vec<Value>>,
@@ -296,11 +295,6 @@ impl Reference {
                 .iter()
                 .map(|p| (p.name.clone(), p.elem))
                 .collect(),
-            outputs: kernel
-                .outputs
-                .iter()
-                .map(|p| (p.name.clone(), p.elem))
-                .collect(),
             var_init,
             array_meta,
             array_init,
@@ -314,7 +308,6 @@ impl Reference {
             arrays: self.array_init.clone(),
             array_meta: &self.array_meta,
             inputs: &self.inputs,
-            outputs: &self.outputs,
             io,
             stats: InterpStats::default(),
             budget,
@@ -329,7 +322,6 @@ struct ExecState<'r> {
     arrays: Vec<Vec<Value>>,
     array_meta: &'r [(String, Scalar, u64)],
     inputs: &'r [(String, Scalar)],
-    outputs: &'r [(String, Scalar)],
     io: &'r mut dyn KernelIo,
     stats: InterpStats,
     budget: u64,
@@ -348,23 +340,11 @@ impl ExecState<'_> {
         }
     }
 
-    /// Cold path: name the port only once an I/O error ends the run.
+    /// Cold path: name the port only once an underflow ends the run.
     #[cold]
-    fn read_failed(&self, err: IoError, port: usize) -> InterpError {
-        let port = self.inputs[port].0.clone();
-        match err {
-            // A closed peer on the *input* side means the producer is gone
-            // with no token left — the same underflow condition.
-            IoError::Underflow | IoError::Closed => InterpError::StreamUnderflow { port },
-        }
-    }
-
-    /// Cold path: name the port only once an I/O error ends the run.
-    #[cold]
-    fn write_failed(&self, err: IoError, port: usize) -> InterpError {
-        let port = self.outputs[port].0.clone();
-        match err {
-            IoError::Underflow | IoError::Closed => InterpError::DownstreamClosed { port },
+    fn read_failed(&self, port: usize) -> InterpError {
+        InterpError::StreamUnderflow {
+            port: self.inputs[port].0.clone(),
         }
     }
 }
@@ -466,7 +446,7 @@ fn exec_block(body: &[RStmt], st: &mut ExecState<'_>) -> Result<(), InterpError>
                 st.charge(1)?;
                 let v = match st.io.read(*port) {
                     Ok(v) => v,
-                    Err(e) => return Err(st.read_failed(e, *port)),
+                    Err(_) => return Err(st.read_failed(*port)),
                 };
                 st.stats.reads += 1;
                 st.vars[*slot] = v.coerce(*ty);
@@ -475,9 +455,7 @@ fn exec_block(body: &[RStmt], st: &mut ExecState<'_>) -> Result<(), InterpError>
                 let v = eval(value, st)?;
                 st.charge(1)?;
                 st.stats.writes += 1;
-                if let Err(e) = st.io.write(*port, v.coerce(*elem)) {
-                    return Err(st.write_failed(e, *port));
-                }
+                st.io.write(*port, v.coerce(*elem));
             }
             RStmt::For {
                 slot,
@@ -515,6 +493,7 @@ fn exec_block(body: &[RStmt], st: &mut ExecState<'_>) -> Result<(), InterpError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::IoError;
     use crate::kernel::KernelBuilder;
     use crate::resolved;
 
@@ -543,9 +522,7 @@ mod tests {
         fn read(&mut self, _: usize) -> Result<Value, IoError> {
             Err(IoError::Underflow)
         }
-        fn write(&mut self, _: usize, _: Value) -> Result<(), IoError> {
-            Err(IoError::Closed)
-        }
+        fn write(&mut self, _: usize, _: Value) {}
     }
 
     /// The tree walker's mux carries the checker's shape for every legal
@@ -574,7 +551,6 @@ mod tests {
             arrays: Vec::new(),
             array_meta: &[],
             inputs: &[],
-            outputs: &[],
             io: &mut io,
             stats: InterpStats::default(),
             budget: u64::MAX,

@@ -874,7 +874,6 @@ impl Code {
         io: &mut dyn KernelIo,
         budget: u64,
         inputs: &[(String, Scalar)],
-        outputs: &[(String, Scalar)],
     ) -> Result<InterpStats, InterpError> {
         let mut m = Machine {
             frame: Frame {
@@ -901,9 +900,6 @@ impl Code {
                 Fault::Underflow(port) => InterpError::StreamUnderflow {
                     port: inputs[port].0.clone(),
                 },
-                Fault::Closed(port) => InterpError::DownstreamClosed {
-                    port: outputs[port].0.clone(),
-                },
             }),
         }
     }
@@ -916,7 +912,6 @@ enum Fault {
     Budget,
     Bounds { array: usize, index: i128 },
     Underflow(usize),
-    Closed(usize),
 }
 
 fn to_value(c: i128, ty: Scalar) -> Value {
@@ -1128,9 +1123,7 @@ impl Machine<'_> {
                     let v = value.code.get(&mut self.frame);
                     self.frame.settle()?;
                     self.stats.writes += 1;
-                    self.io
-                        .write(*port, to_value(v, *elem))
-                        .map_err(|_| Fault::Closed(*port))?;
+                    self.io.write(*port, to_value(v, *elem));
                 }
                 TStmt::For {
                     slot,

@@ -1,6 +1,5 @@
 //! Leaf interfaces: the per-page clients of the linking network.
 
-use listream::SimFifo;
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::network::InjectError;
@@ -31,6 +30,49 @@ impl PortAddr {
     }
 }
 
+/// A leaf's bounded outgoing flit queue. It never blocks: a push into a
+/// full queue fails, exactly as a hardware producer sees `full` asserted,
+/// and the producer retries on a later cycle.
+#[derive(Debug, Clone)]
+pub(crate) struct OutQueue {
+    flits: VecDeque<Flit>,
+    capacity: usize,
+}
+
+impl OutQueue {
+    fn new(capacity: usize) -> OutQueue {
+        OutQueue {
+            flits: VecDeque::with_capacity(capacity),
+            capacity,
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.flits.is_empty()
+    }
+
+    pub(crate) fn is_full(&self) -> bool {
+        self.flits.len() == self.capacity
+    }
+
+    /// Enqueues `flit` unless the queue is full; returns whether it did.
+    pub(crate) fn try_push(&mut self, flit: Flit) -> bool {
+        if self.is_full() {
+            return false;
+        }
+        self.flits.push_back(flit);
+        true
+    }
+
+    pub(crate) fn try_pop(&mut self) -> Option<Flit> {
+        self.flits.pop_front()
+    }
+
+    pub(crate) fn peek(&self) -> Option<&Flit> {
+        self.flits.front()
+    }
+}
+
 /// Per-(source leaf, input port) stream reassembly state.
 #[derive(Debug, Clone)]
 struct ReorderSlot {
@@ -54,7 +96,7 @@ pub struct LeafInterface {
     /// Destination table: one entry per output stream of the page.
     dest_table: Vec<Option<PortAddr>>,
     /// Outgoing flit queue feeding the single uplink (one flit per cycle).
-    pub(crate) out_queue: SimFifo<Flit>,
+    pub(crate) out_queue: OutQueue,
     /// Receive queues, one per input port. Unbounded in the simulator; the
     /// consumer model applies backpressure by not consuming (see crate docs).
     recv: Vec<VecDeque<u32>>,
@@ -90,7 +132,7 @@ impl LeafInterface {
     pub fn new(out_streams: usize, in_ports: usize, queue_depth: usize) -> LeafInterface {
         LeafInterface {
             dest_table: vec![None; out_streams],
-            out_queue: SimFifo::new(queue_depth.max(1)),
+            out_queue: OutQueue::new(queue_depth.max(1)),
             recv: vec![VecDeque::new(); in_ports],
             reorder: Vec::new(),
             seq_counters: vec![0; out_streams],

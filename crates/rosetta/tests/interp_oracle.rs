@@ -5,8 +5,8 @@
 //! Covered: a seeded expression fuzzer over every operator at the width
 //! corners with mixed `ap_fixed` shapes, kernels from every `dfg::generate`
 //! family, the six Rosetta kernels on their traced streams, and every error
-//! path — out-of-bounds, underflow, a consumer that hangs up, and budget
-//! exhaustion at every budget from zero to the kernel's op count.
+//! path — out-of-bounds, underflow, and budget exhaustion at every budget
+//! from zero to the kernel's op count.
 
 use std::collections::VecDeque;
 
@@ -18,12 +18,10 @@ use kir::ops::result_type;
 use kir::{BinOp, Expr, Kernel, KernelBuilder, Scalar, Stmt, UnOp, Value};
 use proptest::prelude::*;
 
-/// Batch transport that accepts `accept` writes, then reports every
-/// consumer gone.
+/// Batch transport: inputs staged up front, outputs collected.
 struct Tape {
     inputs: Vec<VecDeque<Value>>,
     outputs: Vec<Vec<Value>>,
-    accept: usize,
 }
 
 impl KernelIo for Tape {
@@ -31,12 +29,8 @@ impl KernelIo for Tape {
         self.inputs[port].pop_front().ok_or(IoError::Underflow)
     }
 
-    fn write(&mut self, port: usize, value: Value) -> Result<(), IoError> {
-        if self.outputs.iter().map(Vec::len).sum::<usize>() >= self.accept {
-            return Err(IoError::Closed);
-        }
+    fn write(&mut self, port: usize, value: Value) {
         self.outputs[port].push(value);
-        Ok(())
     }
 }
 
@@ -48,11 +42,10 @@ type Outcome = (
     Vec<usize>,
 );
 
-fn tape(kernel: &Kernel, inputs: &[Vec<Value>], accept: usize) -> Tape {
+fn tape(kernel: &Kernel, inputs: &[Vec<Value>]) -> Tape {
     Tape {
         inputs: inputs.iter().map(|s| s.iter().copied().collect()).collect(),
         outputs: vec![Vec::new(); kernel.outputs.len()],
-        accept,
     }
 }
 
@@ -65,37 +58,32 @@ fn outcome(result: Result<InterpStats, InterpError>, io: Tape) -> Outcome {
 }
 
 /// Runs both engines and asserts they agree.
-fn agree(kernel: &Kernel, inputs: &[Vec<Value>], budget: u64, accept: usize) -> Outcome {
+fn agree(kernel: &Kernel, inputs: &[Vec<Value>], budget: u64) -> Outcome {
     let resolved = Resolved::new(kernel);
-    let mut io = tape(kernel, inputs, accept);
+    let mut io = tape(kernel, inputs);
     let fast = outcome(resolved.run_with_io(&mut io, budget), io);
-    let mut io = tape(kernel, inputs, accept);
+    let mut io = tape(kernel, inputs);
     let oracle = outcome(run_reference(kernel, &mut io, budget), io);
     assert_eq!(
         fast, oracle,
-        "typed engine and oracle disagree on `{}` (budget {budget}, accept {accept})",
+        "typed engine and oracle disagree on `{}` (budget {budget})",
         kernel.name
     );
     fast
 }
 
 /// Full run, then — unless it executes more than `sweep_limit` ops — every
-/// budget from zero until the run no longer ends on the budget, and every
-/// hang-up point before the last write.
+/// budget from zero until the run no longer ends on the budget.
 fn agree_everywhere(kernel: &Kernel, inputs: &[Vec<Value>], sweep_limit: u64) {
-    let (full, written, _) = agree(kernel, inputs, u64::MAX, usize::MAX);
+    let (full, _, _) = agree(kernel, inputs, u64::MAX);
     if matches!(full, Ok(stats) if stats.ops > sweep_limit) {
         return;
     }
     for budget in 0.. {
-        let (Err(InterpError::OpBudgetExceeded { .. }), _, _) =
-            agree(kernel, inputs, budget, usize::MAX)
+        let (Err(InterpError::OpBudgetExceeded { .. }), _, _) = agree(kernel, inputs, budget)
         else {
             break;
         };
-    }
-    for accept in 0..written.iter().map(Vec::len).sum() {
-        let _ = agree(kernel, inputs, u64::MAX, accept);
     }
 }
 
@@ -450,7 +438,7 @@ fn probe_kernel(name: String, inputs: &[(&str, Scalar)], outs: Vec<(Expr, Scalar
 /// Runs a probe kernel until its inputs run dry: the underflow that ends
 /// it must match too.
 fn probe(kernel: &Kernel, inputs: &[Vec<Value>]) {
-    let (result, _, _) = agree(kernel, inputs, u64::MAX, usize::MAX);
+    let (result, _, _) = agree(kernel, inputs, u64::MAX);
     assert!(matches!(result, Err(InterpError::StreamUnderflow { .. })));
 }
 
@@ -565,8 +553,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Fuzzed expressions over every operator and width corner agree, with
-    /// full inputs, with inputs cut short (underflow), at every budget and
-    /// at every hang-up point.
+    /// full inputs, with inputs cut short (underflow) and at every budget.
     #[test]
     fn fuzzed_kernels_agree(seed in any::<u64>(), cut in any::<u64>()) {
         // Eight kernels per case: the stub generator does not shrink, so
@@ -580,12 +567,12 @@ proptest! {
                 .iter()
                 .map(|s| s[..(cut as usize + k as usize) % (s.len() + 1)].to_vec())
                 .collect();
-            let _ = agree(&kernel, &short, u64::MAX, usize::MAX);
+            let _ = agree(&kernel, &short, u64::MAX);
         }
     }
 
     /// Every generated family agrees operator by operator on its traced
-    /// streams; small apps are swept over every budget and hang-up point.
+    /// streams; small apps are swept over every budget.
     #[test]
     fn generated_families_agree(seed in any::<u64>(), tokens in 1u64..24) {
         for family in FAMILIES {
@@ -605,7 +592,7 @@ fn rosetta_small_kernels_agree_on_traced_streams() {
     for bench in rosetta::suite(rosetta::Scale::Small) {
         let (_, _, trace) = dfg::run_graph_trace(&bench.graph, &bench.input_refs()).unwrap();
         for (op, streams) in bench.graph.operators.iter().zip(&trace.op_inputs) {
-            let got = agree(&op.kernel, streams, u64::MAX, usize::MAX);
+            let got = agree(&op.kernel, streams, u64::MAX);
             assert!(got.0.is_ok(), "{} / {}: {:?}", bench.name, op.name, got.0);
         }
     }
@@ -640,22 +627,17 @@ fn every_error_kind_agrees() {
             .map(|&w| Value::Int(DynInt::from_raw(32, false, w)))
             .collect()]
     };
-    let ok = agree(&k, &words(&[0, 1, 2, 3]), u64::MAX, usize::MAX);
+    let ok = agree(&k, &words(&[0, 1, 2, 3]), u64::MAX);
     let stats = ok.0.unwrap();
-    let oob = agree(&k, &words(&[0, 9]), u64::MAX, usize::MAX);
+    let oob = agree(&k, &words(&[0, 9]), u64::MAX);
     assert!(matches!(
         oob.0,
         Err(InterpError::IndexOutOfBounds { index: 9, .. })
     ));
-    let under = agree(&k, &words(&[0, 1]), u64::MAX, usize::MAX);
+    let under = agree(&k, &words(&[0, 1]), u64::MAX);
     assert!(matches!(under.0, Err(InterpError::StreamUnderflow { .. })));
-    let closed = agree(&k, &words(&[0, 1, 2, 3]), u64::MAX, 2);
-    assert!(matches!(
-        closed.0,
-        Err(InterpError::DownstreamClosed { .. })
-    ));
     for budget in 0..stats.ops {
-        let r = agree(&k, &words(&[0, 1, 2, 3]), budget, usize::MAX);
+        let r = agree(&k, &words(&[0, 1, 2, 3]), budget);
         assert_eq!(r.0, Err(InterpError::OpBudgetExceeded { budget }));
     }
 }
@@ -683,7 +665,7 @@ fn wide_index_above_i128_max_is_out_of_bounds() {
                 Value::Int(DynInt::from_raw(128, false, 2)),
                 of_raw(wide, raw),
             ]];
-            let (result, written, _) = agree(&k, &input, u64::MAX, usize::MAX);
+            let (result, written, _) = agree(&k, &input, u64::MAX);
             assert_eq!(written[0].len(), 1);
             assert_eq!(
                 result,

@@ -145,15 +145,29 @@ fn emit(code: &mut Vec<Instr>, (sel, a, b, imm): (u8, u8, u8, i16), last: bool) 
         },
         16 => Instr::Bne { rs1, rs2, imm: fwd },
         17 => {
-            // A short backward hop when there is room, else forward: a
-            // bounded loop whose exit (or the cycle budget) both engines
-            // hit at the same instruction.
-            let back = 4 * (i32::from(b % 3) + 1);
+            // A short backward hop over the one to three instructions
+            // before it when there is room, else forward. The hop spends
+            // one unit of `HOP_REG` per pass and is taken while any is
+            // left, so its loop ends at the same instruction in both
+            // engines and the run goes on to new code.
             if at >= 4 && !last {
-                Instr::Beq {
-                    rs1,
-                    rs2: rs1,
-                    imm: if a.is_multiple_of(4) { -back } else { fwd },
+                if a.is_multiple_of(4) {
+                    code.push(Instr::Addi {
+                        rd: HOP_REG,
+                        rs1: HOP_REG,
+                        imm: -1,
+                    });
+                    Instr::Blt {
+                        rs1: 0,
+                        rs2: HOP_REG,
+                        imm: -4 * (i32::from(b % 3) + 2),
+                    }
+                } else {
+                    Instr::Beq {
+                        rs1,
+                        rs2: rs1,
+                        imm: fwd,
+                    }
                 }
             } else {
                 Instr::Jal { rd: 1, imm: fwd }
@@ -270,6 +284,12 @@ fn emit_slot_access(code: &mut Vec<Instr>, a: u8, b: u8, imm: i16) {
 /// The loop counter of [`build_cpu`]'s counted loops: no generated
 /// instruction reads or writes it.
 const LOOP_REG: u32 = 13;
+/// The backward hops' shared budget: the prelude loads it with
+/// `HOP_PASSES`, each hop decrements it, and no other instruction touches
+/// it. It only falls, so however hops nest, they take at most
+/// `HOP_PASSES` backward passes in all.
+const HOP_REG: u32 = 14;
+const HOP_PASSES: i32 = 32;
 
 /// Assembles the prelude + random body + ebreak tail into a fresh core.
 /// Each `(start, len, trips)` of `loops` wraps the `len` recipe entries from
@@ -293,6 +313,11 @@ fn build_cpu(recipe: &[(u8, u8, u8, i16)], loops: &[(usize, usize, u8)]) -> Cpu 
         Instr::Lui {
             rd: 7,
             imm: firmware::STREAM_WRITE_BASE as i32,
+        },
+        Instr::Addi {
+            rd: HOP_REG,
+            rs1: 0,
+            imm: HOP_PASSES,
         },
     ];
     // The open loop: its last recipe entry and its body's first word.
