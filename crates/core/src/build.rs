@@ -595,7 +595,7 @@ fn build_paged<C: CacheBackend>(
 
     // Plan by fetch, in two rounds: one fetch per stage of every operator's
     // chain, and a hit is the product in hand. Whatever a fetch cannot serve
-    // — never built, evicted, or unreadable on disk — is a miss, and the
+    // — never built, or unreadable on disk — is a miss, and the
     // operator gets a farm job for its missing stages. The first round is
     // the front of every chain: HLS for hardware, the whole softcore chain.
     let mut plans = Vec::with_capacity(graph.operators.len());
@@ -725,7 +725,8 @@ fn build_paged<C: CacheBackend>(
                 }
             }
             if pnr.is_none() {
-                // That product gone (evicted, unreadable), the version's own
+                // That product gone (unreadable, or never filed in this
+                // store), the version's own
                 // layout is the start; an edit starts from what it is an
                 // edit *of*.
                 report.hint_fetches += 1;
@@ -1158,7 +1159,7 @@ mod tests {
     /// Key derivation, value for value: one fixed record of every
     /// [`StageInputs`] shape keys to the hash it did when format v8 was
     /// introduced. A change to a field list, a tag or an input's encoding
-    /// moves this, and so must [`crate::store::FORMAT_VERSION`].
+    /// moves this, and so must [`crate::cache::disk::FORMAT_VERSION`].
     #[test]
     fn input_record_keys_are_pinned() {
         let (rect, page, name) = (Rect::new(2, 0, 10, 10), PageId(3), || "op".to_string());

@@ -1,39 +1,33 @@
 //! The tiered artifact cache: one [`CacheBackend`] trait, many stores.
 //!
-//! PR 3's [`ArtifactStore`] made every compile flow a driver over one
-//! in-memory content-addressed map; this module promotes that map to the
-//! **L1** of a tiered cache and adds a persistent on-disk **L2**
-//! ([`DiskCache`]) so warm rebuilds survive across processes — the paper's
-//! "incremental refinement" loop extended from one editor session to a
-//! whole team (and a whole serving fleet) sharing one store directory.
+//! [`ArtifactStore`] makes every compile flow a driver over one in-memory
+//! content-addressed map; this module makes that map the **L1** of a tiered
+//! cache over a persistent on-disk **L2** ([`DiskCache`]), so warm rebuilds
+//! survive across processes — the paper's "incremental refinement" loop
+//! extended from one editor session to a whole team (and a whole serving
+//! fleet) sharing one store directory.
 //!
 //! * [`CacheBackend`] — the trait every build driver ([`crate::build()`],
 //!   [`crate::build_batch`], [`crate::BuildCache`], the runtime's hot swap)
-//!   is generic over. [`ArtifactStore`] implements it (memory-only, the
-//!   previous behavior, still the default), and so does [`TieredCache`].
+//!   is generic over. [`ArtifactStore`] implements it (memory-only), and so
+//!   does [`TieredCache`].
 //! * [`TieredCache`] — L1 in-memory store over an optional L2
 //!   [`DiskCache`]; fetches promote L2 products into L1, puts write
 //!   through. Opening the same directory from many processes (or many
-//!   [`Fleet`](crate) devices) shares one cache: readers are lock-free,
-//!   only compaction takes an advisory lock ([`DiskCache::compact`]).
-//! * [`evict`] — cost-weighted LRU under a byte budget: the victim is the
-//!   lowest *saved-vtime-per-byte* entry, so a cheap-to-recompute softcore
-//!   binary is evicted long before a placed-and-routed page of the same size.
+//!   [`Fleet`](crate) devices) shares one cache, and nothing takes a lock.
+//!   Nothing is evicted either: the directory keeps every product filed.
 
 pub mod disk;
-pub mod evict;
 
 pub use disk::DiskCache;
-pub use evict::{eviction_order, saved_vtime_seconds, EvictCandidate};
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use crate::store::{
     ArtifactStore, HlsProduct, PnrProduct, SoftProduct, StageKey, StageKind, StageProduct,
 };
-use crate::vtime::VtimeModel;
 
 /// `fn fetch_x: Kind => Variant(Product);`: the product filed under the key
 /// of stage `Kind` with hash `hash`, if it is a `Variant`.
@@ -53,7 +47,7 @@ macro_rules! typed_fetches {
 ///
 /// The build graph plans by fetching: one fetch per stage, and a hit *is*
 /// the product in hand — a shared handle, never a copy — while a miss of any
-/// cause (absent, evicted, unreadable on disk) means the stage runs. A fetch
+/// cause (absent, unreadable on disk) means the stage runs. A fetch
 /// may promote across tiers, hence `&mut self`. New products are filed with
 /// [`CacheBackend::put`]. Batch compiles take a [`CacheBackend::snapshot`]
 /// per farm job and [`CacheBackend::absorb`] the results back.
@@ -154,17 +148,12 @@ impl CacheBackend for ArtifactStore {
 /// [`ArtifactStore`]; [`TieredCache::open`] attaches a shared store
 /// directory. Products fetched out of L2 are promoted into L1; products
 /// filed while building are written through to L2 immediately (append-only
-/// segments), so a crash loses nothing that was filed. LRU stamps and the
-/// eviction metadata live in the L2 index, published by
-/// [`TieredCache::persist`].
+/// segments), so a crash loses nothing that was filed. The L2 index is
+/// published by [`TieredCache::persist`].
 #[derive(Default)]
 pub struct TieredCache {
     l1: ArtifactStore,
     l2: Option<DiskCache>,
-    /// Byte budget enforced on L2 at [`TieredCache::persist`] time.
-    budget: Option<u64>,
-    /// Prices the recompute cost of a product for eviction weighting.
-    vt: VtimeModel,
 }
 
 impl TieredCache {
@@ -173,45 +162,23 @@ impl TieredCache {
         TieredCache::default()
     }
 
-    /// Wraps an existing in-memory store as a memory-only cache.
-    pub fn from_store(store: ArtifactStore) -> TieredCache {
-        TieredCache {
-            l1: store,
-            l2: None,
-            budget: None,
-            vt: VtimeModel::default(),
-        }
-    }
-
     /// Opens (or creates) a shared persistent cache directory as the L2.
     ///
     /// Lock-free: the index is loaded, then each segment is scanned past
     /// the length the index covers (whole, without an intact index), and
     /// this instance gets its own fresh append segment, so any number of
-    /// builder processes can hold the same directory open. Corrupt index/segment bytes, and files of
-    /// another format version, degrade to a cold start, never an error.
+    /// builder processes can hold the same directory open. Corrupt
+    /// index/segment bytes, and files of another format version, degrade to
+    /// a cold start, never an error.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors (directory creation); corrupt cache
     /// *contents* are skipped, not reported.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<TieredCache> {
-        TieredCache::open_with(dir, None)
-    }
-
-    /// [`TieredCache::open`] with a byte budget for the on-disk tier:
-    /// [`TieredCache::persist`] evicts the lowest saved-vtime-per-byte
-    /// entries until the live bytes fit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors (directory creation).
-    pub fn open_with(dir: impl AsRef<Path>, budget: Option<u64>) -> io::Result<TieredCache> {
         Ok(TieredCache {
             l1: ArtifactStore::new(),
             l2: Some(DiskCache::open(dir)?),
-            budget,
-            vt: VtimeModel::default(),
         })
     }
 
@@ -220,46 +187,22 @@ impl TieredCache {
         &self.l1
     }
 
-    /// The store directory, when an L2 is attached.
-    pub fn dir(&self) -> Option<&PathBuf> {
-        self.l2.as_ref().map(DiskCache::dir)
-    }
-
-    /// Number of products in the persistent tier (0 when memory-only).
-    pub fn disk_len(&self) -> usize {
-        self.l2.as_ref().map_or(0, DiskCache::len)
-    }
-
-    /// Live payload bytes in the persistent tier.
+    /// Payload bytes in the persistent tier (0 when memory-only).
     pub fn disk_bytes(&self) -> u64 {
         self.l2.as_ref().map_or(0, DiskCache::live_bytes)
     }
 
-    /// Enforces the byte budget (if any) and publishes the L2 index. Keys
-    /// evicted to fit the budget are returned. A no-op for a memory-only
-    /// cache.
-    ///
-    /// When entries were evicted, a compaction is attempted so the freed
-    /// bytes are actually reclaimed; if another process holds the
-    /// compaction lock the dead bytes simply wait for the next persist (the
-    /// published index covers them, so no later open files them again).
+    /// Publishes the L2 index ([`DiskCache::publish`]). A no-op for a
+    /// memory-only cache, and for a directory whose index nothing changed.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors from the index publish.
-    pub fn persist(&mut self) -> io::Result<Vec<StageKey>> {
-        let Some(l2) = &mut self.l2 else {
-            return Ok(Vec::new());
-        };
-        let evicted = match self.budget {
-            Some(budget) => l2.enforce_budget(budget),
-            None => Vec::new(),
-        };
-        l2.publish()?;
-        if !evicted.is_empty() {
-            l2.compact()?;
+    pub fn persist(&mut self) -> io::Result<()> {
+        match &mut self.l2 {
+            Some(l2) => l2.publish(),
+            None => Ok(()),
         }
-        Ok(evicted)
     }
 
     /// Keys only the persistent tier holds (products no fetch has promoted
@@ -271,21 +214,6 @@ impl TieredCache {
             .flat_map(DiskCache::keys)
             .filter(|k| self.l1.get(*k).is_none())
     }
-
-    /// Compacts the persistent tier: rewrites live entries into one fresh
-    /// segment and deletes the rest, under the advisory compaction lock.
-    /// Returns `false` (without touching anything) when another process
-    /// holds the lock. A no-op `Ok(false)` for a memory-only cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from the rewrite.
-    pub fn compact(&mut self) -> io::Result<bool> {
-        match &mut self.l2 {
-            Some(l2) => l2.compact(),
-            None => Ok(false),
-        }
-    }
 }
 
 impl CacheBackend for TieredCache {
@@ -294,28 +222,17 @@ impl CacheBackend for TieredCache {
     }
 
     fn fetch(&mut self, key: StageKey) -> Option<StageProduct> {
-        match self.l1.get(key) {
-            Some(p) => {
-                let p = p.clone();
-                if let Some(l2) = &mut self.l2 {
-                    l2.touch(key);
-                }
-                Some(p)
-            }
-            None => {
-                let p = self.l2.as_mut().and_then(|l2| l2.read(key))?;
-                self.l1.insert(key, p.clone());
-                Some(p)
-            }
+        if let Some(p) = self.l1.get(key) {
+            return Some(p.clone());
         }
+        let p = self.l2.as_mut()?.fetch(key)?;
+        self.l1.insert(key, p.clone());
+        Some(p)
     }
 
     fn put(&mut self, key: StageKey, product: StageProduct) {
         if let Some(l2) = &mut self.l2 {
-            if !l2.contains(key) {
-                let cost = saved_vtime_seconds(&self.vt, &product);
-                l2.append(key, &product, cost);
-            }
+            l2.append(key, &product);
         }
         self.l1.insert(key, product);
     }
@@ -334,7 +251,7 @@ impl CacheBackend for TieredCache {
         let mut view = self.l1.clone();
         if let Some(l2) = &self.l2 {
             for key in self.l2_only() {
-                if let Some(product) = l2.read_unstamped(key) {
+                if let Some(product) = l2.read(key) {
                     view.insert(key, product);
                 }
             }
@@ -398,7 +315,7 @@ mod tests {
         for h in 0..4 {
             assert_eq!(tiered.fetch(key(h)), plain.fetch(key(h)));
         }
-        assert_eq!(tiered.snapshot().to_bytes(), plain.snapshot().to_bytes());
+        assert_eq!(tiered.snapshot(), plain.snapshot());
     }
 
     #[test]
@@ -429,48 +346,6 @@ mod tests {
         std::fs::remove_file(dir.join("index.pldidx")).ok();
         let mut cache = TieredCache::open(&dir).unwrap();
         assert_eq!(cache.fetch(key(9)), Some(driver_product(1)));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn compaction_preserves_products_and_collapses_segments() {
-        let dir = tmp_dir("compact");
-        {
-            let mut a = TieredCache::open(&dir).unwrap();
-            let mut b = TieredCache::open(&dir).unwrap();
-            a.put(key(1), driver_product(1));
-            b.put(key(2), driver_product(2));
-            a.persist().unwrap();
-            b.persist().unwrap();
-        }
-        let mut cache = TieredCache::open(&dir).unwrap();
-        assert!(cache.compact().unwrap());
-        let segs = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                let name = e.as_ref().unwrap().file_name();
-                let name = name.to_string_lossy().into_owned();
-                name.starts_with("seg-") && name.ends_with(".pldseg")
-            })
-            .count();
-        assert_eq!(segs, 1, "one surviving segment after compaction");
-        assert_eq!(cache.fetch(key(1)), Some(driver_product(1)));
-        assert_eq!(cache.fetch(key(2)), Some(driver_product(2)));
-        // A second opener still reads everything post-compaction.
-        let mut other = TieredCache::open(&dir).unwrap();
-        assert_eq!(other.fetch(key(1)), Some(driver_product(1)));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn compaction_lock_is_advisory() {
-        let dir = tmp_dir("lock");
-        let mut cache = TieredCache::open(&dir).unwrap();
-        cache.put(key(1), driver_product(1));
-        std::fs::write(dir.join("compact.lock"), b"").unwrap();
-        assert!(!cache.compact().unwrap(), "held lock skips compaction");
-        std::fs::remove_file(dir.join("compact.lock")).unwrap();
-        assert!(cache.compact().unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,17 +10,15 @@
 //! synthesized for an `-O1` page compile is a cache hit for the same
 //! operator in an `-O3` stitch, and vice versa.
 //!
-//! The store lives in memory and round-trips through a self-contained
-//! on-disk format ([`ArtifactStore::save`] / [`ArtifactStore::load`]), so
-//! caches survive across processes — the Makefile-style `.o` directory of
-//! the paper's Sec. 6, with content hashes in place of timestamps. What a
-//! product looks like in bytes is the crate-private `codec` module's business,
-//! not this one's.
+//! The store lives in memory. What survives a process is a cache
+//! directory ([`crate::cache::DiskCache`]): the Makefile-style `.o`
+//! directory of the paper's Sec. 6, with content hashes in place of
+//! timestamps. What a product looks like in bytes is the crate-private
+//! `codec` module's business, not this one's.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
-use std::path::Path;
 use std::sync::Arc;
 
 use hlsim::HlsReport;
@@ -30,7 +28,7 @@ use softcore::SoftBinary;
 
 use crate::artifact::{Driver, Xclbin};
 use crate::build::{kernel_hashes, Hashed};
-use crate::codec::{self, corrupt, Codec, Cursor};
+use crate::codec::{self, Codec, Cursor};
 use crate::flow::{fnv, OptSummary};
 
 /// The typed stages of the compile pipeline (the build graph's node kinds).
@@ -158,7 +156,7 @@ pub struct PnrProduct {
     /// The per-operator P&R seed that produced this product.
     pub seed: u64,
     /// Work units a cold P&R of this page costs: what from-scratch virtual
-    /// time and eviction price the stage at. `work_units` for a cold run or
+    /// time prices the stage at. `work_units` for a cold run or
     /// a warm run the quality guard discarded; for a surviving warm run, the
     /// hint's cold estimate (at least `work_units`).
     pub cold_work: u64,
@@ -291,7 +289,7 @@ pub enum StageProduct {
 ///
 /// See the [module docs](self) for the role it plays; [`mod@crate::build`] for
 /// the drivers that populate it.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct ArtifactStore {
     entries: HashMap<StageKey, StageProduct>,
     /// Entries per stage kind, indexed by `kind as usize` (entries are only
@@ -369,83 +367,17 @@ impl ArtifactStore {
         entries
     }
 
-    /// Serializes the whole store into its on-disk byte format: magic,
-    /// `FORMAT_VERSION`, count, the entries sorted by `(kind, hash)`, and a
-    /// whole-payload FNV-1a checksum so bit rot is detected at load instead
-    /// of decoding into garbage artifacts.
+    /// The store's entries in the crate codec, sorted by `(kind, hash)`:
+    /// what the store weighs in bytes. No file holds this encoding; a cache
+    /// directory files each product in its own record.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = MAGIC.to_vec();
-        FORMAT_VERSION.put(&mut out);
+        let mut out = Vec::new();
         let mut entries: Vec<_> = self.entries.iter().collect();
         entries.sort_by_key(|(k, _)| (k.kind, k.hash));
         codec::write_pairs(&mut out, &entries);
-        codec::seal(&mut out);
         out
     }
-
-    /// Reconstructs a store from [`ArtifactStore::to_bytes`] output. There
-    /// is one format version: bytes written under any other are refused, and
-    /// a cache directory that finds them starts cold.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`io::ErrorKind::InvalidData`] on a bad magic, version,
-    /// checksum mismatch, or truncated/garbled payload.
-    pub fn from_bytes(bytes: &[u8]) -> io::Result<ArtifactStore> {
-        let mut c = Cursor::new(bytes);
-        if c.take(MAGIC.len())? != MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        if u32::get(&mut c)? != FORMAT_VERSION {
-            return Err(corrupt("unsupported store format version"));
-        }
-        let entries = codec::unseal(bytes)?
-            .get(c.pos()..)
-            .ok_or_else(|| corrupt("too short for a checksum"))?;
-        let mut store = ArtifactStore::new();
-        for (key, product) in codec::decode::<Vec<(StageKey, StageProduct)>>(entries)? {
-            // Not `insert`: a duplicate key in a file is bad input, not a
-            // non-deterministic stage to assert on.
-            if store.entries.insert(key, product).is_none() {
-                store.counts[key.kind as usize] += 1;
-            }
-        }
-        Ok(store)
-    }
-
-    /// Persists the store to `path` (atomically via a sibling temp file).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_bytes())?;
-        std::fs::rename(&tmp, path)
-    }
-
-    /// Loads a store previously written by [`ArtifactStore::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors and format errors from
-    /// [`ArtifactStore::from_bytes`].
-    pub fn load(path: impl AsRef<Path>) -> io::Result<ArtifactStore> {
-        ArtifactStore::from_bytes(&std::fs::read(path)?)
-    }
 }
-
-const MAGIC: &[u8] = b"PLDSTORE";
-/// The one on-disk format version, of the single-file store and of the cache
-/// directory's segments and index. It moves when a product's encoding does
-/// (5: [`HintsProduct::origin`]; 6: [`PnrProduct`] without the seed race's
-/// fields; 7: [`OptProduct`] without channel depths) or how keys are
-/// derived (8: from input records' codec bytes), or when the cache
-/// directory's layout does (9: the index's segment table, and segment
-/// records checksummed with their key); bytes of any other version are a
-/// cold start.
-pub(crate) const FORMAT_VERSION: u32 = 9;
 
 impl Codec for OptProduct {
     fn put(&self, out: &mut Vec<u8>) {
@@ -704,37 +636,90 @@ mod tests {
         HintsProduct::new(hints, 0x0419)
     }
 
-    /// Format v9, byte for byte: a store holding one product of every
-    /// [`StageProduct`] variant encodes to the bytes it did when v9 was
-    /// introduced. A change to any field list, tag or primitive moves this.
-    /// The same store was 1459 bytes in v5 and 1443 in v6 (two `u32`s and a
-    /// `u64` fewer in its one `PnrProduct`); v7 dropped the 8-byte length of
-    /// its one `OptProduct`'s empty depth vector, and nothing else. v8 moved
-    /// how keys are derived and v9 the cache directory's layout, not how
-    /// products encode: its hand-set keys keep every byte but the version's.
+    /// The store decoded from the codec bytes of its sorted entries.
+    fn round_trip(store: &ArtifactStore) -> ArtifactStore {
+        let bytes = codec::encode(&store.clone().into_entries());
+        let mut back = ArtifactStore::new();
+        for (key, product) in codec::decode::<Vec<(StageKey, StageProduct)>>(&bytes).unwrap() {
+            back.insert(key, product);
+        }
+        back
+    }
+
+    /// Every product's encoding, byte for byte: the sorted entries of a
+    /// store holding one product of every [`StageProduct`] variant encode to
+    /// the bytes they did under format v9, whose single-file store wrapped
+    /// them in a 12-byte header and an 8-byte checksum. A change to any
+    /// field list, tag or primitive moves this. The same store's file was
+    /// 1459 bytes in v5 and 1443 in v6 (two `u32`s and a `u64` fewer in its
+    /// one `PnrProduct`); v7 dropped the 8-byte length of its one
+    /// `OptProduct`'s empty depth vector. v8 moved how keys are derived, and
+    /// v9 and v10 the cache directory's layout, not how products encode.
     #[test]
-    fn format_v9_bytes_are_pinned() {
-        let bytes = sample_store().to_bytes();
+    fn product_bytes_are_pinned() {
+        let bytes = codec::encode(&sample_store().into_entries());
         assert_eq!(
             (bytes.len(), fnv(&bytes)),
-            (1443 - 8, 0x7b65_37fa_7ae8_459f)
+            (1443 - 8 - 20, 0xaf39_7a84_a6c2_977d)
+        );
+    }
+
+    /// Every product's encoding, byte for byte, on real products: the
+    /// sorted entries of the store the six Rosetta apps leave after an `-O0`
+    /// build and an optimized, hint-filing `-O1` build encode to the bytes
+    /// they did under format v9, whose single-file store wrapped them in a
+    /// 12-byte header and an 8-byte checksum. In v5 that file was 499 938
+    /// bytes: v6 dropped two `u32`s and a `u64` from every `PlaceRoute`
+    /// product; v7 dropped every `KpnOptimize` product's depth vector (an
+    /// 8-byte length for each of the six, plus 8 bytes for each of their 28
+    /// edges) and moved those products' keys, and nothing else. v8 derives
+    /// every key, and the source hashes that artifact hashes mix in, from
+    /// codec bytes: the values of the keys, of the hints' origins and of the
+    /// artifact hashes moved, and no length did.
+    #[test]
+    fn rosetta_product_bytes_are_pinned() {
+        use crate::flow::{CompileOptions, OptLevel};
+        let mut store = ArtifactStore::new();
+        let o1 = CompileOptions {
+            incremental_pnr: true,
+            optimize: Some(dfg::OptimizerConfig::default()),
+            ..CompileOptions::new(OptLevel::O1)
+        };
+        for bench in rosetta::suite(rosetta::Scale::Tiny) {
+            for options in [&CompileOptions::new(OptLevel::O0), &o1] {
+                crate::build(&bench.graph, options, &mut store).unwrap();
+            }
+        }
+        for kind in StageKind::ALL {
+            assert!(store.count_kind(kind) > 0, "no {kind} product is pinned");
+        }
+        let n_pnr = store.count_kind(StageKind::PlaceRoute);
+        let n_opt = store.count_kind(StageKind::KpnOptimize);
+        let n_hints = store.count_kind(StageKind::PnrHints);
+        let n = store.len();
+        let bytes = codec::encode(&store.into_entries());
+        // Keying `PlaceRoute` on the HLS netlist moved those keys and added,
+        // per P&R run, a second filing of its hint, under its netlist's key:
+        // a 9-byte key and 153 254 bytes of hint encodings across the 30.
+        let second_filings = n_hints - n_pnr;
+        assert_eq!(
+            bytes.len(),
+            499_938 - 16 * n_pnr - 8 * (n_opt + 28) + 9 * second_filings + 153_254 - 20
+        );
+        assert_eq!(
+            (n, n_pnr, n_opt, n_hints, fnv(&bytes)),
+            (228, 30, 6, 60, 0x183c_23e9_db87_75ed)
         );
     }
 
     #[test]
-    fn round_trips_through_bytes() {
+    fn round_trips_through_the_codec() {
         let store = sample_store();
-        let bytes = store.to_bytes();
-        let back = ArtifactStore::from_bytes(&bytes).unwrap();
-        assert_eq!(back.len(), store.len());
+        let back = round_trip(&store);
         for kind in StageKind::ALL {
             assert_eq!(back.count_kind(kind), 1);
         }
-        for (key, product) in &store.entries {
-            assert_eq!(back.get(*key), Some(product));
-        }
-        // Serialization is deterministic (sorted keys).
-        assert_eq!(bytes, back.to_bytes());
+        assert_eq!(back, store);
     }
 
     #[test]
@@ -746,7 +731,7 @@ mod tests {
                 &product.graph().operators[0].kernel
             )]
         );
-        let mut back = ArtifactStore::from_bytes(&sample_store().to_bytes()).unwrap();
+        let mut back = round_trip(&sample_store());
         assert_eq!(back.fetch_opt(77).as_deref(), Some(&product));
     }
 
@@ -754,7 +739,7 @@ mod tests {
     fn hints_fingerprint_survives_the_round_trip() {
         let product = sample_hints();
         let fingerprint = product.content_hash();
-        let mut back = ArtifactStore::from_bytes(&sample_store().to_bytes()).unwrap();
+        let mut back = round_trip(&sample_store());
         // Decoding takes the fingerprint from the payload bytes, construction
         // from an encoding of the hints: the same bytes, so the same hash.
         assert_eq!(back.fetch_hints(55).as_deref(), Some(&product));
@@ -771,7 +756,7 @@ mod tests {
     fn netlist_hash_survives_the_round_trip() {
         let mut store = sample_store();
         let product = store.fetch_hls(11).unwrap();
-        let mut back = ArtifactStore::from_bytes(&store.to_bytes()).unwrap();
+        let mut back = round_trip(&store);
         // Decoding takes the hash from the payload bytes, construction from
         // an encoding of the netlist: the same bytes, so the same hash.
         let decoded = back.fetch_hls(11).unwrap();
@@ -840,47 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_garbage() {
-        assert!(ArtifactStore::from_bytes(b"not a store").is_err());
-        let mut bytes = sample_store().to_bytes();
-        bytes.truncate(bytes.len() - 3);
-        assert!(ArtifactStore::from_bytes(&bytes).is_err());
-        let mut extra = sample_store().to_bytes();
-        extra.push(0);
-        assert!(ArtifactStore::from_bytes(&extra).is_err());
-    }
-
-    #[test]
-    fn checksum_catches_bit_flips() {
-        let bytes = sample_store().to_bytes();
-        for at in [MAGIC.len() + 4, bytes.len() / 2, bytes.len() - 9] {
-            let mut flipped = bytes.clone();
-            flipped[at] ^= 0x40;
-            assert!(
-                ArtifactStore::from_bytes(&flipped).is_err(),
-                "bit flip at {at} went undetected"
-            );
-        }
-    }
-
-    /// One format version: bytes of any other are refused whole (and a cache
-    /// directory that finds them starts cold), however intact they are.
-    #[test]
-    fn other_format_versions_are_refused() {
-        let bytes = sample_store().to_bytes();
-        for version in [2u32, 3, 4, 5, 6, 7, FORMAT_VERSION + 1] {
-            let mut old = bytes[..bytes.len() - 8].to_vec();
-            old[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
-            codec::seal(&mut old);
-            let err = ArtifactStore::from_bytes(&old).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "version {version}");
-            // v2 had no checksum trailer at all.
-            old.truncate(old.len() - 8);
-            assert!(ArtifactStore::from_bytes(&old).is_err());
-        }
-    }
-
-    #[test]
     fn insert_keeps_first_product_for_identical_keys() {
         let mut store = sample_store();
         let key = StageKey {
@@ -922,17 +866,5 @@ mod tests {
             Arc::make_mut(h).report.hls_work += 1;
         }
         store.insert(key, different);
-    }
-
-    #[test]
-    fn save_and_load() {
-        let dir = std::env::temp_dir().join("pld-store-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.pldstore");
-        let store = sample_store();
-        store.save(&path).unwrap();
-        let back = ArtifactStore::load(&path).unwrap();
-        assert_eq!(back.to_bytes(), store.to_bytes());
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -6,7 +6,10 @@
 
 use dfg::{Graph, GraphBuilder, Target};
 use kir::{Expr, KernelBuilder, Scalar, Stmt};
-use pld::{build, compile, ArtifactStore, CompileOptions, OptLevel, StageKind, VtimeModel};
+use pld::{
+    build, compile, ArtifactStore, CacheBackend, CompileOptions, OptLevel, StageKind, TieredCache,
+    VtimeModel,
+};
 
 fn kernel(name: &str, value: Expr) -> kir::Kernel {
     KernelBuilder::new(name)
@@ -93,17 +96,19 @@ fn store_round_trips_through_disk_with_identical_hashes() {
     let (first, _) = build(&g, &opts, &mut store).unwrap();
 
     let dir = std::env::temp_dir().join(format!("pld-build-graph-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("cache.pldstore");
-    store.save(&path).unwrap();
-    let mut back = ArtifactStore::load(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    assert_eq!(back.to_bytes(), store.to_bytes());
-    assert_eq!(back.len(), store.len());
+    std::fs::remove_dir_all(&dir).ok();
+    {
+        let mut cache = TieredCache::open(&dir).unwrap();
+        cache.absorb(store.clone());
+        cache.persist().unwrap();
+    }
+    let mut back = TieredCache::open(&dir).unwrap();
+    assert_eq!(back.snapshot(), store);
 
-    // A build against the reloaded store is a full cache hit and reproduces
-    // the artifacts bit-identically.
+    // A build against the reopened directory is a full cache hit and
+    // reproduces the artifacts bit-identically.
     let (again, report) = build(&g, &opts, &mut back).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
     assert_eq!(report.total_executions(), 0);
     for (a, b) in first.artifacts.iter().zip(&again.artifacts) {
         assert_eq!(a.hash, b.hash);

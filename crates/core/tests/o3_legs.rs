@@ -38,7 +38,7 @@ fn o3(graph: &dfg::Graph, jobs: usize, seed: u64) -> Result<O3Fingerprint, Compi
 /// One paged build, and the store it leaves, in comparable form.
 #[derive(Debug, PartialEq)]
 struct PagedFingerprint {
-    store: Vec<u8>,
+    store: ArtifactStore,
     artifact_hashes: Vec<u64>,
     driver: pld::Driver,
     vtime: [pld::PhaseTimes; 4],
@@ -51,7 +51,7 @@ fn paged(
     report: &pld::BuildReport,
 ) -> PagedFingerprint {
     PagedFingerprint {
-        store: store.to_bytes(),
+        store: store.clone(),
         artifact_hashes: app.artifacts.iter().map(|x| x.hash).collect(),
         driver: app.driver.clone(),
         vtime: [

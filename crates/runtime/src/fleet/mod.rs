@@ -332,9 +332,8 @@ impl Fleet {
     }
 
     /// Mutable access to one card's [`Runtime`] — for the single-device
-    /// operations the fleet does not mediate: hot-swapping a resident app
-    /// and opting into cosim serving. Admission and removal stay with the
-    /// fleet.
+    /// operation the fleet does not mediate: hot-swapping a resident app.
+    /// Admission and removal stay with the fleet.
     pub fn runtime_mut(&mut self, device: DeviceId) -> Option<&mut Runtime> {
         self.devices.get_mut(device.0)
     }

@@ -42,7 +42,7 @@ use std::fmt;
 use fabric::{Floorplan, PageId};
 use kir::types::Value;
 use noc::PortAddr;
-use pld::{replay_loads, CompileError, CompiledApp, LinkOp, LoadOp, OptLevel};
+use pld::{replay_loads, CompileError, CompiledApp, LinkOp, LoadOp};
 
 use allocator::{AllocError, PlacedOperator};
 use device_state::{DeviceState, PageBinding};
@@ -161,9 +161,6 @@ pub struct Runtime {
     resident: BTreeMap<FleetAppId, ResidentApp>,
     stats: RuntimeStats,
     tick: u64,
-    /// When set, requests to `-O0` apps run through the cosim engine
-    /// instead of the functional interpreter.
-    cosim_serving: bool,
 }
 
 impl Runtime {
@@ -181,23 +178,7 @@ impl Runtime {
             resident: BTreeMap::new(),
             stats,
             tick: 0,
-            cosim_serving: false,
         }
-    }
-
-    /// Opts serving into (or with `false` back out of) cycle-accurate
-    /// cosim execution: [`Fleet::run`] drives resident `-O0` apps on this
-    /// device through [`pld::cosim_o0`]. Outputs are identical to the
-    /// functional interpreter by the Kahn property; what changes is
-    /// fidelity (overlay cycle counts drive the latency histogram) and
-    /// wall-clock. Apps compiled at other levels keep the functional path.
-    pub fn set_cosim_serving(&mut self, on: bool) {
-        self.cosim_serving = on;
-    }
-
-    /// Whether cosim serving is on.
-    pub fn cosim_serving(&self) -> bool {
-        self.cosim_serving
     }
 
     /// Read-only view of the device state.
@@ -226,10 +207,9 @@ impl Runtime {
         self.resident.get(&id).map(|r| r.placement.as_slice())
     }
 
-    /// Serves one request against a resident app: runs the dataflow graph
-    /// (functionally, or through the cosim engine when opted in), stamps
-    /// the latency into the app's histogram, and freshens its LRU
-    /// position.
+    /// Serves one request against a resident app: runs the code compiled at
+    /// admission, stamps the latency into the app's histogram, and freshens
+    /// its LRU position.
     pub(crate) fn run(
         &mut self,
         id: FleetAppId,
@@ -240,16 +220,10 @@ impl Runtime {
             .get_mut(&id)
             .ok_or(RuntimeError::NotResident(id))?;
         let t0 = std::time::Instant::now();
-        let outputs = if self.cosim_serving && resident.app.level == OptLevel::O0 {
-            cosim_serve(&resident.app, &resident.code, inputs)
-        } else {
-            resident
-                .code
-                .run(inputs)
-                .map(|(outputs, _)| outputs)
-                .map_err(|e| e.to_string())
-        }
-        .map_err(RuntimeError::Execution)?;
+        let (outputs, _) = resident
+            .code
+            .run(inputs)
+            .map_err(|e| RuntimeError::Execution(e.to_string()))?;
         let seconds = t0.elapsed().as_secs_f64();
         self.tick += 1;
         resident.last_used = self.tick;
@@ -483,55 +457,6 @@ fn dma_widths(app: &CompiledApp) -> (u8, u8) {
     (in_width, out_width)
 }
 
-/// Cycle budget for one cosim-served request — generous enough for any
-/// workload the functional interpreter finishes in reasonable wall-clock.
-const COSIM_SERVE_BUDGET: u64 = 2_000_000_000;
-
-/// Serves one request through [`pld::cosim_o0`]: the functional
-/// interpreter first fixes the expected output word counts (exact by the
-/// Kahn property — the emulated fabric produces the same streams), then
-/// the app's page cores run cycle-accurately and the collected words
-/// convert back to typed values.
-fn cosim_serve(
-    app: &CompiledApp,
-    code: &dfg::CompiledGraph,
-    inputs: &[(&str, Vec<Value>)],
-) -> Result<HashMap<String, Vec<Value>>, String> {
-    let (functional, _) = code.run(inputs).map_err(|e| e.to_string())?;
-    let word_inputs: Vec<Vec<u32>> = app
-        .graph
-        .ext_inputs
-        .iter()
-        .map(|p| {
-            inputs
-                .iter()
-                .find(|(name, _)| *name == p.name)
-                .map(|(_, values)| kir::wire::stream_to_words(values))
-                .unwrap_or_default()
-        })
-        .collect();
-    let expected: Vec<usize> = app
-        .graph
-        .ext_outputs
-        .iter()
-        .map(|p| {
-            functional
-                .get(&p.name)
-                .map(|values| kir::wire::stream_to_words(values).len())
-                .unwrap_or(0)
-        })
-        .collect();
-    let out = pld::cosim_o0(app, &word_inputs, &expected, COSIM_SERVE_BUDGET)
-        .map_err(|e| e.to_string())?;
-    Ok(app
-        .graph
-        .ext_outputs
-        .iter()
-        .zip(out.outputs)
-        .map(|(p, words)| (p.name.clone(), kir::wire::words_to_stream(p.elem, &words)))
-        .collect())
-}
-
 /// Smallest base such that `[base, base+width)` avoids every in-use range.
 fn alloc_base(in_use: &[(u8, u8)], width: u8) -> Option<u8> {
     if width == 0 {
@@ -600,7 +525,7 @@ mod tests {
     use super::*;
     use dfg::{GraphBuilder, Target};
     use kir::{Expr, KernelBuilder, Scalar, Stmt};
-    use pld::{compile, CompileOptions};
+    use pld::{compile, CompileOptions, OptLevel};
 
     fn tiny_app() -> Box<CompiledApp> {
         let k = KernelBuilder::new("k")

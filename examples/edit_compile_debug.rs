@@ -66,12 +66,12 @@ fn main() {
     let mut promoted: Vec<&str> = Vec::new();
     for turn in 0..=order.len() {
         let graph = with_targets(&base, &promoted);
-        let before = cache.misses;
         let app = cache.compile(&graph, &opts).expect("compiles");
-        let recompiled = cache.misses - before;
-        // Stage-level view of the same turn: the build graph reports which
-        // typed stages were served from the artifact store and which ran.
+        // The build graph reports which operators executed a stage, and
+        // which typed stages were served from the artifact store and which
+        // ran.
         let report = cache.last_report().expect("just compiled");
+        let recompiled = report.operators.iter().filter(|o| o.executions > 0).count();
         let stages = format!("{}/{}", report.total_hits(), report.total_executions());
         // The application is always runnable: functional check each turn.
         let bench = optical::bench(Scale::Tiny);

@@ -34,7 +34,7 @@ use dfg::{Graph, GraphBuilder, Target};
 use fabric::{Floorplan, PageId};
 use kir::types::Value;
 use kir::{Expr, KernelBuilder, Scalar, Stmt};
-use pld::{build_batch, CompileOptions, OptLevel, TieredCache};
+use pld::{build_batch, CacheBackend, CompileOptions, OptLevel, TieredCache};
 use pld_runtime::{DeviceId, EvictClass, Executor, Fleet, FleetAppId, QosSpec, TenantId};
 
 const STAGES: usize = 2;
@@ -144,7 +144,8 @@ fn main() {
         })
         .collect();
     let cross_device_hit_rate = warm_hits as f64 / (warm_hits + warm_execs).max(1) as f64;
-    let shared_products = cache.disk_len();
+    // Puts write through to the directory, so every product is on disk.
+    let shared_products = CacheBackend::len(&cache);
     drop(cache);
     println!(
         "compiled {} app variants on {} farm workers: device-0 cold {:.1} ms, \

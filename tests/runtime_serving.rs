@@ -266,33 +266,6 @@ fn hot_swap_downtime_beats_full_reload() {
 }
 
 #[test]
-fn cosim_serving_matches_functional_serving() {
-    let mut fleet = Fleet::new(1, &Floorplan::u50());
-    let id = fleet
-        .submit(TenantId(0), "pipe", compile_o0(&pipeline("pipe", 3, 5)))
-        .unwrap();
-    fleet.pump();
-
-    let inputs = vec![("Input_1", words(0..8))];
-    let functional = fleet.run(id, &inputs).unwrap();
-
-    // Opt the card into cycle-accurate serving: requests now drive the
-    // resident app's page softcores through the cosim engine. Kahn
-    // determinacy: same tokens out, whatever executes them.
-    let card = fleet.runtime_mut(CARD).unwrap();
-    card.set_cosim_serving(true);
-    assert!(card.cosim_serving());
-    let cosim = fleet.run(id, &inputs).unwrap();
-    assert_eq!(cosim, functional);
-    assert_eq!(to_u32s(&cosim["Output_1"]), (15..23).collect::<Vec<u32>>());
-
-    let card = fleet.runtime_mut(CARD).unwrap();
-    card.set_cosim_serving(false);
-    assert!(!card.cosim_serving());
-    assert_eq!(card.stats().requests, 2);
-}
-
-#[test]
 fn fleet_packs_best_fit_then_spills_to_the_next_device() {
     let fp = Floorplan::u50();
     let mut fleet = Fleet::new(2, &fp);
