@@ -55,6 +55,10 @@ pub mod artifact;
 pub mod build;
 pub mod cache;
 mod codec;
+/// The build-report counts the integration tests share.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
 pub mod cosim;
 pub mod execute;
 pub mod farm;
