@@ -11,7 +11,7 @@
 use fabric::PageId;
 use noc::BftNoc;
 
-use crate::artifact::LoadOp;
+use crate::artifact::{LinkOp, LoadOp};
 use crate::flow::CompiledApp;
 
 /// Timing breakdown of one application bring-up.
@@ -102,6 +102,32 @@ pub fn replay_loads(app: &CompiledApp, ops: &[LoadOp]) -> LoadReport {
     report
 }
 
+/// The linking network of a card with `n_pages` pages: one leaf per page
+/// plus the DMA-in and DMA-out endpoints.
+pub fn link_network(n_pages: usize) -> BftNoc {
+    BftNoc::new(n_pages + 2, 4, 64)
+}
+
+/// Programs a batch of routes by sending one in-band configuration packet
+/// each from the `host` leaf, exactly as the generated driver does, and
+/// returns the network cycles the batch took to apply.
+pub fn send_links(net: &mut BftNoc, host: usize, links: &[LinkOp]) -> u64 {
+    if links.is_empty() {
+        return 0;
+    }
+    let c0 = net.cycle();
+    for link in links {
+        while net
+            .send_config(host, link.src_leaf, link.stream, link.dest)
+            .is_err()
+        {
+            net.step();
+        }
+    }
+    net.drain(1_000_000);
+    net.cycle() - c0
+}
+
 /// Simulates loading and linking a compiled application.
 ///
 /// Bitstream/image transfer times come from artifact sizes; the link step
@@ -114,24 +140,13 @@ pub fn load(app: &CompiledApp) -> LoadReport {
     // Linking: deliver the driver's configuration packets through the tree
     // from the DMA leaf, as the generated driver.c does.
     if !app.driver.links.is_empty() {
-        let n_pages = app.floorplan.pages.len();
-        let mut net = BftNoc::new(n_pages + 2, 4, 64);
-        let host = app.dma_in_leaf() as usize;
-        for link in &app.driver.links {
-            while net
-                .send_config(host, link.src_leaf, link.stream, link.dest)
-                .is_err()
-            {
-                net.step();
-            }
-        }
-        net.drain(1_000_000);
+        let mut net = link_network(app.floorplan.pages.len());
+        report.link_cycles = send_links(&mut net, app.dma_in_leaf() as usize, &app.driver.links);
         assert_eq!(
             net.stats().config_writes,
             app.driver.links.len() as u64,
             "every link packet must apply"
         );
-        report.link_cycles = net.cycle();
     }
 
     report

@@ -114,11 +114,6 @@ pub struct LeafInterface {
     /// Monotone count of uplink slots freed from the out FIFO. While this
     /// is unchanged, a full out FIFO is still full.
     pub(crate) tx_seq: u64,
-    /// Data-injection credit budget (`None` = unthrottled) — the QoS
-    /// throttle, spent one credit per data flit.
-    pub(crate) inject_budget: Option<u32>,
-    /// Data injections refused by the throttle since bring-up.
-    pub(crate) throttled_injects: u64,
     /// Flits pushed by [`LeafInterface::inject_local`] but not yet folded
     /// into the network's global bookkeeping. The windowed cosim engine
     /// injects into leaves between barriers and commits these counts (in
@@ -138,8 +133,6 @@ impl LeafInterface {
             seq_counters: vec![0; out_streams],
             rx_seq: 0,
             tx_seq: 0,
-            inject_budget: None,
-            throttled_injects: 0,
             pending_injects: 0,
         }
     }
@@ -155,8 +148,8 @@ impl LeafInterface {
     }
 
     /// Injects one data word on output `stream` directly into this leaf's
-    /// out FIFO, performing the destination lookup, QoS budget check, and
-    /// sequence stamping locally. `self_leaf` is this leaf's index (used in
+    /// out FIFO, performing the destination lookup and sequence stamping
+    /// locally. `self_leaf` is this leaf's index (used in
     /// errors and the flit source header); `now` is the cycle the flit is
     /// born — under the windowed cosim engine this can lie *ahead* of the
     /// network's clock, and the uplink holds such flits back until their
@@ -181,10 +174,6 @@ impl LeafInterface {
             leaf: self_leaf,
             stream,
         })?;
-        if self.inject_budget == Some(0) {
-            self.throttled_injects += 1;
-            return Err(InjectError::Throttled { leaf: self_leaf });
-        }
         if self.out_queue.is_full() {
             return Err(InjectError::Backpressure { leaf: self_leaf });
         }
@@ -200,9 +189,6 @@ impl LeafInterface {
         });
         debug_assert!(pushed, "is_full was checked above");
         self.pending_injects += 1;
-        if let Some(credits) = &mut self.inject_budget {
-            *credits -= 1;
-        }
         Ok(())
     }
 

@@ -22,17 +22,6 @@ pub struct NocStats {
     pub max_latency: u64,
 }
 
-impl NocStats {
-    /// Mean delivery latency in cycles.
-    pub fn mean_latency(&self) -> f64 {
-        if self.delivered == 0 {
-            0.0
-        } else {
-            self.total_latency as f64 / self.delivered as f64
-        }
-    }
-}
-
 /// Injection failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectError {
@@ -42,11 +31,6 @@ pub enum InjectError {
     /// The leaf's outgoing FIFO is full (backpressure).
     #[allow(missing_docs)]
     Backpressure { leaf: usize },
-    /// The leaf's injection-credit budget is exhausted — a QoS throttle,
-    /// not congestion. Credits return via [`BftNoc::add_inject_credits`]
-    /// (or the budget is lifted with [`BftNoc::set_inject_budget`]).
-    #[allow(missing_docs)]
-    Throttled { leaf: usize },
 }
 
 impl fmt::Display for InjectError {
@@ -60,9 +44,6 @@ impl fmt::Display for InjectError {
             }
             InjectError::Backpressure { leaf } => {
                 write!(f, "leaf {leaf} outgoing FIFO full")
-            }
-            InjectError::Throttled { leaf } => {
-                write!(f, "leaf {leaf} injection budget exhausted (QoS throttle)")
             }
         }
     }
@@ -226,7 +207,7 @@ impl BftNoc {
 
     /// Injects one data word from `leaf`'s output `stream`.
     ///
-    /// The lookup/budget/stamp work happens inside the leaf interface
+    /// The lookup/stamp work happens inside the leaf interface
     /// ([`LeafInterface::inject_local`]); this wrapper immediately folds the
     /// new flit into the network's global bookkeeping.
     ///
@@ -264,32 +245,6 @@ impl BftNoc {
     /// before the next [`step`](Self::step).
     pub fn leaf_mut(&mut self, leaf: usize) -> &mut LeafInterface {
         &mut self.leaves[leaf]
-    }
-
-    /// Sets (or with `None` lifts) a leaf's data-injection credit budget —
-    /// the QoS throttling hook. A budget of `Some(0)` blocks data injection
-    /// outright until credits are added; config packets are unaffected.
-    pub fn set_inject_budget(&mut self, leaf: usize, budget: Option<u32>) {
-        self.leaves[leaf].inject_budget = budget;
-    }
-
-    /// Remaining injection credits at `leaf` (`None` = unthrottled).
-    pub fn inject_budget(&self, leaf: usize) -> Option<u32> {
-        self.leaves[leaf].inject_budget
-    }
-
-    /// Grants `credits` more data injections to a throttled leaf (no-op on
-    /// an unthrottled one) — the refill half of a token-rate fair-share.
-    pub fn add_inject_credits(&mut self, leaf: usize, credits: u32) {
-        if let Some(budget) = &mut self.leaves[leaf].inject_budget {
-            *budget = budget.saturating_add(credits);
-        }
-    }
-
-    /// Data injections refused by the QoS throttle since bring-up, summed
-    /// across all leaves.
-    pub fn throttled_injects(&self) -> u64 {
-        self.leaves.iter().map(|l| l.throttled_injects).sum()
     }
 
     /// Pops a delivered word from `leaf`'s input `port`.
@@ -691,31 +646,6 @@ mod tests {
         net.drain(100);
         assert_eq!(net.try_recv(1, 0), Some(42));
         assert_eq!(net.stats().delivered, 1);
-    }
-
-    #[test]
-    fn inject_budget_throttles_data_but_not_config() {
-        let mut net = linked_net(8);
-        net.set_inject_budget(0, Some(2));
-        assert_eq!(net.inject_budget(0), Some(2));
-        net.inject(0, 0, 1).unwrap();
-        net.inject(0, 0, 2).unwrap();
-        assert_eq!(net.inject(0, 0, 3), Err(InjectError::Throttled { leaf: 0 }));
-        assert_eq!(net.throttled_injects(), 1);
-        // Config packets bypass the throttle: the control plane can still
-        // re-link a starved tenant.
-        net.send_config(0, 3, 1, PortAddr { leaf: 5, port: 0 })
-            .unwrap();
-        // Refill unblocks; lifting the budget removes the throttle entirely.
-        net.add_inject_credits(0, 1);
-        net.inject(0, 0, 3).unwrap();
-        assert_eq!(net.inject_budget(0), Some(0));
-        net.set_inject_budget(0, None);
-        net.inject(0, 0, 4).unwrap();
-        // Other leaves were never throttled.
-        net.inject(1, 0, 9).unwrap();
-        net.drain(1000);
-        assert_eq!(net.stats().delivered, 5);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::collections::HashSet;
 
 use fabric::{Floorplan, PageId};
 use noc::BftNoc;
-use pld::execute::OVERLAY_MHZ;
+use pld::loader::{link_network, send_links};
 use pld::{LinkOp, Xclbin, XclbinKind};
 
 use crate::FleetAppId;
@@ -51,7 +51,7 @@ impl DeviceState {
         };
         DeviceState {
             bindings: vec![None; n_pages],
-            noc: BftNoc::new(n_pages + 2, 4, 64),
+            noc: link_network(n_pages),
             loaded_artifacts: HashSet::new(),
             overlay_seconds: overlay.load_seconds(),
             floorplan,
@@ -92,11 +92,9 @@ impl DeviceState {
         self.bindings[page.0 as usize] = Some(binding);
     }
 
-    /// Releases a page and lifts its NoC injection budget, so the next
-    /// tenant bound there does not inherit the last one's throttle.
+    /// Releases a page.
     pub fn release(&mut self, page: PageId) {
         self.bindings[page.0 as usize] = None;
-        self.set_page_inject_budget(page, None);
     }
 
     /// Programs a batch of routes by sending one in-band configuration
@@ -104,22 +102,8 @@ impl DeviceState {
     /// does, and returns the measured network cycles the batch took — the
     /// link half of the swap's downtime bill.
     pub fn link(&mut self, links: &[LinkOp]) -> u64 {
-        if links.is_empty() {
-            return 0;
-        }
         let host = self.dma_in_leaf() as usize;
-        let c0 = self.noc.cycle();
-        for link in links {
-            while self
-                .noc
-                .send_config(host, link.src_leaf, link.stream, link.dest)
-                .is_err()
-            {
-                self.noc.step();
-            }
-        }
-        self.noc.drain(1_000_000);
-        self.noc.cycle() - c0
+        send_links(&mut self.noc, host, links)
     }
 
     /// Tears down a batch of routes (departing or swapped tenant), leaving
@@ -144,20 +128,10 @@ impl DeviceState {
         self.noc.stats().config_writes
     }
 
-    /// Converts measured link cycles to seconds at the overlay clock.
-    pub fn link_seconds(cycles: u64) -> f64 {
-        cycles as f64 / (OVERLAY_MHZ * 1e6)
-    }
-
     /// Records that an artifact with this content hash was transferred to
     /// the card (it is now in the device-local bitstream cache).
     pub fn note_loaded(&mut self, hash: u64) {
         self.loaded_artifacts.insert(hash);
-    }
-
-    /// Whether the device-local bitstream cache holds this artifact hash.
-    pub fn holds_artifact(&self, hash: u64) -> bool {
-        self.loaded_artifacts.contains(&hash)
     }
 
     /// How many of the given artifact hashes are already cached on this
@@ -167,19 +141,6 @@ impl DeviceState {
             .iter()
             .filter(|h| self.loaded_artifacts.contains(h))
             .count()
-    }
-
-    /// Sets (or with `None` lifts) the data-injection credit budget of one
-    /// page's NoC leaf — the per-tenant QoS throttle, forwarded to
-    /// [`BftNoc::set_inject_budget`].
-    pub fn set_page_inject_budget(&mut self, page: PageId, budget: Option<u32>) {
-        self.noc.set_inject_budget(page.0 as usize, budget);
-    }
-
-    /// Remaining injection credits at one page's leaf (`None` =
-    /// unthrottled).
-    pub fn page_inject_budget(&self, page: PageId) -> Option<u32> {
-        self.noc.inject_budget(page.0 as usize)
     }
 }
 
@@ -227,5 +188,106 @@ mod tests {
         assert!(!dev.free_map()[4]);
         dev.release(PageId(4));
         assert_eq!(dev.occupied(), 0);
+    }
+
+    /// A linear pipeline of `n` operators, each adding `addend`.
+    fn pipeline(name: &str, n: usize, addend: i64) -> dfg::Graph {
+        use kir::{Expr, KernelBuilder, Scalar, Stmt};
+        let mut b = dfg::GraphBuilder::new(name);
+        let mut prev = None;
+        for i in 0..n {
+            let kernel = KernelBuilder::new(format!("s{i}"))
+                .input("in", Scalar::uint(32))
+                .output("out", Scalar::uint(32))
+                .local("x", Scalar::uint(32))
+                .body([Stmt::for_pipelined(
+                    "i",
+                    0..8,
+                    [
+                        Stmt::read("x", "in"),
+                        Stmt::write("out", Expr::var("x").add(Expr::cint(addend))),
+                    ],
+                )])
+                .build()
+                .unwrap();
+            let id = b.add(format!("s{i}"), kernel, dfg::Target::riscv_auto());
+            match prev {
+                None => b.ext_input("Input_1", id, "in"),
+                Some(p) => {
+                    b.connect(format!("l{i}"), p, "out", id, "in");
+                }
+            }
+            prev = Some(id);
+        }
+        b.ext_output("Output_1", prev.unwrap(), "out");
+        b.build().unwrap()
+    }
+
+    /// Requests run on the interpreter code compiled at admission, so a
+    /// device's linking network carries configuration packets only. If
+    /// request data ever travels the network, this fails — and a data
+    /// throttle on that network can then be tested for what it throttles.
+    #[test]
+    fn serving_sends_no_data_flit_through_a_device_network() {
+        use crate::{DeviceId, Fleet, TenantId};
+        use pld::{BuildCache, CompileOptions, OptLevel};
+
+        let opts = CompileOptions::new(OptLevel::O0);
+        let mut cache = BuildCache::new();
+        let graph = pipeline("edited", 3, 2);
+        let mut fleet = Fleet::new(2, &Floorplan::u50());
+        let t = TenantId(0);
+        let a = fleet
+            .submit(t, "edited", cache.compile(&graph, &opts).unwrap())
+            .unwrap();
+        let b = fleet
+            .submit(
+                t,
+                "moved",
+                cache.compile(&pipeline("moved", 2, 5), &opts).unwrap(),
+            )
+            .unwrap();
+        fleet.pump();
+        let input = [("Input_1", vec![kir::Scalar::uint(32).zero(); 8])];
+        for id in [a, b] {
+            fleet.run(id, &input).unwrap();
+        }
+
+        // Hot-swap a: re-pin its tail operator to a page it does not use.
+        let homes: Vec<u32> = cache
+            .compile(&graph, &opts)
+            .unwrap()
+            .operators
+            .iter()
+            .filter_map(|o| o.page.map(|p| p.0))
+            .collect();
+        let mut edited = graph.clone();
+        edited.operators[2].target =
+            dfg::Target::riscv((0..22u32).rev().find(|p| !homes.contains(p)).unwrap());
+        let (dev_a, _) = fleet.locate(a).unwrap();
+        let report = fleet
+            .runtime_mut(dev_a)
+            .unwrap()
+            .hot_swap(a, &edited, &mut cache, &opts)
+            .unwrap();
+        assert_eq!(report.swapped_pages.len(), 1);
+        fleet.run(a, &input).unwrap();
+
+        // Migrate b to the other card, serve it there, then retire a.
+        let (dev_b, _) = fleet.locate(b).unwrap();
+        let to = DeviceId(1 - dev_b.0);
+        fleet.migrate(b, to).unwrap();
+        assert_eq!(fleet.locate(b).unwrap().0, to);
+        fleet.run(b, &input).unwrap();
+        fleet.retire(a).unwrap();
+
+        let mut config_writes = 0;
+        for d in 0..2 {
+            let noc = fleet.device(DeviceId(d)).unwrap().device().noc.stats();
+            assert_eq!(noc.injected, 0, "dev{d} carried request data");
+            assert_eq!(noc.delivered, 0, "dev{d} delivered request data");
+            config_writes += noc.config_writes;
+        }
+        assert!(config_writes > 0, "the networks linked the apps' pages");
     }
 }

@@ -4,8 +4,8 @@
 //! residents. The fleet is the only thing that admits onto or removes
 //! from a card, so a single card is a fleet of one. It is the paper's
 //! "shared infrastructure overlay" taken to its operational conclusion —
-//! PLD apps admitted, placed, throttled, migrated and evicted like
-//! processes on a cluster:
+//! PLD apps admitted, placed, migrated and evicted like processes on a
+//! cluster:
 //!
 //! * **Admission** is a bounded queue drained by scheduling passes
 //!   ([`Fleet::pump`]). [`Fleet::submit_async`] returns an
@@ -24,8 +24,11 @@
 //!   lives in the artifacts, not the fabric).
 //! * **QoS** ([`qos`]) is per-tenant: eviction priority classes (a
 //!   request only displaces apps of equal or lower class, least recently
-//!   used first) and token-rate fair-share enforced as NoC injection-credit
-//!   budgets programmed into each device's linking network.
+//!   used first) and a fair-share weight, against which
+//!   [`FleetStats::fairness_index`] scores each tenant's served requests.
+//!   Requests run on the interpreter code compiled at admission, so no
+//!   data flit enters a device's linking network: it carries only the
+//!   configuration packets that link pages.
 //!
 //! `examples/serving.rs` runs a fleet of one card; `examples/serving_fleet.rs`
 //! runs a fleet of several.
@@ -33,23 +36,20 @@
 mod placement;
 pub mod qos;
 pub mod reactor;
-mod stats;
 
-pub use qos::{fairness_index, EvictClass, QosSpec};
+pub use qos::{EvictClass, QosSpec};
 pub use reactor::{AdmissionTicket, Executor};
-pub use stats::{FleetStats, TenantShare};
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use fabric::{Floorplan, PageId};
 use kir::types::Value;
 use pld::CompiledApp;
 
 use crate::allocator::AllocError;
-use crate::stats::LatencyHistogram;
+use crate::stats::{FleetStats, TenantShare};
 use crate::{Refusal, Runtime, RuntimeError};
 use reactor::TicketState;
 
@@ -220,7 +220,6 @@ struct PendingFleet {
     name: String,
     tenant: TenantId,
     app: Box<CompiledApp>,
-    submitted: Instant,
     ticket: Arc<Mutex<TicketState>>,
 }
 
@@ -238,8 +237,6 @@ pub struct Fleet {
     queue: VecDeque<PendingFleet>,
     queue_bound: usize,
     tenants: BTreeMap<u32, TenantState>,
-    /// Injection credits per weight unit per refill; `None` = unthrottled.
-    base_credits: Option<u32>,
     next_id: u64,
     submitted: u64,
     admitted: u64,
@@ -247,7 +244,6 @@ pub struct Fleet {
     evicted: u64,
     migrations: u64,
     migration_downtime_seconds: f64,
-    admission_latency: LatencyHistogram,
 }
 
 impl Fleet {
@@ -256,15 +252,14 @@ impl Fleet {
 
     /// A homogeneous fleet of `n` simulated cards on one floorplan.
     pub fn new(n: usize, floorplan: &Floorplan) -> Fleet {
-        Fleet::from_devices((0..n).map(|_| Runtime::new(floorplan.clone())).collect())
+        Fleet::with_queue_bound(
+            (0..n).map(|_| Runtime::new(floorplan.clone())).collect(),
+            Fleet::DEFAULT_QUEUE_BOUND,
+        )
     }
 
-    /// A fleet over explicit devices (heterogeneous fleets included).
-    pub fn from_devices(devices: Vec<Runtime>) -> Fleet {
-        Fleet::with_queue_bound(devices, Fleet::DEFAULT_QUEUE_BOUND)
-    }
-
-    /// A fleet with an explicit admission-queue bound.
+    /// A fleet over explicit devices (heterogeneous fleets included) with
+    /// an explicit admission-queue bound.
     pub fn with_queue_bound(devices: Vec<Runtime>, bound: usize) -> Fleet {
         Fleet {
             devices,
@@ -272,7 +267,6 @@ impl Fleet {
             queue: VecDeque::new(),
             queue_bound: bound,
             tenants: BTreeMap::new(),
-            base_credits: None,
             next_id: 0,
             submitted: 0,
             admitted: 0,
@@ -280,7 +274,6 @@ impl Fleet {
             evicted: 0,
             migrations: 0,
             migration_downtime_seconds: 0.0,
-            admission_latency: LatencyHistogram::default(),
         }
     }
 
@@ -288,42 +281,6 @@ impl Fleet {
     /// tenants get [`QosSpec::default`].
     pub fn set_tenant(&mut self, tenant: TenantId, spec: QosSpec) {
         self.tenants.entry(tenant.0).or_default().spec = spec;
-    }
-
-    /// Sets the injection-credit base rate (credits per weight unit per
-    /// refill epoch) and programs every resident app's budget; `None`
-    /// lifts the throttle fleet-wide.
-    pub fn set_inject_base_credits(&mut self, base: Option<u32>) {
-        self.base_credits = base;
-        self.refill_credits();
-    }
-
-    /// Re-programs every resident app's NoC injection budget from its
-    /// tenant's weight — call once per scheduling epoch to make the
-    /// credits a token *rate*.
-    pub fn refill_credits(&mut self) {
-        let budgets: Vec<(usize, FleetAppId, Option<u32>)> = self
-            .apps
-            .iter()
-            .filter_map(|(&id, a)| {
-                let dev = a.location?;
-                let budget = self
-                    .base_credits
-                    .map(|base| self.spec_of(a.tenant).inject_credits(base));
-                Some((dev, id, budget))
-            })
-            .collect();
-        for (dev, id, budget) in budgets {
-            // A racing eviction is benign: an app that is no longer
-            // resident holds no pages, and its released pages are
-            // unthrottled.
-            let _ = self.devices[dev].set_app_inject_budget(id, budget);
-        }
-    }
-
-    /// Number of devices in the fleet.
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
     }
 
     /// Read-only access to one device.
@@ -423,7 +380,6 @@ impl Fleet {
             name: name.to_string(),
             tenant,
             app,
-            submitted: Instant::now(),
             ticket: Arc::clone(&state),
         });
         Ok(AdmissionTicket { id, state })
@@ -447,7 +403,6 @@ impl Fleet {
             name,
             tenant,
             mut app,
-            submitted,
             ticket,
         } = request;
         let requester_class = self.spec_of(tenant).evict;
@@ -468,7 +423,7 @@ impl Fleet {
         for i in placement::fitting_now(&self.devices, &candidates, &app) {
             match self.devices[i].admit(id, &name, app, &mut None) {
                 Ok(landed) => {
-                    self.finish_admit(id, tenant, i, landed, submitted, ticket, events);
+                    self.finish_admit(id, i, landed, ticket, events);
                     return;
                 }
                 Err((back, _)) => app = back,
@@ -482,7 +437,7 @@ impl Fleet {
             loop {
                 match self.devices[i].admit(id, &name, app, &mut None) {
                     Ok(landed) => {
-                        self.finish_admit(id, tenant, i, landed, submitted, ticket, events);
+                        self.finish_admit(id, i, landed, ticket, events);
                         return;
                     }
                     Err((back, refusal)) => {
@@ -510,21 +465,16 @@ impl Fleet {
         self.reject(id, name, reason, ticket, events);
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn finish_admit(
         &mut self,
         id: FleetAppId,
-        tenant: TenantId,
         device: usize,
         (downtime_seconds, pages): (f64, Vec<PageId>),
-        submitted: Instant,
         ticket: Arc<Mutex<TicketState>>,
         events: &mut Vec<FleetEvent>,
     ) {
-        self.settle(id, tenant, device);
+        self.settle(id, device);
         self.admitted += 1;
-        self.admission_latency
-            .record(submitted.elapsed().as_secs_f64());
         events.push(FleetEvent::Admitted {
             app: id,
             device: DeviceId(device),
@@ -541,17 +491,12 @@ impl Fleet {
         );
     }
 
-    /// Records that `app` now lives on `device` and programs its tenant's
-    /// injection credits there: every path that lands an app on a device
-    /// (admission, migration, restore after a failed migration) goes
-    /// through here.
-    fn settle(&mut self, app: FleetAppId, tenant: TenantId, device: usize) {
+    /// Records that `app` now lives on `device`: every path that lands an
+    /// app on a device (admission, migration, restore after a failed
+    /// migration) goes through here.
+    fn settle(&mut self, app: FleetAppId, device: usize) {
         if let Some(entry) = self.apps.get_mut(&app) {
             entry.location = Some(device);
-        }
-        if let Some(base) = self.base_credits {
-            let credits = self.spec_of(tenant).inject_credits(base);
-            let _ = self.devices[device].set_app_inject_budget(app, Some(credits));
         }
     }
 
@@ -675,7 +620,7 @@ impl Fleet {
         loop {
             match self.devices[to.0].admit(app, &name, boxed, &mut code) {
                 Ok((downtime_seconds, _)) => {
-                    self.settle(app, tenant, to.0);
+                    self.settle(app, to.0);
                     self.migrations += 1;
                     self.migration_downtime_seconds += downtime_seconds;
                     return Ok(downtime_seconds);
@@ -694,7 +639,7 @@ impl Fleet {
                         .admit(app, &name, boxed, &mut code)
                         .is_ok();
                     if restored {
-                        self.settle(app, tenant, src);
+                        self.settle(app, src);
                     }
                     return Err(FleetError::MigrationFailed { app, to, restored });
                 }
@@ -714,7 +659,6 @@ impl Fleet {
             migration_downtime_seconds: self.migration_downtime_seconds,
             queue_depth: self.queue.len(),
             apps_resident: self.apps.values().filter(|a| a.location.is_some()).count(),
-            admission: self.admission_latency.clone(),
             per_device: self.devices.iter().map(Runtime::stats).collect(),
             tenants: self
                 .tenants

@@ -1,13 +1,10 @@
-//! Per-tenant quality of service: eviction priority classes and
-//! token-rate fair-share on NoC injection.
+//! Per-tenant quality of service: eviction priority classes and a
+//! fair-share weight.
 //!
-//! The weight model is deliberately simple — a tenant's share of the
-//! fleet's injection bandwidth is proportional to its weight, enforced by
-//! programming per-page credit budgets into each device's linking network
-//! ([`noc::BftNoc::set_inject_budget`]); refilling the budgets each
-//! scheduling epoch makes the credits a token rate. Eviction priority is a
-//! three-level class lattice: a tenant's app may only displace apps of an
-//! equal or lower class.
+//! Eviction priority is a three-level class lattice: a tenant's app may
+//! only displace apps of an equal or lower class. The weight is the
+//! yardstick of the fairness accounting: [`crate::FleetStats::fairness_index`]
+//! is Jain's index over each tenant's requests served per unit of weight.
 
 use std::fmt;
 
@@ -37,8 +34,8 @@ impl fmt::Display for EvictClass {
 /// A tenant's QoS contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QosSpec {
-    /// Fair-share weight: injection credits and the fairness yardstick
-    /// are both proportional to this. Clamped to `>= 1`.
+    /// Fair-share weight: the fairness accounting divides a tenant's
+    /// served requests by it. Clamped to `>= 1`.
     pub weight: u32,
     /// Eviction priority of the tenant's apps.
     pub evict: EvictClass,
@@ -53,30 +50,6 @@ impl Default for QosSpec {
     }
 }
 
-impl QosSpec {
-    /// Injection credits per refill epoch at `base` credits per weight
-    /// unit.
-    pub fn inject_credits(&self, base: u32) -> u32 {
-        base.saturating_mul(self.weight.max(1))
-    }
-}
-
-/// Jain's fairness index over per-tenant weight-normalized service
-/// shares: `(Σx)² / (n · Σx²)`, 1.0 = perfectly fair, `1/n` = one tenant
-/// got everything. Tenants that requested nothing are the caller's choice
-/// to include or drop.
-pub fn fairness_index(shares: &[f64]) -> f64 {
-    if shares.is_empty() {
-        return 1.0;
-    }
-    let sum: f64 = shares.iter().sum();
-    let sq_sum: f64 = shares.iter().map(|x| x * x).sum();
-    if sq_sum == 0.0 {
-        return 1.0;
-    }
-    (sum * sum) / (shares.len() as f64 * sq_sum)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,29 +59,6 @@ mod tests {
         assert!(EvictClass::Revocable < EvictClass::Standard);
         assert!(EvictClass::Standard < EvictClass::Guaranteed);
         assert_eq!(EvictClass::default(), EvictClass::Standard);
-    }
-
-    #[test]
-    fn credits_scale_with_weight() {
-        let spec = QosSpec {
-            weight: 4,
-            evict: EvictClass::Standard,
-        };
-        assert_eq!(spec.inject_credits(16), 64);
-        // Weight 0 is treated as 1, not as a starvation sentence.
-        let zero = QosSpec {
-            weight: 0,
-            ..QosSpec::default()
-        };
-        assert_eq!(zero.inject_credits(16), 16);
-    }
-
-    #[test]
-    fn jain_index_brackets() {
-        assert!((fairness_index(&[1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
-        let skewed = fairness_index(&[3.0, 0.0, 0.0]);
-        assert!((skewed - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(fairness_index(&[]), 1.0);
-        assert_eq!(fairness_index(&[0.0, 0.0]), 1.0);
+        assert_eq!(QosSpec::default().weight, 1);
     }
 }

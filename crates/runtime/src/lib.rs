@@ -27,8 +27,9 @@
 //! [`pld::BuildCache`], reload only the changed pages, re-send only the
 //! affected routes' configuration packets — every swap is charged its
 //! measured downtime, artifact transfer plus link cycles at the 200 MHz
-//! overlay clock. [`RuntimeStats`] and [`FleetStats`] report occupancy,
-//! counters, cumulative downtime and per-app latency histograms.
+//! overlay clock. [`RuntimeStats`] and [`FleetStats`] are plain counters:
+//! admissions, evictions, swaps, migrations, requests, occupancy,
+//! cumulative downtime and each tenant's served share.
 
 pub mod allocator;
 pub mod device_state;
@@ -46,13 +47,12 @@ use pld::{replay_loads, CompileError, CompiledApp, LinkOp, LoadOp};
 
 use allocator::{AllocError, PlacedOperator};
 use device_state::{DeviceState, PageBinding};
-use stats::{AppLatency, LatencyHistogram, RuntimeStats};
 
 pub use fleet::{
     Admission, AdmissionTicket, DeviceId, EvictClass, Executor, Fleet, FleetAppId, FleetError,
-    FleetEvent, FleetStats, QosSpec, TenantId,
+    FleetEvent, QosSpec, TenantId,
 };
-pub use stats::RuntimeStats as Stats;
+pub use stats::{FleetStats, RuntimeStats, TenantShare};
 pub use swap::SwapReport;
 
 /// Runtime operation failures.
@@ -208,8 +208,7 @@ impl Runtime {
     }
 
     /// Serves one request against a resident app: runs the code compiled at
-    /// admission, stamps the latency into the app's histogram, and freshens
-    /// its LRU position.
+    /// admission and freshens its LRU position.
     pub(crate) fn run(
         &mut self,
         id: FleetAppId,
@@ -219,24 +218,13 @@ impl Runtime {
             .resident
             .get_mut(&id)
             .ok_or(RuntimeError::NotResident(id))?;
-        let t0 = std::time::Instant::now();
         let (outputs, _) = resident
             .code
             .run(inputs)
             .map_err(|e| RuntimeError::Execution(e.to_string()))?;
-        let seconds = t0.elapsed().as_secs_f64();
         self.tick += 1;
         resident.last_used = self.tick;
         self.stats.requests += 1;
-        self.stats
-            .latencies
-            .entry(id)
-            .or_insert_with(|| AppLatency {
-                name: resident.name.clone(),
-                histogram: LatencyHistogram::default(),
-            })
-            .histogram
-            .record(seconds);
         Ok(outputs)
     }
 
@@ -306,25 +294,6 @@ impl Runtime {
             .collect()
     }
 
-    /// Sets (or with `None` lifts) the NoC data-injection credit budget on
-    /// every page a resident app occupies — the enforcement half of the
-    /// fleet's per-tenant token-rate fair-share.
-    pub(crate) fn set_app_inject_budget(
-        &mut self,
-        id: FleetAppId,
-        budget: Option<u32>,
-    ) -> Result<(), RuntimeError> {
-        let resident = self
-            .resident
-            .get(&id)
-            .ok_or(RuntimeError::NotResident(id))?;
-        let pages: Vec<PageId> = resident.placement.iter().map(|p| p.actual).collect();
-        for page in pages {
-            self.device.set_page_inject_budget(page, budget);
-        }
-        Ok(())
-    }
-
     // ---- internals ----------------------------------------------------
 
     fn install(
@@ -370,7 +339,7 @@ impl Runtime {
         let artifact_seconds =
             load.overlay_seconds + load.bitstream_seconds + load.softcore_seconds;
         let link_cycles = self.device.link(&links);
-        let downtime_seconds = artifact_seconds + DeviceState::link_seconds(link_cycles);
+        let downtime_seconds = artifact_seconds + pld::vtime::overlay_seconds(link_cycles);
 
         // Everything just transferred is now in the device-local bitstream
         // cache; fleet placement prefers devices that already hold an

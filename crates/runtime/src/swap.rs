@@ -13,12 +13,13 @@ use std::collections::HashSet;
 
 use dfg::Graph;
 use fabric::PageId;
+use pld::vtime::overlay_seconds;
 use pld::{
     bft_distance, page_load_ops, replay_loads, BuildCache, CompileOptions, CompiledApp, LinkOp,
 };
 
 use crate::allocator::AllocError;
-use crate::device_state::{DeviceState, PageBinding};
+use crate::device_state::PageBinding;
 use crate::{remap_links, FleetAppId, Runtime, RuntimeError};
 
 /// What one hot swap did and what it cost.
@@ -246,7 +247,7 @@ impl Runtime {
             .collect();
         let link_cycles = self.device_mut().link(&resend);
         let link_packets = resend.len();
-        let downtime_seconds = artifact_seconds + DeviceState::link_seconds(link_cycles);
+        let downtime_seconds = artifact_seconds + overlay_seconds(link_cycles);
 
         // A full reload would transfer every non-overlay artifact and
         // re-send the whole link table (the cycles measured at admission).
@@ -256,7 +257,7 @@ impl Runtime {
             .filter_map(|o| o.artifact)
             .map(|idx| new_app.artifacts[idx].load_seconds())
             .sum();
-        let full_reload_seconds = full_artifacts + DeviceState::link_seconds(admit_link_cycles);
+        let full_reload_seconds = full_artifacts + overlay_seconds(admit_link_cycles);
 
         // Commit: move page bindings, install the new build.
         for &i in &moves {

@@ -296,9 +296,9 @@ const HOP_PASSES: i32 = 32;
 /// `start` on in a counted loop of `trips` passes, so the body's groups
 /// (fused or refused) and block boundaries are entered again and again from
 /// warm blocks. One loop is open at a time: one starting inside another is
-/// dropped. A forward hop out of the body leaves the loop. One onto its back
-/// edge skips the decrement: it leaves the loop once the count has run out,
-/// and spins until the cycle budget, in both engines, while it has not.
+/// dropped. The count falls at the top of the body, so every pass
+/// decrements it, and a forward hop onto the back edge takes at most the
+/// passes left. A forward hop out of the body leaves the loop.
 fn build_cpu(recipe: &[(u8, u8, u8, i16)], loops: &[(usize, usize, u8)]) -> Cpu {
     let mut code: Vec<Instr> = vec![
         // x5 = scratch base, x6 = stream read window, x7 = write window.
@@ -332,18 +332,18 @@ fn build_cpu(recipe: &[(u8, u8, u8, i16)], loops: &[(usize, usize, u8)]) -> Cpu 
                     imm: i32::from(trips),
                 });
                 open = Some(((i + len - 1).min(recipe.len() - 1), code.len()));
+                code.push(Instr::Addi {
+                    rd: LOOP_REG,
+                    rs1: LOOP_REG,
+                    imm: -1,
+                });
             }
         }
         emit(&mut code, entry, i + 1 == recipe.len());
         if let Some((_, body)) = open.filter(|&(end, _)| end == i) {
-            code.push(Instr::Addi {
-                rd: LOOP_REG,
-                rs1: LOOP_REG,
-                imm: -1,
-            });
             let back = 4 * (body as i32 - code.len() as i32);
-            // While the count is positive, so control that reaches the
-            // decrement again after the count ran out leaves at once.
+            // Back to the decrement while the count is positive, so a hop
+            // onto this edge after the count ran out leaves at once.
             code.push(Instr::Blt {
                 rs1: 0,
                 rs2: LOOP_REG,

@@ -91,7 +91,8 @@ fn main() {
     }
     let events = fleet.pump();
     report(&fleet, &events);
-    println!("\n{}", fleet.stats().per_device[0]);
+    println!();
+    print_counters(&fleet);
 
     // --- Serve requests ---------------------------------------------------
     // Run each resident tenant's workload (evicted tenants would need
@@ -168,7 +169,22 @@ fn main() {
         report.full_reload_seconds
     );
 
-    println!("\nfinal statistics:\n{}", fleet.stats().per_device[0]);
+    println!("\nfinal statistics:");
+    print_counters(&fleet);
+}
+
+/// The card's counters: occupancy, residency changes, requests, downtime.
+fn print_counters(fleet: &Fleet) {
+    let stats = &fleet.stats().per_device[0];
+    println!(
+        "pages {}/{} occupied | admitted {} evicted {} swaps {}",
+        stats.pages_occupied, stats.pages_total, stats.admitted, stats.evicted, stats.swaps
+    );
+    println!(
+        "requests {} | cumulative downtime {:.3} ms",
+        stats.requests,
+        stats.cumulative_downtime_seconds * 1e3
+    );
 }
 
 fn report(fleet: &Fleet, events: &[FleetEvent]) {

@@ -14,14 +14,13 @@
 //!    QoS class when pages run out;
 //! 3. **Per-tenant QoS** — three tenants at fair-share weights 4/2/1
 //!    with eviction classes Guaranteed/Standard/Revocable; serving is
-//!    weighted round-robin and each epoch refills NoC injection-credit
-//!    budgets proportional to weight (token-rate throttling in the
-//!    linking network itself);
+//!    weighted round-robin, scored by Jain's index over each tenant's
+//!    requests served per unit of weight;
 //! 4. **Live migration under load** — mid-run, resident apps are moved
 //!    between cards by replaying their `LoadOp` tape on the destination;
 //!    outputs before and after are bit-identical;
-//! 5. the fleet's KPIs — p50/p99 admission latency, migration downtime,
-//!    per-tenant fairness — are printed as one JSON report.
+//! 5. the fleet's counters — admissions, evictions, migrations and their
+//!    modelled downtime, per-tenant service and fairness — are printed.
 //!
 //! Run with: `cargo run --release --example serving_fleet`
 //! CI smoke mode (2 cards, 128 apps): `-- --smoke`
@@ -31,7 +30,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use dfg::{Graph, GraphBuilder, Target};
-use fabric::{Floorplan, PageId};
+use fabric::Floorplan;
 use kir::types::Value;
 use kir::{Expr, KernelBuilder, Scalar, Stmt};
 use pld::{build_batch, CacheBackend, CompileOptions, OptLevel, TieredCache};
@@ -194,7 +193,6 @@ fn main() {
         for (tenant, spec) in tenants {
             f.set_tenant(tenant, spec);
         }
-        f.set_inject_base_credits(Some(16));
     }
     println!(
         "fleet up: {n_devices} devices x {} pages; tenants t0/t1/t2 at weights 4/2/1 \
@@ -289,9 +287,6 @@ fn main() {
         }
         pool.run_until_stalled();
 
-        // New epoch: refill every tenant's injection-credit budget.
-        fleet.borrow_mut().refill_credits();
-
         // Weighted round-robin serving: `weight` requests per tenant per
         // epoch, against that tenant's resident apps.
         for (slot, (tenant, spec)) in tenants.iter().enumerate() {
@@ -373,17 +368,6 @@ fn main() {
 
     // --- 4. Report ---------------------------------------------------------
     let stats = fleet.borrow().stats();
-    let throttled_pages: usize = {
-        let f = fleet.borrow();
-        (0..n_devices)
-            .map(|d| {
-                let dev = f.device(DeviceId(d)).expect("device").device();
-                (0..fp.pages.len())
-                    .filter(|&p| dev.page_inject_budget(PageId(p as u32)).is_some())
-                    .count()
-            })
-            .sum()
-    };
     println!(
         "\n{} apps submitted, {} admitted, {} rejected, {} evictions, {} migrations in {:.1} s",
         stats.submitted,
@@ -398,14 +382,23 @@ fn main() {
         evicted_per_tenant[0], evicted_per_tenant[1], evicted_per_tenant[2]
     );
     println!(
-        "served {served_ok} requests; {throttled_pages} pages under injection-credit throttle"
+        "served {served_ok} requests; {} resident, {} queued; migration downtime {:.3} ms",
+        stats.apps_resident,
+        stats.queue_depth,
+        stats.migration_downtime_seconds * 1e3
     );
-    println!(
-        "admission latency: p50 {:.3} ms, p99 {:.3} ms, max {:.3} ms",
-        stats.admission.percentile(0.50) * 1e3,
-        stats.admission.percentile(0.99) * 1e3,
-        stats.admission.max_seconds() * 1e3
-    );
+    for (d, dev) in stats.per_device.iter().enumerate() {
+        println!(
+            "  {}: {}/{} pages, {} admitted, {} evicted, {} requests, {:.3} ms downtime",
+            DeviceId(d),
+            dev.pages_occupied,
+            dev.pages_total,
+            dev.admitted,
+            dev.evicted,
+            dev.requests,
+            dev.cumulative_downtime_seconds * 1e3
+        );
+    }
     for t in &stats.tenants {
         println!(
             "  {}: weight {}, {} served ({:.1} per weight unit)",
@@ -431,16 +424,6 @@ fn main() {
         "weighted fairness degraded: {}",
         stats.fairness_index()
     );
-
-    // The report: the fleet stats JSON with the shared-cache KPIs spliced in
-    // as a sibling "cache" object before the closing brace.
-    let mut json = stats.to_json();
-    let at = json.rfind('}').expect("stats JSON has a closing brace");
-    json.truncate(at);
-    json.push_str(&format!(
-        "  ,\"cache\": {{\n    \"shared_store_products\": {shared_products},\n    \"device0_cold_build_seconds\": {cold_secs:.4},\n    \"device1_warm_build_seconds\": {warm_secs:.4},\n    \"cross_device_hit_rate\": {cross_device_hit_rate:.3}\n  }}\n}}"
-    ));
-    println!("\n{json}");
     if private_dir {
         std::fs::remove_dir_all(&cache_dir).ok();
     }

@@ -259,10 +259,6 @@ fn hot_swap_downtime_beats_full_reload() {
     let stats = fleet.stats().per_device.remove(0);
     assert_eq!(stats.swaps, 1);
     assert_eq!(stats.requests, 3);
-    assert!(stats
-        .latencies
-        .values()
-        .any(|l| l.name == "editme" && l.histogram.count() == 1));
 }
 
 #[test]
@@ -453,46 +449,7 @@ fn pages_of(runtime: &Runtime, id: FleetAppId) -> Vec<fabric::PageId> {
 }
 
 #[test]
-fn released_pages_drop_the_last_tenants_injection_budget() {
-    let mut fleet = Fleet::new(1, &Floorplan::u50());
-    let t = TenantId(0);
-    fleet.set_inject_base_credits(Some(3));
-    let a = fleet
-        .submit(t, "a", compile_o0(&pipeline("a", 2, 1)))
-        .unwrap();
-    fleet.pump();
-    let a_pages = pages_of(fleet.device(CARD).unwrap(), a);
-    for &page in &a_pages {
-        let budget = fleet
-            .device(CARD)
-            .unwrap()
-            .device()
-            .page_inject_budget(page);
-        assert_eq!(budget, Some(3), "{page} serves a without its credits");
-    }
-    fleet.retire(a).unwrap();
-    // Lift the throttle: nothing is resident, so no page is reprogrammed
-    // and only the release itself can have cleared a's budget.
-    fleet.set_inject_base_credits(None);
-
-    let b = fleet
-        .submit(t, "b", compile_o0(&pipeline("b", 2, 2)))
-        .unwrap();
-    fleet.pump();
-    let card = fleet.device(CARD).unwrap();
-    let b_pages = pages_of(card, b);
-    assert_eq!(b_pages, a_pages, "b lands on a's freed pages");
-    for page in b_pages {
-        assert_eq!(
-            card.device().page_inject_budget(page),
-            None,
-            "{page} kept the retired tenant's throttle"
-        );
-    }
-}
-
-#[test]
-fn failed_migration_restores_the_tenants_injection_budget() {
+fn failed_migration_restores_the_app_on_its_source() {
     let fp = Floorplan::u50();
     let mut fleet = Fleet::new(2, &fp);
     let (t, tg) = (TenantId(0), TenantId(1));
@@ -517,10 +474,8 @@ fn failed_migration_restores_the_tenants_injection_budget() {
         .unwrap();
     fleet.pump();
     assert_eq!(fleet.locate(g).unwrap().0, DeviceId(1));
-    // a's pages, freed before any budget was set, are where the restore
-    // lands b.
+    // a's freed pages are where the restore lands b.
     fleet.retire(a).unwrap();
-    fleet.set_inject_base_credits(Some(5));
     let (dev, local) = fleet.locate(b).unwrap();
     let before = pages_of(fleet.device(dev).unwrap(), local);
 
@@ -530,16 +485,8 @@ fn failed_migration_restores_the_tenants_injection_budget() {
     }
     let (dev, local) = fleet.locate(b).unwrap();
     assert_eq!(dev, DeviceId(0), "restored on its source");
-    let runtime = fleet.device(dev).unwrap();
-    let after = pages_of(runtime, local);
+    let after = pages_of(fleet.device(dev).unwrap(), local);
     assert_ne!(after, before, "the restore moved b to other pages");
-    for page in after {
-        assert_eq!(
-            runtime.device().page_inject_budget(page),
-            Some(5),
-            "{page} serves b without its tenant's credits"
-        );
-    }
     let out = fleet.run(b, &[("Input_1", words(0..8))]).unwrap();
     let expected: Vec<u32> = (0..8).map(|v| v + 4).collect();
     assert_eq!(to_u32s(&out["Output_1"]), expected);
