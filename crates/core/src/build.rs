@@ -18,17 +18,19 @@
 //! crate-private `StageInputs` record: one variant per key shape, keyed by
 //! FNV-1a over its codec bytes.
 //!
-//! Stages whose keys miss become farm jobs, in two rounds: the front of
-//! every chain (HLS, or the whole softcore chain), then P&R and packing,
-//! whose keys need the netlist. Each round is submitted longest-first (LPT
-//! list scheduling) so the slowest page compile starts immediately — the
-//! paper's Sec. 6.2 observation that parallel compile time "is determined by
-//! the longest individual one" made concrete. [`crate::compile`] (with an
-//! ephemeral store), [`crate::BuildCache`] (a persistent store), and
-//! `pld-runtime`'s hot swap are all thin drivers over [`build`].
+//! The plan fetches every stage it can key, and each operator whose chain
+//! misses a stage becomes one farm job that runs the rest of the chain: HLS
+//! (then, with the netlist in hand, the P&R probe) or the softcore compile,
+//! then P&R and packing. The jobs run in one round, submitted longest-first
+//! (LPT list scheduling) so the slowest page compile starts immediately —
+//! the paper's Sec. 6.2 observation that parallel compile time "is
+//! determined by the longest individual one" made concrete.
+//! [`crate::compile`] (with an ephemeral store), [`crate::BuildCache`] (a
+//! persistent store), and `pld-runtime`'s hot swap are all thin drivers over
+//! [`build`].
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use dfg::{extract, Graph, Target};
 use fabric::{PageId, Rect};
@@ -315,140 +317,384 @@ fn graph_hash(g: Hashed<'_>) -> u64 {
     fnv(&out)
 }
 
+/// A stage of one operator's chain: its key, and its product when the
+/// plan's fetch has it.
+type Staged<T> = (StageKey, Option<Arc<T>>);
+
+/// A stage's product in hand, and whether the store served it.
+type Got<T> = (Arc<T>, bool);
+
+/// Products a farm job computed, filed once the round is over.
+pub(crate) type Filed = Vec<(StageKey, StageProduct)>;
+
+/// A stage's product: the one the plan fetched, or `run`'s, queued in
+/// `filed` under the stage's key.
+fn fetched_or<T>(
+    (key, fetched): Staged<T>,
+    filed: &mut Filed,
+    file: fn(Arc<T>) -> StageProduct,
+    run: impl FnOnce() -> Result<T, CompileError>,
+) -> Result<Got<T>, CompileError> {
+    if let Some(p) = fetched {
+        return Ok((p, true));
+    }
+    let p = Arc::new(run()?);
+    filed.push((key, file(p.clone())));
+    Ok((p, false))
+}
+
+/// The `HlsLower` stage: `op`'s netlist as fetched, or its kernel lowered now.
+pub(crate) fn lower(
+    op: &dfg::OperatorInst,
+    hls: Staged<HlsProduct>,
+    filed: &mut Filed,
+) -> Result<Got<HlsProduct>, CompileError> {
+    fetched_or(hls, filed, StageProduct::Hls, || {
+        let out = hlsim::compile(&op.kernel).map_err(|error| CompileError::Hls {
+            op: op.name.clone(),
+            error,
+        })?;
+        Ok(HlsProduct::new(out.netlist, out.report))
+    })
+}
+
+/// The `SoftcoreCc` stage: `op`'s kernel compiled for the softcore.
+fn compile_soft(op: &dfg::OperatorInst) -> Result<SoftProduct, CompileError> {
+    let binary = softcore::compile_kernel(&op.kernel).map_err(|error| CompileError::Softcore {
+        op: op.name.clone(),
+        error,
+    })?;
+    Ok(SoftProduct { binary })
+}
+
+/// Packs a softcore binary as operator `at`'s page image.
+fn pack_soft(at: &OpInputs<'_>, binary: &softcore::SoftBinary) -> Xclbin {
+    let packed = binary.pack(at.page.0);
+    let bytes: Vec<u8> = packed.records.iter().flat_map(|r| &r.1).copied().collect();
+    Xclbin {
+        name: format!("{}.elf.xclbin", at.op.name),
+        hash: fnv(&bytes),
+        kind: XclbinKind::Softcore {
+            page: at.page,
+            binary: packed,
+        },
+    }
+}
+
 /// Packs a placed-and-routed page as its loadable artifact. Constants live in
-/// the source, not the structural netlist: artifact identity mixes `src_hash` in.
-fn pack_page(
-    name: &str,
-    page: PageId,
-    bitstream: &pnr::Bitstream,
-    src_hash: u64,
-) -> (StageKey, Arc<Xclbin>) {
-    let x = Xclbin {
-        name: format!("{name}.xclbin"),
+/// the source, not the structural netlist: artifact identity mixes the
+/// operator's source hash in.
+fn pack_page(at: &OpInputs<'_>, bitstream: &pnr::Bitstream) -> Xclbin {
+    Xclbin {
+        name: format!("{}.xclbin", at.op.name),
         kind: XclbinKind::Page {
-            page,
+            page: at.page,
             bitstream: bitstream.clone(),
         },
-        hash: bitstream.payload_hash ^ src_hash,
+        hash: bitstream.payload_hash ^ at.src_hash,
+    }
+}
+
+/// What one paged build's plan and farm jobs share.
+#[derive(Clone, Copy)]
+struct Ctx<'a> {
+    options: &'a CompileOptions,
+    /// Content hash of the device every P&R and hint key names.
+    device: u64,
+    /// The previous version of the graph, whose hints warm-start P&R.
+    prev: Option<Hashed<'a>>,
+}
+
+/// What one operator's stage keys name besides upstream products.
+#[derive(Clone, Copy)]
+struct OpInputs<'a> {
+    op: &'a dfg::OperatorInst,
+    kernel: u64,
+    target: Target,
+    page: PageId,
+    rect: Rect,
+    /// The build's seed mixed with the operator's name: no two operators of
+    /// a build share a `PlaceRoute` key.
+    seed: u64,
+    src_hash: u64,
+}
+
+/// What the P&R probe of a hardware operator found with its netlist in hand.
+struct PnrProbe {
+    /// The cold `PlaceRoute` key, which a warm run the quality guard
+    /// discarded is aliased under.
+    plain: StageKey,
+    /// The stage: `plain`, or the warm key of `hint`.
+    pnr: Staged<PnrProduct>,
+    /// Only ever in hand together with `pnr`'s product, whose bitstream keys
+    /// it.
+    pack: Option<Arc<Xclbin>>,
+    /// Warm-start hint; its content hash is already folded into `pnr`'s key.
+    hint: Option<Arc<HintsProduct>>,
+    /// Whether the probe looked a warm-start hint up.
+    hint_fetched: bool,
+    /// Where a run files fresh [`StageKind::PnrHints`] for the netlist and
+    /// the kernel version (incremental P&R on, none filed there yet).
+    hints_now: Vec<StageKey>,
+}
+
+/// Probes a hardware operator's P&R and pack with its netlist in hand, so an
+/// edit that left the netlist as it was is a hit: the plain key; then, with
+/// incremental P&R on, the hints filed for the netlist and for this kernel
+/// version, each a pointer to a finished P&R; then a warm start from this
+/// version's hint or the previous version's.
+fn probe_pnr<C: CacheBackend>(
+    store: &mut C,
+    cx: &Ctx<'_>,
+    at: &OpInputs<'_>,
+    netlist: u64,
+) -> PnrProbe {
+    let (op, rect, device) = (at.op, at.rect, cx.device);
+    let place_key = |warm| {
+        StageInputs::PlaceRoute {
+            netlist,
+            rect,
+            device,
+            seed: at.seed,
+            warm,
+        }
+        .key()
     };
-    let key = StageInputs::page_pack(bitstream, page, name, src_hash);
-    (key, Arc::new(x))
+    let hints_key = |of| {
+        StageInputs::PnrHints {
+            name: op.name.clone(),
+            of,
+            rect,
+            device,
+        }
+        .key()
+    };
+    let plain = place_key(None);
+    let (mut pnr_key, mut pnr) = (plain, store.fetch_pnr(plain.hash));
+    // An already-cached cold stage needs no hint at all.
+    let mut hints_now = Vec::new();
+    let (mut hint, mut hint_fetched) = (None, false);
+    if let (None, true) = (&pnr, cx.options.incremental_pnr) {
+        // A hint for different page geometry can never replay.
+        let usable = |h: &Arc<HintsProduct>| h.hints().region == rect;
+        // The netlist's hint, then this version's own, points at a finished
+        // P&R: while that product is there, the stage is a hit. And the
+        // first filing stands, so this build files no other.
+        let lineage = hints_key(HintOf::Lineage(at.kernel));
+        let mut own = None;
+        for key in [hints_key(HintOf::Netlist(netlist)), lineage] {
+            let filed = store.fetch_hints(key.hash);
+            if filed.is_none() {
+                hints_now.push(key);
+            }
+            own = filed.filter(usable);
+            pnr = own
+                .as_ref()
+                .and_then(|h| store.fetch_pnr(h.origin()))
+                .filter(|p| p.seed == at.seed);
+            if pnr.is_some() {
+                break;
+            }
+        }
+        if pnr.is_none() {
+            // That product gone (unreadable, or never filed in this store),
+            // the version's own layout is the start; an edit starts from
+            // what it is an edit *of*.
+            hint_fetched = true;
+            hint = own.or_else(|| {
+                let p = cx.prev?;
+                let j = p.graph.operators.iter().position(|o| o.name == op.name)?;
+                let before = hints_key(HintOf::Lineage(p.kernels[j]));
+                let before = (before != lineage).then(|| store.fetch_hints(before.hash));
+                before?.filter(usable)
+            });
+            if let Some(h) = &hint {
+                // Fold the hint's identity into the stage key: a warm product
+                // is a function of (netlist, hint), so it must never collide
+                // with the cold product.
+                pnr_key = place_key(Some(h.content_hash()));
+                pnr = store.fetch_pnr(pnr_key.hash);
+            }
+        }
+    }
+    // Packing keys on the bitstream: no product, no pack to find.
+    let pack = pnr.as_ref().and_then(|p| {
+        let pack = StageInputs::page_pack(&p.bitstream, at.page, &op.name, at.src_hash);
+        store.fetch_pack(pack.hash)
+    });
+    PnrProbe {
+        plain,
+        pnr: (pnr_key, pnr),
+        pack,
+        hint,
+        hint_fetched,
+        hints_now,
+    }
+}
+
+/// The `PlaceRoute` stage: `hls`'s netlist, wrapped in the leaf interface,
+/// placed and routed on the operator's page. With a hint it runs warm, and a
+/// run the quality guard discarded is also queued under the plain key: the
+/// fallback *is* a cold run. The run's hints are queued under the probe's
+/// `hints_now`. Returns `Some(fell_back)` for a warm attempt.
+fn place_route(
+    options: &CompileOptions,
+    at: &OpInputs<'_>,
+    hls: &HlsProduct,
+    probe: &PnrProbe,
+    filed: &mut Filed,
+) -> Result<(Arc<PnrProduct>, Option<bool>), CompileError> {
+    let device = &options.floorplan.device;
+    let pnr_error = |error| CompileError::Pnr {
+        op: at.op.name.clone(),
+        error,
+    };
+    let wrapped = wrap_with_leaf_interface(hls.netlist());
+    let opts = PnrOptions {
+        seed: at.seed,
+        abstract_shell: true,
+        effort: 1.0,
+    };
+    let (result, cold_work, warm) = match &probe.hint {
+        Some(h) => {
+            // Warm path: place from the prior layout, rip up and re-route
+            // only what the edit moved, guarded against quality loss.
+            let (result, wr) = pnr::place_and_route_incremental(
+                &wrapped,
+                device,
+                at.rect,
+                &opts,
+                h.hints(),
+                options.jobs,
+            )
+            .map_err(pnr_error)?;
+            // A surviving warm run records the hint's cold estimate, so
+            // fresh_vtime stays a from-scratch figure while work_units is
+            // the measured work.
+            let cold_work = if wr.fell_back {
+                result.work_units
+            } else {
+                h.hints().work_units.max(result.work_units)
+            };
+            (result, cold_work, Some(wr.fell_back))
+        }
+        None => {
+            let result =
+                pnr::place_and_route(&wrapped, device, at.rect, &opts).map_err(pnr_error)?;
+            let cold_work = result.work_units;
+            (result, cold_work, None)
+        }
+    };
+    let p = Arc::new(PnrProduct {
+        bitstream: result.bitstream.clone(),
+        timing: result.timing.clone(),
+        work_units: result.work_units,
+        wrapped_cells: wrapped.cell_count() as u64,
+        seed: at.seed,
+        cold_work,
+    });
+    if warm == Some(true) {
+        // A later hint-less rebuild is a hit.
+        filed.push((probe.plain, StageProduct::Pnr(p.clone())));
+    }
+    if !probe.hints_now.is_empty() {
+        let mut fresh = pnr::extract_hints(&wrapped, at.rect, &result);
+        fresh.work_units = cold_work;
+        let hints = Arc::new(HintsProduct::new(fresh, probe.pnr.0.hash));
+        for &key in &probe.hints_now {
+            filed.push((key, StageProduct::Hints(hints.clone())));
+        }
+    }
+    filed.push((probe.pnr.0, StageProduct::Pnr(p.clone())));
+    Ok((p, warm))
 }
 
 /// One operator's stage chain with every product in hand: fetched by the
-/// plan, or handed back by the farm jobs that ran the missing stages.
+/// plan, or run by the operator's farm job.
 enum Chain {
     Hw {
-        hls: Arc<HlsProduct>,
-        pnr: Arc<PnrProduct>,
-        pack: Arc<Xclbin>,
+        hls: Got<HlsProduct>,
+        pnr: Got<PnrProduct>,
+        pack: Got<Xclbin>,
+        /// `Some(hit)` when the P&R probe looked a warm-start hint up.
+        hint: Option<bool>,
+        /// `Some(fell_back)` when the chain attempted a hint-warmed P&R.
+        warm: Option<bool>,
     },
     Soft {
-        soft: Arc<SoftProduct>,
-        pack: Arc<Xclbin>,
+        soft: Got<SoftProduct>,
+        pack: Got<Xclbin>,
     },
 }
 
-/// What the plan's first round leaves an operator with.
-enum Front {
-    /// A hardware operator's netlist: the second round plans its P&R, whose
-    /// key names the netlist.
-    Hls(Arc<HlsProduct>),
-    /// A softcore operator's whole chain.
-    Done(Chain),
+/// The stages of an operator's chain the plan's fetches left missing.
+enum Missing {
+    /// A hardware operator's netlist, under its `HlsLower` key: the chain is
+    /// lowered, then its P&R probed with the netlist in hand.
+    Netlist(StageKey),
+    /// A hardware operator's P&R and pack, probed with the fetched netlist.
+    Pnr(Arc<HlsProduct>, PnrProbe),
+    /// A softcore operator's compile and pack.
+    Soft(Staged<SoftProduct>, Staged<Xclbin>),
 }
 
-/// Which stages one operator needs, and which the plan's fetches served.
-struct OpPlan {
-    target: Target,
-    page: PageId,
-    src_hash: u64,
-    /// `HlsLower` for hardware, `SoftcoreCc` for softcore targets.
-    front_hit: bool,
-    /// `PlaceRoute` (`None` for softcore targets). Until the second round
-    /// probes it, a hardware operator's P&R counts as a miss.
-    pnr_hit: Option<bool>,
-    pack_hit: bool,
-    /// What the first round leaves; the second round takes it.
-    front: Option<Front>,
-    /// The chain once every product is in hand.
-    chain: Option<Chain>,
-    /// Wall-clock seconds of the farm jobs that ran this operator's stages.
-    wall_seconds: f64,
-    /// `Some(fell_back)` when a job attempted a hint-warmed P&R.
-    warm: Option<bool>,
-}
-
-impl OpPlan {
-    fn hits(&self) -> u64 {
-        self.front_hit as u64 + self.pnr_hit.unwrap_or(false) as u64 + self.pack_hit as u64
-    }
-
-    fn executions(&self) -> u64 {
-        2 + self.pnr_hit.is_some() as u64 - self.hits()
-    }
-
-    /// LPT cost of the farm job: missing stages by expected weight (P&R
-    /// dominates, then HLS, then packing), the length of the kernel's source
-    /// text breaks ties. Only an operator with work to do pays for the walk.
-    fn cost(&self, kernel: &kir::Kernel) -> f64 {
-        let front = if self.pnr_hit.is_some() { 1e5 } else { 1e4 };
-        (!self.front_hit) as u64 as f64 * front
-            + (self.pnr_hit == Some(false)) as u64 as f64 * 1e6
-            + (!self.pack_hit) as u64 as f64 * 1e3
-            + debug_len(kernel) as f64
+impl Missing {
+    /// LPT weight of the missing stages: P&R dominates, then HLS, then
+    /// packing. Zero when the plan fetched the whole chain.
+    fn weight(&self) -> f64 {
+        let miss = |hit: bool, weight: f64| if hit { 0.0 } else { weight };
+        match self {
+            Missing::Netlist(_) => 1e5 + 1e6 + 1e3,
+            Missing::Pnr(_, p) => miss(p.pnr.1.is_some(), 1e6) + miss(p.pack.is_some(), 1e3),
+            Missing::Soft(soft, pack) => miss(soft.1.is_some(), 1e4) + miss(pack.1.is_some(), 1e3),
+        }
     }
 }
 
-/// What one farm job hands back: its output, and the products it computed
-/// (to be filed).
-struct JobDone<T> {
-    out: T,
-    filed: Vec<(StageKey, StageProduct)>,
-}
-
-type Job<'a, T> = Box<dyn FnOnce() -> Result<JobDone<T>, CompileError> + Send + 'a>;
-
-/// One round's farm jobs: `(operator index, LPT cost, job)`.
-type Round<'a, T> = Vec<(usize, f64, Job<'a, T>)>;
-
-/// The error of an operator whose farm job left no result.
-fn no_outcome(op: &dfg::OperatorInst) -> CompileError {
-    CompileError::JobPanicked {
-        op: op.name.clone(),
-        message: "farm returned no outcome for this operator's job".into(),
-    }
-}
-
-/// Runs one round of farm jobs longest-first, files what they computed, and
-/// returns each job's operator index, output and wall seconds, in submission
-/// order. The first failed job, in operator order, is the round's error.
-fn run_round<T: Send, C: CacheBackend>(
-    graph: &Graph,
-    jobs: Round<'_, T>,
-    workers: usize,
-    store: &mut C,
-) -> Result<Vec<(usize, T, f64)>, CompileError> {
-    let (ops, jobs): (Vec<usize>, Vec<_>) = jobs
-        .into_iter()
-        .map(|(i, cost, job)| (i, (cost, job)))
-        .unzip();
-    let outcomes = farm::run_jobs_lpt(jobs, workers);
-    ops.into_iter()
-        .zip(outcomes)
-        .map(|(i, outcome)| {
-            let done = outcome
-                .result
-                .map_err(|message| CompileError::JobPanicked {
-                    op: graph.operators[i].name.clone(),
-                    message,
-                })??;
-            for (key, product) in done.filed {
-                store.put(key, product);
-            }
-            Ok((i, done.out, outcome.wall_seconds))
-        })
-        .collect()
+/// Runs what `missing` lacks of operator `at`'s chain, queueing the products
+/// in `filed`. `probe` probes P&R with a netlist the chain lowered; a chain
+/// whose every stage was fetched runs nothing.
+fn run_chain(
+    options: &CompileOptions,
+    at: &OpInputs<'_>,
+    missing: Missing,
+    filed: &mut Filed,
+    probe: impl FnOnce(u64) -> PnrProbe,
+) -> Result<Chain, CompileError> {
+    let (hls, mut probe) = match missing {
+        Missing::Soft(soft, pack) => {
+            let soft = fetched_or(soft, filed, StageProduct::Soft, || compile_soft(at.op))?;
+            let pack = fetched_or(pack, filed, StageProduct::Pack, || {
+                Ok(pack_soft(at, &soft.0.binary))
+            })?;
+            return Ok(Chain::Soft { soft, pack });
+        }
+        Missing::Netlist(key) => {
+            let hls = lower(at.op, (key, None), filed)?;
+            let probe = probe(hls.0.netlist_hash());
+            (hls, probe)
+        }
+        Missing::Pnr(hls, probe) => ((hls, true), probe),
+    };
+    let hint = probe.hint_fetched.then_some(probe.hint.is_some());
+    let (pnr, warm) = match probe.pnr.1.take() {
+        Some(p) => ((p, true), None),
+        None => {
+            let (p, warm) = place_route(options, at, &hls.0, &probe, filed)?;
+            ((p, false), warm)
+        }
+    };
+    let pack_key = StageInputs::page_pack(&pnr.0.bitstream, at.page, &at.op.name, at.src_hash);
+    let pack = fetched_or((pack_key, probe.pack), filed, StageProduct::Pack, || {
+        Ok(pack_page(at, &pnr.0.bitstream))
+    })?;
+    Ok(Chain::Hw {
+        hls,
+        pnr,
+        pack,
+        hint,
+        warm,
+    })
 }
 
 /// Compiles a graph by materializing its stage DAG against `store` — any
@@ -468,7 +714,7 @@ fn run_round<T: Send, C: CacheBackend>(
 /// # Errors
 ///
 /// See [`CompileError`].
-pub fn build<C: CacheBackend>(
+pub fn build<C: CacheBackend + Send>(
     graph: &Graph,
     options: &CompileOptions,
     store: &mut C,
@@ -504,7 +750,7 @@ pub(crate) struct Memo {
 /// runs cold — hints are an optimization input, never a correctness input.
 /// `memo` holds what the previous build hashed, and is left holding this
 /// build's.
-pub(crate) fn build_with_prev<C: CacheBackend>(
+pub(crate) fn build_with_prev<C: CacheBackend + Send>(
     source: Hashed<'_>,
     prev: Option<Hashed<'_>>,
     memo: &mut Memo,
@@ -579,7 +825,7 @@ fn resolve_optimizer(
     resolved
 }
 
-fn build_paged<C: CacheBackend>(
+fn build_paged<C: CacheBackend + Send>(
     built: Hashed<'_>,
     prev: Option<Hashed<'_>>,
     ir: dfg::DfgIr,
@@ -590,193 +836,122 @@ fn build_paged<C: CacheBackend>(
     let graph = built.graph;
     let force_riscv = options.level == OptLevel::O0;
     let pages = assign_pages(graph, &options.floorplan, force_riscv)?;
-    let device = fnv(&codec::encode(&options.floorplan.device));
+    let cx = Ctx {
+        options,
+        device: fnv(&codec::encode(&options.floorplan.device)),
+        prev,
+    };
     let mut report = BuildReport::default();
 
-    // Plan by fetch, in two rounds: one fetch per stage of every operator's
-    // chain, and a hit is the product in hand. Whatever a fetch cannot serve
-    // — never built, or unreadable on disk — is a miss, and the
-    // operator gets a farm job for its missing stages. The first round is
-    // the front of every chain: HLS for hardware, the whole softcore chain.
-    let mut plans = Vec::with_capacity(graph.operators.len());
-    let mut jobs: Round<'_, Front> = Vec::new();
-    for (i, ((op, &khash), &(target, page))) in graph
+    // Plan by fetch: one fetch per stage of every operator's chain, and a
+    // hit is the product in hand. A hardware operator's P&R keys on its
+    // netlist, so the plan probes it only with the netlist fetched. Whatever
+    // a fetch cannot serve — never built, or unreadable on disk — is a miss,
+    // and the operator gets one farm job that runs the rest of its chain.
+    let mut chains = Vec::with_capacity(graph.operators.len());
+    let mut jobs = Vec::new();
+    for (i, ((op, &kernel), &(target, page))) in graph
         .operators
         .iter()
         .zip(built.kernels)
         .zip(&pages)
         .enumerate()
     {
-        let mut plan = OpPlan {
+        let at = OpInputs {
+            op,
+            kernel,
             target,
             page,
-            src_hash: source_hash(khash, target),
-            front_hit: false,
-            pnr_hit: target.is_hw().then_some(false),
-            pack_hit: false,
-            front: None,
-            chain: None,
-            wall_seconds: 0.0,
-            warm: None,
+            rect: options.floorplan.pages[page.0 as usize].rect,
+            seed: options.seed ^ fnv(op.name.as_bytes()),
+            src_hash: source_hash(kernel, target),
         };
-        let job: Option<Job<'_, Front>> = match target {
+        let missing = match target {
             Target::Hw { .. } => {
-                let key = StageInputs::HlsLower { kernel: khash }.key();
-                plan.front = store.fetch_hls(key.hash).map(Front::Hls);
-                plan.front_hit = plan.front.is_some();
-                (!plan.front_hit).then(|| Box::new(move || hls_job(op, key)) as Job<'_, Front>)
+                let key = StageInputs::HlsLower { kernel }.key();
+                match store.fetch_hls(key.hash) {
+                    Some(hls) => {
+                        let probe = probe_pnr(store, &cx, &at, hls.netlist_hash());
+                        Missing::Pnr(hls, probe)
+                    }
+                    None => Missing::Netlist(key),
+                }
             }
             Target::Riscv { .. } => {
-                let soft_key = StageInputs::SoftcoreCc { kernel: khash }.key();
-                let soft = (soft_key, store.fetch_soft(soft_key.hash));
-                let pack_key = StageInputs::SoftPack {
-                    binary: soft_key.hash,
+                let soft = StageInputs::SoftcoreCc { kernel }.key();
+                let pack = StageInputs::SoftPack {
+                    binary: soft.hash,
                     page,
                     name: op.name.clone(),
                 }
                 .key();
-                let pack = (pack_key, store.fetch_pack(pack_key.hash));
-                (plan.front_hit, plan.pack_hit) = (soft.1.is_some(), pack.1.is_some());
-                match (soft, pack) {
-                    ((_, Some(soft)), (_, Some(pack))) => {
-                        plan.front = Some(Front::Done(Chain::Soft { soft, pack }));
-                        None
-                    }
-                    (soft, pack) => Some(Box::new(move || soft_job(op, page, soft, pack))),
-                }
+                let pack = (pack, store.fetch_pack(pack.hash));
+                Missing::Soft((soft, store.fetch_soft(soft.hash)), pack)
             }
         };
-        if let Some(job) = job {
-            jobs.push((i, plan.cost(&op.kernel), job));
+        match missing.weight() {
+            0.0 => {
+                let chain = run_chain(options, &at, missing, &mut Vec::new(), |netlist| {
+                    probe_pnr(store, &cx, &at, netlist)
+                })?;
+                chains.push((i, at, chain, 0.0));
+            }
+            // Only an operator with work to do pays for the walk over its
+            // kernel's source text, which breaks LPT ties.
+            weight => jobs.push((i, at, weight + debug_len(&op.kernel) as f64, missing)),
         }
-        plans.push(plan);
-    }
-    for (i, front, wall_seconds) in run_round(graph, jobs, options.jobs, store)? {
-        plans[i].front = Some(front);
-        plans[i].wall_seconds += wall_seconds;
     }
 
-    // The second round probes every hardware page's P&R with its netlist in
-    // hand, so an edit that left the netlist as it was is a hit.
-    let mut jobs: Round<'_, (Chain, Option<bool>)> = Vec::new();
-    for (i, ((op, plan), &khash)) in graph
-        .operators
-        .iter()
-        .zip(&mut plans)
-        .zip(built.kernels)
-        .enumerate()
-    {
-        let hls = match plan.front.take().ok_or_else(|| no_outcome(op))? {
-            Front::Done(chain) => {
-                plan.chain = Some(chain);
-                continue;
-            }
-            Front::Hls(hls) => hls,
+    // One round: every job runs its operator's whole chain, longest first.
+    // No job files anything while the round runs, and the keys past the
+    // front of a chain are the operator's own, so a job's fetches see what
+    // the plan's saw.
+    let heads: Vec<_> = jobs.iter().map(|&(i, at, ..)| (i, at)).collect();
+    let outcomes = {
+        let shared = Mutex::new(&mut *store);
+        let probe = |at: &OpInputs<'_>, netlist| {
+            // A fetch files at most one whole product in a faster tier, so a
+            // job that panicked mid-fetch leaves the store valid.
+            let mut store = shared.lock().unwrap_or_else(PoisonError::into_inner);
+            probe_pnr(&mut **store, &cx, at, netlist)
         };
-        let rect = options.floorplan.pages[plan.page.0 as usize].rect;
-        let seed = options.seed ^ fnv(op.name.as_bytes());
-        let netlist = hls.netlist_hash();
-        let place_key = |warm| {
-            StageInputs::PlaceRoute {
-                netlist,
-                rect,
-                device,
-                seed,
-                warm,
-            }
-            .key()
-        };
-        let hints_key = |of| {
-            StageInputs::PnrHints {
-                name: op.name.clone(),
-                of,
-                rect,
-                device,
-            }
-            .key()
-        };
-        let plain = place_key(None);
-        let (mut pnr_key, mut pnr) = (plain, store.fetch_pnr(plain.hash));
-        // Warm-start planning: an already-cached cold stage needs no hint at
-        // all. `hints_now` are the keys the hint of this build's P&R run is
-        // filed under.
-        let mut hints_now = Vec::new();
-        let mut hint = None;
-        if let (None, true) = (&pnr, options.incremental_pnr) {
-            // A hint for different page geometry can never replay.
-            let usable = |h: &Arc<HintsProduct>| h.hints().region == rect;
-            // The netlist's hint, then this version's own, points at a
-            // finished P&R: while that product is there, the stage is a hit.
-            // And the first filing stands, so this build files no other.
-            let lineage = hints_key(HintOf::Lineage(khash));
-            let mut own = None;
-            for key in [hints_key(HintOf::Netlist(netlist)), lineage] {
-                let filed = store.fetch_hints(key.hash);
-                if filed.is_none() {
-                    hints_now.push(key);
-                }
-                own = filed.filter(usable);
-                pnr = own
-                    .as_ref()
-                    .and_then(|h| store.fetch_pnr(h.origin()))
-                    .filter(|p| p.seed == seed);
-                if pnr.is_some() {
-                    break;
-                }
-            }
-            if pnr.is_none() {
-                // That product gone (unreadable, or never filed in this
-                // store), the version's own
-                // layout is the start; an edit starts from what it is an
-                // edit *of*.
-                report.hint_fetches += 1;
-                hint = own.or_else(|| {
-                    let p = prev?;
-                    let j = p.graph.operators.iter().position(|o| o.name == op.name)?;
-                    let before = hints_key(HintOf::Lineage(p.kernels[j]));
-                    let before = (before != lineage).then(|| store.fetch_hints(before.hash));
-                    before?.filter(usable)
-                });
-                if let Some(h) = &hint {
-                    report.hint_hits += 1;
-                    // Fold the hint's identity into the stage key: a warm
-                    // product is a function of (netlist, hint), so it must
-                    // never collide with the cold product.
-                    pnr_key = place_key(Some(h.content_hash()));
-                    pnr = store.fetch_pnr(pnr_key.hash);
-                }
-            }
-        }
-        // Packing keys on the bitstream: no product, no pack to find.
-        let pack = pnr.as_ref().and_then(|p| {
-            let pack = StageInputs::page_pack(&p.bitstream, plan.page, &op.name, plan.src_hash);
-            store.fetch_pack(pack.hash)
-        });
-        (plan.pnr_hit, plan.pack_hit) = (Some(pnr.is_some()), pack.is_some());
-        match (pnr, pack) {
-            (Some(pnr), Some(pack)) => plan.chain = Some(Chain::Hw { hls, pnr, pack }),
-            (pnr, pack) => {
-                let job = HwJob {
-                    op,
-                    options,
-                    page: plan.page,
-                    src_hash: plan.src_hash,
-                    plain,
-                    hint,
-                    hints_now,
-                    hls,
-                    pnr: (pnr_key, pnr),
-                    pack,
+        let jobs = jobs
+            .into_iter()
+            .map(|(_, at, cost, missing)| {
+                let job = move || {
+                    let mut filed = Vec::new();
+                    let chain = run_chain(options, &at, missing, &mut filed, |n| probe(&at, n))?;
+                    Ok::<_, CompileError>((chain, filed))
                 };
-                jobs.push((i, plan.cost(&op.kernel), Box::new(move || job.run())));
+                (cost, job)
+            })
+            .collect();
+        farm::run_jobs_lpt(jobs, options.jobs)
+    };
+    // File every finished chain's products, in operator order; the first
+    // failed operator's error is the build's.
+    let mut error = None;
+    for ((i, at), outcome) in heads.into_iter().zip(outcomes) {
+        let done = outcome.result.map_err(|message| CompileError::JobPanicked {
+            op: at.op.name.clone(),
+            message,
+        });
+        match done.and_then(|done| done) {
+            Ok((chain, filed)) => {
+                for (key, product) in filed {
+                    store.put(key, product);
+                }
+                chains.push((i, at, chain, outcome.wall_seconds));
+            }
+            Err(e) => {
+                error.get_or_insert(e);
             }
         }
     }
-    for (i, (chain, warm), wall_seconds) in run_round(graph, jobs, options.jobs, store)? {
-        plans[i].chain = Some(chain);
-        plans[i].warm = warm;
-        plans[i].wall_seconds += wall_seconds;
+    if let Some(e) = error {
+        return Err(e);
     }
+    chains.sort_by_key(|&(i, ..)| i);
 
     // Materialize: assemble the app from the chains in hand, and derive both
     // the executed and the from-scratch virtual times from the stored work
@@ -794,33 +969,23 @@ fn build_paged<C: CacheBackend>(
     let mut fresh_parallel = PhaseTimes::default();
     let mut critical = 0.0f64;
 
-    for (op, plan) in graph.operators.iter().zip(plans) {
-        report.record(
-            if plan.pnr_hit.is_some() {
-                StageKind::HlsLower
-            } else {
-                StageKind::SoftcoreCc
-            },
-            plan.front_hit,
-        );
-        if let Some(hit) = plan.pnr_hit {
-            report.record(StageKind::PlaceRoute, hit);
-        }
-        report.record(StageKind::BitstreamPack, plan.pack_hit);
-        report.operators.push(OperatorStages {
-            name: op.name.clone(),
-            hits: plan.hits(),
-            executions: plan.executions(),
-        });
-
-        // A missing outcome is a farm accounting bug, not a reason to unwind
-        // through `Runtime::hot_swap`.
-        let chain = plan.chain.ok_or_else(|| no_outcome(op))?;
-        let pnr_hit = plan.pnr_hit.unwrap_or(false);
+    for (_, at, chain, wall_seconds) in chains {
         let mut warm_pnr_seconds = None;
-        let (pack, hls, timing, soft, fresh) = match chain {
-            Chain::Hw { hls, pnr, pack } => {
-                if let Some(fell_back) = plan.warm {
+        let (front_hit, pnr_hit, pack, hls, timing, soft, fresh) = match chain {
+            Chain::Hw {
+                hls,
+                pnr,
+                pack,
+                hint,
+                warm,
+            } => {
+                report.record(StageKind::HlsLower, hls.1);
+                report.record(StageKind::PlaceRoute, pnr.1);
+                if let Some(hit) = hint {
+                    report.hint_fetches += 1;
+                    report.hint_hits += hit as u64;
+                }
+                if let Some(fell_back) = warm {
                     report.warm_pnr_ops += 1;
                     if fell_back {
                         report.warm_fallbacks += 1;
@@ -829,40 +994,54 @@ fn build_paged<C: CacheBackend>(
                         // measured work at the warm fixed cost; the
                         // product's cold work keeps fresh_vtime a
                         // from-scratch figure.
-                        warm_pnr_seconds = Some(vt.pnr_warm_seconds(pnr.work_units));
+                        warm_pnr_seconds = Some(vt.pnr_warm_seconds(pnr.0.work_units));
                     }
                 }
                 let fresh = vt.hw_phases(
-                    hls.report.hls_work,
-                    pnr.wrapped_cells,
-                    pnr.cold_work,
-                    pnr.bitstream.config_bits,
+                    hls.0.report.hls_work,
+                    pnr.0.wrapped_cells,
+                    pnr.0.cold_work,
+                    pnr.0.bitstream.config_bits,
                 );
+                let (report, timing) = (hls.0.report.clone(), pnr.0.timing.clone());
                 (
+                    hls.1,
+                    Some(pnr.1),
                     pack,
-                    Some(hls.report.clone()),
-                    Some(pnr.timing.clone()),
+                    Some(report),
+                    Some(timing),
                     None,
                     fresh,
                 )
             }
             Chain::Soft { soft, pack } => {
-                let fresh = vt.soft_phases(soft.binary.load_bytes());
-                (pack, None, None, Some(soft.binary.clone()), fresh)
+                report.record(StageKind::SoftcoreCc, soft.1);
+                let fresh = vt.soft_phases(soft.0.binary.load_bytes());
+                let binary = Some(soft.0.binary.clone());
+                (soft.1, None, pack, None, None, binary, fresh)
             }
         };
+        report.record(StageKind::BitstreamPack, pack.1);
+        let hits = front_hit as u64 + pnr_hit.unwrap_or(false) as u64 + pack.1 as u64;
+        report.operators.push(OperatorStages {
+            name: at.op.name.clone(),
+            hits,
+            executions: 2 + pnr_hit.is_some() as u64 - hits,
+        });
+
         // Executed time: reused stages cost nothing this build. The bit
         // phase belongs to packing, riscv to the softcore compile.
+        let pnr_hit = pnr_hit.unwrap_or(false);
         let executed = PhaseTimes {
-            hls: if plan.front_hit { 0.0 } else { fresh.hls },
+            hls: if front_hit { 0.0 } else { fresh.hls },
             syn: if pnr_hit { 0.0 } else { fresh.syn },
             pnr: if pnr_hit {
                 0.0
             } else {
                 warm_pnr_seconds.unwrap_or(fresh.pnr)
             },
-            bit: if plan.pack_hit { 0.0 } else { fresh.bit },
-            riscv: if plan.front_hit { 0.0 } else { fresh.riscv },
+            bit: if pack.1 { 0.0 } else { fresh.bit },
+            riscv: if front_hit { 0.0 } else { fresh.riscv },
         };
         serial = serial.add(&executed);
         parallel = parallel.parallel_max(&executed);
@@ -871,18 +1050,18 @@ fn build_paged<C: CacheBackend>(
         critical = critical.max(executed.total());
 
         let idx = artifacts.len();
-        artifacts.push(Xclbin::clone(&pack));
+        artifacts.push(Xclbin::clone(&pack.0));
         operators.push(CompiledOperator {
-            name: op.name.clone(),
-            target: plan.target,
-            page: Some(plan.page),
+            name: at.op.name.clone(),
+            target: at.target,
+            page: Some(at.page),
             artifact: Some(idx),
             hls,
             timing,
             soft,
             vtime: executed,
-            wall_seconds: plan.wall_seconds,
-            source_hash: plan.src_hash,
+            wall_seconds,
+            source_hash: at.src_hash,
         });
     }
 
@@ -929,187 +1108,6 @@ fn build_paged<C: CacheBackend>(
         opt: None,
     };
     Ok((app, report))
-}
-
-/// A stage of a farm job: its key, and its product when the plan's fetch
-/// already has it.
-type Staged<T> = (StageKey, Option<Arc<T>>);
-
-/// The first-round farm job of a hardware operator whose netlist is missing.
-fn hls_job(op: &dfg::OperatorInst, key: StageKey) -> Result<JobDone<Front>, CompileError> {
-    let out = hlsim::compile(&op.kernel).map_err(|error| CompileError::Hls {
-        op: op.name.clone(),
-        error,
-    })?;
-    let p = Arc::new(HlsProduct::new(out.netlist, out.report));
-    Ok(JobDone {
-        filed: vec![(key, StageProduct::Hls(p.clone()))],
-        out: Front::Hls(p),
-    })
-}
-
-/// The second-round farm job of a hardware operator whose P&R or pack is
-/// missing. It borrows its source and shares the cached upstream products,
-/// so the job copies nothing and never touches the store. Its output is the
-/// chain, and `Some(fell_back)` when it attempted a hint-warmed P&R.
-struct HwJob<'a> {
-    op: &'a dfg::OperatorInst,
-    options: &'a CompileOptions,
-    page: PageId,
-    src_hash: u64,
-    /// The cold `PlaceRoute` key, which a warm run the quality guard
-    /// discarded is aliased under.
-    plain: StageKey,
-    /// Warm-start hint; its content hash is already folded into `pnr`'s key.
-    hint: Option<Arc<HintsProduct>>,
-    /// Where this build files fresh [`StageKind::PnrHints`] for the netlist
-    /// and the kernel version (incremental P&R on, none filed there yet).
-    hints_now: Vec<StageKey>,
-    hls: Arc<HlsProduct>,
-    pnr: Staged<PnrProduct>,
-    /// Only ever in hand together with `pnr`, whose bitstream keys it.
-    pack: Option<Arc<Xclbin>>,
-}
-
-impl HwJob<'_> {
-    fn run(self) -> Result<JobDone<(Chain, Option<bool>)>, CompileError> {
-        let (name, options) = (self.op.name.as_str(), self.options);
-        let device = &options.floorplan.device;
-        let rect = options.floorplan.pages[self.page.0 as usize].rect;
-        let seed = options.seed ^ fnv(name.as_bytes());
-        let pnr_error = |error| CompileError::Pnr {
-            op: name.to_string(),
-            error,
-        };
-        let mut filed = Vec::new();
-        let mut warm = None;
-        let pnr = match self.pnr.1 {
-            Some(p) => p,
-            None => {
-                let wrapped = wrap_with_leaf_interface(self.hls.netlist());
-                let opts = PnrOptions {
-                    seed,
-                    abstract_shell: true,
-                    effort: 1.0,
-                };
-                let (result, cold_work) = match &self.hint {
-                    Some(h) => {
-                        // Warm path: place from the prior layout, rip up
-                        // and re-route only what the edit moved, guarded
-                        // against quality loss.
-                        let (result, wr) = pnr::place_and_route_incremental(
-                            &wrapped,
-                            device,
-                            rect,
-                            &opts,
-                            h.hints(),
-                            options.jobs,
-                        )
-                        .map_err(pnr_error)?;
-                        warm = Some(wr.fell_back);
-                        // A surviving warm run records the hint's cold
-                        // estimate, so fresh_vtime stays a from-scratch
-                        // figure while work_units is the measured work.
-                        let cold_work = if wr.fell_back {
-                            result.work_units
-                        } else {
-                            h.hints().work_units.max(result.work_units)
-                        };
-                        (result, cold_work)
-                    }
-                    None => {
-                        let result = pnr::place_and_route(&wrapped, device, rect, &opts)
-                            .map_err(pnr_error)?;
-                        let cold_work = result.work_units;
-                        (result, cold_work)
-                    }
-                };
-                let p = Arc::new(PnrProduct {
-                    bitstream: result.bitstream.clone(),
-                    timing: result.timing.clone(),
-                    work_units: result.work_units,
-                    wrapped_cells: wrapped.cell_count() as u64,
-                    seed,
-                    cold_work,
-                });
-                if warm == Some(true) {
-                    // The fallback *is* a cold run, so alias it under the
-                    // plain key: a later hint-less rebuild is a hit.
-                    filed.push((self.plain, StageProduct::Pnr(p.clone())));
-                }
-                if !self.hints_now.is_empty() {
-                    let mut fresh = pnr::extract_hints(&wrapped, rect, &result);
-                    fresh.work_units = cold_work;
-                    let hints = Arc::new(HintsProduct::new(fresh, self.pnr.0.hash));
-                    for key in self.hints_now {
-                        filed.push((key, StageProduct::Hints(hints.clone())));
-                    }
-                }
-                filed.push((self.pnr.0, StageProduct::Pnr(p.clone())));
-                p
-            }
-        };
-        let pack = match self.pack {
-            Some(x) => x,
-            None => {
-                let (key, x) = pack_page(name, self.page, &pnr.bitstream, self.src_hash);
-                filed.push((key, StageProduct::Pack(x.clone())));
-                x
-            }
-        };
-        let hls = self.hls;
-        Ok(JobDone {
-            out: (Chain::Hw { hls, pnr, pack }, warm),
-            filed,
-        })
-    }
-}
-
-/// The first-round farm job of a softcore operator with a missing stage.
-fn soft_job(
-    op: &dfg::OperatorInst,
-    page: PageId,
-    soft: Staged<SoftProduct>,
-    pack: Staged<Xclbin>,
-) -> Result<JobDone<Front>, CompileError> {
-    let name = &op.name;
-    let mut filed = Vec::new();
-    let (soft_key, soft) = soft;
-    let soft = match soft {
-        Some(p) => p,
-        None => {
-            let binary =
-                softcore::compile_kernel(&op.kernel).map_err(|error| CompileError::Softcore {
-                    op: name.clone(),
-                    error,
-                })?;
-            let p = Arc::new(SoftProduct { binary });
-            filed.push((soft_key, StageProduct::Soft(p.clone())));
-            p
-        }
-    };
-    let (pack_key, pack) = pack;
-    let pack = match pack {
-        Some(x) => x,
-        None => {
-            let packed = soft.binary.pack(page.0);
-            let bytes: Vec<u8> = packed.records.iter().flat_map(|r| &r.1).copied().collect();
-            let x = Arc::new(Xclbin {
-                name: format!("{name}.elf.xclbin"),
-                hash: fnv(&bytes),
-                kind: XclbinKind::Softcore {
-                    page,
-                    binary: packed,
-                },
-            });
-            filed.push((pack_key, StageProduct::Pack(x.clone())));
-            x
-        }
-    };
-    Ok(JobDone {
-        out: Front::Done(Chain::Soft { soft, pack }),
-        filed,
-    })
 }
 
 /// Compiles a batch of graphs concurrently on the build farm — the

@@ -6,11 +6,13 @@
 //! with no overlapping area", so "the compilation time is determined by the
 //! longest individual one instead of the total" (Sec. 6.2). This module is
 //! the local analogue: a fixed number of lanes executing independent jobs
-//! and reporting per-job and critical-path times. Its jobs are page
-//! compiles (on `CompileOptions::jobs` lanes) and the `-O0`/`-O1` perf
-//! models' per-operator softcore runs (on [`host_lanes`] lanes): the
-//! operators sit on separate softcores, so each run depends only on its
-//! traced inputs.
+//! and reporting per-job times. Its jobs are the build's per-operator
+//! chains, one round per build on `CompileOptions::jobs` lanes: each runs
+//! its operator's missing stages, HLS or the softcore compile through P&R
+//! and packing, and its keys past the front of the chain are the
+//! operator's own. The `-O0`/`-O1` perf models' per-operator softcore runs
+//! are jobs too (on [`host_lanes`] lanes): the operators sit on separate
+//! softcores, so each run depends only on its traced inputs.
 //! The thread that submits a batch works one of the lanes itself, so a
 //! batch of `n` jobs on `workers` lanes spawns `min(workers, n) - 1`
 //! threads: none at all for an empty plan, a single job or `workers = 1`.

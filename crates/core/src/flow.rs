@@ -8,7 +8,6 @@ use netlist::{CellKind, Netlist};
 use noc::PortAddr;
 use pnr::{place_and_route, PnrOptions, TimingReport};
 use std::fmt;
-use std::sync::Arc;
 
 use crate::artifact::{Driver, LinkOp, LoadOp, Xclbin, XclbinKind};
 use crate::vtime::{PhaseTimes, VtimeModel};
@@ -494,18 +493,11 @@ pub(crate) fn compile_monolithic<C: crate::cache::CacheBackend>(
 
     for (op, &khash) in graph.operators.iter().zip(built.kernels) {
         let key = crate::build::StageInputs::HlsLower { kernel: khash }.key();
-        let (product, hit) = match store.fetch_hls(key.hash) {
-            Some(p) => (p, true),
-            None => {
-                let hls = hlsim::compile(&op.kernel).map_err(|error| CompileError::Hls {
-                    op: op.name.clone(),
-                    error,
-                })?;
-                let p = Arc::new(crate::store::HlsProduct::new(hls.netlist, hls.report));
-                store.put(key, crate::store::StageProduct::Hls(p.clone()));
-                (p, false)
-            }
-        };
+        let mut filed = Vec::new();
+        let (product, hit) = crate::build::lower(op, (key, store.fetch_hls(key.hash)), &mut filed)?;
+        for (key, p) in filed {
+            store.put(key, p);
+        }
         report.record(crate::store::StageKind::HlsLower, hit);
         report.operators.push(crate::build::OperatorStages {
             name: op.name.clone(),

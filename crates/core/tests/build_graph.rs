@@ -181,3 +181,87 @@ fn stores_are_shared_across_opt_levels() {
     assert_eq!(report.executions(StageKind::HlsLower), 1);
     assert_eq!(report.executions(StageKind::PlaceRoute), 1);
 }
+
+/// `a → b → c → d`: `a` and `c` on hardware, `b` and `d` on softcores, each
+/// softcore operator with an array of the given number of 64-bit words (30
+/// 000 overflow a softcore page's memory). `d` does more work than `b`, so it
+/// leads the farm's longest-first order.
+fn mixed(words: [u64; 2]) -> Graph {
+    let soft = |name: &str, words: u64, passes: usize| {
+        let pass = Stmt::for_pipelined(
+            "i",
+            0..32,
+            [Stmt::read("x", "in"), Stmt::write("out", Expr::var("x"))],
+        );
+        KernelBuilder::new(name)
+            .input("in", Scalar::uint(32))
+            .output("out", Scalar::uint(32))
+            .local("x", Scalar::uint(32))
+            .array("buf", Scalar::uint(64), words)
+            .body(vec![pass; passes])
+            .build()
+            .unwrap()
+    };
+    let mut b = GraphBuilder::new("mixed");
+    let a = b.add("a", stage("a", 1), Target::hw_auto());
+    let s1 = b.add("b", soft("b", words[0], 1), Target::riscv_auto());
+    let c = b.add("c", stage("c", 2), Target::hw_auto());
+    let s2 = b.add("d", soft("d", words[1], 2), Target::riscv_auto());
+    b.ext_input("Input_1", a, "in");
+    b.connect("l1", a, "out", s1, "in");
+    b.connect("l2", s1, "out", c, "in");
+    b.connect("l3", c, "out", s2, "in");
+    b.ext_output("Output_1", s2, "out");
+    b.build().unwrap()
+}
+
+#[test]
+fn a_failed_chain_is_the_builds_error_and_the_healthy_ones_are_filed() {
+    let too_large = |e: &pld::CompileError| match e {
+        pld::CompileError::Softcore {
+            op,
+            error: softcore::CcError::MemoryTooLarge { .. },
+        } => Some(op.clone()),
+        _ => None,
+    };
+    for jobs in [1, 2] {
+        let opts = CompileOptions {
+            jobs,
+            ..CompileOptions::new(OptLevel::O1)
+        };
+        // One operator fails: its typed error, not a panicked job's.
+        let mut store = ArtifactStore::new();
+        let err = build(&mixed([30_000, 16]), &opts, &mut store).unwrap_err();
+        assert_eq!(
+            too_large(&err).as_deref(),
+            Some("b"),
+            "jobs = {jobs}: {err}"
+        );
+        // Every healthy chain is filed: both hardware pages whole, and the
+        // other softcore operator's compile and pack.
+        assert_eq!(store.count_kind(StageKind::HlsLower), 2);
+        assert_eq!(store.count_kind(StageKind::PlaceRoute), 2);
+        assert_eq!(store.count_kind(StageKind::SoftcoreCc), 1);
+        assert_eq!(store.count_kind(StageKind::BitstreamPack), 3);
+        assert_eq!(store.count_kind(StageKind::LinkDriver), 0);
+        // Fixed, the rebuild runs only the failed operator's chain (and the
+        // link).
+        let (_, report) = build(&mixed([16, 16]), &opts, &mut store).unwrap();
+        assert_eq!(report.hits(StageKind::HlsLower), 2);
+        assert_eq!(report.hits(StageKind::PlaceRoute), 2);
+        assert_eq!(report.hits(StageKind::SoftcoreCc), 1);
+        assert_eq!(report.hits(StageKind::BitstreamPack), 3);
+        assert_eq!(report.total_executions(), 3, "jobs = {jobs}");
+
+        // Two operators fail: the error is the first's in operator order,
+        // though the other's job is the longer one.
+        let mut store = ArtifactStore::new();
+        let err = build(&mixed([30_000, 30_000]), &opts, &mut store).unwrap_err();
+        assert_eq!(
+            too_large(&err).as_deref(),
+            Some("b"),
+            "jobs = {jobs}: {err}"
+        );
+        assert_eq!(store.count_kind(StageKind::PlaceRoute), 2);
+    }
+}

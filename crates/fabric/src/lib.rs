@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 //! FPGA device and page model (paper Sec. 4, Tab. 1, Fig. 8).
 //!
 //! Models a data-center FPGA as a grid of heterogeneous resource tiles —

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 //! High-level synthesis: kernel IR → macro-cell netlist.
 //!
 //! This crate plays Vitis_HLS's role in the paper's flows (the `hls_caller`

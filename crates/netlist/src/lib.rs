@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 //! Macro-cell netlists: the RTL-level artifact between HLS and place & route.
 //!
 //! In the paper's tool flow, Vitis_HLS compiles each operator's C to Verilog

@@ -117,14 +117,6 @@ pub enum FleetEvent {
     /// A resident app was displaced by QoS eviction.
     #[allow(missing_docs)]
     Evicted { app: FleetAppId, device: DeviceId },
-    /// An app moved between devices.
-    #[allow(missing_docs)]
-    Migrated {
-        app: FleetAppId,
-        from: DeviceId,
-        to: DeviceId,
-        downtime_seconds: f64,
-    },
 }
 
 /// Fleet operation failures.
@@ -597,6 +589,10 @@ impl Fleet {
     /// it on the destination, evicting within the tenant's class budget
     /// if needed. Returns the migration's downtime bill. On destination
     /// failure the app is restored onto its source device when possible.
+    /// No [`FleetEvent`] reports a migration: the evictions it makes on the
+    /// destination show only in the devices' counters
+    /// ([`FleetStats::per_device`]'s `evicted`) and the fleet's
+    /// ([`FleetStats::evicted`]).
     ///
     /// # Errors
     ///

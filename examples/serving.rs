@@ -206,16 +206,6 @@ fn report(fleet: &Fleet, events: &[FleetEvent]) {
             FleetEvent::Evicted { app, device } => {
                 println!("evicted `{}` from {device} (LRU)", name(app))
             }
-            FleetEvent::Migrated {
-                app,
-                from,
-                to,
-                downtime_seconds,
-            } => println!(
-                "migrated `{}` {from} -> {to} ({:.3} ms downtime)",
-                name(app),
-                downtime_seconds * 1e3
-            ),
         }
     }
 }

@@ -214,6 +214,8 @@ fn main() {
     let mut cursors = [0usize; 3];
     let mut served_ok = 0u64;
     let mut migrations_ok = 0u64;
+    // Per class, from the scheduling passes' events: the evictions a
+    // migration makes show only in the devices' counters.
     let mut evicted_per_tenant = [0u64; 3];
     let mut tenant_of = std::collections::HashMap::new();
     let mut next = 0;
@@ -373,12 +375,12 @@ fn main() {
         stats.submitted,
         stats.admitted,
         *rejected.borrow(),
-        evicted_per_tenant.iter().sum::<u64>(),
+        stats.per_device.iter().map(|d| d.evicted).sum::<u64>(),
         stats.migrations,
         t_run.elapsed().as_secs_f64()
     );
     println!(
-        "evictions by class: guaranteed(t0) {}, standard(t1) {}, revocable(t2) {}",
+        "admission evictions by class: guaranteed(t0) {}, standard(t1) {}, revocable(t2) {}",
         evicted_per_tenant[0], evicted_per_tenant[1], evicted_per_tenant[2]
     );
     println!(
