@@ -18,19 +18,25 @@
 //! crate-private `StageInputs` record: one variant per key shape, keyed by
 //! FNV-1a over its codec bytes.
 //!
-//! The plan fetches every stage it can key, and each operator whose chain
-//! misses a stage becomes one farm job that runs the rest of the chain: HLS
-//! (then, with the netlist in hand, the P&R probe) or the softcore compile,
-//! then P&R and packing. The jobs run in one round, submitted longest-first
-//! (LPT list scheduling) so the slowest page compile starts immediately —
-//! the paper's Sec. 6.2 observation that parallel compile time "is
-//! determined by the longest individual one" made concrete.
-//! [`crate::compile`] (with an ephemeral store), [`crate::BuildCache`] (a
-//! persistent store), and `pld-runtime`'s hot swap are all thin drivers over
-//! [`build`].
+//! One driver runs every build, of one graph or of a batch, at every level.
+//! It plans each graph by fetching every stage it can key, and each operator
+//! whose chain misses a stage becomes one farm job that runs the rest of the
+//! chain: HLS (then, with the netlist in hand, the P&R probe) or the
+//! softcore compile, then P&R and packing. Under `-O3` a chain is its HLS
+//! stage alone. The jobs of all the graphs run in one round, submitted
+//! longest-first (LPT list scheduling) so the slowest page compile starts
+//! immediately — the paper's Sec. 6.2 observation that parallel compile time
+//! "is determined by the longest individual one" made concrete. `-O3` adds a
+//! second round: each graph's stitch and monolithic P&R, one job per graph.
+//! Nothing is filed until the rounds are over, so every graph builds against
+//! the store as it stood before. [`build`] is a batch of one, [`build_batch`]
+//! a batch of many, and [`crate::BuildCache`] (a persistent store, which
+//! `pld-runtime`'s hot swap compiles through) a batch of one that also
+//! hands the driver the previous version of the graph.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Instant;
 
 use dfg::{extract, Graph, Target};
 use fabric::{PageId, Rect};
@@ -38,19 +44,20 @@ use pnr::PnrOptions;
 
 use kir::hash::debug_len;
 
-use crate::artifact::{Driver, Xclbin, XclbinKind};
+use crate::artifact::{Driver, LoadOp, Xclbin, XclbinKind};
 use crate::cache::CacheBackend;
 use crate::codec::{self, codec_enum, Codec};
 use crate::farm;
 use crate::flow::{
-    assign_pages, build_driver, compile_monolithic, fnv, source_hash, wrap_with_leaf_interface,
-    CompileError, CompileOptions, CompiledApp, CompiledOperator, OptLevel, OptSummary,
+    assign_pages, build_driver, fnv, monolithic, source_hash, wrap_with_leaf_interface,
+    CompileError, CompileOptions, CompiledApp, CompiledOperator, MonolithicInfo, OptLevel,
+    OptSummary,
 };
 use crate::store::{
     HintsProduct, HlsProduct, OptProduct, PnrProduct, SoftProduct, StageKey, StageKind,
     StageProduct,
 };
-use crate::vtime::PhaseTimes;
+use crate::vtime::{PhaseTimes, VtimeModel};
 
 /// Per-stage hit/execution counters for one build.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -325,7 +332,7 @@ type Staged<T> = (StageKey, Option<Arc<T>>);
 type Got<T> = (Arc<T>, bool);
 
 /// Products a farm job computed, filed once the round is over.
-pub(crate) type Filed = Vec<(StageKey, StageProduct)>;
+type Filed = Vec<(StageKey, StageProduct)>;
 
 /// A stage's product: the one the plan fetched, or `run`'s, queued in
 /// `filed` under the stage's key.
@@ -344,7 +351,7 @@ fn fetched_or<T>(
 }
 
 /// The `HlsLower` stage: `op`'s netlist as fetched, or its kernel lowered now.
-pub(crate) fn lower(
+fn lower(
     op: &dfg::OperatorInst,
     hls: Staged<HlsProduct>,
     filed: &mut Filed,
@@ -395,7 +402,7 @@ fn pack_page(at: &OpInputs<'_>, bitstream: &pnr::Bitstream) -> Xclbin {
     }
 }
 
-/// What one paged build's plan and farm jobs share.
+/// What one graph's plan and farm jobs share.
 #[derive(Clone, Copy)]
 struct Ctx<'a> {
     options: &'a CompileOptions,
@@ -612,19 +619,97 @@ fn place_route(
 /// One operator's stage chain with every product in hand: fetched by the
 /// plan, or run by the operator's farm job.
 enum Chain {
+    /// A hardware operator's netlist and, on its page, the netlist placed
+    /// and packed; under `-O3` the netlist alone.
     Hw {
         hls: Got<HlsProduct>,
-        pnr: Got<PnrProduct>,
-        pack: Got<Xclbin>,
-        /// `Some(hit)` when the P&R probe looked a warm-start hint up.
-        hint: Option<bool>,
-        /// `Some(fell_back)` when the chain attempted a hint-warmed P&R.
-        warm: Option<bool>,
+        page: Option<Placed>,
     },
     Soft {
         soft: Got<SoftProduct>,
         pack: Got<Xclbin>,
     },
+}
+
+/// A hardware operator's page: its P&R and pack.
+struct Placed {
+    pnr: Got<PnrProduct>,
+    pack: Got<Xclbin>,
+    /// `Some(hit)` when the P&R probe looked a warm-start hint up.
+    hint: Option<bool>,
+    /// `Some(fell_back)` when the chain attempted a hint-warmed P&R.
+    warm: Option<bool>,
+}
+
+impl Chain {
+    /// Records the chain in `report` — its stages, its from-scratch cost —
+    /// and returns what it cost this build: a stage the store served costs
+    /// nothing; the bit phase belongs to packing, riscv to the softcore
+    /// compile.
+    fn account(&self, vt: &VtimeModel, report: &mut BuildReport, name: &str) -> PhaseTimes {
+        use StageKind::*;
+        let (stages, fresh) = match self {
+            Chain::Hw { hls, page: None } => {
+                let hls_seconds = vt.hls_seconds(hls.0.report.hls_work);
+                let fresh = PhaseTimes {
+                    hls: hls_seconds,
+                    ..PhaseTimes::default()
+                };
+                (vec![(HlsLower, hls.1)], fresh)
+            }
+            Chain::Hw { hls, page: Some(p) } => {
+                let pnr = &p.pnr.0;
+                let (cells, bits) = (pnr.wrapped_cells, pnr.bitstream.config_bits);
+                let fresh = vt.hw_phases(hls.0.report.hls_work, cells, pnr.cold_work, bits);
+                let stages = vec![
+                    (HlsLower, hls.1),
+                    (PlaceRoute, p.pnr.1),
+                    (BitstreamPack, p.pack.1),
+                ];
+                (stages, fresh)
+            }
+            Chain::Soft { soft, pack } => {
+                let fresh = vt.soft_phases(soft.0.binary.load_bytes());
+                (vec![(SoftcoreCc, soft.1), (BitstreamPack, pack.1)], fresh)
+            }
+        };
+        let mut executed = fresh;
+        for &(kind, hit) in &stages {
+            report.record(kind, hit);
+            match (hit, kind) {
+                (false, _) => {}
+                (true, HlsLower | SoftcoreCc) => (executed.hls, executed.riscv) = (0.0, 0.0),
+                (true, PlaceRoute) => (executed.syn, executed.pnr) = (0.0, 0.0),
+                (true, _) => executed.bit = 0.0,
+            }
+        }
+        let hits = stages.iter().filter(|s| s.1).count() as u64;
+        report.operators.push(OperatorStages {
+            name: name.to_string(),
+            hits,
+            executions: stages.len() as u64 - hits,
+        });
+        if let Chain::Hw { page: Some(p), .. } = self {
+            if let Some(hit) = p.hint {
+                report.hint_fetches += 1;
+                report.hint_hits += hit as u64;
+            }
+            if let Some(fell_back) = p.warm {
+                report.warm_pnr_ops += 1;
+                report.warm_fallbacks += fell_back as u64;
+                if !fell_back {
+                    // A surviving warm run is priced by its own (small)
+                    // measured work at the warm fixed cost; the product's
+                    // cold work keeps fresh_vtime a from-scratch figure.
+                    executed.pnr = vt.pnr_warm_seconds(p.pnr.0.work_units);
+                }
+            }
+        }
+        report.fresh_vtime_serial = report.fresh_vtime_serial.add(&fresh);
+        report.fresh_vtime_parallel = report.fresh_vtime_parallel.parallel_max(&fresh);
+        report.critical_path_seconds = report.critical_path_seconds.max(executed.total());
+        executed
+    }
 }
 
 /// The stages of an operator's chain the plan's fetches left missing.
@@ -688,43 +773,58 @@ fn run_chain(
     let pack = fetched_or((pack_key, probe.pack), filed, StageProduct::Pack, || {
         Ok(pack_page(at, &pnr.0.bitstream))
     })?;
-    Ok(Chain::Hw {
-        hls,
+    let page = Some(Placed {
         pnr,
         pack,
         hint,
         warm,
-    })
+    });
+    Ok(Chain::Hw { hls, page })
 }
 
-/// Compiles a graph by materializing its stage DAG against `store` — any
-/// [`CacheBackend`]: the bare in-memory [`crate::ArtifactStore`], or a persistent
-/// [`crate::cache::TieredCache`] shared across processes.
-///
-/// Stages whose keys are present in the store are reused (a *hit*); missing
-/// stages are executed on the build farm, longest-first, and their products
-/// filed back. With an empty store this is exactly a fresh [`crate::compile`]
-/// — same artifacts, same hashes, same virtual times. The returned
-/// [`BuildReport`] says what ran and what the critical path cost.
-///
-/// The compiled app's `vtime` fields charge only the stages that executed
-/// (reused work costs nothing this build); the report's `fresh_vtime_*`
-/// fields carry the from-scratch cost for comparison.
-///
-/// # Errors
-///
-/// See [`CompileError`].
-pub fn build<C: CacheBackend + Send>(
-    graph: &Graph,
-    options: &CompileOptions,
-    store: &mut C,
-) -> Result<(CompiledApp, BuildReport), CompileError> {
-    let kernels = kernel_hashes(graph, None);
-    let source = Hashed {
-        graph,
-        kernels: &kernels,
-    };
-    build_with_prev(source, None, &mut Memo::default(), options, store)
+/// What one job of a build's first farm round runs.
+enum Job<'a> {
+    /// The rest of a paged operator's chain.
+    Chain(Ctx<'a>, OpInputs<'a>, Missing),
+    /// An `-O3` operator's netlist: that chain is its `HlsLower` stage.
+    Lower(&'a dfg::OperatorInst, StageKey),
+}
+
+/// A farm job's outcome as a build's result: a panic is
+/// [`CompileError::JobPanicked`] for `op`; any other failure is the job's own
+/// (a routing failure is already the job's [`CompileError::Pnr`]).
+pub(crate) fn settle<T>(
+    op: &str,
+    outcome: farm::JobOutcome<Result<T, CompileError>>,
+) -> Result<T, CompileError> {
+    let op = op.to_string();
+    (outcome.result).map_err(|message| CompileError::JobPanicked { op, message })?
+}
+
+/// One farm round of `jobs` — each `(graph, name, LPT cost, job)` —
+/// longest first. Each outcome is settled under its name and handed to its
+/// graph's plan with the job's wall seconds; a failure becomes the plan's
+/// error unless it has one already.
+fn round<'a, T: Send, F>(
+    plans: &mut [Plan<'a>],
+    jobs: Vec<(usize, &str, f64, F)>,
+    lanes: usize,
+    mut done: impl FnMut(&mut Plan<'a>, T, f64),
+) where
+    F: FnOnce() -> Result<T, CompileError> + Send,
+{
+    let (heads, jobs): (Vec<_>, Vec<_>) = (jobs.into_iter())
+        .map(|(g, name, cost, job)| ((g, name), (cost, job)))
+        .unzip();
+    for ((g, name), outcome) in heads.into_iter().zip(farm::run_jobs_lpt(jobs, lanes)) {
+        let wall_seconds = outcome.wall_seconds;
+        match settle(name, outcome) {
+            Ok(product) => done(&mut plans[g], product, wall_seconds),
+            Err(e) => {
+                plans[g].error.get_or_insert(e);
+            }
+        }
+    }
 }
 
 /// Hashes one build of an app leaves for the next build of it, which copies
@@ -739,74 +839,52 @@ pub(crate) struct Memo {
     pub(crate) opt: Option<Arc<OptProduct>>,
 }
 
-/// [`build`] for a graph whose kernels are already hashed, given the
-/// *previous* version of the graph as warm-start context. With
-/// [`CompileOptions::incremental_pnr`] on, a hardware operator whose netlist
-/// has no `PlaceRoute` product yet probes the [`StageKind::PnrHints`] filed
-/// when the previous version of that operator was placed and, on a hit,
-/// warm-starts from it (see [`pnr::place_and_route_incremental`]). `prev` is
-/// matched by operator name against the graph as supplied; when the KPN
-/// optimizer rewrites operator names the probe simply misses and the stage
-/// runs cold — hints are an optimization input, never a correctness input.
-/// `memo` holds what the previous build hashed, and is left holding this
-/// build's.
-pub(crate) fn build_with_prev<C: CacheBackend + Send>(
+/// One graph to build, its kernels hashed; its previous version, whose
+/// [`StageKind::PnrHints`] warm-start P&R with
+/// [`CompileOptions::incremental_pnr`] on (matched by operator name, so an
+/// operator the KPN optimizer renamed runs cold: hints are an optimization
+/// input, never a correctness input); and the memo of that version's build,
+/// left holding this one's.
+pub(crate) type Source<'a> = (Hashed<'a>, Option<Hashed<'a>>, &'a mut Memo);
+
+/// The `KpnOptimize` stage, run first and on the caller: keyed on (source
+/// graph, resolved config), so every per-kernel stage keys on the
+/// *optimized* kernels, whose hashes the product carries — fused/split
+/// operators cache like hand-written ones. A product run now comes back
+/// queued for filing.
+fn optimize<C: CacheBackend>(
     source: Hashed<'_>,
-    prev: Option<Hashed<'_>>,
     memo: &mut Memo,
     options: &CompileOptions,
     store: &mut C,
-) -> Result<(CompiledApp, BuildReport), CompileError> {
-    let t0 = std::time::Instant::now();
-    // The optimizer runs first, as its own content-addressed stage: keyed on
-    // (source graph, resolved config), so recompiles of an unchanged app
-    // reuse the rewritten graph, and every per-kernel stage below keys on
-    // the *optimized* kernels — fused/split operators cache like
-    // hand-written ones. The product carries those kernels' hashes.
-    let optimized = options.optimize.as_ref().map(|cfg| {
-        let config = resolve_optimizer(cfg, &options.floorplan);
-        let key = StageInputs::KpnOptimize {
-            graph: *memo.graph_hash.get_or_insert_with(|| graph_hash(source)),
-            config: config.clone(),
-        }
-        .key();
-        let opt = match store.fetch_opt(key.hash) {
-            Some(p) => (p, true),
-            None => {
-                let out = dfg::opt::optimize(source.graph, &config);
-                let summary = OptSummary {
-                    fused: out.report.fused,
-                    fissioned: out.report.fissioned,
-                    balance_before: out.report.balance_before,
-                    balance_after: out.report.balance_after,
-                };
-                let p = Arc::new(OptProduct::new(out.graph, summary, memo.opt.as_deref()));
-                store.put(key, StageProduct::Opt(p.clone()));
-                (p, false)
-            }
-        };
-        memo.opt = Some(opt.0.clone());
-        opt
-    });
-    let built = optimized.as_ref().map_or(source, |(p, _)| Hashed {
-        graph: p.graph(),
-        kernels: p.kernel_hashes(),
-    });
-
-    let ir = extract(built.graph);
-    let (mut app, mut report) = match options.level {
-        OptLevel::O3 => {
-            let mut report = BuildReport::default();
-            let app = compile_monolithic(built, ir, options, t0, store, &mut report)?;
-            (app, report)
-        }
-        OptLevel::O0 | OptLevel::O1 => build_paged(built, prev, ir, options, t0, store)?,
+) -> (Option<Got<OptProduct>>, Filed) {
+    let mut filed = Vec::new();
+    let Some(cfg) = &options.optimize else {
+        return (None, filed);
     };
-    if let Some((p, hit)) = optimized {
-        report.record(StageKind::KpnOptimize, hit);
-        app.opt = Some(p.summary.clone());
+    let config = resolve_optimizer(cfg, &options.floorplan);
+    let key = StageInputs::KpnOptimize {
+        graph: *memo.graph_hash.get_or_insert_with(|| graph_hash(source)),
+        config: config.clone(),
     }
-    Ok((app, report))
+    .key();
+    let opt = match store.fetch_opt(key.hash) {
+        Some(p) => (p, true),
+        None => {
+            let out = dfg::opt::optimize(source.graph, &config);
+            let summary = OptSummary {
+                fused: out.report.fused,
+                fissioned: out.report.fissioned,
+                balance_before: out.report.balance_before,
+                balance_after: out.report.balance_after,
+            };
+            let p = Arc::new(OptProduct::new(out.graph, summary, memo.opt.as_deref()));
+            filed.push((key, StageProduct::Opt(p.clone())));
+            (p, false)
+        }
+    };
+    memo.opt = Some(opt.0.clone());
+    (Some(opt), filed)
 }
 
 /// Clamps an optimizer config to what the floorplan can host: no more
@@ -825,31 +903,63 @@ fn resolve_optimizer(
     resolved
 }
 
-fn build_paged<C: CacheBackend + Send>(
-    built: Hashed<'_>,
-    prev: Option<Hashed<'_>>,
-    ir: dfg::DfgIr,
-    options: &CompileOptions,
-    t0: std::time::Instant,
-    store: &mut C,
-) -> Result<(CompiledApp, BuildReport), CompileError> {
-    let graph = built.graph;
-    let force_riscv = options.level == OptLevel::O0;
-    let pages = assign_pages(graph, &options.floorplan, force_riscv)?;
-    let cx = Ctx {
-        options,
-        device: fnv(&codec::encode(&options.floorplan.device)),
-        prev,
-    };
-    let mut report = BuildReport::default();
+/// One graph's build: planned against the shared store, completed by the
+/// farm rounds, and filed once they are over.
+struct Plan<'a> {
+    cx: Ctx<'a>,
+    /// The graph compiled: the source, or the optimizer's rewrite of it.
+    built: Hashed<'a>,
+    opt: Option<Got<OptProduct>>,
+    /// Each operator's page and stage inputs, in operator order: empty under
+    /// `-O3`, where no operator has a page.
+    ops: Vec<OpInputs<'a>>,
+    /// The chains in hand: the operator's index, its chain, and its job's
+    /// wall seconds.
+    chains: Vec<(usize, Chain, f64)>,
+    /// The `-O3` second round's design.
+    kernel: Option<(MonolithicInfo, pnr::Bitstream)>,
+    /// Products to file once the rounds are over, in operator order.
+    filed: Filed,
+    /// The first failure, in operator order.
+    error: Option<CompileError>,
+}
 
-    // Plan by fetch: one fetch per stage of every operator's chain, and a
-    // hit is the product in hand. A hardware operator's P&R keys on its
-    // netlist, so the plan probes it only with the netlist fetched. Whatever
-    // a fetch cannot serve — never built, or unreadable on disk — is a miss,
-    // and the operator gets one farm job that runs the rest of its chain.
-    let mut chains = Vec::with_capacity(graph.operators.len());
-    let mut jobs = Vec::new();
+/// Plans graph `g` by fetch: one fetch per stage of every operator's chain,
+/// and a hit is the product in hand. A hardware operator's P&R keys on its
+/// netlist, so the plan probes it only with the netlist fetched. Whatever a
+/// fetch cannot serve — never built, or unreadable on disk — is a miss, and
+/// the operator gets one farm job in `jobs` that runs the rest of its chain.
+/// Under `-O3` every chain is the `HlsLower` stage alone.
+fn plan<'a, C: CacheBackend>(
+    g: usize,
+    plan: &mut Plan<'a>,
+    store: &mut C,
+    jobs: &mut Vec<(usize, usize, f64, Job<'a>)>,
+) {
+    let (cx, built) = (plan.cx, plan.built);
+    let options = cx.options;
+    let graph = built.graph;
+    if options.level == OptLevel::O3 {
+        for (i, (op, &kernel)) in graph.operators.iter().zip(built.kernels).enumerate() {
+            let key = StageInputs::HlsLower { kernel }.key();
+            match store.fetch_hls(key.hash) {
+                Some(hls) => {
+                    let hls = (hls, true);
+                    plan.chains.push((i, Chain::Hw { hls, page: None }, 0.0));
+                }
+                None => {
+                    let cost = 1e5 + debug_len(&op.kernel) as f64;
+                    jobs.push((g, i, cost, Job::Lower(op, key)));
+                }
+            }
+        }
+        return;
+    }
+    let force_riscv = options.level == OptLevel::O0;
+    let pages = match assign_pages(graph, &options.floorplan, force_riscv) {
+        Ok(pages) => pages,
+        Err(e) => return plan.error = Some(e),
+    };
     for (i, ((op, &kernel), &(target, page))) in graph
         .operators
         .iter()
@@ -866,6 +976,7 @@ fn build_paged<C: CacheBackend + Send>(
             seed: options.seed ^ fnv(op.name.as_bytes()),
             src_hash: source_hash(kernel, target),
         };
+        plan.ops.push(at);
         let missing = match target {
             Target::Hw { .. } => {
                 let key = StageInputs::HlsLower { kernel }.key();
@@ -890,209 +1001,151 @@ fn build_paged<C: CacheBackend + Send>(
             }
         };
         match missing.weight() {
+            // A chain the plan fetched whole runs nothing.
             0.0 => {
-                let chain = run_chain(options, &at, missing, &mut Vec::new(), |netlist| {
-                    probe_pnr(store, &cx, &at, netlist)
-                })?;
-                chains.push((i, at, chain, 0.0));
+                let probe = |netlist| probe_pnr(store, &cx, &at, netlist);
+                match run_chain(options, &at, missing, &mut Vec::new(), probe) {
+                    Ok(chain) => plan.chains.push((i, chain, 0.0)),
+                    Err(e) => {
+                        plan.error.get_or_insert(e);
+                    }
+                }
             }
             // Only an operator with work to do pays for the walk over its
             // kernel's source text, which breaks LPT ties.
-            weight => jobs.push((i, at, weight + debug_len(&op.kernel) as f64, missing)),
-        }
-    }
-
-    // One round: every job runs its operator's whole chain, longest first.
-    // No job files anything while the round runs, and the keys past the
-    // front of a chain are the operator's own, so a job's fetches see what
-    // the plan's saw.
-    let heads: Vec<_> = jobs.iter().map(|&(i, at, ..)| (i, at)).collect();
-    let outcomes = {
-        let shared = Mutex::new(&mut *store);
-        let probe = |at: &OpInputs<'_>, netlist| {
-            // A fetch files at most one whole product in a faster tier, so a
-            // job that panicked mid-fetch leaves the store valid.
-            let mut store = shared.lock().unwrap_or_else(PoisonError::into_inner);
-            probe_pnr(&mut **store, &cx, at, netlist)
-        };
-        let jobs = jobs
-            .into_iter()
-            .map(|(_, at, cost, missing)| {
-                let job = move || {
-                    let mut filed = Vec::new();
-                    let chain = run_chain(options, &at, missing, &mut filed, |n| probe(&at, n))?;
-                    Ok::<_, CompileError>((chain, filed))
-                };
-                (cost, job)
-            })
-            .collect();
-        farm::run_jobs_lpt(jobs, options.jobs)
-    };
-    // File every finished chain's products, in operator order; the first
-    // failed operator's error is the build's.
-    let mut error = None;
-    for ((i, at), outcome) in heads.into_iter().zip(outcomes) {
-        let done = outcome.result.map_err(|message| CompileError::JobPanicked {
-            op: at.op.name.clone(),
-            message,
-        });
-        match done.and_then(|done| done) {
-            Ok((chain, filed)) => {
-                for (key, product) in filed {
-                    store.put(key, product);
-                }
-                chains.push((i, at, chain, outcome.wall_seconds));
-            }
-            Err(e) => {
-                error.get_or_insert(e);
+            weight => {
+                let cost = weight + debug_len(&op.kernel) as f64;
+                jobs.push((g, i, cost, Job::Chain(cx, at, missing)));
             }
         }
     }
-    if let Some(e) = error {
-        return Err(e);
-    }
-    chains.sort_by_key(|&(i, ..)| i);
+}
 
-    // Materialize: assemble the app from the chains in hand, and derive both
-    // the executed and the from-scratch virtual times from the stored work
-    // measures.
+/// Assembles one graph's app from the chains in hand, deriving both the
+/// executed and the from-scratch virtual times from the stored work
+/// measures. Returns it with the products the graph's build queued for
+/// filing, a failed build's included.
+fn finish<C: CacheBackend>(
+    plan: Plan<'_>,
+    t0: Instant,
+    store: &mut C,
+) -> (Result<(CompiledApp, BuildReport), CompileError>, Filed) {
+    if let Some(e) = plan.error {
+        return (Err(e), plan.filed);
+    }
+    let (options, built, ops, mut filed) = (plan.cx.options, plan.built, plan.ops, plan.filed);
+    let graph = built.graph;
     let vt = &options.vtime;
-    let mut artifacts = vec![Xclbin {
-        name: "overlay.xclbin".into(),
-        kind: XclbinKind::Overlay,
-        hash: 0,
-    }];
-    let mut operators = Vec::with_capacity(graph.operators.len());
-    let mut serial = PhaseTimes::default();
-    let mut parallel = PhaseTimes::default();
-    let mut fresh_serial = PhaseTimes::default();
-    let mut fresh_parallel = PhaseTimes::default();
-    let mut critical = 0.0f64;
-
-    for (_, at, chain, wall_seconds) in chains {
-        let mut warm_pnr_seconds = None;
-        let (front_hit, pnr_hit, pack, hls, timing, soft, fresh) = match chain {
-            Chain::Hw {
-                hls,
-                pnr,
-                pack,
-                hint,
-                warm,
-            } => {
-                report.record(StageKind::HlsLower, hls.1);
-                report.record(StageKind::PlaceRoute, pnr.1);
-                if let Some(hit) = hint {
-                    report.hint_fetches += 1;
-                    report.hint_hits += hit as u64;
-                }
-                if let Some(fell_back) = warm {
-                    report.warm_pnr_ops += 1;
-                    if fell_back {
-                        report.warm_fallbacks += 1;
-                    } else {
-                        // A surviving warm run is priced by its own (small)
-                        // measured work at the warm fixed cost; the
-                        // product's cold work keeps fresh_vtime a
-                        // from-scratch figure.
-                        warm_pnr_seconds = Some(vt.pnr_warm_seconds(pnr.0.work_units));
-                    }
-                }
-                let fresh = vt.hw_phases(
-                    hls.0.report.hls_work,
-                    pnr.0.wrapped_cells,
-                    pnr.0.cold_work,
-                    pnr.0.bitstream.config_bits,
-                );
-                let (report, timing) = (hls.0.report.clone(), pnr.0.timing.clone());
-                (
-                    hls.1,
-                    Some(pnr.1),
-                    pack,
-                    Some(report),
-                    Some(timing),
-                    None,
-                    fresh,
-                )
-            }
-            Chain::Soft { soft, pack } => {
-                report.record(StageKind::SoftcoreCc, soft.1);
-                let fresh = vt.soft_phases(soft.0.binary.load_bytes());
-                let binary = Some(soft.0.binary.clone());
-                (soft.1, None, pack, None, None, binary, fresh)
-            }
-        };
-        report.record(StageKind::BitstreamPack, pack.1);
-        let hits = front_hit as u64 + pnr_hit.unwrap_or(false) as u64 + pack.1 as u64;
-        report.operators.push(OperatorStages {
-            name: at.op.name.clone(),
-            hits,
-            executions: 2 + pnr_hit.is_some() as u64 - hits,
+    let mut report = BuildReport::default();
+    let mut artifacts = Vec::new();
+    if options.level != OptLevel::O3 {
+        artifacts.push(Xclbin {
+            name: "overlay.xclbin".into(),
+            kind: XclbinKind::Overlay,
+            hash: 0,
         });
-
-        // Executed time: reused stages cost nothing this build. The bit
-        // phase belongs to packing, riscv to the softcore compile.
-        let pnr_hit = pnr_hit.unwrap_or(false);
-        let executed = PhaseTimes {
-            hls: if front_hit { 0.0 } else { fresh.hls },
-            syn: if pnr_hit { 0.0 } else { fresh.syn },
-            pnr: if pnr_hit {
-                0.0
-            } else {
-                warm_pnr_seconds.unwrap_or(fresh.pnr)
-            },
-            bit: if pack.1 { 0.0 } else { fresh.bit },
-            riscv: if front_hit { 0.0 } else { fresh.riscv },
-        };
+    }
+    let mut operators = Vec::with_capacity(graph.operators.len());
+    let [mut serial, mut parallel] = [PhaseTimes::default(); 2];
+    for (i, chain, wall_seconds) in plan.chains {
+        let op = &graph.operators[i];
+        let executed = chain.account(vt, &mut report, &op.name);
         serial = serial.add(&executed);
         parallel = parallel.parallel_max(&executed);
-        fresh_serial = fresh_serial.add(&fresh);
-        fresh_parallel = fresh_parallel.parallel_max(&fresh);
-        critical = critical.max(executed.total());
 
-        let idx = artifacts.len();
-        artifacts.push(Xclbin::clone(&pack.0));
+        let (hls, timing, soft, pack) = match chain {
+            Chain::Hw { hls, page } => {
+                let timing = page.as_ref().map(|p| p.pnr.0.timing.clone());
+                let report = Some(hls.0.report.clone());
+                (report, timing, None, page.map(|p| p.pack.0))
+            }
+            Chain::Soft { soft, pack } => (None, None, Some(soft.0.binary.clone()), Some(pack.0)),
+        };
+        let artifact = pack.map(|pack| {
+            artifacts.push(Xclbin::clone(&pack));
+            artifacts.len() - 1
+        });
+        // An `-O3` operator has no page, and its HLS stage is priced in the
+        // app's times alone.
+        let (target, page, source_hash, vtime) = match ops.get(i) {
+            Some(at) => (at.target, Some(at.page), at.src_hash, executed),
+            None => {
+                let src_hash = source_hash(built.kernels[i], op.target);
+                (op.target, None, src_hash, PhaseTimes::default())
+            }
+        };
         operators.push(CompiledOperator {
-            name: at.op.name.clone(),
-            target: at.target,
-            page: Some(at.page),
-            artifact: Some(idx),
+            name: op.name.clone(),
+            target,
+            page,
+            artifact,
             hls,
             timing,
             soft,
-            vtime: executed,
+            vtime,
             wall_seconds,
-            source_hash: at.src_hash,
+            source_hash,
         });
     }
 
-    // The app-wide link/driver stage: keyed on the dataflow IR, the page
-    // map, and every artifact's content hash.
-    let n_pages = options.floorplan.pages.len() as u16;
-    let driver_key = StageInputs::LinkDriver {
-        ir: fnv(&codec::encode(&ir)),
-        pages: n_pages,
-        placed: (pages.iter().zip(&artifacts[1..]))
-            .map(|(&(_, page), artifact)| (page, artifact.hash))
-            .collect(),
-    }
-    .key();
-    let driver = match store.fetch_driver(driver_key.hash) {
-        Some(d) => {
-            report.record(StageKind::LinkDriver, true);
-            Driver::clone(&d)
+    let ir = extract(graph);
+    let (driver, monolithic) = match plan.kernel {
+        // The monolithic synthesis, P&R and bitgen always run: they have no
+        // separately reusable parts, exactly the paper's complaint.
+        Some((info, bitstream)) => {
+            let mono = PhaseTimes {
+                syn: vt.syn_seconds(info.netlist.cell_count() as u64),
+                pnr: vt.pnr_seconds(info.work_units),
+                bit: vt.bit_seconds(bitstream.config_bits),
+                ..PhaseTimes::default()
+            };
+            serial = serial.add(&mono);
+            parallel = serial;
+            let fresh = report.fresh_vtime_serial.add(&mono);
+            (report.fresh_vtime_serial, report.fresh_vtime_parallel) = (fresh, fresh);
+            report.critical_path_seconds = serial.total();
+            report.record(StageKind::PlaceRoute, false);
+            report.record(StageKind::BitstreamPack, false);
+            artifacts.push(Xclbin {
+                name: "kernel.xclbin".into(),
+                hash: bitstream.payload_hash,
+                kind: XclbinKind::Kernel { bitstream },
+            });
+            let loads = vec![LoadOp::PageBitstream { artifact: 0 }];
+            let driver = Driver {
+                loads,
+                links: Vec::new(),
+            };
+            (driver, Some(info))
         }
+        // The app-wide link/driver stage: keyed on the dataflow IR, the page
+        // map, and every artifact's content hash.
         None => {
-            let d = build_driver(&ir, &pages, &artifacts, n_pages);
-            store.put(driver_key, StageProduct::Driver(Arc::new(d.clone())));
-            report.record(StageKind::LinkDriver, false);
-            d
+            let pages: Vec<_> = ops.iter().map(|at| (at.target, at.page)).collect();
+            let n_pages = options.floorplan.pages.len() as u16;
+            let driver_key = StageInputs::LinkDriver {
+                ir: fnv(&codec::encode(&ir)),
+                pages: n_pages,
+                placed: (pages.iter().zip(&artifacts[1..]))
+                    .map(|(&(_, page), artifact)| (page, artifact.hash))
+                    .collect(),
+            }
+            .key();
+            let fetched = store.fetch_driver(driver_key.hash);
+            report.record(StageKind::LinkDriver, fetched.is_some());
+            let driver = fetched.unwrap_or_else(|| {
+                let d = Arc::new(build_driver(&ir, &pages, &artifacts, n_pages));
+                filed.push((driver_key, StageProduct::Driver(d.clone())));
+                d
+            });
+            (Driver::clone(&driver), None)
         }
     };
 
-    report.critical_path_seconds = critical;
-    report.fresh_vtime_serial = fresh_serial;
-    report.fresh_vtime_parallel = fresh_parallel;
-
+    let opt = plan.opt.map(|(p, hit)| {
+        report.record(StageKind::KpnOptimize, hit);
+        p.summary.clone()
+    });
     let app = CompiledApp {
         graph: graph.clone(),
         level: options.level,
@@ -1101,53 +1154,180 @@ fn build_paged<C: CacheBackend + Send>(
         artifacts,
         driver,
         ir,
-        monolithic: None,
+        monolithic,
         vtime_serial: serial,
         vtime_parallel: parallel,
         wall_seconds: t0.elapsed().as_secs_f64(),
-        opt: None,
+        opt,
     };
-    Ok((app, report))
+    (Ok((app, report)), filed)
 }
 
-/// Compiles a batch of graphs concurrently on the build farm — the
+/// The one build driver (see the [module docs](self)), its rounds on `lanes`
+/// lanes. A job's P&R probes go through the store under a mutex; once the
+/// rounds are over, each graph's products are filed in (graph, operator)
+/// order, a failed graph's healthy chains included. Results come back in
+/// `sources` order; a graph's error is its first failed operator's.
+pub(crate) fn build_graphs<C: CacheBackend>(
+    sources: Vec<Source<'_>>,
+    options: &CompileOptions,
+    store: &mut C,
+    lanes: usize,
+) -> Vec<Result<(CompiledApp, BuildReport), CompileError>> {
+    let t0 = Instant::now();
+    let device = fnv(&codec::encode(&options.floorplan.device));
+    let optimized: Vec<_> = (sources.into_iter())
+        .map(|(source, prev, memo)| (source, prev, optimize(source, memo, options, store)))
+        .collect();
+    let mut jobs = Vec::new();
+    let mut plans: Vec<_> = (optimized.iter().enumerate())
+        .map(|(g, (source, prev, (opt, filed)))| {
+            let built = opt.as_ref().map_or(*source, |(p, _)| Hashed {
+                graph: p.graph(),
+                kernels: p.kernel_hashes(),
+            });
+            let mut p = Plan {
+                cx: Ctx {
+                    options,
+                    device,
+                    prev: *prev,
+                },
+                built,
+                opt: opt.clone(),
+                ops: Vec::new(),
+                chains: Vec::new(),
+                kernel: None,
+                filed: filed.clone(),
+                error: None,
+            };
+            plan(g, &mut p, store, &mut jobs);
+            p
+        })
+        .collect();
+
+    // The first round: every job runs its operator's whole chain. The keys
+    // past the front of a chain are the operator's own, and no job files
+    // anything while the round runs, so a job's fetches see what the plan's
+    // saw.
+    {
+        let shared = Mutex::new(&mut *store);
+        let probe = |cx: &Ctx<'_>, at: &OpInputs<'_>, netlist| {
+            // A fetch files at most one whole product in a faster tier, so a
+            // job that panicked mid-fetch leaves the store valid.
+            let mut store = shared.lock().unwrap_or_else(PoisonError::into_inner);
+            probe_pnr(&mut **store, cx, at, netlist)
+        };
+        let jobs = (jobs.into_iter())
+            .map(|(g, i, cost, job)| {
+                let name = plans[g].built.graph.operators[i].name.as_str();
+                let job = move || {
+                    let mut filed = Vec::new();
+                    let chain = match job {
+                        Job::Chain(cx, at, missing) => {
+                            run_chain(options, &at, missing, &mut filed, |n| probe(&cx, &at, n))?
+                        }
+                        Job::Lower(op, key) => Chain::Hw {
+                            hls: lower(op, (key, None), &mut filed)?,
+                            page: None,
+                        },
+                    };
+                    Ok((i, chain, filed))
+                };
+                (g, name, cost, job)
+            })
+            .collect();
+        round(&mut plans, jobs, lanes, |plan, (i, chain, filed), wall| {
+            plan.filed.extend(filed);
+            plan.chains.push((i, chain, wall));
+        });
+    }
+    for plan in &mut plans {
+        plan.chains.sort_by_key(|&(i, ..)| i);
+    }
+
+    // The second round, `-O3` only: each graph's netlists stitched with
+    // hardware FIFOs (the kernel generator of Fig. 7) and placed and routed
+    // as one design, one job per graph.
+    if options.level == OptLevel::O3 {
+        let jobs = (plans.iter().enumerate())
+            .filter(|(_, plan)| plan.error.is_none())
+            .map(|(g, plan)| {
+                let netlists: Vec<_> = (plan.chains.iter())
+                    .filter_map(|(_, chain, _)| match chain {
+                        Chain::Hw { hls, .. } => Some(hls.0.clone()),
+                        Chain::Soft { .. } => None,
+                    })
+                    .collect();
+                let cost: usize = netlists.iter().map(|h| h.netlist().cell_count()).sum();
+                let graph = plan.built.graph;
+                let job = move || monolithic(graph, netlists.iter().map(|h| h.netlist()), options);
+                (g, graph.name.as_str(), cost as f64, job)
+            })
+            .collect();
+        round(&mut plans, jobs, lanes, |plan, kernel, _| {
+            plan.kernel = Some(kernel);
+        });
+    }
+
+    let mut results = Vec::with_capacity(plans.len());
+    let mut filed = Vec::new();
+    for plan in plans {
+        let (result, products) = finish(plan, t0, store);
+        results.push(result);
+        filed.extend(products);
+    }
+    for (key, product) in filed {
+        store.put(key, product);
+    }
+    results
+}
+
+/// Compiles a graph by materializing its stage DAG against `store` — any
+/// [`CacheBackend`]: the bare in-memory [`crate::ArtifactStore`], or a persistent
+/// [`crate::cache::TieredCache`] shared across processes.
+///
+/// Stages whose keys are present in the store are reused (a *hit*); missing
+/// stages are executed on the build farm, longest-first, and their products
+/// filed back. With an empty store this is exactly a fresh [`crate::compile`]
+/// — same artifacts, same hashes, same virtual times. The returned
+/// [`BuildReport`] says what ran and what the critical path cost.
+///
+/// The compiled app's `vtime` fields charge only the stages that executed
+/// (reused work costs nothing this build); the report's `fresh_vtime_*`
+/// fields carry the from-scratch cost for comparison.
+///
+/// # Errors
+///
+/// See [`CompileError`].
+pub fn build<C: CacheBackend + Send>(
+    graph: &Graph,
+    options: &CompileOptions,
+    store: &mut C,
+) -> Result<(CompiledApp, BuildReport), CompileError> {
+    build_batch(std::slice::from_ref(graph), options, store, options.jobs).swap_remove(0)
+}
+
+/// Compiles a batch of graphs together on the build farm — the
 /// admission-compile path of a serving fleet, where many tenants' apps
-/// arrive at once. Each job builds against a [`CacheBackend::snapshot`] of
-/// the warm `store` (stage hits carry over), and every job's new stage
-/// products are absorbed back afterwards; content addressing makes the
-/// merge a plain union. Results come back in input order. A panicked job
-/// is reported as [`CompileError::JobPanicked`] without sinking the rest
-/// of the batch.
+/// arrive at once. Every graph is planned against the warm `store`, the
+/// missing stages of all of them run in one farm round on `workers` lanes,
+/// and the new products are filed afterwards: each graph builds against the
+/// store as it stood before the batch, exactly as a lone [`build`] would.
+/// Results come back in input order. A failed or panicked stage is its
+/// graph's error ([`CompileError::JobPanicked`] for a panic) without sinking
+/// the rest of the batch.
 pub fn build_batch<C: CacheBackend>(
     graphs: &[Graph],
     options: &CompileOptions,
     store: &mut C,
     workers: usize,
 ) -> Vec<Result<(CompiledApp, BuildReport), CompileError>> {
-    let jobs: Vec<_> = graphs
-        .iter()
-        .map(|graph| {
-            let mut job_store = store.snapshot();
-            move || {
-                let result = build(graph, options, &mut job_store);
-                (result, job_store)
-            }
-        })
+    let kernels: Vec<_> = graphs.iter().map(|g| kernel_hashes(g, None)).collect();
+    let mut memos: Vec<_> = graphs.iter().map(|_| Memo::default()).collect();
+    let sources = (graphs.iter().zip(&kernels).zip(&mut memos))
+        .map(|((graph, kernels), memo)| (Hashed { graph, kernels }, None, memo))
         .collect();
-    let mut results = Vec::with_capacity(graphs.len());
-    for outcome in farm::run_jobs(jobs, workers) {
-        match outcome.result {
-            Ok((result, job_store)) => {
-                store.absorb(job_store);
-                results.push(result);
-            }
-            Err(message) => results.push(Err(CompileError::JobPanicked {
-                op: format!("batch job {}", outcome.index),
-                message,
-            })),
-        }
-    }
-    results
+    build_graphs(sources, options, store, workers)
 }
 
 #[cfg(test)]

@@ -7,10 +7,11 @@
 //! extended from one editor session to a whole team (and a whole serving
 //! fleet) sharing one store directory.
 //!
-//! * [`CacheBackend`] — the trait every build driver ([`crate::build()`],
-//!   [`crate::build_batch`], [`crate::BuildCache`], the runtime's hot swap)
-//!   is generic over. [`ArtifactStore`] implements it (memory-only), and so
-//!   does [`TieredCache`].
+//! * [`CacheBackend`] — what the build driver needs of a cache:
+//!   [`crate::build()`] and [`crate::build_batch`] are generic over it, and
+//!   [`crate::BuildCache`] builds through a [`TieredCache`].
+//!   [`ArtifactStore`] implements it (memory-only), and so does
+//!   [`TieredCache`].
 //! * [`TieredCache`] — L1 in-memory store over an optional L2
 //!   [`DiskCache`]; fetches promote L2 products into L1, puts write
 //!   through. Opening the same directory from many processes (or many
@@ -49,9 +50,9 @@ macro_rules! typed_fetches {
 /// the product in hand — a shared handle, never a copy — while a miss of any
 /// cause (absent, unreadable on disk) means the stage runs. A fetch
 /// may promote across tiers, hence `&mut self`. New products are filed with
-/// [`CacheBackend::put`]. Batch compiles take a [`CacheBackend::snapshot`]
-/// per farm job and [`CacheBackend::absorb`] the results back.
-pub trait CacheBackend {
+/// [`CacheBackend::put`]. A build's farm jobs probe P&R through the one
+/// cache under a mutex, so a backend can be sent across the farm's lanes.
+pub trait CacheBackend: Send {
     /// Whether a product is indexed under `key` in any tier. An index is not
     /// a promise: only [`CacheBackend::fetch`] says whether the product can
     /// still be read.
@@ -76,21 +77,6 @@ pub trait CacheBackend {
     /// Number of visible products of one stage kind.
     fn count_kind(&self, kind: StageKind) -> usize;
 
-    /// A self-contained in-memory view of every visible product — what a
-    /// farm job builds against so it never touches the shared cache.
-    fn snapshot(&self) -> ArtifactStore;
-
-    /// Absorbs a job's store: every entry not already present is filed
-    /// (write-through on tiered backends). Entries already present are
-    /// left alone — the keep-first collision policy.
-    fn absorb(&mut self, delta: ArtifactStore) {
-        for (key, product) in delta.into_entries() {
-            if !self.contains(key) {
-                self.put(key, product);
-            }
-        }
-    }
-
     typed_fetches! {
         /// Typed fetch of an HLS product.
         fn fetch_hls: HlsLower => Hls(HlsProduct);
@@ -110,7 +96,7 @@ pub trait CacheBackend {
 }
 
 /// The in-memory store is the memory-only backend (and the L1 of
-/// [`TieredCache`]): exactly the pre-refactor behavior.
+/// [`TieredCache`]).
 impl CacheBackend for ArtifactStore {
     fn contains(&self, key: StageKey) -> bool {
         self.get(key).is_some()
@@ -130,14 +116,6 @@ impl CacheBackend for ArtifactStore {
 
     fn count_kind(&self, kind: StageKind) -> usize {
         ArtifactStore::count_kind(self, kind)
-    }
-
-    fn snapshot(&self) -> ArtifactStore {
-        self.clone()
-    }
-
-    fn absorb(&mut self, delta: ArtifactStore) {
-        self.merge(delta);
     }
 }
 
@@ -244,20 +222,6 @@ impl CacheBackend for TieredCache {
     fn count_kind(&self, kind: StageKind) -> usize {
         self.l1.count_kind(kind) + self.l2_only().filter(|k| k.kind == kind).count()
     }
-
-    fn snapshot(&self) -> ArtifactStore {
-        // L1 is shared by handle; only products no one has fetched yet are
-        // read off disk.
-        let mut view = self.l1.clone();
-        if let Some(l2) = &self.l2 {
-            for key in self.l2_only() {
-                if let Some(product) = l2.read(key) {
-                    view.insert(key, product);
-                }
-            }
-        }
-        view
-    }
 }
 
 impl Drop for TieredCache {
@@ -315,7 +279,8 @@ mod tests {
         for h in 0..4 {
             assert_eq!(tiered.fetch(key(h)), plain.fetch(key(h)));
         }
-        assert_eq!(tiered.snapshot(), plain.snapshot());
+        // Every fetch served from L1: it holds what the plain store holds.
+        assert_eq!(tiered.l1(), &plain);
     }
 
     #[test]

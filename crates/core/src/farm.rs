@@ -7,15 +7,17 @@
 //! longest individual one instead of the total" (Sec. 6.2). This module is
 //! the local analogue: a fixed number of lanes executing independent jobs
 //! and reporting per-job times. Its jobs are the build's per-operator
-//! chains, one round per build on `CompileOptions::jobs` lanes: each runs
-//! its operator's missing stages, HLS or the softcore compile through P&R
-//! and packing, and its keys past the front of the chain are the
-//! operator's own. The `-O0`/`-O1` perf models' per-operator softcore runs
-//! are jobs too (on [`host_lanes`] lanes): the operators sit on separate
-//! softcores, so each run depends only on its traced inputs.
-//! The thread that submits a batch works one of the lanes itself, so a
-//! batch of `n` jobs on `workers` lanes spawns `min(workers, n) - 1`
-//! threads: none at all for an empty plan, a single job or `workers = 1`.
+//! chains, one round per build — of one graph or of a batch — on
+//! `CompileOptions::jobs` lanes (`build_batch`'s `workers`): each runs its
+//! operator's missing stages, HLS or the softcore compile through P&R and
+//! packing (under `-O3`, HLS alone), and its keys past the front of the
+//! chain are the operator's own. `-O3` adds a second round, one stitch and
+//! monolithic P&R per graph. The `-O0`/`-O1` perf models' per-operator
+//! softcore runs are jobs too (on [`host_lanes`] lanes): the operators sit on
+//! separate softcores, so each run depends only on its traced inputs. The
+//! thread that submits a round works one of the lanes itself, so `n` jobs on
+//! `workers` lanes spawn `min(workers, n) - 1` threads: none at all for an
+//! empty plan, a single job or `workers = 1`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;

@@ -456,81 +456,30 @@ pub fn monolithic_region(floorplan: &Floorplan) -> Rect {
     Rect::new(2, 0, d.width - 2, d.height)
 }
 
-/// Runs the monolithic P&R as a one-job farm run on the caller: a panic is
-/// a [`CompileError::JobPanicked`], a routing failure the compile's
-/// [`CompileError::Pnr`].
-fn run_pnr_job<T: Send>(
-    name: &str,
-    job: impl FnOnce() -> Result<T, pnr::PnrError> + Send,
-) -> Result<T, CompileError> {
-    let outcome = crate::farm::run_jobs(vec![job], 1).pop();
-    let op = name.to_string();
-    match outcome.expect("one job, one outcome").result {
-        Ok(result) => result.map_err(|error| CompileError::Pnr { op, error }),
-        Err(message) => Err(CompileError::JobPanicked { op, message }),
-    }
-}
-
-pub(crate) fn compile_monolithic<C: crate::cache::CacheBackend>(
-    built: crate::build::Hashed<'_>,
-    ir: DfgIr,
+/// The `-O3` design: every operator's HLS netlist, in graph operator order,
+/// stitched into one kernel by the kernel generator of Fig. 7 — a
+/// [`CompileOptions::link_style`] link per internal edge — then placed and
+/// routed on the whole device. Returns it with its bitstream; a routing
+/// failure is the graph's [`CompileError::Pnr`].
+pub(crate) fn monolithic<'n>(
+    graph: &Graph,
+    netlists: impl Iterator<Item = &'n Netlist>,
     options: &CompileOptions,
-    t0: std::time::Instant,
-    store: &mut C,
-    report: &mut crate::build::BuildReport,
-) -> Result<CompiledApp, CompileError> {
-    // HLS every operator — through the shared store, so a netlist already
-    // lowered for a paged compile is reused here — then stitch with hardware
-    // FIFOs (the kernel generator of Fig. 7). The monolithic P&R itself has
-    // no separately reusable parts: exactly the paper's complaint.
-    let graph = built.graph;
+) -> Result<(MonolithicInfo, pnr::Bitstream), CompileError> {
     let mut kernel_netlist = Netlist::new(format!("{}_kernel", graph.name));
-    let mut offsets = Vec::new();
-    let mut operators = Vec::with_capacity(graph.operators.len());
-    let mut hls_executed = 0.0;
-    let mut hls_fresh = 0.0;
-    let mut reports = Vec::new();
+    let offsets: Vec<usize> = netlists.map(|n| kernel_netlist.absorb(n)).collect();
 
-    for (op, &khash) in graph.operators.iter().zip(built.kernels) {
-        let key = crate::build::StageInputs::HlsLower { kernel: khash }.key();
-        let mut filed = Vec::new();
-        let (product, hit) = crate::build::lower(op, (key, store.fetch_hls(key.hash)), &mut filed)?;
-        for (key, p) in filed {
-            store.put(key, p);
-        }
-        report.record(crate::store::StageKind::HlsLower, hit);
-        report.operators.push(crate::build::OperatorStages {
-            name: op.name.clone(),
-            hits: hit as u64,
-            executions: !hit as u64,
-        });
-        let seconds = options.vtime.hls_seconds(product.report.hls_work);
-        hls_fresh += seconds;
-        if !hit {
-            hls_executed += seconds;
-        }
-        offsets.push(kernel_netlist.absorb(product.netlist()));
-        reports.push(product.report.clone());
-    }
-
-    // FIFO per internal link, wired between the stream interface cells.
+    // One link per internal edge, wired between the stream interface cells.
     for edge in &graph.edges {
-        let from_off = offsets[edge.from.0 .0];
-        let to_off = offsets[edge.to.0 .0];
-        let out_name = format!("out_{}", edge.from.1);
-        let in_name = format!("in_{}", edge.to.1);
-        let from_cell = kernel_netlist
-            .cells
-            .iter()
-            .enumerate()
-            .position(|(i, c)| i >= from_off && c.name == out_name)
-            .map(netlist::CellId);
-        let to_cell = kernel_netlist
-            .cells
-            .iter()
-            .enumerate()
-            .position(|(i, c)| i >= to_off && c.name == in_name)
-            .map(netlist::CellId);
+        let cell = |op: usize, name: String| {
+            let first = offsets[op];
+            let at = kernel_netlist.cells[first..]
+                .iter()
+                .position(|c| c.name == name);
+            at.map(|i| netlist::CellId(first + i))
+        };
+        let from_cell = cell(edge.from.0 .0, format!("out_{}", edge.from.1));
+        let to_cell = cell(edge.to.0 .0, format!("in_{}", edge.to.1));
         if let (Some(f), Some(t)) = (from_cell, to_cell) {
             let w = edge.elem.width();
             match options.link_style {
@@ -562,84 +511,25 @@ pub(crate) fn compile_monolithic<C: crate::cache::CacheBackend>(
             }
         }
     }
-
-    let device = &options.floorplan.device;
-    let region = monolithic_region(&options.floorplan);
     let opts = PnrOptions {
         seed: options.seed,
         abstract_shell: true,
         effort: 1.0,
     };
-    let result = run_pnr_job(&graph.name, || {
-        place_and_route(&kernel_netlist, device, region, &opts)
-    })?;
-
-    // Executed cost: HLS stages served from the store are free; the
-    // monolithic synthesis, P&R and bitgen always run.
-    let vtime = PhaseTimes {
-        hls: hls_executed,
-        syn: options
-            .vtime
-            .syn_seconds(kernel_netlist.cell_count() as u64),
-        pnr: options.vtime.pnr_seconds(result.work_units),
-        bit: options.vtime.bit_seconds(result.bitstream.config_bits),
-        riscv: 0.0,
+    let region = monolithic_region(&options.floorplan);
+    let pnr_error = |error| CompileError::Pnr {
+        op: graph.name.clone(),
+        error,
     };
-    report.record(crate::store::StageKind::PlaceRoute, false);
-    report.record(crate::store::StageKind::BitstreamPack, false);
-    report.critical_path_seconds = vtime.total();
-    report.fresh_vtime_serial = PhaseTimes {
-        hls: hls_fresh,
-        ..vtime
+    let result = place_and_route(&kernel_netlist, &options.floorplan.device, region, &opts)
+        .map_err(pnr_error)?;
+    let info = MonolithicInfo {
+        netlist: kernel_netlist,
+        offsets,
+        timing: result.timing,
+        work_units: result.work_units,
     };
-    report.fresh_vtime_parallel = report.fresh_vtime_serial;
-
-    for ((op, report), &khash) in graph.operators.iter().zip(reports).zip(built.kernels) {
-        operators.push(CompiledOperator {
-            name: op.name.clone(),
-            target: op.target,
-            page: None,
-            artifact: None,
-            hls: Some(report),
-            timing: None,
-            soft: None,
-            vtime: PhaseTimes::default(),
-            wall_seconds: 0.0,
-            source_hash: source_hash(khash, op.target),
-        });
-    }
-
-    let bitstream_hash = result.bitstream.payload_hash;
-    let artifacts = vec![Xclbin {
-        name: "kernel.xclbin".into(),
-        kind: XclbinKind::Kernel {
-            bitstream: result.bitstream,
-        },
-        hash: bitstream_hash,
-    }];
-
-    Ok(CompiledApp {
-        graph: graph.clone(),
-        level: OptLevel::O3,
-        floorplan: options.floorplan.clone(),
-        operators,
-        artifacts,
-        driver: Driver {
-            loads: vec![LoadOp::PageBitstream { artifact: 0 }],
-            links: Vec::new(),
-        },
-        ir,
-        monolithic: Some(MonolithicInfo {
-            netlist: kernel_netlist,
-            offsets,
-            timing: result.timing,
-            work_units: result.work_units,
-        }),
-        vtime_serial: vtime,
-        vtime_parallel: vtime,
-        wall_seconds: t0.elapsed().as_secs_f64(),
-        opt: None,
-    })
+    Ok((info, result.bitstream))
 }
 
 #[cfg(test)]
@@ -726,24 +616,33 @@ mod tests {
 
     #[test]
     fn o3_pnr_job_types_a_panic_and_a_routing_failure() {
-        match run_pnr_job("k", || -> Result<u32, pnr::PnrError> {
-            panic!("p&r exploded")
-        }) {
+        // The monolithic P&R is a farm job like any chain's, and its outcome
+        // becomes the build's result through the same function.
+        let settle = |job: fn() -> Result<u32, CompileError>| {
+            let outcome = crate::farm::run_jobs(vec![job], 1).remove(0);
+            crate::build::settle("k", outcome)
+        };
+        match settle(|| panic!("p&r exploded")) {
             Err(CompileError::JobPanicked { op, message }) => {
                 assert_eq!(op, "k");
                 assert!(message.contains("exploded"), "got: {message}");
             }
             other => panic!("{other:?}"),
         }
-        let unroutable = pnr::PnrError::Unroutable { overused_edges: 2 };
-        match run_pnr_job("k", || Err::<u32, _>(unroutable.clone())) {
+        match settle(|| {
+            let error = pnr::PnrError::Unroutable { overused_edges: 2 };
+            Err(CompileError::Pnr {
+                op: "k".into(),
+                error,
+            })
+        }) {
             Err(CompileError::Pnr { op, error }) => {
                 assert_eq!(op, "k");
-                assert_eq!(error, unroutable);
+                assert_eq!(error, pnr::PnrError::Unroutable { overused_edges: 2 });
             }
             other => panic!("{other:?}"),
         }
-        assert!(matches!(run_pnr_job("k", || Ok(7u32)), Ok(7)));
+        assert!(matches!(settle(|| Ok(7)), Ok(7)));
     }
 
     #[test]

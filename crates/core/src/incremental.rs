@@ -13,12 +13,10 @@
 //! an edit that only changed constants) is reused.
 
 use dfg::Graph;
-use fabric::PageId;
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
-use crate::build::{build_with_prev, kernel_hashes, BuildReport, Hashed, Memo};
+use crate::build::{build_graphs, kernel_hashes, BuildReport, Hashed, Memo};
 use crate::cache::{CacheBackend, TieredCache};
 use crate::flow::{CompileError, CompileOptions, CompiledApp};
 use crate::store::{ArtifactStore, StageKind};
@@ -137,7 +135,9 @@ impl BuildCache {
         if fresh.is_some() {
             self.memo.graph_hash = None;
         }
-        let built = build_with_prev(source, prev, &mut self.memo, options, &mut self.cache);
+        let source = (source, prev, &mut self.memo);
+        let built =
+            build_graphs(vec![source], options, &mut self.cache, options.jobs).swap_remove(0);
         let (app, report) = built.inspect_err(|_| {
             // The hash taken is of a source `last` does not hold.
             self.memo.graph_hash = None;
@@ -163,29 +163,6 @@ impl BuildCache {
         }
         Ok(app)
     }
-}
-
-/// Marks which operators changed between two versions of a graph (by
-/// source and pragma, matched by name) — what a `make`-style dependency
-/// check would report.
-pub fn dirty_set(old: &Graph, new: &Graph) -> Vec<String> {
-    let old_ops: HashMap<&str, &dfg::OperatorInst> =
-        old.operators.iter().map(|o| (o.name.as_str(), o)).collect();
-    new.operators
-        .iter()
-        .filter(|o| old_ops.get(o.name.as_str()).is_none_or(|p| p != o))
-        .map(|o| o.name.clone())
-        .collect()
-}
-
-/// Convenience: the pages whose artifacts a new compile would rewrite.
-pub fn dirty_pages(app: &CompiledApp, new: &Graph) -> Vec<PageId> {
-    let dirty = dirty_set(&app.graph, new);
-    app.operators
-        .iter()
-        .filter(|o| dirty.contains(&o.name))
-        .filter_map(|o| o.page)
-        .collect()
 }
 
 #[cfg(test)]
@@ -563,7 +540,9 @@ mod tests {
                 }
             }
             let mut cache = BuildCache::new();
-            cache.cache_mut().absorb(store);
+            for (key, product) in store.into_entries() {
+                cache.cache_mut().put(key, product);
+            }
             cache
         };
 
@@ -847,14 +826,6 @@ mod tests {
     }
 
     #[test]
-    fn dirty_set_detects_changes() {
-        let g1 = pipeline([1, 2, 3]);
-        let g2 = pipeline([1, 99, 3]);
-        assert!(dirty_set(&g1, &g1).is_empty());
-        assert_eq!(dirty_set(&g1, &g2), vec!["c".to_string()]);
-    }
-
-    #[test]
     fn retarget_is_a_change() {
         // Flipping a pragma HW -> RISCV recompiles that operator only.
         let g1 = pipeline([1, 2, 3]);
@@ -876,17 +847,6 @@ mod tests {
         assert!(app2.operators[1].soft.is_some());
         // The retargeted compile is a seconds-scale -O0 job.
         assert!(app2.vtime_serial.total() < 10.0);
-    }
-
-    #[test]
-    fn dirty_pages_map_to_floorplan() {
-        let g1 = pipeline([1, 2, 3]);
-        let g2 = pipeline([1, 99, 3]);
-        let mut cache = BuildCache::new();
-        let app = cache
-            .compile(&g1, &CompileOptions::new(OptLevel::O1))
-            .unwrap();
-        assert_eq!(dirty_pages(&app, &g2), vec![PageId(1)]);
     }
 
     #[test]

@@ -265,8 +265,8 @@ impl HintsProduct {
 }
 
 /// One stored stage product. Every variant holds its product behind an
-/// [`Arc`], so a clone — a fetch, a snapshot, a farm job's input — is a
-/// pointer copy and the store, the plan and the jobs share one allocation.
+/// [`Arc`], so a clone — a fetch, a farm job's input — is a pointer copy
+/// and the store, the plan and the jobs share one allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StageProduct {
     /// An HLS netlist + report.
@@ -347,21 +347,9 @@ impl ArtifactStore {
         }
     }
 
-    /// Absorbs every entry of another store. Content addressing makes
-    /// this conflict-free — equal keys name equal products — so merging
-    /// the per-worker stores of a batch compile (or per-device caches
-    /// across a fleet) is a union, not a reconciliation. Entries already
-    /// present keep the incumbent product ([`ArtifactStore::insert`]'s
-    /// keep-first policy, equality-asserted in debug builds).
-    pub fn merge(&mut self, other: ArtifactStore) {
-        for (key, product) in other.entries {
-            self.insert(key, product);
-        }
-    }
-
     /// Consumes the store into its entries, sorted by `(kind, hash)` so
     /// downstream appends (e.g. into an on-disk segment) are deterministic.
-    pub(crate) fn into_entries(self) -> Vec<(StageKey, StageProduct)> {
+    pub fn into_entries(self) -> Vec<(StageKey, StageProduct)> {
         let mut entries: Vec<_> = self.entries.into_iter().collect();
         entries.sort_by_key(|(k, _)| (k.kind, k.hash));
         entries
@@ -833,13 +821,13 @@ mod tests {
         };
         let before = store.get(key).cloned().unwrap();
         // Re-filing the same product under the same key is the normal
-        // content-addressed duplicate (batch merges):
-        // keep-first makes it a no-op.
+        // content-addressed duplicate (two graphs of a batch lowering one
+        // kernel): keep-first makes it a no-op.
         store.insert(key, before.clone());
         assert_eq!(store.get(key), Some(&before));
         assert_eq!(store.count_kind(StageKind::HlsLower), 1);
 
-        // Merge follows the same policy.
+        // Filing another store's entries follows the same policy.
         let mut other = ArtifactStore::new();
         other.insert(key, before.clone());
         let fresh_key = StageKey {
@@ -847,7 +835,9 @@ mod tests {
             hash: 99,
         };
         other.insert(fresh_key, before.clone());
-        store.merge(other);
+        for (key, product) in other.into_entries() {
+            store.insert(key, product);
+        }
         assert_eq!(store.get(key), Some(&before));
         assert_eq!(store.count_kind(StageKind::HlsLower), 2);
     }

@@ -99,11 +99,16 @@ fn store_round_trips_through_disk_with_identical_hashes() {
     std::fs::remove_dir_all(&dir).ok();
     {
         let mut cache = TieredCache::open(&dir).unwrap();
-        cache.absorb(store.clone());
+        for (key, product) in store.clone().into_entries() {
+            cache.put(key, product);
+        }
         cache.persist().unwrap();
     }
     let mut back = TieredCache::open(&dir).unwrap();
-    assert_eq!(back.snapshot(), store);
+    assert_eq!(CacheBackend::len(&back), store.len());
+    for (key, product) in store.clone().into_entries() {
+        assert_eq!(back.fetch(key), Some(product), "{key}");
+    }
 
     // A build against the reopened directory is a full cache hit and
     // reproduces the artifacts bit-identically.
@@ -263,5 +268,56 @@ fn a_failed_chain_is_the_builds_error_and_the_healthy_ones_are_filed() {
             "jobs = {jobs}: {err}"
         );
         assert_eq!(store.count_kind(StageKind::PlaceRoute), 2);
+    }
+}
+
+/// A batch whose middle graph holds the failing softcore operator of the test
+/// above: that graph's result is its typed error, its neighbours' are their
+/// apps, as a lone build makes them, and every healthy chain of the three is
+/// filed — what their lone builds would file, and no link for the failed one.
+/// The first graph shares its `a` chain with the failed graph's.
+#[test]
+fn a_failed_graph_of_a_batch_is_its_own_error_and_its_healthy_chains_are_filed() {
+    let opts = CompileOptions::new(OptLevel::O1);
+    let graphs = [
+        pipeline([1, 2, 3], hw3()),
+        mixed([30_000, 16]),
+        pipeline(
+            [4, 5, 6],
+            [Target::hw_auto(), Target::riscv_auto(), Target::hw_auto()],
+        ),
+    ];
+    let mut expected = ArtifactStore::new();
+    let solo: Vec<_> = graphs
+        .iter()
+        .map(|g| {
+            let mut store = ArtifactStore::new();
+            let built = build(g, &opts, &mut store);
+            for (key, product) in store.into_entries() {
+                expected.insert(key, product);
+            }
+            built
+        })
+        .collect();
+    let hashes = |app: &pld::CompiledApp| app.artifacts.iter().map(|x| x.hash).collect::<Vec<_>>();
+    for workers in [1, 2] {
+        let mut store = ArtifactStore::new();
+        let batch = pld::build_batch(&graphs, &opts, &mut store, workers);
+        assert_eq!(batch.len(), 3);
+        match &batch[1] {
+            Err(pld::CompileError::Softcore {
+                op,
+                error: softcore::CcError::MemoryTooLarge { .. },
+            }) => assert_eq!(op, "b"),
+            other => panic!("workers = {workers}: {other:?}"),
+        }
+        for g in [0, 2] {
+            let (app, report) = batch[g].as_ref().expect("a healthy graph builds");
+            let (lone, lone_report) = solo[g].as_ref().unwrap();
+            assert_eq!(hashes(app), hashes(lone), "workers = {workers}, graph {g}");
+            assert_eq!(report.stages, lone_report.stages);
+        }
+        assert_eq!(store.count_kind(StageKind::LinkDriver), 2);
+        assert!(store == expected, "workers = {workers}");
     }
 }

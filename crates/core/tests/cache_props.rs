@@ -85,16 +85,27 @@ fn driver_key(hash: u64) -> StageKey {
     }
 }
 
-/// `store` written to a fresh cache directory, published, and read back by
-/// a second opener.
+/// `store` filed key by key into a fresh cache directory and published; then
+/// a second opener, which must count as many products, fetches each key back.
 fn through_a_directory(store: &ArtifactStore, tag: &str) -> ArtifactStore {
     let dir = tmp_dir(tag);
+    let entries = store.clone().into_entries();
     {
         let mut cache = TieredCache::open(&dir).unwrap();
-        cache.absorb(store.clone());
+        for (key, product) in entries.clone() {
+            cache.put(key, product);
+        }
         cache.persist().unwrap();
     }
-    let back = TieredCache::open(&dir).unwrap().snapshot();
+    let mut cache = TieredCache::open(&dir).unwrap();
+    assert_eq!(CacheBackend::len(&cache), store.len());
+    let mut back = ArtifactStore::new();
+    for (key, _) in entries {
+        if let Some(product) = cache.fetch(key) {
+            back.insert(key, product);
+        }
+    }
+    drop(cache);
     std::fs::remove_dir_all(&dir).ok();
     back
 }

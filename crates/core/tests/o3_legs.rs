@@ -1,5 +1,6 @@
-//! Farm width must not show in anything a compile returns. `-O3` runs its
-//! one monolithic P&R as a farm job, and `-O1` runs one job per operator
+//! Farm width must not show in anything a compile returns. `-O3` runs one
+//! job per operator whose netlist misses, then its one monolithic P&R as a
+//! farm job of a second round, and `-O1` runs one job per operator
 //! whose chain misses a stage: HLS or the softcore compile, then P&R — cold,
 //! warm-started from a hint, or a hit the job's own probe finds — and
 //! packing. Each job is a pure function of its operator's inputs and of a
@@ -19,6 +20,8 @@ struct O3Fingerprint {
     work_units: u64,
     vtime_serial: pld::PhaseTimes,
     stages: Vec<(StageKind, StageCount)>,
+    /// The HLS round's per-operator counts.
+    operators: Vec<pld::OperatorStages>,
 }
 
 fn o3(graph: &dfg::Graph, jobs: usize, seed: u64) -> Result<O3Fingerprint, CompileError> {
@@ -35,6 +38,7 @@ fn o3(graph: &dfg::Graph, jobs: usize, seed: u64) -> Result<O3Fingerprint, Compi
         work_units: mono.work_units,
         vtime_serial: app.vtime_serial,
         stages: report.stages.iter().map(|(k, c)| (*k, *c)).collect(),
+        operators: report.operators,
     })
 }
 

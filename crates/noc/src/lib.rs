@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 //! The PLD linking network: a deflection-routed butterfly fat tree.
 //!
 //! "PLD uses a Hoplite, lightweight, deflection-routed, single-flit packet,

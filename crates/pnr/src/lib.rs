@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 //! Place & route: the expensive half of FPGA compilation.
 //!
 //! "Placement and routing problems are all NP-hard problems, typically solved

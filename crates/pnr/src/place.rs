@@ -464,8 +464,11 @@ fn build_net_index(netlist: &Netlist) -> (Vec<u32>, Vec<Adj>, Vec<u32>, Vec<u32>
         let np = &pins[pin_off[ni] as usize..];
         if let &[a, b] = np {
             if a != b {
-                adj[a as usize].last_mut().unwrap().other = b;
-                adj[b as usize].last_mut().unwrap().other = a;
+                // Both cells were just visited for this net, so each list
+                // ends with this net's entry.
+                let last = "a net's cells hold its adjacency entry";
+                adj[a as usize].last_mut().expect(last).other = b;
+                adj[b as usize].last_mut().expect(last).other = a;
             }
         }
         pin_off.push(pins.len() as u32);

@@ -544,24 +544,44 @@ fn unplaceable_fleet_submissions_carry_per_device_deficits() {
 
 #[test]
 fn build_batch_matches_serial_builds_and_merges_the_store() {
-    let opts = CompileOptions::new(OptLevel::O0);
-    let graphs: Vec<Graph> = (0..6)
-        .map(|i| pipeline(&format!("b{i}"), 2, i as i64 + 1))
-        .collect();
-    let mut batch_store = pld::ArtifactStore::new();
-    let batch = pld::build_batch(&graphs, &opts, &mut batch_store, 3);
-    assert_eq!(batch.len(), 6);
-    for (graph, result) in graphs.iter().zip(&batch) {
-        let (app, _) = result.as_ref().expect("batch job succeeds");
-        let mut solo_store = pld::ArtifactStore::new();
-        let (solo, _) = pld::build(graph, &opts, &mut solo_store).expect("serial build");
-        // Content addressing: the concurrent build produces bit-identical
-        // artifacts to the serial one.
-        let batch_hashes: Vec<u64> = app.artifacts.iter().map(|x| x.hash).collect();
-        let solo_hashes: Vec<u64> = solo.artifacts.iter().map(|x| x.hash).collect();
-        assert_eq!(batch_hashes, solo_hashes);
-        // And every stage product landed in the merged store.
-        assert!(batch_store.len() >= solo_store.len());
+    let hashes = |app: &pld::CompiledApp| app.artifacts.iter().map(|x| x.hash).collect::<Vec<_>>();
+    for level in [OptLevel::O0, OptLevel::O1, OptLevel::O3] {
+        let opts = CompileOptions::new(level);
+        // Graphs 4 and 5 share their kernels with graphs 0 and 1; at -O1 each
+        // graph's first stage is hardware.
+        let graphs: Vec<Graph> = (0..6)
+            .map(|i| {
+                let mut graph = pipeline(&format!("b{i}"), 2, i as i64 % 4 + 1);
+                if level == OptLevel::O1 {
+                    graph.operators[0].target = Target::hw_auto();
+                }
+                graph
+            })
+            .collect();
+        // The store before the batch already holds one of its graphs.
+        let mut batch_store = pld::ArtifactStore::new();
+        pld::build(&graphs[1], &opts, &mut batch_store).expect("warm-up build");
+        let before = batch_store.clone();
+        let batch = pld::build_batch(&graphs, &opts, &mut batch_store, 3);
+        assert_eq!(batch.len(), 6);
+        for (graph, result) in graphs.iter().zip(&batch) {
+            let (app, report) = result.as_ref().expect("batch job succeeds");
+            let mut solo_store = before.clone();
+            let (solo, solo_report) =
+                pld::build(graph, &opts, &mut solo_store).expect("serial build");
+            // Content addressing: the batch builds each graph against the
+            // store as it stood before the batch, stage for stage, into
+            // bit-identical artifacts.
+            let at = format!("{level} {}", graph.name);
+            assert_eq!(hashes(app), hashes(&solo), "{at}");
+            assert_eq!(report.stages, solo_report.stages, "{at}");
+            assert_eq!(report.operators, solo_report.operators, "{at}");
+            // And every stage product landed in the merged store.
+            assert!(batch_store.len() >= solo_store.len());
+            for (key, product) in solo_store.into_entries() {
+                assert_eq!(batch_store.get(key), Some(&product), "{at}: {key}");
+            }
+        }
     }
 }
 
